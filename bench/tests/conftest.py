@@ -1,0 +1,12 @@
+"""Self-tests of the benchmark: ``python -m pytest bench/tests -q``.
+
+Tier-1 (``testpaths = tests``) does not collect these.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
