@@ -16,9 +16,8 @@ import time
 
 from conftest import scale
 
-from repro.core import DogmatiX
+from repro.api import Corpus
 from repro.eval import EXPERIMENTS, build_dataset1
-from repro.core.config import DogmatixConfig
 from repro.core.heuristics import KClosestDescendants
 from repro.strings import BoundedMatcher, QGramIndex, within_normalized
 
@@ -27,8 +26,7 @@ def collect_values():
     base = scale("REPRO_D1_BASE", 250)
     dataset = build_dataset1(base_count=min(base, 250), seed=7)
     config = EXPERIMENTS[0].config(KClosestDescendants(8))
-    algo = DogmatiX(config)
-    ods = algo.build_ods(dataset.sources, dataset.mapping, "DISC")
+    ods = Corpus(dataset.sources).generate_ods(dataset.mapping, "DISC", config)
     by_kind: dict[str, list[str]] = {}
     for od in ods:
         for odt in od.tuples:

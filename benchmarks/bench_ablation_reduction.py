@@ -19,7 +19,8 @@ import time
 
 from conftest import scale
 
-from repro.core import DogmatiX, KClosestDescendants
+from repro.api import Corpus, DetectionSession
+from repro.core import KClosestDescendants
 from repro.eval import EXPERIMENTS, build_dataset1, gold_pairs, pair_metrics
 
 
@@ -36,10 +37,11 @@ def run_reduction_ablation():
         config = EXPERIMENTS[0].config(KClosestDescendants(6))
         config.use_blocking = blocking
         config.use_object_filter = object_filter
-        algo = DogmatiX(config)
-        ods = algo.build_ods(dataset.sources, dataset.mapping, "DISC")
+        ods = Corpus(dataset.sources).generate_ods(dataset.mapping, "DISC", config)
         start = time.perf_counter()
-        result = algo.detect(ods, dataset.mapping, "DISC")
+        result = DetectionSession.from_ods(
+            ods, dataset.mapping, "DISC", config
+        ).detect()
         elapsed = time.perf_counter() - start
         metrics = pair_metrics(result.duplicate_id_pairs(), gold_pairs(ods))
         rows.append(

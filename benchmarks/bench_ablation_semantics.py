@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from conftest import scale
 
-from repro.core import DogmatiX, KClosestDescendants, RDistantDescendants
+from repro.api import DetectionSession
+from repro.core import KClosestDescendants, RDistantDescendants
 from repro.eval import EXPERIMENTS, build_dataset1, build_dataset2, gold_pairs, pair_metrics
 
 
@@ -32,10 +33,13 @@ def run_semantics_ablation():
         for semantics in ("matching", "all-pairs"):
             config = EXPERIMENTS[0].config(heuristic)
             config.similar_semantics = semantics
-            algo = DogmatiX(config)
-            ods = algo.build_ods(dataset.sources, dataset.mapping, real_world_type)
-            result = algo.detect(ods, dataset.mapping, real_world_type)
-            metrics = pair_metrics(result.duplicate_id_pairs(), gold_pairs(ods))
+            session = DetectionSession(
+                dataset.sources, dataset.mapping, real_world_type, config
+            )
+            result = session.detect()
+            metrics = pair_metrics(
+                result.duplicate_id_pairs(), gold_pairs(session.ods)
+            )
             rows.append((label, semantics, metrics.recall, metrics.precision,
                          metrics.f1))
     return rows

@@ -18,7 +18,8 @@ Run:  python examples/custom_pipeline.py
 """
 
 from repro.baselines import SortedNeighborhood
-from repro.core import DogmatiX, DogmatixConfig, RDistantDescendants, Source, c_sdt
+from repro.api import DetectionSession
+from repro.core import DogmatixConfig, RDistantDescendants, Source, c_sdt
 from repro.framework import (
     CandidateDefinition,
     DescriptionDefinition,
@@ -102,7 +103,9 @@ def main() -> None:
         theta_cand=0.5,
         use_object_filter=False,
     )
-    dogmatix_result = DogmatiX(config).run(Source(document), MAPPING, "PRODUCT")
+    dogmatix_result = DetectionSession(
+        Source(document), MAPPING, "PRODUCT", config
+    ).detect()
     print("dogmatix:", dogmatix_result.summary())
     print(dogmatix_result.to_xml())
 

@@ -14,7 +14,8 @@ Run:  python examples/large_scale_filtering.py [count]
 import sys
 import time
 
-from repro.core import DogmatiX, KClosestDescendants
+from repro.api import DetectionSession
+from repro.core import KClosestDescendants
 from repro.eval import (
     EXPERIMENTS_BY_NAME,
     build_dataset3,
@@ -33,11 +34,11 @@ def main(count: int = 1500) -> None:
     config = EXPERIMENTS_BY_NAME["exp1"].config(
         KClosestDescendants(6), use_object_filter=True
     )
-    algorithm = DogmatiX(config)
-    ods = algorithm.build_ods(dataset.sources, dataset.mapping, "DISC")
+    session = DetectionSession(dataset.sources, dataset.mapping, "DISC", config)
+    ods = session.ods
 
     start = time.perf_counter()
-    result = algorithm.detect(ods, dataset.mapping, "DISC")
+    result = session.detect()
     elapsed = time.perf_counter() - start
 
     exhaustive = count_pairs(len(ods))

@@ -14,11 +14,6 @@ index, the classifier) and then queried three ways:
 
 Run:  python examples/quickstart.py
 
-Deprecated path: the old one-shot call still works but rebuilds
-everything per invocation and warns::
-
-    result = DogmatiX(config).run(source, mapping, "MOVIE")  # deprecated
-
 Scaling up: classification (the O(n²) step) can fan out across worker
 processes without changing any result — set an execution policy::
 

@@ -17,9 +17,6 @@ Quickstart (session API — build once, query many times)::
     session = DetectionSession(Source(parse(xml_text)), mapping, "MOVIE")
     print(session.detect().to_xml())        # batch run
     print(session.match(0))                 # partners of one object
-
-The legacy one-shot call ``DogmatiX(config).run(...)`` still works but
-is deprecated; it is a shim over the same session machinery.
 """
 
 from .api import (
@@ -31,7 +28,6 @@ from .api import (
     RunSpec,
 )
 from .core import (
-    DogmatiX,
     DogmatixConfig,
     DogmatixSimilarity,
     KClosestDescendants,
@@ -70,7 +66,6 @@ __all__ = [
     "DetectionPipeline",
     "DetectionResult",
     "DetectionSession",
-    "DogmatiX",
     "Explanation",
     "IncrementalUpdate",
     "Match",

@@ -23,8 +23,13 @@ class LintConfig:
     shared_classes: frozenset[str] = frozenset(
         {
             "CorpusIndex",
+            # Similar-value indexes: the shared shell, its strategies,
+            # and the writable gram state a dict-encoded frozen index
+            # keeps serving from.
+            "ValueIndex",
             "QGramIndex",
             "SignatureIndex",
+            "DictValueState",
             "DetectionSession",
             "DogmatixSimilarity",
             "ObjectFilter",
@@ -32,9 +37,11 @@ class LintConfig:
             "SessionEntry",
             "ReadWriteLock",
             "IndexStore",
-            # Compact-encoding structures: frozen indexes hand these out
-            # to lock-free readers, so the no-live-escape contract
-            # applies verbatim (RPR001 also covers memoryview windows).
+            # Term states and compact-encoding structures: frozen
+            # indexes read through these from lock-free readers, so the
+            # no-live-escape contract applies verbatim (RPR001 also
+            # covers memoryview windows).
+            "DictTermState",
             "StringTable",
             "PostingLists",
             "CompactGramStore",
@@ -46,7 +53,10 @@ class LintConfig:
     #: Classes pinned read-only after build (``freeze()``/``thaw()``
     #: seam).  RPR003 restricts state mutation to the sanctioned
     #: writer set below.  The compact structures are immutable by
-    #: construction — any post-``__init__`` assignment is a bug.
+    #: construction — any post-``__init__`` assignment is a bug.  The
+    #: dict states (``DictTermState``, ``DictValueState``) are the
+    #: writable ones and stay out: the index that owns them enforces
+    #: the pin.
     frozen_classes: frozenset[str] = frozenset(
         {
             "CorpusIndex",
@@ -84,6 +94,7 @@ class LintConfig:
         "repro.api",
         "repro.ingest",
         "repro.serve",
+        "repro.strings.value_index",
         "repro.strings.qgram",
         "repro.strings.signatures",
         # Compact postings feed the same bit-identical results as the

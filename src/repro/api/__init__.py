@@ -1,8 +1,7 @@
 """api: the session-based public surface of the system.
 
-The one-shot ``DogmatiX(config).run(...)`` call rebuilds everything per
-invocation; this package is the prepared, reusable alternative a
-service wants:
+One prepared, reusable run is the only entry point — nothing rebuilds
+schemas, descriptions or the index per call:
 
 * :class:`Corpus` — sources plus cached schemas (``add_source``);
 * :class:`DetectionSession` — index/similarity/classifier built once,

@@ -1,14 +1,13 @@
 """DetectionSession: a prepared, reusable detection run.
 
-The one-shot ``DogmatiX(config).run(...)`` rebuilds schema inference,
-object descriptions, the :class:`~repro.core.index.CorpusIndex`, and
-the classifier on every call.  A session builds them **once** per
-``(corpus, mapping, real-world type, config)`` and then answers many
-questions against the standing structures:
+A session runs schema inference, generates the object descriptions,
+and builds the :class:`~repro.core.index.CorpusIndex` and the
+classifier **once** per ``(corpus, mapping, real-world type, config)``
+and then answers many questions against the standing structures:
 
 * :meth:`DetectionSession.detect` — a full batch run through the
-  execution engine (bit-identical to the one-shot call), optionally at
-  an overridden ``theta_cand`` so threshold sweeps amortize the index;
+  execution engine, optionally at an overridden ``theta_cand`` so
+  threshold sweeps amortize the index;
 * :meth:`DetectionSession.match` — single-object duplicate lookup: the
   partners a full ``detect()`` would report for that object, found via
   the index's similar-value groups instead of a corpus-wide pass;
@@ -16,8 +15,8 @@ questions against the standing structures:
   source, clustered against prime representatives
   (:class:`~repro.framework.incremental.IncrementalDeduplicator`, the
   merge/purge adaptation the paper plans to adopt);
-* :meth:`DetectionSession.explain` — an :class:`Explanation` value per
-  pair, replacing the mutable ``last_*`` attributes of the old API.
+* :meth:`DetectionSession.explain` — an immutable :class:`Explanation`
+  value per pair.
 
 The session is the seam future sharding/caching work plugs into: the
 index, similarity, and classifier are built in one place and shared by
@@ -73,9 +72,8 @@ class Match:
 class Explanation:
     """Why one pair scored the way it did (immutable snapshot).
 
-    Replaces the old mutable ``last_similarity``-and-poke-at-it
-    introspection: every field is computed at call time from the
-    session's standing index.
+    Every field is computed at call time from the session's standing
+    index.
     """
 
     left: int
@@ -224,10 +222,10 @@ class DetectionSession:
     ) -> "DetectionSession":
         """Session over externally prepared ODs (no corpus generation).
 
-        Used by the legacy ``DogmatiX.detect`` shim and by pipelines
-        that build descriptions themselves (Definition 2 allows ODs not
-        constrained by any data source).  ``extend``/``match`` with XML
-        elements need corpus schemas, so add sources before using them.
+        Used by pipelines that build descriptions themselves
+        (Definition 2 allows ODs not constrained by any data source).
+        ``extend``/``match`` with XML elements need corpus schemas, so
+        add sources before using them.
         """
         return cls(Corpus(), mapping, real_world_type, config, ods=ods)
 

@@ -257,9 +257,6 @@ class CompactGramStore:
         """The gram table (immutable)."""
         return self._vocabulary
 
-    def gram_code(self, gram: str) -> int:
-        return self._vocabulary.code_of(gram)
-
     def codes_row(self, index: int) -> tuple[int, ...]:
         """One value's sorted gram codes (snapshot)."""
         return self._codes.row(index)
@@ -399,9 +396,34 @@ class CompactValueIndex:
             buckets = PostingLists.build(rows)
         return cls(order, grams, length_keys, length_rows, buckets)
 
+    # The gram-state read surface (see ``strings.value_index``).
     def find(self, values: Sequence[str], query: str) -> int:
         """The insertion id of ``query`` in ``values``, or ``-1``."""
         return permutation_find(values, self.order, query)
+
+    def counter(self, value_id: int) -> Counter[str]:
+        """One value's gram multiset (always a fresh Counter)."""
+        return self.grams.counter(value_id)
+
+    def query_pairs(self, query_grams: Counter[str]) -> list[tuple[int, int]]:
+        """A probe's sorted ``(gram code, count)`` pairs, as
+        :meth:`overlap` and :meth:`gather` take them."""
+        return self.grams.query_pairs(query_grams)
+
+    def overlap(
+        self, value_id: int, query_pairs: Sequence[tuple[int, int]]
+    ) -> int:
+        """Exact multiset overlap of one value with a pre-coded probe —
+        the same ``sum(min(stored, query))`` as a two-pointer merge."""
+        return self.grams.overlap(value_id, query_pairs)
+
+    def gather(self, query_pairs: Sequence[tuple[int, int]]) -> set[int]:
+        """Ids of the values sharing at least one gram with the probe:
+        the union of the probe's gram-code posting rows."""
+        found: set[int] = set()
+        for code, _ in query_pairs:
+            self.buckets.update_set(code, found)
+        return found
 
     def length_classes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """``(length, value ids)`` per length class (snapshots)."""
@@ -480,8 +502,8 @@ def set_union_size(left, right) -> int:
 def deep_sizeof(obj: object) -> int:
     """Total ``sys.getsizeof`` bytes reachable from ``obj``.
 
-    The measurement behind the encoding's memory contract
-    (``benchmarks/bench_encoding.py`` and the slow-marked regression
+    The measurement behind the encoding's memory contract (the bench
+    of record's ``core.index_bytes`` and the slow-marked regression
     test): descends dicts, sequences, sets, ``__dict__``/``__slots__``
     instances; flat ``array`` buffers are already priced by
     ``getsizeof``.  Shared objects count once (id-dedup), so comparing

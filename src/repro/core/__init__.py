@@ -2,7 +2,8 @@
 
 Description-selection heuristics and conditions (Sec. 4), the
 softIDF-weighted similarity measure and object filter (Sec. 5), and the
-end-to-end :class:`DogmatiX` runner (Sec. 3).
+worker-side factories that rebuild the classifier and shard runtime
+(Sec. 3's steps 4-5) inside pool processes.
 """
 
 from .conditions import (
@@ -17,15 +18,12 @@ from .conditions import (
 )
 from .candidates_auto import CandidateSuggestion, best_candidate, suggest_candidates
 from .config import DogmatixConfig
-from .dogmatix import DogmatiX, DogmatixClassifierFactory, DogmatixShardFactory, Source
+from .dogmatix import DogmatixClassifierFactory, DogmatixShardFactory, Source
 from .encodings import (
     INDEX_ENCODINGS,
-    CompactEncoding,
     CompactTermIndex,
-    DictEncoding,
-    IndexEncoding,
+    DictTermState,
     default_index_encoding,
-    make_index_encoding,
 )
 from .heuristics import (
     CombinedHeuristic,
@@ -49,15 +47,12 @@ __all__ = [
     "CandidateSuggestion",
     "CombinedCondition",
     "CombinedHeuristic",
-    "CompactEncoding",
     "CompactTermIndex",
     "Condition",
     "CorpusIndex",
-    "DictEncoding",
+    "DictTermState",
     "INDEX_ENCODINGS",
-    "IndexEncoding",
     "DescriptionSelector",
-    "DogmatiX",
     "DogmatixClassifierFactory",
     "DogmatixShardFactory",
     "DogmatixConfig",
@@ -81,7 +76,6 @@ __all__ = [
     "candidate_schema_element",
     "default_index_encoding",
     "h_and",
-    "make_index_encoding",
     "h_or",
     "match_tuples",
     "odt_dist",

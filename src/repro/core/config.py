@@ -76,8 +76,7 @@ class DogmatixConfig:
     similar_semantics: str = "matching"
     #: Similar-value search strategy behind the corpus index: "qgram"
     #: (the count-filter oracle) or "signature" (prefix filtering).
-    #: Results are bit-identical; only candidate generation differs
-    #: (see benchmarks/bench_similarity.py).
+    #: Results are bit-identical; only candidate generation differs.
     similarity_strategy: str = field(
         default_factory=_default_similarity_strategy
     )

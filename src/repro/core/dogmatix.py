@@ -1,8 +1,8 @@
-"""The DogmatiX algorithm (Section 3 of the paper).
+"""The DogmatiX algorithm's inputs and worker-side runtimes (Section 3).
 
-Inputs: one or more XML documents with their schemas, a mapping *M* of
-element XPaths to real-world types, and the real-world type to
-deduplicate.  DogmatiX then
+Inputs: one or more XML documents with their schemas (:class:`Source`),
+a mapping *M* of element XPaths to real-world types, and the real-world
+type to deduplicate.  :class:`repro.api.DetectionSession` then
 
 1. selects the duplicate candidates Ω_T (all instances of the mapped
    schema elements, possibly across differently structured sources),
@@ -15,7 +15,8 @@ deduplicate.  DogmatiX then
 6. clusters duplicates transitively,
 
 and returns a :class:`~repro.framework.result.DetectionResult` whose
-``to_xml()`` emits the Fig. 3 dupcluster document.
+``to_xml()`` emits the Fig. 3 dupcluster document.  The two factories
+here rebuild steps 4-5's state inside pool workers.
 """
 
 from __future__ import annotations
@@ -24,14 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..engine.sharder import ShardedPairSource
-from ..framework import (
-    DetectionResult,
-    ObjectDescription,
-    ThresholdClassifier,
-    TypeMapping,
-)
+from ..framework import ObjectDescription, ThresholdClassifier, TypeMapping
 from ..xmlkit import Document, Element, Schema, infer_schema
-from .config import DogmatixConfig
 from .index import CorpusIndex
 from .object_filter import ObjectFilter
 from .similarity import DogmatixSimilarity
@@ -190,104 +185,3 @@ class Source:
         if self.schema is None:
             return infer_schema(self.document)
         return self.schema
-
-
-class DogmatiX:
-    """Duplicate objects get matched in XML.
-
-    .. deprecated::
-        :meth:`run` is the one-shot legacy entry point; it rebuilds
-        schema inference, the corpus index, and the classifier on every
-        call.  New code should prepare a
-        :class:`repro.api.DetectionSession` once and call its
-        ``detect()`` / ``match()`` / ``extend()`` methods — ``run`` is
-        now a thin shim over exactly that session (results are
-        bit-identical) and emits a :class:`DeprecationWarning`.
-    """
-
-    def __init__(self, config: DogmatixConfig | None = None) -> None:
-        self.config = config or DogmatixConfig()
-        #: Populated by :meth:`run` for introspection / benchmarks.
-        #: Deprecated alongside it — sessions expose ``index``,
-        #: ``object_filter``, and ``explain()`` instead.
-        self.last_index: CorpusIndex | None = None
-        self.last_filter: ObjectFilter | None = None
-        self.last_similarity: DogmatixSimilarity | None = None
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        sources: Source | Document | Element | Sequence[Source | Document | Element],
-        mapping: TypeMapping,
-        real_world_type: str,
-    ) -> DetectionResult:
-        """Detect duplicates of ``real_world_type`` across the sources.
-
-        Deprecated shim over :class:`repro.api.DetectionSession`.
-        """
-        import warnings
-
-        warnings.warn(
-            "DogmatiX.run() is deprecated; build a "
-            "repro.api.DetectionSession once and call detect()/match() "
-            "on it (same results, amortized index construction)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        ods = self.build_ods(sources, mapping, real_world_type)
-        return self.detect(ods, mapping, real_world_type)
-
-    # ------------------------------------------------------------------
-    def build_ods(
-        self,
-        sources: Source | Document | Element | Sequence[Source | Document | Element],
-        mapping: TypeMapping,
-        real_world_type: str,
-    ) -> list[ObjectDescription]:
-        """Steps 1–3: candidates, descriptions, OD generation.
-
-        Candidates from different schema elements (e.g. ``movie`` and
-        ``film``) get descriptions selected from *their* schema, so
-        structurally different sources coexist in one candidate set.
-        Delegates to :meth:`repro.api.Corpus.generate_ods` (one schema
-        inference per schema-less source, cached in the corpus).
-        """
-        from ..api import Corpus
-
-        return Corpus(_normalize_sources(sources)).generate_ods(
-            mapping, real_world_type, self.config
-        )
-
-    # ------------------------------------------------------------------
-    def detect(
-        self,
-        ods: Sequence[ObjectDescription],
-        mapping: TypeMapping,
-        real_world_type: str,
-    ) -> DetectionResult:
-        """Steps 4–6 on prepared ODs.
-
-        One :class:`repro.api.DetectionSession` under the hood, so the
-        legacy and session paths cannot drift apart.
-        """
-        from ..api import DetectionSession
-
-        session = DetectionSession.from_ods(
-            ods, mapping, real_world_type, self.config
-        )
-        result = session.detect()
-        self.last_index = session.index
-        self.last_filter = session.object_filter
-        self.last_similarity = session.similarity
-        return result
-
-
-def _normalize_sources(
-    sources: Source | Document | Element | Sequence[Source | Document | Element],
-) -> list[Source]:
-    if isinstance(sources, (Source, Document, Element)):
-        sources = [sources]
-    normalized: list[Source] = []
-    for item in sources:
-        normalized.append(item if isinstance(item, Source) else Source(item))
-    return normalized

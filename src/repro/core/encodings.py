@@ -1,55 +1,99 @@
-"""Index encodings: how a frozen :class:`CorpusIndex` stores its state.
+"""Index encodings: the two states a :class:`CorpusIndex` reads through.
 
-``INDEX_ENCODINGS`` mirrors the similarity ``STRATEGIES`` registry
-(PR 8): the existing dict/set representation stays verbatim as the
-parity oracle under the name ``"dict"``, and ``"compact"`` re-encodes
-the index **at freeze() time** into interned string tables plus flat
-sorted posting arrays (see :mod:`repro.compact`).  Both answer every
-query bit-identically — the differential harness in
-``tests/test_index_encodings.py`` pins this.
+A corpus index holds its occurrence state in exactly one *term state*
+object and asks it every read — ``occurrence_row``, ``key_row``,
+``union_cardinality``, ``union_rows``, ``block_terms``, ``len`` — so
+nothing above this module knows which representation answers:
 
-The lifecycle hooks ride the existing freeze/thaw discipline:
+* :class:`DictTermState` — dicts of object-id sets.  The only writable
+  state: every index is built in it, and ``thaw()`` returns to it so
+  ``extend()`` delta-merges run against the original representation.
+  Under the ``"dict"`` encoding (the parity oracle) it is also what a
+  frozen index keeps.
+* :class:`CompactTermIndex` — interned string tables plus flat sorted
+  posting arrays (see :mod:`repro.compact`).  Under the ``"compact"``
+  encoding ``freeze()`` swaps the dict state for this one and compacts
+  every similar-value index alongside; it is immutable, so a write path
+  that skipped ``thaw()`` fails loudly instead of silently diverging.
 
-* ``freeze()`` -> :meth:`IndexEncoding.on_freeze` — the compact
-  encoding swaps the occurrence dicts for a :class:`CompactTermIndex`
-  and compacts every similar-value index, then drops the dict state;
-* ``thaw()`` -> :meth:`IndexEncoding.on_thaw` — decompacts back to
-  dicts so ``extend()`` delta-merges run against the original writable
-  representation, and the ``finally: freeze()`` recompacts.
-
-Mutating a compacted index without thawing is impossible by
-construction: the dict attributes are ``None`` while compact, so any
-write path that skipped the encoder fails loudly instead of silently
-diverging.
-
-The snapshot helpers at the bottom serialize/reconstruct a compacted
-frozen index for :class:`~repro.ingest.store.IndexStore` payloads
-(format version 2): a warm load rebuilds the index by slicing buffers
-instead of re-running tuple scans and gram counting.
+Both answer every query bit-identically — the differential harness in
+``tests/test_index_encodings.py`` pins this.  ``INDEX_ENCODINGS`` names
+the state a frozen index holds, mirroring the similarity ``STRATEGIES``
+registry.  The compact state also serializes as raw array bytes for
+:class:`~repro.ingest.store.IndexStore` payloads (format version 2): a
+warm load rebuilds the index by slicing buffers instead of re-running
+tuple scans and gram counting.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
-from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Type
-
 from array import array
+from bisect import bisect_left
+from typing import Dict, Iterable
 
 from ..compact import (
-    BYTEORDER,
     PostingLists,
     StringTable,
+    decode_array,
+    encode_array,
+    set_union_size,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .index import CorpusIndex
 
 #: Environment variable consulted for the default index encoding.
 ENCODING_ENV_VAR = "REPRO_INDEX_ENCODING"
 
 _VALUE_MASK = (1 << 32) - 1
+
+
+class DictTermState:
+    """Dict/set occurrence state of a building (or dict-frozen) index.
+
+    ``occurrences`` maps ``(comparison key, value) -> object ids`` and
+    ``objects_by_key`` maps ``key -> object ids``; both are written only
+    by ``repro.core.index._fold_term_state``, under the index's freeze
+    discipline.  Reads hand out snapshots, never the live sets.
+    """
+
+    __slots__ = ("occurrences", "objects_by_key")
+
+    def __init__(self) -> None:
+        self.occurrences: dict[tuple[str, str], set[int]] = {}
+        self.objects_by_key: dict[str, set[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.occurrences)
+
+    def occurrence_row(self, key: str, value: str) -> frozenset[int]:
+        """The term's object ids (snapshot; empty when absent)."""
+        return frozenset(self.occurrences.get((key, value), ()))
+
+    def key_row(self, key: str) -> frozenset[int]:
+        """All object ids under a comparison key (snapshot)."""
+        return frozenset(self.objects_by_key.get(key, ()))
+
+    def union_cardinality(
+        self, key_i: str, value_i: str, key_j: str, value_j: str
+    ) -> int:
+        """``|O_i ∪ O_j|``, counted by membership of the smaller set in
+        the larger — the union set is never built."""
+        occurrences = self.occurrences
+        return set_union_size(
+            occurrences.get((key_i, value_i), ()),
+            occurrences.get((key_j, value_j), ()),
+        )
+
+    def union_rows(self, key: str, values: Iterable[str]) -> set[int]:
+        """Union of several terms' object ids under one key."""
+        found: set[int] = set()
+        occurrences = self.occurrences
+        for value in values:
+            found.update(occurrences.get((key, value), ()))
+        return found
+
+    def block_terms(self) -> tuple[tuple[str, str], ...]:
+        """Every indexed term, in insertion order (snapshot)."""
+        return tuple(self.occurrences)
 
 
 class CompactTermIndex:
@@ -90,13 +134,10 @@ class CompactTermIndex:
         self.key_postings = key_postings
 
     @classmethod
-    def build(cls, occurrences, objects_by_key) -> "CompactTermIndex":
-        """Compact the dict-encoded occurrence state.
-
-        ``occurrences`` maps ``(key, value) -> set[int]``;
-        ``objects_by_key`` maps ``key -> set[int]``.  Both are consumed
-        read-only.
-        """
+    def build(cls, state: DictTermState) -> "CompactTermIndex":
+        """Compact the dict state (consumed read-only)."""
+        occurrences = state.occurrences
+        objects_by_key = state.objects_by_key
         keys = StringTable.build(
             set(objects_by_key) | {key for key, _ in occurrences}
         )
@@ -151,11 +192,17 @@ class CompactTermIndex:
             return ()
         return self.postings.row(slot)
 
-    def row_length(self, slot: int) -> int:
-        return self.postings.row_length(slot)
-
-    def union_size(self, slot_i: int, slot_j: int) -> int:
-        """``|postings(i) ∪ postings(j)|`` by sorted two-pointer merge."""
+    def union_cardinality(
+        self, key_i: str, value_i: str, key_j: str, value_j: str
+    ) -> int:
+        """``|O_i ∪ O_j|`` by sorted two-pointer merge over the two
+        posting rows; an unseen term contributes nothing."""
+        slot_i = self.term_slot(key_i, value_i)
+        slot_j = self.term_slot(key_j, value_j)
+        if slot_i < 0:
+            return self.postings.row_length(slot_j) if slot_j >= 0 else 0
+        if slot_j < 0:
+            return self.postings.row_length(slot_i)
         return self.postings.union_size(slot_i, slot_j)
 
     def union_rows(self, key: str, values: Iterable[str]) -> set[int]:
@@ -196,25 +243,21 @@ class CompactTermIndex:
             for packed in self.terms
         )
 
-    def decompact(self):
-        """Rebuild ``(occurrences, objects_by_key)`` dict state."""
-        occurrences = defaultdict(set)
+    def decompact(self) -> DictTermState:
+        """Rebuild the writable dict state (fresh sets throughout)."""
+        state = DictTermState()
         keys = self.keys
         values = self.values
         for slot, packed in enumerate(self.terms):
-            occurrences[(keys[packed >> 32], values[packed & _VALUE_MASK])] = set(
-                self.postings.row(slot)
-            )
-        objects_by_key = defaultdict(set)
+            term = (keys[packed >> 32], values[packed & _VALUE_MASK])
+            state.occurrences[term] = set(self.postings.row(slot))
         for code in range(len(keys)):
             row = self.key_postings.row(code)
             if row:
-                objects_by_key[keys[code]] = set(row)
-        return occurrences, objects_by_key
+                state.objects_by_key[keys[code]] = set(row)
+        return state
 
     def to_payload(self) -> dict:
-        from ..compact import encode_array
-
         return {
             "keys": list(self.keys.strings()),
             "values": list(self.values.strings()),
@@ -225,8 +268,6 @@ class CompactTermIndex:
 
     @classmethod
     def from_payload(cls, payload: object) -> "CompactTermIndex":
-        from ..compact import decode_array
-
         if not isinstance(payload, dict):
             raise ValueError("malformed term-index payload")
         keys = payload.get("keys")
@@ -247,173 +288,14 @@ class CompactTermIndex:
         )
 
 
-class IndexEncoding:
-    """One representation of the index's standing state.
-
-    Hooks are invoked by :meth:`CorpusIndex.freeze` /
-    :meth:`CorpusIndex.thaw` under the owning session's writer
-    discipline — they must not be called on an index that concurrent
-    readers are probing.
-    """
-
-    name = ""
-
-    def on_freeze(self, index: "CorpusIndex") -> None:
-        """Re-encode for the read-only phase (idempotent)."""
-
-    def on_thaw(self, index: "CorpusIndex") -> None:
-        """Restore the writable dict representation (idempotent)."""
-
-
-class DictEncoding(IndexEncoding):
-    """The original dict/set-of-ints state — the parity oracle.
-
-    Freeze and thaw only flip the ``_frozen`` pin; the representation
-    never changes.
-    """
-
-    name = "dict"
-
-
-class CompactEncoding(IndexEncoding):
-    """Interned string tables + flat sorted posting arrays at freeze.
-
-    Bit-identical to :class:`DictEncoding` on every query; roughly
-    halves (or better) the index's deep memory footprint and makes the
-    frozen state snapshot-serializable as raw bytes (see
-    ``tests/test_memory_encoding.py`` and ``benchmarks/
-    bench_encoding.py`` for the pinned numbers).
-    """
-
-    name = "compact"
-
-    def on_freeze(self, index: "CorpusIndex") -> None:
-        if index._compact is not None:
-            return
-        index._compact = CompactTermIndex.build(
-            index._occurrences, index._objects_by_key
-        )
-        index._occurrences = None
-        index._objects_by_key = None
-        for value_index in index._value_indexes.values():
-            value_index.compact()
-
-    def on_thaw(self, index: "CorpusIndex") -> None:
-        if index._compact is None:
-            return
-        occurrences, objects_by_key = index._compact.decompact()
-        index._occurrences = occurrences
-        index._objects_by_key = objects_by_key
-        index._compact = None
-        for value_index in index._value_indexes.values():
-            value_index.decompact()
-
-
-#: Registered index encodings, keyed by canonical name.
-INDEX_ENCODINGS: Dict[str, Type[IndexEncoding]] = {
-    DictEncoding.name: DictEncoding,
-    CompactEncoding.name: CompactEncoding,
+#: Registered index encodings: canonical name -> the term state a
+#: frozen index holds under it.
+INDEX_ENCODINGS: Dict[str, type] = {
+    "dict": DictTermState,
+    "compact": CompactTermIndex,
 }
-
-
-def make_index_encoding(name: str) -> IndexEncoding:
-    """Instantiate a registered encoding, or raise ``LookupError``."""
-    try:
-        encoding_cls = INDEX_ENCODINGS[name]
-    except KeyError:
-        known = ", ".join(sorted(INDEX_ENCODINGS))
-        raise LookupError(
-            f"unknown index encoding {name!r}; registered encodings: {known}"
-        ) from None
-    return encoding_cls()
 
 
 def default_index_encoding() -> str:
     """The process-wide default (``REPRO_INDEX_ENCODING`` or dict)."""
-    return os.environ.get(ENCODING_ENV_VAR, DictEncoding.name)
-
-
-# ----------------------------------------------------------------------
-# Snapshot (IndexStore) integration
-# ----------------------------------------------------------------------
-def index_snapshot_payload(index) -> Optional[dict]:
-    """The snapshot section for a compacted frozen index.
-
-    ``None`` when the index isn't frozen under the compact encoding —
-    dict-encoded sessions keep the format-1 shape (minus the version
-    bump) and warm loads rebuild from ODs as before.
-    """
-    from .index import CorpusIndex
-
-    if not isinstance(index, CorpusIndex):
-        return None
-    if not index.frozen or index._compact is None:
-        return None
-    value_indexes = []
-    for key in sorted(index._value_indexes):
-        payload = index._value_indexes[key].compact_payload()
-        if payload is None:
-            return None
-        value_indexes.append({"key": key, "index": payload})
-    return {
-        "encoding": index.encoding,
-        "strategy": index.strategy,
-        "q": index.q,
-        "byteorder": BYTEORDER,
-        "total_objects": index.total_objects,
-        "theta_tuple": index.theta_tuple,
-        "terms": index._compact.to_payload(),
-        "value_indexes": value_indexes,
-    }
-
-
-def index_from_snapshot_payload(payload, mapping, config) -> Optional["CorpusIndex"]:
-    """Reconstruct a frozen compact index from its snapshot section.
-
-    Returns ``None`` — a cache miss for the index portion only — when
-    the payload is absent, malformed, from the other endianness, or was
-    written under a different strategy/encoding/q than the live config
-    would build; the caller then rebuilds from ODs exactly as before.
-    """
-    from ..strings import SIMILARITY_STRATEGIES
-    from .index import CorpusIndex, IndexPartial
-
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("byteorder") != BYTEORDER:
-        return None
-    if payload.get("encoding") != getattr(config, "index_encoding", None):
-        return None
-    if payload.get("strategy") != getattr(config, "similarity_strategy", None):
-        return None
-    try:
-        if int(payload["q"]) != IndexPartial().q:
-            return None
-        if payload["theta_tuple"] != config.theta_tuple:
-            return None
-        index = CorpusIndex(
-            (),
-            mapping,
-            config.theta_tuple,
-            q=int(payload["q"]),
-            strategy=str(payload["strategy"]),
-            encoding=str(payload["encoding"]),
-        )
-        index.total_objects = int(payload["total_objects"])
-        index._compact = CompactTermIndex.from_payload(payload["terms"])
-        index._occurrences = None
-        index._objects_by_key = None
-        strategy_cls = SIMILARITY_STRATEGIES[str(payload["strategy"])]
-        value_indexes = {}
-        for entry in payload["value_indexes"]:
-            if not isinstance(entry, dict):
-                return None
-            value_indexes[str(entry["key"])] = strategy_cls.from_compact_payload(
-                entry["index"]
-            )
-        index._value_indexes = value_indexes
-        index.loaded_from_snapshot = True
-        index.freeze()
-        return index
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
+    return os.environ.get(ENCODING_ENV_VAR, "dict")

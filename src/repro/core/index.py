@@ -21,18 +21,17 @@ index and memoized.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ..compact import set_union_size
+from ..compact import BYTEORDER
 from ..framework import ObjectDescription, TypeMapping
-from ..strings import QGramIndex, SignatureIndex, make_value_index
-from .encodings import CompactTermIndex, make_index_encoding
+from ..strings import SIMILARITY_STRATEGIES, ValueIndex, make_value_index
+from .encodings import INDEX_ENCODINGS, CompactTermIndex, DictTermState
 
-#: Either similar-value index class; identical probe behavior
-#: (see :data:`repro.strings.SIMILARITY_STRATEGIES`).
-ValueIndex = QGramIndex | SignatureIndex
+#: Gram length of every value index the library builds; nothing above
+#: the index constructors selects another.
+DEFAULT_Q = 2
 
 
 @dataclass
@@ -59,7 +58,7 @@ class IndexPartial:
     occurrences: dict[tuple[str, str], set[int]] = field(default_factory=dict)
     objects_by_key: dict[str, set[int]] = field(default_factory=dict)
     value_indexes: dict[str, ValueIndex] = field(default_factory=dict)
-    q: int = 2
+    q: int = DEFAULT_Q
     #: Similar-value search strategy of ``value_indexes`` (see
     #: :data:`repro.strings.SIMILARITY_STRATEGIES`); partials of
     #: different strategies never merge.
@@ -77,7 +76,7 @@ class IndexPartial:
         cls,
         ods: Sequence[ObjectDescription],
         mapping: TypeMapping,
-        q: int = 2,
+        q: int = DEFAULT_Q,
         strategy: str = "qgram",
         encoding: str = "dict",
     ) -> "IndexPartial":
@@ -172,37 +171,37 @@ class CorpusIndex:
         ods: Sequence[ObjectDescription],
         mapping: TypeMapping,
         theta_tuple: float,
-        q: int = 2,
+        q: int = DEFAULT_Q,
         strategy: str = "qgram",
         encoding: str = "dict",
     ) -> None:
         if not 0 <= theta_tuple <= 1:
             raise ValueError(f"theta_tuple must be in [0, 1], got {theta_tuple}")
         make_value_index(strategy, q=q)  # validate strategy eagerly
+        if encoding not in INDEX_ENCODINGS:
+            known = ", ".join(sorted(INDEX_ENCODINGS))
+            raise LookupError(
+                f"unknown index encoding {encoding!r}; registered encodings: {known}"
+            )
         self.mapping = mapping
         self.theta_tuple = theta_tuple
         self.total_objects = 0
-        #: (key, value) -> object ids containing that term; ``None``
-        #: while the compact encoding holds the frozen state
-        self._occurrences: dict[tuple[str, str], set[int]] | None = defaultdict(set)
+        #: The occurrence state every read goes through: (key, value) ->
+        #: object ids and key -> object ids.  A writable
+        #: :class:`DictTermState` while building or thawed; what
+        #: ``encoding`` names once frozen (see :meth:`freeze`).
+        self._terms: DictTermState | CompactTermIndex = DictTermState()
         #: key -> similar-value index over the distinct values of that kind
         self._value_indexes: dict[str, ValueIndex] = {}
-        #: key -> set of object ids having any tuple of that kind
-        self._objects_by_key: dict[str, set[int]] | None = defaultdict(set)
         self.q = q
         #: Similar-value search strategy backing ``similar_values``
         #: (results are strategy-independent; see the STRATEGIES
         #: registry and the differential fuzz harness).
         self.strategy = strategy
-        #: Index-state representation applied at freeze()/thaw() (see
-        #: :data:`repro.core.encodings.INDEX_ENCODINGS`); validated
-        #: eagerly like the strategy.
-        self._encoder = make_index_encoding(encoding)
-        self.encoding = self._encoder.name
-        #: Flat array state installed by the compact encoding's
-        #: ``on_freeze``; ``None`` under the dict encoding or while
-        #: thawed.  Readers branch on this, never on ``encoding``.
-        self._compact: CompactTermIndex | None = None
+        #: Representation of the frozen state (see
+        #: :data:`repro.core.encodings.INDEX_ENCODINGS`); results are
+        #: encoding-independent.
+        self.encoding = encoding
         #: True when this index was reconstructed from an IndexStore
         #: snapshot's compact payload instead of an OD scan.
         self.loaded_from_snapshot = False
@@ -292,12 +291,87 @@ class CorpusIndex:
         # frozen, and runs single-threaded (construction) or behind the
         # session writer lock (extend) — never concurrently with itself
         self.total_objects += partial.total_objects
+        terms = self._terms
         _fold_term_state(
-            self._occurrences, self._objects_by_key, self._value_indexes, partial
+            terms.occurrences, terms.objects_by_key, self._value_indexes, partial
         )
         self._similar_cache.clear()
         self._pair_idf_cache.clear()
         self._statistics_cache = None
+
+    # ------------------------------------------------------------------
+    # Snapshot (IndexStore) payloads
+    # ------------------------------------------------------------------
+    def snapshot_payload(self) -> Optional[dict]:
+        """The snapshot section for a compact frozen index.
+
+        ``None`` when the index isn't frozen under the compact encoding
+        — dict-encoded sessions keep the format-1 shape (minus the
+        version bump) and warm loads rebuild from ODs as before.
+        """
+        terms = self._terms
+        if not self._frozen or not isinstance(terms, CompactTermIndex):
+            return None
+        return {
+            "encoding": self.encoding,
+            "strategy": self.strategy,
+            "q": self.q,
+            "byteorder": BYTEORDER,
+            "total_objects": self.total_objects,
+            "theta_tuple": self.theta_tuple,
+            "terms": terms.to_payload(),
+            "value_indexes": [
+                {"key": key, "index": self._value_indexes[key].compact_payload()}
+                for key in sorted(self._value_indexes)
+            ],
+        }
+
+    @classmethod
+    def from_snapshot_payload(
+        cls, payload: object, mapping: TypeMapping, config
+    ) -> Optional["CorpusIndex"]:
+        """Reconstruct a frozen compact index from its snapshot section.
+
+        Returns ``None`` — a cache miss for the index portion only —
+        when the payload is absent, malformed, from the other
+        endianness, or was written under a different strategy/encoding/q
+        than the live ``config`` (a :class:`DogmatixConfig`) would
+        build; the caller then rebuilds from ODs exactly as before.
+        """
+        if not isinstance(payload, dict):
+            return None
+        if payload.get("byteorder") != BYTEORDER:
+            return None
+        if payload.get("encoding") != config.index_encoding:
+            return None
+        if payload.get("strategy") != config.similarity_strategy:
+            return None
+        try:
+            if int(payload["q"]) != DEFAULT_Q:
+                return None
+            if payload["theta_tuple"] != config.theta_tuple:
+                return None
+            index = cls(
+                (),
+                mapping,
+                config.theta_tuple,
+                strategy=config.similarity_strategy,
+                encoding=config.index_encoding,
+            )
+            index.total_objects = int(payload["total_objects"])
+            index._terms = CompactTermIndex.from_payload(payload["terms"])
+            strategy_cls = SIMILARITY_STRATEGIES[index.strategy]
+            for entry in payload["value_indexes"]:
+                if not isinstance(entry, dict):
+                    return None
+                index._value_indexes[str(entry["key"])] = (
+                    strategy_cls.from_compact_payload(entry["index"])
+                )
+            index.loaded_from_snapshot = True
+            index.freeze()
+            return index
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return None
 
     # ------------------------------------------------------------------
     # Read-only pin
@@ -319,12 +393,16 @@ class CorpusIndex:
         per-key values computed from frozen state, and CPython dict
         assignment is atomic, so concurrent memoization is benign.
 
-        The configured encoding's ``on_freeze`` hook runs first: under
-        the compact encoding this is where the dict state is re-encoded
-        into flat sorted arrays (idempotent — a warm-loaded index that
-        is already compact stays as-is).
+        Under the compact encoding this is where the dict state is
+        swapped for flat sorted arrays and every value index compacts
+        (idempotent — a warm-loaded index that is already compact stays
+        as-is); under the dict encoding the state is kept.
         """
-        self._encoder.on_freeze(self)
+        terms = self._terms
+        if self.encoding == "compact" and isinstance(terms, DictTermState):
+            self._terms = CompactTermIndex.build(terms)
+            for value_index in self._value_indexes.values():
+                value_index.compact()
         self._frozen = True
 
     def thaw(self) -> None:
@@ -333,11 +411,15 @@ class CorpusIndex:
         Only :meth:`~repro.api.session.DetectionSession.extend` should
         call this, from behind its per-session writer lock; it
         re-freezes in a ``finally`` so readers never see a thawed
-        index.  The encoding's ``on_thaw`` hook restores the writable
-        dict representation (compact -> dict decompaction), and the
-        memoized statistics are invalidated alongside.
+        index.  Compact state is swapped back for the writable dict
+        state (and the value indexes decompact), and the memoized
+        statistics are invalidated alongside.
         """
-        self._encoder.on_thaw(self)
+        terms = self._terms
+        if isinstance(terms, CompactTermIndex):
+            self._terms = terms.decompact()
+            for value_index in self._value_indexes.values():
+                value_index.decompact()
         self._statistics_cache = None
         self._frozen = False
 
@@ -354,19 +436,11 @@ class CorpusIndex:
         Returned as a frozenset snapshot — the live internal sets must
         not leak, or callers could mutate the index.
         """
-        compact = self._compact
-        if compact is not None:
-            return frozenset(compact.occurrence_row(key, value))
-        found = self._occurrences.get((key, value))
-        return frozenset(found) if found is not None else frozenset()
+        return frozenset(self._terms.occurrence_row(key, value))
 
     def objects_with_key(self, key: str) -> frozenset[int]:
         """Ids of objects that specify any data of this kind (snapshot)."""
-        compact = self._compact
-        if compact is not None:
-            return frozenset(compact.key_row(key))
-        found = self._objects_by_key.get(key)
-        return frozenset(found) if found is not None else frozenset()
+        return frozenset(self._terms.key_row(key))
 
     def pair_idf(self, key_i: str, value_i: str, key_j: str, value_j: str) -> float:
         """Memoized softIDF of a term pair (Definition 8).
@@ -384,29 +458,12 @@ class CorpusIndex:
         if cached is not None:
             return cached
         denominator = max(
-            1, self._union_cardinality(key_i, value_i, key_j, value_j)
+            1, self._terms.union_cardinality(key_i, value_i, key_j, value_j)
         )
         total = max(self.total_objects, denominator)
         value = math.log(total / denominator)
         self._pair_idf_cache[cache_key] = value
         return value
-
-    def _union_cardinality(
-        self, key_i: str, value_i: str, key_j: str, value_j: str
-    ) -> int:
-        """``|O_i ∪ O_j|`` without building the union set."""
-        compact = self._compact
-        if compact is not None:
-            slot_i = compact.term_slot(key_i, value_i)
-            slot_j = compact.term_slot(key_j, value_j)
-            if slot_i < 0:
-                return compact.row_length(slot_j) if slot_j >= 0 else 0
-            if slot_j < 0:
-                return compact.row_length(slot_i)
-            return compact.union_size(slot_i, slot_j)
-        occurrences_i = self._occurrences.get((key_i, value_i))
-        occurrences_j = self._occurrences.get((key_j, value_j))
-        return set_union_size(occurrences_i or (), occurrences_j or ())
 
     # ------------------------------------------------------------------
     # Similar values
@@ -437,13 +494,7 @@ class CorpusIndex:
         Under the compact encoding the union is a k-way merge over the
         similar values' posting rows instead of set unions.
         """
-        compact = self._compact
-        if compact is not None:
-            found = compact.union_rows(key, self.similar_values(key, value))
-        else:
-            found = set()
-            for similar in self.similar_values(key, value):
-                found |= self._occurrences.get((key, similar), set())
+        found = self._terms.union_rows(key, self.similar_values(key, value))
         if exclude is not None:
             found.discard(exclude)
         return found
@@ -472,10 +523,7 @@ class CorpusIndex:
         sorts result pairs canonically, which the encoding parity
         harness pins.
         """
-        compact = self._compact
-        if compact is not None:
-            return compact.block_terms()
-        return tuple(self._occurrences)
+        return self._terms.block_terms()
 
     def block_members(self, term: tuple[str, str]) -> set[int]:
         """Ids of the objects in the ``(key, value)`` term's block.
@@ -529,10 +577,9 @@ class CorpusIndex:
         cached = self._statistics_cache
         if cached is not None:
             return dict(cached)
-        compact = self._compact
         stats = {
             "objects": self.total_objects,
-            "terms": len(compact) if compact is not None else len(self._occurrences),
+            "terms": len(self._terms),
             "kinds": len(self._value_indexes),
             "distinct_values": sum(
                 len(index) for index in self._value_indexes.values()

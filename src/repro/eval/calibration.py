@@ -82,10 +82,7 @@ def suggest_theta_tuple(
     L tolerates ``typo_budget`` edits (θ · L > typo_budget), capped at
     ``maximum`` so short categorical values do not merge.
     """
-    lengths = [
-        len(value)
-        for (key, value) in index._occurrences  # noqa: SLF001 - stats read
-    ]
+    lengths = [len(value) for _, value in index.block_terms()]
     if not lengths:
         return 0.15
     median_length = statistics.median(lengths)

@@ -10,10 +10,9 @@ Runs go through :class:`repro.api.DetectionSession`, so everything a
 sweep point shares with its neighbours is built once: a threshold
 sweep (:func:`run_threshold_sweep`, Figure 7's shape) reuses one
 session — and with it one :class:`~repro.core.index.CorpusIndex` —
-across all θ_cand positions instead of rebuilding per point
-(``benchmarks/bench_session.py`` measures the amortization).  Heuristic
-sweeps change the object descriptions per position, so their index is
-legitimately per-cell.
+across all θ_cand positions instead of rebuilding per point.
+Heuristic sweeps change the object descriptions per position, so their
+index is legitimately per-cell.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def compare_ingest_builds(
     The first run (serial) is the reference; the parallel build must
     produce the same ODs and index statistics — and, with
     ``verify_detect``, a bit-identical ``DetectionResult``.  Used by
-    ``benchmarks/bench_ingest.py`` and the ingest parity tests.
+    the ingest parity tests.
     """
     import time
 
@@ -232,9 +231,6 @@ def compare_execution_backends(
     results (:meth:`~repro.framework.result.DetectionResult.identical_to`).
     Backends (serial / process / shard) may only differ in wall-clock,
     never in output — exercised by ``tests/test_shard_equivalence.py``.
-    ``benchmarks/bench_shard.py`` runs the same parity predicate but
-    deliberately over one *cold* session per policy, because warm
-    similar-value caches would mask the pair-generation cost it times.
 
     With ``use_object_filter=True`` each run's per-object
     :class:`FilterDecision` sequence is compared against the

@@ -47,8 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..core import Source
-from ..core.encodings import index_from_snapshot_payload, index_snapshot_payload
+from ..core import CorpusIndex, Source
 from ..framework import ObjectDescription
 from ..framework.od import ODTuple
 from ..xmlkit import (
@@ -198,7 +197,7 @@ class IndexStore:
         # itself (raw array bytes), so a warm load slices buffers
         # instead of re-scanning tuples; dict sessions store none and
         # keep the rebuild-from-ODs path.
-        index_payload = index_snapshot_payload(getattr(session, "index", None))
+        index_payload = session.index.snapshot_payload()
         if index_payload is not None:
             payload["index"] = index_payload
         self.root.mkdir(parents=True, exist_ok=True)
@@ -310,7 +309,7 @@ class IndexStore:
             )
         mapping = spec.load_mapping()
         config = spec.to_config()
-        index = index_from_snapshot_payload(
+        index = CorpusIndex.from_snapshot_payload(
             payload.get("index"), mapping, config
         )
         return DetectionSession(

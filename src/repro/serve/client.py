@@ -1,6 +1,6 @@
 """A thin stdlib client for the detection daemon.
 
-Used by the test suite and ``benchmarks/bench_serve.py``; also the
+Used by the test suite and the CI round trip; also the
 reference for how to talk to the daemon from anything that can speak
 HTTP (the README's curl examples mirror these calls).  ``urllib``
 only — the client must not import more than the daemon does.

@@ -22,14 +22,15 @@ from .levenshtein import (
     normalized_edit_distance,
     within_normalized,
 )
-from .qgram import QGramIndex, qgrams, strict_budget
+from .qgram import QGramIndex
 from .signatures import SignatureIndex
 from .tokenize import dice, jaccard, normalize, overlap, tokens
+from .value_index import ValueIndex, qgrams, strict_budget
 
 #: Similar-value search strategies: registry-name -> index class.  Both
 #: answer thresholded ``ned`` probes with identical result sets; they
-#: differ only in candidate generation (see ``benchmarks/
-#: bench_similarity.py`` for the verification-count comparison).
+#: differ only in candidate generation (``bench/`` reports the counts
+#: as ``strings.search_probes`` / ``strings.search_verifications``).
 SIMILARITY_STRATEGIES: dict[str, type] = {
     QGramIndex.strategy: QGramIndex,
     SignatureIndex.strategy: SignatureIndex,
@@ -56,6 +57,7 @@ __all__ = [
     "QGramIndex",
     "SIMILARITY_STRATEGIES",
     "SignatureIndex",
+    "ValueIndex",
     "bag_distance",
     "dice",
     "edit_distance",

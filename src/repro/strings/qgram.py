@@ -27,336 +27,39 @@ Soundness notes:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Optional
+from collections import Counter
 
-from ..compact import CompactValueIndex
-from .levenshtein import within_normalized
-
-#: Padding character outside the XML character-data alphabet we generate.
-_PAD = "\x00"
+from .value_index import ValueIndex, qgrams, strict_budget
 
 
-def qgrams(value: str, q: int = 2) -> list[str]:
-    """Padded q-grams of a string (``q - 1`` pad chars on each side)."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    padded = _PAD * (q - 1) + value + _PAD * (q - 1)
-    return [padded[i : i + q] for i in range(len(padded) - q + 1)]
+class QGramIndex(ValueIndex):
+    """Count + length filtering over gram buckets (the oracle strategy)."""
 
-
-def strict_budget(threshold: float, longest: int) -> int:
-    """Largest integer edit distance strictly below ``threshold * longest``.
-
-    ``ned(a, b) < threshold`` iff ``ed(a, b) <= strict_budget(...)``.
-    """
-    bound = threshold * longest
-    budget = int(bound)
-    if budget == bound:
-        budget -= 1
-    return budget
-
-
-class QGramIndex:
-    """Index of string values supporting thresholded ``ned`` probes."""
-
-    #: Registry name; merge compatibility is checked against it.
     strategy = "qgram"
-
-    def __init__(self, q: int = 2) -> None:
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
-        self.q = q
-        #: Insertion-ordered distinct values.  Survives compaction
-        #: untouched: value ids and result ordering are defined by this
-        #: order, so the compact form keeps the list and replaces only
-        #: the lookup/posting structures around it.
-        self._values: list[str] = []
-        self._grams: Optional[list[Counter[str]]] = []
-        self._ids: Optional[dict[str, int]] = {}
-        self._buckets: Optional[dict[str, list[int]]] = defaultdict(list)
-        self._by_length: Optional[dict[int, list[int]]] = defaultdict(list)
-        #: Flat array state while compacted (see :meth:`compact`); the
-        #: dict attributes above are ``None`` then, so a write path
-        #: that skipped :meth:`decompact` fails loudly.
-        self._compact: Optional[CompactValueIndex] = None
-        self.probes = 0
-        self.verifications = 0
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, value: str) -> bool:
-        return self._id_of(value) is not None
-
-    @property
-    def values(self) -> list[str]:
-        return list(self._values)
-
-    @property
-    def compacted(self) -> bool:
-        """Whether the index currently holds compact array state."""
-        return self._compact is not None
-
-    def _id_of(self, value: str) -> Optional[int]:
-        """The value's id under either representation, or ``None``."""
-        compact = self._compact
-        if compact is not None:
-            found = compact.find(self._values, value)
-            return found if found >= 0 else None
-        return self._ids.get(value)
-
-    def compact(self) -> None:
-        """Re-encode the lookup state as flat sorted arrays (idempotent).
-
-        Called by the compact index encoding at ``freeze()`` time; must
-        not run concurrently with probes (the caller owns the writer
-        discipline).  :meth:`add`/:meth:`merge_from` raise until
-        :meth:`decompact` restores the dict state.
-        """
-        if self._compact is not None:
-            return
-        self._compact = CompactValueIndex.build(
-            self._values, self._grams, with_buckets=True
-        )
-        self._grams = None
-        self._ids = None
-        self._buckets = None
-        self._by_length = None
-
-    def decompact(self) -> None:
-        """Restore the writable dict/Counter state (idempotent).
-
-        The delta-merge seam: ``extend()`` thaws the owning index,
-        folds dict-encoded partials in, and re-freezes (recompacting).
-        Rebuilt state is observably identical to the pre-compaction
-        original — value ids, gram multisets, and bucket id order (ids
-        were appended in increasing order and the rebuild walks them in
-        increasing order) all round-trip.
-        """
-        state = self._compact
-        if state is None:
-            return
-        self._ids = {value: value_id for value_id, value in enumerate(self._values)}
-        self._grams = [
-            state.grams.counter(value_id) for value_id in range(len(self._values))
-        ]
-        vocabulary = state.grams.vocabulary()
-        buckets: dict[str, list[int]] = defaultdict(list)
-        for code in range(len(vocabulary)):
-            row = state.buckets.row(code)
-            if row:
-                buckets[vocabulary[code]] = list(row)
-        self._buckets = buckets
-        by_length: dict[int, list[int]] = defaultdict(list)
-        for length, ids in state.length_classes():
-            by_length[length] = list(ids)
-        self._by_length = by_length
-        self._compact = None
-
-    def compact_payload(self) -> Optional[dict]:
-        """Snapshot-serializable compact state (``None`` when thawed)."""
-        if self._compact is None:
-            return None
-        return {
-            "strategy": self.strategy,
-            "q": self.q,
-            "values": list(self._values),
-            "state": self._compact.to_payload(),
-        }
-
-    @classmethod
-    def from_compact_payload(cls, payload: object) -> "QGramIndex":
-        """Rebuild a compacted index from :meth:`compact_payload` output.
-
-        Raises ``ValueError``/``KeyError``/``TypeError`` on malformed
-        payloads — snapshot loaders treat those as cache misses.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError("malformed value-index payload")
-        if payload.get("strategy") != cls.strategy:
-            raise ValueError(
-                f"payload strategy {payload.get('strategy')!r} does not "
-                f"match {cls.strategy!r}"
-            )
-        index = cls(q=int(payload["q"]))
-        values = payload["values"]
-        if not isinstance(values, list):
-            raise ValueError("malformed value-index payload")
-        index._values = [str(value) for value in values]
-        state = CompactValueIndex.from_payload(payload["state"])
-        if len(state.order) != len(index._values) or state.buckets is None:
-            raise ValueError("value-index payload does not cover its values")
-        index._compact = state
-        index._grams = None
-        index._ids = None
-        index._buckets = None
-        index._by_length = None
-        return index
-
-    def add(self, value: str) -> int:
-        """Register a value (idempotent); returns its id."""
-        if self._compact is not None:
-            raise RuntimeError(
-                "cannot add to a compacted QGramIndex: decompact() first "
-                "(CorpusIndex.thaw() does this for delta merges)"
-            )
-        existing = self._ids.get(value)
-        if existing is not None:
-            return existing
-        value_id = len(self._values)
-        self._values.append(value)
-        # repro: allow[RPR004] sanctioned writer: add() runs
-        # single-threaded (construction / partial build) or behind the
-        # session writer lock (extend), never against the read path
-        self._ids[value] = value_id
-        grams = Counter(qgrams(value, self.q))
-        self._grams.append(grams)
-        for gram in grams:
-            self._buckets[gram].append(value_id)
-        self._by_length[len(value)].append(value_id)
-        return value_id
-
-    def merge_from(self, other: "QGramIndex") -> None:
-        """Graft another index's values into this one (set union).
-
-        Values already present are skipped; new values keep the gram
-        counters ``other`` computed, so merging never re-counts grams —
-        this is what lets worker processes build per-partition value
-        indexes and the parent fold them together at dictionary speed
-        (see :class:`repro.core.index.IndexPartial`).  The counters are
-        *copied* on graft, never aliased: the source partial stays live
-        after the merge (delta folds, re-merges into other targets),
-        and a shared mutable counter would let mutation on either side
-        corrupt the other's count filter — the RPR001 escape class.
-        Observable search behavior is merge-order-independent (searches
-        return value *sets*; only the internal insertion order differs).
-        """
-        if other.q != self.q:
-            raise ValueError(
-                f"cannot merge a q={other.q} index into a q={self.q} index"
-            )
-        if other.strategy != self.strategy:
-            raise ValueError(
-                f"cannot merge a {other.strategy!r} index into a "
-                f"{self.strategy!r} index"
-            )
-        if self._compact is not None or other._compact is not None:
-            raise RuntimeError(
-                "cannot merge compacted QGramIndexes: decompact() first "
-                "(CorpusIndex.thaw() does this for delta merges)"
-            )
-        for other_id, value in enumerate(other._values):
-            if value in self._ids:
-                continue
-            value_id = len(self._values)
-            self._values.append(value)
-            # repro: allow[RPR004] sanctioned writer (see add)
-            self._ids[value] = value_id
-            grams = other._grams[other_id].copy()
-            self._grams.append(grams)
-            for gram in grams:
-                self._buckets[gram].append(value_id)
-            self._by_length[len(value)].append(value_id)
-
-    def search(self, query: str, threshold: float) -> list[str]:
-        """All indexed values ``v`` with ``ned(query, v) < threshold``.
-
-        The query itself is included when indexed (``ned = 0``).
-        Results are in insertion order.
-        """
-        # repro: allow[RPR004] informational counter: lock-free readers
-        # of a frozen index may lose an increment; nothing decides on it
-        self.probes += 1
-        matched: set[int] = set()
-        query_id = self._id_of(query)
-        if query_id is not None:
-            matched.add(query_id)
-        if threshold > 0:
-            for value_id in self._candidates(query, threshold):
-                if value_id == query_id:
-                    continue
-                value = self._values[value_id]
-                # repro: allow[RPR004] informational counter (see probes)
-                self.verifications += 1
-                if within_normalized(query, value, threshold):
-                    matched.add(value_id)
-        return [self._values[value_id] for value_id in sorted(matched)]
+    _with_buckets = True
 
     def _candidates(self, query: str, threshold: float) -> set[int]:
         """Candidate ids passing the length and count filters."""
-        if self._compact is not None:
-            return self._compact_candidates(query, threshold)
+        state = self._state
+        values = self._values
         length_q = len(query)
-        query_grams = Counter(qgrams(query, self.q))
+        query_pairs = state.query_pairs(Counter(qgrams(query, self.q)))
         candidates: set[int] = set()
 
         # Bucket gathering with exact multiset count filtering.
-        shared: dict[int, int] = defaultdict(int)
-        for gram in query_grams:
-            for value_id in self._buckets.get(gram, ()):
-                shared[value_id] += 1  # provisional distinct count
-        for value_id in shared:
-            value = self._values[value_id]
-            longest = max(length_q, len(value))
+        for value_id in state.gather(query_pairs):
+            length = len(values[value_id])
+            longest = max(length_q, length)
             budget = strict_budget(threshold, longest)
-            if budget < 0 or abs(length_q - len(value)) > budget:
+            if budget < 0 or abs(length_q - length) > budget:
                 continue
             required = longest + self.q - 1 - self.q * budget
-            if required > 0:
-                overlap = sum(
-                    min(count, self._grams[value_id][gram])
-                    for gram, count in query_grams.items()
-                )
-                if overlap < required:
-                    continue
+            if required > 0 and state.overlap(value_id, query_pairs) < required:
+                continue
             candidates.add(value_id)
 
         # Degenerate lengths: the required count can reach zero, meaning
         # a match might share no grams at all; scan those length classes.
-        for length, ids in self._by_length.items():
-            longest = max(length_q, length)
-            budget = strict_budget(threshold, longest)
-            if budget < 0 or abs(length_q - length) > budget:
-                continue
-            required = longest + self.q - 1 - self.q * budget
-            if required <= 0:
-                candidates.update(ids)
-        return candidates
-
-    def _compact_candidates(self, query: str, threshold: float) -> set[int]:
-        """The count/length filter pipeline over compact array state.
-
-        Same candidate set as the dict path: bucket gathering becomes a
-        union of gram-code posting rows, and the exact multiset overlap
-        becomes a two-pointer merge against the pre-coded query.  (The
-        dict path's provisional distinct counts are gathered but never
-        consulted — only the candidate *set* feeds the filters — so the
-        compact path skips straight to the set.)
-        """
-        state = self._compact
-        length_q = len(query)
-        query_grams = Counter(qgrams(query, self.q))
-        grams = state.grams
-        gathered: set[int] = set()
-        for gram in query_grams:
-            code = grams.gram_code(gram)
-            if code >= 0:
-                state.buckets.update_set(code, gathered)
-        query_pairs = grams.query_pairs(query_grams)
-        candidates: set[int] = set()
-        for value_id in gathered:
-            value = self._values[value_id]
-            longest = max(length_q, len(value))
-            budget = strict_budget(threshold, longest)
-            if budget < 0 or abs(length_q - len(value)) > budget:
-                continue
-            required = longest + self.q - 1 - self.q * budget
-            if required > 0 and grams.overlap(value_id, query_pairs) < required:
-                continue
-            candidates.add(value_id)
-
-        # Degenerate lengths, exactly as in the dict path.
         for length, ids in state.length_classes():
             longest = max(length_q, length)
             budget = strict_budget(threshold, longest)
@@ -366,7 +69,3 @@ class QGramIndex:
             if required <= 0:
                 candidates.update(ids)
         return candidates
-
-    def similarity_groups(self, threshold: float) -> dict[str, list[str]]:
-        """For every indexed value, the values similar to it (incl. itself)."""
-        return {value: self.search(value, threshold) for value in self._values}

@@ -43,24 +43,22 @@ and threshold — pinned by the differential fuzz harness in
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Iterable, Optional
+from collections import Counter
+from typing import Optional
 
-from ..compact import CompactValueIndex
 from .bounds import normalized_lower_bound, normalized_upper_bound
-from .levenshtein import within_normalized
-from .qgram import qgrams, strict_budget
+from .value_index import ValueIndex, qgrams, strict_budget
 
 #: token -> (value id, prefix position) postings of one length bucket.
 _Postings = dict[tuple[str, int], list[tuple[int, int]]]
 
 
-class SignatureIndex:
-    """Prefix-signature index supporting thresholded ``ned`` probes.
+class SignatureIndex(ValueIndex):
+    """Prefix-signature candidate generation with bound-tier verification.
 
-    Drop-in for :class:`~repro.strings.qgram.QGramIndex`: same
-    ``add``/``merge_from``/``search``/``similarity_groups`` surface and
-    identical observable search behavior, so
+    Drop-in for :class:`~repro.strings.qgram.QGramIndex`: same shell
+    (:class:`~repro.strings.value_index.ValueIndex`) and identical
+    observable search behavior, so
     :class:`repro.core.index.IndexPartial` grafting and
     ``CorpusIndex.merge_partial`` work unchanged.
 
@@ -74,228 +72,38 @@ class SignatureIndex:
     index's memo caches).
     """
 
-    #: Registry name; merge compatibility is checked against it.
     strategy = "signature"
+    _payload_options = ("second_level_cutoff",)
 
     def __init__(self, q: int = 2, second_level_cutoff: int = 16) -> None:
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
+        super().__init__(q)
         if second_level_cutoff < 1:
             raise ValueError(
                 f"second_level_cutoff must be >= 1, got {second_level_cutoff}"
             )
-        self.q = q
         #: Token count from which the positional filter is applied.
         self.second_level_cutoff = second_level_cutoff
-        #: Insertion-ordered distinct values; survives compaction (ids
-        #: and result ordering are defined by this order).
-        self._values: list[str] = []
-        self._grams: Optional[list[Counter[str]]] = []
-        self._ids: Optional[dict[str, int]] = {}
-        self._by_length: Optional[dict[int, list[int]]] = defaultdict(list)
-        #: Flat array state while compacted (see :meth:`compact`); the
-        #: dict attributes above are ``None`` then, so a write path
-        #: that skipped :meth:`decompact` fails loudly.
-        self._compact: Optional[CompactValueIndex] = None
         #: Lazily built (value count, token frequencies, postings);
         #: ``None`` or a stale count means "rebuild on next probe".
         self._signature_state: (
             tuple[int, dict[tuple[str, int], int], dict[int, _Postings]] | None
         ) = None
-        self.probes = 0
-        self.verifications = 0
 
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, value: str) -> bool:
-        return self._id_of(value) is not None
-
-    @property
-    def values(self) -> list[str]:
-        return list(self._values)
-
-    @property
-    def compacted(self) -> bool:
-        """Whether the index currently holds compact array state."""
-        return self._compact is not None
-
-    def _id_of(self, value: str) -> Optional[int]:
-        """The value's id under either representation, or ``None``."""
-        compact = self._compact
-        if compact is not None:
-            found = compact.find(self._values, value)
-            return found if found >= 0 else None
-        return self._ids.get(value)
-
-    def compact(self) -> None:
-        """Re-encode the gram/lookup state as flat arrays (idempotent).
-
-        Called by the compact index encoding at ``freeze()`` time; must
-        not run concurrently with probes (the caller owns the writer
-        discipline).  The derived signature structure is dropped too —
-        it is rebuilt lazily from the compact gram rows on the next
-        probe, once, and cached as before — so the frozen footprint is
-        the flat arrays plus whatever probes actually need.
-        """
-        if self._compact is not None:
-            return
-        self._compact = CompactValueIndex.build(
-            self._values, self._grams, with_buckets=False
-        )
-        self._grams = None
-        self._ids = None
-        self._by_length = None
+    def _drop_derived(self) -> None:
+        # Rebuilt lazily from the compact gram rows on the next probe,
+        # once, and cached as before.
         self._signature_state = None
 
-    def decompact(self) -> None:
-        """Restore the writable dict/Counter state (idempotent).
-
-        Observably identical to the pre-compaction original: value ids,
-        gram multisets, and length-class id order all round-trip, and
-        the signature structure is a deterministic function of those.
-        """
-        state = self._compact
-        if state is None:
-            return
-        self._ids = {value: value_id for value_id, value in enumerate(self._values)}
-        self._grams = [
-            state.grams.counter(value_id) for value_id in range(len(self._values))
-        ]
-        by_length: dict[int, list[int]] = defaultdict(list)
-        for length, ids in state.length_classes():
-            by_length[length] = list(ids)
-        self._by_length = by_length
-        self._compact = None
-
-    def compact_payload(self) -> Optional[dict]:
-        """Snapshot-serializable compact state (``None`` when thawed)."""
-        if self._compact is None:
-            return None
-        return {
-            "strategy": self.strategy,
-            "q": self.q,
-            "second_level_cutoff": self.second_level_cutoff,
-            "values": list(self._values),
-            "state": self._compact.to_payload(),
-        }
-
-    @classmethod
-    def from_compact_payload(cls, payload: object) -> "SignatureIndex":
-        """Rebuild a compacted index from :meth:`compact_payload` output.
-
-        Raises ``ValueError``/``KeyError``/``TypeError`` on malformed
-        payloads — snapshot loaders treat those as cache misses.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError("malformed value-index payload")
-        if payload.get("strategy") != cls.strategy:
-            raise ValueError(
-                f"payload strategy {payload.get('strategy')!r} does not "
-                f"match {cls.strategy!r}"
-            )
-        index = cls(
-            q=int(payload["q"]),
-            second_level_cutoff=int(payload["second_level_cutoff"]),
-        )
-        values = payload["values"]
-        if not isinstance(values, list):
-            raise ValueError("malformed value-index payload")
-        index._values = [str(value) for value in values]
-        state = CompactValueIndex.from_payload(payload["state"])
-        if len(state.order) != len(index._values):
-            raise ValueError("value-index payload does not cover its values")
-        index._compact = state
-        index._grams = None
-        index._ids = None
-        index._by_length = None
-        return index
-
-    def add(self, value: str) -> int:
-        """Register a value (idempotent); returns its id."""
-        if self._compact is not None:
-            raise RuntimeError(
-                "cannot add to a compacted SignatureIndex: decompact() "
-                "first (CorpusIndex.thaw() does this for delta merges)"
-            )
-        existing = self._ids.get(value)
-        if existing is not None:
-            return existing
-        value_id = len(self._values)
-        self._values.append(value)
-        # repro: allow[RPR004] sanctioned writer: add() runs
-        # single-threaded (construction / partial build) or behind the
-        # session writer lock (extend), never against the read path
-        self._ids[value] = value_id
-        self._grams.append(Counter(qgrams(value, self.q)))
-        self._by_length[len(value)].append(value_id)
-        return value_id
-
-    def merge_from(self, other: "SignatureIndex") -> None:
-        """Graft another index's values into this one (set union).
-
-        Values already present are skipped; new values keep the gram
-        counters ``other`` computed — copied on graft, never aliased,
-        so later mutation of either index cannot corrupt the other
-        (the RPR001 escape class).  Observable search behavior is
-        merge-order-independent: the signature structure is rebuilt
-        from the merged value set on the next probe.
-        """
-        if other.q != self.q:
-            raise ValueError(
-                f"cannot merge a q={other.q} index into a q={self.q} index"
-            )
-        if other.strategy != self.strategy:
-            raise ValueError(
-                f"cannot merge a {other.strategy!r} index into a "
-                f"{self.strategy!r} index"
-            )
-        if self._compact is not None or other._compact is not None:
-            raise RuntimeError(
-                "cannot merge compacted SignatureIndexes: decompact() "
-                "first (CorpusIndex.thaw() does this for delta merges)"
-            )
-        for other_id, value in enumerate(other._values):
-            if value in self._ids:
-                continue
-            value_id = len(self._values)
-            self._values.append(value)
-            # repro: allow[RPR004] sanctioned writer (see add)
-            self._ids[value] = value_id
-            self._grams.append(other._grams[other_id].copy())
-            self._by_length[len(value)].append(value_id)
-
-    def search(self, query: str, threshold: float) -> list[str]:
-        """All indexed values ``v`` with ``ned(query, v) < threshold``.
-
-        The query itself is included when indexed (``ned = 0``).
-        Results are in insertion order — identical, value for value, to
-        the q-gram oracle's over the same insertion sequence.
-        """
-        # repro: allow[RPR004] informational counter: lock-free readers
-        # of a frozen index may lose an increment; nothing decides on it
-        self.probes += 1
-        matched: set[int] = set()
-        query_id = self._id_of(query)
-        if query_id is not None:
-            matched.add(query_id)
-        if threshold > 0:
-            for value_id in self._candidates(query, threshold):
-                if value_id == query_id:
-                    continue
-                value = self._values[value_id]
-                # Bound tiers (strings.bounds): reject/accept without
-                # the DP where a cheap bound already decides.
-                if normalized_lower_bound(query, value) >= threshold:
-                    continue
-                if normalized_upper_bound(query, value) < threshold:
-                    matched.add(value_id)
-                    continue
-                # repro: allow[RPR004] informational counter (see probes)
-                self.verifications += 1
-                if within_normalized(query, value, threshold):
-                    matched.add(value_id)
-        return [self._values[value_id] for value_id in sorted(matched)]
+    def _bound_verdict(
+        self, query: str, value: str, threshold: float
+    ) -> Optional[bool]:
+        """Bound tiers (strings.bounds): reject/accept without the DP
+        where a cheap bound already decides."""
+        if normalized_lower_bound(query, value) >= threshold:
+            return False
+        if normalized_upper_bound(query, value) < threshold:
+            return True
+        return None
 
     # ------------------------------------------------------------------
     # Candidate generation
@@ -303,7 +111,8 @@ class SignatureIndex:
     def _candidates(self, query: str, threshold: float) -> set[int]:
         """Candidate ids passing the prefix, positional, length, and
         count filters."""
-        _, frequency, postings = self._state()
+        _, frequency, postings = self._signature()
+        state = self._state
         length_q = len(query)
         query_grams = Counter(qgrams(query, self.q))
         query_tokens = [
@@ -317,13 +126,10 @@ class SignatureIndex:
             key=lambda token: (frequency.get(token, 0), token[0], token[1])
         )
         tokens_q = len(query_tokens)
-        compact = self._compact
-        query_pairs = (
-            compact.grams.query_pairs(query_grams) if compact is not None else None
-        )
+        query_pairs = state.query_pairs(query_grams)
 
         candidates: set[int] = set()
-        for length, ids in self._length_classes():
+        for length, ids in state.length_classes():
             longest = max(length_q, length)
             budget = strict_budget(threshold, longest)
             if budget < 0 or abs(length_q - length) > budget:
@@ -356,29 +162,12 @@ class SignatureIndex:
             for value_id, cap in overlap_cap.items():
                 if positional and cap < required:
                     continue  # second level: overlap provably < T
-                if query_pairs is not None:
-                    # Compact form: two-pointer merge against the
-                    # pre-coded query — same sum(min(...)) exactly.
-                    overlap = compact.grams.overlap(value_id, query_pairs)
-                else:
-                    grams_v = self._grams[value_id]
-                    overlap = sum(
-                        min(count, grams_v[gram])
-                        for gram, count in query_grams.items()
-                    )
-                if overlap < required:
+                if state.overlap(value_id, query_pairs) < required:
                     continue
                 candidates.add(value_id)
         return candidates
 
-    def _length_classes(self) -> Iterable[tuple[int, Iterable[int]]]:
-        """``(length, value ids)`` classes under either representation."""
-        compact = self._compact
-        if compact is not None:
-            return compact.length_classes()
-        return self._by_length.items()
-
-    def _state(
+    def _signature(
         self,
     ) -> tuple[int, dict[tuple[str, int], int], dict[int, _Postings]]:
         """The signature structure, rebuilt if values were added.
@@ -386,23 +175,17 @@ class SignatureIndex:
         Deterministic function of the value set; concurrent probes may
         rebuild redundantly, but the single attribute assignment below
         publishes a complete, idempotent value either way (benign, like
-        the corpus index's memo caches).
+        the corpus index's memo caches).  A compacted gram state hands
+        out freshly decoded counters, so a rebuild after ``freeze()``
+        pays that decode once; the counters are value-identical to the
+        dict form's, so the structure (and every search) matches.
         """
-        state = self._signature_state
-        if state is not None and state[0] == len(self._values):
-            return state
-        compact = self._compact
-        if compact is not None:
-            # Compacted: decompact the gram rows once for the rebuild;
-            # the result is cached, so probes pay this at most once per
-            # freeze.  The counters are value-identical to the dict
-            # form's, so the structure (and every search) matches.
-            gram_counters = [
-                compact.grams.counter(value_id)
-                for value_id in range(len(self._values))
-            ]
-        else:
-            gram_counters = self._grams
+        signature = self._signature_state
+        if signature is not None and signature[0] == len(self._values):
+            return signature
+        gram_counters = [
+            self._state.counter(value_id) for value_id in range(len(self._values))
+        ]
         frequency: Counter[tuple[str, int]] = Counter()
         for grams in gram_counters:
             for gram, count in grams.items():
@@ -421,10 +204,6 @@ class SignatureIndex:
             bucket = postings.setdefault(len(value), {})
             for position, token in enumerate(tokens):
                 bucket.setdefault(token, []).append((value_id, position))
-        state = (len(self._values), dict(frequency), postings)
-        self._signature_state = state
-        return state
-
-    def similarity_groups(self, threshold: float) -> dict[str, list[str]]:
-        """For every indexed value, the values similar to it (incl. itself)."""
-        return {value: self.search(value, threshold) for value in self._values}
+        signature = (len(self._values), dict(frequency), postings)
+        self._signature_state = signature
+        return signature

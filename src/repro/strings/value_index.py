@@ -1,0 +1,348 @@
+"""The shell both similar-value indexes share, over one gram state.
+
+A value index answers thresholded ``ned`` probes over the distinct
+values of one comparison key.  Everything except candidate generation
+is the same for every strategy, so it lives here once: the
+insertion-ordered value list, ``add``/``merge_from``, the ``search``
+skeleton with its counters, compaction and the snapshot payload round
+trip.  A strategy subclasses :class:`ValueIndex` and supplies
+``_candidates``.
+
+The lookup structures around the value list are a *gram state* with one
+read surface — ``find``, ``counter``, ``query_pairs`` + ``overlap``
+(the exact multiset count filter), ``length_classes``, and ``gather``
+(gram buckets, q-gram strategy only) — implemented twice:
+
+* :class:`DictValueState` — dicts and ``Counter`` objects, the only
+  writable form (building, thawed);
+* :class:`repro.compact.CompactValueIndex` — flat sorted arrays, the
+  form a compact-encoded frozen index holds.
+
+Strategies read through that surface and never ask which one they hold.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Iterable, Optional, Sequence
+
+from ..compact import CompactValueIndex
+from .levenshtein import within_normalized
+
+#: Padding character outside the XML character-data alphabet we generate.
+_PAD = "\x00"
+
+
+def qgrams(value: str, q: int = 2) -> list[str]:
+    """Padded q-grams of a string (``q - 1`` pad chars on each side)."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    padded = _PAD * (q - 1) + value + _PAD * (q - 1)
+    return [padded[i : i + q] for i in range(len(padded) - q + 1)]
+
+
+def strict_budget(threshold: float, longest: int) -> int:
+    """Largest integer edit distance strictly below ``threshold * longest``.
+
+    ``ned(a, b) < threshold`` iff ``ed(a, b) <= strict_budget(...)``.
+    """
+    bound = threshold * longest
+    budget = int(bound)
+    if budget == bound:
+        budget -= 1
+    return budget
+
+
+class DictValueState:
+    """Writable gram state: value ids, gram multisets, length classes
+    and (for the q-gram strategy) gram buckets, as dicts.
+
+    Value ids are insertion ranks, so every id list below is ascending
+    by construction.  :meth:`register` is the one writer; it runs
+    single-threaded (construction, partial build) or behind the session
+    writer lock (``extend()``), never against the read path.
+    """
+
+    __slots__ = ("ids", "grams", "by_length", "buckets")
+
+    def __init__(self, with_buckets: bool) -> None:
+        self.ids: dict[str, int] = {}
+        self.grams: list[Counter[str]] = []
+        self.by_length: dict[int, list[int]] = {}
+        self.buckets: Optional[dict[str, list[int]]] = {} if with_buckets else None
+
+    def register(self, value: str, grams: Counter[str]) -> int:
+        """Register a new value with its gram multiset; returns its id.
+
+        The state keeps ``grams`` — callers pass a counter they own.
+        """
+        value_id = len(self.grams)
+        self.ids[value] = value_id
+        self.grams.append(grams)
+        self.by_length.setdefault(len(value), []).append(value_id)
+        if self.buckets is not None:
+            for gram in grams:
+                self.buckets.setdefault(gram, []).append(value_id)
+        return value_id
+
+    def find(self, values: Sequence[str], query: str) -> int:
+        """The insertion id of ``query``, or ``-1``."""
+        return self.ids.get(query, -1)
+
+    def counter(self, value_id: int) -> Counter[str]:
+        """One value's gram multiset (internal; callers must not mutate)."""
+        return self.grams[value_id]
+
+    def query_pairs(self, query_grams: Counter[str]) -> tuple[tuple[str, int], ...]:
+        """A probe's ``(gram, count)`` pairs, as :meth:`overlap` and
+        :meth:`gather` take them."""
+        return tuple(query_grams.items())
+
+    def overlap(self, value_id: int, query_pairs: Iterable[tuple[str, int]]) -> int:
+        """Exact multiset overlap ``sum(min(stored, query))`` of one value."""
+        stored = self.grams[value_id].get
+        return sum(min(count, stored(gram, 0)) for gram, count in query_pairs)
+
+    def gather(self, query_pairs: Iterable[tuple[str, int]]) -> set[int]:
+        """Ids of the values sharing at least one gram with the probe."""
+        found: set[int] = set()
+        for gram, _ in query_pairs:
+            found.update(self.buckets.get(gram, ()))
+        return found
+
+    def length_classes(self) -> tuple[tuple[int, Sequence[int]], ...]:
+        """``(length, value ids)`` per length class (the class list is a
+        snapshot, so a probe never iterates a dict a writer grows)."""
+        return tuple(self.by_length.items())
+
+
+class ValueIndex:
+    """Index of string values supporting thresholded ``ned`` probes.
+
+    Subclasses set :attr:`strategy` and implement :meth:`_candidates`;
+    results are strategy-independent (pinned by the differential fuzz
+    harness in ``tests/test_similarity_strategies.py``).
+    """
+
+    #: Registry name; merge compatibility is checked against it.
+    strategy = ""
+    #: Whether the gram state keeps gram -> value-id buckets.
+    _with_buckets = False
+    #: Constructor options beyond ``q`` that the snapshot payload carries.
+    _payload_options: tuple[str, ...] = ()
+
+    def __init__(self, q: int = 2) -> None:
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
+        self.q = q
+        #: Insertion-ordered distinct values.  Survives compaction
+        #: untouched: value ids and result ordering are defined by this
+        #: order, so the compact form keeps the list and replaces only
+        #: the lookup/posting structures around it.
+        self._values: list[str] = []
+        #: The gram state — writable dicts, or flat arrays while
+        #: compacted (which has no ``register``, so a write path that
+        #: skipped :meth:`decompact` cannot silently diverge).
+        self._state: DictValueState | CompactValueIndex = DictValueState(
+            self._with_buckets
+        )
+        self.probes = 0
+        self.verifications = 0
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __contains__(self, value: str) -> bool:
+        return self._state.find(self._values, value) >= 0
+
+    @property
+    def values(self) -> list[str]:
+        return list(self._values)
+
+    @property
+    def compacted(self) -> bool:
+        """Whether the index currently holds compact array state."""
+        return isinstance(self._state, CompactValueIndex)
+
+    # ------------------------------------------------------------------
+    # Writers
+    # ------------------------------------------------------------------
+    def _require_writable(self, action: str) -> None:
+        if self.compacted:
+            raise RuntimeError(
+                f"cannot {action} a compacted {type(self).__name__}: "
+                "decompact() first (CorpusIndex.thaw() does this for "
+                "delta merges)"
+            )
+
+    def add(self, value: str) -> int:
+        """Register a value (idempotent); returns its id."""
+        self._require_writable("add to")
+        existing = self._state.find(self._values, value)
+        if existing >= 0:
+            return existing
+        self._values.append(value)
+        return self._state.register(value, Counter(qgrams(value, self.q)))
+
+    def merge_from(self, other: "ValueIndex") -> None:
+        """Graft another index's values into this one (set union).
+
+        Values already present are skipped; new values keep the gram
+        counters ``other`` computed, so merging never re-counts grams —
+        this is what lets worker processes build per-partition value
+        indexes and the parent fold them together at dictionary speed
+        (see :class:`repro.core.index.IndexPartial`).  The counters are
+        *copied* on graft, never aliased: the source partial stays live
+        after the merge (delta folds, re-merges into other targets),
+        and a shared mutable counter would let mutation on either side
+        corrupt the other's count filter — the RPR001 escape class.
+        Observable search behavior is merge-order-independent (searches
+        return value *sets*; only the internal insertion order differs).
+        """
+        if other.q != self.q:
+            raise ValueError(
+                f"cannot merge a q={other.q} index into a q={self.q} index"
+            )
+        if other.strategy != self.strategy:
+            raise ValueError(
+                f"cannot merge a {other.strategy!r} index into a "
+                f"{self.strategy!r} index"
+            )
+        self._require_writable("merge into")
+        other._require_writable("merge from")
+        state = self._state
+        for other_id, value in enumerate(other._values):
+            if value in state.ids:
+                continue
+            self._values.append(value)
+            state.register(value, other._state.grams[other_id].copy())
+
+    # ------------------------------------------------------------------
+    # Compaction
+    # ------------------------------------------------------------------
+    def compact(self) -> None:
+        """Re-encode the lookup state as flat sorted arrays (idempotent).
+
+        Called by ``CorpusIndex.freeze()`` under the compact encoding;
+        must not run concurrently with probes (the caller owns the
+        writer discipline).  :meth:`add`/:meth:`merge_from` raise until
+        :meth:`decompact` restores the dict state.
+        """
+        state = self._state
+        if isinstance(state, CompactValueIndex):
+            return
+        self._state = CompactValueIndex.build(
+            self._values, state.grams, with_buckets=self._with_buckets
+        )
+        self._drop_derived()
+
+    def decompact(self) -> None:
+        """Restore the writable dict/Counter state (idempotent).
+
+        The delta-merge seam: ``extend()`` thaws the owning index,
+        folds dict-encoded partials in, and re-freezes (recompacting).
+        Rebuilt state is observably identical to the pre-compaction
+        original: values are re-registered in id order, so value ids,
+        gram multisets, and the ascending id lists of every bucket and
+        length class all round-trip.
+        """
+        compact = self._state
+        if not isinstance(compact, CompactValueIndex):
+            return
+        state = DictValueState(self._with_buckets)
+        for value_id, value in enumerate(self._values):
+            state.register(value, compact.counter(value_id))
+        self._state = state
+
+    def _drop_derived(self) -> None:
+        """Drop structures a strategy derived from the gram state, so
+        the compacted footprint is the flat arrays plus whatever later
+        probes rebuild.  Nothing at this level."""
+
+    def compact_payload(self) -> Optional[dict]:
+        """Snapshot-serializable compact state (``None`` when thawed)."""
+        if not self.compacted:
+            return None
+        return {
+            "strategy": self.strategy,
+            "q": self.q,
+            **{name: getattr(self, name) for name in self._payload_options},
+            "values": list(self._values),
+            "state": self._state.to_payload(),
+        }
+
+    @classmethod
+    def from_compact_payload(cls, payload: object) -> "ValueIndex":
+        """Rebuild a compacted index from :meth:`compact_payload` output.
+
+        Raises ``ValueError``/``KeyError``/``TypeError`` on malformed
+        payloads — snapshot loaders treat those as cache misses.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError("malformed value-index payload")
+        if payload.get("strategy") != cls.strategy:
+            raise ValueError(
+                f"payload strategy {payload.get('strategy')!r} does not "
+                f"match {cls.strategy!r}"
+            )
+        index = cls(
+            q=int(payload["q"]),
+            **{name: int(payload[name]) for name in cls._payload_options},
+        )
+        values = payload["values"]
+        if not isinstance(values, list):
+            raise ValueError("malformed value-index payload")
+        index._values = [str(value) for value in values]
+        state = CompactValueIndex.from_payload(payload["state"])
+        if len(state.order) != len(index._values) or (
+            cls._with_buckets and state.buckets is None
+        ):
+            raise ValueError("value-index payload does not cover its values")
+        index._state = state
+        return index
+
+    # ------------------------------------------------------------------
+    # Probes
+    # ------------------------------------------------------------------
+    def search(self, query: str, threshold: float) -> list[str]:
+        """All indexed values ``v`` with ``ned(query, v) < threshold``.
+
+        The query itself is included when indexed (``ned = 0``).
+        Results are in insertion order — identical, value for value,
+        for every strategy over the same insertion sequence.
+        """
+        # repro: allow[RPR004] informational counter: lock-free readers
+        # of a frozen index may lose an increment; nothing decides on it
+        self.probes += 1
+        values = self._values
+        matched: set[int] = set()
+        query_id = self._state.find(values, query)
+        if query_id >= 0:
+            matched.add(query_id)
+        if threshold > 0:
+            for value_id in self._candidates(query, threshold):
+                if value_id == query_id:
+                    continue
+                value = values[value_id]
+                verdict = self._bound_verdict(query, value, threshold)
+                if verdict is None:
+                    # repro: allow[RPR004] informational counter (see probes)
+                    self.verifications += 1
+                    verdict = within_normalized(query, value, threshold)
+                if verdict:
+                    matched.add(value_id)
+        return [values[value_id] for value_id in sorted(matched)]
+
+    def _candidates(self, query: str, threshold: float) -> set[int]:
+        """Ids that may match: a superset of the true matches."""
+        raise NotImplementedError
+
+    def _bound_verdict(
+        self, query: str, value: str, threshold: float
+    ) -> Optional[bool]:
+        """A match decision cheaper than the DP, or ``None`` to run it."""
+        return None
+
+    def similarity_groups(self, threshold: float) -> dict[str, list[str]]:
+        """For every indexed value, the values similar to it (incl. itself)."""
+        return {value: self.search(value, threshold) for value in self._values}

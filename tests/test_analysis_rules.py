@@ -326,11 +326,12 @@ class TestFrozenIndexDiscipline:
 
 
 # ----------------------------------------------------------------------
-# Default binding: the compact encoding classes carry the contracts
+# Default binding: the index-state classes carry the contracts
 # ----------------------------------------------------------------------
-class TestCompactEncodingBinding:
-    """The default LintConfig binds the compact-encoding structures to
-    the shared/frozen contracts, so `lint src/` (pinned clean by
+class TestIndexStateBinding:
+    """The default LintConfig binds every state a frozen index reads
+    through — and the value-index shell above the gram states — to the
+    shared/frozen contracts, so `lint src/` (pinned clean by
     test_lint_clean.py) actually checks them."""
 
     def test_compact_classes_are_shared_and_frozen(self):
@@ -346,11 +347,22 @@ class TestCompactEncodingBinding:
         assert compact <= DEFAULT_CONFIG.shared_classes
         assert compact <= DEFAULT_CONFIG.frozen_classes
 
-    def test_statistics_memo_is_exempt_and_compact_is_parity(self):
+    def test_dict_states_and_value_index_shell_are_shared_not_frozen(self):
+        from repro.analysis.config import DEFAULT_CONFIG
+
+        # A dict-encoded frozen index serves lock-free readers from the
+        # dict states, and the counters live in the shared shell; the
+        # dict states are the writable ones, so the pin is their owner's.
+        writable = {"DictTermState", "DictValueState"}
+        assert writable | {"ValueIndex"} <= DEFAULT_CONFIG.shared_classes
+        assert not writable & DEFAULT_CONFIG.frozen_classes
+
+    def test_statistics_memo_is_exempt_and_state_modules_are_parity(self):
         from repro.analysis.config import DEFAULT_CONFIG
 
         assert "_statistics_cache" in DEFAULT_CONFIG.frozen_memo_attrs
         assert "repro.compact" in DEFAULT_CONFIG.parity_modules
+        assert "repro.strings.value_index" in DEFAULT_CONFIG.parity_modules
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The acceptance-critical properties live here:
 
-* ``DetectionSession.detect()`` is bit-identical to the legacy
-  ``DogmatiX.run`` (pinned against the golden dupcluster XML);
+* ``DetectionSession.detect()`` reproduces the golden dupcluster XML
+  bit for bit;
 * ``match()`` on every object returns exactly the partners a full
   ``detect()`` finds for that object (paper example and Dataset 1,
   object filter on and off);
@@ -23,7 +23,6 @@ from repro.api import (
     heuristic_from_spec,
 )
 from repro.core import (
-    DogmatiX,
     DogmatixConfig,
     KClosestDescendants,
     RDistantDescendants,
@@ -85,15 +84,6 @@ class TestDetect:
             encoding="utf-8"
         )
         assert paper_session.detect().to_xml() == golden
-
-    def test_bit_identical_to_deprecated_run(self, dataset1_session):
-        session_xml = dataset1_session.detect().to_xml()
-        dataset = build_dataset1(base_count=30, seed=7)
-        with pytest.deprecated_call():
-            legacy = DogmatiX(DogmatixConfig(heuristic=KClosestDescendants(6))).run(
-                dataset.sources, dataset.mapping, dataset.real_world_type
-            )
-        assert session_xml == legacy.to_xml()
 
     def test_detect_is_repeatable(self, paper_session):
         first = paper_session.detect()
@@ -514,31 +504,3 @@ class TestRegistries:
         heuristic = heuristic_from_spec("rdistant:1+ancestors:2")
         assert heuristic == heuristic_from_spec("rdistant:1+ancestors:2")
         assert heuristic != heuristic_from_spec("rdistant:1")
-
-
-class TestDeprecatedShim:
-    def test_run_warns_and_populates_last_attributes(self):
-        algorithm = DogmatiX(paper_config())
-        with pytest.deprecated_call():
-            result = algorithm.run(
-                Source(paper_example_document(), paper_example_schema()),
-                paper_example_mapping(),
-                "MOVIE",
-            )
-        assert result.duplicate_id_pairs() == {(0, 1)}
-        assert algorithm.last_index is not None
-        assert algorithm.last_similarity is not None
-
-    def test_build_ods_matches_session(self):
-        dataset = build_dataset1(base_count=10, seed=7)
-        config = DogmatixConfig(heuristic=KClosestDescendants(6))
-        ods = DogmatiX(config).build_ods(
-            dataset.sources, dataset.mapping, dataset.real_world_type
-        )
-        session = DetectionSession(
-            dataset.sources, dataset.mapping, dataset.real_world_type, config
-        )
-        assert [od.object_id for od in ods] == [
-            od.object_id for od in session.ods
-        ]
-        assert [od.tuples for od in ods] == [od.tuples for od in session.ods]

@@ -3,8 +3,8 @@ multi-source inputs."""
 
 import pytest
 
+from repro.api import DetectionSession
 from repro.core import (
-    DogmatiX,
     DogmatixConfig,
     KClosestDescendants,
     RDistantDescendants,
@@ -27,13 +27,13 @@ def example_run():
         theta_cand=0.55,
         use_object_filter=False,
     )
-    algorithm = DogmatiX(config)
-    result = algorithm.run(
+    session = DetectionSession(
         Source(paper_example_document(), paper_example_schema()),
         paper_example_mapping(),
         "MOVIE",
+        config,
     )
-    return algorithm, result
+    return session, session.detect()
 
 
 class TestPaperExample:
@@ -56,10 +56,10 @@ class TestPaperExample:
         ]
 
     def test_introspection_populated(self, example_run):
-        algorithm, _ = example_run
-        assert algorithm.last_index is not None
-        assert algorithm.last_similarity is not None
-        assert algorithm.last_similarity.evaluations >= 1
+        session, _ = example_run
+        assert session.index is not None
+        assert session.similarity is not None
+        assert session.similarity.evaluations >= 1
 
     def test_inferred_schema_equivalent(self):
         """Without an XSD, schema inference supports the same run."""
@@ -69,11 +69,12 @@ class TestPaperExample:
             theta_cand=0.55,
             use_object_filter=False,
         )
-        result = DogmatiX(config).run(
+        result = DetectionSession(
             Source(paper_example_document()),  # no schema given
             paper_example_mapping(),
             "MOVIE",
-        )
+            config,
+        ).detect()
         assert result.duplicate_id_pairs() == {(0, 1)}
 
 
@@ -98,9 +99,9 @@ class TestMultiSource:
             theta_cand=0.5,
             use_object_filter=False,
         )
-        result = DogmatiX(config).run(
-            [Source(imdb), Source(other)], mapping, "MOVIE"
-        )
+        result = DetectionSession(
+            [Source(imdb), Source(other)], mapping, "MOVIE", config
+        ).detect()
         assert len(result.ods) == 4
         # the two Dune records (first of each source) pair up
         dune_ids = {
@@ -117,9 +118,9 @@ class TestMultiSource:
             "TITLE", "/a/movie/title"
         )
         config = DogmatixConfig(use_object_filter=False)
-        result = DogmatiX(config).run(
-            [Source(doc), Source(unrelated)], mapping, "MOVIE"
-        )
+        result = DetectionSession(
+            [Source(doc), Source(unrelated)], mapping, "MOVIE", config
+        ).detect()
         assert len(result.ods) == 1
 
 
@@ -148,9 +149,9 @@ class TestComparisonReduction:
             use_object_filter=False,
             use_blocking=True,
         )
-        result = DogmatiX(config).run(
-            Source(self.make_doc()), self.mapping(), "REC"
-        )
+        result = DetectionSession(
+            Source(self.make_doc()), self.mapping(), "REC", config
+        ).detect()
         assert result.compared_pairs < 6  # fewer than all pairs
 
     def test_blocking_preserves_duplicates(self):
@@ -161,9 +162,9 @@ class TestComparisonReduction:
                 use_object_filter=False,
                 use_blocking=blocking,
             )
-            result = DogmatiX(config).run(
-                Source(self.make_doc()), self.mapping(), "REC"
-            )
+            result = DetectionSession(
+                Source(self.make_doc()), self.mapping(), "REC", config
+            ).detect()
             found[blocking] = result.duplicate_id_pairs()
         assert found[False] == found[True]
 
@@ -173,9 +174,11 @@ class TestComparisonReduction:
             use_object_filter=True,
             use_blocking=True,
         )
-        algorithm = DogmatiX(config)
-        result = algorithm.run(Source(self.make_doc()), self.mapping(), "REC")
-        assert algorithm.last_filter is not None
+        session = DetectionSession(
+            Source(self.make_doc()), self.mapping(), "REC", config
+        )
+        result = session.detect()
+        assert session.object_filter is not None
         # records 2 and 3 share nothing similar -> pruned
         assert set(result.pruned_object_ids) == {2, 3}
         # the duplicate pair survives the filter

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import DetectionSession
 from repro.core import (
-    DogmatiX,
     DogmatixConfig,
     KClosestDescendants,
     RDistantDescendants,
@@ -146,8 +146,9 @@ POLICIES = (
 def detect_with(dataset, config_factory, policy):
     config = config_factory()
     config.execution = policy
-    algorithm = DogmatiX(config)
-    return algorithm.run(dataset.sources, dataset.mapping, dataset.real_world_type)
+    return DetectionSession(
+        dataset.sources, dataset.mapping, dataset.real_world_type, config
+    ).detect()
 
 
 def assert_results_identical(reference, other):

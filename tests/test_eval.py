@@ -106,20 +106,24 @@ class TestFilterMetrics:
 class TestGoldExtraction:
     def test_dataset1_gold(self):
         dataset = build_dataset1(base_count=20, seed=1)
-        from repro.core import DogmatiX, DogmatixConfig
+        from repro.api import Corpus
+        from repro.core import DogmatixConfig
 
-        algo = DogmatiX(DogmatixConfig(use_object_filter=False))
-        ods = algo.build_ods(dataset.sources, dataset.mapping, "DISC")
+        ods = Corpus(dataset.sources).generate_ods(
+            dataset.mapping, "DISC", DogmatixConfig()
+        )
         pairs = gold_pairs(ods)
         assert len(pairs) == 20  # 100% duplicates
         assert len(objects_with_duplicates(ods)) == 40
 
     def test_dataset2_gold(self):
         dataset = build_dataset2(count=10, seed=1)
-        from repro.core import DogmatiX, DogmatixConfig
+        from repro.api import Corpus
+        from repro.core import DogmatixConfig
 
-        algo = DogmatiX(DogmatixConfig(use_object_filter=False))
-        ods = algo.build_ods(dataset.sources, dataset.mapping, "MOVIE")
+        ods = Corpus(dataset.sources).generate_ods(
+            dataset.mapping, "MOVIE", DogmatixConfig()
+        )
         assert len(ods) == 20
         assert len(gold_pairs(ods)) == 10
 

@@ -74,13 +74,13 @@ class TestAutomaticCandidateSelection:
 class TestThresholdCalibration:
     @pytest.fixture(scope="class")
     def labeled(self):
-        from repro.core import DogmatiX, KClosestDescendants
+        from repro.api import Corpus
+        from repro.core import KClosestDescendants
         from repro.eval import EXPERIMENTS
 
         dataset = build_dataset1(base_count=60, seed=7)
         config = EXPERIMENTS[0].config(KClosestDescendants(6))
-        algo = DogmatiX(config)
-        ods = algo.build_ods(dataset.sources, dataset.mapping, "DISC")
+        ods = Corpus(dataset.sources).generate_ods(dataset.mapping, "DISC", config)
         gold = sorted(gold_pairs(ods))
         positives = gold[:25]
         ids = sorted(od.object_id for od in ods)
@@ -113,14 +113,18 @@ class TestThresholdCalibration:
         with pytest.raises(ValueError, match="both ways"):
             calibrate_theta_cand(ods, dataset.mapping, positives, positives[:1])
 
-    def test_suggest_theta_tuple_range(self, labeled):
+    @pytest.mark.parametrize("encoding", ["dict", "compact"])
+    def test_suggest_theta_tuple_range(self, labeled, encoding):
         dataset, ods, _, _ = labeled
-        index = CorpusIndex(ods, dataset.mapping, 0.15)
+        index = CorpusIndex(ods, dataset.mapping, 0.15, encoding=encoding)
         theta = suggest_theta_tuple(index)
         assert 0.05 <= theta <= 0.25
         # Typical Dataset 1 values are ~10-20 chars: one-typo tolerance
         # lands near the paper's 0.15.
         assert abs(theta - 0.15) < 0.1
+        # A frozen index (compact: flat arrays, no dicts) reads the same.
+        index.freeze()
+        assert suggest_theta_tuple(index) == theta
 
     def test_suggest_theta_tuple_empty_index(self):
         index = CorpusIndex([], TypeMapping(), 0.15)

@@ -16,8 +16,8 @@ import pathlib
 
 import pytest
 
+from repro.api import DetectionSession
 from repro.core import (
-    DogmatiX,
     DogmatixConfig,
     KClosestDescendants,
     RDistantDescendants,
@@ -42,19 +42,20 @@ def paper_example_result():
         theta_cand=0.55,
         use_object_filter=False,
     )
-    return DogmatiX(config).run(
+    return DetectionSession(
         Source(paper_example_document(), paper_example_schema()),
         paper_example_mapping(),
         "MOVIE",
-    )
+        config,
+    ).detect()
 
 
 def dirty_cds_result():
     dataset = build_dataset1(base_count=30, seed=7)
     config = DogmatixConfig(heuristic=KClosestDescendants(6))
-    return DogmatiX(config).run(
-        dataset.sources, dataset.mapping, dataset.real_world_type
-    )
+    return DetectionSession(
+        dataset.sources, dataset.mapping, dataset.real_world_type, config
+    ).detect()
 
 
 CASES = {

@@ -1,10 +1,10 @@
 """Differential fuzz harness: compact encoding vs the dict oracle.
 
 The compact array-backed encoding (``repro/compact.py`` +
-``repro/core/encodings.py``) is a pure representation change: interned
-string tables and flat sorted posting arrays replace the dict/set maze
-at ``freeze()`` time, and every read answers from binary search and
-sorted merges instead of hashing.  For every corpus, query, and
+``repro/core/encodings.py``) is a pure representation change: at
+``freeze()`` time the index swaps its dict term state for interned
+string tables and flat sorted posting arrays, and every read answers
+from binary search and sorted merges instead of hashing.  For every corpus, query, and
 threshold it must be **bit-identical** to the dict encoding — the same
 contract the signature strategy is pinned by
 (``test_similarity_strategies.py``), extended over the encoding axis:
@@ -52,8 +52,8 @@ from repro.core import DogmatixConfig
 from repro.core.encodings import (
     INDEX_ENCODINGS,
     CompactTermIndex,
+    DictTermState,
     default_index_encoding,
-    make_index_encoding,
 )
 from repro.core.index import CorpusIndex, IndexPartial
 from repro.engine import ExecutionPolicy
@@ -180,8 +180,10 @@ class TestValueIndexCompaction:
         round_tripped.compact()
         round_tripped.decompact()
         assert not round_tripped.compacted
-        assert round_tripped._ids == oracle._ids
-        assert round_tripped._grams == oracle._grams
+        assert round_tripped._state.ids == oracle._state.ids
+        assert round_tripped._state.grams == oracle._state.grams
+        assert round_tripped._state.by_length == oracle._state.by_length
+        assert round_tripped._state.buckets == oracle._state.buckets
         # Mutable again: the delta-merge path needs add() back.
         round_tripped.add("freshly-added")
         assert "freshly-added" in round_tripped
@@ -217,9 +219,9 @@ class TestValueIndexCompactionGuards:
     def test_compact_is_idempotent(self):
         index = _build(QGramIndex, ["abc", "abd"], 2)
         index.compact()
-        state = index._compact
+        state = index._state
         index.compact()
-        assert index._compact is state
+        assert index._state is state
 
     def test_from_compact_payload_rejects_wrong_strategy(self):
         index = _build(QGramIndex, ["abc"], 2)
@@ -239,8 +241,15 @@ def _indexes_over(ods, theta_tuple=0.25):
         ods, TypeMapping(), theta_tuple, encoding="compact"
     )
     compact_index.freeze()
-    assert compact_index._compact is not None
+    assert _holds_compact_state(compact_index)
     return dict_index, compact_index
+
+
+def _holds_compact_state(index):
+    """Whether the index reads through flat arrays (terms and values)."""
+    return isinstance(index._terms, CompactTermIndex) and all(
+        value_index.compacted for value_index in index._value_indexes.values()
+    )
 
 
 def _assert_index_parity(dict_index, compact_index):
@@ -309,12 +318,15 @@ class TestCorpusIndexParity:
                 == expected
             )
 
-    def test_thaw_merge_refreeze_parity(self):
-        """The freeze()-compaction survives the extend() seam: thaw
-        decompacts, the delta folds into dict state, re-freeze
-        re-compacts — answers track the dict oracle throughout."""
+    @pytest.mark.parametrize("encoding", sorted(INDEX_ENCODINGS))
+    @pytest.mark.parametrize("strategy", sorted(SIMILARITY_STRATEGIES))
+    def test_thaw_merge_refreeze_parity(self, strategy, encoding):
+        """The freeze() state swap survives the extend() seam: thaw
+        returns to the writable dict state, the delta folds in,
+        re-freeze swaps again — and every strategy x encoding pair then
+        reads exactly like a fresh build over the grown corpus, its own
+        and the qgram/dict oracle's."""
         ods = random_corpus(SEEDS[0], "dupes", count=24)
-        dict_index, compact_index = _indexes_over(ods)
         delta_ods = [
             od_from_pairs(
                 100 + i,
@@ -325,16 +337,29 @@ class TestCorpusIndexParity:
                 {"title": "abcdefgh", "artist": "hgfedcba"} for _ in range(6)
             )
         ]
-        for index in (dict_index, compact_index):
-            index.thaw()
-            index.merge_partial(
-                IndexPartial.from_ods(
-                    delta_ods, TypeMapping(), encoding=index.encoding
-                )
-            )
+
+        def build(over, **choice):
+            index = CorpusIndex(over, TypeMapping(), 0.25, **choice)
             index.freeze()
-        assert compact_index._compact is not None
-        _assert_index_parity(dict_index, compact_index)
+            return index
+
+        grown = build(ods, strategy=strategy, encoding=encoding)
+        grown.similar_values(*grown.block_terms()[0])  # a memo to invalidate
+        grown.thaw()
+        assert isinstance(grown._terms, DictTermState)
+        grown.merge_partial(
+            IndexPartial.from_ods(
+                delta_ods, TypeMapping(), strategy=strategy, encoding=encoding
+            )
+        )
+        grown.freeze()
+        assert type(grown._terms) is INDEX_ENCODINGS[encoding]
+        assert _holds_compact_state(grown) == (encoding == "compact")
+        everything = ods + delta_ods
+        _assert_index_parity(build(everything), grown)
+        _assert_index_parity(
+            build(everything, strategy=strategy, encoding=encoding), grown
+        )
 
     def test_statistics_memoized_only_while_frozen(self):
         ods = random_corpus(SEEDS[0], "uniform", count=12)
@@ -378,7 +403,7 @@ class TestCompactTermIndexPayload:
     def test_round_trip_preserves_every_row(self):
         ods = random_corpus(SEEDS[1], "skewed")
         _, compact_index = _indexes_over(ods)
-        terms = compact_index._compact
+        terms = compact_index._terms
         again = CompactTermIndex.from_payload(terms.to_payload())
         assert len(again) == len(terms)
         assert set(again.block_terms()) == set(terms.block_terms())
@@ -391,9 +416,10 @@ class TestCompactTermIndexPayload:
     def test_decompact_restores_dict_maps(self):
         ods = random_corpus(SEEDS[0], "giant", count=18)
         dict_index, compact_index = _indexes_over(ods)
-        occurrences, objects_by_key = compact_index._compact.decompact()
-        assert occurrences == dict_index._occurrences
-        assert objects_by_key == dict_index._objects_by_key
+        restored = compact_index._terms.decompact()
+        assert isinstance(restored, DictTermState)
+        assert restored.occurrences == dict_index._terms.occurrences
+        assert restored.objects_by_key == dict_index._terms.objects_by_key
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +428,11 @@ class TestCompactTermIndexPayload:
 class TestEncodingRegistry:
     def test_registry_contents(self):
         assert set(INDEX_ENCODINGS) == {"dict", "compact"}
-        assert make_index_encoding("compact").name == "compact"
-        with pytest.raises(LookupError, match="compact"):
-            make_index_encoding("roaring")
+        # The registry names the state a frozen index holds.
+        for name, state_class in INDEX_ENCODINGS.items():
+            index = CorpusIndex((), TypeMapping(), 0.25, encoding=name)
+            index.freeze()
+            assert type(index._terms) is state_class
 
     def test_env_override_sets_the_config_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_INDEX_ENCODING", "compact")
@@ -417,7 +445,7 @@ class TestEncodingRegistry:
             DogmatixConfig()
 
     def test_corpus_index_rejects_unknown_encoding(self):
-        with pytest.raises(LookupError, match="dict"):
+        with pytest.raises(LookupError, match="roaring.*compact, dict"):
             CorpusIndex((), TypeMapping(), 0.25, encoding="roaring")
 
     def test_api_registry_and_spec_validation(self):
@@ -445,7 +473,7 @@ class TestSessionParity:
         reference = session_over(ods).detect()
         compact = session_over(ods, index_encoding="compact")
         assert compact.index.encoding == "compact"
-        assert compact.index._compact is not None
+        assert _holds_compact_state(compact.index)
         assert_results_identical(reference, compact.detect())
 
     def test_across_execution_backends(self):
@@ -505,7 +533,7 @@ class TestSessionParity:
         for session in (reference, compact):
             session.extend(parse(extension))
         assert compact.index.encoding == "compact"
-        assert compact.index._compact is not None  # re-frozen, re-compacted
+        assert _holds_compact_state(compact.index)  # re-frozen, re-compacted
         assert_results_identical(reference.detect(), compact.detect())
         for od in reference.ods:
             assert [
@@ -597,13 +625,13 @@ class TestWarmStoreParity:
         store = IndexStore(example_dir / "store")
         spec = self._spec(example_dir, index_encoding="compact")
         cold = spec.build_session()
-        assert cold.index._compact is not None
+        assert _holds_compact_state(cold.index)
         store.save(spec, cold)
         warm = store.load(spec)
         assert warm is not None
         assert warm.index.loaded_from_snapshot
         assert warm.index.encoding == "compact"
-        assert warm.index._compact is not None
+        assert _holds_compact_state(warm.index)
         assert warm.index.statistics() == cold.index.statistics()
         assert_results_identical(cold.detect(), warm.detect())
         for od in cold.ods:
@@ -633,7 +661,7 @@ class TestWarmStoreParity:
         assert dict_warm is not None
         assert not dict_warm.index.loaded_from_snapshot
         assert dict_warm.index.encoding == "dict"
-        assert dict_warm.index._compact is None
+        assert isinstance(dict_warm.index._terms, DictTermState)
         assert_results_identical(reference, dict_warm.detect())
 
     def test_dict_snapshot_warms_a_compact_spec_by_rebuild(self, example_dir):
@@ -651,7 +679,7 @@ class TestWarmStoreParity:
         assert warm is not None
         assert not warm.index.loaded_from_snapshot
         assert warm.index.encoding == "compact"
-        assert warm.index._compact is not None
+        assert _holds_compact_state(warm.index)
         assert_results_identical(cold.detect(), warm.detect())
 
     def test_warm_compact_session_supports_extend(self, example_dir):
@@ -674,5 +702,5 @@ class TestWarmStoreParity:
         )
         update = warm.extend(Source(late, warm.corpus.sources[0].schema))
         assert update.added[0].object_id == 3
-        assert warm.index._compact is not None  # re-frozen, re-compacted
+        assert _holds_compact_state(warm.index)  # re-frozen, re-compacted
         assert 3 in [m.object_id for m in warm.match(2)]

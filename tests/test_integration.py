@@ -8,8 +8,8 @@ ordinary test run.
 import pytest
 
 from repro.baselines import SortedNeighborhood, VectorSpaceSimilarity
+from repro.api import DetectionSession
 from repro.core import (
-    DogmatiX,
     DogmatixConfig,
     KClosestDescendants,
     RDistantDescendants,
@@ -148,18 +148,17 @@ class TestDogmatixVsBaselines:
     def ods_and_gold(self):
         dataset = build_dataset1(base_count=60, seed=7)
         config = EXPERIMENTS[0].config(KClosestDescendants(6))
-        algo = DogmatiX(config)
-        ods = algo.build_ods(dataset.sources, dataset.mapping, "DISC")
-        return dataset, algo, ods, gold_pairs(ods)
+        session = DetectionSession(dataset.sources, dataset.mapping, "DISC", config)
+        return dataset, session, session.ods, gold_pairs(session.ods)
 
     def test_dogmatix_f1(self, ods_and_gold):
-        dataset, algo, ods, gold = ods_and_gold
-        result = algo.detect(ods, dataset.mapping, "DISC")
+        dataset, session, ods, gold = ods_and_gold
+        result = session.detect()
         metrics = pair_metrics(result.duplicate_id_pairs(), gold)
         assert metrics.f1 > 0.75
 
     def test_beats_vector_space(self, ods_and_gold):
-        dataset, algo, ods, gold = ods_and_gold
+        dataset, session, ods, gold = ods_and_gold
         vsm = VectorSpaceSimilarity(ods, dataset.mapping, field_aware=True)
         classifier = ThresholdClassifier(vsm, 0.55)
         pipeline = DetectionPipeline(
@@ -169,7 +168,7 @@ class TestDogmatixVsBaselines:
         )
         vsm_result = pipeline.detect(ods)
         vsm_metrics = pair_metrics(vsm_result.duplicate_id_pairs(), gold)
-        dog_result = algo.detect(ods, dataset.mapping, "DISC")
+        dog_result = session.detect()
         dog_metrics = pair_metrics(dog_result.duplicate_id_pairs(), gold)
         assert dog_metrics.f1 >= vsm_metrics.f1
 
@@ -177,12 +176,13 @@ class TestDogmatixVsBaselines:
     def test_snm_window_misses_pairs(self, ods_and_gold):
         """The sorting-key problem: a small window misses duplicates
         that exhaustive comparison finds."""
-        dataset, algo, ods, gold = ods_and_gold
+        dataset, _, ods, gold = ods_and_gold
         config = EXPERIMENTS[0].config(KClosestDescendants(6))
         config.use_blocking = False
         config.use_object_filter = False
-        snm_algo = DogmatiX(config)
-        index_pairs = snm_algo.detect(ods, dataset.mapping, "DISC")
+        index_pairs = DetectionSession.from_ods(
+            ods, dataset.mapping, "DISC", config
+        ).detect()
         full_found = index_pairs.duplicate_id_pairs()
 
         snm = SortedNeighborhood(window=3)
@@ -206,10 +206,11 @@ class TestDirtyXMLRobustness:
             config=DirtyConfig(1.0, typo, missing, synonym),
         )
         config = EXPERIMENTS[0].config(KClosestDescendants(6))
-        algo = DogmatiX(config)
-        ods = algo.build_ods(dataset.sources, dataset.mapping, "DISC")
-        result = algo.detect(ods, dataset.mapping, "DISC")
-        metrics = pair_metrics(result.duplicate_id_pairs(), gold_pairs(ods))
+        session = DetectionSession(dataset.sources, dataset.mapping, "DISC", config)
+        result = session.detect()
+        metrics = pair_metrics(
+            result.duplicate_id_pairs(), gold_pairs(session.ods)
+        )
         assert metrics.recall > 0.8
 
 
@@ -217,8 +218,9 @@ class TestOutputDocument:
     def test_dupcluster_output_parses_and_resolves(self):
         dataset = build_dataset1(base_count=30, seed=7)
         config = EXPERIMENTS[0].config(KClosestDescendants(6))
-        algo = DogmatiX(config)
-        result = algo.run(dataset.sources, dataset.mapping, "DISC")
+        result = DetectionSession(
+            dataset.sources, dataset.mapping, "DISC", config
+        ).detect()
         output = parse(result.to_xml())
         assert output.root.tag == "dupclusters"
         # every listed duplicate path resolves in the source document

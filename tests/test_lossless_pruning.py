@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import DetectionSession
 from repro.core import (
-    DogmatiX,
     DogmatixConfig,
     KClosestDescendants,
     RDistantDescendants,
@@ -43,9 +43,9 @@ def run_variant(dataset, heuristic, use_blocking, use_object_filter, **knobs):
         use_object_filter=use_object_filter,
         **knobs,
     )
-    return DogmatiX(config).run(
-        dataset.sources, dataset.mapping, dataset.real_world_type
-    )
+    return DetectionSession(
+        dataset.sources, dataset.mapping, dataset.real_world_type, config
+    ).detect()
 
 
 def paper_dataset():

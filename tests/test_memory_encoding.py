@@ -1,8 +1,8 @@
 """Memory regression: the compact encoding must stay compact.
 
-The tentpole's space contract, pinned at reduced scale (the full
-benchmark, ``benchmarks/bench_encoding.py``, reports the ratio at
-n=2000): a frozen compact index's reachable footprint — posting arrays,
+The compact encoding's space contract, pinned at reduced scale (the
+bench of record reports the default encoding's ``core.index_bytes``): a
+frozen compact index's reachable footprint — posting arrays,
 string tables, gram rows — must be at most **half** the dict
 encoding's dict/set/Counter maze over the same corpus.  A refactor
 that quietly reintroduces per-term Python sets or per-value Counters
@@ -24,11 +24,7 @@ KINDS = ("title", "artist", "year")
 
 def index_footprint(index: CorpusIndex) -> int:
     """Bytes reachable from the index's term + value-index state."""
-    if index._compact is not None:
-        return deep_sizeof((index._compact, index._value_indexes))
-    return deep_sizeof(
-        (index._occurrences, index._objects_by_key, index._value_indexes)
-    )
+    return deep_sizeof((index._terms, index._value_indexes))
 
 
 def typo_corpus(count: int, seed: int = 19):

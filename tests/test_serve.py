@@ -71,9 +71,10 @@ def served(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve")
     spec = write_example(tmp)
     server, client = start_server(tmp / "store")
-    digest = client.open_corpus(spec)["digest"]
+    opened = client.open_corpus(spec)
     yield SimpleNamespace(
-        server=server, client=client, spec=spec, digest=digest, tmp=tmp
+        server=server, client=client, spec=spec, digest=opened["digest"],
+        tmp=tmp, first_origin=opened["origin"],
     )
     server.shutdown()
     server.server_close()
@@ -86,6 +87,7 @@ class TestRoutes:
         assert health["sessions"] >= 1
 
     def test_open_is_idempotent_and_resident(self, served):
+        assert served.first_origin == "cold"  # empty store: built, then saved
         opened = served.client.open_corpus(served.spec)
         assert opened["digest"] == served.digest
         assert opened["origin"] == "session"

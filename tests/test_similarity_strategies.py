@@ -18,8 +18,7 @@ This file pins that contract:
 * session-level bit-identical results across serial / process / shard
   backends, the parallel ingest path, warm store loads, and extends;
 * the bound tiers: the signature search never runs more DP
-  verifications than the oracle (``benchmarks/bench_similarity.py``
-  asserts strictly fewer at scale).
+  verifications than the oracle.
 """
 
 from __future__ import annotations
@@ -232,8 +231,8 @@ class TestMergeParity:
         source.add("dogmatix")
         target = cls(q=2)
         target.merge_from(source)
-        assert target._grams[0] is not source._grams[0]
-        source._grams[0].clear()  # the source partial stays live
+        assert target._state.counter(0) is not source._state.counter(0)
+        source._state.counter(0).clear()  # the source partial stays live
         assert target.search("dogmatixx", 0.2) == ["dogmatix"]
 
     def test_strategies_do_not_merge_into_each_other(self):
