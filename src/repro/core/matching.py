@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..framework import ObjectDescription, ODTuple, TypeMapping
-from ..strings import (
-    ned_cached,
-    normalized_lower_bound,
-    normalized_upper_bound,
-    within_normalized,
-)
+from ..strings import bound_verdict, ned_cached, within_normalized
 
 
 @dataclass
@@ -87,8 +82,8 @@ def _match_kind(
     """Match one kind of information between two ODs.
 
     Cheap check first: the O(n) distance bounds
-    (:func:`normalized_lower_bound` / :func:`normalized_upper_bound`)
-    decide on which side of ``theta_tuple`` most pairs fall, so the
+    (:func:`~repro.strings.bound_verdict`) decide on which side of
+    ``theta_tuple`` most pairs fall, so the
     O(n·m) DP runs only for pairs the bounds cannot separate from the
     threshold — and, lazily below, for pairs whose *order* matters:
     ordering is what decides who matches whom (and the result list
@@ -104,14 +99,10 @@ def _match_kind(
     dissimilar: list[tuple[int, int]] = []
     for a, odt_a in enumerate(left):
         for b, odt_b in enumerate(right):
-            if normalized_lower_bound(odt_a.value, odt_b.value) >= theta_tuple:
-                dissimilar.append((a, b))
-            elif normalized_upper_bound(odt_a.value, odt_b.value) < theta_tuple:
-                similar.append((a, b))
-            elif ned_cached(odt_a.value, odt_b.value) < theta_tuple:
-                similar.append((a, b))
-            else:
-                dissimilar.append((a, b))
+            verdict = bound_verdict(odt_a.value, odt_b.value, theta_tuple)
+            if verdict is None:
+                verdict = ned_cached(odt_a.value, odt_b.value) < theta_tuple
+            (similar if verdict else dissimilar).append((a, b))
     if len(similar) > 1:
         similar.sort(key=exact)
 

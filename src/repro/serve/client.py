@@ -2,16 +2,21 @@
 
 Used by the test suite and the CI round trip; also the
 reference for how to talk to the daemon from anything that can speak
-HTTP (the README's curl examples mirror these calls).  ``urllib``
+HTTP (the README's curl examples mirror these calls).  ``http.client``
 only — the client must not import more than the daemon does.
+
+Each calling thread keeps one persistent HTTP/1.1 connection to the
+daemon, so a sequence of calls pays for one TCP handshake, not one per
+call, and exercises the daemon's keep-alive path the way a real client
+does.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
+import threading
 import urllib.parse
-import urllib.request
 from typing import Optional
 
 
@@ -30,6 +35,12 @@ class ServeClient:
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._url = urllib.parse.urlsplit(self.base_url)
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection (it reopens on use)."""
+        self._connection().close()
 
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
@@ -106,21 +117,57 @@ class ServeClient:
         data = raw_body
         if json_body is not None:
             data = json.dumps(json_body).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": content_type} if data else {},
-        )
+        target = self._url.path + path
+        headers = {"Content-Type": content_type} if data else {}
+        connection = self._connection()
+        kept_alive = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+            response, body = _round_trip(connection, method, target, data, headers)
+        except (ConnectionError, http.client.HTTPException):
+            # The daemon may drop an idle kept-alive connection; that
+            # says nothing about the request, so reopen and send it once
+            # more.  A fresh connection that fails is a real error.
+            if not kept_alive:
+                raise
+            response, body = _round_trip(connection, method, target, data, headers)
+        if response.status >= 400:
             try:
-                message = json.loads(exc.read().decode("utf-8"))["error"]
+                message = json.loads(body)["error"]
             except Exception:  # noqa: BLE001 - non-JSON error body
-                message = exc.reason
-            raise ServeError(exc.code, message) from None
+                message = response.reason
+            raise ServeError(response.status, message)
+        return json.loads(body)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            factory = (
+                http.client.HTTPSConnection
+                if self._url.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            connection = self._local.connection = factory(
+                self._url.hostname, self._url.port, timeout=self.timeout
+            )
+        return connection
+
+
+def _round_trip(
+    connection: http.client.HTTPConnection,
+    method: str,
+    target: str,
+    data: Optional[bytes],
+    headers: dict,
+) -> tuple[http.client.HTTPResponse, bytes]:
+    try:
+        connection.request(method, target, body=data, headers=headers)
+        response = connection.getresponse()
+        return response, response.read()
+    except BaseException:
+        # Never keep a connection with a half-sent request or a
+        # half-read response on it; the next call reopens.
+        connection.close()
+        raise
 
 
 def _query(params: dict) -> str:

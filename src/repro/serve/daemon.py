@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
@@ -86,6 +87,13 @@ class DetectionServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: DetectionServer  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    # Wire contract: head and body of a response collect in a buffered
+    # ``wfile`` and leave in one send (a head segment followed by a
+    # small body segment is what Nagle holds until the client's delayed
+    # ACK, ~40 ms per keep-alive request); TCP_NODELAY keeps the tail
+    # segment of a body larger than the buffer from stalling the same way.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -95,15 +103,47 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, status: int, payload: dict) -> None:
+        """The one response writer: JSON body, one flush."""
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+        self.wfile.flush()
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Errors the stdlib raises itself (bad request line, unsupported
+        method) in the same JSON shape as :class:`ApiError`."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._send_json(code, {"error": message})
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The declared request body, read exactly once per request.
+
+        Runs before routing, so a response that never looks at the body
+        (an unknown route, a GET that carries one) cannot leave it in
+        the stream to be parsed as the next request.  Where the length
+        is unknowable the connection closes after the response.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise ApiError(
+                400,
+                f"Content-Length must be a non-negative integer, "
+                f"got {declared!r}",
+            )
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise ApiError(411, "send the body with a Content-Length")
+        length = int(declared)
         return self.rfile.read(length) if length else b""
 
     def _dispatch(self, method: str) -> None:
@@ -111,13 +151,13 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [part for part in split.path.split("/") if part]
         params = parse_qs(split.query)
         try:
-            payload, status = self._route(method, parts, params)
+            body = self._read_body()
+            payload, status = self._route(method, parts, params, body)
         except ApiError as exc:
             self._send_json(exc.status, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - one request, not the daemon
-            self._send_json(
-                500, {"error": f"{type(exc).__name__}: {exc}"}
-            )
+        except Exception:  # noqa: BLE001 - one request, not the daemon
+            traceback.print_exc()
+            self._send_json(500, {"error": "internal server error"})
         else:
             self._send_json(status, payload)
 
@@ -131,22 +171,29 @@ class _Handler(BaseHTTPRequestHandler):
     # Routing
     # ------------------------------------------------------------------
     def _route(
-        self, method: str, parts: list[str], params: dict[str, list[str]]
+        self,
+        method: str,
+        parts: list[str],
+        params: dict[str, list[str]],
+        body: bytes,
     ) -> tuple[dict, int]:
         if parts == ["healthz"] and method == "GET":
             return self._healthz()
         if parts == ["corpora"]:
             if method == "GET":
                 return self._catalog()
-            return self._open_corpus()
+            return self._open_corpus(body)
         if len(parts) == 3 and parts[0] == "corpora":
             digest, action = parts[1], parts[2]
             if action == "match":
-                return self._match(digest, params, method)
+                # A GET addresses a corpus object; its body is ignored.
+                return self._match(
+                    digest, params, body if method == "POST" else b""
+                )
             if action == "detect" and method == "POST":
                 return self._detect(digest, params)
             if action == "extend" and method == "POST":
-                return self._extend(digest)
+                return self._extend(digest, body)
         raise ApiError(404, f"no route for {method} /{'/'.join(parts)}")
 
     # ------------------------------------------------------------------
@@ -175,8 +222,8 @@ class _Handler(BaseHTTPRequestHandler):
             "loaded": self.server.registry.digests(),
         }, 200
 
-    def _open_corpus(self) -> tuple[dict, int]:
-        data = self._json_body()
+    def _open_corpus(self, body: bytes) -> tuple[dict, int]:
+        data = self._json_body(body)
         files = {}
         if "spec" in data:
             spec_dict = data["spec"]
@@ -237,13 +284,12 @@ class _Handler(BaseHTTPRequestHandler):
         return remapped
 
     def _match(
-        self, digest: str, params: dict, method: str
+        self, digest: str, params: dict, body: bytes
     ) -> tuple[dict, int]:
         entry = self._entry(digest)
         theta = self._float_param(params, "theta_cand")
         include_possible = self._flag_param(params, "include_possible")
         top = self._int_param(params, "top")
-        body = self._read_body() if method == "POST" else b""
         with entry.lock.read_locked():
             session = entry.session
             if body:
@@ -305,9 +351,8 @@ class _Handler(BaseHTTPRequestHandler):
             "xml": result.to_xml(),
         }, 200
 
-    def _extend(self, digest: str) -> tuple[dict, int]:
+    def _extend(self, digest: str, body: bytes) -> tuple[dict, int]:
         entry = self._entry(digest)
-        body = self._read_body()
         if not body:
             raise ApiError(400, "extend needs an XML document body")
         try:
@@ -340,10 +385,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(404, f"unknown corpus digest {digest!r}")
         return opened[0]
 
-    def _json_body(self) -> dict:
-        body = self._read_body()
+    @staticmethod
+    def _json_body(body: bytes) -> dict:
         try:
-            data = json.loads(body or b"")
+            data = json.loads(body)
         except ValueError as exc:
             raise ApiError(400, f"bad JSON body: {exc}") from None
         if not isinstance(data, dict):

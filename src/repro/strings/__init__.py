@@ -9,6 +9,7 @@ Jaro/Jaro–Winkler, and token-set measures.
 from .bounds import (
     BoundedMatcher,
     bag_distance,
+    bound_verdict,
     edit_distance_lower_bound,
     edit_distance_upper_bound,
     length_lower_bound,
@@ -59,6 +60,7 @@ __all__ = [
     "SignatureIndex",
     "ValueIndex",
     "bag_distance",
+    "bound_verdict",
     "dice",
     "edit_distance",
     "edit_distance_lower_bound",

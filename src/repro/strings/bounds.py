@@ -13,12 +13,16 @@ distance bounds".  These are the standard ones:
   length difference.
 
 A threshold check first rejects via lower bounds, then accepts via the
-trivial upper bound (equality / prefix), and only then runs the DP.
+trivial upper bound (equality / prefix), and only then runs the DP:
+:func:`bound_verdict` is that check, shared by every caller that needs
+only the side of the threshold a pair falls on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
+from typing import Optional
 
 from .levenshtein import edit_distance, within_normalized
 
@@ -28,22 +32,46 @@ def length_lower_bound(a: str, b: str) -> int:
     return abs(len(a) - len(b))
 
 
+@lru_cache(maxsize=1 << 16)
+def _char_bag(value: str) -> dict[str, int]:
+    """Character multiset of ``value``.
+
+    Step 5 meets the same few thousand corpus values in every pair an
+    object takes part in, so the bag is built once per value, not four
+    times per pair.  The memo holds the dicts it returns: they are read
+    only here and never reach a caller.
+    """
+    return dict(Counter(value))
+
+
 def bag_distance(a: str, b: str) -> int:
     """Bag (multiset) distance: a lower bound on edit distance.
 
     Counts characters of ``a`` not matched by characters of ``b`` and
     vice versa; the maximum of the two is the bound (Bartolini et al.).
+    With ``common = Σ_ch min(count_a, count_b)`` the two counts are
+    ``len(a) - common`` and ``len(b) - common``.
     """
-    counts_a = Counter(a)
-    counts_b = Counter(b)
-    only_a = sum((counts_a - counts_b).values())
-    only_b = sum((counts_b - counts_a).values())
-    return max(only_a, only_b)
+    small, large = _char_bag(a), _char_bag(b)
+    if len(small) > len(large):
+        small, large = large, small
+    count_in_large = large.get
+    common = 0
+    for char, count in small.items():
+        other = count_in_large(char)
+        if other:
+            common += count if count < other else other
+    return max(len(a), len(b)) - common
 
 
 def edit_distance_lower_bound(a: str, b: str) -> int:
-    """Best cheap lower bound on ``ed(a, b)``."""
-    return max(length_lower_bound(a, b), bag_distance(a, b))
+    """Best cheap lower bound on ``ed(a, b)``.
+
+    The bag distance alone: the two unmatched counts differ by exactly
+    the length difference, so their maximum never falls below
+    :func:`length_lower_bound`.
+    """
+    return bag_distance(a, b)
 
 
 def edit_distance_upper_bound(a: str, b: str) -> int:
@@ -76,6 +104,29 @@ def normalized_upper_bound(a: str, b: str) -> float:
     return edit_distance_upper_bound(a, b) / longest
 
 
+def bound_verdict(a: str, b: str, threshold: float) -> Optional[bool]:
+    """Which side of ``threshold`` ``ned(a, b)`` falls on, where a bound
+    already decides: ``False`` if :func:`normalized_lower_bound` is at or
+    above it, ``True`` if :func:`normalized_upper_bound` is below it,
+    ``None`` if only the DP can tell.
+
+    Cheapest evidence first: equality, then the length bound (free),
+    then the bag bound.  The larger of the two lower bounds reaches the
+    threshold exactly when one of them does, so the order changes no
+    verdict.
+    """
+    if a == b:
+        return threshold > 0
+    longest = max(len(a), len(b))
+    if abs(len(a) - len(b)) / longest >= threshold:
+        return False
+    if bag_distance(a, b) / longest >= threshold:
+        return False
+    if edit_distance_upper_bound(a, b) / longest < threshold:
+        return True
+    return None
+
+
 class BoundedMatcher:
     """Thresholded ``ned`` check with bound short-circuits and statistics.
 
@@ -94,14 +145,15 @@ class BoundedMatcher:
 
     def matches(self, a: str, b: str) -> bool:
         """True iff ``ned(a, b) < threshold``."""
-        if normalized_lower_bound(a, b) >= self.threshold:
-            self.lower_bound_rejects += 1
-            return False
-        if normalized_upper_bound(a, b) < self.threshold:
+        verdict = bound_verdict(a, b, self.threshold)
+        if verdict is None:
+            self.full_computations += 1
+            return within_normalized(a, b, self.threshold)
+        if verdict:
             self.upper_bound_accepts += 1
-            return True
-        self.full_computations += 1
-        return within_normalized(a, b, self.threshold)
+        else:
+            self.lower_bound_rejects += 1
+        return verdict
 
     @property
     def total_checks(self) -> int:
@@ -122,6 +174,7 @@ class BoundedMatcher:
 __all__ = [
     "BoundedMatcher",
     "bag_distance",
+    "bound_verdict",
     "edit_distance",
     "edit_distance_lower_bound",
     "edit_distance_upper_bound",

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .bounds import normalized_lower_bound, normalized_upper_bound
+from .bounds import bound_verdict
 from .value_index import ValueIndex, qgrams, strict_budget
 
 #: token -> (value id, prefix position) postings of one length bucket.
@@ -99,11 +99,7 @@ class SignatureIndex(ValueIndex):
     ) -> Optional[bool]:
         """Bound tiers (strings.bounds): reject/accept without the DP
         where a cheap bound already decides."""
-        if normalized_lower_bound(query, value) >= threshold:
-            return False
-        if normalized_upper_bound(query, value) < threshold:
-            return True
-        return None
+        return bound_verdict(query, value, threshold)
 
     # ------------------------------------------------------------------
     # Candidate generation

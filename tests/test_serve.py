@@ -12,7 +12,11 @@ locks (concurrency itself is stressed in
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -76,6 +80,7 @@ def served(tmp_path_factory):
         server=server, client=client, spec=spec, digest=opened["digest"],
         tmp=tmp, first_origin=opened["origin"],
     )
+    client.close()
     server.shutdown()
     server.server_close()
 
@@ -286,6 +291,218 @@ class TestRegistry:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class _RecordingSocket(socket.socket):
+    """An accepted connection that logs the size of every send."""
+
+    def send(self, data, *args):
+        self.sends.append(len(data))
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends.append(len(data))
+        return super().sendall(data, *args)
+
+
+class _WireServer(DetectionServer):
+    """The daemon, with its accepted sockets and their sends on record."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.accepted: list[_RecordingSocket] = []
+        self.sends: list[int] = []
+
+    def get_request(self):
+        plain, address = super().get_request()
+        recording = _RecordingSocket(
+            plain.family, plain.type, plain.proto, fileno=plain.detach()
+        )
+        recording.sends = self.sends
+        self.accepted.append(recording)
+        return recording, address
+
+
+@pytest.fixture(scope="class")
+def wire(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("wire")
+    spec = write_example(tmp)
+    server = _WireServer(("127.0.0.1", 0), str(tmp / "store"), quiet=True)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = ServeClient(f"http://127.0.0.1:{server.port}")
+    digest = client.open_corpus(spec)["digest"]
+    client.close()
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    yield SimpleNamespace(
+        server=server, spec=spec, digest=digest, connection=connection
+    )
+    connection.close()
+    server.shutdown()
+    server.server_close()
+
+
+def exchange(connection, method, path, body=None, headers=None):
+    """One request on a raw ``http.client`` connection: status, headers
+    and the decoded JSON body (every daemon response must have one)."""
+    connection.request(method, path, body=body, headers=headers or {})
+    response = connection.getresponse()
+    raw = response.read()
+    assert response.getheader("Content-Type") == "application/json", raw
+    return response.status, json.loads(raw)
+
+
+class TestWire:
+    """What the daemon puts on the socket, not only what it answers."""
+
+    def test_every_route_answers_in_one_send(self, wire):
+        corpus = f"/corpora/{wire.digest}"
+        spec = json.dumps(wire.spec.to_dict()).encode("utf-8")
+        requests = [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/corpora", None, 200),
+            ("POST", "/corpora", spec, 200),
+            ("GET", f"{corpus}/match?object_id=0", None, 200),
+            ("POST", f"{corpus}/match", NEW_MOVIE.encode("utf-8"), 200),
+            ("POST", f"{corpus}/detect", None, 200),
+            ("POST", f"{corpus}/extend", NEW_MOVIE.encode("utf-8"), 200),
+            ("GET", f"{corpus}/match?object_id=99", None, 404),
+            ("GET", f"{corpus}/match", None, 400),
+            ("POST", f"{corpus}/extend", b"<not-xml", 400),
+            ("GET", "/nope", None, 404),
+            ("DELETE", "/healthz", None, 501),
+        ]
+        for method, path, body, expected in requests:
+            del wire.server.sends[:]
+            status, _ = exchange(wire.connection, method, path, body)
+            assert status == expected, (method, path)
+            assert len(wire.server.sends) == 1, (method, path, wire.server.sends)
+
+    def test_accepted_connections_disable_nagle(self, wire):
+        exchange(wire.connection, "GET", "/healthz")  # connection is open
+        accepted = wire.server.accepted[-1]
+        assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_unread_body_does_not_desync_the_connection(self, wire):
+        # The 404 is decided without looking at the body; the body must
+        # not be parsed as the next request on the kept-alive connection.
+        accepted = len(wire.server.accepted)
+        for method, path, expected in [
+            ("POST", "/nope", 404),
+            ("GET", f"/corpora/{wire.digest}/match?object_id=0", 200),
+            ("POST", f"/corpora/{wire.digest}/match?top=x", 400),
+        ]:
+            status, _ = exchange(
+                wire.connection, method, path, NEW_MOVIE.encode("utf-8")
+            )
+            assert status == expected
+            status, health = exchange(wire.connection, "GET", "/healthz")
+            assert (status, health["status"]) == (200, "ok")
+        assert len(wire.server.accepted) == accepted  # never reconnected
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1.5", "0x10", ""])
+    def test_bad_content_length_is_a_json_400(self, wire, declared):
+        status, payload = exchange(
+            wire.connection, "POST", f"/corpora/{wire.digest}/extend",
+            headers={"Content-Length": declared},
+        )
+        assert status == 400
+        assert "ValueError" not in payload["error"]
+        # The connection closed where the body length was unknowable
+        # (http.client reopens); either way the next request is answered.
+        assert exchange(wire.connection, "GET", "/healthz")[0] == 200
+
+    def test_missing_content_length_is_an_empty_body(self, wire):
+        connection = wire.connection
+        connection.putrequest("POST", f"/corpora/{wire.digest}/extend")
+        connection.endheaders()
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 400
+        assert "body" in payload["error"]
+
+    def test_chunked_body_is_refused_and_the_connection_closed(self, wire):
+        status, payload = exchange(
+            wire.connection, "POST", f"/corpora/{wire.digest}/extend",
+            body=iter([NEW_MOVIE.encode("utf-8")]),
+            headers={"Transfer-Encoding": "chunked"},
+        )
+        assert status == 411
+        assert "Content-Length" in payload["error"]
+        assert exchange(wire.connection, "GET", "/healthz")[0] == 200
+
+    @pytest.mark.parametrize("method", ["DELETE", "PUT", "HEAD", "BREW"])
+    def test_unsupported_method_is_json_not_html(self, wire, method):
+        wire.connection.request(method, "/healthz")
+        response = wire.connection.getresponse()
+        raw = response.read()
+        assert response.status == 501
+        assert response.getheader("Content-Type") == "application/json"
+        if method != "HEAD":
+            assert "error" in json.loads(raw)
+
+    def test_bad_request_line_is_json_not_html(self, wire):
+        with socket.create_connection(
+            ("127.0.0.1", wire.server.port), timeout=30
+        ) as raw:
+            raw.sendall(b"NONSENSE\r\n\r\n")
+            answer = b""
+            while chunk := raw.recv(4096):
+                answer += chunk
+        assert b"<html" not in answer.lower()
+        assert "error" in json.loads(answer.rpartition(b"\r\n")[2])
+
+    def test_unhandled_error_names_no_python_exception(
+        self, wire, monkeypatch, capsys
+    ):
+        def broken():
+            raise RuntimeError("secret detail")
+
+        monkeypatch.setattr(wire.server.registry, "digests", broken)
+        status, payload = exchange(wire.connection, "GET", "/corpora")
+        assert status == 500
+        assert payload == {"error": "internal server error"}
+        assert "secret detail" in capsys.readouterr().err  # logged instead
+
+
+class TestClientConnection:
+    def test_one_connection_per_thread_reopened_once_when_dropped(self, wire):
+        client = ServeClient(f"http://127.0.0.1:{wire.server.port}")
+        before = len(wire.server.accepted)
+        try:
+            for _ in range(3):
+                assert client.healthz()["status"] == "ok"
+            assert len(wire.server.accepted) == before + 1
+            other: list[dict] = []
+            thread = threading.Thread(
+                target=lambda: other.append(client.healthz())
+            )
+            thread.start()
+            thread.join(timeout=30)
+            assert other and other[0]["status"] == "ok"
+            assert len(wire.server.accepted) == before + 2
+            # The daemon hangs up on the kept-alive connection: its
+            # handler reads end-of-stream and closes the socket.
+            dropped = wire.server.accepted[before]
+            dropped.shutdown(socket.SHUT_RD)
+            deadline = time.monotonic() + 30
+            while dropped.fileno() != -1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert dropped.fileno() == -1
+            assert client.healthz()["status"] == "ok"
+            assert len(wire.server.accepted) == before + 3
+            with pytest.raises(ServeError) as excinfo:
+                client._request("GET", "/nope")
+            assert excinfo.value.status == 404
+            assert len(wire.server.accepted) == before + 3
+        finally:
+            client.close()
+
+    def test_refused_connection_is_not_retried_into_a_hang(self):
+        with socket.socket() as placeholder:
+            placeholder.bind(("127.0.0.1", 0))
+            port = placeholder.getsockname()[1]
+        with pytest.raises(OSError):
+            ServeClient(f"http://127.0.0.1:{port}", timeout=5).healthz()
 
 
 class TestServeCLI:
