@@ -124,6 +124,27 @@ CONTAINER_MUTATORS = frozenset(
 )
 
 
+def write_targets(node: ast.AST) -> list[ast.AST]:
+    """The expressions a node writes: assignment and ``del`` targets, or
+    the receiver of an in-place container mutator; ``x[...]`` -> ``x``."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in CONTAINER_MUTATORS
+    ):
+        targets = [node.func.value]
+    else:
+        return []
+    return [
+        target.value if isinstance(target, ast.Subscript) else target
+        for target in targets
+    ]
+
+
 def is_container_expr(node: ast.AST) -> bool:
     """Does this expression build a mutable container?"""
     if isinstance(

@@ -47,6 +47,9 @@ class LintConfig:
             "CompactGramStore",
             "CompactValueIndex",
             "CompactTermIndex",
+            # Parsed trees: a served ``match()`` reads paths and
+            # children of corpus elements from every reader thread.
+            "Element",
         }
     )
 
@@ -118,6 +121,14 @@ class LintConfig:
 
     #: Where RPR002 points violators for a process-stable hash.
     stable_hash_hint: str = "repro.engine.sharder.stable_hash"
+
+    #: The one module that may write an XML element's private state,
+    #: and the attributes that state is (RPR007): the content list and
+    #: the child tuple and path ordinal derived from it.
+    tree_module: str = "repro.xmlkit.tree"
+    tree_private_attrs: frozenset[str] = frozenset(
+        {"_content", "_children", "_ordinal"}
+    )
 
 
 #: The default binding for this repository.

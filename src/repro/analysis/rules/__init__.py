@@ -9,9 +9,10 @@ Importing this package registers every rule with
 * ``RPR004`` non-atomic read-modify-write     (PR 6)
 * ``RPR005`` nondeterministic set ordering    (parity contract, all PRs)
 * ``RPR006`` unpicklable pool payloads        (PRs 1, 5)
+* ``RPR007`` tree mutation outside ``xmlkit.tree`` (PR 16)
 """
 
-from . import atomic, containers, frozen, hashing, ordering, pickling  # noqa: F401
+from . import atomic, containers, frozen, hashing, ordering, pickling, tree  # noqa: F401
 
 from ..base import RULES, all_rules
 

@@ -26,13 +26,13 @@ import ast
 from typing import Iterator, Optional
 
 from ..base import (
-    CONTAINER_MUTATORS,
     Rule,
     methods,
     references_attr,
     register,
     self_attr,
     walk_method,
+    write_targets,
 )
 from ..context import FileContext
 from ..findings import Finding
@@ -95,28 +95,8 @@ class FrozenIndexDiscipline(Rule):
         self, node: ast.AST, ctx: FileContext
     ) -> Optional[str]:
         """The non-exempt ``self`` attribute this node mutates, if any."""
-        attr: Optional[str] = None
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                attr = attr or self._target_attr(target)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            attr = self._target_attr(node.target)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                attr = attr or self._target_attr(target)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in CONTAINER_MUTATORS
-        ):
-            attr = self._target_attr(node.func.value)
-        if attr is not None and attr in ctx.config.frozen_memo_attrs:
-            return None
-        return attr
-
-    @staticmethod
-    def _target_attr(node: ast.AST) -> Optional[str]:
-        """``self.X`` or ``self.X[...]`` -> ``X``."""
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        return self_attr(node)
+        for target in write_targets(node):
+            attr = self_attr(target)
+            if attr is not None:
+                return None if attr in ctx.config.frozen_memo_attrs else attr
+        return None

@@ -123,12 +123,12 @@ class DirtyDataGenerator:
                 if roll < self.config.synonym_rate:
                     replaced = self.synonyms.substitute(value, self.rng)
                     if replaced != value:
-                        _set_text(node, replaced)
+                        node.replace_content([replaced])
                         continue
                     # No synonym known: fall through to the typo check
                     # so the overall error rate stays calibrated.
                 if roll < self.config.synonym_rate + self.config.typo_rate:
-                    _set_text(node, corrupt(value, self.rng))
+                    node.replace_content([corrupt(value, self.rng)])
 
     @staticmethod
     def _relative_path(root: Element, node: Element) -> str:
@@ -138,10 +138,6 @@ class DirtyDataGenerator:
             parts.append(current.tag)
             current = current.parent
         return "/".join(reversed(parts))
-
-
-def _set_text(node: Element, value: str) -> None:
-    node._content = [value]  # noqa: SLF001 - generator-internal rewrite
 
 
 def gold_id(element: Element) -> str | None:

@@ -155,12 +155,6 @@ class IndexStore:
         documents = [_as_document(source.document) for source in sources]
         roots = {id(document.root): index
                  for index, document in enumerate(documents)}
-        element_paths: list[dict[int, str]] = []
-        for document in documents:
-            element_paths.append({
-                id(element): path
-                for path, element in absolute_path_index(document.root).items()
-            })
         od_records = []
         for od in session.ods:
             record: dict[str, object] = {
@@ -175,7 +169,7 @@ class IndexStore:
                         "outside the session's corpus; cannot snapshot"
                     )
                 record["doc"] = source_index
-                record["path"] = element_paths[source_index][id(od.element)]
+                record["path"] = od.element.absolute_path()
             od_records.append(record)
         schema_texts = [
             Path(path).read_text(encoding="utf-8") for path in spec.schemas

@@ -48,7 +48,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..api import RunSpec
 from ..core import Source
 from ..ingest import IndexStore
-from ..xmlkit import compile_path, parse
+from ..xmlkit import XMLError, compile_path, parse
 from .sessions import SessionEntry, SessionRegistry
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
@@ -357,7 +357,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(400, "extend needs an XML document body")
         try:
             document = parse(body)
-        except Exception as exc:  # noqa: BLE001 - parser errors vary
+        except XMLError as exc:
             raise ApiError(400, f"unparsable XML: {exc}") from None
         with entry.lock.write_locked():
             update = entry.session.extend(Source(document))
@@ -430,7 +430,7 @@ def _candidate_element(session, body: bytes):
     """
     try:
         document = parse(body)
-    except Exception as exc:  # noqa: BLE001 - parser errors vary
+    except XMLError as exc:
         raise ApiError(400, f"unparsable XML: {exc}") from None
     found = []
     for xpath in sorted(session.mapping.xpaths_of(session.real_world_type)):

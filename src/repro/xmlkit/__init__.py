@@ -3,6 +3,10 @@
 Parser, tree model, serializer, XPath-subset engine, and XML Schema
 (XSD-subset) model with parsing and inference.  Everything DogmatiX
 needs from an XML stack, with no third-party dependencies.
+
+The XQuery-subset engine is exported lazily: no detection path runs it,
+so ``XQuery``, ``XQueryError`` and ``execute_xquery`` import
+:mod:`repro.xmlkit.xquery` on first access.
 """
 
 from .parser import decode_xml_bytes, parse, parse_file
@@ -16,7 +20,6 @@ from .schema import (
 from .schema_infer import infer_schema, sniff_data_type
 from .schema_parser import parse_schema, parse_schema_file
 from .serialize import serialize
-from .xquery import XQuery, XQueryError, execute as execute_xquery
 from .tree import Document, Element, XMLError, absolute_path_index, strip_positions
 from .xpath import XPath, XPathSyntaxError, compile_path, join, select
 
@@ -48,3 +51,10 @@ __all__ = [
     "sniff_data_type",
     "strip_positions",
 ]
+
+def __getattr__(name: str):
+    if name in ("XQuery", "XQueryError", "execute_xquery"):
+        from . import xquery
+
+        return getattr(xquery, "execute" if name == "execute_xquery" else name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,7 +36,7 @@ import codecs
 import os
 import re
 
-from .tokens import Token, Tokenizer, TokenType
+from .tokens import Tokenizer, TokenType
 from .tree import Document, Element, XMLError
 
 #: BOM -> codec, longest first so UTF-32 LE wins over its UTF-16 prefix.
@@ -87,48 +87,43 @@ def parse(text: str | bytes) -> Document:
     root: Element | None = None
     stack: list[Element] = []
 
-    for token in Tokenizer(text).tokens():
-        if token.type is TokenType.DECLARATION:
-            if root is not None or stack:
-                raise XMLError("XML declaration must precede the root element")
-            declaration = dict(token.attributes)
-        elif token.type in (TokenType.COMMENT, TokenType.PI, TokenType.DOCTYPE):
-            continue
-        elif token.type is TokenType.TEXT:
-            if not stack:
-                if token.value.strip():
-                    raise XMLError(
-                        f"text outside the root element at offset {token.offset}"
-                    )
-                continue
-            if token.value:
-                stack[-1].append(token.value)
-        elif token.type in (TokenType.START_TAG, TokenType.EMPTY_TAG):
-            element = Element(token.value, dict(token.attributes))
+    start_tag, end_tag, text_type = (
+        TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
+    )
+    for kind, value, attributes, offset in Tokenizer(text).tokens():
+        if kind is start_tag or kind is TokenType.EMPTY_TAG:
+            element = Element(value, dict(attributes))
             if stack:
                 stack[-1].append(element)
             elif root is None:
                 root = element
             else:
                 raise XMLError(
-                    f"multiple root elements (second <{token.value}> "
-                    f"at offset {token.offset})"
+                    f"multiple root elements (second <{value}> at offset {offset})"
                 )
-            if token.type is TokenType.START_TAG:
+            if kind is start_tag:
                 stack.append(element)
-        elif token.type is TokenType.END_TAG:
+        elif kind is text_type:
             if not stack:
-                raise XMLError(
-                    f"unexpected closing tag </{token.value}> at offset {token.offset}"
-                )
+                if value.strip():
+                    raise XMLError(f"text outside the root element at offset {offset}")
+                continue
+            if value:
+                stack[-1].append(value)
+        elif kind is end_tag:
+            if not stack:
+                raise XMLError(f"unexpected closing tag </{value}> at offset {offset}")
             open_element = stack.pop()
-            if open_element.tag != token.value:
+            if open_element.tag != value:
                 raise XMLError(
                     f"mismatched tags: <{open_element.tag}> closed by "
-                    f"</{token.value}> at offset {token.offset}"
+                    f"</{value}> at offset {offset}"
                 )
-        else:  # pragma: no cover - exhaustive
-            raise XMLError(f"unhandled token type {token.type}")
+        elif kind is TokenType.DECLARATION:
+            if root is not None or stack:
+                raise XMLError("XML declaration must precede the root element")
+            declaration = dict(attributes)
+        # comments, processing instructions and the DOCTYPE carry no data
 
     if stack:
         raise XMLError(f"unclosed element <{stack[-1].tag}> at end of input")
@@ -157,9 +152,10 @@ def _strip_ignorable_whitespace(element: Element) -> None:
     text verbatim.
     """
     for node in element.iter():
-        if node.children and not any(
-            isinstance(item, str) and item.strip() for item in node.content
-        ):
-            node._content = [  # noqa: SLF001 - tree-internal cleanup
-                item for item in node.content if isinstance(item, Element)
-            ]
+        children = node.children
+        if children:
+            content = node.content
+            if len(content) > len(children) and not any(
+                isinstance(item, str) and item.strip() for item in content
+            ):
+                node.replace_content(children)

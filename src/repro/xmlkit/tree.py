@@ -9,6 +9,13 @@ The model intentionally supports mixed content: an element's ``content``
 is an ordered sequence of ``str`` (text nodes) and :class:`Element`
 children.  Helper accessors (``children``, ``text``, ``text_content``)
 cover the common simple/complex cases.
+
+Only ``append``, ``remove`` and ``replace_content`` change an element's
+content.  A parent caches its child-element tuple and, in the same
+pass, numbers its children's path steps (``tag`` or ``tag[k]``); those
+three mutators drop the tuple, and the next reader rebuilds both.  The
+tuple is assigned once, complete, after the numbering it vouches for,
+so threads that only read a tree may share it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ class Element:
         Ordered mixed content: strings (text nodes) and child elements.
     """
 
-    __slots__ = ("tag", "attributes", "_content", "parent")
+    __slots__ = ("tag", "attributes", "_content", "parent", "_children", "_ordinal")
 
     def __init__(
         self,
@@ -48,6 +55,10 @@ class Element:
         self.attributes: dict[str, str] = dict(attributes or {})
         self.parent: Optional[Element] = None
         self._content: list[Element | str] = []
+        self._children: Optional[tuple[Element, ...]] = None
+        #: same-tag position under the parent, 0 when the tag is not
+        #: repeated there; valid while the parent holds ``_children``
+        self._ordinal = 0
         for item in content or ():
             self.append(item)
 
@@ -63,6 +74,7 @@ class Element:
                 )
             item.parent = self
             self._content.append(item)
+            self._children = None
         elif isinstance(item, str):
             self._content.append(item)
         else:  # pragma: no cover - defensive
@@ -78,8 +90,20 @@ class Element:
             if item is child:
                 del self._content[i]
                 child.parent = None
+                self._children = None
                 return
         raise XMLError(f"<{child.tag}> is not a child of <{self.tag}>")
+
+    def replace_content(self, items: Iterable["Element | str"]) -> None:
+        """Detach every child, then append ``items`` (former children
+        included) under :meth:`append`'s checks; if one fails them, the
+        element keeps the items before it."""
+        content = list(items)
+        for child in self.children:
+            child.parent = None
+        self._content = []
+        self._children = None
+        self.extend(content)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -90,9 +114,32 @@ class Element:
         return tuple(self._content)
 
     @property
-    def children(self) -> list["Element"]:
+    def children(self) -> tuple["Element", ...]:
         """Direct child elements, in document order."""
-        return [item for item in self._content if isinstance(item, Element)]
+        children = self._children
+        if children is None:
+            children = self._materialise_children()
+        return children
+
+    def _materialise_children(self) -> tuple["Element", ...]:
+        """Build the child tuple and number the children among their
+        same-tag siblings: the one sibling-numbering routine."""
+        children = tuple(
+            [item for item in self._content if isinstance(item, Element)]
+        )
+        if children:
+            totals: dict[str, int] = {}
+            for child in children:
+                totals[child.tag] = totals.get(child.tag, 0) + 1
+            seen: dict[str, int] = {}
+            for child in children:
+                tag = child.tag
+                if totals[tag] > 1:
+                    child._ordinal = seen[tag] = seen.get(tag, 0) + 1
+                else:
+                    child._ordinal = 0
+        self._children = children
+        return children
 
     @property
     def text(self) -> str:
@@ -143,9 +190,11 @@ class Element:
 
     def iter(self) -> Iterator["Element"]:
         """Yield self and all descendant elements in document order."""
-        yield self
-        for child in self.children:
-            yield from child.iter()
+        pending = [self]
+        while pending:
+            node = pending.pop()
+            yield node
+            pending.extend(reversed(node.children))
 
     def descendants(self) -> Iterator["Element"]:
         """Yield all descendant elements in document order (excluding self)."""
@@ -184,15 +233,19 @@ class Element:
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
+    def _path_step(self) -> str:
+        """``tag`` or ``tag[k]``: how the parent selects this element."""
+        if self.parent._children is None:
+            self.parent._materialise_children()
+        return f"{self.tag}[{self._ordinal}]" if self._ordinal else self.tag
+
     def child_position(self, child: "Element") -> int:
         """1-based position of ``child`` among same-tag siblings."""
-        position = 0
-        for node in self.children:
-            if node.tag == child.tag:
-                position += 1
-            if node is child:
-                return position
-        raise XMLError(f"<{child.tag}> is not a child of <{self.tag}>")
+        if child.parent is not self:
+            raise XMLError(f"<{child.tag}> is not a child of <{self.tag}>")
+        if self._children is None:
+            self._materialise_children()
+        return child._ordinal or 1
 
     def absolute_path(self) -> str:
         """Absolute XPath with positional predicates, e.g. ``/doc/movie[2]/title``.
@@ -203,13 +256,8 @@ class Element:
         steps: list[str] = []
         node: Element = self
         while node.parent is not None:
-            parent = node.parent
-            siblings = parent.find_all(node.tag)
-            if len(siblings) > 1:
-                steps.append(f"{node.tag}[{parent.child_position(node)}]")
-            else:
-                steps.append(node.tag)
-            node = parent
+            steps.append(node._path_step())
+            node = node.parent
         steps.append(node.tag)
         return "/" + "/".join(reversed(steps))
 
@@ -235,6 +283,15 @@ class Element:
                 clone.append(item)
         return clone
 
+    def __getstate__(self) -> tuple:
+        """Pickle the node without its caches; a reader rebuilds them."""
+        return self.tag, self.attributes, self._content, self.parent
+
+    def __setstate__(self, state: tuple) -> None:
+        self.tag, self.attributes, self._content, self.parent = state
+        self._children = None
+        self._ordinal = 0
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Element {self.generic_path()} children={len(self.children)}>"
 
@@ -259,29 +316,16 @@ class Document:
 def absolute_path_index(root: Element) -> dict[str, Element]:
     """Map every element's :meth:`Element.absolute_path` to the element.
 
-    One linear walk with per-parent sibling counting — resolving *n*
-    paths through individual ``absolute_path()`` calls is quadratic in
-    sibling count, which matters when an index snapshot re-attaches
-    thousands of object descriptions to a freshly parsed tree (see
-    :mod:`repro.ingest.store`).
+    One walk that extends each parent's path by its children's steps,
+    for when an index snapshot re-attaches thousands of object
+    descriptions to a freshly parsed tree (see :mod:`repro.ingest.store`).
     """
     index: dict[str, Element] = {}
 
     def walk(element: Element, path: str) -> None:
         index[path] = element
-        children = element.children
-        total: dict[str, int] = {}
-        for child in children:
-            total[child.tag] = total.get(child.tag, 0) + 1
-        seen: dict[str, int] = {}
-        for child in children:
-            if total[child.tag] > 1:
-                position = seen.get(child.tag, 0) + 1
-                seen[child.tag] = position
-                step = f"{child.tag}[{position}]"
-            else:
-                step = child.tag
-            walk(child, f"{path}/{step}")
+        for child in element.children:
+            walk(child, f"{path}/{child._path_step()}")
 
     walk(root, f"/{root.tag}")
     return index

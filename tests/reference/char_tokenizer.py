@@ -1,4 +1,11 @@
-"""Tokenizer for XML documents.
+"""The character-loop XML tokenizer, kept as the oracle.
+
+This is ``repro/xmlkit/tokens.py`` as it stood before the regex scanner
+replaced it, verbatim apart from this paragraph and the ``XMLError``
+import.  ``tests/test_xmlkit_tokens.py`` holds the shipped tokenizer
+against it: same token stream, same error text and offset.
+
+Tokenizer for XML documents.
 
 Splits raw XML text into a flat token stream consumed by
 :mod:`repro.xmlkit.parser`.  Supported constructs: element start/end/empty
@@ -6,21 +13,15 @@ tags with attributes, character data, CDATA sections, comments, processing
 instructions, the XML declaration, a DOCTYPE line (skipped, internal
 subsets are not supported), and the five predefined entities plus numeric
 character references.
-
-The shapes nearly every token has — ``<name>``, ``</name>``,
-``<name/>``, a start tag whose attributes are spaced, quoted, distinct
-and free of ``&`` and ``>``, and text without ``&`` — are scanned by one
-compiled pattern and ``str.find``.  Every other shape takes the readers
-below it, which accept what the pattern leaves out and word the errors.
 """
 
 from __future__ import annotations
 
-import re
+from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .tree import XMLError
+from repro.xmlkit.tree import XMLError
 
 
 class TokenType(Enum):
@@ -34,7 +35,8 @@ class TokenType(Enum):
     DOCTYPE = auto()         # <!DOCTYPE ...>
 
 
-class Token(NamedTuple):
+@dataclass(frozen=True)
+class Token:
     """One lexical unit of an XML document."""
 
     type: TokenType
@@ -51,49 +53,45 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
-_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
-_SPACE = r"[ \t\r\n]"
-_is_name = re.compile(_NAME).fullmatch
-#: Groups: "/" of an end tag, name, attribute text, "/" of an empty tag.
-#: No value holds ">", so a match ends at the first ">" after its "<".
-_match_tag = re.compile(
-    rf"""<(/?)({_NAME})((?:{_SPACE}+{_NAME}{_SPACE}*={_SPACE}*(?:"[^">]*"|'[^'>]*'))*){_SPACE}*(/?)>"""
-).match
-#: (name, double-quoted value, single-quoted value) over that attribute text.
-_find_attributes = re.compile(
-    rf"""({_NAME}){_SPACE}*={_SPACE}*(?:"([^"]*)"|'([^']*)')"""
-).findall
-_skip_spaces = re.compile(rf"{_SPACE}*").match
-_skip_tag_name = re.compile(r"[^ \t\r\n]*").match
-_skip_attribute_name = re.compile(r"[^ \t\r\n=]*").match
+_NAME_START = set(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:"
+)
+_NAME_CHARS = _NAME_START | set("0123456789.-")
+_WHITESPACE = set(" \t\r\n")
 
 
 def resolve_entities(text: str, offset: int = 0) -> str:
     """Replace entity and character references with their values."""
+    if "&" not in text:
+        return text
     out: list[str] = []
     i = 0
-    while (start := text.find("&", i)) != -1:
-        out.append(text[i:start])
-        end = text.find(";", start + 1)
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch != "&":
+            out.append(ch)
+            i += 1
+            continue
+        end = text.find(";", i + 1)
         if end == -1:
-            raise XMLError(f"unterminated entity reference at offset {offset + start}")
-        name = text[start + 1 : end]
-        if name.startswith("#"):
-            hexadecimal = name[1:2] in ("x", "X")
+            raise XMLError(f"unterminated entity reference at offset {offset + i}")
+        name = text[i + 1 : end]
+        if name.startswith("#x") or name.startswith("#X"):
             try:
-                out.append(chr(int(name[2:], 16) if hexadecimal else int(name[1:])))
-            except (ValueError, OverflowError) as exc:
-                raise XMLError(
-                    f"bad character reference &{name}; at {offset + start}"
-                ) from exc
+                out.append(chr(int(name[2:], 16)))
+            except ValueError as exc:
+                raise XMLError(f"bad character reference &{name}; at {offset + i}") from exc
+        elif name.startswith("#"):
+            try:
+                out.append(chr(int(name[1:])))
+            except ValueError as exc:
+                raise XMLError(f"bad character reference &{name}; at {offset + i}") from exc
         elif name in _PREDEFINED_ENTITIES:
             out.append(_PREDEFINED_ENTITIES[name])
         else:
-            raise XMLError(f"unknown entity &{name}; at offset {offset + start}")
+            raise XMLError(f"unknown entity &{name}; at offset {offset + i}")
         i = end + 1
-    if not out:
-        return text
-    out.append(text[i:])
     return "".join(out)
 
 
@@ -107,52 +105,24 @@ class Tokenizer:
 
     def tokens(self) -> Iterator[Token]:
         """Yield the document's tokens in order."""
-        text, n = self._text, self._n
-        find = text.find
-        start_tag, end_tag, empty_tag, text_type = (
-            TokenType.START_TAG, TokenType.END_TAG, TokenType.EMPTY_TAG, TokenType.TEXT
-        )
-        pos = 0
-        while pos < n:
-            if text[pos] != "<":
-                end = find("<", pos)
-                if end == -1:
-                    end = n
-                raw = text[pos:end]
-                if "&" in raw:
-                    raw = resolve_entities(raw, pos)
-                yield Token(text_type, raw, (), pos)
-                pos = end
-                continue
-            # the tag's kind when the pattern read all of it, else None
-            kind = None
-            tag = _match_tag(text, pos)
-            if tag is not None:
-                closing, name, attribute_text, empty = tag.groups()
-                attributes: tuple[tuple[str, str], ...] = ()
-                if closing:
-                    if not attribute_text and not empty:
-                        kind = end_tag
-                elif not attribute_text:
-                    kind = empty_tag if empty else start_tag
-                elif "&" not in attribute_text:
-                    attributes = tuple(
-                        [(key, double or single)
-                         for key, double, single in _find_attributes(attribute_text)]
-                    )
-                    if len(dict(attributes)) == len(attributes):
-                        kind = empty_tag if empty else start_tag
-            if kind is not None:
-                yield Token(kind, name, attributes, pos)
-                pos = tag.end()
-            else:
-                self._pos = pos
+        while self._pos < self._n:
+            if self._text[self._pos] == "<":
                 yield self._read_markup()
-                pos = self._pos
+            else:
+                yield self._read_text()
 
     # ------------------------------------------------------------------
     def _fail(self, message: str) -> XMLError:
         return XMLError(f"{message} at offset {self._pos}")
+
+    def _read_text(self) -> Token:
+        start = self._pos
+        end = self._text.find("<", start)
+        if end == -1:
+            end = self._n
+        raw = self._text[start:end]
+        self._pos = end
+        return Token(TokenType.TEXT, resolve_entities(raw, start), offset=start)
 
     def _read_markup(self) -> Token:
         text = self._text
@@ -160,7 +130,8 @@ class Tokenizer:
         if text.startswith("<!--", start):
             return self._read_delimited("<!--", "-->", TokenType.COMMENT)
         if text.startswith("<![CDATA[", start):
-            return self._read_delimited("<![CDATA[", "]]>", TokenType.TEXT)
+            token = self._read_delimited("<![CDATA[", "]]>", TokenType.TEXT)
+            return Token(TokenType.TEXT, token.value, offset=token.offset)
         if text.startswith("<!DOCTYPE", start):
             return self._read_doctype()
         if text.startswith("<?", start):
@@ -231,40 +202,61 @@ class Tokenizer:
         body = body.strip()
         if not body:
             raise self._fail("empty tag name")
-        name_end = _skip_tag_name(body).end()
-        name = body[:name_end]
+        # Split the name from the attribute string.
+        i = 0
+        while i < len(body) and body[i] not in _WHITESPACE:
+            i += 1
+        name = body[:i]
         if not _is_name(name):
             raise self._fail(f"malformed tag name {name!r}")
-        attrs = tuple(_parse_attributes(body[name_end:], start))
+        attrs = tuple(_parse_attributes(body[i:], start))
         self._pos = end + 1
         kind = TokenType.EMPTY_TAG if empty else TokenType.START_TAG
         return Token(kind, name, attrs, offset=start)
+
+
+def _is_name(name: str) -> bool:
+    return bool(name) and name[0] in _NAME_START and all(
+        ch in _NAME_CHARS for ch in name
+    )
 
 
 def _parse_attributes(body: str, offset: int) -> list[tuple[str, str]]:
     """Parse ``name="value"`` pairs from a tag body remainder."""
     attrs: list[tuple[str, str]] = []
     seen: set[str] = set()
+    i = 0
     n = len(body)
-    i = _skip_spaces(body).end()
     while i < n:
-        name_end = _skip_attribute_name(body, i).end()
-        name = body[i:name_end]
+        while i < n and body[i] in _WHITESPACE:
+            i += 1
+        if i >= n:
+            break
+        name_start = i
+        while i < n and body[i] not in _WHITESPACE and body[i] != "=":
+            i += 1
+        name = body[name_start:i]
         if not _is_name(name):
             raise XMLError(f"malformed attribute name {name!r} near offset {offset}")
-        i = _skip_spaces(body, name_end).end()
+        while i < n and body[i] in _WHITESPACE:
+            i += 1
         if i >= n or body[i] != "=":
             raise XMLError(f"attribute {name!r} missing '=' near offset {offset}")
-        i = _skip_spaces(body, i + 1).end()
+        i += 1
+        while i < n and body[i] in _WHITESPACE:
+            i += 1
         if i >= n or body[i] not in "\"'":
             raise XMLError(f"attribute {name!r} value must be quoted near offset {offset}")
-        end = body.find(body[i], i + 1)
+        quote = body[i]
+        i += 1
+        value_start = i
+        end = body.find(quote, i)
         if end == -1:
             raise XMLError(f"unterminated value for attribute {name!r} near offset {offset}")
-        value = resolve_entities(body[i + 1 : end], offset)
+        value = resolve_entities(body[value_start:end], offset)
+        i = end + 1
         if name in seen:
             raise XMLError(f"duplicate attribute {name!r} near offset {offset}")
         seen.add(name)
         attrs.append((name, value))
-        i = _skip_spaces(body, end + 1).end()
     return attrs

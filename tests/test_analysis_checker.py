@@ -293,5 +293,7 @@ class TestCliLint:
     def test_rules_listing(self, capsys):
         assert cli.main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+        for code in (
+            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007"
+        ):
             assert code in out

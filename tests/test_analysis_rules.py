@@ -16,6 +16,7 @@ from repro.analysis.rules.frozen import FrozenIndexDiscipline
 from repro.analysis.rules.hashing import BuiltinHash
 from repro.analysis.rules.ordering import NondeterministicOrdering
 from repro.analysis.rules.pickling import UnpicklablePoolPayload
+from repro.analysis.rules.tree import TreeOwnsItsMutations
 
 #: Fixture classes are named so the default config treats them as
 #: shared/frozen without masquerading as the real modules.
@@ -655,6 +656,65 @@ class TestUnpicklablePoolPayload:
 
 
 # ----------------------------------------------------------------------
+# RPR007 — the XML tree owns its mutations
+# ----------------------------------------------------------------------
+class TestTreeOwnsItsMutations:
+    def test_fires_on_content_assignment(self):
+        findings = run(
+            TreeOwnsItsMutations(),
+            """
+            def set_text(node, value):
+                node._content = [value]
+            """,
+        )
+        assert codes(findings) == ["RPR007"]
+        assert "replace_content" in findings[0].message
+
+    def test_fires_on_in_place_mutation_delete_and_cache_write(self):
+        findings = run(
+            TreeOwnsItsMutations(),
+            """
+            def meddle(node, child):
+                node._content.append(child)
+                del node._content[0]
+                node.parent._children = None
+                child._ordinal = 2
+            """,
+        )
+        assert codes(findings) == ["RPR007"] * 4
+
+    def test_quiet_inside_the_tree_module(self):
+        findings = run(
+            TreeOwnsItsMutations(),
+            """
+            def detach(child):
+                child.parent._content.remove(child)
+                child.parent._children = None
+            """,
+            module="repro.xmlkit.tree",
+        )
+        assert findings == []
+
+    def test_quiet_on_mutators_reads_and_a_class_own_attribute(self):
+        findings = run(
+            TreeOwnsItsMutations(),
+            """
+            class SchemaNode:
+                def __init__(self):
+                    self._children = []
+
+                def add(self, child):
+                    self._children.append(child)
+
+            def set_text(node, value):
+                node.replace_content([value])
+                return len(node._content)
+            """,
+        )
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
 # Cross-rule: the full registry on one dirty-then-clean fixture
 # ----------------------------------------------------------------------
 def test_full_registry_on_dirty_fixture_reports_every_code():
@@ -679,6 +739,9 @@ def test_full_registry_on_dirty_fixture_reports_every_code():
 
         def fan_out(pool, items):
             return pool.map(lambda item: item * 2, items)
+
+        def set_text(node, value):
+            node._content = [value]
         """
     )
     result = lint_source(
@@ -694,6 +757,7 @@ def test_full_registry_on_dirty_fixture_reports_every_code():
         "RPR004",
         "RPR005",
         "RPR006",
+        "RPR007",
     ]
     # Deterministic report order: (path, line, col, code).
     assert result.findings == sorted(result.findings)

@@ -178,6 +178,16 @@ class TestMatch:
             )
         assert excinfo.value.status == 400
 
+    def test_match_unparsable_element_400(self, served):
+        with pytest.raises(ServeError) as excinfo:
+            served.client.match(
+                served.digest, element="<movie t='&#99999999999999999999;'/>"
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith(
+            "unparsable XML: bad character reference"
+        )
+
     def test_match_unknown_object_404(self, served):
         with pytest.raises(ServeError) as excinfo:
             served.client.match(served.digest, object_id=99)
@@ -237,10 +247,14 @@ class TestExtendAndUploads:
         ]
         assert served.client.match(digest, object_id=3)["matches"] == expected
 
-    def test_extend_rejects_garbage(self, served):
+    @pytest.mark.parametrize(
+        "body", ["<not-xml", "<moviedoc>&#99999999999999999999;</moviedoc>"]
+    )
+    def test_extend_rejects_garbage(self, served, body):
         with pytest.raises(ServeError) as excinfo:
-            served.client.extend(served.digest, "<not-xml")
+            served.client.extend(served.digest, body)
         assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("unparsable XML: ")
 
     def test_inline_uploads(self, served):
         spec = dict(

@@ -10,7 +10,7 @@ class TestParse:
         doc = parse("<a/>")
         assert isinstance(doc, Document)
         assert doc.root.tag == "a"
-        assert doc.root.children == []
+        assert doc.root.children == ()
 
     def test_text_content(self):
         doc = parse("<a>hello</a>")

@@ -1,8 +1,21 @@
 """Tree model tests: axes, paths, manipulation."""
 
-import pytest
+import pickle
+import sys
+import threading
 
-from repro.xmlkit import Element, XMLError, parse, strip_positions
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.framework import DescriptionDefinition, generate_ods
+from repro.xmlkit import (
+    Element,
+    XMLError,
+    absolute_path_index,
+    parse,
+    serialize,
+    strip_positions,
+)
 
 
 @pytest.fixture()
@@ -163,8 +176,6 @@ class TestManipulation:
 
 class TestAbsolutePathIndex:
     def test_matches_absolute_path_for_every_element(self):
-        from repro.xmlkit import absolute_path_index, parse
-
         doc = parse(
             "<db><disc><title>a</title><tracks><title>t1</title>"
             "<title>t2</title></tracks></disc>"
@@ -177,8 +188,217 @@ class TestAbsolutePathIndex:
             assert index[element.absolute_path()] is element
 
     def test_position_predicates_only_for_repeated_tags(self):
-        from repro.xmlkit import absolute_path_index, parse
-
         doc = parse("<a><b/><b/><c/></a>")
         index = absolute_path_index(doc.root)
         assert set(index) == {"/a", "/a/b[1]", "/a/b[2]", "/a/c"}
+
+
+# ----------------------------------------------------------------------
+# Cached children and sibling ordinals against a from-scratch reference
+# ----------------------------------------------------------------------
+def reference_children(node):
+    return [item for item in node.content if isinstance(item, Element)]
+
+
+def reference_position(parent, child):
+    """The sibling numbering as it was before the tree cached anything."""
+    position = 0
+    for node in reference_children(parent):
+        if node.tag == child.tag:
+            position += 1
+        if node is child:
+            return position
+    raise AssertionError("not a child")
+
+
+def reference_path(node):
+    steps = []
+    while node.parent is not None:
+        parent = node.parent
+        same_tag = [n for n in reference_children(parent) if n.tag == node.tag]
+        if len(same_tag) > 1:
+            steps.append(f"{node.tag}[{reference_position(parent, node)}]")
+        else:
+            steps.append(node.tag)
+        node = parent
+    steps.append(node.tag)
+    return "/" + "/".join(reversed(steps))
+
+
+def reference_walk(root):
+    """Document order through ``content`` alone: fills no cache."""
+    out = [root]
+    for child in reference_children(root):
+        out.extend(reference_walk(child))
+    return out
+
+
+def assert_matches_reference(root):
+    elements = reference_walk(root)
+    paths = [reference_path(element) for element in elements]
+    assert list(root.iter()) == elements
+    assert [element.absolute_path() for element in elements] == paths
+    index = absolute_path_index(root)
+    assert list(index) == paths
+    assert all(index[path] is element for path, element in zip(paths, elements))
+    for element in elements:
+        assert element.children == tuple(reference_children(element))
+        if element.parent is not None:
+            assert element.parent.child_position(element) == reference_position(
+                element.parent, element
+            )
+
+
+TAGS = st.sampled_from(["a", "b", "c", "item", "only-1", "only-2"])
+TEXTS = st.text(alphabet="xy ", max_size=3)
+
+
+def build(spec):
+    tag, items = spec
+    return Element(
+        tag, content=[item if isinstance(item, str) else build(item) for item in items]
+    )
+
+
+def specs(depth, width=40):
+    if depth == 0:
+        return st.tuples(TAGS, st.lists(TEXTS, max_size=2))
+    return st.tuples(
+        TAGS, st.lists(st.one_of(TEXTS, specs(depth - 1, width=6)), max_size=width)
+    )
+
+
+class TestCachedPathsEqualReference:
+    @given(specs(depth=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_through_every_mutator_copy_and_pickle(self, spec, data):
+        root = build(spec)
+        assert_matches_reference(root)  # fills the caches a mutator must drop
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            elements = reference_walk(root)
+            target = elements[data.draw(st.integers(0, len(elements) - 1))]
+            children = reference_children(target)
+            action = data.draw(
+                st.sampled_from(["append", "remove", "replace", "copy", "pickle"])
+            )
+            if action == "append":
+                target.append(data.draw(st.one_of(TEXTS, specs(depth=1).map(build))))
+            elif action == "remove" and children:
+                removed = children[data.draw(st.integers(0, len(children) - 1))]
+                target.remove(removed)
+                assert removed.parent is None
+                assert removed.absolute_path() == f"/{removed.tag}"
+            elif action == "replace":
+                kept = data.draw(st.permutations(children))
+                kept = kept[: data.draw(st.integers(0, len(kept)))]
+                fresh = data.draw(st.lists(st.one_of(TEXTS, specs(depth=1).map(build)), max_size=3))
+                target.replace_content(list(kept) + fresh)
+                assert all(
+                    (child.parent is target) == any(child is item for item in kept)
+                    for child in children
+                )
+            elif action == "copy":
+                clone = target.copy()
+                assert clone.parent is None
+                assert serialize(clone, indent=None) == serialize(target, indent=None)
+                assert_matches_reference(clone)
+                target.append(clone)
+            elif action == "pickle":
+                payload = pickle.dumps(root)
+                # the caches travel neither as bytes nor as stale ids
+                assert len(payload) == len(pickle.dumps(root.copy()))
+                root = pickle.loads(payload)
+            assert_matches_reference(root)
+
+    def test_replace_content_checks_items_like_append(self):
+        parent, other = Element("p", content=[Element("old")]), Element("q")
+        adopted = Element("c")
+        other.append(adopted)
+        loose = Element("d")
+        for items in ([loose, adopted], [loose, loose]):
+            with pytest.raises(XMLError, match="already has a parent"):
+                parent.replace_content(items)
+            # the items before the refused one stay; nothing is left half-attached
+            assert parent.children == (loose,) and loose.parent is parent
+            assert adopted.parent is other
+            assert_matches_reference(parent)
+            parent.replace_content([])
+            assert loose.parent is None and parent.content == ()
+
+    def test_children_is_not_the_live_sequence(self, tree):
+        before = tree.children
+        tree.append(Element("extra"))
+        assert isinstance(before, tuple) and len(before) == 2
+        assert [child.tag for child in tree.children] == ["movie", "movie", "extra"]
+
+
+class TestOpenIsOneTreeWalk:
+    @staticmethod
+    def materialisations(records, monkeypatch):
+        """Child tuples built while parsing a corpus and generating its ODs."""
+        text = (
+            "<db>\n"
+            + "".join(
+                f"  <disc><title>t{i}</title><tracks><title>a{i}</title>"
+                f"<title>b{i}</title></tracks></disc>\n"
+                for i in range(records)
+            )
+            + "</db>"
+        )
+        calls = []
+        materialise = Element._materialise_children
+
+        def counting(self):
+            calls.append(self)
+            return materialise(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Element, "_materialise_children", counting)
+            root = parse(text).root
+            ods = generate_ods(
+                DescriptionDefinition(("./title", "./tracks/title")),
+                root.find_all("disc"),
+            )
+        assert len(ods) == records
+        assert ods[-1].tuples[-1].name == f"/db/disc[{records}]/tracks/title[2]"
+        return len(calls)
+
+    def test_od_generation_work_is_linear_in_the_record_count(self, monkeypatch):
+        small = self.materialisations(150, monkeypatch)
+        large = self.materialisations(300, monkeypatch)
+        assert 0 < large <= 2.2 * small
+
+
+class TestReaderThreads:
+    def test_eight_threads_on_a_never_queried_tree(self):
+        root = parse(
+            "<db>"
+            + "".join(
+                f"<disc><did>{i}</did><tracks>"
+                + "".join(f"<title>t{j}</title>" for j in range(i % 4 + 1))
+                + "</tracks></disc>"
+                for i in range(120)
+            )
+            + "</db>"
+        ).root
+        elements = reference_walk(root)
+        expected = [reference_path(element) for element in elements]
+        barrier = threading.Barrier(8)
+        answers = [None] * 8
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            answers[slot] = [element.absolute_path() for element in elements]
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * 8

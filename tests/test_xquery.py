@@ -1,6 +1,12 @@
 """XQuery-subset interpreter tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.framework import (
     CandidateDefinition,
@@ -228,3 +234,39 @@ class TestErrors:
             items=["a", "b"],
         )
         assert result == ["a", "b"]
+
+
+class TestLazyExport:
+    """No detection path runs the XQuery engine, so none imports it."""
+
+    @staticmethod
+    def python(code):
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_importing_the_cli_leaves_the_engine_unloaded(self):
+        assert self.python(
+            "import sys, repro.cli; print('repro.xmlkit.xquery' in sys.modules)"
+        ) == "False"
+
+    def test_public_names_still_import(self):
+        assert self.python(
+            "from repro.xmlkit import XQuery, XQueryError, execute_xquery\n"
+            "import repro.xmlkit as kit\n"
+            "print(XQuery.__module__, issubclass(XQueryError, Exception),\n"
+            "      execute_xquery.__name__, kit.XQuery is XQuery)"
+        ) == "repro.xmlkit.xquery True execute True"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repro.xmlkit as kit
+
+        with pytest.raises(AttributeError, match="no attribute 'XSLT'"):
+            kit.XSLT
