@@ -151,15 +151,26 @@ class PostingLists:
 
     def contains(self, index: int, item: int) -> bool:
         """Membership in one row — a bounded binary search, no copy."""
+        return self.position(index, item) >= 0
+
+    def position(self, index: int, item: int) -> int:
+        """Where ``item`` sits in the flat data if row ``index`` holds
+        it, else ``-1`` (bounded binary search, no copy); aligned
+        structures read their own :meth:`item` there."""
         if index < 0:
             raise IndexError(f"row index must be >= 0, got {index}")
         low = self._offsets[index]
         high = self._offsets[index + 1]
         found = bisect_left(self._data, item, low, high)
-        return found < high and self._data[found] == item
+        return found if found < high and self._data[found] == item else -1
 
-    def update_set(self, index: int, out: set[int]) -> None:
-        """Fold one row into a result set (k-way union building block)."""
+    def item(self, position: int) -> int:
+        """The integer at one flat position (see :meth:`position`)."""
+        return self._data[position]
+
+    def update_set(self, index: int, out: "set[int] | Counter[int]") -> None:
+        """Fold one row into ``out`` by its ``update``: a set unions the
+        row in (k-way union building block), a ``Counter`` counts it."""
         if index < 0:
             raise IndexError(f"row index must be >= 0, got {index}")
         out.update(self._data[self._offsets[index] : self._offsets[index + 1]])
@@ -284,6 +295,11 @@ class CompactGramStore:
         pairs.sort()
         return pairs
 
+    def count(self, index: int, code: int) -> int:
+        """How often value ``index`` holds the gram ``code``."""
+        position = self._codes.position(index, code)
+        return self._counts.item(position) if position >= 0 else 0
+
     def overlap(
         self, index: int, query_pairs: Sequence[tuple[int, int]]
     ) -> int:
@@ -407,7 +423,7 @@ class CompactValueIndex:
 
     def query_pairs(self, query_grams: Counter[str]) -> list[tuple[int, int]]:
         """A probe's sorted ``(gram code, count)`` pairs, as
-        :meth:`overlap` and :meth:`gather` take them."""
+        :meth:`overlap` and :meth:`accumulate` take them."""
         return self.grams.query_pairs(query_grams)
 
     def overlap(
@@ -417,13 +433,26 @@ class CompactValueIndex:
         the same ``sum(min(stored, query))`` as a two-pointer merge."""
         return self.grams.overlap(value_id, query_pairs)
 
-    def gather(self, query_pairs: Sequence[tuple[int, int]]) -> set[int]:
-        """Ids of the values sharing at least one gram with the probe:
-        the union of the probe's gram-code posting rows."""
-        found: set[int] = set()
-        for code, _ in query_pairs:
-            self.buckets.update_set(code, found)
-        return found
+    def accumulate(
+        self, query_pairs: Sequence[tuple[int, int]]
+    ) -> Counter[int]:
+        """``value id -> overlap`` for every value sharing a gram with
+        the probe, summed while each gram code's posting row is walked
+        once — ``DictValueState.accumulate`` over arrays: the row is
+        counted by one ``Counter.update`` on its slice, and only a gram
+        the probe repeats reads stored counts, level by level.  The
+        accumulator is local to the call.
+        """
+        shared: Counter[int] = Counter()
+        stored = self.grams.count
+        for code, count in query_pairs:
+            self.buckets.update_set(code, shared)
+            if count > 1:
+                holders: Sequence[int] = self.buckets.row(code)
+                for level in range(2, count + 1):
+                    holders = [v for v in holders if stored(v, code) >= level]
+                    shared.update(holders)
+        return shared
 
     def length_classes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """``(length, value ids)`` per length class (snapshots)."""

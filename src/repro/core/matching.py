@@ -157,7 +157,7 @@ def similar_pairs_exist(
     """Fast existence check for any similar comparable pair.
 
     Used by tests and by comparison-reduction sanity checks; avoids the
-    full distance table via thresholded banded comparisons.
+    full distance table via thresholded comparisons.
     """
     by_key: dict[str, list[str]] = {}
     for odt in od_i.tuples:

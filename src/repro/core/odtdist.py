@@ -22,7 +22,7 @@ def odt_dist(odt_i: ODTuple, odt_j: ODTuple, mapping: TypeMapping) -> float:
 def odt_similar(
     odt_i: ODTuple, odt_j: ODTuple, mapping: TypeMapping, theta_tuple: float
 ) -> bool:
-    """``odtDist < θ_tuple``, evaluated with the banded threshold check.
+    """``odtDist < θ_tuple``, evaluated with the thresholded check.
 
     Note the strict inequality (Equation 4): with θ_tuple = 0 nothing is
     similar, not even identical values — callers use θ_tuple > 0.

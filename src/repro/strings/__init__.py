@@ -1,8 +1,8 @@
 """strings: string-similarity substrate.
 
-Edit distance with banding and thresholded checks, cheap lower/upper
-bounds, two interchangeable similarity-search indexes (the q-gram
-count-filter oracle and the prefix-signature strategy),
+Edit distance (one bit-parallel kernel) with thresholded checks, cheap
+lower/upper bounds, two interchangeable similarity-search indexes (the
+q-gram count-filter oracle and the prefix-signature strategy),
 Jaro/Jaro–Winkler, and token-set measures.
 """
 
@@ -21,12 +21,13 @@ from .levenshtein import (
     edit_distance,
     ned_cached,
     normalized_edit_distance,
+    strict_budget,
     within_normalized,
 )
 from .qgram import QGramIndex
 from .signatures import SignatureIndex
 from .tokenize import dice, jaccard, normalize, overlap, tokens
-from .value_index import ValueIndex, qgrams, strict_budget
+from .value_index import ValueIndex, qgrams
 
 #: Similar-value search strategies: registry-name -> index class.  Both
 #: answer thresholded ``ned`` probes with identical result sets; they

@@ -3,14 +3,25 @@
 The paper's OD-tuple distance (Definition 7) is the edit distance
 between two values normalized by the longer value's length, thresholded
 at θ_tuple.  Edit distance is the hot inner loop of the whole system, so
-this module provides, besides the plain O(n·m) dynamic program:
+there is one kernel for it, the bit-parallel recurrence of Myers
+(J. ACM 1999) in Hyyrö's edit-distance form (2003): one bit-vector per
+distinct character of the shorter string, and one column of the DP
+matrix — held as the vertical +1 / −1 delta vectors — per character of
+the longer one, about a dozen integer operations per column.  Python
+integers are unbounded, so there is no word blocking and no limit on
+length or alphabet.
 
-* a banded computation ``edit_distance(a, b, limit)`` that only fills
-  the diagonal band reachable within ``limit`` edits and exits early —
-  the standard Ukkonen cutoff, and
+* ``edit_distance(a, b)`` is the kernel's result;
+* ``edit_distance(a, b, limit)`` answers from the length difference
+  where that already exceeds ``limit`` and otherwise caps the same
+  result at ``limit + 1``;
 * ``within_normalized(a, b, threshold)``, the thresholded check
-  DogmatiX actually issues, which converts the normalized threshold
-  into an absolute band before running the DP.
+  DogmatiX actually issues, turns the normalized threshold into that
+  absolute limit through :func:`strict_budget` — the one place where
+  ``ned < θ`` becomes a bound on ``ed``.
+
+The textbook full-matrix and banded dynamic programs live in
+``tests/reference/dp_levenshtein.py`` as oracles.
 """
 
 from __future__ import annotations
@@ -22,70 +33,71 @@ def edit_distance(a: str, b: str, limit: int | None = None) -> int:
     """Levenshtein distance between ``a`` and ``b``.
 
     With ``limit`` set, any true distance greater than ``limit`` is
-    reported as ``limit + 1`` (sufficient for threshold checks) and the
-    computation is banded to O(limit · min(n, m)).
+    reported as ``limit + 1`` (sufficient for threshold checks).
     """
     if a == b:
         return 0
-    # Ensure b is the shorter string: the DP keeps one row of len(b)+1.
+    # Ensure b is the shorter string: it becomes the kernel's pattern.
     if len(a) < len(b):
         a, b = b, a
-    n, m = len(a), len(b)
-    if m == 0:
-        return n if limit is None or n <= limit else limit + 1
-    if limit is not None:
-        if n - m > limit:
-            return limit + 1
-        return _banded(a, b, limit)
-    previous = list(range(m + 1))
-    current = [0] * (m + 1)
-    for i in range(1, n + 1):
-        current[0] = i
-        char_a = a[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if char_a == b[j - 1] else 1
-            current[j] = min(
-                previous[j] + 1,        # deletion
-                current[j - 1] + 1,     # insertion
-                previous[j - 1] + cost, # substitution
-            )
-        previous, current = current, previous
-    return previous[m]
+    if limit is not None and len(a) - len(b) > limit:
+        return limit + 1
+    distance = _bit_parallel(a, b) if b else len(a)
+    return distance if limit is None else min(distance, limit + 1)
 
 
-def _banded(a: str, b: str, limit: int) -> int:
-    """Banded Levenshtein with early exit; assumes len(a) >= len(b)."""
-    n, m = len(a), len(b)
-    big = limit + 1
-    previous = [j if j <= limit else big for j in range(m + 1)]
-    current = [0] * (m + 1)
-    for i in range(1, n + 1):
-        low = max(1, i - limit)
-        high = min(m, i + limit)
-        current[low - 1] = i if low == 1 and i <= limit else big
-        char_a = a[i - 1]
-        row_min = current[low - 1]
-        for j in range(low, high + 1):
-            cost = 0 if char_a == b[j - 1] else 1
-            deletion = previous[j] + 1 if j <= i + limit - 1 else big
-            insertion = current[j - 1] + 1
-            substitution = previous[j - 1] + cost
-            value = substitution
-            if deletion < value:
-                value = deletion
-            if insertion < value:
-                value = insertion
-            if value > big:
-                value = big
-            current[j] = value
-            if value < row_min:
-                row_min = value
-        if high < m:
-            current[high + 1 :] = [big] * (m - high)
-        if row_min > limit:
-            return big
-        previous, current = current, previous
-    return previous[m] if previous[m] <= limit else big
+def _bit_parallel(text: str, pattern: str) -> int:
+    """Edit distance by bit-vector columns; ``pattern`` is non-empty.
+
+    Bit ``i`` of ``positive`` / ``negative`` says that the DP column's
+    cell ``i + 1`` is one more / one less than cell ``i``; the carry of
+    the addition propagates a match down a run of +1 deltas.  The score
+    follows the column's last cell through the horizontal deltas.
+    """
+    occurrences: dict[str, int] = {}
+    occurs = occurrences.get
+    bit = 1
+    for char in pattern:
+        occurrences[char] = occurs(char, 0) | bit
+        bit <<= 1
+    column = bit - 1
+    last = bit >> 1
+    positive, negative = column, 0
+    score = len(pattern)
+    for char in text:
+        match = occurs(char, 0)
+        diagonal = (((match & positive) + positive) ^ positive) | match | negative
+        plus = negative | ~(diagonal | positive)
+        minus = diagonal & positive
+        if plus & last:
+            score += 1
+        elif minus & last:
+            score -= 1
+        plus = (plus << 1) | 1
+        # ``~`` sets every bit above the column; the mask keeps the
+        # vectors at the pattern's width however long the text is.
+        positive = ((minus << 1) | ~(diagonal | plus)) & column
+        negative = plus & diagonal
+    return score
+
+
+def strict_budget(threshold: float, longest: int) -> int:
+    """Largest edit distance ``ed`` with ``ed / longest < threshold``
+    (negative when not even 0 qualifies).
+
+    ``ned(a, b) < threshold`` iff ``ed(a, b) <= strict_budget(...)``,
+    decided by the same float division step 5 and the bound tiers use,
+    so a filter and a classifier never disagree where
+    ``threshold * longest`` rounds across an integer.
+    """
+    if longest == 0:
+        return 0 if threshold > 0 else -1
+    budget = int(threshold * longest)
+    while budget >= 0 and budget / longest >= threshold:
+        budget -= 1
+    while (budget + 1) / longest < threshold:
+        budget += 1
+    return budget
 
 
 def normalized_edit_distance(a: str, b: str) -> float:
@@ -98,12 +110,9 @@ def normalized_edit_distance(a: str, b: str) -> float:
     return edit_distance(a, b) / longest
 
 
-@lru_cache(maxsize=1_000_000)
+@lru_cache(maxsize=1 << 16)
 def _ned_ordered(a: str, b: str) -> float:
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 0.0
-    return edit_distance(a, b) / longest
+    return normalized_edit_distance(a, b)
 
 
 def ned_cached(a: str, b: str) -> float:
@@ -119,24 +128,6 @@ def ned_cached(a: str, b: str) -> float:
 
 
 def within_normalized(a: str, b: str, threshold: float) -> bool:
-    """True iff ``ned(a, b) < threshold`` — the θ_tuple check.
-
-    Converts the normalized threshold into an absolute edit budget and
-    runs the banded DP, so mismatches are rejected in O(budget · n).
-    """
-    if threshold <= 0:
-        return False
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return True  # ned == 0 < threshold
-    # ned < threshold  <=>  ed < threshold * longest  <=>  ed <= budget
-    # with budget the largest integer strictly below threshold * longest.
-    bound = threshold * longest
-    budget = int(bound)
-    if budget == bound:  # ed must be strictly less than an integer bound
-        budget -= 1
-    if budget < 0:
-        return False
-    if abs(len(a) - len(b)) > budget:
-        return False
-    return edit_distance(a, b, limit=budget) <= budget
+    """True iff ``ned(a, b) < threshold`` — the θ_tuple check."""
+    budget = strict_budget(threshold, max(len(a), len(b)))
+    return budget >= 0 and edit_distance(a, b, limit=budget) <= budget

@@ -8,8 +8,11 @@ edit distance ``d`` share at least
 
 padded q-grams, counted with multiset semantics (Gravano et al., VLDB
 2001).  The index buckets q-grams of every registered value; a probe
-merges the buckets of the query's q-grams, applies length and count
-filters, and verifies survivors with the banded dynamic program.
+walks the bucket of each of its q-grams once, accumulating every stored
+value's shared-gram count on the way (``accumulate``), then keeps the
+values whose length class passes the length filter and whose count
+reaches that class's requirement, and verifies the survivors with the
+edit-distance kernel.
 
 DogmatiX uses this to build, per real-world type, groups of mutually
 similar values that drive both the inverted-index pair generation and
@@ -20,16 +23,17 @@ Soundness notes:
 * the count filter is applied on exact multiset intersections of the
   stored gram counters, not on distinct-gram bucket hits;
 * when the threshold is so large that the required shared-gram count
-  can drop to zero for some candidate length, candidate gathering falls
-  back to scanning the affected length classes, so no true match is
-  ever filtered out (property-tested against brute force).
+  can drop to zero for some candidate length, candidate generation
+  falls back to scanning the affected length classes, so no true match
+  is ever filtered out (property-tested against brute force).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .value_index import ValueIndex, qgrams, strict_budget
+from .levenshtein import strict_budget
+from .value_index import ValueIndex, qgrams
 
 
 class QGramIndex(ValueIndex):
@@ -41,25 +45,11 @@ class QGramIndex(ValueIndex):
     def _candidates(self, query: str, threshold: float) -> set[int]:
         """Candidate ids passing the length and count filters."""
         state = self._state
-        values = self._values
         length_q = len(query)
-        query_pairs = state.query_pairs(Counter(qgrams(query, self.q)))
+        overlap_of = state.accumulate(
+            state.query_pairs(Counter(qgrams(query, self.q)))
+        ).get
         candidates: set[int] = set()
-
-        # Bucket gathering with exact multiset count filtering.
-        for value_id in state.gather(query_pairs):
-            length = len(values[value_id])
-            longest = max(length_q, length)
-            budget = strict_budget(threshold, longest)
-            if budget < 0 or abs(length_q - length) > budget:
-                continue
-            required = longest + self.q - 1 - self.q * budget
-            if required > 0 and state.overlap(value_id, query_pairs) < required:
-                continue
-            candidates.add(value_id)
-
-        # Degenerate lengths: the required count can reach zero, meaning
-        # a match might share no grams at all; scan those length classes.
         for length, ids in state.length_classes():
             longest = max(length_q, length)
             budget = strict_budget(threshold, longest)
@@ -67,5 +57,13 @@ class QGramIndex(ValueIndex):
                 continue
             required = longest + self.q - 1 - self.q * budget
             if required <= 0:
+                # Degenerate length: a match might share no grams at
+                # all, so the whole class is scanned.
                 candidates.update(ids)
+            else:
+                candidates.update(
+                    value_id
+                    for value_id in ids
+                    if overlap_of(value_id, 0) >= required
+                )
         return candidates

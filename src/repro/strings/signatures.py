@@ -34,11 +34,11 @@ Adaptation to the edit-distance count filter (Gravano et al., VLDB
 * buckets where ``T`` degenerates to zero are scanned whole, exactly
   like the oracle's length-class fallback, so no true match is lost.
 
-Survivors still pass the exact multiset count filter and the banded DP
-(with the cheap :mod:`~repro.strings.bounds` tiers in between), so the
-result *sets* are identical to the oracle's for every corpus, query,
-and threshold — pinned by the differential fuzz harness in
-``tests/test_similarity_strategies.py``.
+Survivors still pass the exact multiset count filter and the
+edit-distance kernel (with the cheap :mod:`~repro.strings.bounds` tiers
+in between), so the result *sets* are identical to the oracle's for
+every corpus, query, and threshold — pinned by the differential fuzz
+harness in ``tests/test_similarity_strategies.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from collections import Counter
 from typing import Optional
 
 from .bounds import bound_verdict
-from .value_index import ValueIndex, qgrams, strict_budget
+from .levenshtein import strict_budget
+from .value_index import ValueIndex, qgrams
 
 #: token -> (value id, prefix position) postings of one length bucket.
 _Postings = dict[tuple[str, int], list[tuple[int, int]]]

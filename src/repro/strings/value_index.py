@@ -9,9 +9,10 @@ trip.  A strategy subclasses :class:`ValueIndex` and supplies
 ``_candidates``.
 
 The lookup structures around the value list are a *gram state* with one
-read surface — ``find``, ``counter``, ``query_pairs`` + ``overlap``
-(the exact multiset count filter), ``length_classes``, and ``gather``
-(gram buckets, q-gram strategy only) — implemented twice:
+read surface — ``find``, ``counter``, ``length_classes``, and the exact
+multiset count filter as ``query_pairs`` + ``accumulate`` (every value's
+overlap in one walk of the gram buckets, q-gram strategy only) or
+``overlap`` (one value's) — implemented twice:
 
 * :class:`DictValueState` — dicts and ``Counter`` objects, the only
   writable form (building, thawed);
@@ -39,18 +40,6 @@ def qgrams(value: str, q: int = 2) -> list[str]:
         raise ValueError(f"q must be >= 1, got {q}")
     padded = _PAD * (q - 1) + value + _PAD * (q - 1)
     return [padded[i : i + q] for i in range(len(padded) - q + 1)]
-
-
-def strict_budget(threshold: float, longest: int) -> int:
-    """Largest integer edit distance strictly below ``threshold * longest``.
-
-    ``ned(a, b) < threshold`` iff ``ed(a, b) <= strict_budget(...)``.
-    """
-    bound = threshold * longest
-    budget = int(bound)
-    if budget == bound:
-        budget -= 1
-    return budget
 
 
 class DictValueState:
@@ -95,7 +84,7 @@ class DictValueState:
 
     def query_pairs(self, query_grams: Counter[str]) -> tuple[tuple[str, int], ...]:
         """A probe's ``(gram, count)`` pairs, as :meth:`overlap` and
-        :meth:`gather` take them."""
+        :meth:`accumulate` take them."""
         return tuple(query_grams.items())
 
     def overlap(self, value_id: int, query_pairs: Iterable[tuple[str, int]]) -> int:
@@ -103,12 +92,28 @@ class DictValueState:
         stored = self.grams[value_id].get
         return sum(min(count, stored(gram, 0)) for gram, count in query_pairs)
 
-    def gather(self, query_pairs: Iterable[tuple[str, int]]) -> set[int]:
-        """Ids of the values sharing at least one gram with the probe."""
-        found: set[int] = set()
-        for gram, _ in query_pairs:
-            found.update(self.buckets.get(gram, ()))
-        return found
+    def accumulate(self, query_pairs: Iterable[tuple[str, int]]) -> Counter[int]:
+        """``value id -> overlap`` for every value sharing a gram with
+        the probe, summed while each query gram's bucket is walked once
+        (ScanCount; Li, Lu & Lu, ICDE 2008).
+
+        ``min(query, stored)`` is the number of levels ``1..query`` the
+        stored count reaches.  Every bucket entry reaches level 1, so
+        the bucket goes through ``Counter.update`` whole, and a gram the
+        probe holds once — nearly all of them — is done; only a
+        repeated gram reads stored counts, for the entries still in at
+        each further level.  The accumulator is local to the call:
+        readers of a frozen index share nothing.
+        """
+        shared: Counter[int] = Counter()
+        grams = self.grams
+        for gram, count in query_pairs:
+            holders = self.buckets.get(gram, ())
+            shared.update(holders)
+            for level in range(2, count + 1):
+                holders = [v for v in holders if grams[v][gram] >= level]
+                shared.update(holders)
+        return shared
 
     def length_classes(self) -> tuple[tuple[int, Sequence[int]], ...]:
         """``(length, value ids)`` per length class (the class list is a

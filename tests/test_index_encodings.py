@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from collections import Counter
 
 import pytest
 from test_shard_equivalence import (
@@ -92,10 +93,18 @@ class TestPostingLists:
         assert lists.row(3) == (5, 5, 6)
         assert lists.row_length(2) == 1
         assert lists.contains(0, 2) and not lists.contains(0, 4)
+        # flat positions: row 2 starts after rows 0 and 1
+        assert lists.position(0, 2) == 1 and lists.position(2, 7) == 3
+        assert lists.item(lists.position(2, 7)) == 7
+        assert lists.position(0, 7) == -1 and lists.position(1, 1) == -1
         gathered: set[int] = set()
         lists.update_set(0, gathered)
         lists.update_set(2, gathered)
         assert gathered == {1, 2, 3, 7}
+        counted: Counter[int] = Counter()
+        lists.update_set(3, counted)
+        lists.update_set(0, counted)
+        assert counted == {5: 2, 6: 1, 1: 1, 2: 1, 3: 1}
 
     def test_union_size_matches_set_union(self):
         rng = random.Random(3)
@@ -116,6 +125,17 @@ class TestPostingLists:
         lists = PostingLists.build([[1]])
         with pytest.raises(IndexError):
             lists.row(-1)
+
+
+class TestCompactGramStore:
+    def test_count_reads_the_stored_multiplicity(self):
+        store = CompactGramStore.build([Counter("aab"), Counter("bc")])
+        code_of = store.vocabulary().code_of
+        assert store.count(0, code_of("a")) == 2
+        assert store.count(0, code_of("b")) == 1
+        assert store.count(0, code_of("c")) == 0
+        assert store.count(1, code_of("c")) == 1
+        assert store.count(1, code_of("a")) == 0
 
 
 class TestArrayCodec:

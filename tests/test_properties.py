@@ -6,6 +6,7 @@ the similarity measure's range/symmetry."""
 import string
 
 from hypothesis import given, settings, strategies as st
+from reference import dp_levenshtein
 
 from repro.core import CorpusIndex, DogmatixSimilarity, match_tuples
 from repro.framework import TypeMapping, UnionFind, duplicate_clusters, od_from_pairs
@@ -52,7 +53,8 @@ class TestEditDistanceProperties:
 
     @given(short_text, short_text, st.integers(min_value=0, max_value=6))
     def test_banded_consistent_with_full(self, a, b, limit):
-        full = edit_distance(a, b)
+        full = dp_levenshtein.edit_distance(a, b)
+        assert edit_distance(a, b) == full
         banded = edit_distance(a, b, limit=limit)
         assert banded == (full if full <= limit else limit + 1)
 
