@@ -84,7 +84,7 @@ class LintConfig:
     #: state, and CPython dict assignment is atomic (see
     #: ``CorpusIndex.freeze``).
     frozen_memo_attrs: frozenset[str] = frozenset(
-        {"_similar_cache", "_pair_idf_cache", "_statistics_cache"}
+        {"_similar_cache", "_foreign_cache", "_pair_idf_cache", "_statistics_cache"}
     )
 
     #: Module prefixes where result/serialization ordering feeds the

@@ -451,12 +451,9 @@ class DetectionSession:
                 return []  # detect() prunes every pair of this object
             if not in_index and not ObjectFilter(self._index, theta).keep(od):
                 return []
-        candidate_ids: set[int] = set()
-        for odt in od.tuples:
-            key = self._index.key_of(odt.name)
-            candidate_ids |= self._index.objects_with_similar(
-                key, odt.value, exclude=od.object_id if in_index else None
-            )
+        candidate_ids = self._similar_object_ids(od)
+        if in_index:
+            candidate_ids.discard(od.object_id)
         if kept is not None:
             candidate_ids &= kept
         possible = self.config.possible_threshold
@@ -471,6 +468,21 @@ class DetectionSession:
                 )
         matches.sort(key=lambda match: (-match.similarity, match.object_id))
         return matches
+
+    def _similar_object_ids(self, od: ObjectDescription) -> set[int]:
+        """Ids of the indexed objects holding a value similar to one of
+        ``od``'s, per kind (``od`` itself among them when indexed).
+
+        A pair outside this set has ``ODT≈ = ∅`` and similarity 0, so
+        it is the candidate set of :meth:`match` and the blocking hook
+        of :meth:`extend`'s incremental stream alike.
+        """
+        found: set[int] = set()
+        for odt in od.tuples:
+            found |= self._index.objects_with_similar(
+                self._index.key_of(odt.name), odt.value
+            )
+        return found
 
     def _kept_for(self, theta: float) -> Optional[frozenset[int]]:
         """Ids surviving the object filter at ``theta`` (None = no filter).
@@ -576,11 +588,13 @@ class DetectionSession:
         """Ingest a new source incrementally (merge/purge style).
 
         The source's candidates are clustered against the *prime
-        representatives* of the clusters formed so far — comparisons
-        grow with the number of clusters, not with corpus size.  The
-        first call seeds the stream with the session's existing
-        candidate set, so extension clusters are consistent with the
-        corpus.
+        representatives* of the clusters formed so far, and only of
+        those holding an object with a value similar to one of theirs
+        (:meth:`_similar_object_ids` is the stream's blocking hook) —
+        comparisons grow with what an object's values reach, not with
+        the corpus or its cluster count.  The first call seeds the
+        stream with the session's existing candidate set, so extension
+        clusters are consistent with the corpus.
 
         The standing index grows with every call: an
         :class:`~repro.core.index.IndexPartial` over the new ODs is
@@ -589,7 +603,10 @@ class DetectionSession:
         extension — subsequent :meth:`match` and :meth:`detect` calls
         see the extended objects exactly as a session rebuilt over the
         grown corpus would (bit-identical results; pinned by
-        ``tests/test_ingest_merge.py``).
+        ``tests/test_write_path.py``).  The merge keeps every memoized
+        similar-value group the new values do not touch, so the filter
+        pass the next :meth:`match` re-runs (f(OD_i) reads the object
+        count, which moved for everyone) costs arithmetic, not searches.
         """
         added_source = self.corpus.add_source(source)
         new_ods = self.corpus.generate_ods(
@@ -630,6 +647,7 @@ class DetectionSession:
                 self._similarity,
                 self.config.theta_cand,
                 check_members_on_miss=check_members_on_miss,
+                candidates=self._similar_object_ids,
             )
             self._incremental.add_all(self._ods)
         self._ods.extend(new_ods)

@@ -50,8 +50,9 @@ class DictTermState:
     """Dict/set occurrence state of a building (or dict-frozen) index.
 
     ``occurrences`` maps ``(comparison key, value) -> object ids`` and
-    ``objects_by_key`` maps ``key -> object ids``; both are written only
-    by ``repro.core.index._fold_term_state``, under the index's freeze
+    ``objects_by_key`` maps ``key -> object ids``; both are adopted
+    from the index's own build scan and written afterwards only by
+    ``repro.core.index._fold_term_state``, under the index's freeze
     discipline.  Reads hand out snapshots, never the live sets.
     """
 

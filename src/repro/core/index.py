@@ -33,6 +33,12 @@ from .encodings import INDEX_ENCODINGS, CompactTermIndex, DictTermState
 #: the index constructors selects another.
 DEFAULT_Q = 2
 
+#: Queries the corpus does not hold (values of foreign ``match()``
+#: elements) whose similar-value groups stay memoized at once; the memo
+#: is dropped wholesale beyond that, so a daemon's memory does not grow
+#: with the distinct values clients post.
+_FOREIGN_CACHE_SIZE = 4096
+
 
 @dataclass
 class IndexPartial:
@@ -205,8 +211,12 @@ class CorpusIndex:
         #: True when this index was reconstructed from an IndexStore
         #: snapshot's compact payload instead of an OD scan.
         self.loaded_from_snapshot = False
-        #: (key, value) -> memoized similar value group
+        #: (key, value) -> memoized similar value group, one memo for
+        #: the queries the index holds (at most one entry per term,
+        #: invalidated entry by entry in :meth:`merge_partial`) and a
+        #: bounded one for those it does not
         self._similar_cache: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._foreign_cache: dict[tuple[str, str], tuple[str, ...]] = {}
         #: memoized softIDF values (terms repeat across the O(n²) pairs)
         self._pair_idf_cache: dict[tuple[str, str, str, str], float] = {}
         #: memoized statistics() of a frozen index; see :meth:`statistics`
@@ -216,13 +226,16 @@ class CorpusIndex:
 
         # One tuple-scan implementation for every construction path:
         # the serial build is the single-partial case of the merge, so
-        # serial/parallel/delta parity holds by construction.
+        # serial/parallel/delta parity holds by construction.  Nobody
+        # else holds this partial, so its state is adopted, not copied.
         if ods:
-            self.merge_partial(
-                IndexPartial.from_ods(
-                    ods, mapping, q=q, strategy=strategy, encoding=encoding
-                )
+            partial = IndexPartial.from_ods(
+                ods, mapping, q=q, strategy=strategy, encoding=encoding
             )
+            self.total_objects = partial.total_objects
+            self._terms.occurrences = partial.occurrences
+            self._terms.objects_by_key = partial.objects_by_key
+            self._value_indexes = partial.value_indexes
 
     # ------------------------------------------------------------------
     # Mergeable construction
@@ -261,9 +274,17 @@ class CorpusIndex:
         merges it here, so the standing index (occurrence counts,
         soft-IDF statistics, similar-value groups, blocking view) grows
         to cover the extension instead of staying a snapshot of
-        construction time.  The memoized similar-value groups and pair
-        soft-IDF values are invalidated — both depend on corpus-wide
-        statistics that just changed.
+        construction time.
+
+        The similar-value memo survives, minus what the delta touched:
+        ``ned`` is symmetric, so the group of a standing query ``u``
+        changes only if a value ``v`` the delta *adds* has ``u`` in its
+        own group — each added value is looked up once on the folded
+        index (memoizing its group) and exactly those entries are
+        dropped, to be searched afresh when next asked for, along with
+        every memoized query the index does not hold, which no such
+        search can reach.  The pair soft-IDF memo is cleared: every
+        entry reads ``total_objects``.
         """
         if self._frozen:
             raise RuntimeError(
@@ -292,10 +313,20 @@ class CorpusIndex:
         # session writer lock (extend) — never concurrently with itself
         self.total_objects += partial.total_objects
         terms = self._terms
-        _fold_term_state(
-            terms.occurrences, terms.objects_by_key, self._value_indexes, partial
-        )
-        self._similar_cache.clear()
+        live = self._value_indexes
+        memo = self._similar_cache
+        added = [
+            (key, value)
+            for key, incoming in partial.value_indexes.items()
+            for value in incoming.values
+            if value not in live.get(key, ())
+        ] if memo else []
+        _fold_term_state(terms.occurrences, terms.objects_by_key, live, partial)
+        self._foreign_cache = {}
+        for key, value in added:
+            for query in self.similar_values(key, value):
+                if query != value:  # its own group was just memoized
+                    memo.pop((key, query), None)
         self._pair_idf_cache.clear()
         self._statistics_cache = None
 
@@ -462,7 +493,11 @@ class CorpusIndex:
         )
         total = max(self.total_objects, denominator)
         value = math.log(total / denominator)
-        self._pair_idf_cache[cache_key] = value
+        # Memoized only between terms of the corpus: pairs with a
+        # foreign match() value are as many as clients care to post.
+        held = self._value_indexes
+        if value_i in held.get(key_i, ()) and value_j in held.get(key_j, ()):
+            self._pair_idf_cache[cache_key] = value
         return value
 
     # ------------------------------------------------------------------
@@ -477,12 +512,20 @@ class CorpusIndex:
         caller's mutation corrupt the group every later query sees
         (the aliasing class PR 1 fixed for :meth:`occurrences`).
         """
-        cached = self._similar_cache.get((key, value))
+        term = (key, value)
+        # a held query's group holds the query, so it is never empty
+        cached = self._similar_cache.get(term) or self._foreign_cache.get(term)
         if cached is not None:
             return cached
         index = self._value_indexes.get(key)
         result = tuple(index.search(value, self.theta_tuple)) if index else ()
-        self._similar_cache[(key, value)] = result
+        if value in result:  # a search returns its query iff indexed
+            self._similar_cache[term] = result
+        else:
+            foreign = self._foreign_cache
+            if len(foreign) >= _FOREIGN_CACHE_SIZE:
+                foreign = self._foreign_cache = {}
+            foreign[term] = result
         return result
 
     def objects_with_similar(

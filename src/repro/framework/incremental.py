@@ -15,13 +15,14 @@ it on top of the framework:
   ordinary transitive closure.
 
 This trades a little recall (a representative may not resemble every
-member) for comparisons linear in the number of clusters — the same
-trade-off the object filter makes at corpus level.
+member) for comparisons linear in the number of clusters — and, with a
+``candidates`` blocking hook, in the number of clusters an object's
+values reach, which does not grow with the corpus.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .od import ObjectDescription
 from .representatives import merge_cluster_od
@@ -46,6 +47,16 @@ class IncrementalDeduplicator:
         When True, a representative miss falls back to comparing the
         new object against individual members (no recall loss from
         representation, at higher cost).
+    candidates:
+        Optional blocking hook (the stream's counterpart of
+        ``pair_source`` on :class:`DetectionPipeline`): the ids of the
+        objects a new object can be similar to.  It must return *every*
+        added object whose similarity to ``od`` is above 0 — a superset,
+        or ids never added, are fine.  Only clusters holding a returned
+        id are scored; a representative carries a subset of its
+        members' tuples under both policies, so no cluster that could
+        score above 0 is skipped and the result equals the un-blocked
+        stream's.  Without it every representative is compared.
     """
 
     def __init__(
@@ -54,6 +65,7 @@ class IncrementalDeduplicator:
         threshold: float,
         representative_policy: str = "merged",
         check_members_on_miss: bool = False,
+        candidates: Optional[Callable[[ObjectDescription], Iterable[int]]] = None,
     ) -> None:
         if not 0 <= threshold <= 1:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -63,7 +75,9 @@ class IncrementalDeduplicator:
         self.threshold = threshold
         self.policy = representative_policy
         self.check_members_on_miss = check_members_on_miss
+        self.candidates = candidates
         self._clusters: list[list[int]] = []
+        self._cluster_of: dict[int, int] = {}
         self._representatives: list[ObjectDescription] = []
         self._members: dict[int, ObjectDescription] = {}
         self.comparisons = 0
@@ -83,16 +97,24 @@ class IncrementalDeduplicator:
         if od.object_id in self._members:
             raise ValueError(f"object id {od.object_id} already added")
         self._members[od.object_id] = od
+        # Ascending cluster order either way, so ties resolve the same.
+        reached: Iterable[int] = range(len(self._clusters))
+        if self.candidates is not None:
+            cluster_of = self._cluster_of
+            reached = sorted(
+                {cluster_of[i] for i in self.candidates(od) if i in cluster_of}
+            )
         best_index: Optional[int] = None
         best_score = self.threshold
-        for index, representative in enumerate(self._representatives):
+        for index in reached:
             self.comparisons += 1
-            score = self.similarity(od, representative)
+            score = self.similarity(od, self._representatives[index])
             if score > best_score:
                 best_score = score
                 best_index = index
         if best_index is None and self.check_members_on_miss:
-            for index, cluster in enumerate(self._clusters):
+            for index in reached:
+                cluster = self._clusters[index]
                 if len(cluster) < 2:
                     continue  # singleton == its representative
                 for member_id in cluster:
@@ -105,11 +127,13 @@ class IncrementalDeduplicator:
                 if best_index is not None:
                     break
         if best_index is None:
+            best_index = len(self._clusters)
             self._clusters.append([od.object_id])
             self._representatives.append(od)
-            return len(self._clusters) - 1
-        self._clusters[best_index].append(od.object_id)
-        self._representatives[best_index] = self._elect(best_index)
+        else:
+            self._clusters[best_index].append(od.object_id)
+            self._representatives[best_index] = self._elect(best_index)
+        self._cluster_of[od.object_id] = best_index
         return best_index
 
     def add_all(self, ods: list[ObjectDescription]) -> None:

@@ -160,8 +160,9 @@ class TestMergedIndexDownstream:
         mapping = TypeMapping()
         base, delta = ods[: len(ods) // 2], ods[len(ods) // 2 :]
         live = CorpusIndex(base, mapping, THETA_TUPLE)
-        # Warm the caches first: merge_partial must invalidate them.
-        for term in list(live.block_terms())[:5]:
+        # Warm every memo entry first: merge_partial must drop exactly
+        # the ones the delta touches (tests/test_write_path.py).
+        for term in live.block_terms():
             live.similar_values(*term)
         live.merge_partial(IndexPartial.from_ods(delta, mapping))
         serial = CorpusIndex(ods, mapping, THETA_TUPLE)
