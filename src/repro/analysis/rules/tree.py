@@ -2,18 +2,18 @@
 
 The invariant (PR 16): an :class:`~repro.xmlkit.tree.Element` caches
 its child tuple and its children's same-tag ordinals, and drops both
-in its three mutators (``append``, ``remove``, ``replace_content``).
-Code elsewhere that assigns ``node._content`` — as the parser's
-whitespace cleanup and the dirty-data generator once did — leaves
-those caches describing content that is gone: stale children, wrong
-``absolute_path()`` strings in OD tuples and snapshots, and no test
-fails until a tree is queried before *and* after the write.
+in ``append``, ``remove`` and ``replace_content`` (``drop_text``, which
+removes no child, keeps them).  Code elsewhere that assigns
+``node._content`` — as the parser's whitespace cleanup and the
+dirty-data generator once did — leaves those caches describing content
+that is gone: stale children, wrong ``absolute_path()`` strings in OD
+tuples, and no test fails until a tree is queried before *and* after.
 
 Pattern: outside the tree module, an assignment, augmented assignment,
 ``del`` or in-place container mutator whose target is one of the
 tree's private attributes on a receiver other than ``self`` (a class
 of another module may keep a ``_children`` of its own).  The fix is
-one of the three mutators.
+one of the tree's mutators.
 """
 
 from __future__ import annotations

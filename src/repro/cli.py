@@ -365,7 +365,8 @@ def _session_for_spec(spec: RunSpec, store_dir: Optional[str]):
     """Build a session — through the snapshot store when one is given.
 
     With ``--store``: load the warm snapshot whose content key matches
-    the spec's corpus, or build cold and save one for next time.
+    the spec's corpus, or build cold and save one for next time (also
+    over a damaged or other-format snapshot, with a note on stderr).
     """
     if store_dir is None:
         return spec.build_session()
@@ -380,6 +381,8 @@ def _session_for_spec(spec: RunSpec, store_dir: Optional[str]):
             file=sys.stderr,
         )
         return session
+    if store.contains(spec, digest=digest):
+        print(f"snapshot {digest[:12]} unreadable, rebuilding", file=sys.stderr)
     session = spec.build_session()
     store.save(spec, session, digest=digest)
     print(f"saved index snapshot {digest[:12]} to {store_dir}", file=sys.stderr)

@@ -46,8 +46,6 @@ results.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -321,6 +319,8 @@ class ParallelClassifier:
                 batch_sizes.append(len(batch))
                 yield batch
 
+        import multiprocessing  # here, not at import: serial runs never need it
+
         context = multiprocessing.get_context()
         with context.Pool(
             processes=self.policy.workers,
@@ -356,6 +356,8 @@ class ParallelClassifier:
         payload = bare_ods(ods)
         pairs: list[ScoredPair] = []
         compared = 0
+        import multiprocessing
+
         context = multiprocessing.get_context()
         with context.Pool(
             processes=self.policy.workers,
@@ -396,6 +398,8 @@ class ParallelClassifier:
 
 def _picklable(value: object) -> bool:
     """Can ``value`` cross a process boundary on any start method?"""
+    import pickle
+
     try:
         pickle.dumps(value)
     except Exception:

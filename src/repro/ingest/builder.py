@@ -44,9 +44,7 @@ build falls back to the serial reference path and records why in
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -100,6 +98,8 @@ def _init_ingest_worker(payload: bytes) -> None:
     start method and turns any pickling problem into the parent-side
     serial fallback rather than a pool-initializer crash loop.
     """
+    import pickle
+
     (
         sources,
         mapping,
@@ -253,6 +253,8 @@ class ParallelIngestor:
         parsed: dict[int, Document] = {}
         self._parsed_in_workers = 0
         if len(path_jobs) > 1 and self.workers > 1:
+            import multiprocessing  # here, not at import: serial builds never need it
+
             context = multiprocessing.get_context()
             with context.Pool(min(self.workers, len(path_jobs))) as pool:
                 trees = pool.map(
@@ -338,6 +340,9 @@ class ParallelIngestor:
         q = IndexPartial().q
         strategy = config.similarity_strategy
         encoding = config.index_encoding
+        import multiprocessing
+        import pickle
+
         try:  # one dumps; the bytes are what crosses into the pool
             payload = pickle.dumps(
                 (tuple(sources), mapping, config.selector,

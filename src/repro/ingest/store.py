@@ -13,16 +13,25 @@ steps 1-3.  Snapshots are
   knobs that do not shape the index (``theta_cand``, execution policy,
   semantics, filter switches) deliberately stay out of the key and are
   taken from the *live* spec at load time;
-* **versioned**: every snapshot records ``FORMAT_VERSION``.  Loading
-  treats an unknown version as a cache miss (the caller rebuilds and
-  overwrites), never as an error — the upgrade policy is "bump the
-  version, old snapshots age out"; see ROADMAP.md;
-* **self-contained**: documents are stored serialized inside the
-  snapshot, so a serving process needs only the store, not the
-  original files.
+* **versioned**: every snapshot records ``FORMAT_VERSION`` — in its
+  payload and manifest, not in its key, so the rebuild overwrites the
+  file it replaces.  Loading treats an unknown version, like a snapshot
+  that cannot be decoded (truncated, bit-flipped, malformed), as a
+  cache miss (the caller rebuilds and overwrites), never as an error —
+  the upgrade policy is "bump the version, old snapshots age out"; see
+  ROADMAP.md;
+* **self-contained**: documents are stored inside the snapshot, so a
+  serving process needs only the store, not the original files.
+
+**Format 3** holds a session in the shape the loader needs.  A document
+is the tree's structural record (:func:`repro.xmlkit.document_record`),
+which ``json.loads`` builds in C and one pass turns into elements: a
+warm open tokenizes no XML, and ``content`` survives item for item.  An
+OD is ``id``, ``tuples`` and — when it has an element — ``doc`` +
+``node``, the source index and the element's document-order rank.
 
 Sessions built under the **compact index encoding** additionally store
-the frozen index itself (format 2): the interned string tables and flat
+the frozen index itself (since format 2): the interned string tables and flat
 posting arrays serialize as raw bytes next to the document/OD record,
 and a warm load reconstructs the frozen index by slicing buffers
 instead of re-running the tuple scan and gram counting.  The index
@@ -43,6 +52,7 @@ import hashlib
 import json
 import os
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -53,16 +63,25 @@ from ..framework.od import ODTuple
 from ..xmlkit import (
     Document,
     Element,
-    absolute_path_index,
-    parse,
+    XMLError,
+    document_from_record,
+    document_record,
+    element_record,
     parse_schema,
-    serialize,
 )
 
 #: Snapshot format version.  Bump on any layout change; loaders treat
 #: other versions as a cache miss and rebuild.  2: optional ``index``
 #: section carrying a compact-encoded frozen index as raw array bytes.
-FORMAT_VERSION = 2
+#: 3: documents as structural records, ODs point at nodes by rank.
+FORMAT_VERSION = 3
+
+#: Everything reading, gunzipping, parsing or validating a damaged
+#: snapshot raises; :meth:`IndexStore.load` answers each with a miss.
+_UNDECODABLE = (
+    OSError, EOFError, zlib.error, ValueError, KeyError, TypeError,
+    IndexError, XMLError,
+)
 
 _SUFFIX = ".json.gz"
 #: Compact catalog record written atomically next to each snapshot so
@@ -100,9 +119,10 @@ class IndexStore:
     # Keying
     # ------------------------------------------------------------------
     def key_for(self, spec) -> str:
-        """Content digest of everything that shapes ODs and the index."""
+        """Content digest of everything that shapes ODs and the index
+        (not the format version: a snapshot of another version is found
+        under the same digest, read as a miss, and overwritten)."""
         material = {
-            "format": FORMAT_VERSION,
             "real_world_type": spec.real_world_type,
             "theta_tuple": spec.theta_tuple,
             "heuristic": spec.heuristic,
@@ -153,8 +173,15 @@ class IndexStore:
                 "the spec)"
             )
         documents = [_as_document(source.document) for source in sources]
-        roots = {id(document.root): index
-                 for index, document in enumerate(documents)}
+        # (source index, document-order rank) of the elements ODs point
+        # at — of those only: one walk per tree, one entry per object.
+        wanted = {id(od.element) for od in session.ods if od.element is not None}
+        nodes = {
+            id(element): (source_index, rank)
+            for source_index, document in enumerate(documents)
+            for rank, element in enumerate(document.iter())
+            if id(element) in wanted
+        }
         od_records = []
         for od in session.ods:
             record: dict[str, object] = {
@@ -162,14 +189,13 @@ class IndexStore:
                 "tuples": [[odt.value, odt.name] for odt in od.tuples],
             }
             if od.element is not None:
-                source_index = roots.get(id(od.element.root))
-                if source_index is None:  # pragma: no cover - defensive
+                where = nodes.get(id(od.element))
+                if where is None:  # pragma: no cover - defensive
                     raise ValueError(
                         f"object {od.object_id} references an element "
                         "outside the session's corpus; cannot snapshot"
                     )
-                record["doc"] = source_index
-                record["path"] = od.element.absolute_path()
+                record["doc"], record["node"] = where
             od_records.append(record)
         schema_texts = [
             Path(path).read_text(encoding="utf-8") for path in spec.schemas
@@ -181,9 +207,7 @@ class IndexStore:
             "created": time.time(),
             "real_world_type": session.real_world_type,
             "theta_tuple": spec.theta_tuple,
-            "documents": [
-                serialize(document, indent=None) for document in documents
-            ],
+            "documents": [document_record(document) for document in documents],
             "schemas": schema_texts,
             "ods": od_records,
         }
@@ -198,8 +222,11 @@ class IndexStore:
         self.sweep_scratch()
         final = self._snapshot_path(digest)
         scratch = final.with_suffix(final.suffix + f".tmp{os.getpid()}")
-        with gzip.open(scratch, "wt", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
+        data = json.dumps(
+            payload, separators=(",", ":"), default=element_record
+        ).encode("utf-8")  # the text is freed before the compressor runs
+        # level 6: a third of level 9's time for 4 % more bytes
+        scratch.write_bytes(gzip.compress(data, compresslevel=6))
         os.replace(scratch, final)
         # Catalog manifest: everything list() prints, plus the build
         # spec (absolute paths) so a server can warm a session from the
@@ -254,11 +281,12 @@ class IndexStore:
     def load(self, spec, digest: Optional[str] = None):
         """Warm-start a session for ``spec``, or ``None`` on a miss.
 
-        A miss is: no snapshot under the spec's content key, or a
-        snapshot written by another :data:`FORMAT_VERSION` (the version
-        policy — callers rebuild and re-save).  A snapshot that exists
-        in the current format but cannot be decoded raises — that is
-        corruption, not staleness.
+        A miss is: no snapshot under the spec's content key, a snapshot
+        written by another :data:`FORMAT_VERSION` (the version policy),
+        or one that cannot be decoded — truncated or bit-flipped gzip,
+        not JSON, a section missing, a tree record of the wrong shape,
+        an OD pointing at a node that is not there.  In every case the
+        caller rebuilds and :meth:`save` overwrites the file.
 
         The returned session carries the *live* spec's configuration:
         only the stored ODs, documents, and schemas are reused.  When
@@ -270,37 +298,16 @@ class IndexStore:
         """
         digest = digest or self.key_for(spec)
         path = self._snapshot_path(digest)
-        try:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None
-        if payload.get("format") != FORMAT_VERSION:
+        try:  # one read, one gunzip, one JSON decode
+            payload = json.loads(gzip.decompress(path.read_bytes()))
+            if payload["format"] != FORMAT_VERSION:
+                return None
+            real_world_type, sources, ods = _restore(payload)
+        except _UNDECODABLE:
             return None
         from ..api.corpus import Corpus
         from ..api.session import DetectionSession
 
-        documents = [parse(text) for text in payload["documents"]]
-        schemas = [
-            parse_schema(text) if text else None for text in payload["schemas"]
-        ]
-        sources = [
-            Source(document, schema)
-            for document, schema in zip(documents, schemas)
-        ]
-        paths = [absolute_path_index(document.root) for document in documents]
-        ods = []
-        for record in payload["ods"]:
-            element = None
-            if "doc" in record:
-                element = paths[record["doc"]][record["path"]]
-            ods.append(
-                ObjectDescription(
-                    record["id"],
-                    tuple(ODTuple(value, name) for value, name in record["tuples"]),
-                    element,
-                )
-            )
         mapping = spec.load_mapping()
         config = spec.to_config()
         index = CorpusIndex.from_snapshot_payload(
@@ -309,7 +316,7 @@ class IndexStore:
         return DetectionSession(
             Corpus(sources),
             mapping,
-            payload["real_world_type"],
+            real_world_type,
             config,
             ods=ods,
             index=index,
@@ -358,20 +365,19 @@ class IndexStore:
     def _info_from_snapshot(self, path: Path) -> Optional[SnapshotInfo]:
         """Slow path: derive the catalog entry from the snapshot body."""
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
+            payload = json.loads(gzip.decompress(path.read_bytes()))
+            if payload["format"] != FORMAT_VERSION:
+                return None
+            return SnapshotInfo(
+                digest=payload.get("key", path.name[: -len(_SUFFIX)]),
+                path=str(path),
+                real_world_type=payload.get("real_world_type", ""),
+                objects=len(payload.get("ods", ())),
+                sources=len(payload.get("documents", ())),
+                created=float(payload.get("created", 0.0)),
+            )
+        except _UNDECODABLE:
             return None
-        if payload.get("format") != FORMAT_VERSION:
-            return None
-        return SnapshotInfo(
-            digest=payload.get("key", path.name[: -len(_SUFFIX)]),
-            path=str(path),
-            real_world_type=payload.get("real_world_type", ""),
-            objects=len(payload.get("ods", ())),
-            sources=len(payload.get("documents", ())),
-            created=float(payload.get("created", 0.0)),
-        )
 
     def _manifest(self, digest: str) -> Optional[dict]:
         try:
@@ -421,6 +427,45 @@ class IndexStore:
 
 def _as_document(document: Document | Element) -> Document:
     return document if isinstance(document, Document) else Document(document)
+
+
+def _restore(payload: dict) -> tuple[str, list[Source], list[ObjectDescription]]:
+    """Real-world type, sources and ODs of a format-3 payload, which
+    gives up the sections read (the decoded JSON is gone before the index
+    is built).  What is used is validated first — ODs index lists with
+    integers read from disk — and anything malformed raises one of
+    ``_UNDECODABLE``."""
+    real_world_type = payload["real_world_type"]
+    records, schemas = payload.pop("documents"), payload.pop("schemas")
+    if not (
+        type(real_world_type) is str
+        and type(records) is list
+        and type(schemas) is list
+        and len(schemas) == len(records)
+        and all(text is None or type(text) is str for text in schemas)
+    ):
+        raise TypeError("real_world_type, documents or schemas malformed")
+    sources, elements = [], []
+    for record, text in zip(records, schemas):
+        document, order = document_from_record(record)
+        sources.append(Source(document, parse_schema(text) if text else None))
+        elements.append(order)
+    ods = []
+    for record in payload.pop("ods"):
+        element = None
+        if "doc" in record:
+            doc, node = record["doc"], record["node"]
+            # a negative index would pick a node too
+            if type(doc) is not int or type(node) is not int or min(doc, node) < 0:
+                raise IndexError("doc and node are non-negative ints")
+            element = elements[doc][node]
+        tuples = [ODTuple(value, name) for value, name in record["tuples"]]
+        if type(record["id"]) is not int or not all(
+            type(odt.value) is str and type(odt.name) is str for odt in tuples
+        ):
+            raise TypeError("an OD is an int id and [value, name] string pairs")
+        ods.append(ObjectDescription(record["id"], tuples, element))
+    return real_world_type, sources, ods
 
 
 def _portable_spec_dict(spec) -> Optional[dict]:

@@ -20,7 +20,8 @@ from .schema import (
 from .schema_infer import infer_schema, sniff_data_type
 from .schema_parser import parse_schema, parse_schema_file
 from .serialize import serialize
-from .tree import Document, Element, XMLError, absolute_path_index, strip_positions
+from .tree import Document, Element, XMLError, strip_positions
+from .tree import document_from_record, document_record, element_record
 from .xpath import XPath, XPathSyntaxError, compile_path, join, select
 
 __all__ = [
@@ -36,9 +37,11 @@ __all__ = [
     "XQueryError",
     "XPath",
     "XPathSyntaxError",
-    "absolute_path_index",
     "compile_path",
     "decode_xml_bytes",
+    "document_from_record",
+    "document_record",
+    "element_record",
     "execute_xquery",
     "infer_schema",
     "join",

@@ -86,6 +86,10 @@ def parse(text: str | bytes) -> Document:
     declaration: dict[str, str] = {}
     root: Element | None = None
     stack: list[Element] = []
+    # Per open element, what its content holds so far: a child element,
+    # a whitespace-only text node, a text node with anything else in it.
+    seen: list[int] = []
+    child, blank, real = 1, 2, 4
 
     start_tag, end_tag, text_type = (
         TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
@@ -95,6 +99,7 @@ def parse(text: str | bytes) -> Document:
             element = Element(value, dict(attributes))
             if stack:
                 stack[-1].append(element)
+                seen[-1] |= child
             elif root is None:
                 root = element
             else:
@@ -103,6 +108,7 @@ def parse(text: str | bytes) -> Document:
                 )
             if kind is start_tag:
                 stack.append(element)
+                seen.append(0)
         elif kind is text_type:
             if not stack:
                 if value.strip():
@@ -110,6 +116,7 @@ def parse(text: str | bytes) -> Document:
                 continue
             if value:
                 stack[-1].append(value)
+                seen[-1] |= blank if value.isspace() else real
         elif kind is end_tag:
             if not stack:
                 raise XMLError(f"unexpected closing tag </{value}> at offset {offset}")
@@ -119,6 +126,10 @@ def parse(text: str | bytes) -> Document:
                     f"mismatched tags: <{open_element.tag}> closed by "
                     f"</{value}> at offset {offset}"
                 )
+            # Indentation between child elements is not data; elements
+            # without children or with real text keep theirs verbatim.
+            if seen.pop() == child | blank:
+                open_element.drop_text()
         elif kind is TokenType.DECLARATION:
             if root is not None or stack:
                 raise XMLError("XML declaration must precede the root element")
@@ -129,7 +140,6 @@ def parse(text: str | bytes) -> Document:
         raise XMLError(f"unclosed element <{stack[-1].tag}> at end of input")
     if root is None:
         raise XMLError("document has no root element")
-    _strip_ignorable_whitespace(root)
     return Document(root, declaration)
 
 
@@ -142,20 +152,3 @@ def parse_file(path: str | os.PathLike) -> Document:
     """
     with open(path, "rb") as handle:
         return parse(handle.read())
-
-
-def _strip_ignorable_whitespace(element: Element) -> None:
-    """Drop whitespace-only text nodes in elements that have children.
-
-    Pretty-printed documents put indentation between child elements; that
-    indentation is not data.  Elements without child elements keep their
-    text verbatim.
-    """
-    for node in element.iter():
-        children = node.children
-        if children:
-            content = node.content
-            if len(content) > len(children) and not any(
-                isinstance(item, str) and item.strip() for item in content
-            ):
-                node.replace_content(children)

@@ -121,29 +121,35 @@ def infer_schema(documents: Document | Element | list[Document | Element]) -> Sc
     if len(root_names) != 1:
         raise XMLError(f"documents disagree on the root element: {sorted(root_names)}")
 
+    root_path = "/" + roots[0].tag
     stats: dict[str, _PathStats] = {}
     for root in roots:
-        _collect(root, stats)
+        _collect(root, root_path, stats)
 
-    root_path = "/" + roots[0].tag
     schema_root = _build(root_path, roots[0].tag, stats, min_occurs=1, max_occurs=1)
     return Schema(schema_root)
 
 
-def _collect(element: Element, stats: dict[str, _PathStats]) -> None:
-    path = element.generic_path()
-    record = stats.setdefault(path, _PathStats())
+def _collect(element: Element, path: str, stats: dict[str, _PathStats]) -> None:
+    """Record ``element``, whose generic path is ``path``, and its subtree."""
+    record = stats.get(path)
+    if record is None:
+        record = stats[path] = _PathStats()
     record.instances += 1
-    if element.text:
+    text = element.text
+    if text:
         record.has_text = True
-        record.data_type = _merge_types(record.data_type, sniff_data_type(element.text))
+        # STRING absorbs every later type: nothing left to sniff
+        if record.data_type is not DataType.STRING:
+            record.data_type = _merge_types(record.data_type, sniff_data_type(text))
     counts: dict[str, int] = {}
     for child in element.children:
+        tag = child.tag
         record.has_children = True
-        counts[child.tag] = counts.get(child.tag, 0) + 1
-        if child.tag not in record.child_order:
-            record.child_order.append(child.tag)
-        _collect(child, stats)
+        counts[tag] = counts.get(tag, 0) + 1
+        if tag not in record.child_order:
+            record.child_order.append(tag)
+        _collect(child, f"{path}/{tag}", stats)
     for name in record.child_order:
         observed = counts.get(name, 0)
         entry = record.child_counts.get(name)

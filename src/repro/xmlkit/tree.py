@@ -10,16 +10,21 @@ is an ordered sequence of ``str`` (text nodes) and :class:`Element`
 children.  Helper accessors (``children``, ``text``, ``text_content``)
 cover the common simple/complex cases.
 
-Only ``append``, ``remove`` and ``replace_content`` change an element's
-content.  A parent caches its child-element tuple and, in the same
-pass, numbers its children's path steps (``tag`` or ``tag[k]``); those
-three mutators drop the tuple, and the next reader rebuilds both.  The
-tuple is assigned once, complete, after the numbering it vouches for,
-so threads that only read a tree may share it.
+Only ``append``, ``remove``, ``replace_content`` and ``drop_text``
+change an element's content.  A parent caches its child-element tuple
+and, in the same pass, numbers its children's path steps (``tag`` or
+``tag[k]``); the first three mutators drop the tuple, and the next
+reader rebuilds both (``drop_text`` changes no child, so it keeps
+them).  The tuple is assigned once, complete, after the numbering it
+vouches for, so threads that only read a tree may share it.
+
+:func:`document_record` + :func:`element_record` / :func:`document_from_record`
+are the tree's one structural codec, for :mod:`repro.ingest.store`'s snapshots.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
@@ -104,6 +109,11 @@ class Element:
         self._content = []
         self._children = None
         self.extend(content)
+
+    def drop_text(self) -> None:
+        """Remove every text node.  The child elements stay, so the
+        cached child tuple and the ordinals it vouches for stay valid."""
+        self._content = list(self.children)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -313,22 +323,61 @@ class Document:
         return f"<Document root=<{self.root.tag}>>"
 
 
-def absolute_path_index(root: Element) -> dict[str, Element]:
-    """Map every element's :meth:`Element.absolute_path` to the element.
+def document_record(document: Document) -> list:
+    """``[declaration, root]`` for ``json.dumps(…, default=element_record)``,
+    which writes an element as ``[tag, attributes, content]``: text nodes
+    as strings, child elements nested in place."""
+    return [document.declaration, document.root]
 
-    One walk that extends each parent's path by its children's steps,
-    for when an index snapshot re-attaches thousands of object
-    descriptions to a freshly parsed tree (see :mod:`repro.ingest.store`).
+
+def element_record(element: object) -> list:
+    """The ``default=`` hook: the element's own dict and list, which the
+    encoder reads at once — no copy of the tree is built to store it."""
+    if not isinstance(element, Element):
+        raise TypeError(f"{type(element).__name__} is not JSON serializable")
+    return [element.tag, element.attributes, element._content]
+
+
+def document_from_record(record: object) -> tuple[Document, list[Element]]:
+    """Inverse of :func:`document_record`: the document and its
+    elements in document order (``list(document.iter())``).
+
+    The record's attribute dicts and content lists *become* the
+    elements' — slots are assigned directly and the caches left unset,
+    as ``__setstate__`` leaves them — so the caller gives the record
+    up.  A record of any other shape raises :class:`XMLError`.
     """
-    index: dict[str, Element] = {}
+    if type(record) is not list or len(record) != 2 or type(record[0]) is not dict:
+        raise XMLError("document record is not [declaration, root]")
+    new = Element.__new__
+    root = new(Element)
+    root.parent = None
+    order: list[Element] = []
+    pending: list[tuple[Element, object]] = [(root, record[1])]
+    while pending:
+        element, node = pending.pop()
+        if not (
+            type(node) is list and len(node) == 3
+            and type(node[0]) is str and node[0]
+            and type(node[1]) is dict and type(node[2]) is list
+        ):
+            raise XMLError("element record is not [tag, attributes, content]")
+        element.tag, element.attributes, content = node
+        element._content = content
+        element._children, element._ordinal = None, 0
+        order.append(element)
+        children = []
+        for position, item in enumerate(content):
+            if type(item) is not str:
+                child = content[position] = new(Element)
+                child.parent = element
+                children.append((child, item))
+        children.reverse()  # the stack pops the first child first
+        pending.extend(children)
+    return Document(root, record[0]), order
 
-    def walk(element: Element, path: str) -> None:
-        index[path] = element
-        for child in element.children:
-            walk(child, f"{path}/{child._path_step()}")
 
-    walk(root, f"/{root.tag}")
-    return index
+_PREDICATE = re.compile(r"\[[^\]]*\]?|\]")
 
 
 def strip_positions(path: str) -> str:
@@ -337,13 +386,5 @@ def strip_positions(path: str) -> str:
     ``/doc/movie[2]/title`` becomes ``/doc/movie/title``.  Used to map OD
     tuple names (absolute XPaths) back to schema-level generic XPaths.
     """
-    out: list[str] = []
-    skipping = False
-    for ch in path:
-        if ch == "[":
-            skipping = True
-        elif ch == "]":
-            skipping = False
-        elif not skipping:
-            out.append(ch)
-    return "".join(out)
+    bare = "[" not in path and "]" not in path
+    return path if bare else _PREDICATE.sub("", path)

@@ -329,3 +329,45 @@ class TestGenericPipelineParallel:
         assert engine.last_backend == "process"
         assert compared == 1
         assert [(p.left, p.right) for p in pairs] == [(0, 1)]
+
+
+class TestPoolModulesLoadWithTheFirstPool:
+    """``multiprocessing`` and ``pickle`` cost every process ~10 ms to
+    import; only a run that builds a pool pays it."""
+
+    def test_serial_entry_points_import_neither_and_a_pool_still_runs(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "import repro.api, repro.ingest, repro.cli\n"
+            "print([m for m in ('multiprocessing', 'pickle') if m in sys.modules])\n"
+            "from repro.engine import (ConstantClassifierFactory, ExecutionPolicy,\n"
+            "                          ParallelClassifier)\n"
+            "from repro.framework import (MatchingTuplesClassifier, NoPruning,\n"
+            "                             od_from_pairs)\n"
+            "ods = [od_from_pairs(i, [('x', f'/r/a[{i + 1}]/v')]) for i in range(4)]\n"
+            "classifier = MatchingTuplesClassifier()\n"
+            "engine = ParallelClassifier(\n"
+            "    classifier, policy=ExecutionPolicy(workers=2, backend='process'),\n"
+            "    classifier_factory=ConstantClassifierFactory(classifier))\n"
+            "pairs, compared = engine.run(ods, NoPruning())\n"
+            "print(engine.last_backend, compared, len(pairs),\n"
+            "      'multiprocessing' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "process 6 6 True"]

@@ -11,21 +11,29 @@ an error) is pinned here too, plus the CLI ``index build`` /
 
 from __future__ import annotations
 
+import copy
 import gzip
 import json
 import os
+import random
 
 import pytest
+from reference.xml_cold_path import tree_shape
 
-from repro.api import RunSpec
+import repro.ingest.store as store_module
+from repro.api import DetectionSession, RunSpec
 from repro.cli import main as cli_main
 from repro.datagen import (
     PAPER_EXAMPLE_XML,
     PAPER_EXAMPLE_XSD,
     paper_example_mapping,
 )
+from repro.eval import build_dataset1, build_dataset3
+from repro.framework import ObjectDescription
 from repro.ingest import FORMAT_VERSION, IndexStore
 from repro.ingest.store import SnapshotInfo
+from repro.xmlkit import serialize
+from repro.xmlkit.tokens import Tokenizer
 
 
 @pytest.fixture()
@@ -189,6 +197,37 @@ class TestVersionPolicy:
         manifest_path.unlink()
         assert store.list() == []
 
+    def test_a_format_bump_overwrites_instead_of_orphaning(
+        self, example_dir, tmp_path, monkeypatch
+    ):
+        """Regression: the key hashed ``FORMAT_VERSION``, so after a bump
+        every spec mapped to a new digest — the old file was never found
+        (let alone overwritten), stayed for ever, and ``list()``
+        gunzipped it on every call."""
+        spec = example_spec(example_dir)
+        store = IndexStore(tmp_path / "store")
+        digest = store.save(spec, spec.build_session())
+        path, manifest_path = store._snapshot_path(digest), store._manifest_path(digest)
+        # what the previous version of this program left behind
+        stale = json.loads(gzip.decompress(path.read_bytes()))
+        stale["format"] = 2
+        path.write_bytes(gzip.compress(json.dumps(stale).encode()))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format"] = 2
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert store.key_for(spec) == digest  # found under the same key
+        assert store.load(spec) is None
+        assert store.spec_for(digest) is None and store.list() == []
+        assert store.save(spec, spec.build_session()) == digest
+        assert sorted(p.name for p in store.root.iterdir()) == sorted(
+            [path.name, manifest_path.name]
+        )
+        warm = store.load(spec)
+        assert warm is not None and len(warm.ods) == 3
+        assert store.spec_for(digest) is not None
+        monkeypatch.setattr(store_module, "FORMAT_VERSION", FORMAT_VERSION + 1)
+        assert store.key_for(spec) == digest
+
     def test_list_catalog(self, example_dir, tmp_path):
         spec = example_spec(example_dir)
         store = IndexStore(tmp_path / "store")
@@ -241,8 +280,6 @@ class TestManifestCatalog:
         """Regression: ``list()`` gunzipped and JSON-parsed every full
         serialized corpus just to print a catalog line.  With manifests
         present it must not open a single snapshot."""
-        import repro.ingest.store as store_module
-
         spec = example_spec(example_dir)
         store = IndexStore(tmp_path / "store")
         store.save(spec, spec.build_session())
@@ -251,6 +288,7 @@ class TestManifestCatalog:
             raise AssertionError("list() opened a snapshot despite manifests")
 
         monkeypatch.setattr(store_module.gzip, "open", refuse)
+        monkeypatch.setattr(store_module.gzip, "decompress", refuse)
         (entry,) = store.list()
         assert entry.objects == 3
         assert entry.sources == 1
@@ -298,6 +336,299 @@ class TestManifestCatalog:
         assert store.resolve_digest("not-a-digest") is None
 
 
+# ----------------------------------------------------------------------
+# Format 3: trees as structural records, ODs by document-order rank
+# ----------------------------------------------------------------------
+def write_corpus(directory, dataset, **spec_fields) -> RunSpec:
+    """A generated dataset as bare files, the way the bench writes them
+    (pretty-printed XML, a mapping, no schema)."""
+    directory.mkdir()
+    (directory / "corpus.xml").write_text(
+        serialize(dataset.sources[0].document), encoding="utf-8"
+    )
+    (directory / "mapping.xml").write_text(
+        dataset.mapping.to_xml(), encoding="utf-8"
+    )
+    return RunSpec(
+        documents=[str(directory / "corpus.xml")],
+        mapping=str(directory / "mapping.xml"),
+        real_world_type=dataset.real_world_type,
+        **spec_fields,
+    )
+
+
+def assert_warm_equals_cold(warm, cold):
+    assert [od.object_id for od in warm.ods] == [od.object_id for od in cold.ods]
+    assert [od.tuples for od in warm.ods] == [od.tuples for od in cold.ods]
+    assert [od.element.absolute_path() for od in warm.ods] == [
+        od.element.absolute_path() for od in cold.ods
+    ]
+    for ours, theirs in zip(warm.corpus, cold.corpus):
+        assert ours.document.declaration == theirs.document.declaration
+        assert tree_shape(ours.document.root) == tree_shape(theirs.document.root)
+    # an OD points at a node of the warm trees, not at a copy
+    nodes = {id(node) for source in warm.corpus for node in source.document.iter()}
+    assert all(id(od.element) in nodes for od in warm.ods)
+    assert warm.index.statistics() == cold.index.statistics()
+    for od in cold.ods:
+        assert [
+            (m.object_id, m.similarity, m.path) for m in warm.match(od.object_id)
+        ] == [
+            (m.object_id, m.similarity, m.path) for m in cold.match(od.object_id)
+        ]
+    assert warm.detect().to_xml() == cold.detect().to_xml()
+
+
+class TestFormat3:
+    @pytest.mark.parametrize("encoding", ["dict", "compact"])
+    @pytest.mark.parametrize("corpus", ["example", "dataset1", "dataset3"])
+    def test_warm_equals_cold(self, corpus, encoding, example_dir, tmp_path):
+        if corpus == "example":
+            spec = example_spec(example_dir)
+            spec.index_encoding = encoding
+        elif corpus == "dataset1":
+            spec = write_corpus(
+                tmp_path / "d1", build_dataset1(base_count=20, seed=7),
+                index_encoding=encoding,
+            )
+        else:
+            spec = write_corpus(
+                tmp_path / "d3", build_dataset3(count=120, seed=11),
+                index_encoding=encoding,
+            )
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        store.save(spec, cold)
+        warm = store.load(spec)
+        assert warm.index.loaded_from_snapshot == (encoding == "compact")
+        assert_warm_equals_cold(warm, cold)
+
+    def test_content_survives_item_for_item(self, example_dir, tmp_path):
+        """Format 2 stored XML text, and the round trip merged the two
+        text nodes a comment had split."""
+        document = example_dir / "movies.xml"
+        document.write_text(
+            PAPER_EXAMPLE_XML.replace("Signs", "Sig<!-- split -->ns", 1),
+            encoding="utf-8",
+        )
+        spec = example_spec(example_dir)
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        store.save(spec, cold)
+        warm = store.load(spec)
+        split = [
+            node.content
+            for node in warm.corpus.sources[0].document.iter()
+            if node.content == ("Sig", "ns")
+        ]
+        assert len(split) == 1
+        assert_warm_equals_cold(warm, cold)
+
+    def test_a_warm_load_tokenizes_no_document(
+        self, example_dir, tmp_path, monkeypatch
+    ):
+        """Work count: the mapping file is XML and is read from the live
+        spec; the stored XSD text is the only other thing tokenized."""
+        texts = []
+        tokens = Tokenizer.tokens
+
+        def counting(self):
+            texts.append(self._text)
+            return tokens(self)
+
+        store = IndexStore(tmp_path / "store")
+        with_schema = example_spec(example_dir)
+        bare = example_spec(example_dir)
+        bare.schemas = []
+        for spec in (with_schema, bare):
+            store.save(spec, spec.build_session())
+        monkeypatch.setattr(Tokenizer, "tokens", counting)
+        mapping_text = (example_dir / "mapping.xml").read_text(encoding="utf-8")
+        assert store.load(bare) is not None
+        assert texts == [mapping_text]
+        del texts[:]
+        assert store.load(with_schema) is not None
+        assert sorted(texts) == sorted([mapping_text, PAPER_EXAMPLE_XSD])
+
+    def test_an_od_without_an_element_round_trips(self, example_dir, tmp_path):
+        spec = example_spec(example_dir)
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        ods = list(cold.ods)
+        ods[1] = ObjectDescription(ods[1].object_id, ods[1].tuples, None)
+        detached = DetectionSession(
+            cold.corpus, cold.mapping, cold.real_world_type, cold.config, ods=ods
+        )
+        store.save(spec, detached)
+        warm = store.load(spec)
+        assert [od.tuples for od in warm.ods] == [od.tuples for od in ods]
+        assert warm.ods[1].element is None
+        assert [warm.ods[i].element.absolute_path() for i in (0, 2)] == [
+            ods[i].element.absolute_path() for i in (0, 2)
+        ]
+        assert warm.detect().identical_to(detached.detect())
+
+    def test_only_od_elements_are_ranked(self, example_dir, tmp_path):
+        spec = example_spec(example_dir)
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        digest = store.save(spec, cold)
+        payload = json.loads(
+            gzip.decompress(store._snapshot_path(digest).read_bytes())
+        )
+        order = list(cold.corpus.sources[0].document.iter())
+        assert [(r["doc"], order[r["node"]]) for r in payload["ods"]] == [
+            (0, od.element) for od in cold.ods
+        ]
+        assert all("path" not in record for record in payload["ods"])
+        assert payload["format"] == FORMAT_VERSION == 3
+
+
+# ----------------------------------------------------------------------
+# A snapshot that cannot be decoded is a miss
+# ----------------------------------------------------------------------
+def fingerprint(session):
+    return (
+        [(od.object_id, od.tuples, od.element.absolute_path()) for od in session.ods],
+        session.index.statistics(),
+        session.detect().to_xml(),
+    )
+
+
+@pytest.fixture()
+def saved(example_dir, tmp_path):
+    """A saved snapshot: (store, spec, path, bytes, cold fingerprint)."""
+    spec = example_spec(example_dir)
+    store = IndexStore(tmp_path / "store")
+    cold = spec.build_session()
+    path = store._snapshot_path(store.save(spec, cold))
+    return store, spec, path, path.read_bytes(), fingerprint(cold)
+
+
+def rewrite(path, payload):
+    path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
+
+
+class TestDamagedSnapshot:
+    def test_truncated_anywhere(self, saved):
+        store, spec, path, intact, cold = saved
+        rng = random.Random(20)
+        offsets = [0, 1, 9, 10, len(intact) - 8, len(intact) - 1]
+        offsets += [rng.randrange(len(intact)) for _ in range(34)]
+        for offset in offsets:
+            path.write_bytes(intact[:offset])
+            assert store.load(spec) is None, offset
+
+    def test_one_byte_flipped_anywhere(self, saved):
+        """``None`` or the cold session (a flip in the gzip header's
+        mtime or OS byte changes nothing) — never another exception."""
+        store, spec, path, intact, cold = saved
+        rng = random.Random(20)
+        misses = 0
+        for _ in range(200):
+            offset = rng.randrange(len(intact))
+            damaged = bytearray(intact)
+            damaged[offset] ^= 1 << rng.randrange(8)
+            path.write_bytes(bytes(damaged))
+            warm = store.load(spec)
+            if warm is None:
+                misses += 1
+            else:
+                assert fingerprint(warm) == cold, offset
+        assert misses > 150
+
+    def test_rebuild_overwrites_the_damaged_file(self, saved):
+        store, spec, path, intact, cold = saved
+        path.write_bytes(intact[: len(intact) // 2])
+        assert store.contains(spec) and store.load(spec) is None
+        store.save(spec, spec.build_session())
+        assert fingerprint(store.load(spec)) == cold
+        assert len(list(store.root.iterdir())) == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            b"",
+            b"not gzip at all",
+            gzip.compress(b"not json"),
+            gzip.compress(b"\xff\xfe"),
+            gzip.compress(b"[1, 2]"),
+            gzip.compress(b'"format"'),
+        ],
+    )
+    def test_not_a_payload(self, saved, damage):
+        store, spec, path, _, _ = saved
+        path.write_bytes(damage)
+        assert store.load(spec) is None
+        assert store.list() != []  # the manifest still catalogs it
+        store._manifest_path(path.name[: -len(".json.gz")]).unlink()
+        assert store.list() == []  # and the slow path reads a miss too
+
+    @pytest.mark.parametrize(
+        "section", ["format", "real_world_type", "documents", "schemas", "ods"]
+    )
+    def test_missing_section(self, saved, section):
+        store, spec, path, intact, _ = saved
+        payload = json.loads(gzip.decompress(intact))
+        del payload[section]
+        rewrite(path, payload)
+        assert store.load(spec) is None
+
+    #: one edit of a sound payload per validation branch of the loader
+    EDITS = {
+        "real_world_type not a string": lambda p: p.update(real_world_type=7),
+        "documents not a list": lambda p: p.update(documents={"0": p["documents"][0]}),
+        "schemas not a list": lambda p: p.update(schemas="movies.xsd"),
+        "schemas of another length": lambda p: p["schemas"].append(None),
+        "schema text not a string": lambda p: p.update(schemas=[["<xs/>"]]),
+        "schema text not an XSD": lambda p: p.update(schemas=["<a><b></a>"]),
+        "document not a pair": lambda p: p["documents"][0].append("extra"),
+        "declaration not a dict": lambda p: p["documents"][0].__setitem__(0, []),
+        "element not a triple": lambda p: p["documents"][0][1].pop(),
+        "empty tag": lambda p: p["documents"][0][1].__setitem__(0, ""),
+        "tag not a string": lambda p: p["documents"][0][1].__setitem__(0, 5),
+        "attributes not a dict": lambda p: p["documents"][0][1].__setitem__(1, []),
+        "content not a list": lambda p: p["documents"][0][1].__setitem__(2, "text"),
+        "content item a number": lambda p: p["documents"][0][1][2].append(3),
+        "content item null": lambda p: p["documents"][0][1][2].append(None),
+        "content item an object": lambda p: p["documents"][0][1][2].append({}),
+        "nested element malformed": lambda p: p["documents"][0][1][2][0].__setitem__(
+            0, None
+        ),
+        "ods not a list of objects": lambda p: p.update(ods=[[0, [], 0, 1]]),
+        "ods null": lambda p: p.update(ods=None),
+        "id missing": lambda p: p["ods"][0].pop("id"),
+        "id not an int": lambda p: p["ods"][0].update(id="0"),
+        "id a bool": lambda p: p["ods"][0].update(id=True),
+        "tuples missing": lambda p: p["ods"][0].pop("tuples"),
+        "tuple too short": lambda p: p["ods"][0]["tuples"].append(["value"]),
+        "tuple too long": lambda p: p["ods"][0]["tuples"].append(["v", "n", "x"]),
+        "tuple value not a string": lambda p: p["ods"][0]["tuples"].append([1, "n"]),
+        "tuple name not a string": lambda p: p["ods"][0]["tuples"].append(["v", None]),
+        "doc without node": lambda p: p["ods"][0].pop("node"),
+        "doc out of range": lambda p: p["ods"][0].update(doc=1),
+        "doc negative": lambda p: p["ods"][0].update(doc=-1),
+        "doc not an int": lambda p: p["ods"][0].update(doc="0"),
+        "doc a bool": lambda p: p["ods"][0].update(doc=False),
+        "node out of range": lambda p: p["ods"][0].update(node=10**6),
+        "node negative": lambda p: p["ods"][0].update(node=-1),
+        "node a float": lambda p: p["ods"][0].update(node=1.0),
+        "node null": lambda p: p["ods"][0].update(node=None),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_malformed_payload(self, saved, edit):
+        store, spec, path, intact, cold = saved
+        payload = json.loads(gzip.decompress(intact))
+        sound = copy.deepcopy(payload)
+        self.EDITS[edit](payload)
+        assert json.dumps(payload) != json.dumps(sound)  # False == 0 in Python
+        rewrite(path, payload)
+        assert store.load(spec) is None
+        rewrite(path, sound)  # the harness itself writes a loadable file
+        assert fingerprint(store.load(spec)) == cold
+
+
 class TestCLI:
     def write_spec(self, example_dir) -> str:
         spec = RunSpec(
@@ -343,6 +674,30 @@ class TestCLI:
         warm = capsys.readouterr()
         assert "warm start" in warm.err
         assert warm.out == cold.out  # identical dupcluster document
+
+    @pytest.mark.parametrize("command", ["dedup", "match"])
+    def test_damaged_snapshot_is_rebuilt_with_a_note(
+        self, example_dir, capsys, command
+    ):
+        spec_path = self.write_spec(example_dir)
+        store_dir = example_dir / "store"
+        argv = [command, "--spec", spec_path, "--store", str(store_dir)]
+        if command == "match":
+            argv += ["--object-id", "0"]
+        assert cli_main(argv) == 0
+        cold = capsys.readouterr()
+        assert "unreadable" not in cold.err
+        (snapshot,) = store_dir.glob("*.json.gz")
+        snapshot.write_bytes(snapshot.read_bytes()[: snapshot.stat().st_size // 2])
+        assert cli_main(argv) == 0
+        rebuilt = capsys.readouterr()
+        assert f"snapshot {snapshot.name[:12]} unreadable, rebuilding" in rebuilt.err
+        assert "warm start" not in rebuilt.err
+        assert rebuilt.out == cold.out
+        assert cli_main(argv) == 0
+        warm = capsys.readouterr()
+        assert "warm start" in warm.err and "unreadable" not in warm.err
+        assert warm.out == cold.out
 
     def test_index_build_requires_store(self, example_dir):
         spec_path = self.write_spec(example_dir)

@@ -108,6 +108,28 @@ class TestRoutes:
             server.shutdown()
             server.server_close()
 
+    def test_damaged_snapshot_is_rebuilt_not_a_500(self, tmp_path):
+        """A snapshot the daemon cannot decode is a store miss: the open
+        answers ``cold`` and overwrites it, the next daemon opens warm."""
+        spec = write_example(tmp_path)
+        origins = []
+        for damage in (False, True, False):
+            if damage:
+                (snapshot,) = (tmp_path / "store").glob("*.json.gz")
+                snapshot.write_bytes(
+                    snapshot.read_bytes()[: snapshot.stat().st_size // 2]
+                )
+            server, client = start_server(tmp_path / "store")
+            try:
+                opened = client.open_corpus(spec)
+                origins.append(opened["origin"])
+                found = client.match(opened["digest"], object_id=0)["matches"]
+                assert [m["object_id"] for m in found] == [1]
+            finally:
+                server.shutdown()
+                server.server_close()
+        assert origins == ["cold", "cold", "warm"]
+
     def test_catalog_lists_snapshot_and_resident(self, served):
         catalog = served.client.catalog()
         digests = {snap["digest"] for snap in catalog["snapshots"]}

@@ -1,7 +1,11 @@
 """Parser and serializer tests, including round-trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference import xml_cold_path
+from reference.xml_cold_path import tree_shape
 
+from repro.eval import build_dataset1, build_dataset2, build_dataset3
 from repro.xmlkit import Document, Element, XMLError, parse, serialize
 
 
@@ -67,6 +71,105 @@ class TestParse:
     def test_multiple_same_tag_children(self):
         doc = parse("<a><x>1</x><x>2</x><x>3</x></a>")
         assert [e.text for e in doc.root.find_all("x")] == ["1", "2", "3"]
+
+
+def assert_same_tree_as_the_two_pass_parser(text):
+    ours, theirs = parse(text), xml_cold_path.parse(text)
+    assert tree_shape(ours.root) == tree_shape(theirs.root)
+    assert ours.declaration == theirs.declaration
+    # the child tuples drop_text() kept still describe the content
+    assert [node.absolute_path() for node in ours.iter()] == [
+        node.absolute_path() for node in theirs.iter()
+    ]
+    return ours
+
+
+PIECES = st.sampled_from(
+    [" ", "\n  ", "\t", "x", " y ", "<!-- c -->", "<![CDATA[ ]]>",
+     "<![CDATA[z]]>", "&#32;", "&amp;", "<e/>", "<e></e>", "<e> </e>",
+     '<e k="v">t</e>', "\u00a0", "\u2003"]
+)
+
+
+def fragments(depth):
+    pieces = PIECES
+    if depth:
+        pieces = st.one_of(
+            PIECES, fragments(depth - 1).map(lambda inner: f"<n>{inner}</n>")
+        )
+    return st.lists(pieces, max_size=5).map("".join)
+
+
+class TestWhitespaceDecidedAtTheClosingTag:
+    """Indentation is dropped when an element closes, with the answer
+    the old second walk over the finished tree gave."""
+
+    def test_mixed_content_keeps_its_spacing(self):
+        doc = assert_same_tree_as_the_two_pass_parser(
+            "<p> <b>x</b> and <i>y</i> </p>"
+        )
+        assert [item for item in doc.root.content if isinstance(item, str)] == [
+            " ", " and ", " "
+        ]
+
+    def test_real_text_after_the_blanks_still_counts(self):
+        doc = assert_same_tree_as_the_two_pass_parser("<p>\n <b/>\n tail</p>")
+        assert doc.root.content[0] == "\n " and doc.root.content[2] == "\n tail"
+
+    def test_text_split_by_a_comment(self):
+        doc = assert_same_tree_as_the_two_pass_parser(
+            "<a><t>Sig<!-- c -->ns</t>\n<u> <!-- c --> </u>\n</a>"
+        )
+        title, blank = doc.root.children
+        assert title.content == ("Sig", "ns")
+        assert blank.content == (" ", " ")  # a leaf keeps its text verbatim
+        assert doc.root.content == (title, blank)
+
+    def test_whitespace_only_leaf_and_empty_elements(self):
+        doc = assert_same_tree_as_the_two_pass_parser(
+            "<a>\n<b>  </b>\n<c/>\n<d></d>\n</a>"
+        )
+        b, c, d = doc.root.children
+        assert b.content == ("  ",) and c.content == () and d.content == ()
+        assert assert_same_tree_as_the_two_pass_parser("<a/>").root.content == ()
+
+    def test_pretty_printed_nesting(self):
+        doc = assert_same_tree_as_the_two_pass_parser(
+            "<a>\n  <b>\n    <c>x</c>\n    <c>y</c>\n  </b>\n  <b>\n  </b>\n</a>"
+        )
+        first, second = doc.root.children
+        assert doc.root.content == (first, second)
+        assert [c.absolute_path() for c in first.children] == [
+            "/a/b[1]/c[1]", "/a/b[1]/c[2]"
+        ]
+        assert second.content == ("\n  ",)  # no child element: a leaf
+
+    def test_nothing_is_queried_by_the_parse_itself(self):
+        """Leaves and unindented parents reach the caller with their
+        caches unset; only an element that lost indentation has read
+        (and kept) its child tuple."""
+        doc = parse("<a><b>x</b><c>\n <d/>\n</c></a>")
+        root = doc.root
+        b, c = (item for item in root._content)
+        assert root._children is None and b._children is None
+        assert c._children is not None and c.content == c.children
+
+    @given(fragments(3))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_documents(self, inner):
+        assert_same_tree_as_the_two_pass_parser(f"<r>{inner}</r>")
+
+    @pytest.mark.parametrize("indent", ["  ", None])
+    def test_datasets_1_to_3(self, indent):
+        for dataset in (
+            build_dataset1(base_count=25, seed=7),
+            build_dataset2(count=25, seed=13),
+            build_dataset3(count=120, seed=11),
+        ):
+            for source in dataset.sources:
+                assert_same_tree_as_the_two_pass_parser(
+                    serialize(source.document, indent=indent)
+                )
 
 
 class TestParseErrors:

@@ -1,17 +1,24 @@
 """Schema model, XSD parsing, and schema inference tests."""
 
-import pytest
+import pathlib
 
-from repro.datagen import PAPER_EXAMPLE_XSD
+import pytest
+from hypothesis import given, settings, strategies as st
+from reference import xml_cold_path
+
+from repro.datagen import PAPER_EXAMPLE_XSD, paper_example_document
+from repro.eval import build_dataset1, build_dataset2, build_dataset3
 from repro.xmlkit import (
     ContentModel,
     DataType,
+    Element,
     Schema,
     SchemaElement,
     UNBOUNDED,
     XMLError,
     infer_schema,
     parse,
+    parse_file,
     parse_schema,
     sniff_data_type,
 )
@@ -287,3 +294,73 @@ class TestSchemaInference:
         schema = infer_schema(doc)
         order = [e.name for e in schema.element_at("/c/i").children]
         assert order == ["z", "a", "m"]
+
+
+# ----------------------------------------------------------------------
+# infer_schema against the per-element reference it replaced
+# ----------------------------------------------------------------------
+def declarations(schema):
+    return [
+        (e.path(), e.name, e.data_type, e.content_model, e.min_occurs,
+         e.max_occurs, e.nillable, e.is_key)
+        for e in schema.iter()
+    ]
+
+
+def assert_same_schema_as_the_reference(documents):
+    ours = declarations(infer_schema(documents))
+    assert ours == declarations(xml_cold_path.infer_schema(documents))
+    return ours
+
+
+#: few tags and values that sniff to every type, so paths repeat and
+#: types meet: INTEGER + DECIMAL, DATE + STRING, a STRING seen first, ...
+VALUES = st.sampled_from(["", " ", "7", "-3", "2.5", "1999", "true", "x", "12 Jan 2001"])
+TAGS = st.sampled_from(["a", "b", "c"])
+
+
+def trees(depth):
+    if depth == 0:
+        return st.builds(Element, TAGS, st.just({}), st.lists(VALUES, max_size=2))
+    return st.builds(
+        Element,
+        TAGS,
+        st.just({}),
+        st.lists(st.one_of(VALUES, trees(depth - 1)), max_size=5),
+    )
+
+
+class TestInferenceEqualsTheReference:
+    def test_datasets_the_running_example_and_the_golden_outputs(self):
+        for dataset in (
+            build_dataset1(base_count=40, seed=7),
+            build_dataset2(count=40, seed=13),
+            build_dataset3(count=150, seed=11),
+        ):
+            for source in dataset.sources:
+                assert len(assert_same_schema_as_the_reference(source.document)) > 3
+        assert_same_schema_as_the_reference(paper_example_document())
+        golden = sorted((pathlib.Path(__file__).parent / "golden").glob("*.xml"))
+        assert len(golden) >= 2
+        for path in golden:
+            assert_same_schema_as_the_reference(parse_file(path))
+
+    @given(st.lists(trees(3), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_trees(self, roots):
+        for root in roots[1:]:
+            root.tag = roots[0].tag  # all inputs share the root element
+        assert_same_schema_as_the_reference(roots)
+
+    def test_a_string_path_is_not_sniffed_again(self, monkeypatch):
+        import repro.xmlkit.schema_infer as module
+
+        sniffed = []
+        sniff = module.sniff_data_type
+        monkeypatch.setattr(
+            module, "sniff_data_type", lambda v: sniffed.append(v) or sniff(v)
+        )
+        schema = infer_schema(parse("<r><v>x</v><v>1</v><v>2</v><n>1</n><n>2</n></r>"))
+        assert sniffed == ["x", "1", "2"]
+        assert schema.element_at("/r/v").data_type is DataType.STRING
+        assert schema.element_at("/r/n").data_type is DataType.INTEGER

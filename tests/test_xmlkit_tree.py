@@ -1,17 +1,23 @@
 """Tree model tests: axes, paths, manipulation."""
 
+import json
 import pickle
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import xml_cold_path
+from reference.xml_cold_path import tree_shape
 
 from repro.framework import DescriptionDefinition, generate_ods
 from repro.xmlkit import (
+    Document,
     Element,
     XMLError,
-    absolute_path_index,
+    document_from_record,
+    document_record,
+    element_record,
     parse,
     serialize,
     strip_positions,
@@ -115,6 +121,12 @@ class TestPaths:
         )
         assert strip_positions("/plain/path") == "/plain/path"
 
+    @given(st.text(alphabet="ab/[]1", max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_strip_positions_equals_the_character_loop(self, path):
+        """Also on unbalanced input: ``a[1``, ``a]b``, ``a[[1]]``."""
+        assert strip_positions(path) == xml_cold_path.strip_positions(path)
+
     def test_child_position(self, tree):
         movie = tree.find("movie")
         actors = movie.find_all("actor")
@@ -174,25 +186,6 @@ class TestManipulation:
         assert parent.text == "text"
 
 
-class TestAbsolutePathIndex:
-    def test_matches_absolute_path_for_every_element(self):
-        doc = parse(
-            "<db><disc><title>a</title><tracks><title>t1</title>"
-            "<title>t2</title></tracks></disc>"
-            "<disc><title>b</title></disc></db>"
-        )
-        index = absolute_path_index(doc.root)
-        elements = list(doc.iter())
-        assert len(index) == len(elements)
-        for element in elements:
-            assert index[element.absolute_path()] is element
-
-    def test_position_predicates_only_for_repeated_tags(self):
-        doc = parse("<a><b/><b/><c/></a>")
-        index = absolute_path_index(doc.root)
-        assert set(index) == {"/a", "/a/b[1]", "/a/b[2]", "/a/c"}
-
-
 # ----------------------------------------------------------------------
 # Cached children and sibling ordinals against a from-scratch reference
 # ----------------------------------------------------------------------
@@ -238,9 +231,6 @@ def assert_matches_reference(root):
     paths = [reference_path(element) for element in elements]
     assert list(root.iter()) == elements
     assert [element.absolute_path() for element in elements] == paths
-    index = absolute_path_index(root)
-    assert list(index) == paths
-    assert all(index[path] is element for path, element in zip(paths, elements))
     for element in elements:
         assert element.children == tuple(reference_children(element))
         if element.parent is not None:
@@ -279,7 +269,9 @@ class TestCachedPathsEqualReference:
             target = elements[data.draw(st.integers(0, len(elements) - 1))]
             children = reference_children(target)
             action = data.draw(
-                st.sampled_from(["append", "remove", "replace", "copy", "pickle"])
+                st.sampled_from(
+                    ["append", "remove", "replace", "drop_text", "copy", "pickle"]
+                )
             )
             if action == "append":
                 target.append(data.draw(st.one_of(TEXTS, specs(depth=1).map(build))))
@@ -297,6 +289,11 @@ class TestCachedPathsEqualReference:
                     (child.parent is target) == any(child is item for item in kept)
                     for child in children
                 )
+            elif action == "drop_text":
+                before = target.children  # the cached tuple survives
+                target.drop_text()
+                assert target.content == tuple(children)
+                assert target.children is before
             elif action == "copy":
                 clone = target.copy()
                 assert clone.parent is None
@@ -369,36 +366,161 @@ class TestOpenIsOneTreeWalk:
         assert 0 < large <= 2.2 * small
 
 
+def eight_readers(root):
+    """``absolute_path()`` of every element from 8 threads at once,
+    on a tree no one has queried; returns the expected paths too."""
+    elements = reference_walk(root)
+    expected = [reference_path(element) for element in elements]
+    barrier = threading.Barrier(8)
+    answers = [None] * 8
+
+    def read(slot):
+        barrier.wait(timeout=10)
+        answers[slot] = [element.absolute_path() for element in elements]
+
+    threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return answers, expected
+
+
+DISCS = (
+    "<db>"
+    + "".join(
+        f"<disc><did>{i}</did><tracks>"
+        + "".join(f"<title>t{j}</title>" for j in range(i % 4 + 1))
+        + "</tracks></disc>"
+        for i in range(120)
+    )
+    + "</db>"
+)
+
+
 class TestReaderThreads:
     def test_eight_threads_on_a_never_queried_tree(self):
-        root = parse(
-            "<db>"
-            + "".join(
-                f"<disc><did>{i}</did><tracks>"
-                + "".join(f"<title>t{j}</title>" for j in range(i % 4 + 1))
-                + "</tracks></disc>"
-                for i in range(120)
-            )
-            + "</db>"
-        ).root
-        elements = reference_walk(root)
-        expected = [reference_path(element) for element in elements]
-        barrier = threading.Barrier(8)
-        answers = [None] * 8
-
-        def read(slot):
-            barrier.wait(timeout=10)
-            answers[slot] = [element.absolute_path() for element in elements]
-
-        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        answers, expected = eight_readers(parse(DISCS).root)
         assert answers == [expected] * 8
+
+    def test_eight_threads_on_a_decoded_tree(self):
+        """A snapshot's tree reaches the daemon's readers with every
+        cache unset, as an unpickled one does."""
+        record = json.loads(
+            json.dumps(document_record(parse(DISCS)), default=element_record)
+        )
+        document, order = document_from_record(record)
+        assert all(element._children is None for element in order)
+        answers, expected = eight_readers(document.root)
+        assert answers == [expected] * 8
+
+
+# ----------------------------------------------------------------------
+# The structural codec (what an index snapshot stores a tree as)
+# ----------------------------------------------------------------------
+NAMES = st.text(min_size=1, max_size=4)
+ANY_TEXT = st.text(max_size=6)
+ATTRIBUTES = st.dictionaries(NAMES, ANY_TEXT, max_size=3)
+
+
+def documents(depth=3):
+    def element(children):
+        return st.builds(
+            Element,
+            NAMES,
+            ATTRIBUTES,
+            # text nodes may be empty and may sit side by side
+            st.lists(st.one_of(ANY_TEXT, children), max_size=5),
+        )
+
+    leaf = st.builds(Element, NAMES, ATTRIBUTES, st.lists(ANY_TEXT, max_size=2))
+    tree = leaf
+    for _ in range(depth):
+        tree = element(tree)
+    return st.builds(Document, tree, ATTRIBUTES)
+
+
+class TestStructuralCodec:
+    @given(documents())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_node_for_node(self, document):
+        text = json.dumps(document_record(document), default=element_record)
+        decoded, order = document_from_record(json.loads(text))
+        originals = reference_walk(document.root)
+        assert order == list(decoded.iter()) == reference_walk(decoded.root)
+        assert len(order) == len(originals)
+        assert decoded.declaration == document.declaration
+        assert list(decoded.declaration) == list(document.declaration)
+        twin = {id(old): new for old, new in zip(originals, order)}
+        for old, new in zip(originals, order):
+            assert new.tag == old.tag
+            assert list(new.attributes.items()) == list(old.attributes.items())
+            assert len(new.content) == len(old.content)
+            for ours, theirs in zip(new.content, old.content):
+                if isinstance(theirs, str):
+                    assert ours == theirs  # item for item: nothing merged
+                else:
+                    assert ours is twin[id(theirs)]
+            assert new.parent is (None if old.parent is None else twin[id(old.parent)])
+            assert new.absolute_path() == old.absolute_path()
+        assert_matches_reference(decoded.root)
+        # the decoded tree is an ordinary tree
+        assert tree_shape(decoded.root.copy()) == tree_shape(document.root)
+        unpickled = pickle.loads(pickle.dumps(decoded.root))
+        assert tree_shape(unpickled) == tree_shape(document.root)
+        assert_matches_reference(unpickled)
+        decoded.root.append(Element("late"))
+        assert decoded.root.children[-1].absolute_path().endswith("/late")
+
+    def test_record_shape(self):
+        document = parse(
+            '<?xml version="1.0"?><a k="v">x<b/><!-- split -->y<c>z</c></a>'
+        )
+        text = json.dumps(document_record(document), default=element_record)
+        assert json.loads(text) == [
+            {"version": "1.0"},
+            ["a", {"k": "v"}, ["x", ["b", {}, []], "y", ["c", {}, ["z"]]]],
+        ]
+
+    def test_the_encoder_reads_the_tree_and_builds_no_copy_of_it(self):
+        """``save`` is not charged a second tree: the hook hands the
+        encoder each element's own dict and list (0.7 MiB on the
+        daemon's peak at n = 200 when a full record was built first)."""
+        root = parse('<a k="v"><b/>t</a>').root
+        tag, attributes, content = element_record(root)
+        assert tag == "a" and attributes is root.attributes
+        assert content == list(root.content)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            element_record(object())
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps([root, {1, 2}], default=element_record)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            None,
+            "a",
+            [{}],
+            [{}, ["a", {}, []], "extra"],
+            [None, ["a", {}, []]],
+            [{}, None],
+            [{}, ["a", {}]],
+            [{}, ["", {}, []]],
+            [{}, [1, {}, []]],
+            [{}, ["a", [], []]],
+            [{}, ["a", {}, "text"]],
+            [{}, ["a", {}, [1]]],
+            [{}, ["a", {}, [None]]],
+            [{}, ["a", {}, [{"tag": "b"}]]],
+            [{}, ["a", {}, ["ok", ["b", {}, [["", {}, []]]]]]],
+        ],
+    )
+    def test_any_other_shape_is_an_xml_error(self, record):
+        with pytest.raises(XMLError):
+            document_from_record(record)
