@@ -50,6 +50,7 @@ class LintConfig:
             # Parsed trees: a served ``match()`` reads paths and
             # children of corpus elements from every reader thread.
             "Element",
+            "ObjectDescription",  # ... and fills each OD's ``by_kind``
         }
     )
 

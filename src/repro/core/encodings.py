@@ -73,6 +73,11 @@ class DictTermState:
         """All object ids under a comparison key (snapshot)."""
         return frozenset(self.objects_by_key.get(key, ()))
 
+    def key_elsewhere(self, key: str, object_id: int) -> bool:
+        """Whether an object other than ``object_id`` specifies this kind."""
+        row = self.objects_by_key.get(key, ())
+        return len(row) > (object_id in row)  # more holders than itself
+
     def union_cardinality(
         self, key_i: str, value_i: str, key_j: str, value_j: str
     ) -> int:
@@ -229,6 +234,14 @@ class CompactTermIndex:
         if code < 0:
             return ()
         return self.key_postings.row(code)
+
+    def key_elsewhere(self, key: str, object_id: int) -> bool:
+        """Whether an object other than ``object_id`` specifies this kind."""
+        code = self.keys.code_of(key)
+        postings = self.key_postings
+        return code >= 0 and (
+            postings.row_length(code) > postings.contains(code, object_id)
+        )
 
     def block_terms(self) -> tuple[tuple[str, str], ...]:
         """Every indexed term, in packed-code (sorted) order.

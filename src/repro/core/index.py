@@ -473,6 +473,10 @@ class CorpusIndex:
         """Ids of objects that specify any data of this kind (snapshot)."""
         return frozenset(self._terms.key_row(key))
 
+    def key_elsewhere(self, key: str, object_id: int) -> bool:
+        """``bool(objects_with_key(key) - {object_id})``, without the copy."""
+        return self._terms.key_elsewhere(key, object_id)
+
     def pair_idf(self, key_i: str, value_i: str, key_j: str, value_j: str) -> float:
         """Memoized softIDF of a term pair (Definition 8).
 
@@ -527,6 +531,26 @@ class CorpusIndex:
                 foreign = self._foreign_cache = {}
             foreign[term] = result
         return result
+
+    def similar_verdict(self, key: str, a: str, b: str) -> Optional[bool]:
+        """``ned(a, b) < θ_tuple`` read from the similar-value groups,
+        ``None`` when the index holds neither value: a group lists every
+        *held* value within θ_tuple of its query, so a held ``b`` is
+        similar to ``a`` iff it is in ``a``'s group, and symmetrically.
+        Step 4 memoized the groups step 5 asks for; no state is added.
+        """
+        if a == b:
+            return self.theta_tuple > 0  # a group holds its query at θ = 0 too
+        memo = self._similar_cache  # holds held queries only
+        group = memo.get((key, a))
+        if group is not None and (key, b) in memo:
+            return b in group
+        held = self._value_indexes.get(key, ())
+        if b in held:
+            return b in self.similar_values(key, a)
+        if a in held:
+            return a in self.similar_values(key, b)
+        return None
 
     def objects_with_similar(
         self, key: str, value: str, exclude: int | None = None

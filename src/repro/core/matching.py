@@ -18,9 +18,11 @@ Given two ODs, the pairwise comparison partitions their tuples into:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from ..framework import ObjectDescription, ODTuple, TypeMapping
 from ..strings import bound_verdict, ned_cached, within_normalized
+from .index import CorpusIndex
 
 
 @dataclass
@@ -31,6 +33,9 @@ class TupleMatching:
     contradictory: list[tuple[ODTuple, ODTuple]] = field(default_factory=list)
     non_specified_left: list[ODTuple] = field(default_factory=list)
     non_specified_right: list[ODTuple] = field(default_factory=list)
+    #: softIDF of each pair above, when matched against a corpus index
+    similar_idf: list[float] = field(default_factory=list, compare=False)
+    contradictory_idf: list[float] = field(default_factory=list, compare=False)
 
 
 #: Similar-pair semantics: "matching" is the one-to-one greedy matching
@@ -47,44 +52,87 @@ def match_tuples(
     mapping: TypeMapping,
     theta_tuple: float,
     semantics: str = "matching",
+    index: Optional[CorpusIndex] = None,
 ) -> TupleMatching:
     """Partition the tuples of two ODs into similar / contradictory /
-    non-specified, per kind of information."""
+    non-specified, per kind of information.
+
+    Step 5's one matcher: ``similarity()`` sums its soft-IDFs,
+    ``explain()`` shows its lists.  With ``index`` (built at
+    ``theta_tuple``) a pair's class is read from the similar-value
+    groups and its soft-IDF recorded.  A kind single-valued on both
+    sides is one verdict; only a multi-valued kind needs ordering.
+    """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}; choose from {SEMANTICS}")
-    by_key_i: dict[str, list[ODTuple]] = {}
-    for odt in od_i.tuples:
-        by_key_i.setdefault(mapping.comparison_key(odt.name), []).append(odt)
-    by_key_j: dict[str, list[ODTuple]] = {}
-    for odt in od_j.tuples:
-        by_key_j.setdefault(mapping.comparison_key(odt.name), []).append(odt)
-
+    if index is not None and index.theta_tuple != theta_tuple:
+        raise ValueError("the index was built at another theta_tuple")
+    kinds_i = od_i.by_kind(mapping)
+    kinds_j = od_j.by_kind(mapping)
     result = TupleMatching()
-    for key, left in by_key_i.items():
-        right = by_key_j.get(key)
+    for key, left in kinds_i.items():
+        right = kinds_j.get(key)
         if right is None:
             result.non_specified_left.extend(left)
-            continue
-        _match_kind(left, right, theta_tuple, result, semantics)
-    for key, right in by_key_j.items():
-        if key not in by_key_i:
+        elif len(left) == 1 == len(right):
+            a, b = left[0], right[0]
+            verdict = _similar(index, key, a.value, b.value, theta_tuple)
+            _record(result, index, key, a, b, verdict)
+        else:
+            _match_kind(key, left, right, theta_tuple, result, semantics, index)
+    for key, right in kinds_j.items():
+        if key not in kinds_i:
             result.non_specified_right.extend(right)
     return result
 
 
+def _similar(
+    index: Optional[CorpusIndex], key: str, a: str, b: str, theta_tuple: float
+) -> bool:
+    """``ned(a, b) < theta_tuple``, cheapest evidence first: the index's
+    similar-value groups (step 4 filled them; they decide every pair
+    with a value the corpus holds), then the O(n) distance bounds, and
+    the DP only where neither can tell."""
+    verdict = index.similar_verdict(key, a, b) if index is not None else None
+    if verdict is None:
+        verdict = bound_verdict(a, b, theta_tuple)
+        if verdict is None:
+            verdict = ned_cached(a, b) < theta_tuple
+    return verdict
+
+
+def _record(
+    result: TupleMatching,
+    index: Optional[CorpusIndex],
+    key: str,
+    a: ODTuple,
+    b: ODTuple,
+    similar: bool,
+) -> None:
+    """Append one matched pair, and its soft-IDF where there is an index."""
+    if similar:
+        pairs, idfs = result.similar, result.similar_idf
+    else:
+        pairs, idfs = result.contradictory, result.contradictory_idf
+    pairs.append((a, b))
+    if index is not None:
+        idfs.append(index.pair_idf(key, a.value, key, b.value))
+
+
 def _match_kind(
-    left: list[ODTuple],
-    right: list[ODTuple],
+    key: str,
+    left: Sequence[ODTuple],
+    right: Sequence[ODTuple],
     theta_tuple: float,
     result: TupleMatching,
     semantics: str = "matching",
+    index: Optional[CorpusIndex] = None,
 ) -> None:
     """Match one kind of information between two ODs.
 
-    Cheap check first: the O(n) distance bounds
-    (:func:`~repro.strings.bound_verdict`) decide on which side of
-    ``theta_tuple`` most pairs fall, so the
-    O(n·m) DP runs only for pairs the bounds cannot separate from the
+    Cheap check first: :func:`_similar` decides on which side of
+    ``theta_tuple`` a pair falls, so the
+    O(n·m) DP runs only for pairs nothing cheaper can separate from the
     threshold — and, lazily below, for pairs whose *order* matters:
     ordering is what decides who matches whom (and the result list
     order the bit-identical parity contract pins), so a class with a
@@ -99,9 +147,7 @@ def _match_kind(
     dissimilar: list[tuple[int, int]] = []
     for a, odt_a in enumerate(left):
         for b, odt_b in enumerate(right):
-            verdict = bound_verdict(odt_a.value, odt_b.value, theta_tuple)
-            if verdict is None:
-                verdict = ned_cached(odt_a.value, odt_b.value) < theta_tuple
+            verdict = _similar(index, key, odt_a.value, odt_b.value, theta_tuple)
             (similar if verdict else dissimilar).append((a, b))
     if len(similar) > 1:
         similar.sort(key=exact)
@@ -113,7 +159,7 @@ def _match_kind(
         for a, b in similar:
             used_left.add(a)
             used_right.add(b)
-            result.similar.append((left[a], right[b]))
+            _record(result, index, key, left[a], right[b], True)
     else:
         # Similar pairs: lowest distance first, one-to-one.
         for a, b in similar:
@@ -121,7 +167,7 @@ def _match_kind(
                 continue
             used_left.add(a)
             used_right.add(b)
-            result.similar.append((left[a], right[b]))
+            _record(result, index, key, left[a], right[b], True)
     # Contradictory pairs: highest distance first among the unmatched.
     # A pair with an endpoint consumed by the similar phase can never be
     # selected (the used sets only grow), so only the still-active pairs
@@ -138,13 +184,13 @@ def _match_kind(
             continue
         used_left.add(a)
         used_right.add(b)
-        result.contradictory.append((left[a], right[b]))
+        _record(result, index, key, left[a], right[b], False)
     # Leftovers on either side are non-specified data.
     result.non_specified_left.extend(
-        odt for index, odt in enumerate(left) if index not in used_left
+        odt for slot, odt in enumerate(left) if slot not in used_left
     )
     result.non_specified_right.extend(
-        odt for index, odt in enumerate(right) if index not in used_right
+        odt for slot, odt in enumerate(right) if slot not in used_right
     )
 
 
@@ -159,14 +205,10 @@ def similar_pairs_exist(
     Used by tests and by comparison-reduction sanity checks; avoids the
     full distance table via thresholded comparisons.
     """
-    by_key: dict[str, list[str]] = {}
-    for odt in od_i.tuples:
-        by_key.setdefault(mapping.comparison_key(odt.name), []).append(odt.value)
-    for odt in od_j.tuples:
-        values = by_key.get(mapping.comparison_key(odt.name))
-        if not values:
-            continue
-        for value in values:
-            if within_normalized(value, odt.value, theta_tuple):
-                return True
-    return False
+    kinds_j = od_j.by_kind(mapping)
+    return any(
+        within_normalized(a.value, b.value, theta_tuple)
+        for key, left in od_i.by_kind(mapping).items()
+        for a in left
+        for b in kinds_j.get(key, ())
+    )

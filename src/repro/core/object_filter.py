@@ -92,13 +92,9 @@ class ObjectFilter:
             )
             if others_with_similar:
                 shared_idf += singleton_soft_idf(odt, self.index)
-            else:
-                others_with_kind = self.index.objects_with_key(key) - {
-                    od.object_id
-                }
-                if others_with_kind:
-                    unique_idf += singleton_soft_idf(odt, self.index)
-                # else: kind unspecified everywhere else -> non-specified.
+            elif self.index.key_elsewhere(key, od.object_id):
+                unique_idf += singleton_soft_idf(odt, self.index)
+            # else: kind unspecified everywhere else -> non-specified.
         denominator = shared_idf + unique_idf
         score = shared_idf / denominator if denominator > 0 else 0.0
         decision = FilterDecision(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from ..framework import ObjectDescription, TypeMapping
 from .index import CorpusIndex
 from .matching import TupleMatching, match_tuples
-from .softidf import set_soft_idf
 
 
 class DogmatixSimilarity:
@@ -36,35 +35,22 @@ class DogmatixSimilarity:
 
     def similarity(self, od_i: ObjectDescription, od_j: ObjectDescription) -> float:
         """Equation 8 for one pair."""
-        matching = match_tuples(
-            od_i, od_j, self.mapping, self.theta_tuple, self.semantics
-        )
-        return self.from_matching(matching)
-
-    def from_matching(self, matching: TupleMatching) -> float:
-        """Score a precomputed tuple matching."""
         # repro: allow[RPR004] informational counter: concurrent match()
         # readers may lose an increment; no decision depends on it
         self.evaluations += 1
-        shared = set_soft_idf(matching.similar, self.index)
-        contradictory = set_soft_idf(matching.contradictory, self.index)
-        denominator = shared + contradictory
-        if denominator <= 0:
-            # Nothing comparable, or only zero-IDF (ubiquitous) terms:
-            # no evidence either way — not duplicates.
-            return 0.0
-        return shared / denominator
+        return _score(self._match(od_i, od_j))
+
+    def _match(self, od_i: ObjectDescription, od_j: ObjectDescription) -> TupleMatching:
+        return match_tuples(
+            od_i, od_j, self.mapping, self.theta_tuple, self.semantics, self.index
+        )
 
     def explain(
         self, od_i: ObjectDescription, od_j: ObjectDescription
     ) -> dict[str, object]:
         """Human-readable breakdown of one comparison (for debugging
         and the examples)."""
-        matching = match_tuples(
-            od_i, od_j, self.mapping, self.theta_tuple, self.semantics
-        )
-        shared = set_soft_idf(matching.similar, self.index)
-        contradictory = set_soft_idf(matching.contradictory, self.index)
+        matching = self._match(od_i, od_j)
         return {
             "similar_pairs": [
                 (str(a), str(b)) for a, b in matching.similar
@@ -74,9 +60,20 @@ class DogmatixSimilarity:
             ],
             "non_specified_left": [str(t) for t in matching.non_specified_left],
             "non_specified_right": [str(t) for t in matching.non_specified_right],
-            "setSoftIDF_similar": shared,
-            "setSoftIDF_contradictory": contradictory,
-            "similarity": (
-                shared / (shared + contradictory) if shared + contradictory else 0.0
-            ),
+            "setSoftIDF_similar": sum(matching.similar_idf),
+            "setSoftIDF_contradictory": sum(matching.contradictory_idf),
+            "similarity": _score(matching),
         }
+
+
+def _score(matching: TupleMatching) -> float:
+    """``sim`` of a matching made against the index.  The soft-IDFs go
+    through ``sum()``, in matching order: float addition is
+    order-sensitive and ``sum`` is compensated from Python 3.12 on."""
+    shared = sum(matching.similar_idf)
+    denominator = shared + sum(matching.contradictory_idf)
+    if denominator <= 0:
+        # Nothing comparable, or only zero-IDF (ubiquitous) terms:
+        # no evidence either way — not duplicates.
+        return 0.0
+    return shared / denominator

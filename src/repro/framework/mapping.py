@@ -38,6 +38,8 @@ class TypeMapping:
         # comparison_key is the hottest lookup in pairwise matching;
         # memoized per concrete (positional) xpath, cleared on add().
         self._key_cache: dict[str, str] = {}
+        #: Bumped by :meth:`add`: tells ``ObjectDescription.by_kind`` it is stale.
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -49,6 +51,7 @@ class TypeMapping:
         if isinstance(xpaths, str):
             xpaths = [xpaths]
         self._key_cache.clear()
+        self.revision += 1
         paths = self._types.setdefault(type_name, set())
         for xpath in xpaths:
             normalized = self._normalize(xpath)

@@ -9,9 +9,11 @@ instance describes one duplicate candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
 
 from ..xmlkit import Element
+from .mapping import TypeMapping
 
 
 @dataclass(frozen=True, order=True)
@@ -40,7 +42,7 @@ class ObjectDescription:
         The OD tuples, in selection order.
     """
 
-    __slots__ = ("object_id", "element", "tuples")
+    __slots__ = ("object_id", "element", "tuples", "_kinds")
 
     def __init__(
         self,
@@ -51,6 +53,29 @@ class ObjectDescription:
         self.object_id = object_id
         self.element = element
         self.tuples: tuple[ODTuple, ...] = tuple(tuples)
+        self._kinds: Optional[tuple] = None  # see by_kind
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.object_id, self.tuples, self.element)
+
+    def by_kind(self, mapping: TypeMapping) -> Mapping[str, tuple[ODTuple, ...]]:
+        """The tuples grouped by comparison key, kinds and tuples in
+        selection order: what step 5 reads of an OD, in every pair.
+
+        Kept on the OD with the mapping it was computed under — not in a
+        memo keyed by ``object_id``: a fused representative carries a
+        member's id, and foreign ``match()`` ODs are unbounded.  Racing
+        reader threads each publish the same read-only value by one
+        assignment.  Copies and pickles carry id, tuples, element only.
+        """
+        cached = self._kinds
+        if cached is None or cached[0] is not mapping or cached[1] != mapping.revision:
+            kinds: dict[str, list[ODTuple]] = {}
+            for odt in self.tuples:
+                kinds.setdefault(mapping.comparison_key(odt.name), []).append(odt)
+            grouped = MappingProxyType({key: tuple(kinds[key]) for key in kinds})
+            cached = self._kinds = (mapping, mapping.revision, grouped)
+        return cached[2]
 
     def __iter__(self) -> Iterator[ODTuple]:
         return iter(self.tuples)

@@ -28,7 +28,7 @@ from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from ..compact import CompactValueIndex
-from .levenshtein import within_normalized
+from .levenshtein import ned_cached
 
 #: Padding character outside the XML character-data alphabet we generate.
 _PAD = "\x00"
@@ -333,7 +333,9 @@ class ValueIndex:
                 if verdict is None:
                     # repro: allow[RPR004] informational counter (see probes)
                     self.verifications += 1
-                    verdict = within_normalized(query, value, threshold)
+                    # within_normalized's verdict (strict_budget), memoized
+                    # per unordered pair: the reverse probe finds it settled
+                    verdict = ned_cached(query, value) < threshold
                 if verdict:
                     matched.add(value_id)
         return [values[value_id] for value_id in sorted(matched)]

@@ -358,6 +358,13 @@ class TestIndexStateBinding:
         assert writable | {"ValueIndex"} <= DEFAULT_CONFIG.shared_classes
         assert not writable & DEFAULT_CONFIG.frozen_classes
 
+    def test_lazily_filled_read_path_objects_are_shared(self):
+        from repro.analysis.config import DEFAULT_CONFIG
+
+        # Reader threads fill an element's child tuple and an OD's
+        # grouping by kind on first use.
+        assert {"Element", "ObjectDescription"} <= DEFAULT_CONFIG.shared_classes
+
     def test_statistics_memo_is_exempt_and_state_modules_are_parity(self):
         from repro.analysis.config import DEFAULT_CONFIG
 

@@ -1,9 +1,12 @@
 """Similarity machinery tests: odtDist, matching, softIDF, sim."""
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import match_tuples as oracle
 from repro.core import (
     CorpusIndex,
     DogmatixSimilarity,
@@ -15,7 +18,11 @@ from repro.core import (
     singleton_soft_idf,
     soft_idf,
 )
-from repro.framework import ODTuple, TypeMapping, od_from_pairs
+from repro.core.matching import SEMANTICS
+from repro.engine import bare_ods
+from repro.framework import ODTuple, TypeMapping, merge_cluster_od, od_from_pairs
+
+from test_write_path import VARIANTS
 
 
 @pytest.fixture()
@@ -293,3 +300,169 @@ class TestSemantics:
         for i in range(3):
             for j in range(3):
                 assert 0.0 <= literal(movie_ods[i], movie_ods[j]) <= 1.0
+
+
+# ----------------------------------------------------------------------
+# Step 5 against its oracle (tests/reference/match_tuples.py)
+# ----------------------------------------------------------------------
+#: Path tails: ``alias`` is comparable with ``a`` through the mapping,
+#: ``d`` is unmapped (path-identity comparability).
+_KINDS = ("a", "alias", "b", "c", "d")
+
+
+def _fuzz_mapping() -> TypeMapping:
+    return (
+        TypeMapping()
+        .add("A", ["/db/item/a", "/db/item/alias"])
+        .add("B", "/db/item/b")
+        .add("C", "/db/item/c")
+    )
+
+
+# three letters, so near-duplicates and repeated values are common
+_values = st.text(alphabet="abc", max_size=6)
+_descriptions = st.lists(
+    st.tuples(st.sampled_from(_KINDS), _values), max_size=7
+)
+
+
+def _od(object_id: int, description):
+    return od_from_pairs(
+        object_id,
+        [
+            (value, f"/db/item[{object_id + 1}]/{kind}[{slot + 1}]")
+            for slot, (kind, value) in enumerate(description)
+        ],
+    )
+
+
+# A verdict read from the groups is only as exact as the strategy's
+# search and the encoding's find, so the oracle is met under every
+# (strategy, encoding) VARIANT, whatever the environment's defaults.
+def _index_over(ods, mapping, theta, variant=VARIANTS[0]) -> CorpusIndex:
+    strategy, encoding = variant
+    index = CorpusIndex(ods, mapping, theta, strategy=strategy, encoding=encoding)
+    index.freeze()
+    return index
+
+
+class TestAgainstTheOracle:
+    @given(
+        left=_descriptions,
+        right=_descriptions,
+        others=st.lists(_descriptions, max_size=4),
+        held=st.sampled_from(("both", "left", "right", "neither")),
+        variant=st.sampled_from(VARIANTS),
+        semantics=st.sampled_from(SEMANTICS),
+        theta=st.integers(0, 100).map(lambda k: k / 100),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matching_and_score_equal_the_reference(
+        self, left, right, others, held, variant, semantics, theta
+    ):
+        mapping = _fuzz_mapping()
+        od_i, od_j = _od(0, left), _od(1, right)
+        corpus = [_od(2 + slot, other) for slot, other in enumerate(others)]
+        if held in ("both", "left"):
+            corpus.append(od_i)
+        if held in ("both", "right"):
+            corpus.append(od_j)
+        index = _index_over(corpus, mapping, theta, variant)
+        similarity = DogmatixSimilarity(index, semantics)
+        # both directions: the second reads the groupings the first left
+        for one, other in ((od_i, od_j), (od_j, od_i), (od_i, od_i)):
+            want = oracle.match_tuples(one, other, mapping, theta, semantics)
+            assert match_tuples(one, other, mapping, theta, semantics, index) == want
+            assert match_tuples(one, other, mapping, theta, semantics) == want
+            score = oracle.from_matching(want, index)
+            assert similarity(one, other).hex() == score.hex()
+            explanation = similarity.explain(one, other)
+            assert explanation["similarity"].hex() == score.hex()
+            assert explanation["similar_pairs"] == [
+                (str(a), str(b)) for a, b in want.similar
+            ]
+            assert explanation["contradictory_pairs"] == [
+                (str(a), str(b)) for a, b in want.contradictory
+            ]
+            assert explanation["non_specified_left"] == [
+                str(t) for t in want.non_specified_left
+            ]
+            assert explanation["non_specified_right"] == [
+                str(t) for t in want.non_specified_right
+            ]
+
+    def test_an_index_built_at_another_threshold_is_refused(
+        self, movie_ods, movie_mapping
+    ):
+        index = CorpusIndex(movie_ods, movie_mapping, 0.55)
+        with pytest.raises(ValueError, match="theta_tuple"):
+            match_tuples(movie_ods[0], movie_ods[1], movie_mapping, 0.15, index=index)
+
+    def test_explain_counts_no_evaluation(self, movie_ods, movie_mapping):
+        similarity = DogmatixSimilarity(CorpusIndex(movie_ods, movie_mapping, 0.55))
+        similarity.explain(movie_ods[0], movie_ods[1])
+        assert similarity.evaluations == 0
+
+
+class TestGroupingLivesOnTheOD:
+    @pytest.fixture()
+    def ods(self):
+        return [
+            _od(0, [("a", "abcabc"), ("a", "cab"), ("b", "aaa")]),
+            _od(1, [("a", "abcabb"), ("c", "bbb")]),
+            _od(2, [("a", "abcab"), ("a", "cabb"), ("b", "aab"), ("c", "bbb")]),
+        ]
+
+    def test_fused_representative_with_a_members_id_has_its_own_grouping(self, ods):
+        mapping = _fuzz_mapping()
+        index = _index_over(ods, mapping, 0.34)
+        similarity = DogmatixSimilarity(index)
+        fused = merge_cluster_od([0, 1], ods)
+        assert fused.object_id == ods[0].object_id
+
+        def expected(one, other):
+            return oracle.from_matching(
+                oracle.match_tuples(one, other, mapping, 0.34), index
+            ).hex()
+
+        before = similarity(fused, ods[2]).hex()
+        assert similarity(ods[0], ods[2]).hex() == expected(ods[0], ods[2])
+        assert similarity(fused, ods[2]).hex() == before == expected(fused, ods[2])
+        assert fused.by_kind(mapping) is not ods[0].by_kind(mapping)
+        assert [len(kind) for kind in fused.by_kind(mapping).values()] == [3, 1, 1]
+        assert [len(kind) for kind in ods[0].by_kind(mapping).values()] == [2, 1]
+
+    def test_grouping_is_computed_once_and_follows_the_mapping(self, ods, monkeypatch):
+        mapping = _fuzz_mapping()
+        calls = []
+        original = TypeMapping.comparison_key
+
+        def counting(self, xpath):
+            calls.append(xpath)
+            return original(self, xpath)
+
+        monkeypatch.setattr(TypeMapping, "comparison_key", counting)
+        first = ods[0].by_kind(mapping)
+        assert ods[0].by_kind(mapping) is first
+        assert len(calls) == len(ods[0].tuples)
+        with pytest.raises(TypeError):
+            first["A"] = ()  # read-only: reader threads share it
+        # a mapping that grew, or another mapping, regroups
+        mapping.add("D", "/db/item/d")
+        assert ods[0].by_kind(mapping) is not first
+        assert list(ods[0].by_kind(TypeMapping())) == [
+            "/db/item/a", "/db/item/b"
+        ]
+
+    def test_pickles_and_bare_copies_carry_id_tuples_element_only(
+        self, ods, movie_ods, movie_mapping
+    ):
+        od = movie_ods[0]
+        cold = pickle.dumps(od)
+        od.by_kind(movie_mapping)
+        assert pickle.dumps(od) == cold
+        for copy in (pickle.loads(cold), bare_ods([od])[0], od.non_empty()):
+            assert copy._kinds is None
+            assert (copy.object_id, copy.tuples) == (od.object_id, od.tuples)
+        assert pickle.loads(cold).element.absolute_path() == od.element.absolute_path()
+        assert bare_ods([od])[0].element is None

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.matching as matching_module
+from reference import match_tuples as oracle
 from repro.api import DetectionSession
 from repro.core import (
     DogmatixConfig,
+    DogmatixSimilarity,
     KClosestDescendants,
     RDistantDescendants,
     Source,
@@ -34,6 +37,9 @@ from repro.datagen import (
 )
 from repro.eval import build_dataset1, build_dataset2
 from repro.eval.datasets import Dataset
+from repro.framework import TypeMapping
+
+from test_write_path import VARIANTS
 
 
 def run_variant(dataset, heuristic, use_blocking, use_object_filter, **knobs):
@@ -132,3 +138,107 @@ class TestFilterDismissals:
             if not pruned & {left, right}
         }
         assert reduced.duplicate_id_pairs() == survivors
+
+
+# ----------------------------------------------------------------------
+# Step 5 reads what step 4 wrote
+# ----------------------------------------------------------------------
+def _oracle_similarity(self, od_i, od_j):
+    """``DogmatixSimilarity.similarity`` as it stood before verdicts
+    came from the index (tests/reference/match_tuples.py)."""
+    self.evaluations += 1
+    return oracle.from_matching(
+        oracle.match_tuples(od_i, od_j, self.mapping, self.theta_tuple, self.semantics),
+        self.index,
+    )
+
+
+def _search_counts(session: DetectionSession) -> tuple[int, int]:
+    indexes = session.index._value_indexes.values()
+    return (
+        sum(index.probes for index in indexes),
+        sum(index.verifications for index in indexes),
+    )
+
+
+class TestStepFiveWorkCounts:
+    """A tuple pair's verdict is settled by step 4's similar-value
+    searches (exact: ``TestAgainstTheOracle`` in
+    ``tests/test_core_similarity.py``); step 5 must neither search again
+    nor redo per pair what is a property of one OD."""
+
+    @pytest.fixture()
+    def dataset(self):
+        return build_dataset1(base_count=60, seed=7)  # the bench's dense shape
+
+    def detect(self, dataset, variant=VARIANTS[0]):
+        strategy, encoding = variant
+        config = DogmatixConfig(similarity_strategy=strategy, index_encoding=encoding)
+        session = DetectionSession(
+            dataset.sources, dataset.mapping, dataset.real_world_type, config
+        )
+        return session, session.detect()
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids="-".join)
+    def test_every_group_is_searched_once_and_never_by_step_five(
+        self, dataset, variant, monkeypatch
+    ):
+        session, result = self.detect(dataset, variant)
+        probes, verifications = _search_counts(session)
+        assert probes == len(session.index.block_terms())
+        assert session.detect().identical_to(result)
+        assert _search_counts(session) == (probes, verifications)
+
+        monkeypatch.setattr(DogmatixSimilarity, "similarity", _oracle_similarity)
+        reference_session, reference = self.detect(dataset, variant)
+        assert result.compared_pairs == reference.compared_pairs > 0
+        assert reference.identical_to(result)
+        assert _search_counts(reference_session) == (probes, verifications)
+
+    def test_an_od_is_grouped_once_and_only_multi_valued_kinds_are_ordered(
+        self, dataset, monkeypatch
+    ):
+        grouped: list[str] = []
+        scored: list[tuple] = []
+        ordered: list[str] = []
+        in_step_five: list[bool] = []
+        comparison_key = TypeMapping.comparison_key
+        similarity = DogmatixSimilarity.similarity
+        match_kind = matching_module._match_kind
+
+        def counting_key(self, xpath):
+            if in_step_five:
+                grouped.append(xpath)
+            return comparison_key(self, xpath)
+
+        def recording_similarity(self, od_i, od_j):
+            scored.append((od_i, od_j))
+            in_step_five.append(True)
+            try:
+                return similarity(self, od_i, od_j)
+            finally:
+                in_step_five.pop()
+
+        def counting_match_kind(key, *args):
+            ordered.append(key)
+            return match_kind(key, *args)
+
+        monkeypatch.setattr(TypeMapping, "comparison_key", counting_key)
+        monkeypatch.setattr(DogmatixSimilarity, "similarity", recording_similarity)
+        monkeypatch.setattr(matching_module, "_match_kind", counting_match_kind)
+        session, result = self.detect(dataset)
+        session.detect()
+
+        assert len(scored) == 2 * result.compared_pairs > 0
+        compared = {id(od): od for pair in scored for od in pair}
+        assert len(grouped) == sum(len(od.tuples) for od in compared.values())
+        mapping = session.mapping
+        shared = multi_valued = 0
+        for od_i, od_j in scored:
+            kinds_j = od_j.by_kind(mapping)
+            for key, left in od_i.by_kind(mapping).items():
+                if key in kinds_j:
+                    shared += 1
+                    multi_valued += len(left) + len(kinds_j[key]) > 2
+        assert len(ordered) == multi_valued
+        assert 0 < multi_valued < shared / 4  # most kinds need no ordering

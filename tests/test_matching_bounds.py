@@ -1,7 +1,9 @@
 """Laziness and parity of the bounds-tiered tuple matching.
 
-``_match_kind`` promises cheap-first evaluation: the O(n) distance
-bounds decide which side of ``theta_tuple`` a pair falls on, and the
+``_match_kind`` promises cheap-first evaluation: without an index to
+read the verdict from (the case here; with one,
+``tests/test_core_similarity.py``), the O(n) distance bounds decide
+which side of ``theta_tuple`` a pair falls on, and the
 O(n·m) edit-distance DP runs only for pairs the bounds cannot separate
 — plus, lazily, for pairs whose *order* matters (who matches whom).
 Pinned here:
@@ -43,6 +45,7 @@ def counting_ned(monkeypatch):
 def _kind(left, right, theta, semantics="matching"):
     result = TupleMatching()
     _match_kind(
+        "k",
         [ODTuple(v, "k") for v in left],
         [ODTuple(v, "k") for v in right],
         theta,
@@ -151,7 +154,7 @@ class TestEagerReferenceParity:
             theta = rng.choice([0.0, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0])
             semantics = rng.choice(["matching", "all-pairs"])
             got, want = TupleMatching(), TupleMatching()
-            _match_kind(left, right, theta, got, semantics)
+            _match_kind("k", left, right, theta, got, semantics)
             _reference_match_kind(left, right, theta, want, semantics)
             assert got == want, (
                 f"diverged from the eager reference at theta={theta} "

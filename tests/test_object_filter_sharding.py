@@ -15,13 +15,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CorpusIndex, DogmatixConfig, ObjectFilter
+from repro.api import DetectionSession
+from repro.core import (
+    CorpusIndex,
+    DogmatixConfig,
+    FilterDecision,
+    ObjectFilter,
+    singleton_soft_idf,
+)
 from repro.core.dogmatix import DogmatixShardFactory
 from repro.engine import ExecutionPolicy, ShardedPairSource, owned_filter_objects
-from repro.framework import TypeMapping
+from repro.eval import build_dataset1, build_dataset3
+from repro.framework import TypeMapping, od_from_pairs
 
 from test_shard_equivalence import (
     SEEDS,
+    SHAPES,
     assert_results_identical,
     random_corpus,
     session_over,
@@ -263,3 +272,95 @@ class TestFilterDecisionParity:
         )
         assert all(run.identical for run in runs)
         assert all(run.filter_identical for run in runs)
+
+
+# ----------------------------------------------------------------------
+# "Does anyone else specify this kind" is a question, not a set
+# ----------------------------------------------------------------------
+def reference_decide(index: CorpusIndex, theta_cand: float, od) -> FilterDecision:
+    """``ObjectFilter.decide`` as it stood while it copied every holder
+    of the kind per unique tuple (``objects_with_key(key) - {id}``)."""
+    shared_idf = 0.0
+    unique_idf = 0.0
+    for odt in od.tuples:
+        key = index.key_of(odt.name)
+        if index.objects_with_similar(key, odt.value, exclude=od.object_id):
+            shared_idf += singleton_soft_idf(odt, index)
+        elif index.objects_with_key(key) - {od.object_id}:
+            unique_idf += singleton_soft_idf(odt, index)
+    denominator = shared_idf + unique_idf
+    score = shared_idf / denominator if denominator > 0 else 0.0
+    return FilterDecision(
+        od.object_id, score, shared_idf, unique_idf, score > theta_cand
+    )
+
+
+def generated_session(dataset, encoding: str) -> DetectionSession:
+    return DetectionSession(
+        dataset.sources,
+        dataset.mapping,
+        dataset.real_world_type,
+        DogmatixConfig(index_encoding=encoding),
+    )
+
+
+@pytest.mark.parametrize("encoding", ("dict", "compact"))
+class TestKindElsewhere:
+    def assert_decisions_equal_reference(self, index, ods) -> None:
+        assert index.frozen
+        object_filter = ObjectFilter(index, 0.55)
+        for od in ods:
+            assert object_filter.decide(od) == reference_decide(index, 0.55, od)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fuzz_corpora(self, encoding, seed, shape):
+        ods = random_corpus(seed, shape)
+        session = session_over(ods, index_encoding=encoding)
+        lone = od_from_pairs(len(ods), [("only here", "/db/item[99]/label[1]")])
+        foreign = od_from_pairs(-1, [(t.value, t.name) for t in ods[-1].tuples])
+        self.assert_decisions_equal_reference(session.index, [*ods, lone, foreign])
+
+    def test_generated_datasets(self, encoding):
+        for dataset in (build_dataset1(30, seed=7), build_dataset3(150, seed=7)):
+            session = generated_session(dataset, encoding)
+            self.assert_decisions_equal_reference(session.index, session.ods)
+
+    def test_reader_agrees_with_the_snapshot(self, encoding):
+        ods = random_corpus(SEEDS[0], "giant")
+        ods.append(od_from_pairs(len(ods), [("x", "/db/item[99]/label[1]")]))
+        index = session_over(ods, index_encoding=encoding).index
+        keys = {key for key, _ in index.block_terms()} | {"no/such/key"}
+        for key in keys:
+            holders = index.objects_with_key(key)
+            for object_id in (-1, 0, len(ods) - 1, len(ods)):
+                assert index.key_elsewhere(key, object_id) == bool(
+                    holders - {object_id}
+                ), (key, object_id)
+
+    def test_a_warm_pass_copies_no_holder_row(self, encoding, monkeypatch):
+        session = generated_session(build_dataset3(150, seed=7), encoding)
+        index = session.index
+        first = ObjectFilter(index, 0.55)
+        unique_tuples = sum(
+            1
+            for od in session.ods
+            for odt in od.tuples
+            if not index.objects_with_similar(
+                index.key_of(odt.name), odt.value, exclude=od.object_id
+            )
+        )
+        assert unique_tuples > len(session.ods) / 4  # the shape that copied
+        expected = [first.decide(od) for od in session.ods]
+
+        copies: list[str] = []
+        key_row = type(index._terms).key_row
+
+        def counting_key_row(self, key):
+            copies.append(key)
+            return key_row(self, key)
+
+        monkeypatch.setattr(type(index._terms), "key_row", counting_key_row)
+        warm = ObjectFilter(index, 0.55)
+        assert [warm.decide(od) for od in session.ods] == expected
+        assert copies == []

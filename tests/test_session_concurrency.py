@@ -18,6 +18,9 @@ here:
   switching;
 * the index freeze seam — a session's index rejects structural
   mutation outside ``extend()``;
+* the per-OD grouping by kind step 5 reads — filled lazily by the
+  first reader, so eight threads on a session that never scored a pair
+  must answer like one;
 * the slow thread-stress: N threads hammer ``match()`` (ids and
   foreign elements) on one warm session while ``extend()`` runs behind
   the writer lock, and every response is bit-identical to a serial
@@ -307,6 +310,52 @@ def _extension_source() -> Document:
 
 def _snapshot(matches) -> tuple:
     return tuple((m.object_id, m.similarity, m.path) for m in matches)
+
+
+class TestGroupingFilledByReaders:
+    def test_eight_readers_on_a_session_that_never_scored_a_pair(
+        self, greedy_switching
+    ):
+        """Step 5 keeps each OD's grouping by kind on the OD, filled by
+        whichever reader gets there first: every thread computes the
+        same read-only value and publishes it by one assignment, so
+        racing readers on a cold session answer like one thread."""
+        dataset = build_dataset1(30, seed=7)
+
+        def build() -> DetectionSession:
+            return DetectionSession(
+                Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
+            )
+
+        serial = build()
+        targets = [od.object_id for od in serial.ods]
+        expected = [_snapshot(serial.match(target)) for target in targets]
+        assert any(expected)
+
+        session = build()
+        assert all(od._kinds is None for od in session.ods)
+        results: list = [None] * 8
+        errors: list[Exception] = []
+        start = threading.Barrier(8)
+
+        def reader(slot: int) -> None:
+            try:
+                start.wait(timeout=60)
+                results[slot] = [
+                    _snapshot(session.match(target)) for target in targets
+                ]
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(result == expected for result in results)
+        assert any(od._kinds is not None for od in session.ods)
 
 
 @pytest.mark.slow

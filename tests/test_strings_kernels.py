@@ -40,6 +40,7 @@ from repro.strings import (
     SignatureIndex,
     bound_verdict,
     edit_distance,
+    ned_cached,
     normalized_edit_distance,
     qgrams,
     strict_budget,
@@ -341,6 +342,42 @@ class TestOneSpellingOfTheThreshold:
         assert (self.THETA, 50) in rounded_up
         assert len(rounded_up) == 40
         assert not any(threshold == 0.15 for threshold, _ in rounded_up)
+
+    # ``ValueIndex.search`` settles a candidate with the memoized
+    # distance, everything else that only needs the side of the
+    # threshold with ``within_normalized``: one verdict, two spellings.
+    @staticmethod
+    def check_both_spellings(a: str, b: str, threshold: float) -> None:
+        verdict = within_normalized(a, b, threshold)
+        assert (ned_cached(a, b) < threshold) == verdict
+        assert (ned_cached(b, a) < threshold) == verdict
+
+    @given(any_unicode, any_unicode, st.integers(0, 100))
+    def test_memoized_distance_agrees_on_arbitrary_unicode(self, a, b, hundredths):
+        self.check_both_spellings(a, b, hundredths / 100)
+
+    @given(word_boundary, word_boundary, st.integers(0, 100))
+    @settings(max_examples=40)
+    def test_memoized_distance_agrees_around_one_machine_word(
+        self, a, b, hundredths
+    ):
+        self.check_both_spellings(a, b, hundredths / 100)
+
+    def test_memoized_distance_agrees_at_every_budget_edge(self):
+        # (0.14, 50), the rounded-up product above, is among them
+        for hundredths in range(0, 101):
+            threshold = hundredths / 100
+            for longest in range(1, 71):
+                budget = strict_budget(threshold, longest)
+                for distance in (budget, budget + 1):
+                    if 0 <= distance <= longest:
+                        self.check_both_spellings(
+                            "a" * longest,
+                            "a" * (longest - distance) + "b" * distance,
+                            threshold,
+                        )
+        self.check_both_spellings("", "", 0.0)
+        self.check_both_spellings("", "", 0.15)
 
     def test_budget_edges(self):
         assert strict_budget(0.0, 8) == -1

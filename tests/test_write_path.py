@@ -6,7 +6,9 @@ does not make it:
 * **selective memo invalidation** — ``CorpusIndex.merge_partial`` keeps
   every memoized similar-value group the delta did not touch.  After
   every merge each surviving entry must equal a fresh ``search`` on the
-  live index, and the index must be observably a serial build's;
+  live index, the index must be observably a serial build's, and the
+  verdicts step 5 reads from the groups (``similar_verdict``) must be
+  the edit distance's;
 * **the blocked incremental stream** — ``extend()`` scores a new object
   only against the clusters its values reach.  A twin session whose
   candidate hook is removed compares against every representative and
@@ -33,6 +35,7 @@ from repro.core.index import _FOREIGN_CACHE_SIZE
 from repro.datagen import cd_schema
 from repro.eval import build_dataset1
 from repro.framework import IncrementalDeduplicator, TypeMapping, od_from_pairs
+from repro.strings import ned_cached
 from repro.xmlkit import Document, Element, parse, serialize
 
 from test_ingest_merge import THETA_TUPLE, observable_state
@@ -108,6 +111,33 @@ def assert_memo_coherent(index: CorpusIndex) -> None:
         assert group == fresh_search(index, key, query), (key, query)
 
 
+def assert_verdicts_exact(index: CorpusIndex, rng: random.Random) -> None:
+    """``similar_verdict`` is ``ned < θ`` wherever the index holds one
+    of the two values, and abstains where it holds neither."""
+    theta = index.theta_tuple
+    by_key: dict[str, list[str]] = {}
+    for key, value in index.block_terms():
+        by_key.setdefault(key, []).append(value)
+    for key, values in by_key.items():
+        held = rng.sample(values, min(len(values), 10))
+        # one edit from a held value, and far from all of them
+        foreign = [value[:-1] + "~" for value in held[:4]] + ["~" * 12]
+        for a in held:
+            for b in held:
+                assert index.similar_verdict(key, a, b) == (
+                    ned_cached(a, b) < theta
+                ), (key, a, b)
+            for b in foreign:
+                exact = ned_cached(a, b) < theta
+                assert index.similar_verdict(key, a, b) == exact, (key, a, b)
+                assert index.similar_verdict(key, b, a) == exact, (key, b, a)
+        for a in foreign:
+            for b in foreign:
+                want = None if a != b else theta > 0
+                assert index.similar_verdict(key, a, b) is want, (key, a, b)
+    assert index.similar_verdict("no/such/key", "left", "right") is None
+
+
 def deltas_for(ods, rng: random.Random):
     """``(label, ods)`` deltas over the held-back half of a corpus, in
     a random order: new values, repeated values, a new comparison key
@@ -141,6 +171,7 @@ def check_memo_through_merges(ods, mapping, theta_tuple, seed, variant) -> None:
     rng = random.Random(seed)
     indexed = list(ods[: len(ods) // 2])
     live = frozen_index(indexed, mapping, theta_tuple, variant)
+    assert_verdicts_exact(live, rng)
     survivors = 0
     for label, delta in deltas_for(ods, rng):
         # Warm every term, plus foreign queries: under a key the index
@@ -171,6 +202,7 @@ def check_memo_through_merges(ods, mapping, theta_tuple, seed, variant) -> None:
                 assert odt.value in live.similar_values(key, odt.value)
         serial = CorpusIndex(indexed, mapping, theta_tuple)
         assert observable_state(live) == observable_state(serial), label
+        assert_verdicts_exact(live, rng)
     assert survivors, "no memo entry ever survived a merge"
 
 
