@@ -19,78 +19,45 @@ Quickstart (session API — build once, query many times)::
     print(session.match(0))                 # partners of one object
 """
 
-from .api import (
-    Corpus,
-    DetectionSession,
-    Explanation,
-    IncrementalUpdate,
-    Match,
-    RunSpec,
-)
-from .core import (
-    DogmatixConfig,
-    DogmatixSimilarity,
-    KClosestDescendants,
-    ObjectFilter,
-    RDistantAncestors,
-    RDistantDescendants,
-    Source,
-    c_and,
-    c_cm,
-    c_me,
-    c_or,
-    c_sdt,
-    c_se,
-    h_and,
-    h_or,
-)
-from .engine import ExecutionPolicy, ParallelClassifier
-from .framework import (
-    CandidateDefinition,
-    DescriptionDefinition,
-    DetectionPipeline,
-    DetectionResult,
-    ObjectDescription,
-    ODTuple,
-    ThresholdClassifier,
-    TypeMapping,
-    mapping_from_xml,
+from ._lazy import lazy_exports
+
+__all__ = lazy_exports(
+    __name__,
+    {
+        "Corpus": "api.corpus",
+        "DetectionSession": "api.session",
+        "Explanation": "api.session",
+        "IncrementalUpdate": "api.session",
+        "Match": "api.session",
+        "RunSpec": "api.spec",
+        "c_and": "core.conditions",
+        "c_cm": "core.conditions",
+        "c_me": "core.conditions",
+        "c_or": "core.conditions",
+        "c_sdt": "core.conditions",
+        "c_se": "core.conditions",
+        "DogmatixConfig": "core.config",
+        "Source": "core.source",
+        "KClosestDescendants": "core.heuristics",
+        "RDistantAncestors": "core.heuristics",
+        "RDistantDescendants": "core.heuristics",
+        "h_and": "core.heuristics",
+        "h_or": "core.heuristics",
+        "ObjectFilter": "core.object_filter",
+        "DogmatixSimilarity": "core.similarity",
+        "ParallelClassifier": "engine.executor",
+        "ExecutionPolicy": "engine.policy",
+        "CandidateDefinition": "framework.candidates",
+        "ThresholdClassifier": "framework.classifier",
+        "DescriptionDefinition": "framework.description",
+        "TypeMapping": "framework.mapping",
+        "mapping_from_xml": "framework.mapping",
+        "ODTuple": "framework.od",
+        "ObjectDescription": "framework.od",
+        "DetectionPipeline": "framework.pipeline",
+        "DetectionResult": "framework.result",
+    },
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "CandidateDefinition",
-    "Corpus",
-    "DescriptionDefinition",
-    "DetectionPipeline",
-    "DetectionResult",
-    "DetectionSession",
-    "Explanation",
-    "IncrementalUpdate",
-    "Match",
-    "RunSpec",
-    "DogmatixConfig",
-    "DogmatixSimilarity",
-    "ExecutionPolicy",
-    "KClosestDescendants",
-    "ODTuple",
-    "ObjectDescription",
-    "ObjectFilter",
-    "ParallelClassifier",
-    "RDistantAncestors",
-    "RDistantDescendants",
-    "Source",
-    "ThresholdClassifier",
-    "TypeMapping",
-    "c_and",
-    "c_cm",
-    "c_me",
-    "c_or",
-    "c_sdt",
-    "c_se",
-    "h_and",
-    "h_or",
-    "mapping_from_xml",
-    "__version__",
-]
+__all__.append("__version__")

@@ -131,6 +131,57 @@ class LintConfig:
         {"_content", "_children", "_ordinal"}
     )
 
+    #: Modules a warm open, a batch run or a CLI lookup loads: RPR008
+    #: keeps their module-level imports on the defining submodules and
+    #: off the deferred modules below.
+    entry_path_modules: tuple[str, ...] = (
+        "repro.api",
+        "repro.core",
+        "repro.framework",
+        "repro.strings",
+        "repro.xmlkit",
+        "repro.ingest.store",
+        "repro.engine.policy",
+        "repro.engine.batcher",
+        "repro.engine.executor",
+    )
+
+    #: Packages whose ``__init__`` exports lazily (``repro._lazy``):
+    #: importing a name through one names no dependency.
+    lazy_packages: frozenset[str] = frozenset(
+        {
+            "repro",
+            "repro.api",
+            "repro.baselines",
+            "repro.core",
+            "repro.datagen",
+            "repro.engine",
+            "repro.eval",
+            "repro.framework",
+            "repro.ingest",
+            "repro.serve",
+            "repro.strings",
+            "repro.xmlkit",
+        }
+    )
+
+    #: Modules only a rarely taken branch runs — the shard backend, the
+    #: compact encoding, parallel ingestion, the daemon, the tooling and
+    #: evaluation packages, the XQuery engine.  Off the entry path by
+    #: definition, so they may import each other freely.
+    deferred_modules: tuple[str, ...] = (
+        "repro.engine.sharder",
+        "repro.compact",
+        "repro.core.compact_terms",
+        "repro.ingest.builder",
+        "repro.serve",
+        "repro.analysis",
+        "repro.datagen",
+        "repro.eval",
+        "repro.baselines",
+        "repro.xmlkit.xquery",
+    )
+
 
 #: The default binding for this repository.
 DEFAULT_CONFIG = LintConfig()

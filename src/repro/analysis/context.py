@@ -22,7 +22,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import PurePath
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .config import DEFAULT_CONFIG, LintConfig
 
@@ -138,6 +138,13 @@ def enclosing(node: ast.AST, *kinds: type) -> Optional[ast.AST]:
     return None
 
 
+def module_under(module: str, prefixes: Iterable[str]) -> bool:
+    """Whether ``module`` is one of ``prefixes`` or lies inside one."""
+    return any(
+        module == prefix or module.startswith(prefix + ".") for prefix in prefixes
+    )
+
+
 def module_name_for(path: str) -> str:
     """Best-effort dotted module name (anchored at the ``repro`` package).
 
@@ -194,10 +201,7 @@ class FileContext:
                 yield node
 
     def in_parity_module(self) -> bool:
-        return any(
-            self.module == prefix or self.module.startswith(prefix + ".")
-            for prefix in self.config.parity_modules
-        )
+        return module_under(self.module, self.config.parity_modules)
 
     def qualname(self, node: ast.AST) -> str:
         """Dotted ``Class.method`` location of a node (may be empty)."""

@@ -10,9 +10,19 @@ Importing this package registers every rule with
 * ``RPR005`` nondeterministic set ordering    (parity contract, all PRs)
 * ``RPR006`` unpicklable pool payloads        (PRs 1, 5)
 * ``RPR007`` tree mutation outside ``xmlkit.tree`` (PR 16)
+* ``RPR008`` import-on-use on the entry paths   (PR 24)
 """
 
-from . import atomic, containers, frozen, hashing, ordering, pickling, tree  # noqa: F401
+from . import (  # noqa: F401
+    atomic,
+    containers,
+    frozen,
+    hashing,
+    imports,
+    ordering,
+    pickling,
+    tree,
+)
 
 from ..base import RULES, all_rules
 

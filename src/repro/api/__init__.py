@@ -15,37 +15,24 @@ schemas, descriptions or the index per call:
   with strings, so specs and user extensions meet in one namespace.
 """
 
-from .corpus import Corpus, SourceLike
-from .registries import (
-    BACKENDS,
-    CONDITIONS,
-    HEURISTICS,
-    SEMANTICS,
-    Registry,
-    condition_from_spec,
-    heuristic_from_spec,
-)
-from .session import (
-    DetectionSession,
-    Explanation,
-    IncrementalUpdate,
-    Match,
-)
-from .spec import RunSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CONDITIONS",
-    "Corpus",
-    "DetectionSession",
-    "Explanation",
-    "HEURISTICS",
-    "IncrementalUpdate",
-    "Match",
-    "Registry",
-    "RunSpec",
-    "SEMANTICS",
-    "SourceLike",
-    "condition_from_spec",
-    "heuristic_from_spec",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "Corpus": "corpus",
+        "SourceLike": "corpus",
+        "BACKENDS": "registries",
+        "CONDITIONS": "registries",
+        "HEURISTICS": "registries",
+        "Registry": "registries",
+        "SEMANTICS": "registries",
+        "condition_from_spec": "registries",
+        "heuristic_from_spec": "registries",
+        "DetectionSession": "session",
+        "Explanation": "session",
+        "IncrementalUpdate": "session",
+        "Match": "session",
+        "RunSpec": "spec",
+    },
+)

@@ -1,7 +1,7 @@
 """Corpus: the data side of a detection session.
 
 A corpus owns the sources (documents plus optional schemas), resolves
-and caches schemas *outside* the :class:`~repro.core.dogmatix.Source`
+and caches schemas *outside* the :class:`~repro.core.source.Source`
 value (a ``Source`` shared across runs stays immutable), and generates
 object descriptions for a ``(mapping, real-world type, config)``
 triple — steps 1-3 of the framework pipeline, with the exact candidate
@@ -11,11 +11,17 @@ sources in insertion order inner).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from ..core import DogmatixConfig, Source
-from ..framework import ObjectDescription, TypeMapping
-from ..xmlkit import Document, Element, Schema, compile_path, infer_schema
+from .._lazy import resolve
+from ..core.source import Source
+from ..xmlkit.tree import Document, Element
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.config import DogmatixConfig
+    from ..framework.mapping import TypeMapping
+    from ..framework.od import ObjectDescription
+    from ..xmlkit.schema import Schema
 
 SourceLike = Union[Source, Document, Element]
 
@@ -74,11 +80,17 @@ class Corpus:
 
     # ------------------------------------------------------------------
     def schema_of(self, source: Source) -> Schema:
-        """The source's schema — given, or inferred once and cached."""
+        """The source's schema — given, or inferred once and cached.
+
+        Inference (and the schema model under it) loads with the first
+        source that needs it: a warm open holds its sources and infers
+        nothing until an ``extend()`` or a foreign element asks.
+        """
         if source.schema is not None:
             return source.schema
         cached = self._schemas.get(source)
         if cached is None:
+            infer_schema = resolve("repro.xmlkit.schema_infer:infer_schema")
             cached = self._schemas[source] = infer_schema(source.document)
         return cached
 
@@ -101,6 +113,7 @@ class Corpus:
         """
         source_list = self._sources if sources is None else list(sources)
         selector = config.selector
+        compile_path = resolve("repro.xmlkit.xpath:compile_path")
         ods: list[ObjectDescription] = []
         for xpath in sorted(mapping.xpaths_of(real_world_type)):
             compiled = compile_path(xpath)

@@ -26,24 +26,20 @@ and the CLI without touching this package.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from ..core import (
-    Condition,
-    Heuristic,
-    KClosestDescendants,
-    RDistantAncestors,
-    RDistantDescendants,
-    c_and,
-    c_cm,
-    c_me,
-    c_sdt,
-    c_se,
-    h_or,
-)
+from .._lazy import resolve
 from ..core.encodings import INDEX_ENCODINGS as _INDEX_ENCODINGS
-from ..engine import BACKENDS as _ENGINE_BACKENDS
-from ..strings import SIMILARITY_STRATEGIES as _SIMILARITY_STRATEGIES
+from ..engine.policy import BACKENDS as _ENGINE_BACKENDS
+from ..strings.value_index import SIMILARITY_STRATEGIES as _SIMILARITY_STRATEGIES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.conditions import Condition
+    from ..core.heuristics import Heuristic
+
+
+class _Reference(str):
+    """A ``"module:attr"`` entry standing in for the object it names."""
 
 
 class Registry:
@@ -51,6 +47,9 @@ class Registry:
 
     Lookups raise :class:`LookupError` naming the known entries, so a
     typo in a spec or on the command line fails with the full menu.
+    The built-in entries are deferred (:meth:`defer`): naming, listing
+    and validating them imports nothing, a lookup imports the one
+    module that defines the entry.
     """
 
     def __init__(self, kind: str) -> None:
@@ -71,13 +70,14 @@ class Registry:
             self._canonical[alias] = name
         return value
 
+    def defer(self, name: str, reference: str, aliases: tuple[str, ...] = ()):
+        """Add an entry by ``"module:attr"`` reference; the module is
+        imported by the first :meth:`get` of the entry."""
+        self.register(name, _Reference(reference), aliases)
+
     def get(self, name: str) -> object:
-        canonical = self._canonical.get(name)
-        if canonical is None:
-            raise LookupError(
-                f"unknown {self.kind} {name!r}; registered: {', '.join(self.names())}"
-            )
-        return self._values[canonical]
+        value = self._values[self.canonical_name(name)]
+        return resolve(value) if type(value) is _Reference else value
 
     def canonical_name(self, name: str) -> str:
         """Resolve an alias to its canonical name (LookupError if unknown)."""
@@ -96,7 +96,7 @@ class Registry:
         return name in self._canonical
 
     def __iter__(self) -> Iterator[tuple[str, object]]:
-        return iter(self._values.items())
+        return ((name, self.get(name)) for name in self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Registry {self.kind}: {', '.join(self.names())}>"
@@ -104,16 +104,15 @@ class Registry:
 
 #: Heuristic factories: ``name -> (int parameter) -> Heuristic``.
 HEURISTICS = Registry("heuristic")
-HEURISTICS.register("kclosest", KClosestDescendants, aliases=("k",))
-HEURISTICS.register("rdistant", RDistantDescendants, aliases=("r",))
-HEURISTICS.register("ancestors", RDistantAncestors, aliases=("a",))
+_HEURISTICS_MODULE = "repro.core.heuristics"
+HEURISTICS.defer("kclosest", f"{_HEURISTICS_MODULE}:KClosestDescendants", aliases=("k",))
+HEURISTICS.defer("rdistant", f"{_HEURISTICS_MODULE}:RDistantDescendants", aliases=("r",))
+HEURISTICS.defer("ancestors", f"{_HEURISTICS_MODULE}:RDistantAncestors", aliases=("a",))
 
 #: Condition predicates by their paper names.
 CONDITIONS = Registry("condition")
-CONDITIONS.register("cm", c_cm)
-CONDITIONS.register("sdt", c_sdt)
-CONDITIONS.register("me", c_me)
-CONDITIONS.register("se", c_se)
+for _condition in ("cm", "sdt", "me", "se"):
+    CONDITIONS.defer(_condition, f"repro.core.conditions:c_{_condition}")
 
 #: Similar-pair semantics accepted by ``DogmatixConfig.similar_semantics``.
 SEMANTICS = Registry("semantics")
@@ -131,8 +130,8 @@ for _backend in _ENGINE_BACKENDS:
 #: bit-identical across strategies — pinned by the differential fuzz
 #: harness — so the choice is purely a performance knob.
 STRATEGIES = Registry("similarity strategy")
-for _strategy in sorted(_SIMILARITY_STRATEGIES):
-    STRATEGIES.register(_strategy, _SIMILARITY_STRATEGIES[_strategy])
+for _strategy, _reference in sorted(_SIMILARITY_STRATEGIES.references.items()):
+    STRATEGIES.defer(_strategy, _reference)
 
 #: Index-state encodings behind the corpus index (mirrors
 #: ``core.encodings.INDEX_ENCODINGS``): ``dict`` is the original
@@ -142,8 +141,8 @@ for _strategy in sorted(_SIMILARITY_STRATEGIES):
 #: differential fuzz harness — so the choice trades memory and warm
 #: load time, never output.
 ENCODINGS = Registry("index encoding")
-for _encoding in sorted(_INDEX_ENCODINGS):
-    ENCODINGS.register(_encoding, _INDEX_ENCODINGS[_encoding])
+for _encoding, _reference in sorted(_INDEX_ENCODINGS.references.items()):
+    ENCODINGS.defer(_encoding, _reference)
 
 
 def heuristic_from_spec(spec: str) -> Heuristic:
@@ -163,7 +162,7 @@ def heuristic_from_spec(spec: str) -> Heuristic:
         built.append(factory(int(raw)))
     combined = built[0]
     for heuristic in built[1:]:
-        combined = h_or(combined, heuristic)
+        combined = resolve(f"{_HEURISTICS_MODULE}:h_or")(combined, heuristic)
     return combined
 
 
@@ -174,4 +173,5 @@ def condition_from_spec(spec: Optional[str]) -> Optional[Condition]:
     names = [name.strip() for name in spec.split(",") if name.strip()]
     if not names:
         return None
+    c_and = resolve("repro.core.conditions:c_and")
     return c_and(*(CONDITIONS.get(name) for name in names))  # type: ignore[misc]

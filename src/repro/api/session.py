@@ -29,28 +29,23 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from ..core import DogmatixConfig, Source
-from ..core.dogmatix import DogmatixClassifierFactory, DogmatixShardFactory
+from .._lazy import resolve
+from ..core.config import DogmatixConfig
 from ..core.index import CorpusIndex, IndexPartial
 from ..core.object_filter import ObjectFilter
 from ..core.similarity import DogmatixSimilarity
-from ..engine import ExecutionPolicy, ShardedPairSource
-from ..framework import (
-    CandidateDefinition,
-    DescriptionDefinition,
-    DetectionPipeline,
-    DetectionResult,
-    IncrementalDeduplicator,
-    ObjectDescription,
-    ObjectFilterPruning,
-    SharedTupleBlocking,
-    ThresholdClassifier,
-    TypeMapping,
-)
-from ..xmlkit import Element, strip_positions
+from ..framework.classifier import ThresholdClassifier
+from ..framework.mapping import TypeMapping
+from ..framework.od import ObjectDescription
+from ..xmlkit.tree import Element, strip_positions
 from .corpus import Corpus, SourceLike
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.policy import ExecutionPolicy
+    from ..framework.incremental import IncrementalDeduplicator
+    from ..framework.result import DetectionResult
 
 #: Distinct theta_cand values whose filter kept-sets a session memoizes
 #: (LRU).  Small on purpose: a serving sweep touches a handful of
@@ -283,132 +278,10 @@ class DetectionSession:
         each worker enumerates *and* classifies its share of the
         candidate pairs locally (results stay bit-identical).
         """
-        theta = self.config.theta_cand if theta_cand is None else theta_cand
-        policy = policy or self.config.execution
-        classifier = (
-            self._classifier
-            if theta == self.config.theta_cand
-            else ThresholdClassifier(
-                self._similarity,
-                theta,
-                possible_threshold=self.config.possible_threshold,
-            )
+        result, self._last_filter = resolve("repro.api.batch:detect")(
+            self, theta_cand, policy
         )
-        shard_factory = None
-        if policy.backend == "shard":
-            pair_source, object_filter, shard_factory = self._sharded_step4(
-                theta, policy
-            )
-        else:
-            pair_source = None
-            object_filter = None
-            if self.config.use_blocking:
-                pair_source = SharedTupleBlocking(self._index.block_keys)
-            if self.config.use_object_filter:
-                object_filter = ObjectFilter(self._index, theta)
-                pair_source = ObjectFilterPruning(
-                    object_filter.keep, inner=pair_source
-                )
-
-        pipeline = DetectionPipeline(
-            candidate_definition=CandidateDefinition(
-                self.real_world_type,
-                tuple(sorted(self.mapping.xpaths_of(self.real_world_type))),
-            ),
-            description_definition=_DUMMY_DESCRIPTION,
-            classifier=classifier,
-            pair_source=pair_source,
-            policy=policy,
-            classifier_factory=DogmatixClassifierFactory(
-                mapping=self.mapping,
-                theta_tuple=self.config.theta_tuple,
-                theta_cand=theta,
-                possible_threshold=self.config.possible_threshold,
-                semantics=self.config.similar_semantics,
-                strategy=self._index.strategy,
-                encoding=self._index.encoding,
-            ),
-            shard_factory=shard_factory,
-        )
-        result = pipeline.detect(self._ods)
-        if object_filter is not None and pair_source is not None:
-            # Worker-side filter evaluation: the engine merged the
-            # per-shard decisions (candidate order) onto the pair
-            # source; adopt them so this run's ObjectFilter exposes the
-            # same decisions/pruned_count as a parent-side pass.
-            decisions = getattr(pair_source, "filter_decisions", ())
-            if decisions:
-                object_filter.adopt(decisions)
-        self._last_filter = object_filter
         return result
-
-    def _sharded_step4(
-        self, theta: float, policy: ExecutionPolicy
-    ) -> tuple[ShardedPairSource, Optional[ObjectFilter], DogmatixShardFactory]:
-        """Step-4 setup for the ``shard`` backend.
-
-        Two placements for the object filter, selected by
-        ``policy.filter_in_workers``:
-
-        * **parent-side** (default): the per-object pass runs here, in
-          candidate order — exactly like the lazy serial
-          ``ObjectFilterPruning`` evaluation — and the surviving ids
-          ship to the workers, which only enumerate;
-        * **worker-side**: nothing filter-related runs here.  The
-          :class:`DogmatixShardFactory` carries ``filter_theta``, the
-          engine runs a filter phase across the pool (each worker
-          decides its own filter shards), merges the decisions back
-          into candidate order, and installs them on the parent-side
-          pair source; :meth:`detect` then adopts them into this run's
-          :class:`ObjectFilter` so introspection is placement-agnostic.
-          The parent-side source also holds ``object_filter.decide``
-          for the no-pool fallback (``workers=1`` — the same pass,
-          evaluated lazily in the parent).
-
-        Either way the quadratic pair enumeration ships to the workers
-        and results stay bit-identical.
-        """
-        object_filter = None
-        kept_ids: Optional[frozenset[int]] = None
-        pruned: list[int] = []
-        decider = None
-        worker_filter = False
-        if self.config.use_object_filter:
-            object_filter = ObjectFilter(self._index, theta)
-            if policy.filter_in_workers:
-                worker_filter = True
-                decider = object_filter.decide
-            else:
-                kept: list[int] = []
-                for od in self._ods:
-                    (kept if object_filter.keep(od) else pruned).append(
-                        od.object_id
-                    )
-                kept_ids = frozenset(kept)
-        shard_count = policy.shard_count()
-        pair_source = ShardedPairSource(
-            shard_count,
-            block_index=self._index if self.config.use_blocking else None,
-            shard_by=policy.shard_by,
-            kept_ids=kept_ids,
-            pruned_ids=pruned,
-            object_filter=decider,
-        )
-        shard_factory = DogmatixShardFactory(
-            mapping=self.mapping,
-            theta_tuple=self.config.theta_tuple,
-            theta_cand=theta,
-            possible_threshold=self.config.possible_threshold,
-            semantics=self.config.similar_semantics,
-            shard_count=shard_count,
-            shard_by=policy.shard_by,
-            use_blocking=self.config.use_blocking,
-            kept_ids=kept_ids,
-            filter_theta=theta if worker_filter else None,
-            strategy=self._index.strategy,
-            encoding=self._index.encoding,
-        )
-        return pair_source, object_filter, shard_factory
 
     # ------------------------------------------------------------------
     # Single-object lookup
@@ -643,6 +516,10 @@ class DetectionSession:
         with self._kept_lock:
             self._kept_cache.clear()  # filter outcomes depend on the index
         if self._incremental is None:
+            # once per session: only a session that is written to loads
+            # the incremental stream and its representatives
+            from ..framework.incremental import IncrementalDeduplicator
+
             self._incremental = IncrementalDeduplicator(
                 self._similarity,
                 self.config.theta_cand,
@@ -696,6 +573,3 @@ class DetectionSession:
             f"{len(self._ods)} candidates, {len(self.corpus)} sources>"
         )
 
-
-# detect() receives ready-made ODs; the pipeline never executes this.
-_DUMMY_DESCRIPTION = DescriptionDefinition((".",))

@@ -20,10 +20,11 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
-from ..core import DogmatixConfig, Source
-from ..engine import DEFAULT_BATCH_SIZE, SHARD_MODES, ExecutionPolicy
-from ..framework import TypeMapping, mapping_from_xml
-from ..xmlkit import parse_file, parse_schema_file
+from ..core.config import DogmatixConfig
+from ..core.source import Source
+from ..engine.policy import DEFAULT_BATCH_SIZE, ExecutionPolicy, SHARD_MODES
+from ..framework.mapping import TypeMapping, mapping_from_xml
+from ..xmlkit.parser import parse_file
 from .registries import (
     BACKENDS,
     ENCODINGS,
@@ -246,12 +247,20 @@ class RunSpec:
     # ------------------------------------------------------------------
     def load_sources(self) -> list[Source]:
         """Parse the documents (and their schemas, where given)."""
-        parsed_schemas = [parse_schema_file(path) for path in self.schemas]
+        parsed_schemas = self._load_schemas()
         sources = []
         for index, path in enumerate(self.documents):
             schema = parsed_schemas[index] if index < len(parsed_schemas) else None
             sources.append(Source(parse_file(path), schema))
         return sources
+
+    def _load_schemas(self) -> list:
+        """The XSDs parsed; a run without any never loads the parser."""
+        if not self.schemas:
+            return []
+        from ..xmlkit.schema_parser import parse_schema_file
+
+        return [parse_schema_file(path) for path in self.schemas]
 
     def load_mapping(self) -> TypeMapping:
         with open(self.mapping, encoding="utf-8") as handle:
@@ -269,7 +278,7 @@ class RunSpec:
 
         config = self.to_config()
         if config.execution.ingest_workers > 1:
-            from ..ingest import ParallelIngestor
+            from ..ingest.builder import ParallelIngestor
 
             ingestor = ParallelIngestor(config.execution.ingest_workers)
             return ingestor.build_session(
@@ -277,7 +286,7 @@ class RunSpec:
                 self.load_mapping(),
                 self.real_world_type,
                 config,
-                schemas=[parse_schema_file(path) for path in self.schemas],
+                schemas=self._load_schemas(),
             )
         return DetectionSession(
             self.load_sources(),

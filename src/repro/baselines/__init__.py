@@ -9,27 +9,21 @@ All plug into the same framework pipeline as DogmatiX, so benchmark
 comparisons isolate the measure/blocking choice.
 """
 
-from .delphi import ContainmentSimilarity, DelphiClassifier, hierarchical_prune
-from .sorted_neighborhood import SortedNeighborhood, default_key
-from .tree_edit import (
-    TreeEditClassifier,
-    TreeEditSimilarity,
-    normalized_tree_distance,
-    size_lower_bound,
-    tree_edit_distance,
-)
-from .vector_space import VectorSpaceSimilarity
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ContainmentSimilarity",
-    "DelphiClassifier",
-    "SortedNeighborhood",
-    "TreeEditClassifier",
-    "TreeEditSimilarity",
-    "VectorSpaceSimilarity",
-    "default_key",
-    "hierarchical_prune",
-    "normalized_tree_distance",
-    "size_lower_bound",
-    "tree_edit_distance",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "ContainmentSimilarity": "delphi",
+        "DelphiClassifier": "delphi",
+        "hierarchical_prune": "delphi",
+        "SortedNeighborhood": "sorted_neighborhood",
+        "default_key": "sorted_neighborhood",
+        "TreeEditClassifier": "tree_edit",
+        "TreeEditSimilarity": "tree_edit",
+        "normalized_tree_distance": "tree_edit",
+        "size_lower_bound": "tree_edit",
+        "tree_edit_distance": "tree_edit",
+        "VectorSpaceSimilarity": "vector_space",
+    },
+)

@@ -22,12 +22,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.index import CorpusIndex
-from ..framework import (
-    DUPLICATES,
-    NON_DUPLICATES,
-    ObjectDescription,
-)
-from ..strings import within_normalized
+from ..framework.classifier import DUPLICATES, NON_DUPLICATES
+from ..framework.od import ObjectDescription
+from ..strings.levenshtein import within_normalized
 
 
 class ContainmentSimilarity:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from ..framework import ObjectDescription
-from ..strings import normalize
+from ..framework.od import ObjectDescription
+from ..strings.tokenize import normalize
 
 
 def default_key(od: ObjectDescription) -> str:

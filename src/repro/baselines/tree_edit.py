@@ -11,9 +11,10 @@ detection") motivates having this comparator in the benchmark suite.
 
 from __future__ import annotations
 
-from ..framework import DUPLICATES, NON_DUPLICATES, ObjectDescription
-from ..strings import ned_cached
-from ..xmlkit import Element
+from ..framework.classifier import DUPLICATES, NON_DUPLICATES
+from ..framework.od import ObjectDescription
+from ..strings.levenshtein import ned_cached
+from ..xmlkit.tree import Element
 
 
 class _FlatTree:

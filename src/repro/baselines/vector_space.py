@@ -18,8 +18,9 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from ..framework import ObjectDescription, TypeMapping
-from ..strings import tokens
+from ..framework.mapping import TypeMapping
+from ..framework.od import ObjectDescription
+from ..strings.tokenize import tokens
 
 
 class VectorSpaceSimilarity:

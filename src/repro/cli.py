@@ -35,18 +35,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .api import (
-    DetectionSession,
-    RunSpec,
+# The parser names every registry entry, so the registries load with it;
+# what a sub-command runs is imported by that sub-command.
+from .api.registries import (
+    ENCODINGS,
+    SEMANTICS,
+    STRATEGIES,
     condition_from_spec,
     heuristic_from_spec,
 )
-from .api.registries import ENCODINGS, SEMANTICS, STRATEGIES
-from .core.candidates_auto import suggest_candidates
-from .engine import SHARD_MODES
-from .xmlkit import infer_schema, parse_file, parse_schema_file
+from .engine.policy import SHARD_MODES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .api.spec import RunSpec
+    from .ingest.store import IndexStore
 
 
 def _parse_heuristic(spec: str):
@@ -280,6 +284,8 @@ def _spec_from_args(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> RunSpec:
     """Resolve ``--spec`` plus overriding flags into one RunSpec."""
+    from .api.spec import RunSpec
+
     if args.spec:
         if args.documents or args.mapping or args.real_world_type or args.schema:
             parser.error(
@@ -370,22 +376,30 @@ def _session_for_spec(spec: RunSpec, store_dir: Optional[str]):
     """
     if store_dir is None:
         return spec.build_session()
-    from .ingest import IndexStore
+    from .ingest.store import IndexStore
 
     store = IndexStore(store_dir)
     digest = store.key_for(spec)  # one corpus hash, reused throughout
-    session = store.load(spec, digest=digest)
+    session = _load_or_note(store, spec, digest)
     if session is not None:
         print(
             f"warm start: loaded snapshot {digest[:12]} from {store_dir}",
             file=sys.stderr,
         )
         return session
-    if store.contains(spec, digest=digest):
-        print(f"snapshot {digest[:12]} unreadable, rebuilding", file=sys.stderr)
     session = spec.build_session()
     store.save(spec, session, digest=digest)
     print(f"saved index snapshot {digest[:12]} to {store_dir}", file=sys.stderr)
+    return session
+
+
+def _load_or_note(store: IndexStore, spec: RunSpec, digest: str):
+    """The warm session, or ``None`` — with a note on stderr when a file
+    under the key is there and could not be used (the caller rebuilds
+    over it)."""
+    session = store.load(spec, digest=digest)
+    if session is None and store.holds(digest):
+        print(f"snapshot {digest[:12]} unreadable, rebuilding", file=sys.stderr)
     return session
 
 
@@ -453,7 +467,7 @@ def _command_match(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _command_index(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .ingest import IndexStore
+    from .ingest.store import IndexStore
 
     if args.index_action == "list":
         store = IndexStore(args.store)
@@ -474,7 +488,9 @@ def _command_index(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     spec = _spec_from_args(args, parser)
     store = IndexStore(args.store)
     digest = store.key_for(spec)  # one corpus hash, reused throughout
-    if not args.force and store.contains(spec, digest=digest):
+    # a file under the key proves nothing (nor does its manifest: it cannot
+    # see a truncated body beside it) — a snapshot covers the corpus if it loads
+    if not args.force and _load_or_note(store, spec, digest) is not None:
         print(
             f"snapshot {digest[:12]} already covers this corpus "
             "(use --force to rebuild)",
@@ -494,7 +510,7 @@ def _command_index(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from .serve import serve
+    from .serve.daemon import serve
 
     return serve(
         args.store,
@@ -506,7 +522,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_lint(args: argparse.Namespace) -> int:
-    from .analysis import all_rules, lint_paths, render_json, render_text
+    from .analysis.base import all_rules
+    from .analysis.checker import lint_paths
+    from .analysis.reporters import render_json, render_text
 
     if args.list_rules:
         for rule in all_rules():
@@ -525,10 +543,18 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _command_suggest(args: argparse.Namespace) -> int:
+    from .core.candidates_auto import suggest_candidates
+    from .xmlkit.parser import parse_file
+
     document = parse_file(args.document)
-    schema = (
-        parse_schema_file(args.schema) if args.schema else infer_schema(document)
-    )
+    if args.schema:
+        from .xmlkit.schema_parser import parse_schema_file
+
+        schema = parse_schema_file(args.schema)
+    else:
+        from .xmlkit.schema_infer import infer_schema
+
+        schema = infer_schema(document)
     suggestions = suggest_candidates(schema, [document], limit=args.limit)
     if not suggestions:
         print("no plausible candidate element types found", file=sys.stderr)
@@ -544,6 +570,8 @@ def _command_suggest(args: argparse.Namespace) -> int:
 
 def _example_spec() -> RunSpec:
     """The running example's configuration as a (relative-path) spec."""
+    from .api.spec import RunSpec
+
     return RunSpec(
         documents=["movies.xml"],
         mapping="mapping.xml",
@@ -557,8 +585,7 @@ def _example_spec() -> RunSpec:
 
 
 def _command_example(args: argparse.Namespace) -> int:
-    from .core import DogmatixConfig, RDistantDescendants, Source
-    from .datagen import (
+    from .datagen.paper_example import (
         PAPER_EXAMPLE_XML,
         PAPER_EXAMPLE_XSD,
         paper_example_document,
@@ -584,6 +611,11 @@ def _command_example(args: argparse.Namespace) -> int:
         print(f"wrote the running example to {args.write}", file=sys.stderr)
         print(spec_path)
         return 0
+
+    from .api.session import DetectionSession
+    from .core.config import DogmatixConfig
+    from .core.heuristics import RDistantDescendants
+    from .core.source import Source
 
     config = DogmatixConfig(
         heuristic=RDistantDescendants(2),

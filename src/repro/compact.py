@@ -512,19 +512,6 @@ def permutation_find(values: Sequence[str], order: array, query: str) -> int:
         return order[low]
     return -1
 
-def set_union_size(left, right) -> int:
-    """``|left ∪ right|`` without materializing the union set.
-
-    The dict-encoding fallback of the same satellite optimization the
-    compact encoding answers with :meth:`PostingLists.union_size`:
-    membership-count the smaller side against the larger instead of
-    allocating ``left | right`` just to take its length.
-    """
-    if len(left) < len(right):
-        left, right = right, left
-    return len(left) + sum(1 for item in right if item not in left)
-
-
 # ----------------------------------------------------------------------
 # Payload helpers
 # ----------------------------------------------------------------------

@@ -6,85 +6,53 @@ worker-side factories that rebuild the classifier and shard runtime
 (Sec. 3's steps 4-5) inside pool processes.
 """
 
-from .conditions import (
-    CombinedCondition,
-    Condition,
-    c_and,
-    c_cm,
-    c_me,
-    c_or,
-    c_sdt,
-    c_se,
-)
-from .candidates_auto import CandidateSuggestion, best_candidate, suggest_candidates
-from .config import DogmatixConfig
-from .dogmatix import DogmatixClassifierFactory, DogmatixShardFactory, Source
-from .encodings import (
-    INDEX_ENCODINGS,
-    CompactTermIndex,
-    DictTermState,
-    default_index_encoding,
-)
-from .heuristics import (
-    CombinedHeuristic,
-    Heuristic,
-    KClosestDescendants,
-    RDistantAncestors,
-    RDistantDescendants,
-    h_and,
-    h_or,
-    relative_xpath,
-)
-from .index import CorpusIndex, IndexPartial
-from .matching import TupleMatching, match_tuples, similar_pairs_exist
-from .object_filter import FilterDecision, ObjectFilter
-from .odtdist import odt_dist, odt_similar
-from .selection import DescriptionSelector, candidate_schema_element, refine
-from .similarity import DogmatixSimilarity
-from .softidf import set_soft_idf, singleton_soft_idf, soft_idf
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CandidateSuggestion",
-    "CombinedCondition",
-    "CombinedHeuristic",
-    "CompactTermIndex",
-    "Condition",
-    "CorpusIndex",
-    "DictTermState",
-    "INDEX_ENCODINGS",
-    "DescriptionSelector",
-    "DogmatixClassifierFactory",
-    "DogmatixShardFactory",
-    "DogmatixConfig",
-    "DogmatixSimilarity",
-    "FilterDecision",
-    "Heuristic",
-    "IndexPartial",
-    "KClosestDescendants",
-    "ObjectFilter",
-    "RDistantAncestors",
-    "RDistantDescendants",
-    "Source",
-    "TupleMatching",
-    "best_candidate",
-    "c_and",
-    "c_cm",
-    "c_me",
-    "c_or",
-    "c_sdt",
-    "c_se",
-    "candidate_schema_element",
-    "default_index_encoding",
-    "h_and",
-    "h_or",
-    "match_tuples",
-    "odt_dist",
-    "odt_similar",
-    "refine",
-    "relative_xpath",
-    "set_soft_idf",
-    "similar_pairs_exist",
-    "singleton_soft_idf",
-    "soft_idf",
-    "suggest_candidates",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "CandidateSuggestion": "candidates_auto",
+        "best_candidate": "candidates_auto",
+        "suggest_candidates": "candidates_auto",
+        "CombinedCondition": "conditions",
+        "Condition": "conditions",
+        "c_and": "conditions",
+        "c_cm": "conditions",
+        "c_me": "conditions",
+        "c_or": "conditions",
+        "c_sdt": "conditions",
+        "c_se": "conditions",
+        "DogmatixConfig": "config",
+        "DogmatixClassifierFactory": "dogmatix",
+        "DogmatixShardFactory": "dogmatix",
+        "Source": "source",
+        "CompactTermIndex": "compact_terms",
+        "DictTermState": "encodings",
+        "INDEX_ENCODINGS": "encodings",
+        "default_index_encoding": "encodings",
+        "CombinedHeuristic": "heuristics",
+        "Heuristic": "heuristics",
+        "KClosestDescendants": "heuristics",
+        "RDistantAncestors": "heuristics",
+        "RDistantDescendants": "heuristics",
+        "h_and": "heuristics",
+        "h_or": "heuristics",
+        "relative_xpath": "heuristics",
+        "CorpusIndex": "index",
+        "IndexPartial": "index",
+        "TupleMatching": "matching",
+        "match_tuples": "matching",
+        "similar_pairs_exist": "matching",
+        "FilterDecision": "object_filter",
+        "ObjectFilter": "object_filter",
+        "odt_dist": "odtdist",
+        "odt_similar": "odtdist",
+        "DescriptionSelector": "selection",
+        "candidate_schema_element": "selection",
+        "refine": "selection",
+        "DogmatixSimilarity": "similarity",
+        "set_soft_idf": "softidf",
+        "singleton_soft_idf": "softidf",
+        "soft_idf": "softidf",
+    },
+)

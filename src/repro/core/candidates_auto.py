@@ -26,7 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..xmlkit import Document, Element, Schema, SchemaElement, compile_path
+from ..xmlkit.schema import Schema, SchemaElement
+from ..xmlkit.tree import Document, Element
+from ..xmlkit.xpath import compile_path
 
 
 @dataclass(frozen=True)

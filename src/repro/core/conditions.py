@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..xmlkit import SchemaElement
+from ..xmlkit.schema import SchemaElement
 
 #: A condition takes (candidate e0, selected element) and keeps or drops.
 Condition = Callable[[SchemaElement, SchemaElement], bool]

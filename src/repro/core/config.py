@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..engine import ExecutionPolicy
-from ..strings import SIMILARITY_STRATEGIES
-from .conditions import Condition
+from .._lazy import resolve
+from ..engine.policy import ExecutionPolicy
+from ..strings.value_index import SIMILARITY_STRATEGIES
 from .encodings import INDEX_ENCODINGS, default_index_encoding
 from .heuristics import Heuristic, KClosestDescendants
-from .selection import DescriptionSelector
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .conditions import Condition
+    from .selection import DescriptionSelector
 
 
 def _default_similarity_strategy() -> str:
@@ -113,5 +116,12 @@ class DogmatixConfig:
 
     @property
     def selector(self) -> DescriptionSelector:
-        """The h[c] selector this configuration describes."""
-        return DescriptionSelector(self.heuristic, self.condition)
+        """The h[c] selector this configuration describes.
+
+        Steps 2-3 read it (OD generation, ``extend()``, a foreign
+        element passed to ``match()``); a warm open never does, so the
+        selection machinery and the XPath engine under it load here.
+        """
+        return resolve("repro.core.selection:DescriptionSelector")(
+            self.heuristic, self.condition
+        )

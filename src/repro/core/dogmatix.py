@@ -1,8 +1,9 @@
-"""The DogmatiX algorithm's inputs and worker-side runtimes (Section 3).
+"""The DogmatiX algorithm's worker-side runtimes (Section 3).
 
-Inputs: one or more XML documents with their schemas (:class:`Source`),
-a mapping *M* of element XPaths to real-world types, and the real-world
-type to deduplicate.  :class:`repro.api.DetectionSession` then
+Inputs: one or more XML documents with their schemas
+(:class:`~repro.core.source.Source`), a mapping *M* of element XPaths to
+real-world types, and the real-world type to deduplicate.
+:class:`repro.api.DetectionSession` then
 
 1. selects the duplicate candidates Ω_T (all instances of the mapped
    schema elements, possibly across differently structured sources),
@@ -16,20 +17,24 @@ type to deduplicate.  :class:`repro.api.DetectionSession` then
 
 and returns a :class:`~repro.framework.result.DetectionResult` whose
 ``to_xml()`` emits the Fig. 3 dupcluster document.  The two factories
-here rebuild steps 4-5's state inside pool workers.
+here rebuild steps 4-5's state inside pool workers; only ``detect()``
+loads this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..engine.sharder import ShardedPairSource
-from ..framework import ObjectDescription, ThresholdClassifier, TypeMapping
-from ..xmlkit import Document, Element, Schema, infer_schema
+from ..framework.classifier import ThresholdClassifier
+from ..framework.mapping import TypeMapping
+from ..framework.od import ObjectDescription
 from .index import CorpusIndex
 from .object_filter import ObjectFilter
 from .similarity import DogmatixSimilarity
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.sharder import ShardedPairSource
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,9 @@ class DogmatixShardFactory:
             if self.filter_theta is not None
             else None
         )
+        # once per worker, and only under the shard backend
+        from ..engine.sharder import ShardedPairSource
+
         source = ShardedPairSource(
             self.shard_count,
             block_index=index if self.use_blocking else None,
@@ -163,25 +171,3 @@ class DogmatixShardFactory:
             object_filter=object_filter,
         )
         return classifier, source
-
-
-@dataclass(frozen=True)
-class Source:
-    """One data source: a document and (optionally) its schema.
-
-    A missing schema is inferred from the document — matching how the
-    paper's datasets (FreeDB extracts) come without an XSD.  The value
-    is immutable; inferred schemas are cached per corpus by
-    :class:`repro.api.Corpus`, never written back onto a source shared
-    across runs.
-    """
-
-    document: Document | Element
-    schema: Schema | None = None
-
-    def resolved_schema(self) -> Schema:
-        """The given schema, or a fresh inference (not cached here —
-        use :meth:`repro.api.Corpus.schema_of` for cached resolution)."""
-        if self.schema is None:
-            return infer_schema(self.document)
-        return self.schema

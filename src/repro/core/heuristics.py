@@ -17,9 +17,10 @@ Heuristics combine with AND (σ intersection) and OR (σ union)
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-from ..xmlkit import SchemaElement
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..xmlkit.schema import SchemaElement
 
 
 class Heuristic(Protocol):

@@ -21,13 +21,17 @@ index and memoized.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from ..compact import BYTEORDER
-from ..framework import ObjectDescription, TypeMapping
-from ..strings import SIMILARITY_STRATEGIES, ValueIndex, make_value_index
-from .encodings import INDEX_ENCODINGS, CompactTermIndex, DictTermState
+from ..framework.mapping import TypeMapping
+from ..framework.od import ObjectDescription
+from ..strings.value_index import SIMILARITY_STRATEGIES, ValueIndex, make_value_index
+from .encodings import INDEX_ENCODINGS, DictTermState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .compact_terms import CompactTermIndex
 
 #: Gram length of every value index the library builds; nothing above
 #: the index constructors selects another.
@@ -341,13 +345,13 @@ class CorpusIndex:
         version bump) and warm loads rebuild from ODs as before.
         """
         terms = self._terms
-        if not self._frozen or not isinstance(terms, CompactTermIndex):
+        if not self._frozen or isinstance(terms, DictTermState):
             return None
         return {
             "encoding": self.encoding,
             "strategy": self.strategy,
             "q": self.q,
-            "byteorder": BYTEORDER,
+            "byteorder": sys.byteorder,
             "total_objects": self.total_objects,
             "theta_tuple": self.theta_tuple,
             "terms": terms.to_payload(),
@@ -371,7 +375,7 @@ class CorpusIndex:
         """
         if not isinstance(payload, dict):
             return None
-        if payload.get("byteorder") != BYTEORDER:
+        if payload.get("byteorder") != sys.byteorder:
             return None
         if payload.get("encoding") != config.index_encoding:
             return None
@@ -390,7 +394,7 @@ class CorpusIndex:
                 encoding=config.index_encoding,
             )
             index.total_objects = int(payload["total_objects"])
-            index._terms = CompactTermIndex.from_payload(payload["terms"])
+            index._terms = INDEX_ENCODINGS["compact"].from_payload(payload["terms"])
             strategy_cls = SIMILARITY_STRATEGIES[index.strategy]
             for entry in payload["value_indexes"]:
                 if not isinstance(entry, dict):
@@ -431,7 +435,7 @@ class CorpusIndex:
         """
         terms = self._terms
         if self.encoding == "compact" and isinstance(terms, DictTermState):
-            self._terms = CompactTermIndex.build(terms)
+            self._terms = INDEX_ENCODINGS["compact"].build(terms)
             for value_index in self._value_indexes.values():
                 value_index.compact()
         self._frozen = True
@@ -447,7 +451,7 @@ class CorpusIndex:
         statistics are invalidated alongside.
         """
         terms = self._terms
-        if isinstance(terms, CompactTermIndex):
+        if not isinstance(terms, DictTermState):
             self._terms = terms.decompact()
             for value_index in self._value_indexes.values():
                 value_index.decompact()

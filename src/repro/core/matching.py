@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..framework import ObjectDescription, ODTuple, TypeMapping
-from ..strings import bound_verdict, ned_cached, within_normalized
+from ..framework.mapping import TypeMapping
+from ..framework.od import ODTuple, ObjectDescription
+from ..strings.bounds import bound_verdict
+from ..strings.levenshtein import ned_cached, within_normalized
 from .index import CorpusIndex
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..framework import ObjectDescription
+from ..framework.od import ObjectDescription
 from .index import CorpusIndex
 from .softidf import singleton_soft_idf
 

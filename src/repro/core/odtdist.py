@@ -8,8 +8,9 @@ strictly below θ_tuple.
 
 from __future__ import annotations
 
-from ..framework import ODTuple, TypeMapping
-from ..strings import normalized_edit_distance, within_normalized
+from ..framework.mapping import TypeMapping
+from ..framework.od import ODTuple
+from ..strings.levenshtein import normalized_edit_distance, within_normalized
 
 
 def odt_dist(odt_i: ODTuple, odt_j: ODTuple, mapping: TypeMapping) -> float:

@@ -10,12 +10,14 @@ relative to the candidate and packaged as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..framework import DescriptionDefinition
-from ..xmlkit import Schema, SchemaElement
-from .conditions import Condition
+from ..framework.description import DescriptionDefinition
 from .heuristics import Heuristic, relative_xpath
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..xmlkit.schema import Schema, SchemaElement
+    from .conditions import Condition
 
 
 @dataclass(frozen=True)

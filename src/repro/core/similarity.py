@@ -11,7 +11,8 @@ data influences neither side.  It is symmetric and ranges over [0, 1]
 
 from __future__ import annotations
 
-from ..framework import ObjectDescription, TypeMapping
+from ..framework.mapping import TypeMapping
+from ..framework.od import ObjectDescription
 from .index import CorpusIndex
 from .matching import TupleMatching, match_tuples
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..framework import ODTuple
+from ..framework.od import ODTuple
 from .index import CorpusIndex
 
 

@@ -7,78 +7,43 @@ objects carry a ``gid`` attribute as the gold standard (attributes
 never reach object descriptions).
 """
 
-from .dirty import (
-    DirtyConfig,
-    DirtyDataGenerator,
-    GOLD_ATTRIBUTE,
-    gold_id,
-    gold_pairs_from_elements,
-)
-from .freedb import (
-    CD_XSD,
-    CDCorpus,
-    CDRecord,
-    cd_schema,
-    cd_to_element,
-    freedb_corpus,
-    freedb_large_corpus,
-    generate_cds,
-)
-from .movies import (
-    FILMDIENST_XSD,
-    IMDB_XSD,
-    MovieCorpus,
-    MovieRecord,
-    filmdienst_element,
-    filmdienst_schema,
-    generate_movies,
-    imdb_element,
-    imdb_schema,
-    movie_corpus,
-    movie_mapping,
-)
-from .paper_example import (
-    PAPER_EXAMPLE_XML,
-    PAPER_EXAMPLE_XSD,
-    paper_example_document,
-    paper_example_mapping,
-    paper_example_schema,
-)
-from .synonyms import DEFAULT_SYNONYMS, SynonymTable
-from .typos import corrupt, introduce_typo
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CD_XSD",
-    "CDCorpus",
-    "CDRecord",
-    "DEFAULT_SYNONYMS",
-    "DirtyConfig",
-    "FILMDIENST_XSD",
-    "IMDB_XSD",
-    "DirtyDataGenerator",
-    "GOLD_ATTRIBUTE",
-    "MovieCorpus",
-    "MovieRecord",
-    "PAPER_EXAMPLE_XML",
-    "PAPER_EXAMPLE_XSD",
-    "SynonymTable",
-    "cd_schema",
-    "cd_to_element",
-    "corrupt",
-    "filmdienst_element",
-    "filmdienst_schema",
-    "freedb_corpus",
-    "freedb_large_corpus",
-    "generate_cds",
-    "generate_movies",
-    "gold_id",
-    "gold_pairs_from_elements",
-    "imdb_element",
-    "imdb_schema",
-    "introduce_typo",
-    "movie_corpus",
-    "movie_mapping",
-    "paper_example_document",
-    "paper_example_mapping",
-    "paper_example_schema",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "DirtyConfig": "dirty",
+        "DirtyDataGenerator": "dirty",
+        "GOLD_ATTRIBUTE": "dirty",
+        "gold_id": "dirty",
+        "gold_pairs_from_elements": "dirty",
+        "CDCorpus": "freedb",
+        "CDRecord": "freedb",
+        "CD_XSD": "freedb",
+        "cd_schema": "freedb",
+        "cd_to_element": "freedb",
+        "freedb_corpus": "freedb",
+        "freedb_large_corpus": "freedb",
+        "generate_cds": "freedb",
+        "FILMDIENST_XSD": "movies",
+        "IMDB_XSD": "movies",
+        "MovieCorpus": "movies",
+        "MovieRecord": "movies",
+        "filmdienst_element": "movies",
+        "filmdienst_schema": "movies",
+        "generate_movies": "movies",
+        "imdb_element": "movies",
+        "imdb_schema": "movies",
+        "movie_corpus": "movies",
+        "movie_mapping": "movies",
+        "PAPER_EXAMPLE_XML": "paper_example",
+        "PAPER_EXAMPLE_XSD": "paper_example",
+        "paper_example_document": "paper_example",
+        "paper_example_mapping": "paper_example",
+        "paper_example_schema": "paper_example",
+        "DEFAULT_SYNONYMS": "synonyms",
+        "SynonymTable": "synonyms",
+        "corrupt": "typos",
+        "introduce_typo": "typos",
+    },
+)

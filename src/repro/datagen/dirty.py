@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..xmlkit import Element
+from ..xmlkit.tree import Element
 from .synonyms import DEFAULT_SYNONYMS, SynonymTable
 from .typos import corrupt
 

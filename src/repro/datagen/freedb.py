@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..xmlkit import Document, Element
+from ..xmlkit.tree import Document, Element
 from .dirty import GOLD_ATTRIBUTE
 from .typos import corrupt
 from .wordpools import (
@@ -87,7 +87,7 @@ CD_XSD = """<?xml version="1.0" encoding="UTF-8"?>
 
 def cd_schema():
     """Parse :data:`CD_XSD` into a schema object."""
-    from ..xmlkit import parse_schema
+    from ..xmlkit.schema_parser import parse_schema
 
     return parse_schema(CD_XSD)
 

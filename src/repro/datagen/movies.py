@@ -51,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..xmlkit import Document, Element
+from ..xmlkit.tree import Document, Element
 from .dirty import GOLD_ATTRIBUTE
 from .typos import corrupt
 from .wordpools import (
@@ -206,13 +206,13 @@ FILMDIENST_XSD = """<?xml version="1.0" encoding="UTF-8"?>
 
 
 def imdb_schema():
-    from ..xmlkit import parse_schema
+    from ..xmlkit.schema_parser import parse_schema
 
     return parse_schema(IMDB_XSD)
 
 
 def filmdienst_schema():
-    from ..xmlkit import parse_schema
+    from ..xmlkit.schema_parser import parse_schema
 
     return parse_schema(FILMDIENST_XSD)
 
@@ -406,7 +406,7 @@ def movie_sources() -> "tuple":
 
 def movie_mapping():
     """The mapping *M* for Dataset 2 (Table 6 comparabilities)."""
-    from ..framework import TypeMapping
+    from ..framework.mapping import TypeMapping
 
     return (
         TypeMapping()

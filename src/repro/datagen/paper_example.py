@@ -7,8 +7,10 @@ and as a fixture for tests that pin the worked-example semantics.
 
 from __future__ import annotations
 
-from ..framework import TypeMapping
-from ..xmlkit import Document, Schema, parse_schema
+from ..framework.mapping import TypeMapping
+from ..xmlkit.schema import Schema
+from ..xmlkit.schema_parser import parse_schema
+from ..xmlkit.tree import Document
 
 #: Table 1, rendered as the Fig. 2 document structure.
 PAPER_EXAMPLE_XML = """<?xml version="1.0" encoding="UTF-8"?>
@@ -74,7 +76,7 @@ PAPER_EXAMPLE_XSD = """<?xml version="1.0" encoding="UTF-8"?>
 
 
 def paper_example_document() -> Document:
-    from ..xmlkit import parse
+    from ..xmlkit.parser import parse
 
     return parse(PAPER_EXAMPLE_XML)
 

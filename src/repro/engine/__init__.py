@@ -11,53 +11,31 @@ guaranteed identical to the serial order (see
 ``tests/test_engine_parallel.py`` and ``tests/test_shard_equivalence.py``).
 """
 
-from .batcher import PairBatcher, chunked
-from .executor import (
-    ClassifierFactory,
-    ConstantClassifierFactory,
-    ParallelClassifier,
-    bare_ods,
-    score_batch,
-)
-from .policy import (
-    BACKENDS,
-    DEFAULT_BATCH_SIZE,
-    SHARD_FACTOR,
-    SHARD_MODES,
-    ExecutionPolicy,
-)
-from .sharder import (
-    AssembledShardFactory,
-    ObjectDecider,
-    ObjectDecision,
-    PairShard,
-    ShardablePairSource,
-    ShardedPairSource,
-    ShardRuntimeFactory,
-    owned_filter_objects,
-    stable_hash,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AssembledShardFactory",
-    "BACKENDS",
-    "DEFAULT_BATCH_SIZE",
-    "ClassifierFactory",
-    "ConstantClassifierFactory",
-    "ExecutionPolicy",
-    "ObjectDecider",
-    "ObjectDecision",
-    "PairBatcher",
-    "PairShard",
-    "ParallelClassifier",
-    "SHARD_FACTOR",
-    "SHARD_MODES",
-    "ShardablePairSource",
-    "ShardedPairSource",
-    "ShardRuntimeFactory",
-    "bare_ods",
-    "chunked",
-    "owned_filter_objects",
-    "score_batch",
-    "stable_hash",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "PairBatcher": "batcher",
+        "chunked": "batcher",
+        "ClassifierFactory": "executor",
+        "ConstantClassifierFactory": "executor",
+        "ParallelClassifier": "executor",
+        "bare_ods": "executor",
+        "score_batch": "executor",
+        "BACKENDS": "policy",
+        "DEFAULT_BATCH_SIZE": "policy",
+        "ExecutionPolicy": "policy",
+        "SHARD_FACTOR": "policy",
+        "SHARD_MODES": "policy",
+        "AssembledShardFactory": "sharder",
+        "ObjectDecider": "sharder",
+        "ObjectDecision": "sharder",
+        "PairShard": "sharder",
+        "ShardRuntimeFactory": "sharder",
+        "ShardablePairSource": "sharder",
+        "ShardedPairSource": "sharder",
+        "owned_filter_objects": "sharder",
+        "stable_hash": "sharder",
+    },
+)

@@ -47,20 +47,23 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from .._lazy import resolve
 from ..framework.classifier import Classifier, DUPLICATES, POSSIBLE_DUPLICATES
 from ..framework.od import ObjectDescription
 from ..framework.pruning import PairSource
 from ..framework.result import ScoredPair
 from .batcher import PairBatcher, chunked
 from .policy import ExecutionPolicy
-from .sharder import (
-    AssembledShardFactory,
-    ObjectDecision,
-    ShardRuntimeFactory,
-    owned_filter_objects,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .sharder import ObjectDecision, ShardRuntimeFactory
+
+# What only a parallel run needs, resolved when one dispatches: a serial
+# run loads neither the sharder nor multiprocessing nor pickle.
+_SHARDER = "repro.engine.sharder"
+_GET_CONTEXT = "multiprocessing:get_context"
 
 #: ``factory(ods) -> classifier``; must be picklable for the process
 #: backend (module-level callables and frozen dataclasses qualify).
@@ -162,6 +165,7 @@ def _filter_shard_in_worker(shard_id: int) -> list[ObjectDecision]:
     source = _WORKER_STATE["source"]
     decider = source.object_filter  # type: ignore[union-attr]
     ods = _WORKER_STATE["ods"]
+    owned_filter_objects = resolve(f"{_SHARDER}:owned_filter_objects")
     owned = owned_filter_objects(ods, shard_id, source.shard_count)  # type: ignore[arg-type,union-attr]
     return [decider(od) for od in owned]
 
@@ -283,7 +287,8 @@ class ParallelClassifier:
             classifier_factory = self.classifier_factory or (
                 ConstantClassifierFactory(self.classifier)
             )
-            return AssembledShardFactory(classifier_factory, pair_source)  # type: ignore[arg-type]
+            assemble = resolve(f"{_SHARDER}:AssembledShardFactory")
+            return assemble(classifier_factory, pair_source)  # type: ignore[arg-type]
         return None
 
     # ------------------------------------------------------------------
@@ -319,9 +324,7 @@ class ParallelClassifier:
                 batch_sizes.append(len(batch))
                 yield batch
 
-        import multiprocessing  # here, not at import: serial runs never need it
-
-        context = multiprocessing.get_context()
+        context = resolve(_GET_CONTEXT)()
         with context.Pool(
             processes=self.policy.workers,
             initializer=_init_worker,
@@ -356,9 +359,7 @@ class ParallelClassifier:
         payload = bare_ods(ods)
         pairs: list[ScoredPair] = []
         compared = 0
-        import multiprocessing
-
-        context = multiprocessing.get_context()
+        context = resolve(_GET_CONTEXT)()
         with context.Pool(
             processes=self.policy.workers,
             initializer=_init_shard_worker,
@@ -398,10 +399,8 @@ class ParallelClassifier:
 
 def _picklable(value: object) -> bool:
     """Can ``value`` cross a process boundary on any start method?"""
-    import pickle
-
     try:
-        pickle.dumps(value)
+        resolve("pickle:dumps")(value)
     except Exception:
         return False
     return True

@@ -4,79 +4,45 @@ Regenerates the evaluation section of the paper: Figures 5–8 and
 Tables 4–6, against the synthetic dataset equivalents.
 """
 
-from .calibration import CalibrationResult, calibrate_theta_cand, suggest_theta_tuple
-from .datasets import (
-    Dataset,
-    build_dataset1,
-    build_dataset2,
-    build_dataset3,
-    cd_mapping,
-)
-from .experiments import EXPERIMENTS, EXPERIMENTS_BY_NAME, Experiment
-from .gold import gold_pairs, objects_with_duplicates
-from .harness import (
-    FilterSweepResult,
-    SweepResult,
-    ThresholdSweepResult,
-    run_dataset1_sweep,
-    run_dataset2_sweep,
-    run_dataset3_threshold_sweep,
-    run_experiment,
-    run_filter_sweep,
-    run_heuristic_sweep,
-    run_threshold_sweep,
-    session_for,
-)
-from .metrics import (
-    PRResult,
-    cluster_metrics,
-    cluster_pairs,
-    filter_metrics,
-    pair_metrics,
-)
-from .reporting import (
-    format_comparable_elements_table,
-    format_experiment_table,
-    format_filter_table,
-    format_schema_elements_table,
-    format_sweep_table,
-    format_threshold_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CalibrationResult",
-    "Dataset",
-    "EXPERIMENTS",
-    "EXPERIMENTS_BY_NAME",
-    "Experiment",
-    "FilterSweepResult",
-    "PRResult",
-    "SweepResult",
-    "ThresholdSweepResult",
-    "build_dataset1",
-    "build_dataset2",
-    "build_dataset3",
-    "cd_mapping",
-    "calibrate_theta_cand",
-    "cluster_metrics",
-    "cluster_pairs",
-    "filter_metrics",
-    "format_comparable_elements_table",
-    "format_experiment_table",
-    "format_filter_table",
-    "format_schema_elements_table",
-    "format_sweep_table",
-    "format_threshold_table",
-    "gold_pairs",
-    "objects_with_duplicates",
-    "pair_metrics",
-    "run_dataset1_sweep",
-    "run_dataset2_sweep",
-    "run_dataset3_threshold_sweep",
-    "run_experiment",
-    "run_filter_sweep",
-    "run_heuristic_sweep",
-    "run_threshold_sweep",
-    "session_for",
-    "suggest_theta_tuple",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "CalibrationResult": "calibration",
+        "calibrate_theta_cand": "calibration",
+        "suggest_theta_tuple": "calibration",
+        "Dataset": "datasets",
+        "build_dataset1": "datasets",
+        "build_dataset2": "datasets",
+        "build_dataset3": "datasets",
+        "cd_mapping": "datasets",
+        "EXPERIMENTS": "experiments",
+        "EXPERIMENTS_BY_NAME": "experiments",
+        "Experiment": "experiments",
+        "gold_pairs": "gold",
+        "objects_with_duplicates": "gold",
+        "FilterSweepResult": "harness",
+        "SweepResult": "harness",
+        "ThresholdSweepResult": "harness",
+        "run_dataset1_sweep": "harness",
+        "run_dataset2_sweep": "harness",
+        "run_dataset3_threshold_sweep": "harness",
+        "run_experiment": "harness",
+        "run_filter_sweep": "harness",
+        "run_heuristic_sweep": "harness",
+        "run_threshold_sweep": "harness",
+        "session_for": "harness",
+        "PRResult": "metrics",
+        "cluster_metrics": "metrics",
+        "cluster_pairs": "metrics",
+        "filter_metrics": "metrics",
+        "pair_metrics": "metrics",
+        "format_comparable_elements_table": "reporting",
+        "format_experiment_table": "reporting",
+        "format_filter_table": "reporting",
+        "format_schema_elements_table": "reporting",
+        "format_sweep_table": "reporting",
+        "format_threshold_table": "reporting",
+    },
+)

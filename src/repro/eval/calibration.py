@@ -21,8 +21,10 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..core import CorpusIndex, DogmatixSimilarity
-from ..framework import ObjectDescription, TypeMapping
+from ..core.index import CorpusIndex
+from ..core.similarity import DogmatixSimilarity
+from ..framework.mapping import TypeMapping
+from ..framework.od import ObjectDescription
 from .metrics import PRResult, pair_metrics
 
 

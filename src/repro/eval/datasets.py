@@ -16,20 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Source
-from ..framework import TypeMapping
-from ..xmlkit import Document, Element
-from ..datagen import (
-    DirtyConfig,
-    DirtyDataGenerator,
+from ..core.source import Source
+from ..datagen.dirty import DirtyConfig, DirtyDataGenerator
+from ..datagen.freedb import (
+    cd_schema,
     cd_to_element,
     freedb_large_corpus,
     generate_cds,
+)
+from ..datagen.movies import (
+    filmdienst_schema,
+    imdb_schema,
     movie_corpus,
     movie_mapping,
 )
-from ..datagen.freedb import cd_schema
-from ..datagen.movies import filmdienst_schema, imdb_schema
+from ..framework.mapping import TypeMapping
+from ..xmlkit.tree import Document, Element
 
 
 def cd_mapping() -> TypeMapping:

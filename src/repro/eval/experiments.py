@@ -13,15 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core import (
-    Condition,
-    DogmatixConfig,
-    Heuristic,
-    c_and,
-    c_me,
-    c_sdt,
-    c_se,
-)
+from ..core.conditions import Condition, c_and, c_me, c_sdt, c_se
+from ..core.config import DogmatixConfig
+from ..core.heuristics import Heuristic
 
 
 @dataclass(frozen=True)

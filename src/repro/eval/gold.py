@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..datagen.dirty import GOLD_ATTRIBUTE
-from ..framework import ObjectDescription
+from ..framework.od import ObjectDescription
 
 
 def gold_pairs(ods: Sequence[ObjectDescription]) -> set[tuple[int, int]]:

@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
-from ..api import Corpus, DetectionSession
-from ..core import Heuristic, KClosestDescendants, RDistantDescendants
+from ..api.corpus import Corpus
+from ..api.session import DetectionSession
+from ..core.heuristics import Heuristic, KClosestDescendants, RDistantDescendants
 from ..core.object_filter import ObjectFilter
-from ..datagen import DirtyConfig
-from ..engine import ExecutionPolicy
+from ..datagen.dirty import DirtyConfig
+from ..engine.policy import ExecutionPolicy
 from .datasets import Dataset, build_dataset1, build_dataset2, build_dataset3
 from .experiments import EXPERIMENTS, Experiment
 from .gold import gold_pairs, objects_with_duplicates

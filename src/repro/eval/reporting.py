@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import KClosestDescendants
-from ..xmlkit import Schema, SchemaElement
+from ..core.heuristics import KClosestDescendants
+from ..xmlkit.schema import Schema, SchemaElement
 from .experiments import EXPERIMENTS
 from .harness import FilterSweepResult, SweepResult, ThresholdSweepResult
 

@@ -6,74 +6,47 @@ algorithm.  DogmatiX (:mod:`repro.core`) and the baselines
 (:mod:`repro.baselines`) are specializations of this package.
 """
 
-from .candidates import CandidateDefinition
-from .classifier import (
-    Classifier,
-    DUPLICATES,
-    MatchingTuplesClassifier,
-    NON_DUPLICATES,
-    POSSIBLE_DUPLICATES,
-    ThresholdClassifier,
-)
-from .clustering import UnionFind, duplicate_clusters
-from .description import DescriptionDefinition, generate_ods
-from .mapping import MappingError, TypeMapping, mapping_from_schema, mapping_from_xml
-from .od import ObjectDescription, ODTuple, od_from_pairs
-from .pipeline import DetectionPipeline
-from .pruning import (
-    NoPruning,
-    ObjectFilterPruning,
-    PairSource,
-    SharedTupleBlocking,
-    count_pairs,
-)
-from .queries import candidate_xquery, description_xquery, od_generation_xquery
-from .incremental import IncrementalDeduplicator
-from .relational import (
-    Relation,
-    example1_relations,
-    relational_mapping,
-    relational_ods,
-)
-from .representatives import merge_cluster_od, prime_representatives
-from .result import DetectionResult, ScoredPair, clusters_from_xml
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CandidateDefinition",
-    "Classifier",
-    "DUPLICATES",
-    "DescriptionDefinition",
-    "DetectionPipeline",
-    "DetectionResult",
-    "IncrementalDeduplicator",
-    "MappingError",
-    "MatchingTuplesClassifier",
-    "NON_DUPLICATES",
-    "NoPruning",
-    "ODTuple",
-    "ObjectDescription",
-    "ObjectFilterPruning",
-    "POSSIBLE_DUPLICATES",
-    "Relation",
-    "PairSource",
-    "ScoredPair",
-    "SharedTupleBlocking",
-    "ThresholdClassifier",
-    "TypeMapping",
-    "UnionFind",
-    "candidate_xquery",
-    "clusters_from_xml",
-    "count_pairs",
-    "description_xquery",
-    "duplicate_clusters",
-    "example1_relations",
-    "generate_ods",
-    "mapping_from_schema",
-    "merge_cluster_od",
-    "prime_representatives",
-    "mapping_from_xml",
-    "od_from_pairs",
-    "od_generation_xquery",
-    "relational_mapping",
-    "relational_ods",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "CandidateDefinition": "candidates",
+        "Classifier": "classifier",
+        "DUPLICATES": "classifier",
+        "MatchingTuplesClassifier": "classifier",
+        "NON_DUPLICATES": "classifier",
+        "POSSIBLE_DUPLICATES": "classifier",
+        "ThresholdClassifier": "classifier",
+        "UnionFind": "clustering",
+        "duplicate_clusters": "clustering",
+        "DescriptionDefinition": "description",
+        "generate_ods": "description",
+        "IncrementalDeduplicator": "incremental",
+        "MappingError": "mapping",
+        "TypeMapping": "mapping",
+        "mapping_from_schema": "mapping",
+        "mapping_from_xml": "mapping",
+        "ODTuple": "od",
+        "ObjectDescription": "od",
+        "od_from_pairs": "od",
+        "DetectionPipeline": "pipeline",
+        "NoPruning": "pruning",
+        "ObjectFilterPruning": "pruning",
+        "PairSource": "pruning",
+        "SharedTupleBlocking": "pruning",
+        "count_pairs": "pruning",
+        "candidate_xquery": "queries",
+        "description_xquery": "queries",
+        "od_generation_xquery": "queries",
+        "Relation": "relational",
+        "example1_relations": "relational",
+        "relational_mapping": "relational",
+        "relational_ods": "relational",
+        "merge_cluster_od": "representatives",
+        "prime_representatives": "representatives",
+        "DetectionResult": "result",
+        "ScoredPair": "result",
+        "clusters_from_xml": "result",
+    },
+)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..xmlkit import Document, Element, XPath, compile_path
+from ..xmlkit.tree import Document, Element
+from ..xmlkit.xpath import XPath, compile_path
 from .mapping import TypeMapping
 
 

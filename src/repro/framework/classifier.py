@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Protocol
 
+from ..xmlkit.tree import strip_positions
 from .od import ObjectDescription
 
 #: Class labels (Γ).  C0 is fixed by the framework as "non-duplicates".
@@ -91,8 +92,6 @@ class MatchingTuplesClassifier:
 
     @staticmethod
     def _generic(od: ObjectDescription) -> set[tuple[str, str]]:
-        from ..xmlkit import strip_positions
-
         return {(odt.value, strip_positions(odt.name)) for odt in od.tuples}
 
     def classify(self, od_i: ObjectDescription, od_j: ObjectDescription) -> str:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..xmlkit import Element, XPath, compile_path
+from ..xmlkit.tree import Element
+from ..xmlkit.xpath import XPath, compile_path
 from .od import ObjectDescription, ODTuple
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from ..xmlkit import Document, Element, XMLError, parse, serialize, strip_positions
+from .._lazy import resolve
+from ..xmlkit.parser import parse
+from ..xmlkit.tree import Document, Element, XMLError, strip_positions
 
 
 class MappingError(XMLError):
@@ -137,7 +139,7 @@ class TypeMapping:
             for xpath in sorted(self._types[name]):
                 entry.append(Element("xpath", content=[xpath]))
             root.append(entry)
-        return serialize(Document(root))
+        return resolve("repro.xmlkit.serialize:serialize")(Document(root))
 
 
 def mapping_from_xml(text: str) -> TypeMapping:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from ..xmlkit import Element
+from ..xmlkit.tree import Element
 from .mapping import TypeMapping
 
 

@@ -19,14 +19,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 # framework <-> engine import contract: engine modules import framework
-# *submodules* directly (never the package), and this module imports
-# eagerly only ..engine.policy (which needs no framework code).  The
-# executor import in detect() must stay deferred: with `import
-# repro.engine` as the entry point, this module executes while
-# engine/__init__ is mid-flight, and a top-level executor import would
-# hit the partially initialized engine.batcher.
+# *submodules* (classifier, od, pruning, result), never this one, so the
+# executor is a plain module-level import — whoever loads the pipeline
+# is about to run it.
+from ..engine.executor import ClassifierFactory, ParallelClassifier
 from ..engine.policy import ExecutionPolicy
-from ..xmlkit import Document, Element
+from ..xmlkit.tree import Document, Element
 from .candidates import CandidateDefinition
 from .classifier import (
     Classifier,
@@ -41,7 +39,6 @@ from .pruning import NoPruning, PairSource
 from .result import DetectionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.executor import ClassifierFactory
     from ..engine.sharder import ShardRuntimeFactory
 
 
@@ -122,8 +119,6 @@ class DetectionPipeline:
         lets sharded (worker-side) generation stay bit-identical to
         the serial path.
         """
-        from ..engine.executor import ParallelClassifier
-
         engine = ParallelClassifier(
             self.classifier,
             policy=self.policy,

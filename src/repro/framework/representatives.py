@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from ..xmlkit import strip_positions
+from ..xmlkit.tree import strip_positions
 from .od import ObjectDescription, ODTuple
 
 SimilarityFunction = Callable[[ObjectDescription, ObjectDescription], float]

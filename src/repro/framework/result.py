@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..xmlkit import Document, Element, serialize
+from .._lazy import resolve
+from ..xmlkit.tree import Document, Element
+from .classifier import DUPLICATES, POSSIBLE_DUPLICATES
 from .od import ObjectDescription
 
 
@@ -43,14 +45,10 @@ class DetectionResult:
 
     @property
     def duplicate_pairs(self) -> list[ScoredPair]:
-        from .classifier import DUPLICATES
-
         return [pair for pair in self.pairs if pair.label == DUPLICATES]
 
     @property
     def possible_pairs(self) -> list[ScoredPair]:
-        from .classifier import POSSIBLE_DUPLICATES
-
         return [pair for pair in self.pairs if pair.label == POSSIBLE_DUPLICATES]
 
     def duplicate_id_pairs(self) -> set[tuple[int, int]]:
@@ -97,7 +95,7 @@ class DetectionResult:
                     )
                 )
             root.append(cluster)
-        return serialize(Document(root))
+        return resolve("repro.xmlkit.serialize:serialize")(Document(root))
 
     def cluster_paths(self) -> list[list[str]]:
         """Clusters as lists of member XPaths (the Fig. 3 payload)."""
@@ -124,7 +122,7 @@ def clusters_from_xml(text: str) -> tuple[str, list[list[str]]]:
     :meth:`DetectionResult.to_xml` at the path level, for pipelines that
     persist detection output and post-process it later (e.g. fusion).
     """
-    from ..xmlkit import parse
+    from ..xmlkit.parser import parse
 
     document = parse(text)
     root = document.root

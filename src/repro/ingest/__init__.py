@@ -22,14 +22,16 @@ index) rides on the same :class:`~repro.core.index.IndexPartial`
 algebra — see :meth:`repro.api.DetectionSession.extend`.
 """
 
-from .builder import CHUNK_FACTOR, IngestReport, ParallelIngestor
-from .store import FORMAT_VERSION, IndexStore, SnapshotInfo
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHUNK_FACTOR",
-    "FORMAT_VERSION",
-    "IndexStore",
-    "IngestReport",
-    "ParallelIngestor",
-    "SnapshotInfo",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "CHUNK_FACTOR": "builder",
+        "IngestReport": "builder",
+        "ParallelIngestor": "builder",
+        "FORMAT_VERSION": "store",
+        "IndexStore": "store",
+        "SnapshotInfo": "store",
+    },
+)

@@ -48,19 +48,18 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from ..core import DogmatixConfig, IndexPartial, Source
-from ..core.index import CorpusIndex
+from ..core.config import DogmatixConfig
+from ..core.index import CorpusIndex, IndexPartial
 from ..core.selection import DescriptionSelector
-from ..framework import ObjectDescription, TypeMapping
+from ..core.source import Source
 from ..framework.description import DescriptionDefinition
-from ..xmlkit import (
-    Document,
-    Element,
-    Schema,
-    compile_path,
-    infer_schema,
-    parse_file,
-)
+from ..framework.mapping import TypeMapping
+from ..framework.od import ObjectDescription
+from ..xmlkit.parser import parse_file
+from ..xmlkit.schema import Schema
+from ..xmlkit.schema_infer import infer_schema
+from ..xmlkit.tree import Document, Element
+from ..xmlkit.xpath import compile_path
 
 PathLike = Union[str, os.PathLike]
 

@@ -57,17 +57,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..core import CorpusIndex, Source
-from ..framework import ObjectDescription
-from ..framework.od import ODTuple
-from ..xmlkit import (
+from ..core.index import CorpusIndex
+from ..core.source import Source
+from ..framework.od import ObjectDescription, ODTuple
+from ..xmlkit.tree import (
     Document,
     Element,
     XMLError,
     document_from_record,
     document_record,
     element_record,
-    parse_schema,
 )
 
 #: Snapshot format version.  Bump on any layout change; loaders treat
@@ -142,13 +141,29 @@ class IndexStore:
         return self.root / f"{digest}{_MANIFEST_SUFFIX}"
 
     def contains(self, spec, digest: Optional[str] = None) -> bool:
-        """Whether a snapshot exists for the spec's content key.
+        """Whether the store catalogs a current-format snapshot for the
+        spec's content key — what :meth:`list` would show for it.
+
+        Answered from the manifest sidecar's ``format`` where one can be
+        read, from the snapshot body otherwise: a file of another
+        :data:`FORMAT_VERSION`, or one without a manifest that does not
+        decode, is a miss.  A manifest cannot see damage to the body
+        beside it, so only :meth:`load` proves a snapshot usable.
 
         Pass ``digest`` (from :meth:`key_for`) to skip re-hashing the
         corpus — the key is a content digest over every input file, so
         callers touching several store methods should compute it once.
         """
         digest = digest or self.key_for(spec)
+        path = self._snapshot_path(digest)
+        return path.exists() and (
+            self._manifest(digest) is not None
+            or self._info_from_snapshot(path) is not None
+        )
+
+    def holds(self, digest: str) -> bool:
+        """Whether any file sits under ``digest``, readable or not: what
+        the next :meth:`save` overwrites."""
         return self._snapshot_path(digest).exists()
 
     # ------------------------------------------------------------------
@@ -448,7 +463,12 @@ def _restore(payload: dict) -> tuple[str, list[Source], list[ObjectDescription]]
     sources, elements = [], []
     for record, text in zip(records, schemas):
         document, order = document_from_record(record)
-        sources.append(Source(document, parse_schema(text) if text else None))
+        schema = None
+        if text:  # a corpus stored without XSDs never loads their parser
+            from ..xmlkit.schema_parser import parse_schema
+
+            schema = parse_schema(text)
+        sources.append(Source(document, schema))
         elements.append(order)
     ods = []
     for record in payload.pop("ods"):

@@ -5,16 +5,17 @@
 warm sessions behind per-session readers-writer locks.
 """
 
-from .client import ServeClient, ServeError
-from .daemon import DetectionServer, serve
-from .sessions import ReadWriteLock, SessionEntry, SessionRegistry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DetectionServer",
-    "ReadWriteLock",
-    "ServeClient",
-    "ServeError",
-    "SessionEntry",
-    "SessionRegistry",
-    "serve",
-]
+__all__ = lazy_exports(
+    __name__,
+    {
+        "ServeClient": "client",
+        "ServeError": "client",
+        "DetectionServer": "daemon",
+        "serve": "daemon",
+        "ReadWriteLock": "sessions",
+        "SessionEntry": "sessions",
+        "SessionRegistry": "sessions",
+    },
+)

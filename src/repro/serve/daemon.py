@@ -37,6 +37,7 @@ Routes (JSON in/out unless noted):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -45,11 +46,45 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from ..api import RunSpec
-from ..core import Source
-from ..ingest import IndexStore
-from ..xmlkit import XMLError, compile_path, parse
+from .._lazy import preload
+from ..api.spec import RunSpec
+from ..core.source import Source
+from ..ingest.store import IndexStore
+from ..xmlkit.parser import parse
+from ..xmlkit.tree import XMLError
+from ..xmlkit.xpath import compile_path
 from .sessions import SessionEntry, SessionRegistry
+
+# Everywhere else a module is imported by the first call that needs it;
+# the daemon is the one long-lived process and does the opposite: all of
+# the program that a route can reach — a cold open under either strategy
+# and encoding with or without XSDs, ``detect()`` under every backend,
+# the first ``extend()``, a response's XML — is imported here, before
+# the socket listens, so no request and no lock-free reader thread ever
+# loads a ``repro`` module (``tests/test_import_closure.py`` holds the
+# list to it).  The standard library's pool machinery stays with the
+# first ``detect()`` whose spec asks for workers, as it always has: it
+# is a MiB of resident memory that a daemon serving serial specs would
+# never use.
+preload(
+    # what every corpus runs
+    "repro.api.session",
+    "repro.api.corpus",
+    "repro.api.batch",
+    "repro.core.selection",
+    "repro.framework.incremental",
+    "repro.strings.qgram",
+    "repro.xmlkit.schema_infer",
+    "repro.xmlkit.serialize",
+    # what only some specs ask for
+    "repro.core.conditions",
+    "repro.xmlkit.schema_parser",
+    "repro.strings.signatures",
+    "repro.compact",
+    "repro.core.compact_terms",
+    "repro.engine.sharder",
+    "repro.ingest.builder",
+)
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 
@@ -256,8 +291,6 @@ class _Handler(BaseHTTPRequestHandler):
         per-request spool directory and any spec path equal to an
         uploaded name is rewritten to the spooled location.
         """
-        import hashlib
-
         spool_key = hashlib.sha256(
             json.dumps(sorted(files.items())).encode("utf-8")
         ).hexdigest()[:16]

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..ingest import IndexStore
+from ..ingest.store import IndexStore
 
 
 class ReadWriteLock:

@@ -6,79 +6,36 @@ q-gram count-filter oracle and the prefix-signature strategy),
 Jaro/Jaro–Winkler, and token-set measures.
 """
 
-from .bounds import (
-    BoundedMatcher,
-    bag_distance,
-    bound_verdict,
-    edit_distance_lower_bound,
-    edit_distance_upper_bound,
-    length_lower_bound,
-    normalized_lower_bound,
-    normalized_upper_bound,
+from .._lazy import lazy_exports
+
+__all__ = lazy_exports(
+    __name__,
+    {
+        "BoundedMatcher": "bounds",
+        "bag_distance": "bounds",
+        "bound_verdict": "bounds",
+        "edit_distance_lower_bound": "bounds",
+        "edit_distance_upper_bound": "bounds",
+        "length_lower_bound": "bounds",
+        "normalized_lower_bound": "bounds",
+        "normalized_upper_bound": "bounds",
+        "jaro": "jaro",
+        "jaro_winkler": "jaro",
+        "edit_distance": "levenshtein",
+        "ned_cached": "levenshtein",
+        "normalized_edit_distance": "levenshtein",
+        "strict_budget": "levenshtein",
+        "within_normalized": "levenshtein",
+        "QGramIndex": "qgram",
+        "SignatureIndex": "signatures",
+        "dice": "tokenize",
+        "jaccard": "tokenize",
+        "normalize": "tokenize",
+        "overlap": "tokenize",
+        "tokens": "tokenize",
+        "SIMILARITY_STRATEGIES": "value_index",
+        "ValueIndex": "value_index",
+        "make_value_index": "value_index",
+        "qgrams": "value_index",
+    },
 )
-from .jaro import jaro, jaro_winkler
-from .levenshtein import (
-    edit_distance,
-    ned_cached,
-    normalized_edit_distance,
-    strict_budget,
-    within_normalized,
-)
-from .qgram import QGramIndex
-from .signatures import SignatureIndex
-from .tokenize import dice, jaccard, normalize, overlap, tokens
-from .value_index import ValueIndex, qgrams
-
-#: Similar-value search strategies: registry-name -> index class.  Both
-#: answer thresholded ``ned`` probes with identical result sets; they
-#: differ only in candidate generation (``bench/`` reports the counts
-#: as ``strings.search_probes`` / ``strings.search_verifications``).
-SIMILARITY_STRATEGIES: dict[str, type] = {
-    QGramIndex.strategy: QGramIndex,
-    SignatureIndex.strategy: SignatureIndex,
-}
-
-
-def make_value_index(strategy: str, q: int = 2):
-    """Construct the value index a strategy name describes.
-
-    Raises :class:`LookupError` naming the known strategies, matching
-    the registry error style of :mod:`repro.api.registries`.
-    """
-    index_class = SIMILARITY_STRATEGIES.get(strategy)
-    if index_class is None:
-        raise LookupError(
-            f"unknown similarity strategy {strategy!r}; registered: "
-            f"{', '.join(sorted(SIMILARITY_STRATEGIES))}"
-        )
-    return index_class(q=q)
-
-
-__all__ = [
-    "BoundedMatcher",
-    "QGramIndex",
-    "SIMILARITY_STRATEGIES",
-    "SignatureIndex",
-    "ValueIndex",
-    "bag_distance",
-    "bound_verdict",
-    "dice",
-    "edit_distance",
-    "edit_distance_lower_bound",
-    "edit_distance_upper_bound",
-    "jaccard",
-    "jaro",
-    "ned_cached",
-    "jaro_winkler",
-    "length_lower_bound",
-    "make_value_index",
-    "normalize",
-    "normalized_edit_distance",
-    "normalized_lower_bound",
-    "normalized_upper_bound",
-    "overlap",
-    "qgrams",
-    "strict_budget",
-    "tokens",
-    "within_normalized",
-]

@@ -25,10 +25,17 @@ Strategies read through that surface and never ask which one they hold.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from ..compact import CompactValueIndex
+from .._lazy import LazyRegistry, resolve
 from .levenshtein import ned_cached
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..compact import CompactValueIndex
+
+#: The compact gram state, loaded by the first ``compact()`` or compact
+#: payload of the process: the dict encoding never imports it.
+_COMPACT_STATE = "repro.compact:CompactValueIndex"
 
 #: Padding character outside the XML character-data alphabet we generate.
 _PAD = "\x00"
@@ -167,7 +174,7 @@ class ValueIndex:
     @property
     def compacted(self) -> bool:
         """Whether the index currently holds compact array state."""
-        return isinstance(self._state, CompactValueIndex)
+        return not isinstance(self._state, DictValueState)
 
     # ------------------------------------------------------------------
     # Writers
@@ -234,9 +241,9 @@ class ValueIndex:
         :meth:`decompact` restores the dict state.
         """
         state = self._state
-        if isinstance(state, CompactValueIndex):
+        if not isinstance(state, DictValueState):
             return
-        self._state = CompactValueIndex.build(
+        self._state = resolve(_COMPACT_STATE).build(
             self._values, state.grams, with_buckets=self._with_buckets
         )
         self._drop_derived()
@@ -252,7 +259,7 @@ class ValueIndex:
         length class all round-trip.
         """
         compact = self._state
-        if not isinstance(compact, CompactValueIndex):
+        if isinstance(compact, DictValueState):
             return
         state = DictValueState(self._with_buckets)
         for value_id, value in enumerate(self._values):
@@ -298,7 +305,7 @@ class ValueIndex:
         if not isinstance(values, list):
             raise ValueError("malformed value-index payload")
         index._values = [str(value) for value in values]
-        state = CompactValueIndex.from_payload(payload["state"])
+        state = resolve(_COMPACT_STATE).from_payload(payload["state"])
         if len(state.order) != len(index._values) or (
             cls._with_buckets and state.buckets is None
         ):
@@ -353,3 +360,30 @@ class ValueIndex:
     def similarity_groups(self, threshold: float) -> dict[str, list[str]]:
         """For every indexed value, the values similar to it (incl. itself)."""
         return {value: self.search(value, threshold) for value in self._values}
+
+
+#: Similar-value search strategies: registry name -> index class, the
+#: class imported when the name is looked up.  Both answer thresholded
+#: ``ned`` probes with identical result sets; they differ only in
+#: candidate generation (``bench/`` reports the counts as
+#: ``strings.search_probes`` / ``strings.search_verifications``).
+SIMILARITY_STRATEGIES = LazyRegistry(
+    {
+        "qgram": "repro.strings.qgram:QGramIndex",
+        "signature": "repro.strings.signatures:SignatureIndex",
+    }
+)
+
+
+def make_value_index(strategy: str, q: int = 2) -> ValueIndex:
+    """Construct the value index a strategy name describes.
+
+    Raises :class:`LookupError` naming the known strategies, matching
+    the registry error style of :mod:`repro.api.registries`.
+    """
+    if strategy not in SIMILARITY_STRATEGIES:
+        raise LookupError(
+            f"unknown similarity strategy {strategy!r}; registered: "
+            f"{', '.join(sorted(SIMILARITY_STRATEGIES))}"
+        )
+    return SIMILARITY_STRATEGIES[strategy](q=q)

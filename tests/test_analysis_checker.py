@@ -294,6 +294,7 @@ class TestCliLint:
         assert cli.main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
         for code in (
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007"
+            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007",
+            "RPR008",
         ):
             assert code in out

@@ -14,6 +14,7 @@ from repro.analysis.rules.atomic import NonAtomicReadModifyWrite
 from repro.analysis.rules.containers import LiveContainerEscape
 from repro.analysis.rules.frozen import FrozenIndexDiscipline
 from repro.analysis.rules.hashing import BuiltinHash
+from repro.analysis.rules.imports import ImportOnUse
 from repro.analysis.rules.ordering import NondeterministicOrdering
 from repro.analysis.rules.pickling import UnpicklablePoolPayload
 from repro.analysis.rules.tree import TreeOwnsItsMutations
@@ -27,6 +28,9 @@ CONFIG = LintConfig(
     frozen_memo_attrs=frozenset({"_memo"}),
     parity_modules=("repro.fake",),
     set_returning_methods=frozenset({"occurrences"}),
+    entry_path_modules=("repro.fake",),
+    lazy_packages=frozenset({"repro.gadgets"}),
+    deferred_modules=("repro.fake.rarely", "repro.tooling"),
 )
 
 
@@ -722,11 +726,92 @@ class TestTreeOwnsItsMutations:
 
 
 # ----------------------------------------------------------------------
+# RPR008 — import on use
+# ----------------------------------------------------------------------
+class TestImportOnUse:
+    def test_fires_on_an_import_through_a_package(self):
+        findings = run(
+            ImportOnUse(),
+            """
+            from ..gadgets import Gear, Spring
+            """,
+        )
+        assert codes(findings) == ["RPR008"]
+        assert "Gear, Spring" in findings[0].message
+        assert "repro.gadgets" in findings[0].message
+
+    def test_fires_on_module_level_imports_of_deferred_modules(self):
+        findings = run(
+            ImportOnUse(),
+            """
+            import repro.tooling.report
+            from .rarely import Sharder
+            from ..tooling import lint_paths
+
+            try:
+                from repro.tooling.extra import more
+            except ImportError:
+                more = None
+
+            class Widget:
+                from .rarely import helper
+            """,
+        )
+        assert codes(findings) == ["RPR008"] * 5
+        assert "repro.fake.rarely" in findings[1].message
+
+    def test_quiet_on_submodule_use_site_and_typing_only_imports(self):
+        findings = run(
+            ImportOnUse(),
+            """
+            import typing
+            from typing import TYPE_CHECKING
+
+            from ..gadgets.gear import Gear
+            from .peer import helper
+
+            if TYPE_CHECKING:
+                from ..gadgets import Spring
+                from .rarely import Sharder
+
+            if typing.TYPE_CHECKING:
+                import repro.tooling
+
+            def shard(items):
+                from .rarely import Sharder
+
+                return Sharder(items)
+            """,
+        )
+        assert findings == []
+
+    def test_quiet_off_the_entry_path_and_inside_a_deferred_module(self):
+        source = """
+            from ..gadgets import Gear
+            from ..tooling import lint_paths
+            """
+        assert run(ImportOnUse(), source, module="repro.elsewhere.widget") == []
+        assert run(ImportOnUse(), source, module="repro.fake.rarely") == []
+
+    def test_a_package_init_resolves_relative_imports_from_itself(self):
+        result = lint_source(
+            "from .rarely import Sharder\nfrom ..gadgets import Gear\n",
+            path="src/repro/fake/__init__.py",
+            module="repro.fake",
+            config=CONFIG,
+            rules=[ImportOnUse()],
+        )
+        assert codes(result.findings) == ["RPR008"] * 2
+
+
+# ----------------------------------------------------------------------
 # Cross-rule: the full registry on one dirty-then-clean fixture
 # ----------------------------------------------------------------------
 def test_full_registry_on_dirty_fixture_reports_every_code():
     source = dedent(
         """
+        from ..gadgets import Gear
+
         class Widget:
             def __init__(self):
                 self._items = []
@@ -765,6 +850,7 @@ def test_full_registry_on_dirty_fixture_reports_every_code():
         "RPR005",
         "RPR006",
         "RPR007",
+        "RPR008",
     ]
     # Deterministic report order: (path, line, col, code).
     assert result.findings == sorted(result.findings)

@@ -417,16 +417,17 @@ class TestExplanation:
 
 class TestCorpus:
     def test_schema_inference_cached(self, monkeypatch):
-        import repro.api.corpus as corpus_module
+        # the corpus resolves inference at its use site, from here
+        import repro.xmlkit.schema_infer as inference_module
 
         calls = {"count": 0}
-        original = corpus_module.infer_schema
+        original = inference_module.infer_schema
 
         def counting(document):
             calls["count"] += 1
             return original(document)
 
-        monkeypatch.setattr(corpus_module, "infer_schema", counting)
+        monkeypatch.setattr(inference_module, "infer_schema", counting)
         corpus = Corpus(Source(paper_example_document()))  # no schema given
         source = corpus.sources[0]
         first = corpus.schema_of(source)

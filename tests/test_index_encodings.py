@@ -47,14 +47,14 @@ from repro.compact import (
     StringTable,
     decode_array,
     encode_array,
-    set_union_size,
 )
 from repro.core import DogmatixConfig
+from repro.core.compact_terms import CompactTermIndex
 from repro.core.encodings import (
     INDEX_ENCODINGS,
-    CompactTermIndex,
     DictTermState,
     default_index_encoding,
+    set_union_size,
 )
 from repro.core.index import CorpusIndex, IndexPartial
 from repro.engine import ExecutionPolicy

@@ -545,6 +545,34 @@ class TestDamagedSnapshot:
         assert fingerprint(store.load(spec)) == cold
         assert len(list(store.root.iterdir())) == 2
 
+    def test_contains_is_the_catalog_answer_not_the_files_existence(self, saved):
+        """``contains()`` reads the manifest's format (the body when there
+        is no manifest), as ``list()`` does; it used to say yes to any
+        file under the key."""
+        store, spec, path, intact, _ = saved
+        digest = path.name[: -len(".json.gz")]
+        manifest_path = store._manifest_path(digest)
+        manifest = manifest_path.read_text(encoding="utf-8")
+        assert store.contains(spec) and store.holds(digest)
+        # another format version, in the manifest and in the body
+        aged = json.loads(manifest)
+        aged["format"] = FORMAT_VERSION - 1
+        manifest_path.write_text(json.dumps(aged), encoding="utf-8")
+        stale = json.loads(gzip.decompress(intact))
+        stale["format"] = FORMAT_VERSION - 1
+        rewrite(path, stale)
+        assert not store.contains(spec) and store.holds(digest)
+        # no manifest: the body answers — sound, truncated, not a payload
+        manifest_path.unlink()
+        path.write_bytes(intact)
+        assert store.contains(spec)
+        for damaged in (intact[: len(intact) // 2], b"", gzip.compress(b"[1, 2]")):
+            path.write_bytes(damaged)
+            assert not store.contains(spec) and store.holds(digest)
+            assert store.list() == []
+        path.unlink()
+        assert not store.contains(spec) and not store.holds(digest)
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -698,6 +726,41 @@ class TestCLI:
         warm = capsys.readouterr()
         assert "warm start" in warm.err and "unreadable" not in warm.err
         assert warm.out == cold.out
+
+    @pytest.mark.parametrize("damage", ["truncated", "another format", "no manifest"])
+    def test_index_build_rebuilds_over_a_snapshot_it_cannot_load(
+        self, example_dir, capsys, damage
+    ):
+        """``index build`` trusted the file's existence: "already covers
+        ... use --force" over a snapshot no ``load`` could use."""
+        spec_path = self.write_spec(example_dir)
+        store_dir = example_dir / "store"
+        argv = ["index", "build", "--spec", spec_path, "--store", str(store_dir)]
+        assert cli_main(argv) == 0
+        digest = capsys.readouterr().out.strip()
+        (snapshot,) = store_dir.glob("*.json.gz")
+        (manifest,) = store_dir.glob("*.manifest.json")
+        if damage == "another format":
+            for path, read, write in (
+                (snapshot, gzip.decompress, gzip.compress),
+                (manifest, bytes, bytes),
+            ):
+                record = json.loads(read(path.read_bytes()))
+                record["format"] = FORMAT_VERSION - 1
+                path.write_bytes(write(json.dumps(record).encode("utf-8")))
+        else:
+            snapshot.write_bytes(snapshot.read_bytes()[: snapshot.stat().st_size // 2])
+            if damage == "no manifest":
+                manifest.unlink()
+        assert cli_main(argv) == 0
+        rebuilt = capsys.readouterr()
+        assert f"snapshot {digest[:12]} unreadable, rebuilding" in rebuilt.err
+        assert "snapshot saved" in rebuilt.err and "already covers" not in rebuilt.err
+        assert rebuilt.out.strip() == digest
+        assert cli_main(argv) == 0
+        again = capsys.readouterr()
+        assert "already covers" in again.err and "unreadable" not in again.err
+        assert IndexStore(store_dir).load(RunSpec.load(spec_path)) is not None
 
     def test_index_build_requires_store(self, example_dir):
         spec_path = self.write_spec(example_dir)

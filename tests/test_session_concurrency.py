@@ -21,6 +21,11 @@ here:
 * the per-OD grouping by kind step 5 reads — filled lazily by the
   first reader, so eight threads on a session that never scored a pair
   must answer like one;
+* import on use (PR 24) — deferred collaborators are resolved by the
+  first call that needs them, so eight threads whose first action is
+  ``match()`` on a freshly *loaded* session answer like one, and no
+  repeated ``match()`` / ``detect()`` / ``similarity()`` / ``extend()``
+  executes an import statement;
 * the slow thread-stress: N threads hammer ``match()`` (ids and
   foreign elements) on one warm session while ``extend()`` runs behind
   the writer lock, and every response is bit-identical to a serial
@@ -29,12 +34,15 @@ here:
 
 from __future__ import annotations
 
+import builtins
+import opcode
 import sys
 import threading
 
 import pytest
 
-from repro.api import Corpus, DetectionSession
+import repro._lazy as lazy_module
+from repro.api import Corpus, DetectionSession, RunSpec
 from repro.core import DogmatixConfig, ObjectFilter, RDistantDescendants, Source
 from repro.core.index import IndexPartial
 from repro.datagen import (
@@ -44,7 +52,9 @@ from repro.datagen import (
     paper_example_mapping,
     paper_example_schema,
 )
+from repro.engine import ExecutionPolicy
 from repro.eval import build_dataset1
+from repro.ingest import IndexStore
 from repro.serve import ReadWriteLock
 from repro.xmlkit import Document, Element, parse, serialize
 
@@ -334,28 +344,153 @@ class TestGroupingFilledByReaders:
 
         session = build()
         assert all(od._kinds is None for od in session.ods)
-        results: list = [None] * 8
-        errors: list[Exception] = []
-        start = threading.Barrier(8)
-
-        def reader(slot: int) -> None:
-            try:
-                start.wait(timeout=60)
-                results[slot] = [
-                    _snapshot(session.match(target)) for target in targets
-                ]
-            except Exception as error:  # noqa: BLE001 - reported below
-                errors.append(error)
-
-        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert all(result == expected for result in results)
+        _threads_answer_alike(session, targets, expected)
         assert any(od._kinds is not None for od in session.ods)
+
+
+def _threads_answer_alike(session, targets, expected) -> None:
+    """Eight readers released together; each must read ``expected``."""
+    results: list = [None] * 8
+    errors: list[Exception] = []
+    start = threading.Barrier(8)
+
+    def reader(slot: int) -> None:
+        try:
+            start.wait(timeout=60)
+            results[slot] = [_snapshot(session.match(target)) for target in targets]
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert all(result == expected for result in results)
+
+
+@pytest.fixture()
+def import_statements(monkeypatch):
+    """Every import the program executes while the fixture is live:
+    ``import`` statements in ``repro`` code (the caller's frame stands at
+    an ``IMPORT_NAME`` — pickling a class by reference also calls
+    ``__import__``, from a ``CALL``, and is not one) and module loads by
+    ``repro._lazy``."""
+    seen: list[tuple[str, str]] = []
+    real_import = builtins.__import__
+    real_import_module = lazy_module.import_module
+    import_name = opcode.opmap["IMPORT_NAME"]
+
+    def counting_import(name, globals=None, locals=None, fromlist=(), level=0):
+        caller = sys._getframe(1)
+        module = caller.f_globals.get("__name__", "")
+        if (
+            module.startswith("repro")
+            and caller.f_code.co_code[caller.f_lasti] == import_name
+        ):
+            seen.append((module, name))
+        return real_import(name, globals, locals, fromlist, level)
+
+    def counting_import_module(name, package=None):
+        seen.append(("repro._lazy", name))
+        return real_import_module(name, package)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    monkeypatch.setattr(lazy_module, "import_module", counting_import_module)
+    return seen
+
+
+class TestImportOnUse:
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        """Dataset 1 as files, its spec, and a store holding its snapshot."""
+        base = tmp_path_factory.mktemp("stored")
+        dataset = build_dataset1(30, seed=7)
+        (base / "cds.xml").write_text(
+            serialize(dataset.sources[0].document), encoding="utf-8"
+        )
+        (base / "mapping.xml").write_text(dataset.mapping.to_xml(), encoding="utf-8")
+        RunSpec(
+            documents=["cds.xml"],
+            mapping="mapping.xml",
+            real_world_type=dataset.real_world_type,
+        ).save(str(base / "run.json"))
+        spec = RunSpec.load(str(base / "run.json"))
+        store = IndexStore(base / "store")
+        store.save(spec, spec.build_session())
+        return spec, store
+
+    def test_the_counter_sees_a_use_site_import(self, stored, import_statements):
+        spec, _ = stored
+        spec.build_session()  # imports DetectionSession in its body
+        assert ("repro.api.spec", "session") in import_statements
+
+    def test_eight_readers_on_a_freshly_loaded_session(
+        self, stored, greedy_switching
+    ):
+        spec, store = stored
+        serial = store.load(spec)
+        targets = [od.object_id for od in serial.ods]
+        expected = [_snapshot(serial.match(target)) for target in targets]
+        assert any(expected)
+        _threads_answer_alike(store.load(spec), targets, expected)
+
+    def test_a_repeated_read_executes_no_import(self, stored, import_statements):
+        spec, store = stored
+        session = store.load(spec)
+        # the corpus re-parsed: an equal record the session does not hold
+        foreign = parse(serialize(session.corpus.sources[0].document)).root.children[3]
+        first = session.match(3), session.match(foreign)
+        ods = session.ods
+        session.similarity(ods[0], ods[1])
+        del import_statements[:]
+        again = session.match(3), session.match(foreign)
+        for left in range(25):
+            for right in range(40):
+                session.similarity(ods[left % len(ods)], ods[right % len(ods)])
+        assert import_statements == []
+        assert [_snapshot(m) for m in again] == [_snapshot(m) for m in first]
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            ExecutionPolicy(),
+            ExecutionPolicy(workers=2, backend="process"),
+            ExecutionPolicy.sharded(2),
+            ExecutionPolicy.sharded(2, filter_in_workers=True),
+        ],
+        ids=["serial", "process", "shard", "shard-filtered"],
+    )
+    def test_a_second_detect_executes_no_import(
+        self, stored, import_statements, policy
+    ):
+        spec, store = stored
+        session = store.load(spec)
+        first = session.detect(policy=policy)
+        del import_statements[:]
+        second = session.detect(policy=policy)
+        assert import_statements == []
+        assert second.duplicate_id_pairs() == first.duplicate_id_pairs()
+        assert second.clusters == first.clusters and first.clusters
+
+    def test_a_warm_extend_executes_no_import(self, stored, import_statements):
+        spec, store = stored
+        session = store.load(spec)
+        records = generate_cds(4, seed=991)
+
+        def source(pair) -> Document:
+            root = Element("freedb")
+            for record in pair:
+                root.append(cd_to_element(record))
+            return Document(root)
+
+        session.extend(source(records[:2]))
+        del import_statements[:]
+        update = session.extend(source(records[2:]))
+        assert import_statements == []
+        assert len(update.added) == 2
 
 
 @pytest.mark.slow

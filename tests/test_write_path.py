@@ -28,7 +28,7 @@ import random
 
 import pytest
 
-import repro.api.session as session_module
+import repro.framework.incremental as incremental_module
 from repro.api import Corpus, DetectionSession
 from repro.core import CorpusIndex, DogmatixConfig, IndexPartial, Source
 from repro.core.index import _FOREIGN_CACHE_SIZE
@@ -320,7 +320,8 @@ class TestTwinStreams:
             """A session and its first, seeding extension."""
             session = session_on(dataset, [corpus])
             with monkeypatch.context() as patch:
-                patch.setattr(session_module, "IncrementalDeduplicator", factory)
+                # extend() imports the stream from its defining module
+                patch.setattr(incremental_module, "IncrementalDeduplicator", factory)
                 first = session.extend(
                     extensions[0], check_members_on_miss=check_members_on_miss
                 )
