@@ -10,7 +10,7 @@ registered rule unless given an explicit subset.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Type
+from typing import Iterator, Optional, Type
 
 from .context import FileContext
 from .findings import Finding
@@ -204,20 +204,6 @@ def methods(classdef: ast.ClassDef) -> Iterator[ast.FunctionDef]:
             yield statement  # type: ignore[misc]
 
 
-def decorator_names(func: ast.FunctionDef) -> set[str]:
-    names: set[str] = set()
-    for decorator in func.decorator_list:
-        if isinstance(decorator, ast.Name):
-            names.add(decorator.id)
-        elif isinstance(decorator, ast.Attribute):
-            names.add(decorator.attr)
-        elif isinstance(decorator, ast.Call):
-            name = call_name(decorator)
-            if name:
-                names.add(name)
-    return names
-
-
 def walk_method(method: ast.FunctionDef) -> Iterator[ast.AST]:
     """Walk a method's body without descending into nested classes."""
     stack: list[ast.AST] = list(ast.iter_child_nodes(method))
@@ -239,8 +225,3 @@ def unparse(node: ast.AST) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - defensive
         return "<expr>"
-
-
-def iter_findings(rules: Iterable[Rule], ctx: FileContext) -> Iterator[Finding]:
-    for rule in rules:
-        yield from rule.check(ctx)

@@ -167,8 +167,8 @@ class LintConfig:
 
     #: Modules only a rarely taken branch runs — the shard backend, the
     #: compact encoding, parallel ingestion, the daemon, the tooling and
-    #: evaluation packages, the XQuery engine.  Off the entry path by
-    #: definition, so they may import each other freely.
+    #: evaluation packages.  Off the entry path by definition, so they may
+    #: import each other freely.
     deferred_modules: tuple[str, ...] = (
         "repro.engine.sharder",
         "repro.compact",
@@ -179,7 +179,6 @@ class LintConfig:
         "repro.datagen",
         "repro.eval",
         "repro.baselines",
-        "repro.xmlkit.xquery",
     )
 
 

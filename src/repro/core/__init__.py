@@ -42,16 +42,12 @@ __all__ = lazy_exports(
         "IndexPartial": "index",
         "TupleMatching": "matching",
         "match_tuples": "matching",
-        "similar_pairs_exist": "matching",
         "FilterDecision": "object_filter",
         "ObjectFilter": "object_filter",
-        "odt_dist": "odtdist",
-        "odt_similar": "odtdist",
         "DescriptionSelector": "selection",
         "candidate_schema_element": "selection",
         "refine": "selection",
         "DogmatixSimilarity": "similarity",
-        "set_soft_idf": "softidf",
         "singleton_soft_idf": "softidf",
         "soft_idf": "softidf",
     },

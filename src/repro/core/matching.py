@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from ..framework.mapping import TypeMapping
 from ..framework.od import ODTuple, ObjectDescription
 from ..strings.bounds import bound_verdict
-from ..strings.levenshtein import ned_cached, within_normalized
+from ..strings.levenshtein import ned_cached
 from .index import CorpusIndex
 
 
@@ -193,24 +193,4 @@ def _match_kind(
     )
     result.non_specified_right.extend(
         odt for slot, odt in enumerate(right) if slot not in used_right
-    )
-
-
-def similar_pairs_exist(
-    od_i: ObjectDescription,
-    od_j: ObjectDescription,
-    mapping: TypeMapping,
-    theta_tuple: float,
-) -> bool:
-    """Fast existence check for any similar comparable pair.
-
-    Used by tests and by comparison-reduction sanity checks; avoids the
-    full distance table via thresholded comparisons.
-    """
-    kinds_j = od_j.by_kind(mapping)
-    return any(
-        within_normalized(a.value, b.value, theta_tuple)
-        for key, left in od_i.by_kind(mapping).items()
-        for a in left
-        for b in kinds_j.get(key, ())
     )

@@ -7,14 +7,13 @@ either endpoint:
 
     softIDF((odt_i, odt_j)) = log(|Ω_T| / |O_odt_i ∪ O_odt_j|)
 
-``setSoftIDF`` sums softIDF over a set of pairs.  Contradictory pairs
-use the same formula (their identifying power weighs the *difference*
+``setSoftIDF`` sums softIDF over a set of pairs (the sums
+:class:`~repro.core.similarity.DogmatixSimilarity` divides).  Contradictory
+pairs use the same formula (their identifying power weighs the *difference*
 of two objects in the denominator of ``sim``).
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from ..framework.od import ODTuple
 from .index import CorpusIndex
@@ -38,10 +37,3 @@ def soft_idf(odt_i: ODTuple, odt_j: ODTuple, index: CorpusIndex) -> float:
 def singleton_soft_idf(odt: ODTuple, index: CorpusIndex) -> float:
     """softIDF of the degenerate pair (odt, odt) — a single term's IDF."""
     return soft_idf(odt, odt, index)
-
-
-def set_soft_idf(
-    pairs: Iterable[tuple[ODTuple, ODTuple]], index: CorpusIndex
-) -> float:
-    """setSoftIDF: total identifying power of a set of tuple pairs."""
-    return sum(soft_idf(odt_i, odt_j, index) for odt_i, odt_j in pairs)

@@ -16,7 +16,6 @@ __all__ = lazy_exports(
         "DirtyDataGenerator": "dirty",
         "GOLD_ATTRIBUTE": "dirty",
         "gold_id": "dirty",
-        "gold_pairs_from_elements": "dirty",
         "CDCorpus": "freedb",
         "CDRecord": "freedb",
         "CD_XSD": "freedb",

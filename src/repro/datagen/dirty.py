@@ -143,18 +143,3 @@ class DirtyDataGenerator:
 def gold_id(element: Element) -> str | None:
     """The element's gold-standard id, if it carries one."""
     return element.get(GOLD_ATTRIBUTE)
-
-
-def gold_pairs_from_elements(elements: list[Element]) -> set[tuple[int, int]]:
-    """All unordered index pairs of elements sharing a gold id."""
-    by_gid: dict[str, list[int]] = {}
-    for index, element in enumerate(elements):
-        gid = gold_id(element)
-        if gid is not None:
-            by_gid.setdefault(gid, []).append(index)
-    pairs: set[tuple[int, int]] = set()
-    for members in by_gid.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.add((members[a], members[b]))
-    return pairs

@@ -399,11 +399,6 @@ def movie_corpus(count: int = 500, seed: int = 13) -> MovieCorpus:
     )
 
 
-def movie_sources() -> "tuple":
-    """Both schemas, for dataset assembly."""
-    return imdb_schema(), filmdienst_schema()
-
-
 def movie_mapping():
     """The mapping *M* for Dataset 2 (Table 6 comparabilities)."""
     from ..framework.mapping import TypeMapping

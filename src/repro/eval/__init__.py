@@ -9,9 +9,6 @@ from .._lazy import lazy_exports
 __all__ = lazy_exports(
     __name__,
     {
-        "CalibrationResult": "calibration",
-        "calibrate_theta_cand": "calibration",
-        "suggest_theta_tuple": "calibration",
         "Dataset": "datasets",
         "build_dataset1": "datasets",
         "build_dataset2": "datasets",
@@ -25,8 +22,6 @@ __all__ = lazy_exports(
         "FilterSweepResult": "harness",
         "SweepResult": "harness",
         "ThresholdSweepResult": "harness",
-        "run_dataset1_sweep": "harness",
-        "run_dataset2_sweep": "harness",
         "run_dataset3_threshold_sweep": "harness",
         "run_experiment": "harness",
         "run_filter_sweep": "harness",
@@ -34,12 +29,10 @@ __all__ = lazy_exports(
         "run_threshold_sweep": "harness",
         "session_for": "harness",
         "PRResult": "metrics",
-        "cluster_metrics": "metrics",
         "cluster_pairs": "metrics",
         "filter_metrics": "metrics",
         "pair_metrics": "metrics",
         "format_comparable_elements_table": "reporting",
-        "format_experiment_table": "reporting",
         "format_filter_table": "reporting",
         "format_schema_elements_table": "reporting",
         "format_sweep_table": "reporting",

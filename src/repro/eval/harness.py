@@ -22,11 +22,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..api.corpus import Corpus
 from ..api.session import DetectionSession
-from ..core.heuristics import Heuristic, KClosestDescendants, RDistantDescendants
+from ..core.heuristics import Heuristic, KClosestDescendants
 from ..core.object_filter import ObjectFilter
 from ..datagen.dirty import DirtyConfig
 from ..engine.policy import ExecutionPolicy
-from .datasets import Dataset, build_dataset1, build_dataset2, build_dataset3
+from .datasets import Dataset, build_dataset1, build_dataset3
 from .experiments import EXPERIMENTS, Experiment
 from .gold import gold_pairs, objects_with_duplicates
 from .metrics import PRResult, filter_metrics, pair_metrics
@@ -305,34 +305,6 @@ def run_heuristic_sweep(
             sweep.series[experiment.name][position] = metrics
             sweep.compared_pairs[experiment.name][position] = compared
     return sweep
-
-
-def run_dataset1_sweep(
-    base_count: int = 500,
-    seed: int = 7,
-    ks: Sequence[int] = tuple(range(1, 9)),
-    experiments: Iterable[Experiment] = EXPERIMENTS,
-    policy: ExecutionPolicy | None = None,
-) -> SweepResult:
-    """Figure 5: k-closest sweep on Dataset 1 (θ_tuple 0.15, θ_cand 0.55)."""
-    dataset = build_dataset1(base_count, seed)
-    return run_heuristic_sweep(
-        dataset, KClosestDescendants, list(ks), "k", experiments, policy=policy
-    )
-
-
-def run_dataset2_sweep(
-    count: int = 500,
-    seed: int = 13,
-    rs: Sequence[int] = (1, 2, 3, 4),
-    experiments: Iterable[Experiment] = EXPERIMENTS,
-    policy: ExecutionPolicy | None = None,
-) -> SweepResult:
-    """Figure 6: r-distant sweep on Dataset 2."""
-    dataset = build_dataset2(count, seed)
-    return run_heuristic_sweep(
-        dataset, RDistantDescendants, list(rs), "r", experiments, policy=policy
-    )
 
 
 def run_threshold_sweep(

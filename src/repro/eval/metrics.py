@@ -74,60 +74,6 @@ def cluster_pairs(clusters: Iterable[Iterable[int]]) -> set[tuple[int, int]]:
     return pairs
 
 
-def cluster_metrics(
-    predicted: Iterable[Iterable[int]],
-    gold: Iterable[Iterable[int]],
-    total: int,
-) -> dict[str, float]:
-    """Cluster-level quality beyond pairwise P/R.
-
-    * ``pairwise_f1`` — F1 over intra-cluster pairs (the figures' view);
-    * ``purity`` — fraction of objects whose predicted cluster is
-      dominated by their gold cluster (singletons count as their own
-      gold cluster);
-    * ``rand_index`` — agreement over all object pairs (same/different
-      cluster in both partitionings).
-    """
-    predicted_clusters = [sorted(c) for c in predicted]
-    gold_clusters = [sorted(c) for c in gold]
-    predicted_pairs = cluster_pairs(predicted_clusters)
-    gold_pairs_set = cluster_pairs(gold_clusters)
-    pairwise = pair_metrics(predicted_pairs, gold_pairs_set)
-
-    gold_of: dict[int, int] = {}
-    for index, cluster in enumerate(gold_clusters):
-        for member in cluster:
-            gold_of[member] = index
-    next_singleton = len(gold_clusters)
-    correct = 0
-    clustered = 0
-    for cluster in predicted_clusters:
-        labels: dict[int, int] = {}
-        for member in cluster:
-            label = gold_of.get(member)
-            if label is None:
-                label = next_singleton
-                next_singleton += 1
-            labels[label] = labels.get(label, 0) + 1
-            clustered += 1
-        if labels:
-            correct += max(labels.values())
-    purity = correct / clustered if clustered else 1.0
-
-    all_pairs = total * (total - 1) // 2
-    both_same = len(predicted_pairs & gold_pairs_set)
-    only_predicted = len(predicted_pairs - gold_pairs_set)
-    only_gold = len(gold_pairs_set - predicted_pairs)
-    both_different = all_pairs - both_same - only_predicted - only_gold
-    rand = (both_same + both_different) / all_pairs if all_pairs else 1.0
-
-    return {
-        "pairwise_f1": pairwise.f1,
-        "purity": purity,
-        "rand_index": rand,
-    }
-
-
 def filter_metrics(
     pruned_ids: Iterable[int], duplicate_ids: Iterable[int], total: int
 ) -> PRResult:

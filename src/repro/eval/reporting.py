@@ -11,7 +11,6 @@ from typing import Sequence
 
 from ..core.heuristics import KClosestDescendants
 from ..xmlkit.schema import Schema, SchemaElement
-from .experiments import EXPERIMENTS
 from .harness import FilterSweepResult, SweepResult, ThresholdSweepResult
 
 
@@ -80,13 +79,6 @@ def format_filter_table(
         for percentage in sweep.percentages
     ]
     return _format_grid(title, header, rows)
-
-
-def format_experiment_table() -> str:
-    """Table 4: the condition combinations."""
-    header = ["Experiment", "Heuristic"]
-    rows = [[experiment.name, experiment.formula] for experiment in EXPERIMENTS]
-    return _format_grid("Table 4: combinations of conditions", header, rows)
 
 
 def _flags(element: SchemaElement) -> str:

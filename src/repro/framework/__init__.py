@@ -2,8 +2,11 @@
 
 Candidate definition, duplicate definition (descriptions + classifiers),
 and the six-step detection pipeline, independent of any particular
-algorithm.  DogmatiX (:mod:`repro.core`) and the baselines
-(:mod:`repro.baselines`) are specializations of this package.
+algorithm.  The candidate and description queries of Section 3.3 run
+natively on :mod:`repro.xmlkit.xpath` (``CandidateDefinition.select``,
+``DescriptionDefinition``); no XQuery text is rendered.  DogmatiX
+(:mod:`repro.core`) and the baselines (:mod:`repro.baselines`) are
+specializations of this package.
 """
 
 from .._lazy import lazy_exports
@@ -25,7 +28,6 @@ __all__ = lazy_exports(
         "IncrementalDeduplicator": "incremental",
         "MappingError": "mapping",
         "TypeMapping": "mapping",
-        "mapping_from_schema": "mapping",
         "mapping_from_xml": "mapping",
         "ODTuple": "od",
         "ObjectDescription": "od",
@@ -36,15 +38,11 @@ __all__ = lazy_exports(
         "PairSource": "pruning",
         "SharedTupleBlocking": "pruning",
         "count_pairs": "pruning",
-        "candidate_xquery": "queries",
-        "description_xquery": "queries",
-        "od_generation_xquery": "queries",
         "Relation": "relational",
         "example1_relations": "relational",
         "relational_mapping": "relational",
         "relational_ods": "relational",
         "merge_cluster_od": "representatives",
-        "prime_representatives": "representatives",
         "DetectionResult": "result",
         "ScoredPair": "result",
         "clusters_from_xml": "result",

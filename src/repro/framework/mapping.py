@@ -165,21 +165,3 @@ def mapping_from_xml(text: str) -> TypeMapping:
             raise MappingError(f"type {name!r} lists no xpaths")
         mapping.add(name, xpaths)
     return mapping
-
-
-def mapping_from_schema(schema_paths: Iterable[str]) -> TypeMapping:
-    """Trivial mapping: one real-world type per schema path.
-
-    Handy default when only a single data source is involved and no two
-    schema elements represent the same real-world type; type names are
-    derived from the element name (upper-cased tail).
-    """
-    mapping = TypeMapping()
-    seen: dict[str, int] = {}
-    for path in schema_paths:
-        tail = path.rstrip("/").rsplit("/", 1)[-1].upper()
-        count = seen.get(tail, 0)
-        seen[tail] = count + 1
-        name = tail if count == 0 else f"{tail}_{count + 1}"
-        mapping.add(name, path)
-    return mapping

@@ -298,9 +298,11 @@ class IndexStore:
 
         A miss is: no snapshot under the spec's content key, a snapshot
         written by another :data:`FORMAT_VERSION` (the version policy),
-        or one that cannot be decoded — truncated or bit-flipped gzip,
-        not JSON, a section missing, a tree record of the wrong shape,
-        an OD pointing at a node that is not there.  In every case the
+        one whose embedded key is not that digest (a file copied or
+        renamed under another key), or one that cannot be decoded —
+        truncated or bit-flipped gzip, not JSON, a section missing, a tree
+        record of the wrong shape, an OD pointing at a node that is not
+        there.  In every case the
         caller rebuilds and :meth:`save` overwrites the file.
 
         The returned session carries the *live* spec's configuration:
@@ -315,7 +317,7 @@ class IndexStore:
         path = self._snapshot_path(digest)
         try:  # one read, one gunzip, one JSON decode
             payload = json.loads(gzip.decompress(path.read_bytes()))
-            if payload["format"] != FORMAT_VERSION:
+            if payload["format"] != FORMAT_VERSION or payload["key"] != digest:
                 return None
             real_world_type, sources, ods = _restore(payload)
         except _UNDECODABLE:
@@ -347,7 +349,9 @@ class IndexStore:
         cataloging a store must not gunzip and JSON-parse every full
         serialized corpus.  Snapshots without a (readable, current)
         manifest fall back to decoding the snapshot itself, so
-        pre-manifest stores keep listing.
+        pre-manifest stores keep listing.  A manifest or snapshot whose
+        embedded key is not the digest it is filed under describes
+        another corpus and is not used.
         """
         if not self.root.is_dir():
             return []
@@ -369,7 +373,7 @@ class IndexStore:
         if manifest is None:
             return None
         return SnapshotInfo(
-            digest=manifest.get("key", digest),
+            digest=digest,
             path=str(path),
             real_world_type=manifest.get("real_world_type", ""),
             objects=int(manifest.get("objects", 0)),
@@ -381,10 +385,11 @@ class IndexStore:
         """Slow path: derive the catalog entry from the snapshot body."""
         try:
             payload = json.loads(gzip.decompress(path.read_bytes()))
-            if payload["format"] != FORMAT_VERSION:
+            digest = path.name[: -len(_SUFFIX)]
+            if payload["format"] != FORMAT_VERSION or payload["key"] != digest:
                 return None
             return SnapshotInfo(
-                digest=payload.get("key", path.name[: -len(_SUFFIX)]),
+                digest=digest,
                 path=str(path),
                 real_world_type=payload.get("real_world_type", ""),
                 objects=len(payload.get("ods", ())),
@@ -401,7 +406,11 @@ class IndexStore:
             )
         except (OSError, ValueError):
             return None
-        if not isinstance(data, dict) or data.get("format") != FORMAT_VERSION:
+        if (
+            not isinstance(data, dict)
+            or data.get("format") != FORMAT_VERSION
+            or data.get("key") != digest
+        ):
             return None
         return data
 

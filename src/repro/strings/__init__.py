@@ -28,8 +28,6 @@ __all__ = lazy_exports(
         "within_normalized": "levenshtein",
         "QGramIndex": "qgram",
         "SignatureIndex": "signatures",
-        "dice": "tokenize",
-        "jaccard": "tokenize",
         "normalize": "tokenize",
         "overlap": "tokenize",
         "tokens": "tokenize",

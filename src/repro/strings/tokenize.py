@@ -34,25 +34,6 @@ def tokens(text: str) -> list[str]:
     return out
 
 
-def jaccard(a: str, b: str) -> float:
-    """Jaccard similarity of the two strings' token sets."""
-    set_a, set_b = set(tokens(a)), set(tokens(b))
-    if not set_a and not set_b:
-        return 1.0
-    union = set_a | set_b
-    return len(set_a & set_b) / len(union)
-
-
-def dice(a: str, b: str) -> float:
-    """Sørensen–Dice coefficient of the token sets."""
-    set_a, set_b = set(tokens(a)), set(tokens(b))
-    if not set_a and not set_b:
-        return 1.0
-    if not set_a or not set_b:
-        return 0.0
-    return 2 * len(set_a & set_b) / (len(set_a) + len(set_b))
-
-
 def overlap(a: str, b: str) -> float:
     """Overlap coefficient of the token sets."""
     set_a, set_b = set(tokens(a)), set(tokens(b))

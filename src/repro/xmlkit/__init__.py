@@ -5,8 +5,10 @@ Parser, tree model, serializer, XPath-subset engine, and XML Schema
 needs from an XML stack, with no third-party dependencies.
 
 Every name is imported from its submodule on first access (see
-:mod:`repro._lazy`): a warm open never loads the serializer, the schema
-parser or the XQuery-subset engine, which no detection path runs.
+:mod:`repro._lazy`): a warm open never loads the serializer or the
+schema parser, which no detection path runs.  Section 3.3's XQueries
+are not rendered as text: candidate and description definitions are
+evaluated directly on the XPath engine.
 """
 
 from .._lazy import lazy_exports
@@ -39,8 +41,5 @@ __all__ = lazy_exports(
         "compile_path": "xpath",
         "join": "xpath",
         "select": "xpath",
-        "XQuery": "xquery",
-        "XQueryError": "xquery",
-        "execute_xquery": "xquery:execute",
     },
 )

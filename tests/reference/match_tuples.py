@@ -7,16 +7,17 @@ both ODs are re-grouped by comparison key for every pair, every tuple
 pair of a shared kind is classified by ``bound_verdict`` + the
 edit-distance kernel, and the score sums ``soft_idf`` (two ``key_of``
 per tuple pair) over the matching's pair lists.  Verbatim apart from
-this paragraph, the imports, and ``from_matching`` being a function over
-``(matching, index)`` without the ``evaluations`` counter (it was a
-method).  ``tests/test_core_similarity.py`` holds the shipped matcher
-and scorer to it: the four :class:`TupleMatching` lists in order, and
-the score as ``float.hex()``.
+this paragraph, the imports, ``set_soft_idf`` (then in
+``repro.core.softidf``) being copied here, and ``from_matching`` being a
+function over ``(matching, index)`` without the ``evaluations`` counter
+(it was a method).  ``tests/test_core_similarity.py`` holds the shipped
+matcher and scorer to it: the four :class:`TupleMatching` lists in
+order, and the score as ``float.hex()``.
 """
 
 from __future__ import annotations
 
-from repro.core import CorpusIndex, set_soft_idf
+from repro.core import CorpusIndex, soft_idf
 from repro.core.matching import SEMANTICS, TupleMatching
 from repro.framework import ObjectDescription, ODTuple, TypeMapping
 from repro.strings import bound_verdict, ned_cached
@@ -127,6 +128,11 @@ def _match_kind(
     result.non_specified_right.extend(
         odt for index, odt in enumerate(right) if index not in used_right
     )
+
+
+def set_soft_idf(pairs, index: CorpusIndex) -> float:
+    """setSoftIDF: total identifying power of a set of tuple pairs."""
+    return sum(soft_idf(odt_i, odt_j, index) for odt_i, odt_j in pairs)
 
 
 def from_matching(matching: TupleMatching, index: CorpusIndex) -> float:

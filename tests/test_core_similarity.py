@@ -11,16 +11,13 @@ from repro.core import (
     CorpusIndex,
     DogmatixSimilarity,
     match_tuples,
-    odt_dist,
-    odt_similar,
-    set_soft_idf,
-    similar_pairs_exist,
     singleton_soft_idf,
     soft_idf,
 )
 from repro.core.matching import SEMANTICS
 from repro.engine import bare_ods
 from repro.framework import ODTuple, TypeMapping, merge_cluster_od, od_from_pairs
+from repro.strings import normalized_edit_distance, within_normalized
 
 from test_write_path import VARIANTS
 
@@ -34,33 +31,82 @@ def mapping():
     )
 
 
+def pair_verdict(a, b, mapping, theta):
+    """One tuple pair through step 5: similar, contradictory, or
+    incomparable (non-specified on both sides)."""
+    result = match_tuples(
+        od_from_pairs(0, [(a.value, a.name)]),
+        od_from_pairs(1, [(b.value, b.name)]),
+        mapping,
+        theta,
+    )
+    if result.similar:
+        return "similar"
+    if result.contradictory:
+        return "contradictory"
+    assert len(result.non_specified_left) == len(result.non_specified_right) == 1
+    return "incomparable"
+
+
 class TestOdtDist:
+    """Definition 7: odtDist is ned for tuples of one real-world type
+    and 1 otherwise; a pair is similar iff odtDist < θ_tuple.  Step 5
+    asks it through ``within_normalized`` and the index's memoized
+    similar-value groups (``CorpusIndex.similar_verdict``)."""
+
     def test_incomparable_distance_one(self, mapping):
         a = ODTuple("The Matrix", "/db/movie[1]/title")
         b = ODTuple("The Matrix", "/db/movie[1]/review")
-        assert odt_dist(a, b, mapping) == 1.0
+        # distance 1 is never below a θ_tuple ≤ 1
+        assert pair_verdict(a, b, mapping, 1.0) == "incomparable"
 
     def test_comparable_uses_ned(self, mapping):
         a = ODTuple("The Matrix", "/db/movie[1]/title")
         b = ODTuple("Matrix", "/db/film[3]/name")
-        assert odt_dist(a, b, mapping) == pytest.approx(0.4)
+        assert normalized_edit_distance(a.value, b.value) == pytest.approx(0.4)
+        assert pair_verdict(a, b, mapping, 0.45) == "similar"
+        assert pair_verdict(a, b, mapping, 0.4) == "contradictory"
 
     def test_equal_values(self, mapping):
         a = ODTuple("X", "/db/movie[1]/title")
         b = ODTuple("X", "/db/movie[2]/title")
-        assert odt_dist(a, b, mapping) == 0.0
+        assert normalized_edit_distance(a.value, b.value) == 0.0
+        assert pair_verdict(a, b, mapping, 0.01) == "similar"
+        ods = [od_from_pairs(0, [(a.value, a.name)])]
+        index = CorpusIndex(ods, mapping, 0.15)
+        assert index.similar_verdict(index.key_of(a.name), "X", "X") is True
 
     def test_odt_similar_strict(self, mapping):
         a = ODTuple("abcdefgh", "/db/movie[1]/title")
         b = ODTuple("abcdefgx", "/db/movie[2]/title")
         # ned = 0.125
-        assert odt_similar(a, b, mapping, 0.15)
-        assert not odt_similar(a, b, mapping, 0.125)
+        assert within_normalized(a.value, b.value, 0.15)
+        assert not within_normalized(a.value, b.value, 0.125)
+        assert pair_verdict(a, b, mapping, 0.15) == "similar"
+        assert pair_verdict(a, b, mapping, 0.125) == "contradictory"
+        ods = [
+            od_from_pairs(0, [(a.value, a.name)]),
+            od_from_pairs(1, [(b.value, b.name)]),
+        ]
+        for theta, expected in ((0.15, True), (0.125, False)):
+            index = CorpusIndex(ods, mapping, theta)
+            key = index.key_of(a.name)
+            assert index.similar_verdict(key, a.value, b.value) is expected
+            assert index.similar_verdict(key, b.value, a.value) is expected
 
     def test_odt_similar_incomparable(self, mapping):
         a = ODTuple("same", "/db/movie/title")
         b = ODTuple("same", "/db/other")
-        assert not odt_similar(a, b, mapping, 0.99)
+        assert pair_verdict(a, b, mapping, 0.99) == "incomparable"
+        ods = [
+            od_from_pairs(0, [(a.value, a.name)]),
+            od_from_pairs(1, [(b.value, b.name)]),
+        ]
+        index = CorpusIndex(ods, mapping, 0.99)
+        assert index.key_of(a.name) != index.key_of(b.name)
+        # equal values of another kind are not in one another's groups
+        assert index.objects_with_similar(index.key_of(a.name), "same") == {0}
+        assert index.objects_with_similar(index.key_of(b.name), "same") == {1}
 
 
 class TestMatchTuples:
@@ -135,8 +181,8 @@ class TestMatchTuples:
         left = od_from_pairs(0, [("Miami", "/db/country[1]/city")])
         right = od_from_pairs(1, [("Miami", "/db/country[2]/city")])
         other = od_from_pairs(2, [("Boston", "/db/country[3]/city")])
-        assert similar_pairs_exist(left, right, mapping, 0.15)
-        assert not similar_pairs_exist(left, other, mapping, 0.15)
+        assert match_tuples(left, right, mapping, 0.15).similar
+        assert not match_tuples(left, other, mapping, 0.15).similar
 
 
 class TestSoftIDF:
@@ -182,15 +228,6 @@ class TestSoftIDF:
         # names normalize to /d/x -> all comparable
         index = CorpusIndex(ods, mapping, 0.15)
         assert singleton_soft_idf(ODTuple("same", "/d/x[0]"), index) == 0.0
-
-    def test_set_soft_idf_sums(self, mapping):
-        ods, index = self.make_index(mapping)
-        t0 = ODTuple("The Matrix", "/db/movie[1]/title")
-        t1 = ODTuple("Matrix", "/db/movie[2]/title")
-        total = set_soft_idf([(t0, t0), (t1, t1)], index)
-        assert total == pytest.approx(
-            singleton_soft_idf(t0, index) + singleton_soft_idf(t1, index)
-        )
 
 
 class TestDogmatixSimilarity:

@@ -14,7 +14,6 @@ from repro.datagen import (
     generate_cds,
     generate_movies,
     gold_id,
-    gold_pairs_from_elements,
     imdb_element,
     introduce_typo,
     movie_corpus,
@@ -137,13 +136,6 @@ class TestDirtyDataGenerator:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             DirtyConfig(typo_rate=1.5)
-
-    def test_gold_pairs_from_elements(self):
-        originals = [cd_to_element(r) for r in generate_cds(4, seed=3)]
-        generator = self.make_generator(duplicate_fraction=0.5)
-        duplicates = generator.duplicate_corpus(originals)
-        pairs = gold_pairs_from_elements(originals + duplicates)
-        assert len(pairs) == 2
 
 
 def _leaf_values(element):

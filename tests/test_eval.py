@@ -13,7 +13,6 @@ from repro.eval import (
     build_dataset3,
     cluster_pairs,
     filter_metrics,
-    format_experiment_table,
     format_filter_table,
     format_schema_elements_table,
     format_sweep_table,
@@ -216,10 +215,6 @@ class TestSweeps:
 
 
 class TestReporting:
-    def test_experiment_table(self):
-        table = format_experiment_table()
-        assert "exp1" in table and "h[c_sdt ∧ c_se ∧ c_me]" in table
-
     def test_sweep_table_format(self):
         dataset = build_dataset1(base_count=20, seed=2)
         sweep = run_heuristic_sweep(
@@ -277,26 +272,3 @@ class TestDatasets:
                                  fuzzy_duplicate_pairs=3)
         assert "120" in dataset.description
         assert len(dataset.sources[0].document.root.children) == 120
-
-
-class TestFigureSweepWrappers:
-    """The named per-figure entry points (used by DESIGN.md's index)."""
-
-    def test_run_dataset1_sweep_wrapper(self):
-        from repro.eval import run_dataset1_sweep, EXPERIMENTS
-
-        sweep = run_dataset1_sweep(
-            base_count=20, seed=2, ks=(1, 3), experiments=EXPERIMENTS[:1]
-        )
-        assert sweep.parameter_name == "k"
-        assert sweep.positions == [1, 3]
-        assert "exp1" in sweep.series
-
-    def test_run_dataset2_sweep_wrapper(self):
-        from repro.eval import run_dataset2_sweep, EXPERIMENTS
-
-        sweep = run_dataset2_sweep(
-            count=15, seed=3, rs=(1, 2), experiments=EXPERIMENTS[:1]
-        )
-        assert sweep.parameter_name == "r"
-        assert set(sweep.series) == {"exp1"}

@@ -1,10 +1,8 @@
-"""Tests for incremental deduplication, the relational adapter, and
-cluster-level metrics."""
+"""Tests for incremental deduplication and the relational adapter."""
 
 import pytest
 
 from repro.core import CorpusIndex, DogmatixSimilarity
-from repro.eval import cluster_metrics
 from repro.framework import (
     IncrementalDeduplicator,
     Relation,
@@ -189,31 +187,3 @@ class TestRelationalAdapter:
             relation.insert({"zzz": "v"})
         with pytest.raises(ValueError):
             relation.column_path("zzz")
-
-
-class TestClusterMetrics:
-    def test_perfect_clustering(self):
-        metrics = cluster_metrics([[0, 1], [2, 3]], [[0, 1], [2, 3]], total=6)
-        assert metrics["pairwise_f1"] == 1.0
-        assert metrics["purity"] == 1.0
-        assert metrics["rand_index"] == 1.0
-
-    def test_over_merged(self):
-        metrics = cluster_metrics([[0, 1, 2, 3]], [[0, 1], [2, 3]], total=4)
-        assert metrics["pairwise_f1"] < 1.0
-        assert metrics["purity"] == 0.5
-        assert metrics["rand_index"] < 1.0
-
-    def test_under_merged(self):
-        metrics = cluster_metrics([[0, 1]], [[0, 1, 2]], total=4)
-        assert metrics["purity"] == 1.0  # no mixing, just incomplete
-        assert metrics["pairwise_f1"] < 1.0
-
-    def test_empty_predictions(self):
-        metrics = cluster_metrics([], [[0, 1]], total=3)
-        assert metrics["purity"] == 1.0
-        assert metrics["pairwise_f1"] == 0.0
-
-    def test_rand_index_counts_agreements(self):
-        metrics = cluster_metrics([[0, 1]], [[0, 1]], total=3)
-        assert metrics["rand_index"] == 1.0

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.framework import (
-    MappingError,
-    TypeMapping,
-    mapping_from_schema,
-    mapping_from_xml,
-)
+from repro.framework import MappingError, TypeMapping, mapping_from_xml
 
 
 class TestTypeMapping:
@@ -99,15 +94,3 @@ class TestXMLRoundTrip:
             mapping_from_xml("<mapping><type><xpath>/x</xpath></type></mapping>")
         with pytest.raises(MappingError, match="no xpaths"):
             mapping_from_xml('<mapping><type name="T"/></mapping>')
-
-
-class TestMappingFromSchema:
-    def test_one_type_per_path(self):
-        mapping = mapping_from_schema(["/db/movie", "/db/movie/title"])
-        assert mapping.type_of("/db/movie") == "MOVIE"
-        assert mapping.type_of("/db/movie/title") == "TITLE"
-
-    def test_name_collision_suffixed(self):
-        mapping = mapping_from_schema(["/a/title", "/b/title"])
-        assert mapping.type_of("/a/title") == "TITLE"
-        assert mapping.type_of("/b/title") == "TITLE_2"

@@ -8,10 +8,7 @@ from repro.framework import (
     DetectionPipeline,
     MatchingTuplesClassifier,
     ThresholdClassifier,
-    candidate_xquery,
-    description_xquery,
     generate_ods,
-    od_generation_xquery,
 )
 from repro.xmlkit import parse
 
@@ -124,30 +121,47 @@ class TestDetectionResult:
 
 
 class TestQueryFormulation:
-    def test_candidate_xquery(self):
-        definition = CandidateDefinition("MOVIE", ("/moviedoc/movie",))
-        query = candidate_xquery(definition)
-        assert "for $candidate in $doc/moviedoc/movie" in query
-        assert "return $candidate" in query
+    """Section 3.3's three queries — candidate, description and OD
+    generation — executed natively on a movie document."""
 
-    def test_candidate_xquery_union(self):
-        definition = CandidateDefinition("MP", ("/db/movie", "/db/film"))
-        query = candidate_xquery(definition)
-        assert "($doc/db/movie, $doc/db/film)" in query
+    @pytest.fixture()
+    def doc(self):
+        return parse(
+            "<moviedoc>"
+            "<movie><title>The Matrix</title><year>1999</year></movie>"
+            "<movie><title>Matrix</title><year>1999</year></movie>"
+            "<movie><title>Signs</title><year>2002</year></movie>"
+            "</moviedoc>"
+        )
 
-    def test_description_xquery(self):
+    def test_candidate_query(self, doc):
+        # mapping files may spell the document as the variable $doc
+        for path in ("/moviedoc/movie", "$doc/moviedoc/movie"):
+            definition = CandidateDefinition("MOVIE", (path,))
+            assert definition.select(doc) == doc.root.find_all("movie")
+
+    def test_description_query(self, doc):
         candidate = CandidateDefinition("MOVIE", ("/moviedoc/movie",))
         description = DescriptionDefinition(("./title", "./year"))
-        query = description_xquery(candidate, description)
-        assert "$candidate/title" in query
-        assert "$candidate/year" in query
-        assert "<description>" in query
+        selected = [
+            [(e.tag, e.text) for e in description.select(c)]
+            for c in candidate.select(doc)
+        ]
+        assert selected == [
+            [("title", "The Matrix"), ("year", "1999")],
+            [("title", "Matrix"), ("year", "1999")],
+            [("title", "Signs"), ("year", "2002")],
+        ]
 
-    def test_od_generation_xquery(self):
+    def test_od_generation_query(self, doc):
         candidate = CandidateDefinition("MOVIE", ("/moviedoc/movie",))
-        description = DescriptionDefinition(("./title",))
-        query = od_generation_xquery(candidate, description)
-        assert "<odt" in query and "fn:string($e)" in query
+        description = DescriptionDefinition(("./title", "./year"))
+        ods = generate_ods(description, candidate.select(doc))
+        assert [od.object_id for od in ods] == [0, 1, 2]
+        assert [(t.name, t.value) for t in ods[1].tuples] == [
+            ("/moviedoc/movie[2]/title", "Matrix"),
+            ("/moviedoc/movie[2]/year", "1999"),
+        ]
 
 
 class TestClustersRoundTrip:

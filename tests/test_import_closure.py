@@ -6,10 +6,17 @@ one loaded are held to a list committed here, so adding an import to an
 entry path is a reviewed diff, not a start-up cost nobody saw.  The
 children run the program as shipped: default strategy and encoding, no
 bytecode cache, a corpus without XSDs (``tests/import_closure_child.py``).
+
+The same lists, the CLI's sub-commands and the ``repro`` names the
+benchmark, the paper-figure scripts, the examples and the README use
+are, together, everything that runs the package: a module none of them
+reaches is one only the tests call, and is not shipped.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,9 +113,8 @@ NOT_ON_A_WARM_OPEN = modules(
     """
     .engine.sharder .engine.executor .ingest.builder .compact
     .strings.signatures
-    .framework.queries .framework.relational .framework.incremental
-    .framework.pipeline
-    .xmlkit.xquery .xmlkit.schema_parser .xmlkit.serialize
+    .framework.relational .framework.incremental .framework.pipeline
+    .xmlkit.schema_parser .xmlkit.serialize
     .serve .analysis .datagen .eval .baselines
     """
 ) - {"repro"} | {"multiprocessing"}
@@ -189,3 +195,74 @@ def test_daemon_imports_ahead_of_its_requests(corpus):
     assert started == EXPECTED["serve"], difference(started, EXPECTED["serve"])
     assert ours(snapshots["first"]) == started
     assert snapshots["second"] == snapshots["first"]
+
+
+def repro_imports(code: str, package: str = "") -> set:
+    """``(module, name)`` for every ``repro`` import in ``code`` — at
+    module level or inside a function; ``name`` is None for ``import
+    module``.  Relative imports resolve against ``package``."""
+    found = set()
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Import):
+            found.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                module = f"{base}.{module}" if module else base
+            found.update((module, alias.name) for alias in node.names)
+    return {
+        (module, name) for module, name in found if module.split(".")[0] == "repro"
+    }
+
+
+def readme_references(text: str) -> set:
+    """The README's ``python`` blocks and import spans as
+    :func:`repro_imports` reads them, plus each dotted ``repro.x.Name``
+    it names in a code span as ``(module, name)``."""
+    code = re.findall(r"```python\n(.*?)```", text, re.S)
+    code += re.findall(r"`((?:from|import) repro[^`]*)`", text)
+    found = set().union(*(repro_imports(block) for block in code))
+    for dotted in re.findall(r"`(repro(?:\.\w+)+)`", text):
+        module, _, name = dotted.rpartition(".")
+        found.add((module, name))
+    return found
+
+
+#: Imports each name of ``sys.argv[1]``'s pairs the way its importer
+#: does, through the lazy packages, and prints the ``repro`` modules
+#: loaded; a name that no longer resolves fails the import.
+REACH = """
+import importlib, json, sys
+for module, name in json.loads(sys.argv[1]):
+    imported = importlib.import_module(module)
+    if name == "*":
+        exec("from " + module + " import *", {})
+    elif name is not None and not hasattr(imported, name):
+        importlib.import_module(module + "." + name)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_every_shipped_module_is_reached_by_something_that_runs():
+    src = Path(repro.__file__).parent
+    repo = src.parents[1]
+    reached = {(module, None) for path in EXPECTED.values() for module in path}
+    reached |= repro_imports((src / "cli.py").read_text(), package="repro")
+    for folder in ("bench", "benchmarks", "examples"):
+        for script in sorted((repo / folder).glob("*.py")):
+            reached |= repro_imports(script.read_text(encoding="utf-8"))
+    reached |= readme_references((repo / "README.md").read_text(encoding="utf-8"))
+    done = subprocess.run(
+        [sys.executable, "-c", REACH, json.dumps(sorted(reached, key=str))],
+        env=dict(os.environ, PYTHONPATH=str(src.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = ours(json.loads(done.stdout.splitlines()[-1]))
+    shipped = set()
+    for path in src.rglob("*.py"):
+        parts = path.relative_to(src.parent).with_suffix("").parts
+        shipped.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    orphans = sorted(shipped - loaded)
+    assert not orphans, f"modules nothing but the tests reaches: {orphans}"

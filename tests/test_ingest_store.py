@@ -509,6 +509,25 @@ def rewrite(path, payload):
     path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
 
 
+def two_corpora(tmp_path):
+    """A store and the specs of two corpora, A (2 records) and B (3)."""
+    mapping = (
+        '<mapping><type name="DISC"><xpath>/db/cd</xpath></type>'
+        '<type name="TITLE"><xpath>/db/cd/title</xpath></type></mapping>'
+    )
+    (tmp_path / "mapping.xml").write_text(mapping, encoding="utf-8")
+    specs = []
+    for name, titles in (("a", ["Alpha", "Alpah"]), ("b", ["Alpha", "Alpah", "Omega"])):
+        cds = "".join(f"<cd><title>{title}</title></cd>" for title in titles)
+        (tmp_path / f"{name}.xml").write_text(f"<db>{cds}</db>", encoding="utf-8")
+        specs.append(RunSpec(
+            documents=[str(tmp_path / f"{name}.xml")],
+            mapping=str(tmp_path / "mapping.xml"),
+            real_world_type="DISC",
+        ))
+    return IndexStore(tmp_path / "store"), *specs
+
+
 class TestDamagedSnapshot:
     def test_truncated_anywhere(self, saved):
         store, spec, path, intact, cold = saved
@@ -573,6 +592,35 @@ class TestDamagedSnapshot:
         path.unlink()
         assert not store.contains(spec) and not store.holds(digest)
 
+    def test_a_snapshot_filed_under_another_key_is_a_miss(self, tmp_path):
+        """A's snapshot copied to B's digest used to load as B's session."""
+        store, spec_a, spec_b = two_corpora(tmp_path)
+        digest_a = store.save(spec_a, spec_a.build_session())
+        digest_b = store.key_for(spec_b)
+        store._snapshot_path(digest_b).write_bytes(
+            store._snapshot_path(digest_a).read_bytes()
+        )
+        assert store.load(spec_b) is None
+        assert not store.contains(spec_b) and store.holds(digest_b)
+        assert [info.digest for info in store.list()] == [digest_a]
+        store.save(spec_b, spec_b.build_session())
+        assert [od.object_id for od in store.load(spec_b).ods] == [0, 1, 2]
+
+    def test_a_manifest_filed_under_another_key_is_ignored(self, tmp_path):
+        """A's manifest under B's digest used to hand out A's spec and
+        catalog entry; the snapshot beside it answers instead."""
+        store, spec_a, spec_b = two_corpora(tmp_path)
+        digest_a = store.save(spec_a, spec_a.build_session())
+        digest_b = store.save(spec_b, spec_b.build_session())
+        store._manifest_path(digest_b).write_bytes(
+            store._manifest_path(digest_a).read_bytes()
+        )
+        assert store.spec_for(digest_b) is None
+        assert store.key_for(store.spec_for(digest_a)) == digest_a
+        catalog = {info.digest: info.objects for info in store.list()}
+        assert catalog == {digest_a: 2, digest_b: 3}
+        assert store.contains(spec_b) and len(store.load(spec_b).ods) == 3
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -583,6 +631,8 @@ class TestDamagedSnapshot:
             gzip.compress(b"[1, 2]"),
             gzip.compress(b'"format"'),
         ],
+        # gzip stamps the time into its header: name the cases instead
+        ids=["empty", "not-gzip", "not-json", "not-utf8", "a-list", "a-string"],
     )
     def test_not_a_payload(self, saved, damage):
         store, spec, path, _, _ = saved
@@ -727,7 +777,9 @@ class TestCLI:
         assert "warm start" in warm.err and "unreadable" not in warm.err
         assert warm.out == cold.out
 
-    @pytest.mark.parametrize("damage", ["truncated", "another format", "no manifest"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "another format", "another key", "no manifest"]
+    )
     def test_index_build_rebuilds_over_a_snapshot_it_cannot_load(
         self, example_dir, capsys, damage
     ):
@@ -740,13 +792,16 @@ class TestCLI:
         digest = capsys.readouterr().out.strip()
         (snapshot,) = store_dir.glob("*.json.gz")
         (manifest,) = store_dir.glob("*.manifest.json")
-        if damage == "another format":
+        if damage in ("another format", "another key"):
             for path, read, write in (
                 (snapshot, gzip.decompress, gzip.compress),
                 (manifest, bytes, bytes),
             ):
                 record = json.loads(read(path.read_bytes()))
-                record["format"] = FORMAT_VERSION - 1
+                if damage == "another format":
+                    record["format"] = FORMAT_VERSION - 1
+                else:
+                    record["key"] = "0" * 64
                 path.write_bytes(write(json.dumps(record).encode("utf-8")))
         else:
             snapshot.write_bytes(snapshot.read_bytes()[: snapshot.stat().st_size // 2])

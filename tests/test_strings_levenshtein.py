@@ -94,8 +94,10 @@ class TestWithinNormalized:
         assert not within_normalized("", "abcdefgh", 0.5)
 
     def test_paper_threshold_on_dids(self):
-        # 8-char ids, one substitution: ned = 0.125 < 0.15
+        # 8-char ids, one substitution: ned = 0.125 < 0.15, but not
+        # below 0.125 itself (Definition 7's strict inequality)
         assert within_normalized("00a4f210", "00a4f211", 0.15)
+        assert not within_normalized("00a4f210", "00a4f211", 0.125)
         # two substitutions: ned = 0.25
         assert not within_normalized("00a4f210", "00a4f233", 0.15)
 

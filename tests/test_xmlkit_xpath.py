@@ -100,6 +100,97 @@ class TestRelativePaths:
         assert [e.text for e in results] == ["Dune", "Emma"]
 
 
+MOVIES = (
+    "<moviedoc>"
+    "<movie><title>The Matrix</title><year>1999</year></movie>"
+    "<movie><title>Matrix</title><year>1999</year></movie>"
+    "<movie><title>Signs</title><year>2002</year></movie>"
+    "</moviedoc>"
+)
+
+
+@pytest.fixture(scope="module")
+def movies():
+    return parse(MOVIES)
+
+
+class TestMovieQueries:
+    """The paths Section 3.3's candidate and description queries are
+    built from, evaluated natively on a small movie document."""
+
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            ("/moviedoc/movie/title", ["The Matrix", "Matrix", "Signs"]),
+            ("$doc/moviedoc/movie/title", ["The Matrix", "Matrix", "Signs"]),
+            ("/moviedoc/movie[year='1999']/title", ["The Matrix", "Matrix"]),
+            ("/moviedoc/movie[year='2002']/title", ["Signs"]),
+            ("/moviedoc/movie[year='1998']/title", []),
+            ("/moviedoc/movie[year='1999'][title='Matrix']/title", ["Matrix"]),
+            ("/moviedoc/movie[title='Signs']/year", ["2002"]),
+            ('/moviedoc/movie[title="The Matrix"]/year', ["1999"]),
+            ("/moviedoc/movie[ year = '2002' ]/title", ["Signs"]),
+            ("/moviedoc/movie[2]/title", ["Matrix"]),
+            ("/moviedoc/movie[4]", []),
+            ("/moviedoc/movie[3]/nope", []),
+            # predicates apply in order: filter, then position
+            ("/moviedoc/movie[year='1999'][2]/title", ["Matrix"]),
+            ("/moviedoc/movie[2][year='2002']", []),
+            ("/moviedoc/movie[1]/*", ["The Matrix", "1999"]),
+            ("/moviedoc/*[2]/title", ["Matrix"]),
+            ("/*/movie[3]/title", ["Signs"]),
+            ("//year", ["1999", "1999", "2002"]),
+            ("$doc//movie[title='Matrix']/year", ["1999"]),
+            ("//movie[title='Signs']//year", ["2002"]),
+            ("/moviedoc/movie/title/../year", ["1999", "1999", "2002"]),
+        ],
+    )
+    def test_absolute(self, movies, expression, expected):
+        assert [e.text for e in select(movies, expression)] == expected
+
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            ("./title", ["title"]),
+            ("title", ["title"]),
+            ("./*", ["title", "year"]),
+            (".", ["movie"]),
+            (".//year", ["year"]),
+            ("..", ["moviedoc"]),
+            ("../movie[3]/title", ["title"]),
+            ("../movie[title='Matrix']/year", ["year"]),
+        ],
+    )
+    def test_relative_to_a_candidate(self, movies, expression, expected):
+        candidate = select(movies, "/moviedoc/movie[1]")[0]
+        assert [e.tag for e in select(candidate, expression)] == expected
+
+    def test_absolute_path_selects_its_element(self, movies):
+        for element in movies.root.iter():
+            assert select(movies, element.absolute_path()) == [element]
+        second_title = select(movies, "/moviedoc/movie[2]/title")[0]
+        assert second_title.absolute_path() == "/moviedoc/movie[2]/title"
+
+    @pytest.mark.parametrize(
+        "base, relative",
+        [
+            ("/moviedoc/movie", "./title"),
+            ("/moviedoc/movie", "year"),
+            ("/moviedoc/movie[2]", "./title"),
+            ("/moviedoc/movie[3]", "."),
+            ("/moviedoc/movie[1]/title", "../year"),
+            ("/moviedoc/movie[1]/title", ".."),
+        ],
+    )
+    def test_join_agrees_with_relative_selection(self, movies, base, relative):
+        stepwise = [
+            element
+            for context in select(movies, base)
+            for element in select(context, relative)
+        ]
+        assert select(movies, join(base, relative)) == stepwise
+
+
 class TestCompile:
     def test_compiled_reusable(self, doc):
         path = compile_path("/lib/shelf/book")
@@ -118,7 +209,15 @@ class TestCompile:
 class TestSyntaxErrors:
     @pytest.mark.parametrize(
         "expression",
-        ["", "   ", "/a//", "/a/", "//", "/a[", "/a[]", "/a[x>1]", "$doc"],
+        ["", "   ", "/a//", "/a/", "//", "/a[", "/a[]", "/a[x>1]", "$doc",
+         # malformed steps and predicates
+         "/a]", "/a[1", "/a[[1]]", "/a[ ]", "/a[-1]", "/a[1.5]", "/a[1]b",
+         "/a[title=Emma]", "/a[title='Emma]", "/a[title=\"x']", "/a///b",
+         "a//", "./", "/a/[1]", "/1a", "/a/-b", "/a/b c", "/a/b!", "$x",
+         "/a/..[1]", "..[1]",
+         # XQuery and full-XPath syntax outside the subset
+         "/a/@id", "/a/text()", "/a | /b", "fn:data(/a)",
+         "for $m in /a return $m"],
     )
     def test_rejected(self, expression):
         with pytest.raises(XPathSyntaxError):
