@@ -131,6 +131,9 @@ class LintConfig:
         {"_content", "_children", "_ordinal"}
     )
 
+    #: The one module that may open a process pool (RPR006).
+    pool_module: str = "repro.engine.pool"
+
     #: Modules a warm open, a batch run or a CLI lookup loads: RPR008
     #: keeps their module-level imports on the defining submodules and
     #: off the deferred modules below.
@@ -166,11 +169,12 @@ class LintConfig:
     )
 
     #: Modules only a rarely taken branch runs — the shard backend, the
-    #: compact encoding, parallel ingestion, the daemon, the tooling and
-    #: evaluation packages.  Off the entry path by definition, so they may
-    #: import each other freely.
+    #: worker pool, the compact encoding, parallel ingestion, the daemon,
+    #: the tooling and evaluation packages.  Off the entry path by
+    #: definition, so they may import each other freely.
     deferred_modules: tuple[str, ...] = (
         "repro.engine.sharder",
+        "repro.engine.pool",
         "repro.compact",
         "repro.core.compact_terms",
         "repro.ingest.builder",

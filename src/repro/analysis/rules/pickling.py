@@ -1,22 +1,21 @@
-"""RPR006 — pool payloads must be picklable module-level callables.
+"""RPR006 — one pool module, and its payloads pickle.
 
-The invariant (enforced operationally since PR 1): everything submitted
-to the multiprocessing pool — worker functions, initializers, and
-their arguments — crosses a process boundary by pickle.  Lambdas and
-closures do not pickle; bound methods drag their whole instance (for a
-session or OD that means XML elements) into every task payload.  The
-executor's runtime guard (``_picklable``) degrades such runs to the
-serial backend *silently*, so the mistake costs all parallelism
-without failing a single test — exactly the kind of regression a
-static check catches and a load test does not.
+Everything submitted to the worker pool — worker functions,
+initializers, their arguments — crosses a process boundary by pickle.
+Lambdas and closures do not pickle; bound methods drag their whole
+instance (XML elements, for a session or OD) into every task.  The
+runtime guard (``repro.engine.pool.picklable``) ends such runs on the
+serial backend with only a recorded reason to show for it, so the
+mistake costs all parallelism without failing a test.  And pools open
+in one module, ``repro.engine.pool``, which turns a dead worker into the
+serial fallback instead of a hang.
 
-Pattern: a call of a pool-submission method (``submit``/``map``/
-``imap``/``imap_unordered``/``starmap``/``apply``/``apply_async`` on a
-receiver whose name mentions pool/executor, or a ``Pool(...)``
-constructor's ``initializer=``) whose function payload is a lambda, a
-function defined inside another function (a closure), or a
-``self.<method>`` bound method — plus any lambda appearing anywhere in
-the submission's arguments (e.g. inside ``initargs``).
+Pattern: a pool-submission method (``submit``/``map``/``imap``/...) on a
+receiver whose name mentions pool/executor, or the ``initializer=`` of
+a call whose callee's name does (``open_pool``), given a lambda, a
+closure or a ``self.<method>`` — plus any lambda anywhere in the call's
+arguments; and a ``Pool(...)`` or ``ProcessPoolExecutor(...)``
+constructor outside the configured pool module.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ _POOL_METHODS = frozenset(
     {"submit", "map", "imap", "imap_unordered", "starmap", "apply", "apply_async"}
 )
 _POOL_NAME = re.compile(r"(?i)pool|executor")
+_CONSTRUCTORS = frozenset({"Pool", "ProcessPoolExecutor"})
 
 
 @register
@@ -49,6 +49,15 @@ class UnpicklablePoolPayload(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
+            callee = _callee_name(node)
+            if callee in _CONSTRUCTORS and ctx.module != ctx.config.pool_module:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{callee}(...) outside {ctx.config.pool_module}: open "
+                    "worker processes through its open_pool(), which ends "
+                    "a run whose worker dies on the serial path",
+                )
             payloads: list[tuple[ast.AST, str]] = []
             if self._is_pool_submission(node):
                 if node.args:
@@ -56,7 +65,7 @@ class UnpicklablePoolPayload(Rule):
                 for keyword in node.keywords:
                     if keyword.arg in ("func", "initializer"):
                         payloads.append((keyword.value, keyword.arg))
-            elif self._is_pool_constructor(node):
+            elif _POOL_NAME.search(callee):
                 for keyword in node.keywords:
                     if keyword.arg == "initializer":
                         payloads.append((keyword.value, "initializer"))
@@ -90,18 +99,6 @@ class UnpicklablePoolPayload(Rule):
         )
 
     @staticmethod
-    def _is_pool_constructor(node: ast.Call) -> bool:
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else ""
-        )
-        return name.endswith("Pool") or name.endswith("Executor")
-
-    @staticmethod
     def _nested_function_names(tree: ast.AST) -> frozenset[str]:
         """Names of functions defined inside other functions (closures)."""
         names: set[str] = set()
@@ -121,7 +118,7 @@ class UnpicklablePoolPayload(Rule):
         if isinstance(payload, ast.Lambda):
             return (
                 f"lambda as pool {role} cannot pickle across the process "
-                "boundary (the executor silently degrades to serial); "
+                "boundary (the run ends on the serial backend); "
                 "use a module-level function"
             )
         if isinstance(payload, ast.Name) and payload.id in nested:
@@ -141,3 +138,10 @@ class UnpicklablePoolPayload(Rule):
                 "element-stripped payloads"
             )
         return None
+
+
+def _callee_name(node: ast.Call) -> str:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else ""

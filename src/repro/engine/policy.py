@@ -26,7 +26,7 @@ from dataclasses import dataclass
 #: Supported execution backends.
 #:
 #: * ``serial``  — classify batches in-process (zero dependencies);
-#: * ``process`` — fan batches out across ``multiprocessing`` workers
+#: * ``process`` — fan batches out across worker processes
 #:   (pairs are enumerated in the parent and pickled to workers);
 #: * ``shard``   — workers enumerate *and* classify their shards' pairs
 #:   locally (worker-side pair generation; see ``engine.sharder``).
@@ -44,11 +44,9 @@ SHARD_MODES = ("block", "object")
 
 DEFAULT_BATCH_SIZE = 256
 
-#: Shards per worker under the ``shard`` backend.  More shards than
-#: workers lets ``imap`` balance uneven blocks dynamically; results are
-#: invariant under the shard count (pair ownership is deterministic and
-#: results are canonically ordered), so this is purely a scheduling
-#: knob.
+#: Shards per worker under the ``shard`` backend: free workers pull the
+#: next shard, balancing uneven blocks.  Results are invariant under the
+#: shard count (deterministic ownership, canonical result order).
 SHARD_FACTOR = 4
 
 
@@ -175,7 +173,7 @@ class ExecutionPolicy:
         """Shards to partition pair generation into (shard backend).
 
         ``block`` mode oversubscribes (``SHARD_FACTOR`` shards per
-        worker) so ``imap`` can balance uneven blocks dynamically.
+        worker) so free workers balance uneven blocks.
         ``object`` mode gets exactly one shard per worker: its per-pair
         hash ownership is already uniform, and every object-mode shard
         walks the full block structure, so extra shards would only

@@ -337,10 +337,9 @@ class ShardedPairSource:
 
         Only fires when an :data:`ObjectDecider` was supplied but no
         ``kept_ids`` exist yet — i.e. no worker pool ran the sharded
-        pass (``workers=1``, or an unpicklable runtime degraded to
-        parent-side enumeration).  Evaluates in candidate order, like
-        the classic parent-side pass, so ``pruned_ids`` stay
-        bit-identical across execution modes.
+        pass (``workers=1``, an unpicklable runtime, a broken pool).
+        Evaluates in candidate order, like the classic parent-side
+        pass, so ``pruned_ids`` stay bit-identical across modes.
         """
         if self.object_filter is None or self.kept_ids is not None:
             return

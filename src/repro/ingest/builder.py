@@ -24,22 +24,24 @@ embarrassingly parallel once the work is partitioned.
    re-attaches its own elements to the returned OD tuples and merges
    the partials associatively into the final index.
 
-Each worker receives the whole (pre-pickled) corpus once via the pool
-initializer: unpickling a tree is far cheaper than re-parsing it with
-the pure-Python parser, and any chunk of any source can then be
-scheduled on any worker.  The payload therefore scales with
-``corpus × workers`` in memory — per-worker source subsetting (and
-with it cross-machine distribution) is the natural next step on top of
-the same partial-merge algebra; see ROADMAP.md.
+Both phases run on the worker pool (:mod:`repro.engine.pool`).  Each
+worker receives the whole corpus once via the pool initializer:
+unpickling a tree is far cheaper than re-parsing it with the
+pure-Python parser, and any chunk of any source can then be scheduled
+on any worker.  The payload therefore scales with ``corpus × workers``
+in memory — per-worker source subsetting (and with it cross-machine
+distribution) is the natural next step on top of the same partial-merge
+algebra; see ROADMAP.md.
 
 Object ids are assigned before fan-out, so worker output needs no
 renumbering and the merged index is observably identical to the serial
 build (same occurrence sets, soft-IDF statistics, similar-value groups,
 blocking view) — pinned by ``tests/test_ingest_parallel.py`` and the
 merge-associativity fuzz suite.  With one worker, an empty candidate
-set, or an unpicklable payload (e.g. a closure-based condition) the
-build falls back to the serial reference path and records why in
-:attr:`ParallelIngestor.last_report`.
+set, an unpicklable payload (e.g. a closure-based condition), or a pool
+worker that dies or fails to start, the build falls back to the serial
+reference path and records why in :attr:`ParallelIngestor.last_report`;
+a parse pool that breaks parses in the parent instead.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from .._lazy import resolve
 from ..core.config import DogmatixConfig
 from ..core.index import CorpusIndex, IndexPartial
 from ..core.selection import DescriptionSelector
@@ -63,9 +66,12 @@ from ..xmlkit.xpath import compile_path
 
 PathLike = Union[str, os.PathLike]
 
-#: Candidate chunks per worker: oversubscription lets ``imap`` balance
-#: sources and xpaths with uneven candidate counts dynamically.
+#: Candidate chunks per worker: oversubscription lets free workers pull
+#: the next chunk, balancing sources and xpaths with uneven candidate
+#: counts.  Results are invariant under the chunking.
 CHUNK_FACTOR = 4
+
+_POOL = "repro.engine.pool"
 
 
 @dataclass(frozen=True)
@@ -88,36 +94,15 @@ class IngestReport:
 _INGEST_STATE: dict[str, object] = {}
 
 
-def _init_ingest_worker(payload: bytes) -> None:
-    """Install one pre-pickled corpus payload as this worker's state.
-
-    The parent pickles ``(sources, mapping, selector, include_empty,
-    q, strategy)`` exactly once and ships the bytes — serializing here
-    instead of via initargs keeps the cost one ``dumps`` regardless of
-    start method and turns any pickling problem into the parent-side
-    serial fallback rather than a pool-initializer crash loop.
-    """
-    import pickle
-
-    (
-        sources,
-        mapping,
-        selector,
-        include_empty,
-        q,
-        strategy,
-        encoding,
-    ) = pickle.loads(payload)
-    _INGEST_STATE["sources"] = sources
-    _INGEST_STATE["mapping"] = mapping
-    _INGEST_STATE["selector"] = selector
-    _INGEST_STATE["include_empty"] = include_empty
-    _INGEST_STATE["q"] = q
-    _INGEST_STATE["strategy"] = strategy
-    _INGEST_STATE["encoding"] = encoding
-    _INGEST_STATE["schemas"] = {}
-    _INGEST_STATE["descriptions"] = {}
-    _INGEST_STATE["candidates"] = {}
+def _init_ingest_worker(
+    sources, mapping, selector, include_empty, q, strategy, encoding
+) -> None:
+    """Install the corpus and the OD-shaping config as this worker's state."""
+    _INGEST_STATE.update(
+        sources=sources, mapping=mapping, selector=selector,
+        include_empty=include_empty, q=q, strategy=strategy,
+        encoding=encoding, schemas={}, descriptions={}, candidates={},
+    )
 
 
 def _worker_schema(source_index: int) -> Schema:
@@ -191,10 +176,6 @@ def _ingest_chunk(
     return [(od.object_id, od.tuples) for od in ods], partial
 
 
-def _parse_source_file(path: PathLike) -> Document:
-    return parse_file(path)
-
-
 class ParallelIngestor:
     """Builds ``(ods, index)`` for a corpus, in parallel when possible.
 
@@ -203,23 +184,19 @@ class ParallelIngestor:
     workers:
         Pool processes for parsing and description/index construction;
         ``0`` means all cores, ``1`` is the serial reference path.
-    chunk_factor:
-        Candidate chunks per worker (scheduling knob only — results
-        are invariant under the chunking).
     """
 
-    def __init__(self, workers: int = 0, chunk_factor: int = CHUNK_FACTOR) -> None:
+    def __init__(self, workers: int = 0) -> None:
         if workers == 0:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunk_factor < 1:
-            raise ValueError(f"chunk_factor must be >= 1, got {chunk_factor}")
         self.workers = workers
-        self.chunk_factor = chunk_factor
-        #: Populated by :meth:`build` / :meth:`parse_sources`.
+        #: Populated by :meth:`build`.
         self.last_report: Optional[IngestReport] = None
+        # What the last parse_sources left for the next build's report.
         self._parsed_in_workers = 0
+        self._parse_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Phase 1: parsing
@@ -251,19 +228,18 @@ class ParallelIngestor:
         ]
         parsed: dict[int, Document] = {}
         self._parsed_in_workers = 0
+        self._parse_reason = None
         if len(path_jobs) > 1 and self.workers > 1:
-            import multiprocessing  # here, not at import: serial builds never need it
-
-            context = multiprocessing.get_context()
-            with context.Pool(min(self.workers, len(path_jobs))) as pool:
-                trees = pool.map(
-                    _parse_source_file, [path for _, path in path_jobs]
-                )
-            for (position, _), document in zip(path_jobs, trees):
-                parsed[position] = document
-            self._parsed_in_workers = len(path_jobs)
-        else:
-            for position, path in path_jobs:
+            try:
+                open_pool = resolve(f"{_POOL}:open_pool")
+                with open_pool(min(self.workers, len(path_jobs))) as pool:
+                    trees = pool.map(parse_file, [path for _, path in path_jobs])
+                    parsed = dict(zip([at for at, _ in path_jobs], trees))
+                self._parsed_in_workers = len(path_jobs)
+            except resolve(f"{_POOL}:PoolBroken") as failure:
+                self._parse_reason = f"parse: {failure}"
+        for position, path in path_jobs:
+            if position not in parsed:
                 parsed[position] = parse_file(path)
 
         sources: list[Source] = []
@@ -301,12 +277,13 @@ class ParallelIngestor:
         the workers' partials.
         """
         config = config or DogmatixConfig()
-        parsed_in_workers = self._parsed_in_workers
-        self._parsed_in_workers = 0  # consumed: report this build only
+        parsed_in_workers, parse_reason = self._parsed_in_workers, self._parse_reason
+        # consumed: report this build only
+        self._parsed_in_workers, self._parse_reason = 0, None
         if self.workers <= 1:  # before enumerating anything the serial
             # path would only re-enumerate via generate_ods
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed_in_workers, reason=None)
+                                parsed_in_workers, reason=parse_reason)
         sources = list(corpus)
         units: list[tuple[int, str, list[Element], int]] = []
         next_id = 0
@@ -339,55 +316,44 @@ class ParallelIngestor:
         q = IndexPartial().q
         strategy = config.similarity_strategy
         encoding = config.index_encoding
-        import multiprocessing
-        import pickle
-
-        try:  # one dumps; the bytes are what crosses into the pool
-            payload = pickle.dumps(
-                (tuple(sources), mapping, config.selector,
-                 config.include_empty, q, strategy, encoding),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:
+        payload = (tuple(sources), mapping, config.selector,
+                   config.include_empty, q, strategy, encoding)
+        if not resolve(f"{_POOL}:picklable")(payload):
             return self._serial(corpus, mapping, real_world_type, config,
                                 parsed_in_workers,
                                 reason="unpicklable ingest payload")
 
-        chunk = max(1, -(-total // (self.workers * self.chunk_factor)))
+        chunk = max(1, -(-total // (self.workers * CHUNK_FACTOR)))
         tasks: list[IngestTask] = []
+        chunks: list[list[Element]] = []  # the parent's elements per task
         for source_index, xpath, elements, first_id in units:
             for start in range(0, len(elements), chunk):
                 stop = min(start + chunk, len(elements))
                 tasks.append((source_index, xpath, start, stop, first_id + start))
-
-        unit_elements = {
-            (source_index, xpath): elements
-            for source_index, xpath, elements, _ in units
-        }
+                chunks.append(elements[start:stop])
         ods: list[ObjectDescription] = []
         merged = IndexPartial(q=q, strategy=strategy, encoding=encoding)
-        context = multiprocessing.get_context()
-        with context.Pool(
-            processes=self.workers,
-            initializer=_init_ingest_worker,
-            initargs=(payload,),
-        ) as pool:
-            # imap keeps results in task (= serial id) order while
-            # letting free workers pull the next chunk.
-            for task, (chunk_ods, partial) in zip(
-                tasks, pool.imap(_ingest_chunk, tasks)
-            ):
-                source_index, xpath, start, stop, _ = task
-                elements = unit_elements[(source_index, xpath)][start:stop]
-                if len(chunk_ods) != len(elements):  # pragma: no cover
-                    raise RuntimeError(
-                        f"ingest worker returned {len(chunk_ods)} ODs for "
-                        f"{len(elements)} candidates of {xpath!r} — "
-                        "parent/worker candidate drift"
-                    )
-                for (object_id, tuples), element in zip(chunk_ods, elements):
-                    ods.append(ObjectDescription(object_id, tuples, element))
-                merged.merge(partial)
+        try:
+            open_pool = resolve(f"{_POOL}:open_pool")
+            with open_pool(
+                self.workers, initializer=_init_ingest_worker, initargs=payload
+            ) as pool:
+                # results arrive in task (= serial id) order
+                for elements, (chunk_ods, partial) in zip(
+                    chunks, pool.map(_ingest_chunk, tasks)
+                ):
+                    if len(chunk_ods) != len(elements):  # pragma: no cover
+                        raise RuntimeError(
+                            f"ingest worker returned {len(chunk_ods)} ODs for "
+                            f"{len(elements)} candidates — parent/worker "
+                            "candidate drift"
+                        )
+                    for (object_id, tuples), element in zip(chunk_ods, elements):
+                        ods.append(ObjectDescription(object_id, tuples, element))
+                    merged.merge(partial)
+        except resolve(f"{_POOL}:PoolBroken") as failure:
+            return self._serial(corpus, mapping, real_world_type, config,
+                                parsed_in_workers, reason=str(failure))
 
         index = CorpusIndex.from_partial(merged, mapping, config.theta_tuple)
         self.last_report = IngestReport(
@@ -396,6 +362,7 @@ class ParallelIngestor:
             sources=len(sources),
             candidates=total,
             parsed_in_workers=parsed_in_workers,
+            reason=parse_reason,
         )
         return ods, index
 

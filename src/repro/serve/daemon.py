@@ -62,10 +62,11 @@ from .sessions import SessionEntry, SessionRegistry
 # the first ``extend()``, a response's XML — is imported here, before
 # the socket listens, so no request and no lock-free reader thread ever
 # loads a ``repro`` module (``tests/test_import_closure.py`` holds the
-# list to it).  The standard library's pool machinery stays with the
-# first ``detect()`` whose spec asks for workers, as it always has: it
-# is a MiB of resident memory that a daemon serving serial specs would
-# never use.
+# list to it).  The standard library's pool machinery, which
+# ``repro.engine.pool`` imports when a pool opens, stays with the first
+# ``detect()`` whose spec asks for workers, as it always has: it is a
+# MiB of resident memory that a daemon serving serial specs would never
+# use.
 preload(
     # what every corpus runs
     "repro.api.session",
@@ -83,6 +84,7 @@ preload(
     "repro.compact",
     "repro.core.compact_terms",
     "repro.engine.sharder",
+    "repro.engine.pool",
     "repro.ingest.builder",
 )
 

@@ -625,10 +625,8 @@ class TestUnpicklablePoolPayload:
             UnpicklablePoolPayload(),
             """
             class Runner:
-                def run(self, context, items):
-                    with context.Pool(
-                        processes=2, initializer=lambda: None
-                    ) as pool:
+                def run(self, open_pool, items):
+                    with open_pool(2, initializer=lambda: None) as pool:
                         return pool.map(self.score, items)
             """,
         )
@@ -646,14 +644,79 @@ class TestUnpicklablePoolPayload:
             def _init(state):
                 pass
 
-            def fan_out(context, items):
-                with context.Pool(
-                    processes=2, initializer=_init, initargs=(1,)
-                ) as pool:
-                    return pool.imap(_work, items)
+            def fan_out(open_pool, items):
+                with open_pool(2, initializer=_init, initargs=(1,)) as pool:
+                    return list(pool.map(_work, items))
             """,
         )
         assert findings == []
+
+    @pytest.mark.parametrize(
+        "constructor",
+        [
+            "multiprocessing.get_context().Pool(2)",
+            "Pool(processes=2)",
+            "ProcessPoolExecutor(2, initializer=_init)",
+            "futures.ProcessPoolExecutor(max_workers=2)",
+        ],
+    )
+    def test_fires_on_a_pool_opened_outside_the_pool_module(self, constructor):
+        findings = run(
+            UnpicklablePoolPayload(),
+            f"""
+            def _init():
+                pass
+
+            def fan_out(items):
+                with {constructor} as pool:
+                    return list(pool.map(len, items))
+            """,
+        )
+        assert codes(findings) == ["RPR006"]
+        assert "repro.engine.pool" in findings[0].message
+
+    def test_quiet_on_a_pool_opened_inside_the_pool_module(self):
+        findings = run(
+            UnpicklablePoolPayload(),
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def open_pool(workers, initializer=None, initargs=()):
+                return ProcessPoolExecutor(
+                    workers, initializer=initializer, initargs=initargs
+                )
+            """,
+            module="repro.engine.pool",
+        )
+        assert findings == []
+
+    def test_fires_on_closure_initializer_of_an_executor(self):
+        findings = run(
+            UnpicklablePoolPayload(),
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def open_pool(workers, state):
+                def install():
+                    globals().update(state)
+
+                return ProcessPoolExecutor(workers, initializer=install)
+            """,
+            module="repro.engine.pool",
+        )
+        assert codes(findings) == ["RPR006"]
+        assert "closure" in findings[0].message
+
+    def test_fires_on_lambda_mapped_by_an_executor(self):
+        findings = run(
+            UnpicklablePoolPayload(),
+            """
+            def fan_out(executor, items):
+                return list(executor.map(lambda item: item * 2, items))
+            """,
+        )
+        assert codes(findings) == ["RPR006"]
+        assert "lambda" in findings[0].message
 
     def test_quiet_on_builtin_map(self):
         findings = run(

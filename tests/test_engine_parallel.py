@@ -332,8 +332,9 @@ class TestGenericPipelineParallel:
 
 
 class TestPoolModulesLoadWithTheFirstPool:
-    """``multiprocessing`` and ``pickle`` cost every process ~10 ms to
-    import; only a run that builds a pool pays it."""
+    """``concurrent.futures``, ``multiprocessing`` and ``pickle`` cost
+    every process ~26 ms to import; only a run that builds a pool pays
+    it."""
 
     def test_serial_entry_points_import_neither_and_a_pool_still_runs(self):
         import os
@@ -345,7 +346,8 @@ class TestPoolModulesLoadWithTheFirstPool:
         code = (
             "import sys\n"
             "import repro.api, repro.ingest, repro.cli\n"
-            "print([m for m in ('multiprocessing', 'pickle') if m in sys.modules])\n"
+            "pool = ('concurrent.futures', 'multiprocessing', 'pickle')\n"
+            "print([m for m in pool if m in sys.modules])\n"
             "from repro.engine import (ConstantClassifierFactory, ExecutionPolicy,\n"
             "                          ParallelClassifier)\n"
             "from repro.framework import (MatchingTuplesClassifier, NoPruning,\n"
@@ -357,7 +359,7 @@ class TestPoolModulesLoadWithTheFirstPool:
             "    classifier_factory=ConstantClassifierFactory(classifier))\n"
             "pairs, compared = engine.run(ods, NoPruning())\n"
             "print(engine.last_backend, compared, len(pairs),\n"
-            "      'multiprocessing' in sys.modules)\n"
+            "      all(m in sys.modules for m in pool))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],

@@ -101,6 +101,7 @@ EXPECTED = {
         .cli .ingest .ingest.store .ingest.builder
         .serve .serve.daemon .serve.sessions
         .compact .core.compact_terms .core.conditions .engine.sharder
+        .engine.pool
         .framework.incremental .framework.representatives
         .strings.signatures
         .xmlkit.schema_parser .xmlkit.serialize
@@ -115,9 +116,9 @@ NOT_ON_A_WARM_OPEN = modules(
     .strings.signatures
     .framework.relational .framework.incremental .framework.pipeline
     .xmlkit.schema_parser .xmlkit.serialize
-    .serve .analysis .datagen .eval .baselines
+    .serve .analysis .datagen .eval .baselines .engine.pool
     """
-) - {"repro"} | {"multiprocessing"}
+) - {"repro"} | {"multiprocessing", "concurrent.futures"}
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,8 @@ def test_daemon_imports_ahead_of_its_requests(corpus):
     snapshots = run_child("serve", corpus)
     started = ours(snapshots["started"])
     assert started == EXPECTED["serve"], difference(started, EXPECTED["serve"])
+    # ... but not the standard library's pool machinery
+    assert not {"multiprocessing", "concurrent.futures"} & set(snapshots["started"])
     assert ours(snapshots["first"]) == started
     assert snapshots["second"] == snapshots["first"]
 

@@ -124,8 +124,6 @@ class TestSerialPath:
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelIngestor(-1)
-        with pytest.raises(ValueError):
-            ParallelIngestor(2, chunk_factor=0)
 
     def test_parse_sources_mixed_inputs(self, tmp_path):
         path = tmp_path / "movies.xml"
@@ -179,15 +177,18 @@ class TestParallelParity:
         assert all(run.detect_identical for run in runs)
         assert len({run.candidates for run in runs}) == 1
 
-    def test_chunking_is_invariant(self):
-        """chunk_factor is a scheduling knob: 1 vs 7 chunks per worker
-        produce the same ODs and index."""
+    def test_chunking_is_invariant(self, monkeypatch):
+        """CHUNK_FACTOR only schedules: 1 vs 7 chunks per worker produce
+        the same ODs and index."""
+        from repro.ingest import builder
+
         dataset = build_dataset1(base_count=10, seed=11)
         corpus = Corpus(dataset.sources)
         config = DogmatixConfig(use_object_filter=False)
         builds = []
         for chunk_factor in (1, 7):
-            ingestor = ParallelIngestor(2, chunk_factor=chunk_factor)
+            monkeypatch.setattr(builder, "CHUNK_FACTOR", chunk_factor)
+            ingestor = ParallelIngestor(2)
             builds.append(
                 ingestor.build(
                     corpus, dataset.mapping, dataset.real_world_type, config
