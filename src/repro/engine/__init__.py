@@ -6,8 +6,8 @@ its knobs, :class:`PairBatcher` turns any pair source into fixed-size
 work units, :class:`ShardedPairSource` partitions pair *generation*
 into deterministic shards, and :class:`ParallelClassifier` executes the
 work — serially, across the worker pool of :mod:`repro.engine.pool`
-(parent-enumerated batches), or sharded (worker-enumerated pairs) — with results
-guaranteed identical to the serial order (see
+(parent-enumerated batches), or sharded (worker-enumerated pairs) —
+with results guaranteed identical to the serial order (see
 ``tests/test_engine_parallel.py`` and ``tests/test_shard_equivalence.py``).
 """
 

@@ -1,38 +1,50 @@
 """Batched pair classification across workers (pipeline steps 4+5).
 
-The :class:`ParallelClassifier` classifies the candidate pairs of the
-batches a :class:`~repro.engine.batcher.PairBatcher` produces.  Three
-backends share the scoring code path:
+The :class:`ParallelClassifier` executes the classification of candidate
+pairs over the batches a :class:`~repro.engine.batcher.PairBatcher`
+produces.  Three backends share the scoring code path:
 
-* **serial** — in-process; by construction the ``workers=1`` case of
-  the batched path, and the fallback of the other two;
+* **serial** — batches are classified in-process; this is the
+  zero-dependency fallback and, by construction, the ``workers=1`` case
+  of the batched path;
 * **process** — batches fan out over the worker pool
-  (:mod:`repro.engine.pool`).  Its initializer receives the
-  element-stripped ODs once and builds the classifier there — for
-  DogmatiX one :class:`~repro.core.index.CorpusIndex` per worker.  Kept
-  :class:`~repro.framework.result.ScoredPair` lists come back in batch
-  order, so every backend yields the identical pair sequence;
-* **shard** — the tasks are shard ids: each worker enumerates and
-  classifies its shards' pairs via a
-  :class:`~repro.engine.sharder.ShardRuntimeFactory`, so no pair
-  crosses the process boundary.  Kept pairs come back in shard order;
-  the pipeline orders result pairs canonically, so results stay
-  bit-identical (``tests/test_shard_equivalence``).  When the runtime
-  evaluates the object filter too (``filter_in_workers``), a filter
-  phase runs on the same pool first and the parent merges its decisions
-  into candidate order before any pair is enumerated.
+  (:mod:`repro.engine.pool`).  A worker initializer receives the full
+  (element-stripped) OD instance once and builds the classifier there
+  — for DogmatiX that means one
+  :class:`~repro.core.index.CorpusIndex` per worker, not per pair.
+  Batch payloads are plain id pairs; results are the kept
+  :class:`~repro.framework.result.ScoredPair` lists, concatenated in
+  batch order so every backend yields the identical pair sequence;
+* **shard** — pair *generation* moves into the workers too: the pool
+  payload is shard ids, and each worker enumerates and classifies its
+  shards' pairs locally via a
+  :class:`~repro.engine.sharder.ShardRuntimeFactory` (for DogmatiX one
+  index per worker drives both blocking keys and similarity), so pair
+  batches never cross the process boundary.  Kept pairs come back in
+  shard order, which generally differs from the serial enumeration
+  order — the pipeline orders result pairs canonically, so results
+  stay bit-identical across backends (``tests/test_shard_equivalence``).
+  When the shard runtime evaluates the object filter too
+  (``ExecutionPolicy.filter_in_workers``), a filter phase runs on the
+  same pool first: each worker decides its share of the candidates and
+  the parent merges the decisions back into candidate order before any
+  pair is enumerated.
 
-Workers build their classifier through a picklable *classifier factory*
-``factory(ods) -> classifier``; without one the live classifier is
-shipped.  A factory that does not pickle, a worker that dies and a
-factory that raises inside the worker all end the run on the serial
-backend with the same result; :attr:`ParallelClassifier.last_reason`
-says why.
+Classifier construction inside workers goes through a *classifier
+factory*: a picklable callable ``factory(ods) -> classifier``.  When no
+factory is given the live classifier itself is shipped (fine for
+stateless classifiers).  If that is not picklable, or a worker dies or
+the factory raises inside one, the run falls back to the serial backend
+with the same result, and :attr:`ParallelClassifier.last_reason` says
+why.
 
 **Process-backend contract:** worker-side classifiers see
-element-stripped ODs (:func:`bare_ods`: ``od.element`` is ``None``).
-Every classifier here scores from tuples alone; a custom classifier
-that consults ``od.element`` must stay on the serial backend.
+element-stripped ODs — ``object_id`` and the OD tuples only, with
+``od.element`` always ``None`` (see :func:`bare_ods`).  Every
+classifier in this repository (DogmatiX, the baselines) scores from
+tuples alone, but a custom classifier that consults ``od.element``
+must stay on the serial backend, or it will diverge from serial
+results.
 """
 
 from __future__ import annotations
@@ -116,23 +128,18 @@ def _init_worker(
     ods: Sequence[ObjectDescription],
     keep_possible: bool,
 ) -> None:
-    _WORKER_STATE.update(
-        by_id={od.object_id: od for od in ods},
-        classifier=factory(ods),
-        keep_possible=keep_possible,
-    )
+    _WORKER_STATE["by_id"] = {od.object_id: od for od in ods}
+    _WORKER_STATE["classifier"] = factory(ods)
+    _WORKER_STATE["keep_possible"] = keep_possible
 
 
-def _score_batch_in_worker(
-    batch: list[tuple[int, int]],
-) -> tuple[list[ScoredPair], int]:
-    kept = score_batch(
+def _score_batch_in_worker(batch: list[tuple[int, int]]) -> list[ScoredPair]:
+    return score_batch(
         batch,
         _WORKER_STATE["by_id"],  # type: ignore[arg-type]
         _WORKER_STATE["classifier"],  # type: ignore[arg-type]
         bool(_WORKER_STATE["keep_possible"]),
     )
-    return kept, len(batch)
 
 
 def _init_shard_worker(
@@ -142,17 +149,21 @@ def _init_shard_worker(
     batch_size: int,
 ) -> None:
     classifier, source = factory(ods)
-    _WORKER_STATE.update(
-        ods=ods, by_id={od.object_id: od for od in ods}, classifier=classifier,
-        source=source, keep_possible=keep_possible, batch_size=batch_size,
-    )
+    _WORKER_STATE["ods"] = ods
+    _WORKER_STATE["by_id"] = {od.object_id: od for od in ods}
+    _WORKER_STATE["classifier"] = classifier
+    _WORKER_STATE["source"] = source
+    _WORKER_STATE["keep_possible"] = keep_possible
+    _WORKER_STATE["batch_size"] = batch_size
 
 
 def _filter_shard_in_worker(shard_id: int) -> list[ObjectDecision]:
     """Decide f(OD_i) for the objects one filter shard owns.
 
-    The worker's own index answers the searches — ~1/shard_count of the
-    serial pass — and keeps them warm for the enumeration that follows.
+    The worker's own index answers the similar-value searches, so each
+    shard pays ~1/shard_count of the filter pass the parent used to run
+    serially — and warms the worker's similar-value caches for the pair
+    enumeration that follows.
     """
     source = _WORKER_STATE["source"]
     decider = source.object_filter  # type: ignore[union-attr]
@@ -169,25 +180,33 @@ def _score_shard_in_worker(
 
     ``task`` carries the shard id plus, for worker-filtered runs, the
     merged **pruned** ids of the filter phase (``None`` when the filter
-    ran — or is disabled — in the parent): the compact complement of the
-    kept set, which the worker derives and installs on its first
-    pair-shard task (every task of a run carries the same set), so the
-    source never re-runs its own filter pass.
+    already ran — or is disabled — in the parent).  The pruned set is
+    the compact complement of the kept set (most objects survive the
+    filter), so it is what crosses the process boundary; the worker
+    derives the kept ids from its own OD instance and installs them —
+    once, on its first pair-shard task: the pool lives for one run and
+    every task of a run carries the identical pruned set, so an
+    already-installed source keeps the source from lazily re-running
+    its own full filter pass on later tasks for free.
     """
     shard_id, pruned_ids = task
     source = _WORKER_STATE["source"]
-    ods = _WORKER_STATE["ods"]
     if pruned_ids is not None and source.kept_ids is None:  # type: ignore[union-attr]
         source.kept_ids = frozenset(  # type: ignore[union-attr]
-            od.object_id for od in ods if od.object_id not in pruned_ids  # type: ignore[union-attr]
+            od.object_id
+            for od in _WORKER_STATE["ods"]  # type: ignore[union-attr]
+            if od.object_id not in pruned_ids
         )
-    pair_stream = source.shard_pairs(ods, shard_id)  # type: ignore[union-attr]
+    ods = _WORKER_STATE["ods"]
+    by_id = _WORKER_STATE["by_id"]
+    classifier = _WORKER_STATE["classifier"]
+    keep_possible = bool(_WORKER_STATE["keep_possible"])
     kept: list[ScoredPair] = []
     compared = 0
+    pair_stream = source.shard_pairs(ods, shard_id)  # type: ignore[union-attr]
     for batch in chunked(pair_stream, int(_WORKER_STATE["batch_size"])):  # type: ignore[arg-type]
-        scored, count = _score_batch_in_worker(batch)
-        kept.extend(scored)
-        compared += count
+        compared += len(batch)
+        kept.extend(score_batch(batch, by_id, classifier, keep_possible))  # type: ignore[arg-type]
     return kept, compared
 
 
@@ -207,10 +226,11 @@ class ParallelClassifier:
     shard_factory:
         Picklable :class:`~repro.engine.sharder.ShardRuntimeFactory`
         building classifier *and* shardable pair source inside each
-        worker (``shard`` backend).  Without one, a picklable
+        worker; required for worker-side pair generation under the
+        ``shard`` backend.  Without one, a picklable
         :class:`~repro.engine.sharder.ShardablePairSource` passed to
         :meth:`run` is shipped by value; failing that the shard backend
-        enumerates in the parent (process, then serial).
+        degrades to parent-side enumeration (process, then serial).
     keep_possible:
         Materialize C2 ("possible duplicates") pairs in the result.
     """
@@ -251,14 +271,14 @@ class ParallelClassifier:
         batcher = PairBatcher(self.policy.batch_size)
         if self.policy.parallel:
             picklable = resolve(f"{_POOL}:picklable")
-            factory = self.classifier_factory or ConstantClassifierFactory(
-                self.classifier
-            )
             try:
                 if self.policy.backend == "shard":
-                    shard_factory = self._resolve_shard_factory(pair_source, factory)
+                    shard_factory = self._resolve_shard_factory(pair_source)
                     if shard_factory is not None and picklable(shard_factory):
                         return self._run_shard(ods, shard_factory, pair_source)
+                factory = self.classifier_factory or ConstantClassifierFactory(
+                    self.classifier
+                )
                 if picklable(factory):
                     return self._run_process(
                         ods, batcher.batches(pair_source, ods), factory
@@ -269,7 +289,7 @@ class ParallelClassifier:
         return self._run_serial(ods, batcher.batches(pair_source, ods))
 
     def _resolve_shard_factory(
-        self, pair_source: PairSource, classifier_factory: ClassifierFactory
+        self, pair_source: PairSource
     ) -> ShardRuntimeFactory | None:
         if self.shard_factory is not None:
             return self.shard_factory
@@ -277,6 +297,9 @@ class ParallelClassifier:
             hasattr(pair_source, "shard_pairs")
             and getattr(pair_source, "shard_count", 0) >= 1
         ):
+            classifier_factory = self.classifier_factory or (
+                ConstantClassifierFactory(self.classifier)
+            )
             assemble = resolve(f"{_SHARDER}:AssembledShardFactory")
             return assemble(classifier_factory, pair_source)  # type: ignore[arg-type]
         return None
@@ -293,7 +316,9 @@ class ParallelClassifier:
         compared = 0
         for batch in batches:
             compared += len(batch)
-            pairs.extend(score_batch(batch, by_id, self.classifier, self.keep_possible))
+            pairs.extend(
+                score_batch(batch, by_id, self.classifier, self.keep_possible)
+            )
         return pairs, compared
 
     def _run_process(
@@ -303,18 +328,26 @@ class ParallelClassifier:
         factory: ClassifierFactory,
     ) -> tuple[list[ScoredPair], int]:
         self.last_backend = "process"
+        payload = bare_ods(ods)
         pairs: list[ScoredPair] = []
-        compared = 0
+        batch_sizes: list[int] = []
+
+        def counted() -> Iterable[list[tuple[int, int]]]:
+            for batch in batches:
+                batch_sizes.append(len(batch))
+                yield batch
+
         open_pool = resolve(f"{_POOL}:open_pool")
         with open_pool(
             self.policy.workers,
             initializer=_init_worker,
-            initargs=(factory, bare_ods(ods), self.keep_possible),
+            initargs=(factory, payload, self.keep_possible),
         ) as pool:
-            for scored, count in pool.map(_score_batch_in_worker, batches):
+            # map streams batches as workers free up, a bounded window
+            # ahead of them, while preserving batch order in the results.
+            for scored in pool.map(_score_batch_in_worker, counted()):
                 pairs.extend(scored)
-                compared += count
-        return pairs, compared
+        return pairs, sum(batch_sizes)
 
     def _run_shard(
         self,
@@ -325,23 +358,28 @@ class ParallelClassifier:
         """Worker-side pair generation: ship shard ids, not pair batches.
 
         When the factory evaluates the object filter in the workers
-        (``filters_objects``), a filter phase precedes enumeration: each
-        worker decides the objects of its filter shards, the parent
-        merges the decisions into **candidate order** (the serial pass's
-        order), and the merged pruned ids ride along with every
-        pair-shard task.  Once the pool has finished, the decisions are
-        installed on ``pair_source``, so the pipeline reports the same
-        ``pruned_object_ids`` as every other backend; a pool that breaks
-        installs nothing, and the serial fallback decides afresh.
+        (``filters_objects``), a filter phase precedes enumeration:
+        each worker decides the objects of its filter shards, the
+        parent merges the decisions back into **candidate order** (the
+        order the serial parent-side pass would have produced), and
+        the merged pruned ids — the compact complement of the kept set
+        — ride along with every pair-shard task.
+        The merged decisions are also installed on the parent-side
+        ``pair_source`` so the pipeline reports the same
+        ``pruned_object_ids`` as every other backend — once the pool has
+        finished: a pool that breaks installs nothing, and the serial
+        fallback decides each object afresh.
         """
         self.last_backend = "shard"
-        payload = (factory, bare_ods(ods), self.keep_possible, self.policy.batch_size)
+        payload = bare_ods(ods)
         pairs: list[ScoredPair] = []
         compared = 0
         merged: list[ObjectDecision] | None = None
         open_pool = resolve(f"{_POOL}:open_pool")
         with open_pool(
-            self.policy.workers, initializer=_init_shard_worker, initargs=payload
+            self.policy.workers,
+            initializer=_init_shard_worker,
+            initargs=(factory, payload, self.keep_possible, self.policy.batch_size),
         ) as pool:
             pruned_ids: frozenset[int] | None = None
             if getattr(factory, "filters_objects", False):
@@ -352,12 +390,21 @@ class ParallelClassifier:
                     for decision in shard_decisions:
                         decisions_by_id[decision.object_id] = decision
                 merged = [decisions_by_id[od.object_id] for od in ods]
-                pruned_ids = frozenset(d.object_id for d in merged if not d.kept)
-            # More shards than workers: workers pull shards as they free
-            # up (dynamic balancing of uneven blocks) while results
-            # arrive in deterministic shard order.
-            tasks = [(shard_id, pruned_ids) for shard_id in range(factory.shard_count)]
-            for kept, shard_compared in pool.map(_score_shard_in_worker, tasks):
+                pruned_ids = frozenset(
+                    decision.object_id
+                    for decision in merged
+                    if not decision.kept
+                )
+            # map over shard ids: workers pull shards as they free up
+            # (more shards than workers -> dynamic balancing of uneven
+            # blocks) while results arrive in deterministic shard order.
+            for kept, shard_compared in pool.map(
+                _score_shard_in_worker,
+                (
+                    (shard_id, pruned_ids)
+                    for shard_id in range(factory.shard_count)
+                ),
+            ):
                 pairs.extend(kept)
                 compared += shard_compared
         adopt = getattr(pair_source, "adopt_filter_decisions", None)

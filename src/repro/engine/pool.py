@@ -3,7 +3,7 @@
 Every parallel phase — parsing and describing a corpus (steps 1-3,
 :mod:`repro.ingest.builder`), scoring pair batches, filtering and
 enumerating shards (steps 4-5, :mod:`repro.engine.executor`) — is an
-ordered ``map`` of module-level functions over a
+ordered :meth:`WorkerPool.map` of module-level functions over a
 :class:`concurrent.futures.ProcessPoolExecutor` on the default
 ``multiprocessing`` context, whose initializer installs the phase's
 read-only state in each worker once.
@@ -20,10 +20,15 @@ dispatch, so a serial run loads neither.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from .._lazy import resolve
+
+#: Tasks in flight per worker: one running, one queued behind it.
+WINDOW_PER_WORKER = 2
 
 
 class PoolBroken(RuntimeError):
@@ -39,15 +44,38 @@ def picklable(value: object) -> bool:
     return True
 
 
+class WorkerPool:
+    """An open pool of ``workers`` processes; :meth:`map` runs tasks on it."""
+
+    def __init__(self, executor, workers: int) -> None:
+        self._executor = executor
+        self.window = WINDOW_PER_WORKER * workers
+
+    def map(self, function: Callable, tasks: Iterable) -> Iterator:
+        """``function(task)`` for each task, yielded in task order.
+
+        At most :attr:`window` tasks are in flight: the next task is
+        taken from ``tasks`` only as a result is handed out, so a lazy
+        stream (a :class:`~repro.engine.batcher.PairBatcher`'s batches)
+        runs a bounded distance ahead of the workers, never to its end.
+        """
+        tasks = iter(tasks)
+        submit = self._executor.submit
+        pending = deque(submit(function, task) for task in islice(tasks, self.window))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(submit(function, task) for task in islice(tasks, 1))
+            yield result
+
+
 @contextmanager
 def open_pool(
     workers: int, initializer: Callable | None = None, initargs: tuple = ()
-) -> Iterator:
+) -> Iterator[WorkerPool]:
     """``workers`` processes, each initialized by ``initializer(*initargs)``.
 
-    Its ``map(function, tasks)`` yields results in task order while free
-    workers pull tasks; consume it in the ``with`` block, as often as
-    needed.  A broken pool raises :class:`PoolBroken` from the block.
+    Consume :meth:`WorkerPool.map` in the ``with`` block, as often as needed.
+    A broken pool raises :class:`PoolBroken` from the block.
     """
     ProcessPoolExecutor = resolve("concurrent.futures:ProcessPoolExecutor")
     broken = resolve("concurrent.futures.process:BrokenProcessPool")
@@ -58,7 +86,7 @@ def open_pool(
         initargs=initargs,
     )
     try:
-        yield executor
+        yield WorkerPool(executor, workers)
     except broken as error:
         raise PoolBroken("a pool worker died or failed to start") from error
     finally:

@@ -41,7 +41,8 @@ merge-associativity fuzz suite.  With one worker, an empty candidate
 set, an unpicklable payload (e.g. a closure-based condition), or a pool
 worker that dies or fails to start, the build falls back to the serial
 reference path and records why in :attr:`ParallelIngestor.last_report`;
-a parse pool that breaks parses in the parent instead.
+a parse pool that breaks parses in the parent instead, and the same
+report's reason says so.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class IngestReport:
     candidates: int
     #: Number of path-like sources parsed inside pool workers.
     parsed_in_workers: int = 0
-    #: Why the build fell back to the serial path, if it did.
+    #: Why the build fell back to the serial path, and why its sources
+    #: were parsed in the parent (``"parse: ..."``), if either happened.
     reason: Optional[str] = None
 
 
@@ -98,11 +100,16 @@ def _init_ingest_worker(
     sources, mapping, selector, include_empty, q, strategy, encoding
 ) -> None:
     """Install the corpus and the OD-shaping config as this worker's state."""
-    _INGEST_STATE.update(
-        sources=sources, mapping=mapping, selector=selector,
-        include_empty=include_empty, q=q, strategy=strategy,
-        encoding=encoding, schemas={}, descriptions={}, candidates={},
-    )
+    _INGEST_STATE["sources"] = sources
+    _INGEST_STATE["mapping"] = mapping
+    _INGEST_STATE["selector"] = selector
+    _INGEST_STATE["include_empty"] = include_empty
+    _INGEST_STATE["q"] = q
+    _INGEST_STATE["strategy"] = strategy
+    _INGEST_STATE["encoding"] = encoding
+    _INGEST_STATE["schemas"] = {}
+    _INGEST_STATE["descriptions"] = {}
+    _INGEST_STATE["candidates"] = {}
 
 
 def _worker_schema(source_index: int) -> Schema:
@@ -277,13 +284,13 @@ class ParallelIngestor:
         the workers' partials.
         """
         config = config or DogmatixConfig()
-        parsed_in_workers, parse_reason = self._parsed_in_workers, self._parse_reason
+        parsed = (self._parsed_in_workers, self._parse_reason)
         # consumed: report this build only
         self._parsed_in_workers, self._parse_reason = 0, None
         if self.workers <= 1:  # before enumerating anything the serial
             # path would only re-enumerate via generate_ods
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed_in_workers, reason=parse_reason)
+                                parsed, reason=None)
         sources = list(corpus)
         units: list[tuple[int, str, list[Element], int]] = []
         next_id = 0
@@ -312,7 +319,7 @@ class ParallelIngestor:
 
         if total == 0:
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed_in_workers, reason="no candidates")
+                                parsed, reason="no candidates")
         q = IndexPartial().q
         strategy = config.similarity_strategy
         encoding = config.index_encoding
@@ -320,8 +327,7 @@ class ParallelIngestor:
                    config.include_empty, q, strategy, encoding)
         if not resolve(f"{_POOL}:picklable")(payload):
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed_in_workers,
-                                reason="unpicklable ingest payload")
+                                parsed, reason="unpicklable ingest payload")
 
         chunk = max(1, -(-total // (self.workers * CHUNK_FACTOR)))
         tasks: list[IngestTask] = []
@@ -353,17 +359,10 @@ class ParallelIngestor:
                     merged.merge(partial)
         except resolve(f"{_POOL}:PoolBroken") as failure:
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed_in_workers, reason=str(failure))
+                                parsed, reason=str(failure))
 
         index = CorpusIndex.from_partial(merged, mapping, config.theta_tuple)
-        self.last_report = IngestReport(
-            backend="parallel",
-            workers=self.workers,
-            sources=len(sources),
-            candidates=total,
-            parsed_in_workers=parsed_in_workers,
-            reason=parse_reason,
-        )
+        self._report("parallel", len(sources), total, parsed, reason=None)
         return ods, index
 
     def _serial(
@@ -372,7 +371,7 @@ class ParallelIngestor:
         mapping: TypeMapping,
         real_world_type: str,
         config: DogmatixConfig,
-        parsed_in_workers: int,
+        parsed: tuple[int, Optional[str]],
         reason: Optional[str],
     ) -> tuple[list[ObjectDescription], CorpusIndex]:
         """The serial reference path (also the fallback)."""
@@ -382,15 +381,27 @@ class ParallelIngestor:
             strategy=config.similarity_strategy,
             encoding=config.index_encoding,
         )
-        self.last_report = IngestReport(
-            backend="serial",
-            workers=self.workers,
-            sources=len(corpus),
-            candidates=len(ods),
-            parsed_in_workers=parsed_in_workers,
-            reason=reason,
-        )
+        self._report("serial", len(corpus), len(ods), parsed, reason)
         return ods, index
+
+    def _report(
+        self,
+        backend: str,
+        sources: int,
+        candidates: int,
+        parsed: tuple[int, Optional[str]],
+        reason: Optional[str],
+    ) -> None:
+        """Record :attr:`last_report`; a parse failure joins the reason."""
+        parsed_in_workers, parse_reason = parsed
+        self.last_report = IngestReport(
+            backend=backend,
+            workers=self.workers,
+            sources=sources,
+            candidates=candidates,
+            parsed_in_workers=parsed_in_workers,
+            reason="; ".join(filter(None, (parse_reason, reason))) or None,
+        )
 
     # ------------------------------------------------------------------
     def build_session(

@@ -75,6 +75,17 @@ def raising_factory(self, ods):
     raise RuntimeError("this classifier factory cannot build in a worker")
 
 
+def square(number):
+    return number * number
+
+
+class EveryOtherPair:
+    """Labels a pair a duplicate when its ids sum to an even number."""
+
+    def classify(self, od_i, od_j):
+        return "C1" if (od_i.object_id + od_j.object_id) % 2 == 0 else "C0"
+
+
 # ----------------------------------------------------------------------
 # What runs in the child
 # ----------------------------------------------------------------------
@@ -233,6 +244,18 @@ def ingest_parse(directory: str) -> dict:
     return build_outcome(paths, ParallelIngestor(2), twin_sources)
 
 
+def ingest_parse_and_chunk(directory: str) -> dict:
+    from repro.core import Source
+    from repro.ingest import ParallelIngestor, builder
+    from repro.xmlkit import parse_file
+
+    paths = written(directory)
+    twin_sources = [Source(parse_file(path)) for path in paths]
+    install(builder, "parse_file", "parse", dying_parse)
+    install(builder, "_ingest_chunk", "chunk", dying_chunk)
+    return build_outcome(paths, ParallelIngestor(2), twin_sources)
+
+
 def task_raises(directory: str) -> dict:
     from repro.ingest import ParallelIngestor
 
@@ -247,6 +270,73 @@ def task_raises(directory: str) -> dict:
             == "_RemoteTraceback",
         }
     return {"type": None}
+
+
+def bounded_map() -> dict:
+    """How far the parent runs ahead of the results on a 2 000-task stream."""
+    from repro.engine.pool import open_pool
+
+    taken: list = []
+
+    def stream():
+        for task in range(2000):
+            taken.append(task)
+            yield task
+
+    ahead = 0
+    results = []
+    with open_pool(2) as pool:
+        for handed, result in enumerate(pool.map(square, stream())):
+            ahead = max(ahead, len(taken) - handed)
+            results.append(result)
+    return {
+        "ahead": ahead,
+        "window": pool.window,
+        "ordered": results == [task * task for task in range(2000)],
+    }
+
+
+def bounded_pair_stream() -> dict:
+    """A ``process`` run over 4 950 pairs in 495 batches of 10: how many
+    batches the parent enumerates ahead of the results it has taken."""
+    from repro.engine import ExecutionPolicy
+    from repro.engine import pool as pool_module
+    from repro.engine.executor import ParallelClassifier
+    from repro.framework.od import ObjectDescription
+    from repro.framework.pruning import NoPruning
+
+    ods = [ObjectDescription(number, (), None) for number in range(100)]
+    pulled = [0]
+    handed = [0]
+    ahead = [0]
+
+    class CountedPairs(NoPruning):
+        def pairs(self, ods):
+            for pair in super().pairs(ods):
+                pulled[0] += 1
+                yield pair
+
+    plain_map = pool_module.WorkerPool.map
+
+    def observed_map(self, function, tasks):
+        for result in plain_map(self, function, tasks):
+            ahead[0] = max(ahead[0], pulled[0] // 10 - handed[0])
+            handed[0] += 1
+            yield result
+
+    pool_module.WorkerPool.map = observed_map
+    policy = ExecutionPolicy(workers=2, batch_size=10, backend="process")
+    engine = ParallelClassifier(EveryOtherPair(), policy)
+    pairs, compared = engine.run(ods, CountedPairs())
+    serial, serial_compared = ParallelClassifier(EveryOtherPair()).run(
+        ods, NoPruning()
+    )
+    return {
+        "backend": engine.last_backend,
+        "ahead": ahead[0],
+        "batches": handed[0],
+        "identical": pairs == serial and compared == serial_compared == 4950,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +398,34 @@ def test_a_worker_killed_in_a_parse_parses_in_the_parent(tmp_path):
     assert outcome["ods"] and outcome["identical"]
 
 
+def test_a_broken_parse_and_a_broken_build_report_both_reasons(tmp_path):
+    outcome = run_case("ingest_parse_and_chunk", str(tmp_path))
+    assert outcome["report"] == {
+        "backend": "serial",
+        "reason": f"parse: {BROKEN}; {BROKEN}",
+        "parsed_in_workers": 0,
+    }
+    assert outcome["ods"] and outcome["identical"]
+
+
 def test_a_task_exception_keeps_its_type(tmp_path):
     assert run_case("task_raises", str(tmp_path)) == {
         "type": "XMLError",
         "raised_in_worker": True,
     }
+
+
+def test_the_parent_stays_a_bounded_window_ahead_of_the_workers():
+    outcome = run_case("bounded_map")
+    assert outcome["window"] == 4
+    # the next task is submitted before a result is handed out
+    assert outcome["ahead"] <= outcome["window"] + 1
+    assert outcome["ordered"]
+
+
+def test_a_process_run_enumerates_a_bounded_window_of_batches_ahead():
+    outcome = run_case("bounded_pair_stream")
+    assert outcome["backend"] == "process"
+    assert outcome["batches"] == 495
+    assert outcome["ahead"] <= 4 + 1
+    assert outcome["identical"]
