@@ -84,8 +84,8 @@ def call_name(node: ast.Call) -> Optional[str]:
 
 
 #: Constructor names whose result is a live mutable container.
-#: ``array``/``bytearray`` joined with the compact index encoding:
-#: flat posting buffers are as mutable as the dicts they replace.
+#: ``array``/``bytearray`` count too: a flat buffer is as mutable as a
+#: dict.
 CONTAINER_CALLS = frozenset(
     {
         "list",

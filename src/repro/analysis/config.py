@@ -24,8 +24,7 @@ class LintConfig:
         {
             "CorpusIndex",
             # Similar-value indexes: the shared shell, its strategies,
-            # and the writable gram state a dict-encoded frozen index
-            # keeps serving from.
+            # and the gram state a frozen index serves from.
             "ValueIndex",
             "QGramIndex",
             "SignatureIndex",
@@ -37,16 +36,10 @@ class LintConfig:
             "SessionEntry",
             "ReadWriteLock",
             "IndexStore",
-            # Term states and compact-encoding structures: frozen
-            # indexes read through these from lock-free readers, so the
-            # no-live-escape contract applies verbatim (RPR001 also
-            # covers memoryview windows).
+            # The term state: frozen indexes read through it from
+            # lock-free readers, so the no-live-escape contract applies
+            # verbatim.
             "DictTermState",
-            "StringTable",
-            "PostingLists",
-            "CompactGramStore",
-            "CompactValueIndex",
-            "CompactTermIndex",
             # Parsed trees: a served ``match()`` reads paths and
             # children of corpus elements from every reader thread.
             "Element",
@@ -56,21 +49,10 @@ class LintConfig:
 
     #: Classes pinned read-only after build (``freeze()``/``thaw()``
     #: seam).  RPR003 restricts state mutation to the sanctioned
-    #: writer set below.  The compact structures are immutable by
-    #: construction — any post-``__init__`` assignment is a bug.  The
-    #: dict states (``DictTermState``, ``DictValueState``) are the
-    #: writable ones and stay out: the index that owns them enforces
+    #: writer set below.  The states it holds (``DictTermState``,
+    #: ``DictValueState``) stay out: the index that owns them enforces
     #: the pin.
-    frozen_classes: frozenset[str] = frozenset(
-        {
-            "CorpusIndex",
-            "StringTable",
-            "PostingLists",
-            "CompactGramStore",
-            "CompactValueIndex",
-            "CompactTermIndex",
-        }
-    )
+    frozen_classes: frozenset[str] = frozenset({"CorpusIndex"})
 
     #: The sanctioned writers of a frozen class: construction, the one
     #: delta-merge seam, and the pin itself.  Writers other than
@@ -101,9 +83,6 @@ class LintConfig:
         "repro.strings.value_index",
         "repro.strings.qgram",
         "repro.strings.signatures",
-        # Compact postings feed the same bit-identical results as the
-        # dict encoding — their construction order is contractual.
-        "repro.compact",
     )
 
     #: Known set-returning methods of the index/API surface — the
@@ -169,14 +148,12 @@ class LintConfig:
     )
 
     #: Modules only a rarely taken branch runs — the shard backend, the
-    #: worker pool, the compact encoding, parallel ingestion, the daemon,
+    #: worker pool, parallel ingestion, the daemon,
     #: the tooling and evaluation packages.  Off the entry path by
     #: definition, so they may import each other freely.
     deferred_modules: tuple[str, ...] = (
         "repro.engine.sharder",
         "repro.engine.pool",
-        "repro.compact",
-        "repro.core.compact_terms",
         "repro.ingest.builder",
         "repro.serve",
         "repro.analysis",

@@ -13,7 +13,7 @@ Pattern: a public method (or property) of a configured shared class
 returning ``self._x`` where ``_x`` is a known container attribute,
 returning any ``self.*.keys()/.values()/.items()`` mapping view, or
 returning ``memoryview(self._x)`` — a zero-copy window onto a live
-buffer (the compact encoding's ``array`` postings) that tracks, and
+buffer (an ``array`` or ``bytearray``) that tracks, and
 for writable buffers permits, mutation of internal state.  The fix is
 a ``tuple(...)``/``frozenset(...)``/``bytes(...)`` snapshot at the
 boundary.

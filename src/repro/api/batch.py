@@ -80,7 +80,6 @@ def detect(
             possible_threshold=session.config.possible_threshold,
             semantics=session.config.similar_semantics,
             strategy=session._index.strategy,
-            encoding=session._index.encoding,
         ),
         shard_factory=shard_factory,
     )
@@ -160,6 +159,5 @@ def _sharded_step4(
         kept_ids=kept_ids,
         filter_theta=theta if worker_filter else None,
         strategy=session._index.strategy,
-        encoding=session._index.encoding,
     )
     return pair_source, object_filter, shard_factory

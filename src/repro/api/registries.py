@@ -15,9 +15,7 @@ gets a registry mapping names to implementations:
 * :data:`BACKENDS` — execution backends of the engine
   (``serial`` | ``process``);
 * :data:`STRATEGIES` — similar-value search strategies behind the
-  corpus index (``qgram`` | ``signature``; bit-identical results);
-* :data:`ENCODINGS` — index-state encodings applied at ``freeze()``
-  (``dict`` | ``compact``; bit-identical results).
+  corpus index (``qgram`` | ``signature``; bit-identical results).
 
 Registries are open: extensions may :meth:`Registry.register` their own
 heuristics, conditions, or backend names and refer to them from specs
@@ -29,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .._lazy import resolve
-from ..core.encodings import INDEX_ENCODINGS as _INDEX_ENCODINGS
 from ..engine.policy import BACKENDS as _ENGINE_BACKENDS
 from ..strings.value_index import SIMILARITY_STRATEGIES as _SIMILARITY_STRATEGIES
 
@@ -132,17 +129,6 @@ for _backend in _ENGINE_BACKENDS:
 STRATEGIES = Registry("similarity strategy")
 for _strategy, _reference in sorted(_SIMILARITY_STRATEGIES.references.items()):
     STRATEGIES.defer(_strategy, _reference)
-
-#: Index-state encodings behind the corpus index (mirrors
-#: ``core.encodings.INDEX_ENCODINGS``): ``dict`` is the original
-#: representation (the parity oracle), ``compact`` re-encodes frozen
-#: state as interned string tables + flat sorted posting arrays.
-#: Results are bit-identical across encodings — pinned by the
-#: differential fuzz harness — so the choice trades memory and warm
-#: load time, never output.
-ENCODINGS = Registry("index encoding")
-for _encoding, _reference in sorted(_INDEX_ENCODINGS.references.items()):
-    ENCODINGS.defer(_encoding, _reference)
 
 
 def heuristic_from_spec(spec: str) -> Heuristic:

@@ -127,8 +127,8 @@ class DetectionSession:
     ods / index:
         Externally prepared candidate set and (optionally) a prebuilt
         index over exactly those ODs — the handshake the parallel
-        ingestor and the snapshot store use; ``index`` without ``ods``
-        is rejected.
+        ingestor uses (the snapshot store passes ``ods`` alone);
+        ``index`` without ``ods`` is rejected.
     """
 
     def __init__(
@@ -172,7 +172,6 @@ class DetectionSession:
                 mapping,
                 self.config.theta_tuple,
                 strategy=self.config.similarity_strategy,
-                encoding=self.config.index_encoding,
             )
         )
         self._similarity = DogmatixSimilarity(
@@ -508,7 +507,6 @@ class DetectionSession:
                     self.mapping,
                     q=self._index.q,
                     strategy=self._index.strategy,
-                    encoding=self._index.encoding,
                 )
             )
         finally:

@@ -21,13 +21,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from ..core.config import DogmatixConfig
+from ..core.encodings import require_dict_encoding
 from ..core.source import Source
 from ..engine.policy import DEFAULT_BATCH_SIZE, ExecutionPolicy, SHARD_MODES
 from ..framework.mapping import TypeMapping, mapping_from_xml
 from ..xmlkit.parser import parse_file
 from .registries import (
     BACKENDS,
-    ENCODINGS,
     SEMANTICS,
     STRATEGIES,
     condition_from_spec,
@@ -91,11 +91,8 @@ class RunSpec:
     #: are bit-identical either way, so the knob — like the execution
     #: policy — stays out of the index store's content key.
     similarity_strategy: Optional[str] = None
-    #: Index-state encoding ("dict" | "compact"); ``None`` defers to
-    #: the config default (which honors the ``REPRO_INDEX_ENCODING``
-    #: environment override).  Bit-identical results either way, so —
-    #: like the strategy — it stays out of the index store's content
-    #: key and is applied from the *live* spec at load time.
+    #: ``None`` or ``"dict"``, the one index representation, for specs
+    #: that still name it; any other value raises.
     index_encoding: Optional[str] = None
     workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -118,7 +115,7 @@ class RunSpec:
         if self.similarity_strategy is not None:
             STRATEGIES.get(self.similarity_strategy)
         if self.index_encoding is not None:
-            ENCODINGS.get(self.index_encoding)
+            require_dict_encoding(self.index_encoding)
         if self.backend is not None:
             BACKENDS.get(self.backend)
         if self.shard_by not in SHARD_MODES:
@@ -184,10 +181,6 @@ class RunSpec:
         if self.similarity_strategy is not None:
             overrides["similarity_strategy"] = STRATEGIES.canonical_name(
                 self.similarity_strategy
-            )
-        if self.index_encoding is not None:
-            overrides["index_encoding"] = ENCODINGS.canonical_name(
-                self.index_encoding
             )
         return DogmatixConfig(
             heuristic=heuristic_from_spec(self.heuristic),

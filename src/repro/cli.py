@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # The parser names every registry entry, so the registries load with it;
 # what a sub-command runs is imported by that sub-command.
 from .api.registries import (
-    ENCODINGS,
     SEMANTICS,
     STRATEGIES,
     condition_from_spec,
@@ -113,14 +112,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                              "'signature' (prefix filtering); results "
                              "are bit-identical, only candidate "
                              "generation and wall-clock differ")
-    parser.add_argument("--index-encoding", default=None,
-                        choices=ENCODINGS.names(),
-                        help="index-state encoding applied at freeze: "
-                             "'dict' (the original representation) or "
-                             "'compact' (interned string tables + flat "
-                             "sorted posting arrays); results are "
-                             "bit-identical, only memory and warm-load "
-                             "time differ")
     parser.add_argument("--theta-tuple", type=float, default=None)
     parser.add_argument("--theta-cand", type=float, default=None)
     parser.add_argument("--no-filter", action="store_true",
@@ -330,8 +321,6 @@ def _spec_from_args(
         spec.similar_semantics = args.semantics
     if args.similarity_strategy is not None:
         spec.similarity_strategy = args.similarity_strategy
-    if args.index_encoding is not None:
-        spec.index_encoding = args.index_encoding
     if args.theta_tuple is not None:
         spec.theta_tuple = args.theta_tuple
     if args.theta_cand is not None:

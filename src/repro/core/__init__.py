@@ -26,10 +26,7 @@ __all__ = lazy_exports(
         "DogmatixClassifierFactory": "dogmatix",
         "DogmatixShardFactory": "dogmatix",
         "Source": "source",
-        "CompactTermIndex": "compact_terms",
         "DictTermState": "encodings",
-        "INDEX_ENCODINGS": "encodings",
-        "default_index_encoding": "encodings",
         "CombinedHeuristic": "heuristics",
         "Heuristic": "heuristics",
         "KClosestDescendants": "heuristics",

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from .._lazy import resolve
 from ..engine.policy import ExecutionPolicy
 from ..strings.value_index import SIMILARITY_STRATEGIES
-from .encodings import INDEX_ENCODINGS, default_index_encoding
+from .encodings import require_dict_encoding
 from .heuristics import Heuristic, KClosestDescendants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,8 +28,6 @@ def _default_similarity_strategy() -> str:
     ``REPRO_SIMILARITY_STRATEGY`` lets the CI matrix run the whole
     test suite under the signature strategy without touching every
     config construction site — results are identical either way.
-    ``REPRO_INDEX_ENCODING`` plays the same role for the index
-    encoding (see :func:`repro.core.encodings.default_index_encoding`).
     """
     return os.environ.get("REPRO_SIMILARITY_STRATEGY", "qgram")
 
@@ -83,12 +81,9 @@ class DogmatixConfig:
     similarity_strategy: str = field(
         default_factory=_default_similarity_strategy
     )
-    #: Index-state encoding applied at freeze(): "dict" (the original
-    #: representation, the parity oracle) or "compact" (interned string
-    #: tables + flat sorted posting arrays; identical results, lower
-    #: memory, snapshot-reusable warm loads).  Env default:
-    #: ``REPRO_INDEX_ENCODING``.
-    index_encoding: str = field(default_factory=default_index_encoding)
+    #: Always "dict", the one index representation, for callers that
+    #: still pass it; any other value raises.
+    index_encoding: str = "dict"
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
@@ -107,12 +102,7 @@ class DogmatixConfig:
                 f"{tuple(sorted(SIMILARITY_STRATEGIES))}, "
                 f"got {self.similarity_strategy!r}"
             )
-        if self.index_encoding not in INDEX_ENCODINGS:
-            raise ValueError(
-                f"index_encoding must be one of "
-                f"{tuple(sorted(INDEX_ENCODINGS))}, "
-                f"got {self.index_encoding!r}"
-            )
+        require_dict_encoding(self.index_encoding)
 
     @property
     def selector(self) -> DescriptionSelector:

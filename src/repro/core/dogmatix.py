@@ -57,21 +57,13 @@ class DogmatixClassifierFactory:
     #: strategy-independent; mirrored from the parent's config so both
     #: sides probe the same way).
     strategy: str = "qgram"
-    #: Index encoding of the worker-local index (results are
-    #: encoding-independent; mirrored so worker memory behaves like the
-    #: parent's).
-    encoding: str = "dict"
 
     def __call__(self, ods: Sequence[ObjectDescription]) -> ThresholdClassifier:
         index = CorpusIndex(
-            ods,
-            self.mapping,
-            self.theta_tuple,
-            strategy=self.strategy,
-            encoding=self.encoding,
+            ods, self.mapping, self.theta_tuple, strategy=self.strategy
         )
-        # Worker indexes are complete on construction — freeze applies
-        # the encoding (compaction) and pins them like the parent's.
+        # Worker indexes are complete on construction — pinned like the
+        # parent's.
         index.freeze()
         similarity = DogmatixSimilarity(index, semantics=self.semantics)
         return ThresholdClassifier(
@@ -120,9 +112,6 @@ class DogmatixShardFactory:
     #: Similar-value strategy of the worker-local index (see
     #: :class:`DogmatixClassifierFactory`).
     strategy: str = "qgram"
-    #: Index encoding of the worker-local index (see
-    #: :class:`DogmatixClassifierFactory`).
-    encoding: str = "dict"
 
     def __post_init__(self) -> None:
         if self.filter_theta is not None and self.kept_ids is not None:
@@ -140,14 +129,10 @@ class DogmatixShardFactory:
         self, ods: Sequence[ObjectDescription]
     ) -> tuple[ThresholdClassifier, ShardedPairSource]:
         index = CorpusIndex(
-            ods,
-            self.mapping,
-            self.theta_tuple,
-            strategy=self.strategy,
-            encoding=self.encoding,
+            ods, self.mapping, self.theta_tuple, strategy=self.strategy
         )
-        # Complete on construction; freeze applies the encoding and
-        # pins the worker index read-only (see DogmatixClassifierFactory).
+        # Complete on construction; pinned read-only (see
+        # DogmatixClassifierFactory).
         index.freeze()
         similarity = DogmatixSimilarity(index, semantics=self.semantics)
         classifier = ThresholdClassifier(

@@ -1,58 +1,46 @@
-"""Index encodings: the two states a :class:`CorpusIndex` reads through.
+"""The term state a :class:`CorpusIndex` reads through.
 
-A corpus index holds its occurrence state in exactly one *term state*
-object and asks it every read — ``occurrence_row``, ``key_row``,
-``union_cardinality``, ``union_rows``, ``block_terms``, ``len`` — so
-nothing above this module knows which representation answers:
+A corpus index holds its occurrence state in one :class:`DictTermState`
+and asks it every read — ``occurrence_row``, ``key_row``,
+``key_elsewhere``, ``union_cardinality``, ``union_rows``,
+``block_terms``, ``len``.  ``freeze()`` / ``thaw()`` only flip the
+index's read-only pin; the state a frozen index reads is the one it was
+built in.
 
-* :class:`DictTermState` — dicts of object-id sets.  The only writable
-  state: every index is built in it, and ``thaw()`` returns to it so
-  ``extend()`` delta-merges run against the original representation.
-  Under the ``"dict"`` encoding (the parity oracle) it is also what a
-  frozen index keeps.
-* :class:`~repro.core.compact_terms.CompactTermIndex` — interned string
-  tables plus flat sorted posting arrays (see :mod:`repro.compact`).
-  Under the ``"compact"`` encoding ``freeze()`` swaps the dict state for
-  this one and compacts every similar-value index alongside; it is
-  immutable, so a write path that skipped ``thaw()`` fails loudly
-  instead of silently diverging.  It lives in its own module, which the
-  dict encoding never imports.
-
-Both answer every query bit-identically — the differential harness in
-``tests/test_index_encodings.py`` pins this.  ``INDEX_ENCODINGS`` names
-the state a frozen index holds, mirroring the similarity ``STRATEGIES``
-registry.  The compact state also serializes as raw array bytes for
-:class:`~repro.ingest.store.IndexStore` payloads (format version 2): a
-warm load rebuilds the index by slicing buffers instead of re-running
-tuple scans and gram counting.
+The module keeps its name for the one check the old encoding knob
+leaves behind: :func:`require_dict_encoding`, which accepts ``"dict"``
+(the only index there is) and names the removal for anything else.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
-from .._lazy import LazyRegistry
 
-#: Environment variable consulted for the default index encoding.
-ENCODING_ENV_VAR = "REPRO_INDEX_ENCODING"
+def require_dict_encoding(encoding: object) -> None:
+    """Raise ``ValueError`` unless ``encoding`` is ``"dict"``.
+
+    The compact encoding was removed; the ``encoding`` / ``index_encoding``
+    names that remain accept only the one index representation.
+    """
+    if encoding != "dict":
+        raise ValueError(
+            f"index encoding {encoding!r} is not available: the compact "
+            "index encoding was removed and 'dict' is the only value"
+        )
 
 
 def set_union_size(left, right) -> int:
-    """``|left ∪ right|`` without materializing the union set.
-
-    The dict encoding's answer to what the compact one does with
-    :meth:`~repro.compact.PostingLists.union_size`: membership-count
-    the smaller side against the larger instead of allocating
-    ``left | right`` just to take its length.
-    """
+    """``|left ∪ right|`` without materializing the union set:
+    membership-count the smaller side against the larger instead of
+    allocating ``left | right`` just to take its length."""
     if len(left) < len(right):
         left, right = right, left
     return len(left) + sum(1 for item in right if item not in left)
 
 
 class DictTermState:
-    """Dict/set occurrence state of a building (or dict-frozen) index.
+    """Dict/set occurrence state of a corpus index.
 
     ``occurrences`` maps ``(comparison key, value) -> object ids`` and
     ``objects_by_key`` maps ``key -> object ids``; both are adopted
@@ -105,18 +93,3 @@ class DictTermState:
     def block_terms(self) -> tuple[tuple[str, str], ...]:
         """Every indexed term, in insertion order (snapshot)."""
         return tuple(self.occurrences)
-
-
-#: Registered index encodings: canonical name -> the term state a
-#: frozen index holds under it, imported when the name is looked up.
-INDEX_ENCODINGS = LazyRegistry(
-    {
-        "dict": "repro.core.encodings:DictTermState",
-        "compact": "repro.core.compact_terms:CompactTermIndex",
-    }
-)
-
-
-def default_index_encoding() -> str:
-    """The process-wide default (``REPRO_INDEX_ENCODING`` or dict)."""
-    return os.environ.get(ENCODING_ENV_VAR, "dict")

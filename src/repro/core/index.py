@@ -21,17 +21,13 @@ index and memoized.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..framework.mapping import TypeMapping
 from ..framework.od import ObjectDescription
-from ..strings.value_index import SIMILARITY_STRATEGIES, ValueIndex, make_value_index
-from .encodings import INDEX_ENCODINGS, DictTermState
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .compact_terms import CompactTermIndex
+from ..strings.value_index import ValueIndex, make_value_index
+from .encodings import DictTermState, require_dict_encoding
 
 #: Gram length of every value index the library builds; nothing above
 #: the index constructors selects another.
@@ -73,13 +69,6 @@ class IndexPartial:
     #: :data:`repro.strings.SIMILARITY_STRATEGIES`); partials of
     #: different strategies never merge.
     strategy: str = "qgram"
-    #: Index encoding the destination index should use (see
-    #: :data:`repro.core.encodings.INDEX_ENCODINGS`).  Partials
-    #: themselves always carry dict state — compaction happens at
-    #: ``freeze()`` on the merged index — but the tag must survive the
-    #: worker handoff so ``from_partial`` builds the right index, and
-    #: mismatched partials never merge.
-    encoding: str = "dict"
 
     @classmethod
     def from_ods(
@@ -90,10 +79,13 @@ class IndexPartial:
         strategy: str = "qgram",
         encoding: str = "dict",
     ) -> "IndexPartial":
-        """Index one OD partition (the loop of a serial index build)."""
-        partial = cls(
-            total_objects=len(ods), q=q, strategy=strategy, encoding=encoding
-        )
+        """Index one OD partition (the loop of a serial index build).
+
+        ``encoding`` accepts only ``"dict"`` (see
+        :func:`~repro.core.encodings.require_dict_encoding`).
+        """
+        require_dict_encoding(encoding)
+        partial = cls(total_objects=len(ods), q=q, strategy=strategy)
         occurrences = partial.occurrences
         objects_by_key = partial.objects_by_key
         value_indexes = partial.value_indexes
@@ -125,11 +117,6 @@ class IndexPartial:
             raise ValueError(
                 f"cannot merge a {other.strategy!r} partial into a "
                 f"{self.strategy!r} partial"
-            )
-        if other.encoding != self.encoding:
-            raise ValueError(
-                f"cannot merge a {other.encoding!r} partial into a "
-                f"{self.encoding!r} partial"
             )
         self.total_objects += other.total_objects
         _fold_term_state(
@@ -188,19 +175,13 @@ class CorpusIndex:
         if not 0 <= theta_tuple <= 1:
             raise ValueError(f"theta_tuple must be in [0, 1], got {theta_tuple}")
         make_value_index(strategy, q=q)  # validate strategy eagerly
-        if encoding not in INDEX_ENCODINGS:
-            known = ", ".join(sorted(INDEX_ENCODINGS))
-            raise LookupError(
-                f"unknown index encoding {encoding!r}; registered encodings: {known}"
-            )
+        require_dict_encoding(encoding)
         self.mapping = mapping
         self.theta_tuple = theta_tuple
         self.total_objects = 0
         #: The occurrence state every read goes through: (key, value) ->
-        #: object ids and key -> object ids.  A writable
-        #: :class:`DictTermState` while building or thawed; what
-        #: ``encoding`` names once frozen (see :meth:`freeze`).
-        self._terms: DictTermState | CompactTermIndex = DictTermState()
+        #: object ids and key -> object ids.
+        self._terms = DictTermState()
         #: key -> similar-value index over the distinct values of that kind
         self._value_indexes: dict[str, ValueIndex] = {}
         self.q = q
@@ -208,13 +189,8 @@ class CorpusIndex:
         #: (results are strategy-independent; see the STRATEGIES
         #: registry and the differential fuzz harness).
         self.strategy = strategy
-        #: Representation of the frozen state (see
-        #: :data:`repro.core.encodings.INDEX_ENCODINGS`); results are
-        #: encoding-independent.
+        #: Always ``"dict"``: the one index representation.
         self.encoding = encoding
-        #: True when this index was reconstructed from an IndexStore
-        #: snapshot's compact payload instead of an OD scan.
-        self.loaded_from_snapshot = False
         #: (key, value) -> memoized similar value group, one memo for
         #: the queries the index holds (at most one entry per term,
         #: invalidated entry by entry in :meth:`merge_partial`) and a
@@ -233,9 +209,7 @@ class CorpusIndex:
         # serial/parallel/delta parity holds by construction.  Nobody
         # else holds this partial, so its state is adopted, not copied.
         if ods:
-            partial = IndexPartial.from_ods(
-                ods, mapping, q=q, strategy=strategy, encoding=encoding
-            )
+            partial = IndexPartial.from_ods(ods, mapping, q=q, strategy=strategy)
             self.total_objects = partial.total_objects
             self._terms.occurrences = partial.occurrences
             self._terms.objects_by_key = partial.objects_by_key
@@ -265,7 +239,6 @@ class CorpusIndex:
             theta_tuple,
             q=partial.q,
             strategy=partial.strategy,
-            encoding=partial.encoding,
         )
         index.merge_partial(partial)
         return index
@@ -307,11 +280,6 @@ class CorpusIndex:
                 f"cannot merge a {partial.strategy!r} partial into a "
                 f"{self.strategy!r} index"
             )
-        if partial.encoding != self.encoding:
-            raise ValueError(
-                f"cannot merge a {partial.encoding!r} partial into a "
-                f"{self.encoding!r} index"
-            )
         # repro: allow[RPR004] sanctioned writer: raises above when
         # frozen, and runs single-threaded (construction) or behind the
         # session writer lock (extend) — never concurrently with itself
@@ -335,80 +303,6 @@ class CorpusIndex:
         self._statistics_cache = None
 
     # ------------------------------------------------------------------
-    # Snapshot (IndexStore) payloads
-    # ------------------------------------------------------------------
-    def snapshot_payload(self) -> Optional[dict]:
-        """The snapshot section for a compact frozen index.
-
-        ``None`` when the index isn't frozen under the compact encoding
-        — dict-encoded sessions keep the format-1 shape (minus the
-        version bump) and warm loads rebuild from ODs as before.
-        """
-        terms = self._terms
-        if not self._frozen or isinstance(terms, DictTermState):
-            return None
-        return {
-            "encoding": self.encoding,
-            "strategy": self.strategy,
-            "q": self.q,
-            "byteorder": sys.byteorder,
-            "total_objects": self.total_objects,
-            "theta_tuple": self.theta_tuple,
-            "terms": terms.to_payload(),
-            "value_indexes": [
-                {"key": key, "index": self._value_indexes[key].compact_payload()}
-                for key in sorted(self._value_indexes)
-            ],
-        }
-
-    @classmethod
-    def from_snapshot_payload(
-        cls, payload: object, mapping: TypeMapping, config
-    ) -> Optional["CorpusIndex"]:
-        """Reconstruct a frozen compact index from its snapshot section.
-
-        Returns ``None`` — a cache miss for the index portion only —
-        when the payload is absent, malformed, from the other
-        endianness, or was written under a different strategy/encoding/q
-        than the live ``config`` (a :class:`DogmatixConfig`) would
-        build; the caller then rebuilds from ODs exactly as before.
-        """
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("byteorder") != sys.byteorder:
-            return None
-        if payload.get("encoding") != config.index_encoding:
-            return None
-        if payload.get("strategy") != config.similarity_strategy:
-            return None
-        try:
-            if int(payload["q"]) != DEFAULT_Q:
-                return None
-            if payload["theta_tuple"] != config.theta_tuple:
-                return None
-            index = cls(
-                (),
-                mapping,
-                config.theta_tuple,
-                strategy=config.similarity_strategy,
-                encoding=config.index_encoding,
-            )
-            index.total_objects = int(payload["total_objects"])
-            index._terms = INDEX_ENCODINGS["compact"].from_payload(payload["terms"])
-            strategy_cls = SIMILARITY_STRATEGIES[index.strategy]
-            for entry in payload["value_indexes"]:
-                if not isinstance(entry, dict):
-                    return None
-                index._value_indexes[str(entry["key"])] = (
-                    strategy_cls.from_compact_payload(entry["index"])
-                )
-            index.loaded_from_snapshot = True
-            index.freeze()
-            return index
-        except (KeyError, TypeError, ValueError, OverflowError):
-            return None
-
-    # ------------------------------------------------------------------
     # Read-only pin
     # ------------------------------------------------------------------
     @property
@@ -427,17 +321,8 @@ class CorpusIndex:
         soft-IDF) stay writable: their entries are idempotent
         per-key values computed from frozen state, and CPython dict
         assignment is atomic, so concurrent memoization is benign.
-
-        Under the compact encoding this is where the dict state is
-        swapped for flat sorted arrays and every value index compacts
-        (idempotent — a warm-loaded index that is already compact stays
-        as-is); under the dict encoding the state is kept.
+        The state itself is kept as built: freezing is O(1).
         """
-        terms = self._terms
-        if self.encoding == "compact" and isinstance(terms, DictTermState):
-            self._terms = INDEX_ENCODINGS["compact"].build(terms)
-            for value_index in self._value_indexes.values():
-                value_index.compact()
         self._frozen = True
 
     def thaw(self) -> None:
@@ -446,15 +331,8 @@ class CorpusIndex:
         Only :meth:`~repro.api.session.DetectionSession.extend` should
         call this, from behind its per-session writer lock; it
         re-freezes in a ``finally`` so readers never see a thawed
-        index.  Compact state is swapped back for the writable dict
-        state (and the value indexes decompact), and the memoized
-        statistics are invalidated alongside.
+        index.  The memoized statistics are invalidated alongside.
         """
-        terms = self._terms
-        if not isinstance(terms, DictTermState):
-            self._terms = terms.decompact()
-            for value_index in self._value_indexes.values():
-                value_index.decompact()
         self._statistics_cache = None
         self._frozen = False
 
@@ -486,9 +364,8 @@ class CorpusIndex:
 
         log(|Ω| / |O_i ∪ O_j|); unseen terms count as one occurrence.
         The union cardinality is *counted*, never materialized: a
-        sorted two-pointer merge over posting rows in the compact
-        encoding, a membership-count of the smaller set against the
-        larger for dicts — both exactly ``len(O_i | O_j)``.
+        membership-count of the smaller set against the larger, exactly
+        ``len(O_i | O_j)``.
         """
         if (key_i, value_i) > (key_j, value_j):  # canonical order
             key_i, value_i, key_j, value_j = key_j, value_j, key_i, value_i
@@ -560,11 +437,7 @@ class CorpusIndex:
         self, key: str, value: str, exclude: int | None = None
     ) -> set[int]:
         """Ids of objects holding a tuple of kind ``key`` whose value is
-        similar to ``value``; optionally excluding one object id.
-
-        Under the compact encoding the union is a k-way merge over the
-        similar values' posting rows instead of set unions.
-        """
+        similar to ``value``; optionally excluding one object id."""
         found = self._terms.union_rows(key, self.similar_values(key, value))
         if exclude is not None:
             found.discard(exclude)
@@ -588,11 +461,9 @@ class CorpusIndex:
         (``RuntimeError`` at best, silently shifted shard ownership at
         worst) — the PR 6 escape class RPR001 exists to catch.
 
-        Term *order* is non-contractual and differs between encodings
-        (dict: insertion order; compact: sorted packed-code order) —
-        shard ownership hashes each term independently and the pipeline
-        sorts result pairs canonically, which the encoding parity
-        harness pins.
+        Term *order* (insertion order) is non-contractual — shard
+        ownership hashes each term independently and the pipeline sorts
+        result pairs canonically.
         """
         return self._terms.block_terms()
 

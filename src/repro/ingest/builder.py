@@ -97,7 +97,7 @@ _INGEST_STATE: dict[str, object] = {}
 
 
 def _init_ingest_worker(
-    sources, mapping, selector, include_empty, q, strategy, encoding
+    sources, mapping, selector, include_empty, q, strategy
 ) -> None:
     """Install the corpus and the OD-shaping config as this worker's state."""
     _INGEST_STATE["sources"] = sources
@@ -106,7 +106,6 @@ def _init_ingest_worker(
     _INGEST_STATE["include_empty"] = include_empty
     _INGEST_STATE["q"] = q
     _INGEST_STATE["strategy"] = strategy
-    _INGEST_STATE["encoding"] = encoding
     _INGEST_STATE["schemas"] = {}
     _INGEST_STATE["descriptions"] = {}
     _INGEST_STATE["candidates"] = {}
@@ -178,7 +177,6 @@ def _ingest_chunk(
         _INGEST_STATE["mapping"],  # type: ignore[arg-type]
         q=int(_INGEST_STATE["q"]),  # type: ignore[arg-type]
         strategy=str(_INGEST_STATE["strategy"]),  # type: ignore[arg-type]
-        encoding=str(_INGEST_STATE["encoding"]),  # type: ignore[arg-type]
     )
     return [(od.object_id, od.tuples) for od in ods], partial
 
@@ -322,9 +320,8 @@ class ParallelIngestor:
                                 parsed, reason="no candidates")
         q = IndexPartial().q
         strategy = config.similarity_strategy
-        encoding = config.index_encoding
         payload = (tuple(sources), mapping, config.selector,
-                   config.include_empty, q, strategy, encoding)
+                   config.include_empty, q, strategy)
         if not resolve(f"{_POOL}:picklable")(payload):
             return self._serial(corpus, mapping, real_world_type, config,
                                 parsed, reason="unpicklable ingest payload")
@@ -338,7 +335,7 @@ class ParallelIngestor:
                 tasks.append((source_index, xpath, start, stop, first_id + start))
                 chunks.append(elements[start:stop])
         ods: list[ObjectDescription] = []
-        merged = IndexPartial(q=q, strategy=strategy, encoding=encoding)
+        merged = IndexPartial(q=q, strategy=strategy)
         try:
             open_pool = resolve(f"{_POOL}:open_pool")
             with open_pool(
@@ -379,7 +376,6 @@ class ParallelIngestor:
         index = CorpusIndex(
             ods, mapping, config.theta_tuple,
             strategy=config.similarity_strategy,
-            encoding=config.index_encoding,
         )
         self._report("serial", len(corpus), len(ods), parsed, reason)
         return ods, index

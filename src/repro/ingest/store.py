@@ -30,19 +30,11 @@ warm open tokenizes no XML, and ``content`` survives item for item.  An
 OD is ``id``, ``tuples`` and — when it has an element — ``doc`` +
 ``node``, the source index and the element's document-order rank.
 
-Sessions built under the **compact index encoding** additionally store
-the frozen index itself (since format 2): the interned string tables and flat
-posting arrays serialize as raw bytes next to the document/OD record,
-and a warm load reconstructs the frozen index by slicing buffers
-instead of re-running the tuple scan and gram counting.  The index
-payload is only reused when the *live* spec would build the same thing
-(same strategy, encoding, ``q``, and host byte order) — any mismatch
-degrades to the classic rebuild-from-ODs path, which remains the parity
-oracle.  Dict-encoded sessions store no index and always rebuild, a
-deterministic linear scan that reproduces the fresh build bit for bit.
-Loaded sessions answer ``detect()`` / ``match()`` identically to a cold
-build either way (``tests/test_ingest_store.py``,
-``tests/test_index_encodings.py``).
+No index is stored: a warm load rebuilds it from the stored ODs, a
+deterministic linear scan that reproduces the fresh build bit for bit,
+so loaded sessions answer ``detect()`` / ``match()`` identically to a
+cold build (``tests/test_ingest_store.py``).  An ``index`` section that
+an older writer added is not read.
 """
 
 from __future__ import annotations
@@ -57,7 +49,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..core.index import CorpusIndex
 from ..core.source import Source
 from ..framework.od import ObjectDescription, ODTuple
 from ..xmlkit.tree import (
@@ -70,9 +61,9 @@ from ..xmlkit.tree import (
 )
 
 #: Snapshot format version.  Bump on any layout change; loaders treat
-#: other versions as a cache miss and rebuild.  2: optional ``index``
-#: section carrying a compact-encoded frozen index as raw array bytes.
-#: 3: documents as structural records, ODs point at nodes by rank.
+#: other versions as a cache miss and rebuild.  2: an optional ``index``
+#: section (no longer written or read).  3: documents as structural
+#: records, ODs point at nodes by rank.
 FORMAT_VERSION = 3
 
 #: Everything reading, gunzipping, parsing or validating a damaged
@@ -226,13 +217,6 @@ class IndexStore:
             "schemas": schema_texts,
             "ods": od_records,
         }
-        # Compact-encoded frozen sessions also snapshot the index
-        # itself (raw array bytes), so a warm load slices buffers
-        # instead of re-scanning tuples; dict sessions store none and
-        # keep the rebuild-from-ODs path.
-        index_payload = session.index.snapshot_payload()
-        if index_payload is not None:
-            payload["index"] = index_payload
         self.root.mkdir(parents=True, exist_ok=True)
         self.sweep_scratch()
         final = self._snapshot_path(digest)
@@ -306,12 +290,9 @@ class IndexStore:
         caller rebuilds and :meth:`save` overwrites the file.
 
         The returned session carries the *live* spec's configuration:
-        only the stored ODs, documents, and schemas are reused.  When
-        the snapshot carries a compact index payload matching the live
-        config (strategy, encoding, q, byte order), the frozen index is
-        reconstructed from the stored arrays; otherwise it is rebuilt
-        deterministically from the ODs.  Either way the session is
-        bit-identical to one built cold from the same spec.
+        only the stored ODs, documents, and schemas are reused, and the
+        index is rebuilt deterministically from the ODs, so the session
+        is bit-identical to one built cold from the same spec.
         """
         digest = digest or self.key_for(spec)
         path = self._snapshot_path(digest)
@@ -325,18 +306,12 @@ class IndexStore:
         from ..api.corpus import Corpus
         from ..api.session import DetectionSession
 
-        mapping = spec.load_mapping()
-        config = spec.to_config()
-        index = CorpusIndex.from_snapshot_payload(
-            payload.get("index"), mapping, config
-        )
         return DetectionSession(
             Corpus(sources),
-            mapping,
+            spec.load_mapping(),
             real_world_type,
-            config,
+            spec.to_config(),
             ods=ods,
-            index=index,
         )
 
     # ------------------------------------------------------------------

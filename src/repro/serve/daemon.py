@@ -58,7 +58,7 @@ from .sessions import SessionEntry, SessionRegistry
 # Everywhere else a module is imported by the first call that needs it;
 # the daemon is the one long-lived process and does the opposite: all of
 # the program that a route can reach — a cold open under either strategy
-# and encoding with or without XSDs, ``detect()`` under every backend,
+# with or without XSDs, ``detect()`` under every backend,
 # the first ``extend()``, a response's XML — is imported here, before
 # the socket listens, so no request and no lock-free reader thread ever
 # loads a ``repro`` module (``tests/test_import_closure.py`` holds the
@@ -81,8 +81,6 @@ preload(
     "repro.core.conditions",
     "repro.xmlkit.schema_parser",
     "repro.strings.signatures",
-    "repro.compact",
-    "repro.core.compact_terms",
     "repro.engine.sharder",
     "repro.engine.pool",
     "repro.ingest.builder",

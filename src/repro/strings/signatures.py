@@ -74,7 +74,6 @@ class SignatureIndex(ValueIndex):
     """
 
     strategy = "signature"
-    _payload_options = ("second_level_cutoff",)
 
     def __init__(self, q: int = 2, second_level_cutoff: int = 16) -> None:
         super().__init__(q)
@@ -89,11 +88,6 @@ class SignatureIndex(ValueIndex):
         self._signature_state: (
             tuple[int, dict[tuple[str, int], int], dict[int, _Postings]] | None
         ) = None
-
-    def _drop_derived(self) -> None:
-        # Rebuilt lazily from the compact gram rows on the next probe,
-        # once, and cached as before.
-        self._signature_state = None
 
     def _bound_verdict(
         self, query: str, value: str, threshold: float
@@ -172,10 +166,7 @@ class SignatureIndex(ValueIndex):
         Deterministic function of the value set; concurrent probes may
         rebuild redundantly, but the single attribute assignment below
         publishes a complete, idempotent value either way (benign, like
-        the corpus index's memo caches).  A compacted gram state hands
-        out freshly decoded counters, so a rebuild after ``freeze()``
-        pays that decode once; the counters are value-identical to the
-        dict form's, so the structure (and every search) matches.
+        the corpus index's memo caches).
         """
         signature = self._signature_state
         if signature is not None and signature[0] == len(self._values):

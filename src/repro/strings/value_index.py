@@ -3,39 +3,24 @@
 A value index answers thresholded ``ned`` probes over the distinct
 values of one comparison key.  Everything except candidate generation
 is the same for every strategy, so it lives here once: the
-insertion-ordered value list, ``add``/``merge_from``, the ``search``
-skeleton with its counters, compaction and the snapshot payload round
-trip.  A strategy subclasses :class:`ValueIndex` and supplies
-``_candidates``.
+insertion-ordered value list, ``add``/``merge_from`` and the ``search``
+skeleton with its counters.  A strategy subclasses :class:`ValueIndex`
+and supplies ``_candidates``.
 
-The lookup structures around the value list are a *gram state* with one
-read surface — ``find``, ``counter``, ``length_classes``, and the exact
-multiset count filter as ``query_pairs`` + ``accumulate`` (every value's
-overlap in one walk of the gram buckets, q-gram strategy only) or
-``overlap`` (one value's) — implemented twice:
-
-* :class:`DictValueState` — dicts and ``Counter`` objects, the only
-  writable form (building, thawed);
-* :class:`repro.compact.CompactValueIndex` — flat sorted arrays, the
-  form a compact-encoded frozen index holds.
-
-Strategies read through that surface and never ask which one they hold.
+The lookup structures around the value list are a *gram state*,
+:class:`DictValueState`, read through ``find``, ``counter``,
+``length_classes``, and the exact multiset count filter as
+``query_pairs`` + ``accumulate`` (every value's overlap in one walk of
+the gram buckets, q-gram strategy only) or ``overlap`` (one value's).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .._lazy import LazyRegistry, resolve
+from .._lazy import LazyRegistry
 from .levenshtein import ned_cached
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..compact import CompactValueIndex
-
-#: The compact gram state, loaded by the first ``compact()`` or compact
-#: payload of the process: the dict encoding never imports it.
-_COMPACT_STATE = "repro.compact:CompactValueIndex"
 
 #: Padding character outside the XML character-data alphabet we generate.
 _PAD = "\x00"
@@ -81,7 +66,7 @@ class DictValueState:
                 self.buckets.setdefault(gram, []).append(value_id)
         return value_id
 
-    def find(self, values: Sequence[str], query: str) -> int:
+    def find(self, query: str) -> int:
         """The insertion id of ``query``, or ``-1``."""
         return self.ids.get(query, -1)
 
@@ -140,24 +125,16 @@ class ValueIndex:
     strategy = ""
     #: Whether the gram state keeps gram -> value-id buckets.
     _with_buckets = False
-    #: Constructor options beyond ``q`` that the snapshot payload carries.
-    _payload_options: tuple[str, ...] = ()
 
     def __init__(self, q: int = 2) -> None:
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
         self.q = q
-        #: Insertion-ordered distinct values.  Survives compaction
-        #: untouched: value ids and result ordering are defined by this
-        #: order, so the compact form keeps the list and replaces only
-        #: the lookup/posting structures around it.
+        #: Insertion-ordered distinct values: value ids and result
+        #: ordering are defined by this order.
         self._values: list[str] = []
-        #: The gram state — writable dicts, or flat arrays while
-        #: compacted (which has no ``register``, so a write path that
-        #: skipped :meth:`decompact` cannot silently diverge).
-        self._state: DictValueState | CompactValueIndex = DictValueState(
-            self._with_buckets
-        )
+        #: The gram state (lookup and posting structures).
+        self._state = DictValueState(self._with_buckets)
         self.probes = 0
         self.verifications = 0
 
@@ -165,32 +142,18 @@ class ValueIndex:
         return len(self._values)
 
     def __contains__(self, value: str) -> bool:
-        return self._state.find(self._values, value) >= 0
+        return value in self._state.ids
 
     @property
     def values(self) -> list[str]:
         return list(self._values)
 
-    @property
-    def compacted(self) -> bool:
-        """Whether the index currently holds compact array state."""
-        return not isinstance(self._state, DictValueState)
-
     # ------------------------------------------------------------------
     # Writers
     # ------------------------------------------------------------------
-    def _require_writable(self, action: str) -> None:
-        if self.compacted:
-            raise RuntimeError(
-                f"cannot {action} a compacted {type(self).__name__}: "
-                "decompact() first (CorpusIndex.thaw() does this for "
-                "delta merges)"
-            )
-
     def add(self, value: str) -> int:
         """Register a value (idempotent); returns its id."""
-        self._require_writable("add to")
-        existing = self._state.find(self._values, value)
+        existing = self._state.find(value)
         if existing >= 0:
             return existing
         self._values.append(value)
@@ -220,98 +183,12 @@ class ValueIndex:
                 f"cannot merge a {other.strategy!r} index into a "
                 f"{self.strategy!r} index"
             )
-        self._require_writable("merge into")
-        other._require_writable("merge from")
         state = self._state
         for other_id, value in enumerate(other._values):
             if value in state.ids:
                 continue
             self._values.append(value)
             state.register(value, other._state.grams[other_id].copy())
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def compact(self) -> None:
-        """Re-encode the lookup state as flat sorted arrays (idempotent).
-
-        Called by ``CorpusIndex.freeze()`` under the compact encoding;
-        must not run concurrently with probes (the caller owns the
-        writer discipline).  :meth:`add`/:meth:`merge_from` raise until
-        :meth:`decompact` restores the dict state.
-        """
-        state = self._state
-        if not isinstance(state, DictValueState):
-            return
-        self._state = resolve(_COMPACT_STATE).build(
-            self._values, state.grams, with_buckets=self._with_buckets
-        )
-        self._drop_derived()
-
-    def decompact(self) -> None:
-        """Restore the writable dict/Counter state (idempotent).
-
-        The delta-merge seam: ``extend()`` thaws the owning index,
-        folds dict-encoded partials in, and re-freezes (recompacting).
-        Rebuilt state is observably identical to the pre-compaction
-        original: values are re-registered in id order, so value ids,
-        gram multisets, and the ascending id lists of every bucket and
-        length class all round-trip.
-        """
-        compact = self._state
-        if isinstance(compact, DictValueState):
-            return
-        state = DictValueState(self._with_buckets)
-        for value_id, value in enumerate(self._values):
-            state.register(value, compact.counter(value_id))
-        self._state = state
-
-    def _drop_derived(self) -> None:
-        """Drop structures a strategy derived from the gram state, so
-        the compacted footprint is the flat arrays plus whatever later
-        probes rebuild.  Nothing at this level."""
-
-    def compact_payload(self) -> Optional[dict]:
-        """Snapshot-serializable compact state (``None`` when thawed)."""
-        if not self.compacted:
-            return None
-        return {
-            "strategy": self.strategy,
-            "q": self.q,
-            **{name: getattr(self, name) for name in self._payload_options},
-            "values": list(self._values),
-            "state": self._state.to_payload(),
-        }
-
-    @classmethod
-    def from_compact_payload(cls, payload: object) -> "ValueIndex":
-        """Rebuild a compacted index from :meth:`compact_payload` output.
-
-        Raises ``ValueError``/``KeyError``/``TypeError`` on malformed
-        payloads — snapshot loaders treat those as cache misses.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError("malformed value-index payload")
-        if payload.get("strategy") != cls.strategy:
-            raise ValueError(
-                f"payload strategy {payload.get('strategy')!r} does not "
-                f"match {cls.strategy!r}"
-            )
-        index = cls(
-            q=int(payload["q"]),
-            **{name: int(payload[name]) for name in cls._payload_options},
-        )
-        values = payload["values"]
-        if not isinstance(values, list):
-            raise ValueError("malformed value-index payload")
-        index._values = [str(value) for value in values]
-        state = resolve(_COMPACT_STATE).from_payload(payload["state"])
-        if len(state.order) != len(index._values) or (
-            cls._with_buckets and state.buckets is None
-        ):
-            raise ValueError("value-index payload does not cover its values")
-        index._state = state
-        return index
 
     # ------------------------------------------------------------------
     # Probes
@@ -328,7 +205,7 @@ class ValueIndex:
         self.probes += 1
         values = self._values
         matched: set[int] = set()
-        query_id = self._state.find(values, query)
+        query_id = self._state.find(query)
         if query_id >= 0:
             matched.add(query_id)
         if threshold > 0:

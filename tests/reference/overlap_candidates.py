@@ -5,8 +5,8 @@ strategy's candidate generation as it stood before the gram states grew
 ``accumulate``: union the buckets of every query gram, then re-sum
 ``min(query, stored)`` for each provisional candidate through
 ``state.overlap``.  Verbatim apart from this paragraph and from
-``gather`` being one function over either gram state (it was a method on
-each; the states no longer carry it).  ``tests/test_strings_kernels.py``
+``gather`` being a function over the gram state (it was a method on it;
+the state no longer carries it).  ``tests/test_strings_kernels.py``
 holds the shipped ``QGramIndex`` / ``SignatureIndex`` against it: same
 result lists, same ``probes`` and ``verifications``.
 """
@@ -15,19 +15,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.compact import CompactValueIndex
 from repro.strings import QGramIndex, qgrams, strict_budget
 
 
 def gather(state, query_pairs) -> set[int]:
     """Ids of the values sharing at least one gram with the probe."""
     found: set[int] = set()
-    if isinstance(state, CompactValueIndex):
-        for code, _ in query_pairs:
-            state.buckets.update_set(code, found)
-    else:
-        for gram, _ in query_pairs:
-            found.update(state.buckets.get(gram, ()))
+    for gram, _ in query_pairs:
+        found.update(state.buckets.get(gram, ()))
     return found
 
 

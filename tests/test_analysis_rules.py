@@ -141,8 +141,8 @@ class TestLiveContainerEscape:
         assert findings == []
 
     def test_fires_on_live_array_attribute_return(self):
-        # array joined CONTAINER_CALLS with the compact encoding: a
-        # flat posting buffer is as mutable as the dict it replaced.
+        # array is in CONTAINER_CALLS: a flat buffer is as mutable as
+        # a dict.
         findings = run(
             LiveContainerEscape(),
             """
@@ -313,8 +313,8 @@ class TestFrozenIndexDiscipline:
 
 
     def test_fires_on_post_init_buffer_mutation(self):
-        # Compact-structure shape: immutable by construction, so any
-        # post-__init__ append onto the posting buffer is a finding.
+        # A frozen class immutable by construction: any post-__init__
+        # append onto its buffer is a finding.
         findings = run(
             FrozenIndexDiscipline(),
             """
@@ -335,29 +335,22 @@ class TestFrozenIndexDiscipline:
 # ----------------------------------------------------------------------
 class TestIndexStateBinding:
     """The default LintConfig binds every state a frozen index reads
-    through — and the value-index shell above the gram states — to the
+    through — and the value-index shell above the gram state — to the
     shared/frozen contracts, so `lint src/` (pinned clean by
     test_lint_clean.py) actually checks them."""
 
-    def test_compact_classes_are_shared_and_frozen(self):
+    def test_the_index_is_the_one_frozen_class(self):
         from repro.analysis.config import DEFAULT_CONFIG
 
-        compact = {
-            "StringTable",
-            "PostingLists",
-            "CompactGramStore",
-            "CompactValueIndex",
-            "CompactTermIndex",
-        }
-        assert compact <= DEFAULT_CONFIG.shared_classes
-        assert compact <= DEFAULT_CONFIG.frozen_classes
+        assert DEFAULT_CONFIG.frozen_classes == {"CorpusIndex"}
+        assert "CorpusIndex" in DEFAULT_CONFIG.shared_classes
 
     def test_dict_states_and_value_index_shell_are_shared_not_frozen(self):
         from repro.analysis.config import DEFAULT_CONFIG
 
-        # A dict-encoded frozen index serves lock-free readers from the
-        # dict states, and the counters live in the shared shell; the
-        # dict states are the writable ones, so the pin is their owner's.
+        # A frozen index serves lock-free readers from the dict states,
+        # and the counters live in the shared shell; the dict states are
+        # the writable ones, so the pin is their owner's.
         writable = {"DictTermState", "DictValueState"}
         assert writable | {"ValueIndex"} <= DEFAULT_CONFIG.shared_classes
         assert not writable & DEFAULT_CONFIG.frozen_classes
@@ -373,7 +366,6 @@ class TestIndexStateBinding:
         from repro.analysis.config import DEFAULT_CONFIG
 
         assert "_statistics_cache" in DEFAULT_CONFIG.frozen_memo_attrs
-        assert "repro.compact" in DEFAULT_CONFIG.parity_modules
         assert "repro.strings.value_index" in DEFAULT_CONFIG.parity_modules
 
 

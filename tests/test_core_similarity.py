@@ -374,11 +374,10 @@ def _od(object_id: int, description):
 
 
 # A verdict read from the groups is only as exact as the strategy's
-# search and the encoding's find, so the oracle is met under every
-# (strategy, encoding) VARIANT, whatever the environment's defaults.
+# search, so the oracle is met under every strategy VARIANT, whatever
+# the environment's default.
 def _index_over(ods, mapping, theta, variant=VARIANTS[0]) -> CorpusIndex:
-    strategy, encoding = variant
-    index = CorpusIndex(ods, mapping, theta, strategy=strategy, encoding=encoding)
+    index = CorpusIndex(ods, mapping, theta, strategy=variant)
     index.freeze()
     return index
 

@@ -4,7 +4,7 @@ One fresh interpreter per entry path — a warm open, a cold serial batch
 run, ``cli match --store``, the daemon — and the ``repro`` modules each
 one loaded are held to a list committed here, so adding an import to an
 entry path is a reviewed diff, not a start-up cost nobody saw.  The
-children run the program as shipped: default strategy and encoding, no
+children run the program as shipped: default strategy, no
 bytecode cache, a corpus without XSDs (``tests/import_closure_child.py``).
 
 The same lists, the CLI's sub-commands and the ``repro`` names the
@@ -54,7 +54,7 @@ def modules(text: str) -> frozenset:
 
 #: What every path below loads: the spec and its registries, the config,
 #: the mapping (and the tokenizer that reads it), the index with the
-#: default strategy and encoding, step 5, the session.
+#: default strategy, step 5, the session.
 SESSION = modules(
     """
     ._lazy
@@ -100,8 +100,7 @@ EXPECTED = {
         """
         .cli .ingest .ingest.store .ingest.builder
         .serve .serve.daemon .serve.sessions
-        .compact .core.compact_terms .core.conditions .engine.sharder
-        .engine.pool
+        .core.conditions .engine.sharder .engine.pool
         .framework.incremental .framework.representatives
         .strings.signatures
         .xmlkit.schema_parser .xmlkit.serialize

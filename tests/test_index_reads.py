@@ -1,0 +1,273 @@
+"""Every ``CorpusIndex`` read against the brute-force oracle.
+
+``tests/reference/naive_index.py`` answers each read from the OD list
+alone; here the shipped index must give the same answers:
+
+* every read family — occurrence and key rows, ``key_elsewhere``,
+  union cardinality through ``pair_idf``, block terms, members and
+  keys, ``statistics``, similar-value groups and the verdicts step 5
+  reads from them — over the fuzz corpora of the write-path oracle, under
+  both similarity strategies, once frozen after a build and once after
+  two thaw / merge / re-freeze rounds;
+* the value pools of ``tests/test_similarity_strategies.py``, searched
+  at every threshold and held to brute-force ``ned``;
+* the union counter, the soft-IDF expression with its union
+  materialized, the statistics memo, negative object ids, and the
+  freeze pin, which keeps the state the index was built in.
+
+Extend-delta parity at the session level is
+``tests/test_write_path.py::TestExtendedEqualsRebuilt``; parity across
+execution backends is ``tests/test_shard_equivalence.py``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from reference.naive_index import NaiveIndex, ned
+from test_shard_equivalence import SEEDS, SHAPES, random_corpus
+from test_similarity_strategies import POOLS, THRESHOLDS, _build, _probes
+
+from repro.core.encodings import set_union_size
+from repro.core.index import CorpusIndex, IndexPartial
+from repro.framework import TypeMapping, od_from_pairs
+from repro.strings import SIMILARITY_STRATEGIES
+
+THETA_TUPLE = 0.25
+STRATEGIES = sorted(SIMILARITY_STRATEGIES)
+
+
+def frozen(ods, strategy="qgram", theta_tuple=THETA_TUPLE) -> CorpusIndex:
+    index = CorpusIndex(ods, TypeMapping(), theta_tuple, strategy=strategy)
+    index.freeze()
+    return index
+
+
+def grown(ods, strategy: str) -> CorpusIndex:
+    """An index built over the first half, then grown by the rest in two
+    deltas the way ``extend()`` grows it, with warm memos to invalidate."""
+    half = len(ods) // 2
+    index = frozen(ods[:half], strategy)
+    rng = random.Random(len(ods))
+    for delta in (ods[half : half + half // 2], ods[half + half // 2 :]):
+        for term in index.block_terms():
+            index.similar_values(*term)
+        for _ in range(20):
+            if index.block_terms():
+                left, right = rng.choice(index.block_terms()), rng.choice(
+                    index.block_terms()
+                )
+                index.pair_idf(*left, *right)
+        index.statistics()
+        index.thaw()
+        index.merge_partial(
+            IndexPartial.from_ods(delta, TypeMapping(), strategy=strategy)
+        )
+        index.freeze()
+    return index
+
+
+class Scenario:
+    """One index, its oracle, and the ODs and probes both are asked."""
+
+    def __init__(self, index: CorpusIndex, ods) -> None:
+        self.index = index
+        self.naive = NaiveIndex(ods, TypeMapping(), index.theta_tuple)
+        self.ods = ods
+        self.terms = self.naive.block_terms()
+        self.keys = sorted({key for key, _ in self.terms}) + ["no/such/key"]
+        self.ids = sorted({od.object_id for od in ods}) + [-7, 10_000]
+        #: every term, plus foreign ones: an unknown key, one edit off a
+        #: held value, far from every value
+        self.probes = sorted(self.terms) + [
+            ("no/such/key", "value"),
+            *((k, v[:-1] + "~") for k, v in sorted(self.terms)[:6] if v),
+            *((key, "~" * 10) for key in self.keys[:3]),
+        ]
+
+
+def check_rows(s: Scenario) -> None:
+    for key, value in s.probes:
+        assert s.index.occurrences(key, value) == s.naive.occurrences(key, value)
+    for key in s.keys:
+        assert s.index.objects_with_key(key) == s.naive.objects_with_key(key), key
+
+
+def check_key_elsewhere(s: Scenario) -> None:
+    for key in s.keys:
+        for object_id in s.ids:
+            assert s.index.key_elsewhere(key, object_id) == (
+                s.naive.key_elsewhere(key, object_id)
+            ), (key, object_id)
+
+
+def check_pair_idf(s: Scenario) -> None:
+    rng = random.Random(len(s.probes))
+    for _ in range(150):
+        left, right = rng.choice(s.probes), rng.choice(s.probes)
+        assert s.index.pair_idf(*left, *right) == s.naive.pair_idf(*left, *right)
+
+
+def check_blocking(s: Scenario) -> None:
+    assert set(s.index.block_terms()) == s.terms
+    assert len(s.index.block_terms()) == len(s.terms)
+    for term in sorted(s.terms):
+        assert s.index.block_members(term) == s.naive.block_members(term), term
+    for od in s.ods:
+        assert set(s.index.block_keys(od)) == s.naive.block_keys(od), od.object_id
+        assert s.index.od_terms(od) == {
+            (s.naive.key_of(odt.name), odt.value) for odt in od.tuples
+        }
+
+
+def check_statistics(s: Scenario) -> None:
+    assert s.index.statistics() == s.naive.statistics()
+
+
+def check_similar_values(s: Scenario) -> None:
+    for key, value in s.probes:
+        assert s.index.similar_values(key, value) == s.naive.similar_values(
+            key, value
+        ), (key, value)
+        for exclude in (None, 0):
+            assert s.index.objects_with_similar(key, value, exclude) == (
+                s.naive.objects_with_similar(key, value, exclude)
+            ), (key, value, exclude)
+
+
+def check_similar_verdict(s: Scenario) -> None:
+    rng = random.Random(len(s.probes))
+    for _ in range(150):
+        (key, a), (_, b) = rng.choice(s.probes), rng.choice(s.probes)
+        assert s.index.similar_verdict(key, a, b) == (
+            s.naive.similar_verdict(key, a, b)
+        ), (key, a, b)
+
+
+READ_FAMILIES = {
+    "rows": check_rows,
+    "key_elsewhere": check_key_elsewhere,
+    "pair_idf": check_pair_idf,
+    "blocking": check_blocking,
+    "statistics": check_statistics,
+    "similar_values": check_similar_values,
+    "similar_verdict": check_similar_verdict,
+}
+
+
+def assert_reads_equal(index: CorpusIndex, ods) -> None:
+    scenario = Scenario(index, ods)
+    for check in READ_FAMILIES.values():
+        check(scenario)
+
+
+_SCENARIOS: dict[tuple, Scenario] = {}
+
+
+def scenario(seed: int, shape: str, strategy: str, history: str) -> Scenario:
+    """Built once per module run and shared by the read families, which
+    only read (the memos they fill are what a served index fills)."""
+    key = (seed, shape, strategy, history)
+    if key not in _SCENARIOS:
+        ods = random_corpus(seed, shape)
+        index = frozen(ods, strategy) if history == "built" else grown(ods, strategy)
+        assert index.frozen
+        _SCENARIOS[key] = Scenario(index, ods)
+    return _SCENARIOS[key]
+
+
+@pytest.mark.parametrize("family", sorted(READ_FAMILIES))
+@pytest.mark.parametrize("history", ("built", "grown"))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_read_family_equals_the_oracle(seed, shape, strategy, history, family):
+    """``built``: frozen after one build; ``grown``: after two thaw /
+    merge / re-freeze rounds."""
+    READ_FAMILIES[family](scenario(seed, shape, strategy, history))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_value_pool_searches_equal_brute_force_ned(strategy, pool):
+    values = list(dict.fromkeys(POOLS[pool]))
+    index = _build(SIMILARITY_STRATEGIES[strategy], values, 2)
+    for threshold in THRESHOLDS:
+        for probe in _probes(values):
+            assert index.search(probe, threshold) == [
+                value
+                for value in values
+                if value == probe or ned(probe, value) < threshold
+            ], (strategy, pool, threshold, probe)
+
+
+def test_set_union_size_is_the_length_of_the_union():
+    rng = random.Random(11)
+    for _ in range(50):
+        left = set(rng.sample(range(30), rng.randint(0, 10)))
+        right = set(rng.sample(range(30), rng.randint(0, 10)))
+        assert set_union_size(left, right) == len(left | right)
+    aliased = {1, 2, 3}
+    assert set_union_size(aliased, aliased) == 3
+    assert set_union_size((), ()) == 0
+
+
+def test_pair_idf_is_the_materialized_expression_to_the_float():
+    """The counted union gives the float the union-building expression
+    gives, unseen terms included."""
+    ods = random_corpus(SEEDS[0], "dupes")
+    index = frozen(ods)
+    naive = NaiveIndex(ods, TypeMapping(), THETA_TUPLE)
+    terms = sorted(naive.block_terms()) + [("nokey", "novalue")]
+    rng = random.Random(29)
+    for _ in range(200):
+        left, right = rng.choice(terms), rng.choice(terms)
+        assert index.pair_idf(*left, *right) == naive.pair_idf(*left, *right)
+        assert index.pair_idf(*right, *left) == naive.pair_idf(*left, *right)
+
+
+def test_statistics_are_memoized_only_while_frozen():
+    ods = random_corpus(SEEDS[0], "uniform", count=12)
+    index = frozen(ods)
+    first = index.statistics()
+    assert index._statistics_cache is not None
+    second = index.statistics()
+    assert second == first and second is not first  # copies, not aliases
+    index.thaw()
+    assert index._statistics_cache is None  # invalidated with the pin
+    assert index.statistics() == first
+    assert index._statistics_cache is None  # not memoized while thawed
+    index.freeze()
+    assert index.statistics() == first
+
+
+def test_negative_object_ids_read_like_any_other():
+    """Foreign-probe sentinels give ``match()`` corpora negative ids."""
+    ods = [
+        od_from_pairs(-1, [("abcdefgh", "/db/item[1]/title[1]")]),
+        od_from_pairs(5, [("abcdefgh", "/db/item[2]/title[1]")]),
+        od_from_pairs(-3, [("abcdefgx", "/db/item[3]/title[1]")]),
+    ]
+    index = frozen(ods)
+    assert index.occurrences("/db/item/title", "abcdefgh") == frozenset({-1, 5})
+    assert_reads_equal(index, ods)
+
+
+def test_freeze_and_thaw_only_flip_the_pin():
+    """A frozen index reads the state it was built in; a write thaws
+    the same state, not a copy of it."""
+    ods = random_corpus(SEEDS[1], "dupes")
+    index = CorpusIndex(ods, TypeMapping(), THETA_TUPLE)
+    terms, value_states = index._terms, {
+        key: value_index._state for key, value_index in index._value_indexes.items()
+    }
+    for step in (index.freeze, index.thaw, index.freeze):
+        step()
+        assert index._terms is terms
+        assert {
+            key: value_index._state
+            for key, value_index in index._value_indexes.items()
+        } == value_states
+    with pytest.raises(RuntimeError, match="frozen"):
+        index.merge_partial(IndexPartial())

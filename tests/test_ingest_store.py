@@ -11,11 +11,14 @@ an error) is pinned here too, plus the CLI ``index build`` /
 
 from __future__ import annotations
 
+import base64
 import copy
 import gzip
 import json
 import os
 import random
+import sys
+from array import array
 
 import pytest
 from reference.xml_cold_path import tree_shape
@@ -380,27 +383,22 @@ def assert_warm_equals_cold(warm, cold):
 
 
 class TestFormat3:
-    @pytest.mark.parametrize("encoding", ["dict", "compact"])
     @pytest.mark.parametrize("corpus", ["example", "dataset1", "dataset3"])
-    def test_warm_equals_cold(self, corpus, encoding, example_dir, tmp_path):
+    def test_warm_equals_cold(self, corpus, example_dir, tmp_path):
         if corpus == "example":
             spec = example_spec(example_dir)
-            spec.index_encoding = encoding
         elif corpus == "dataset1":
             spec = write_corpus(
-                tmp_path / "d1", build_dataset1(base_count=20, seed=7),
-                index_encoding=encoding,
+                tmp_path / "d1", build_dataset1(base_count=20, seed=7)
             )
         else:
             spec = write_corpus(
-                tmp_path / "d3", build_dataset3(count=120, seed=11),
-                index_encoding=encoding,
+                tmp_path / "d3", build_dataset3(count=120, seed=11)
             )
         store = IndexStore(tmp_path / "store")
         cold = spec.build_session()
         store.save(spec, cold)
         warm = store.load(spec)
-        assert warm.index.loaded_from_snapshot == (encoding == "compact")
         assert_warm_equals_cold(warm, cold)
 
     def test_content_survives_item_for_item(self, example_dir, tmp_path):
@@ -705,6 +703,132 @@ class TestDamagedSnapshot:
         assert store.load(spec) is None
         rewrite(path, sound)  # the harness itself writes a loadable file
         assert fingerprint(store.load(spec)) == cold
+
+
+# ----------------------------------------------------------------------
+# What sessions under the removed compact encoding left behind
+# ----------------------------------------------------------------------
+def packed(typecode: str, values) -> dict:
+    """An integer array the way the compact writer stored one."""
+    data = array(typecode, values)
+    return {
+        "typecode": typecode,
+        "itemsize": data.itemsize,
+        "data": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def posting_rows(rows, typecode: str) -> dict:
+    offsets, data = [0], []
+    for row in rows:
+        data.extend(row)
+        offsets.append(len(data))
+    return {"offsets": packed("Q", offsets), "data": packed(typecode, data)}
+
+
+def compact_index_section(index) -> dict:
+    """The ``index`` section a compact session added to its format-3
+    snapshot: interned string tables, packed term codes and posting
+    arrays, and per kind the value index's frozen gram rows."""
+    occurrences = index._terms.occurrences
+    keys = sorted({key for key, _ in occurrences})
+    values = sorted({value for _, value in occurrences})
+    terms = sorted(
+        (keys.index(key) << 32 | values.index(value), sorted(ids))
+        for (key, value), ids in occurrences.items()
+    )
+    value_indexes = []
+    for key in sorted(index._value_indexes):
+        value_index = index._value_indexes[key]
+        held = value_index.values
+        grams = [value_index._state.counter(i) for i in range(len(held))]
+        vocabulary = sorted({gram for counter in grams for gram in counter})
+        rows = [sorted((vocabulary.index(g), n) for g, n in c.items()) for c in grams]
+        lengths = sorted({len(value) for value in held})
+        value_indexes.append({"key": key, "index": {
+            "strategy": value_index.strategy,
+            "q": value_index.q,
+            "values": held,
+            "state": {
+                "order": packed("I", sorted(range(len(held)), key=held.__getitem__)),
+                "grams": {
+                    "vocabulary": vocabulary,
+                    "codes": posting_rows(([c for c, _ in r] for r in rows), "I"),
+                    "counts": posting_rows(([n for _, n in r] for r in rows), "I"),
+                },
+                "length_keys": packed("I", lengths),
+                "length_rows": posting_rows(
+                    ([i for i, v in enumerate(held) if len(v) == n] for n in lengths),
+                    "I",
+                ),
+            },
+        }})
+    return {
+        "encoding": "compact",
+        "strategy": index.strategy,
+        "q": index.q,
+        "byteorder": sys.byteorder,
+        "total_objects": index.total_objects,
+        "theta_tuple": index.theta_tuple,
+        "terms": {
+            "keys": keys,
+            "values": values,
+            "terms": packed("Q", [code for code, _ in terms]),
+            "postings": posting_rows((ids for _, ids in terms), "i"),
+            "key_postings": posting_rows(
+                (sorted(index.objects_with_key(key)) for key in keys), "i"
+            ),
+        },
+        "value_indexes": value_indexes,
+    }
+
+
+class TestCompactLeftovers:
+    def test_a_snapshot_with_an_index_section_loads_by_rebuilding(self, saved):
+        store, spec, path, intact, cold = saved
+        payload = json.loads(gzip.decompress(intact))
+        payload["index"] = compact_index_section(spec.build_session().index)
+        rewrite(path, payload)
+        manifest_path = store._manifest_path(payload["key"])
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"]["index_encoding"] = "compact"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+        warm = store.load(spec)
+        assert fingerprint(warm) == cold
+        reference = spec.build_session()
+        for od in reference.ods:
+            assert [
+                (m.object_id, m.similarity, m.path) for m in warm.match(od.object_id)
+            ] == [
+                (m.object_id, m.similarity, m.path)
+                for m in reference.match(od.object_id)
+            ]
+        # still cataloged, from the manifest, whose spec no longer builds
+        assert [info.digest for info in store.list()] == [payload["key"]]
+        assert store.contains(spec)
+        assert store.spec_for(payload["key"]) is None
+
+    def test_the_compact_value_raises_everywhere_it_was_accepted(self, example_dir):
+        from repro.core import DogmatixConfig
+        from repro.core.index import CorpusIndex, IndexPartial
+        from repro.framework import TypeMapping
+
+        with pytest.raises(ValueError, match="compact index encoding was removed"):
+            RunSpec(**{**example_spec(example_dir).to_dict(), "index_encoding": "compact"})
+        with pytest.raises(ValueError, match="compact index encoding was removed"):
+            DogmatixConfig(index_encoding="compact")
+        with pytest.raises(ValueError, match="compact index encoding was removed"):
+            CorpusIndex((), TypeMapping(), 0.25, encoding="compact")
+        with pytest.raises(ValueError, match="compact index encoding was removed"):
+            IndexPartial.from_ods((), TypeMapping(), encoding="compact")
+        # the one value each name still takes
+        assert example_spec(example_dir).index_encoding is None
+        assert RunSpec(
+            **{**example_spec(example_dir).to_dict(), "index_encoding": "dict"}
+        ).to_config().index_encoding == "dict"
+        assert CorpusIndex((), TypeMapping(), 0.25, encoding="dict").encoding == "dict"
+        assert IndexPartial.from_ods((), TypeMapping(), encoding="dict").total_objects == 0
 
 
 class TestCLI:

@@ -172,14 +172,13 @@ class TestStepFiveWorkCounts:
         return build_dataset1(base_count=60, seed=7)  # the bench's dense shape
 
     def detect(self, dataset, variant=VARIANTS[0]):
-        strategy, encoding = variant
-        config = DogmatixConfig(similarity_strategy=strategy, index_encoding=encoding)
+        config = DogmatixConfig(similarity_strategy=variant)
         session = DetectionSession(
             dataset.sources, dataset.mapping, dataset.real_world_type, config
         )
         return session, session.detect()
 
-    @pytest.mark.parametrize("variant", VARIANTS, ids="-".join)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_group_is_searched_once_and_never_by_step_five(
         self, dataset, variant, monkeypatch
     ):

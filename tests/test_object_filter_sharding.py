@@ -295,16 +295,12 @@ def reference_decide(index: CorpusIndex, theta_cand: float, od) -> FilterDecisio
     )
 
 
-def generated_session(dataset, encoding: str) -> DetectionSession:
+def generated_session(dataset) -> DetectionSession:
     return DetectionSession(
-        dataset.sources,
-        dataset.mapping,
-        dataset.real_world_type,
-        DogmatixConfig(index_encoding=encoding),
+        dataset.sources, dataset.mapping, dataset.real_world_type, DogmatixConfig()
     )
 
 
-@pytest.mark.parametrize("encoding", ("dict", "compact"))
 class TestKindElsewhere:
     def assert_decisions_equal_reference(self, index, ods) -> None:
         assert index.frozen
@@ -314,22 +310,22 @@ class TestKindElsewhere:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_fuzz_corpora(self, encoding, seed, shape):
+    def test_fuzz_corpora(self, seed, shape):
         ods = random_corpus(seed, shape)
-        session = session_over(ods, index_encoding=encoding)
+        session = session_over(ods)
         lone = od_from_pairs(len(ods), [("only here", "/db/item[99]/label[1]")])
         foreign = od_from_pairs(-1, [(t.value, t.name) for t in ods[-1].tuples])
         self.assert_decisions_equal_reference(session.index, [*ods, lone, foreign])
 
-    def test_generated_datasets(self, encoding):
+    def test_generated_datasets(self):
         for dataset in (build_dataset1(30, seed=7), build_dataset3(150, seed=7)):
-            session = generated_session(dataset, encoding)
+            session = generated_session(dataset)
             self.assert_decisions_equal_reference(session.index, session.ods)
 
-    def test_reader_agrees_with_the_snapshot(self, encoding):
+    def test_reader_agrees_with_the_snapshot(self):
         ods = random_corpus(SEEDS[0], "giant")
         ods.append(od_from_pairs(len(ods), [("x", "/db/item[99]/label[1]")]))
-        index = session_over(ods, index_encoding=encoding).index
+        index = session_over(ods).index
         keys = {key for key, _ in index.block_terms()} | {"no/such/key"}
         for key in keys:
             holders = index.objects_with_key(key)
@@ -338,8 +334,8 @@ class TestKindElsewhere:
                     holders - {object_id}
                 ), (key, object_id)
 
-    def test_a_warm_pass_copies_no_holder_row(self, encoding, monkeypatch):
-        session = generated_session(build_dataset3(150, seed=7), encoding)
+    def test_a_warm_pass_copies_no_holder_row(self, monkeypatch):
+        session = generated_session(build_dataset3(150, seed=7))
         index = session.index
         first = ObjectFilter(index, 0.55)
         unique_tuples = sum(

@@ -62,13 +62,13 @@ PUBLIC_ALL = {
         """,
         "repro.core": """
             CandidateSuggestion CombinedCondition CombinedHeuristic
-            CompactTermIndex Condition CorpusIndex DescriptionSelector
+            Condition CorpusIndex DescriptionSelector
             DictTermState DogmatixClassifierFactory DogmatixConfig
             DogmatixShardFactory DogmatixSimilarity FilterDecision Heuristic
-            INDEX_ENCODINGS IndexPartial KClosestDescendants ObjectFilter
+            IndexPartial KClosestDescendants ObjectFilter
             RDistantAncestors RDistantDescendants Source TupleMatching
             best_candidate c_and c_cm c_me c_or c_sdt c_se
-            candidate_schema_element default_index_encoding h_and h_or
+            candidate_schema_element h_and h_or
             match_tuples refine relative_xpath singleton_soft_idf soft_idf
             suggest_candidates
         """,

@@ -130,6 +130,33 @@ class TestRoutes:
                 server.server_close()
         assert origins == ["cold", "cold", "warm"]
 
+    def test_digest_of_a_compact_session_is_a_4xx_not_a_500(self, tmp_path):
+        """A manifest written by a session under the removed compact
+        encoding records a spec that no longer builds: serving the
+        digest alone is a client error, and re-posting the spec works."""
+        from repro.ingest import IndexStore
+
+        spec = write_example(tmp_path)
+        store = IndexStore(tmp_path / "store")
+        digest = store.save(spec, spec.build_session())
+        manifest_path = store._manifest_path(digest)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"]["index_encoding"] = "compact"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        server, client = start_server(tmp_path / "store")
+        try:
+            with pytest.raises(ServeError) as excinfo:
+                client.match(digest, object_id=0)
+            assert 400 <= excinfo.value.status < 500
+            assert digest in {s["digest"] for s in client.catalog()["snapshots"]}
+            assert client.open_corpus(spec)["origin"] == "warm"
+            found = client.match(digest, object_id=0)["matches"]
+            assert [m["object_id"] for m in found] == [1]
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
     def test_catalog_lists_snapshot_and_resident(self, served):
         catalog = served.client.catalog()
         digests = {snap["digest"] for snap in catalog["snapshots"]}

@@ -4,9 +4,8 @@
   programs in ``tests/reference/dp_levenshtein.py`` — any Unicode, empty
   strings, lengths around the 64-bit word boundary and far past it,
   every ``limit``;
-* the gram states' ``accumulate`` against a brute ``Σ min`` over every
-  stored value, on the dict state and through ``compact()`` /
-  ``decompact()``;
+* the gram state's ``accumulate`` against a brute ``Σ min`` over every
+  stored value;
 * whole searches on generated Dataset 1 / Dataset 3 values against the
   bucket-union-then-filter candidate generation in
   ``tests/reference/overlap_candidates.py``: same lists in the same
@@ -15,8 +14,7 @@
 * the one spelling of ``ned < θ`` (:func:`strict_budget`) wherever a
   filter and a classifier could disagree.
 
-The CI ``signature-strategy`` and ``compact-encoding`` legs run this
-file in their first step.
+The CI ``signature-strategy`` leg runs this file in its first step.
 """
 
 from __future__ import annotations
@@ -158,12 +156,6 @@ class TestAccumulate:
         expected = {query: brute_overlaps(values, query, q) for query in queries}
         for query in queries:
             assert accumulated(index, query) == expected[query]
-        index.compact()
-        for query in queries:
-            assert accumulated(index, query) == expected[query]
-        index.decompact()
-        for query in queries:
-            assert accumulated(index, query) == expected[query]
 
     def test_repeated_query_gram_takes_the_minimum(self):
         index = QGramIndex(q=1)
@@ -171,14 +163,10 @@ class TestAccumulate:
             index.add(value)
         # query holds "a" three times: min(3, stored) per value
         assert accumulated(index, "aaa") == {0: 1, 1: 2, 2: 3, 4: 1}
-        index.compact()
-        assert accumulated(index, "aaa") == {0: 1, 1: 2, 2: 3, 4: 1}
 
     def test_unseen_grams_contribute_nothing(self):
         index = QGramIndex()
         index.add("abc")
-        assert accumulated(index, "xyz") == {}
-        index.compact()
         assert accumulated(index, "xyz") == {}
 
 
@@ -216,12 +204,10 @@ def corpus_values(request) -> dict[str, list[str]]:
     return values_per_key(build_dataset3(count=150, seed=7))
 
 
-def filled(index_class, values: list[str], compact: bool = False):
+def filled(index_class, values: list[str]):
     index = index_class()
     for value in values:
         index.add(value)
-    if compact:
-        index.compact()
     return index
 
 
@@ -235,34 +221,32 @@ def search_everything(index, values) -> list[list[str]]:
 
 class TestSearchParityOnGeneratedCorpora:
     @pytest.mark.parametrize(
-        "index_class,oracle_class,compact",
+        "index_class,oracle_class",
         [
-            (QGramIndex, OverlapQGramIndex, False),
-            (QGramIndex, OverlapQGramIndex, True),
-            (SignatureIndex, BoundedOverlapIndex, False),
+            (QGramIndex, OverlapQGramIndex),
+            (SignatureIndex, BoundedOverlapIndex),
         ],
-        ids=["qgram-dict", "qgram-compact", "signature-dict"],
+        ids=["qgram", "signature"],
     )
     def test_lists_and_counters_equal_the_oracle(
-        self, corpus_values, index_class, oracle_class, compact
+        self, corpus_values, index_class, oracle_class
     ):
         assert corpus_values
         for key, values in corpus_values.items():
-            index = filled(index_class, values, compact)
-            oracle = filled(oracle_class, values, compact)
+            index = filled(index_class, values)
+            oracle = filled(oracle_class, values)
             assert search_everything(index, values) == search_everything(
                 oracle, values
             ), key
             assert index.probes == oracle.probes, key
             assert index.verifications == oracle.verifications, key
 
-    @pytest.mark.parametrize("compact", [False, True], ids=["dict", "compact"])
-    def test_eight_readers_on_one_index(self, corpus_values, compact):
+    def test_eight_readers_on_one_index(self, corpus_values):
         """The lock-free ``match()`` contract: ``accumulate`` keeps all
         its state local, so concurrent probes of one index return the
         single-threaded lists."""
         key, values = max(corpus_values.items(), key=lambda item: len(item[1]))
-        index = filled(QGramIndex, values, compact)
+        index = filled(QGramIndex, values)
         expected = search_everything(index, values)
         results: list = [None] * 8
         errors: list[Exception] = []
@@ -308,9 +292,8 @@ class TestOneSpellingOfTheThreshold:
         assert not within_normalized(self.RIGHT, self.LEFT, self.THETA)
 
     @pytest.mark.parametrize("index_class", [QGramIndex, SignatureIndex])
-    @pytest.mark.parametrize("compact", [False, True], ids=["dict", "compact"])
-    def test_searches_agree_with_the_division(self, index_class, compact):
-        index = filled(index_class, [self.LEFT, self.RIGHT], compact)
+    def test_searches_agree_with_the_division(self, index_class):
+        index = filled(index_class, [self.LEFT, self.RIGHT])
         assert index.search(self.LEFT, self.THETA) == [self.LEFT]
         assert index.search(self.RIGHT, self.THETA) == [self.RIGHT]
 

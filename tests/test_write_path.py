@@ -16,9 +16,8 @@ does not make it:
   like one rebuilt over the grown corpus.
 
 The memo and rebuilt-session oracles run under every similarity
-strategy and index encoding, whatever the environment's defaults: the
-selective invalidation meets the lazily rebuilt signature state and
-``thaw()``'s decompaction there.
+strategy, whatever the environment's default: the selective
+invalidation meets the lazily rebuilt signature state there.
 """
 
 from __future__ import annotations
@@ -42,22 +41,14 @@ from test_ingest_merge import THETA_TUPLE, observable_state
 from test_shard_equivalence import SEEDS, random_corpus
 
 
-#: (similarity strategy, index encoding)
-VARIANTS = (
-    ("qgram", "dict"),
-    ("qgram", "compact"),
-    ("signature", "dict"),
-    ("signature", "compact"),
-)
+#: similarity strategies
+VARIANTS = ("qgram", "signature")
 
 
 def session_on(dataset, sources, variant=None) -> DetectionSession:
-    config = DogmatixConfig()  # the environment's strategy and encoding
+    config = DogmatixConfig()  # the environment's strategy
     if variant is not None:
-        strategy, encoding = variant
-        config = DogmatixConfig(
-            similarity_strategy=strategy, index_encoding=encoding
-        )
+        config = DogmatixConfig(similarity_strategy=variant)
     return DetectionSession(
         Corpus(sources), dataset.mapping, dataset.real_world_type, config
     )
@@ -67,10 +58,7 @@ def session_on(dataset, sources, variant=None) -> DetectionSession:
 # Index level: the memos
 # ----------------------------------------------------------------------
 def frozen_index(ods, mapping, theta_tuple, variant=VARIANTS[0]) -> CorpusIndex:
-    strategy, encoding = variant
-    index = CorpusIndex(
-        ods, mapping, theta_tuple, strategy=strategy, encoding=encoding
-    )
+    index = CorpusIndex(ods, mapping, theta_tuple, strategy=variant)
     index.freeze()
     return index
 
@@ -81,11 +69,7 @@ def grow(index: CorpusIndex, delta, mapping) -> None:
     try:
         index.merge_partial(
             IndexPartial.from_ods(
-                delta,
-                mapping,
-                q=index.q,
-                strategy=index.strategy,
-                encoding=index.encoding,
+                delta, mapping, q=index.q, strategy=index.strategy
             )
         )
     finally:
@@ -206,7 +190,7 @@ def check_memo_through_merges(ods, mapping, theta_tuple, seed, variant) -> None:
     assert survivors, "no memo entry ever survived a merge"
 
 
-@pytest.mark.parametrize("variant", VARIANTS, ids="-".join)
+@pytest.mark.parametrize("variant", VARIANTS)
 class TestMemoCoherence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", ("dupes", "uniform", "skewed", "empty"))
@@ -376,7 +360,7 @@ class TestTwinStreams:
 
 
 class TestExtendedEqualsRebuilt:
-    @pytest.mark.parametrize("variant", VARIANTS, ids="-".join)
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", (7, 11))
     def test_match_and_detect_after_every_extension(self, seed, variant):
         dataset, corpus, extensions = dataset1_stream(12, seed, 4, 2)
