@@ -2,9 +2,9 @@
 
 A process runs one operation — a warm open, a batch ``dedup``, a CLI
 sub-command — and pays for every module it compiles, so nothing in
-``src/`` is imported before something calls into it.  Three pieces, one
-table format (``"module:attr"``; a bare ``"module"`` means the attribute
-carries the table key's own name):
+``src/`` is imported before something calls into it.  Two pieces, one
+reference format (``"module:attr"``; in a :func:`lazy_exports` table a
+bare ``"module"`` means the attribute carries the table key's own name):
 
 * :func:`lazy_exports` — what every package ``__init__`` calls instead
   of importing its submodules.  ``__all__`` is the table's names; a name is imported
@@ -18,9 +18,6 @@ carries the table key's own name):
   a dict hit and an attribute read, so no hot path executes an import
   statement — and a test that patches the defining module is still
   seen.
-* :class:`LazyRegistry` — a read-only ``name -> object`` mapping whose
-  values are references resolved on lookup; listing the names imports
-  nothing.
 
 **Who may import a package ``__init__``:** callers outside ``src/``
 (tests, ``bench/``, examples, users).  Modules inside ``src/`` import
@@ -31,7 +28,6 @@ holds the entry-path modules to it.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Mapping
 from importlib import import_module
 
 _ModuleType = type(sys)
@@ -58,29 +54,6 @@ def preload(*names: str) -> None:
     from whichever thread — imports anything (the daemon's start-up)."""
     for name in names:
         _LOADED[name] = import_module(name)
-
-
-class LazyRegistry(Mapping):
-    """Read-only ``name -> object`` over ``name -> "module:attr"``."""
-
-    def __init__(self, references: dict[str, str]) -> None:
-        #: ``name -> "module:attr"``, for registries that mirror this one.
-        self.references = dict(references)
-
-    def __getitem__(self, name: str) -> object:
-        return resolve(self.references[name])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.references)
-
-    def __len__(self) -> int:
-        return len(self.references)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.references  # membership imports nothing
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LazyRegistry({self.references!r})"
 
 
 class _LazyPackage(_ModuleType):

@@ -23,11 +23,9 @@ class LintConfig:
     shared_classes: frozenset[str] = frozenset(
         {
             "CorpusIndex",
-            # Similar-value indexes: the shared shell, its strategies,
-            # and the gram state a frozen index serves from.
-            "ValueIndex",
+            # The similar-value index and the gram state a frozen index
+            # serves from.
             "QGramIndex",
-            "SignatureIndex",
             "DictValueState",
             "DetectionSession",
             "DogmatixSimilarity",
@@ -82,7 +80,6 @@ class LintConfig:
         "repro.serve",
         "repro.strings.value_index",
         "repro.strings.qgram",
-        "repro.strings.signatures",
     )
 
     #: Known set-returning methods of the index/API surface — the

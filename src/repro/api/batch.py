@@ -79,7 +79,6 @@ def detect(
             theta_cand=theta,
             possible_threshold=session.config.possible_threshold,
             semantics=session.config.similar_semantics,
-            strategy=session._index.strategy,
         ),
         shard_factory=shard_factory,
     )
@@ -158,6 +157,5 @@ def _sharded_step4(
         use_blocking=session.config.use_blocking,
         kept_ids=kept_ids,
         filter_theta=theta if worker_filter else None,
-        strategy=session._index.strategy,
     )
     return pair_source, object_filter, shard_factory

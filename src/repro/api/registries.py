@@ -13,9 +13,7 @@ gets a registry mapping names to implementations:
 * :data:`SEMANTICS` — similar-pair semantics of the similarity measure
   (``matching`` | ``all-pairs``);
 * :data:`BACKENDS` — execution backends of the engine
-  (``serial`` | ``process``);
-* :data:`STRATEGIES` — similar-value search strategies behind the
-  corpus index (``qgram`` | ``signature``; bit-identical results).
+  (``serial`` | ``process``).
 
 Registries are open: extensions may :meth:`Registry.register` their own
 heuristics, conditions, or backend names and refer to them from specs
@@ -28,7 +26,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .._lazy import resolve
 from ..engine.policy import BACKENDS as _ENGINE_BACKENDS
-from ..strings.value_index import SIMILARITY_STRATEGIES as _SIMILARITY_STRATEGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.conditions import Condition
@@ -120,15 +117,6 @@ SEMANTICS.register("all-pairs", "all-pairs")
 BACKENDS = Registry("backend")
 for _backend in _ENGINE_BACKENDS:
     BACKENDS.register(_backend, _backend)
-
-#: Similar-value search strategies behind the corpus index (mirrors
-#: ``strings.SIMILARITY_STRATEGIES``): ``qgram`` is the count-filter
-#: oracle, ``signature`` the prefix-filtering scheme.  Results are
-#: bit-identical across strategies — pinned by the differential fuzz
-#: harness — so the choice is purely a performance knob.
-STRATEGIES = Registry("similarity strategy")
-for _strategy, _reference in sorted(_SIMILARITY_STRATEGIES.references.items()):
-    STRATEGIES.defer(_strategy, _reference)
 
 
 def heuristic_from_spec(spec: str) -> Heuristic:

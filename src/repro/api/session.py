@@ -167,12 +167,7 @@ class DetectionSession:
         self._index = (
             index
             if index is not None
-            else CorpusIndex(
-                self._ods,
-                mapping,
-                self.config.theta_tuple,
-                strategy=self.config.similarity_strategy,
-            )
+            else CorpusIndex(self._ods, mapping, self.config.theta_tuple)
         )
         self._similarity = DogmatixSimilarity(
             self._index, semantics=self.config.similar_semantics
@@ -502,12 +497,7 @@ class DetectionSession:
         self._index.thaw()
         try:
             self._index.merge_partial(
-                IndexPartial.from_ods(
-                    new_ods,
-                    self.mapping,
-                    q=self._index.q,
-                    strategy=self._index.strategy,
-                )
+                IndexPartial.from_ods(new_ods, self.mapping, q=self._index.q)
             )
         finally:
             self._index.freeze()

@@ -25,11 +25,11 @@ from ..core.encodings import require_dict_encoding
 from ..core.source import Source
 from ..engine.policy import DEFAULT_BATCH_SIZE, ExecutionPolicy, SHARD_MODES
 from ..framework.mapping import TypeMapping, mapping_from_xml
+from ..strings.value_index import require_qgram_strategy
 from ..xmlkit.parser import parse_file
 from .registries import (
     BACKENDS,
     SEMANTICS,
-    STRATEGIES,
     condition_from_spec,
     heuristic_from_spec,
 )
@@ -85,11 +85,11 @@ class RunSpec:
     include_empty: bool = False
     possible_threshold: Optional[float] = None
     similar_semantics: str = "matching"
-    #: Similar-value search strategy ("qgram" | "signature"); ``None``
-    #: defers to the config default (which honors the
-    #: ``REPRO_SIMILARITY_STRATEGY`` environment override).  Results
-    #: are bit-identical either way, so the knob — like the execution
-    #: policy — stays out of the index store's content key.
+    #: ``None`` or ``"qgram"``, the one similar-value index, for specs
+    #: that still name it; any other value raises.  A spec or store
+    #: manifest written under the removed ``"signature"`` strategy loads
+    #: as ``"qgram"``: the two answered bit-identically, and the
+    #: strategy never entered the index store's content key.
     similarity_strategy: Optional[str] = None
     #: ``None`` or ``"dict"``, the one index representation, for specs
     #: that still name it; any other value raises.
@@ -112,8 +112,10 @@ class RunSpec:
         heuristic_from_spec(self.heuristic)  # validate eagerly
         condition_from_spec(self.conditions)
         SEMANTICS.get(self.similar_semantics)
+        if self.similarity_strategy == "signature":
+            self.similarity_strategy = "qgram"
         if self.similarity_strategy is not None:
-            STRATEGIES.get(self.similarity_strategy)
+            require_qgram_strategy(self.similarity_strategy)
         if self.index_encoding is not None:
             require_dict_encoding(self.index_encoding)
         if self.backend is not None:
@@ -177,11 +179,6 @@ class RunSpec:
 
     def to_config(self) -> DogmatixConfig:
         """The :class:`DogmatixConfig` this spec describes."""
-        overrides: dict = {}
-        if self.similarity_strategy is not None:
-            overrides["similarity_strategy"] = STRATEGIES.canonical_name(
-                self.similarity_strategy
-            )
         return DogmatixConfig(
             heuristic=heuristic_from_spec(self.heuristic),
             condition=condition_from_spec(self.conditions),
@@ -193,7 +190,6 @@ class RunSpec:
             possible_threshold=self.possible_threshold,
             similar_semantics=SEMANTICS.canonical_name(self.similar_semantics),
             execution=self.execution_policy(),
-            **overrides,
         )
 
     # ------------------------------------------------------------------

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # what a sub-command runs is imported by that sub-command.
 from .api.registries import (
     SEMANTICS,
-    STRATEGIES,
     condition_from_spec,
     heuristic_from_spec,
 )
@@ -105,13 +104,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--semantics", default=None,
                         choices=SEMANTICS.names(),
                         help="similar-pair semantics of the measure")
-    parser.add_argument("--similarity-strategy", default=None,
-                        choices=STRATEGIES.names(),
-                        help="similar-value search strategy behind the "
-                             "index: 'qgram' (count-filter oracle) or "
-                             "'signature' (prefix filtering); results "
-                             "are bit-identical, only candidate "
-                             "generation and wall-clock differ")
     parser.add_argument("--theta-tuple", type=float, default=None)
     parser.add_argument("--theta-cand", type=float, default=None)
     parser.add_argument("--no-filter", action="store_true",
@@ -319,8 +311,6 @@ def _spec_from_args(
         spec.conditions = args.conditions
     if args.semantics is not None:
         spec.similar_semantics = args.semantics
-    if args.similarity_strategy is not None:
-        spec.similarity_strategy = args.similarity_strategy
     if args.theta_tuple is not None:
         spec.theta_tuple = args.theta_tuple
     if args.theta_cand is not None:

@@ -7,29 +7,18 @@ Paper defaults: θ_tuple = 0.15, θ_cand = 0.55 (Section 6).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .._lazy import resolve
 from ..engine.policy import ExecutionPolicy
-from ..strings.value_index import SIMILARITY_STRATEGIES
+from ..strings.value_index import require_qgram_strategy
 from .encodings import require_dict_encoding
 from .heuristics import Heuristic, KClosestDescendants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .conditions import Condition
     from .selection import DescriptionSelector
-
-
-def _default_similarity_strategy() -> str:
-    """Default similar-value strategy, overridable per process.
-
-    ``REPRO_SIMILARITY_STRATEGY`` lets the CI matrix run the whole
-    test suite under the signature strategy without touching every
-    config construction site — results are identical either way.
-    """
-    return os.environ.get("REPRO_SIMILARITY_STRATEGY", "qgram")
 
 
 @dataclass
@@ -75,12 +64,9 @@ class DogmatixConfig:
     #: Similar-pair semantics: "matching" (one-to-one, DESIGN.md) or
     #: "all-pairs" (the paper's literal Eq. 4); see the ablation bench.
     similar_semantics: str = "matching"
-    #: Similar-value search strategy behind the corpus index: "qgram"
-    #: (the count-filter oracle) or "signature" (prefix filtering).
-    #: Results are bit-identical; only candidate generation differs.
-    similarity_strategy: str = field(
-        default_factory=_default_similarity_strategy
-    )
+    #: Always "qgram", the one similar-value index, for callers that
+    #: still pass it; any other value raises.
+    similarity_strategy: str = "qgram"
     #: Always "dict", the one index representation, for callers that
     #: still pass it; any other value raises.
     index_encoding: str = "dict"
@@ -96,12 +82,7 @@ class DogmatixConfig:
                 f"similar_semantics must be 'matching' or 'all-pairs', "
                 f"got {self.similar_semantics!r}"
             )
-        if self.similarity_strategy not in SIMILARITY_STRATEGIES:
-            raise ValueError(
-                f"similarity_strategy must be one of "
-                f"{tuple(sorted(SIMILARITY_STRATEGIES))}, "
-                f"got {self.similarity_strategy!r}"
-            )
+        require_qgram_strategy(self.similarity_strategy)
         require_dict_encoding(self.index_encoding)
 
     @property

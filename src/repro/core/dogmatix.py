@@ -53,15 +53,9 @@ class DogmatixClassifierFactory:
     theta_cand: float
     possible_threshold: float | None
     semantics: str
-    #: Similar-value strategy of the worker-local index (results are
-    #: strategy-independent; mirrored from the parent's config so both
-    #: sides probe the same way).
-    strategy: str = "qgram"
 
     def __call__(self, ods: Sequence[ObjectDescription]) -> ThresholdClassifier:
-        index = CorpusIndex(
-            ods, self.mapping, self.theta_tuple, strategy=self.strategy
-        )
+        index = CorpusIndex(ods, self.mapping, self.theta_tuple)
         # Worker indexes are complete on construction — pinned like the
         # parent's.
         index.freeze()
@@ -109,9 +103,6 @@ class DogmatixShardFactory:
     kept_ids: frozenset[int] | None = None
     #: θ_cand of a worker-side filter pass; None = filter not ours to run.
     filter_theta: float | None = None
-    #: Similar-value strategy of the worker-local index (see
-    #: :class:`DogmatixClassifierFactory`).
-    strategy: str = "qgram"
 
     def __post_init__(self) -> None:
         if self.filter_theta is not None and self.kept_ids is not None:
@@ -128,9 +119,7 @@ class DogmatixShardFactory:
     def __call__(
         self, ods: Sequence[ObjectDescription]
     ) -> tuple[ThresholdClassifier, ShardedPairSource]:
-        index = CorpusIndex(
-            ods, self.mapping, self.theta_tuple, strategy=self.strategy
-        )
+        index = CorpusIndex(ods, self.mapping, self.theta_tuple)
         # Complete on construction; pinned read-only (see
         # DogmatixClassifierFactory).
         index.freeze()

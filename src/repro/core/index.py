@@ -26,7 +26,8 @@ from typing import Iterable, Optional, Sequence
 
 from ..framework.mapping import TypeMapping
 from ..framework.od import ObjectDescription
-from ..strings.value_index import ValueIndex, make_value_index
+from ..strings.qgram import QGramIndex
+from ..strings.value_index import require_qgram_strategy
 from .encodings import DictTermState, require_dict_encoding
 
 #: Gram length of every value index the library builds; nothing above
@@ -63,12 +64,8 @@ class IndexPartial:
     total_objects: int = 0
     occurrences: dict[tuple[str, str], set[int]] = field(default_factory=dict)
     objects_by_key: dict[str, set[int]] = field(default_factory=dict)
-    value_indexes: dict[str, ValueIndex] = field(default_factory=dict)
+    value_indexes: dict[str, QGramIndex] = field(default_factory=dict)
     q: int = DEFAULT_Q
-    #: Similar-value search strategy of ``value_indexes`` (see
-    #: :data:`repro.strings.SIMILARITY_STRATEGIES`); partials of
-    #: different strategies never merge.
-    strategy: str = "qgram"
 
     @classmethod
     def from_ods(
@@ -81,11 +78,12 @@ class IndexPartial:
     ) -> "IndexPartial":
         """Index one OD partition (the loop of a serial index build).
 
-        ``encoding`` accepts only ``"dict"`` (see
-        :func:`~repro.core.encodings.require_dict_encoding`).
+        ``strategy`` accepts only ``"qgram"`` and ``encoding`` only
+        ``"dict"``: the one index there is, for callers that still name it.
         """
+        require_qgram_strategy(strategy)
         require_dict_encoding(encoding)
-        partial = cls(total_objects=len(ods), q=q, strategy=strategy)
+        partial = cls(total_objects=len(ods), q=q)
         occurrences = partial.occurrences
         objects_by_key = partial.objects_by_key
         value_indexes = partial.value_indexes
@@ -103,7 +101,7 @@ class IndexPartial:
                 by_key.add(od.object_id)
                 index = value_indexes.get(key)
                 if index is None:
-                    index = value_indexes[key] = make_value_index(strategy, q=q)
+                    index = value_indexes[key] = QGramIndex(q=q)
                 index.add(odt.value)
         return partial
 
@@ -112,11 +110,6 @@ class IndexPartial:
         if other.q != self.q:
             raise ValueError(
                 f"cannot merge a q={other.q} partial into a q={self.q} partial"
-            )
-        if other.strategy != self.strategy:
-            raise ValueError(
-                f"cannot merge a {other.strategy!r} partial into a "
-                f"{self.strategy!r} partial"
             )
         self.total_objects += other.total_objects
         _fold_term_state(
@@ -128,7 +121,7 @@ class IndexPartial:
 def _fold_term_state(
     occurrences: dict[tuple[str, str], set[int]],
     objects_by_key: dict[str, set[int]],
-    value_indexes: dict[str, ValueIndex],
+    value_indexes: dict[str, QGramIndex],
     other: IndexPartial,
 ) -> None:
     """Fold a partial's term state into target mappings.
@@ -154,9 +147,7 @@ def _fold_term_state(
     for key, value_index in other.value_indexes.items():
         index = value_indexes.get(key)
         if index is None:
-            # Same class as the incoming index, so strategies never mix
-            # inside one corpus (merge_from checks, belt and braces).
-            index = value_indexes[key] = type(value_index)(q=value_index.q)
+            index = value_indexes[key] = QGramIndex(q=value_index.q)
         index.merge_from(value_index)
 
 
@@ -174,7 +165,7 @@ class CorpusIndex:
     ) -> None:
         if not 0 <= theta_tuple <= 1:
             raise ValueError(f"theta_tuple must be in [0, 1], got {theta_tuple}")
-        make_value_index(strategy, q=q)  # validate strategy eagerly
+        require_qgram_strategy(strategy)
         require_dict_encoding(encoding)
         self.mapping = mapping
         self.theta_tuple = theta_tuple
@@ -183,11 +174,9 @@ class CorpusIndex:
         #: object ids and key -> object ids.
         self._terms = DictTermState()
         #: key -> similar-value index over the distinct values of that kind
-        self._value_indexes: dict[str, ValueIndex] = {}
+        self._value_indexes: dict[str, QGramIndex] = {}
         self.q = q
-        #: Similar-value search strategy backing ``similar_values``
-        #: (results are strategy-independent; see the STRATEGIES
-        #: registry and the differential fuzz harness).
+        #: Always ``"qgram"``: the one similar-value index.
         self.strategy = strategy
         #: Always ``"dict"``: the one index representation.
         self.encoding = encoding
@@ -209,7 +198,7 @@ class CorpusIndex:
         # serial/parallel/delta parity holds by construction.  Nobody
         # else holds this partial, so its state is adopted, not copied.
         if ods:
-            partial = IndexPartial.from_ods(ods, mapping, q=q, strategy=strategy)
+            partial = IndexPartial.from_ods(ods, mapping, q=q)
             self.total_objects = partial.total_objects
             self._terms.occurrences = partial.occurrences
             self._terms.objects_by_key = partial.objects_by_key
@@ -233,13 +222,7 @@ class CorpusIndex:
         serial build's, whatever partition and merge order produced
         ``partial``.
         """
-        index = cls(
-            (),
-            mapping,
-            theta_tuple,
-            q=partial.q,
-            strategy=partial.strategy,
-        )
+        index = cls((), mapping, theta_tuple, q=partial.q)
         index.merge_partial(partial)
         return index
 
@@ -274,11 +257,6 @@ class CorpusIndex:
         if partial.q != self.q:
             raise ValueError(
                 f"cannot merge a q={partial.q} partial into a q={self.q} index"
-            )
-        if partial.strategy != self.strategy:
-            raise ValueError(
-                f"cannot merge a {partial.strategy!r} partial into a "
-                f"{self.strategy!r} index"
             )
         # repro: allow[RPR004] sanctioned writer: raises above when
         # frozen, and runs single-threaded (construction) or behind the

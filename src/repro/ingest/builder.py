@@ -97,7 +97,7 @@ _INGEST_STATE: dict[str, object] = {}
 
 
 def _init_ingest_worker(
-    sources, mapping, selector, include_empty, q, strategy
+    sources, mapping, selector, include_empty, q
 ) -> None:
     """Install the corpus and the OD-shaping config as this worker's state."""
     _INGEST_STATE["sources"] = sources
@@ -105,7 +105,6 @@ def _init_ingest_worker(
     _INGEST_STATE["selector"] = selector
     _INGEST_STATE["include_empty"] = include_empty
     _INGEST_STATE["q"] = q
-    _INGEST_STATE["strategy"] = strategy
     _INGEST_STATE["schemas"] = {}
     _INGEST_STATE["descriptions"] = {}
     _INGEST_STATE["candidates"] = {}
@@ -176,7 +175,6 @@ def _ingest_chunk(
         ods,
         _INGEST_STATE["mapping"],  # type: ignore[arg-type]
         q=int(_INGEST_STATE["q"]),  # type: ignore[arg-type]
-        strategy=str(_INGEST_STATE["strategy"]),  # type: ignore[arg-type]
     )
     return [(od.object_id, od.tuples) for od in ods], partial
 
@@ -319,9 +317,8 @@ class ParallelIngestor:
             return self._serial(corpus, mapping, real_world_type, config,
                                 parsed, reason="no candidates")
         q = IndexPartial().q
-        strategy = config.similarity_strategy
         payload = (tuple(sources), mapping, config.selector,
-                   config.include_empty, q, strategy)
+                   config.include_empty, q)
         if not resolve(f"{_POOL}:picklable")(payload):
             return self._serial(corpus, mapping, real_world_type, config,
                                 parsed, reason="unpicklable ingest payload")
@@ -335,7 +332,7 @@ class ParallelIngestor:
                 tasks.append((source_index, xpath, start, stop, first_id + start))
                 chunks.append(elements[start:stop])
         ods: list[ObjectDescription] = []
-        merged = IndexPartial(q=q, strategy=strategy)
+        merged = IndexPartial(q=q)
         try:
             open_pool = resolve(f"{_POOL}:open_pool")
             with open_pool(
@@ -373,10 +370,7 @@ class ParallelIngestor:
     ) -> tuple[list[ObjectDescription], CorpusIndex]:
         """The serial reference path (also the fallback)."""
         ods = corpus.generate_ods(mapping, real_world_type, config)
-        index = CorpusIndex(
-            ods, mapping, config.theta_tuple,
-            strategy=config.similarity_strategy,
-        )
+        index = CorpusIndex(ods, mapping, config.theta_tuple)
         self._report("serial", len(corpus), len(ods), parsed, reason)
         return ods, index
 

@@ -57,8 +57,8 @@ from .sessions import SessionEntry, SessionRegistry
 
 # Everywhere else a module is imported by the first call that needs it;
 # the daemon is the one long-lived process and does the opposite: all of
-# the program that a route can reach — a cold open under either strategy
-# with or without XSDs, ``detect()`` under every backend,
+# the program that a route can reach — a cold open with or without
+# XSDs, ``detect()`` under every backend,
 # the first ``extend()``, a response's XML — is imported here, before
 # the socket listens, so no request and no lock-free reader thread ever
 # loads a ``repro`` module (``tests/test_import_closure.py`` holds the
@@ -74,13 +74,11 @@ preload(
     "repro.api.batch",
     "repro.core.selection",
     "repro.framework.incremental",
-    "repro.strings.qgram",
     "repro.xmlkit.schema_infer",
     "repro.xmlkit.serialize",
     # what only some specs ask for
     "repro.core.conditions",
     "repro.xmlkit.schema_parser",
-    "repro.strings.signatures",
     "repro.engine.sharder",
     "repro.engine.pool",
     "repro.ingest.builder",

@@ -1,9 +1,8 @@
 """strings: string-similarity substrate.
 
 Edit distance (one bit-parallel kernel) with thresholded checks, cheap
-lower/upper bounds, two interchangeable similarity-search indexes (the
-q-gram count-filter oracle and the prefix-signature strategy),
-Jaro/Jaro–Winkler, and token-set measures.
+lower/upper bounds, the q-gram count-filter index behind every
+similar-value search, Jaro/Jaro–Winkler, and token-set measures.
 """
 
 from .._lazy import lazy_exports
@@ -27,13 +26,10 @@ __all__ = lazy_exports(
         "strict_budget": "levenshtein",
         "within_normalized": "levenshtein",
         "QGramIndex": "qgram",
-        "SignatureIndex": "signatures",
+        "make_value_index": "qgram",
         "normalize": "tokenize",
         "overlap": "tokenize",
         "tokens": "tokenize",
-        "SIMILARITY_STRATEGIES": "value_index",
-        "ValueIndex": "value_index",
-        "make_value_index": "value_index",
         "qgrams": "value_index",
     },
 )

@@ -1,21 +1,20 @@
 """Per-candidate count filtering, kept as the oracle.
 
-``gather`` and ``OverlapQGramIndex._candidates`` are the q-gram
-strategy's candidate generation as it stood before the gram states grew
-``accumulate``: union the buckets of every query gram, then re-sum
-``min(query, stored)`` for each provisional candidate through
-``state.overlap``.  Verbatim apart from this paragraph and from
-``gather`` being a function over the gram state (it was a method on it;
-the state no longer carries it).  ``tests/test_strings_kernels.py``
-holds the shipped ``QGramIndex`` / ``SignatureIndex`` against it: same
-result lists, same ``probes`` and ``verifications``.
+``OverlapQGramIndex.search`` is the q-gram index's probe as it stood
+before the gram state grew ``accumulate``: union the buckets of every
+query gram (``gather``), re-sum ``min(query, stored)`` for each
+provisional candidate (``overlap``, a brute ``Σ min`` over the stored
+gram counter), add the degenerate length classes whole, then verify
+every candidate but the query itself with the memoized ``ned``.
+``tests/test_strings_kernels.py`` holds the shipped ``QGramIndex``
+against it: same result lists, same ``probes`` and ``verifications``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.strings import QGramIndex, qgrams, strict_budget
+from repro.strings import QGramIndex, ned_cached, qgrams, strict_budget
 
 
 def gather(state, query_pairs) -> set[int]:
@@ -26,10 +25,16 @@ def gather(state, query_pairs) -> set[int]:
     return found
 
 
-class OverlapQGramIndex(QGramIndex):
-    """:class:`QGramIndex` with the bucket-union-then-filter candidates."""
+def overlap(state, value_id: int, query_pairs) -> int:
+    """Exact multiset overlap ``sum(min(stored, query))`` of one value."""
+    stored = state.counter(value_id).get
+    return sum(min(count, stored(gram, 0)) for gram, count in query_pairs)
 
-    def _candidates(self, query: str, threshold: float) -> set[int]:
+
+class OverlapQGramIndex(QGramIndex):
+    """:class:`QGramIndex` with the bucket-union-then-filter probe."""
+
+    def candidates(self, query: str, threshold: float) -> set[int]:
         """Candidate ids passing the length and count filters."""
         state = self._state
         values = self._values
@@ -45,7 +50,7 @@ class OverlapQGramIndex(QGramIndex):
             if budget < 0 or abs(length_q - length) > budget:
                 continue
             required = longest + self.q - 1 - self.q * budget
-            if required > 0 and state.overlap(value_id, query_pairs) < required:
+            if required > 0 and overlap(state, value_id, query_pairs) < required:
                 continue
             candidates.add(value_id)
 
@@ -60,3 +65,19 @@ class OverlapQGramIndex(QGramIndex):
             if required <= 0:
                 candidates.update(ids)
         return candidates
+
+    def search(self, query: str, threshold: float) -> list[str]:
+        self.probes += 1
+        values = self._values
+        matched: set[int] = set()
+        query_id = self._state.find(query)
+        if query_id >= 0:
+            matched.add(query_id)
+        if threshold > 0:
+            for value_id in self.candidates(query, threshold):
+                if value_id == query_id:
+                    continue
+                self.verifications += 1
+                if ned_cached(query, values[value_id]) < threshold:
+                    matched.add(value_id)
+        return [values[value_id] for value_id in sorted(matched)]

@@ -345,14 +345,14 @@ class TestIndexStateBinding:
         assert DEFAULT_CONFIG.frozen_classes == {"CorpusIndex"}
         assert "CorpusIndex" in DEFAULT_CONFIG.shared_classes
 
-    def test_dict_states_and_value_index_shell_are_shared_not_frozen(self):
+    def test_dict_states_and_value_index_are_shared_not_frozen(self):
         from repro.analysis.config import DEFAULT_CONFIG
 
         # A frozen index serves lock-free readers from the dict states,
-        # and the counters live in the shared shell; the dict states are
+        # and the counters live in the value index; the dict states are
         # the writable ones, so the pin is their owner's.
         writable = {"DictTermState", "DictValueState"}
-        assert writable | {"ValueIndex"} <= DEFAULT_CONFIG.shared_classes
+        assert writable | {"QGramIndex"} <= DEFAULT_CONFIG.shared_classes
         assert not writable & DEFAULT_CONFIG.frozen_classes
 
     def test_lazily_filled_read_path_objects_are_shared(self):

@@ -19,8 +19,6 @@ from repro.engine import bare_ods
 from repro.framework import ODTuple, TypeMapping, merge_cluster_od, od_from_pairs
 from repro.strings import normalized_edit_distance, within_normalized
 
-from test_write_path import VARIANTS
-
 
 @pytest.fixture()
 def mapping():
@@ -373,11 +371,10 @@ def _od(object_id: int, description):
     )
 
 
-# A verdict read from the groups is only as exact as the strategy's
-# search, so the oracle is met under every strategy VARIANT, whatever
-# the environment's default.
-def _index_over(ods, mapping, theta, variant=VARIANTS[0]) -> CorpusIndex:
-    index = CorpusIndex(ods, mapping, theta, strategy=variant)
+# A verdict read from the groups is only as exact as the index's
+# search, so the oracle is met through a frozen index.
+def _index_over(ods, mapping, theta) -> CorpusIndex:
+    index = CorpusIndex(ods, mapping, theta)
     index.freeze()
     return index
 
@@ -388,13 +385,12 @@ class TestAgainstTheOracle:
         right=_descriptions,
         others=st.lists(_descriptions, max_size=4),
         held=st.sampled_from(("both", "left", "right", "neither")),
-        variant=st.sampled_from(VARIANTS),
         semantics=st.sampled_from(SEMANTICS),
         theta=st.integers(0, 100).map(lambda k: k / 100),
     )
     @settings(max_examples=400, deadline=None)
     def test_matching_and_score_equal_the_reference(
-        self, left, right, others, held, variant, semantics, theta
+        self, left, right, others, held, semantics, theta
     ):
         mapping = _fuzz_mapping()
         od_i, od_j = _od(0, left), _od(1, right)
@@ -403,7 +399,7 @@ class TestAgainstTheOracle:
             corpus.append(od_i)
         if held in ("both", "right"):
             corpus.append(od_j)
-        index = _index_over(corpus, mapping, theta, variant)
+        index = _index_over(corpus, mapping, theta)
         similarity = DogmatixSimilarity(index, semantics)
         # both directions: the second reads the groupings the first left
         for one, other in ((od_i, od_j), (od_j, od_i), (od_i, od_i)):

@@ -4,8 +4,8 @@ One fresh interpreter per entry path — a warm open, a cold serial batch
 run, ``cli match --store``, the daemon — and the ``repro`` modules each
 one loaded are held to a list committed here, so adding an import to an
 entry path is a reviewed diff, not a start-up cost nobody saw.  The
-children run the program as shipped: default strategy, no
-bytecode cache, a corpus without XSDs (``tests/import_closure_child.py``).
+children run the program as shipped: no bytecode cache, a corpus
+without XSDs (``tests/import_closure_child.py``).
 
 The same lists, the CLI's sub-commands and the ``repro`` names the
 benchmark, the paper-figure scripts, the examples and the README use
@@ -53,8 +53,8 @@ def modules(text: str) -> frozenset:
 
 
 #: What every path below loads: the spec and its registries, the config,
-#: the mapping (and the tokenizer that reads it), the index with the
-#: default strategy, step 5, the session.
+#: the mapping (and the tokenizer that reads it), the index, step 5,
+#: the session.
 SESSION = modules(
     """
     ._lazy
@@ -102,7 +102,6 @@ EXPECTED = {
         .serve .serve.daemon .serve.sessions
         .core.conditions .engine.sharder .engine.pool
         .framework.incremental .framework.representatives
-        .strings.signatures
         .xmlkit.schema_parser .xmlkit.serialize
         """
     ),
@@ -112,7 +111,6 @@ EXPECTED = {
 NOT_ON_A_WARM_OPEN = modules(
     """
     .engine.sharder .engine.executor .ingest.builder .compact
-    .strings.signatures
     .framework.relational .framework.incremental .framework.pipeline
     .xmlkit.schema_parser .xmlkit.serialize
     .serve .analysis .datagen .eval .baselines .engine.pool

@@ -6,11 +6,15 @@ alone; here the shipped index must give the same answers:
 * every read family — occurrence and key rows, ``key_elsewhere``,
   union cardinality through ``pair_idf``, block terms, members and
   keys, ``statistics``, similar-value groups and the verdicts step 5
-  reads from them — over the fuzz corpora of the write-path oracle, under
-  both similarity strategies, once frozen after a build and once after
-  two thaw / merge / re-freeze rounds;
-* the value pools of ``tests/test_similarity_strategies.py``, searched
-  at every threshold and held to brute-force ``ned``;
+  reads from them — over the fuzz corpora of the write-path oracle,
+  frozen after a build, after two thaw / merge / re-freeze rounds, and
+  after assembly from pickled worker partials the way parallel ingest
+  assembles it; the reads that depend on θ_tuple also at θ = 0 and at
+  the running example's 0.55;
+* value pools — random, Unicode / whitespace edges, DBLP-flavored
+  values and the shard-harness corpus shapes — searched at every
+  threshold and q and held to brute-force ``ned``, also after the value
+  index was merged together from parts in any order;
 * the union counter, the soft-IDF expression with its union
   materialized, the statistics memo, negative object ids, and the
   freeze pin, which keeps the state the index was built in.
@@ -22,33 +26,99 @@ execution backends is ``tests/test_shard_equivalence.py``.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from reference.naive_index import NaiveIndex, ned
 from test_shard_equivalence import SEEDS, SHAPES, random_corpus
-from test_similarity_strategies import POOLS, THRESHOLDS, _build, _probes
 
 from repro.core.encodings import set_union_size
 from repro.core.index import CorpusIndex, IndexPartial
 from repro.framework import TypeMapping, od_from_pairs
-from repro.strings import SIMILARITY_STRATEGIES
+from repro.strings import QGramIndex
 
 THETA_TUPLE = 0.25
-STRATEGIES = sorted(SIMILARITY_STRATEGIES)
+THRESHOLDS = (0.0, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0)
+
+#: DBLP-flavored values: decoded umlauts vs ASCII foldings, homonym
+#: ordinal suffixes, venue abbreviations, and author lists of mixed
+#: cardinality.
+DBLP_VALUES = [
+    "Michael J. Carey 0001",
+    "Michael J. Carey 0002",
+    "Michael Carey",
+    "Thomas Hütter",
+    "Thomas Huetter",
+    "Müller, Jürgen",
+    "Mueller, Jurgen",
+    "Jürgen Müller 0003",
+    "Daniel Ulrich Schmitt",
+    "D. U. Schmitt",
+    "A Two-Level Signature Scheme for Stable Set Similarity Joins.",
+    "A Two Level Signature Scheme for Stable Set Similarity Joins",
+    "Efficient Similarity Joins.",
+    "Efficient Similarity Join.",
+    "Jeffrey F. Naughton, David J. DeWitt",
+    "David J. DeWitt, Jeffrey F. Naughton, Michael J. Carey 0001",
+    "Proc. VLDB Endow.",
+    "PVLDB",
+    "VLDB",
+    "2023",
+]
+
+EDGE_VALUES = ["", " ", "  ", "\t", "ü", "üü", "ß ß", "a", "aa", " a ",
+               "étude", "étude", "noël", "noel"]
 
 
-def frozen(ods, strategy="qgram", theta_tuple=THETA_TUPLE) -> CorpusIndex:
-    index = CorpusIndex(ods, TypeMapping(), theta_tuple, strategy=strategy)
+def _random_values(seed: int, count: int = 40) -> list[str]:
+    rng = random.Random(seed)
+    alphabet = "abcdeü ß.0"
+    return [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        for _ in range(count)
+    ]
+
+
+def _shard_shape_values(shape: str, seed: int = SEEDS[0]) -> list[str]:
+    return [
+        odt.value
+        for od in random_corpus(seed, shape, count=24)
+        for odt in od.tuples
+    ]
+
+
+POOLS = {
+    "random": _random_values(17),
+    "edges": EDGE_VALUES,
+    "dblp": DBLP_VALUES,
+    **{f"shape-{shape}": _shard_shape_values(shape) for shape in SHAPES},
+}
+
+
+def _build(values, q: int = 2) -> QGramIndex:
+    index = QGramIndex(q=q)
+    for value in values:
+        index.add(value)
+    return index
+
+
+def _probes(values: list[str]) -> list[str]:
+    foreign = [value + "x" for value in values[:5]] + ["zq", "", "ü.0"]
+    return list(values) + foreign
+
+
+def frozen(ods, theta_tuple=THETA_TUPLE) -> CorpusIndex:
+    index = CorpusIndex(ods, TypeMapping(), theta_tuple)
     index.freeze()
     return index
 
 
-def grown(ods, strategy: str) -> CorpusIndex:
+def grown(ods, theta_tuple=THETA_TUPLE) -> CorpusIndex:
     """An index built over the first half, then grown by the rest in two
     deltas the way ``extend()`` grows it, with warm memos to invalidate."""
     half = len(ods) // 2
-    index = frozen(ods[:half], strategy)
+    index = frozen(ods[:half], theta_tuple)
     rng = random.Random(len(ods))
     for delta in (ods[half : half + half // 2], ods[half + half // 2 :]):
         for term in index.block_terms():
@@ -62,10 +132,30 @@ def grown(ods, strategy: str) -> CorpusIndex:
         index.statistics()
         index.thaw()
         index.merge_partial(
-            IndexPartial.from_ods(delta, TypeMapping(), strategy=strategy)
+            IndexPartial.from_ods(delta, TypeMapping())
         )
         index.freeze()
     return index
+
+
+def merged(ods, theta_tuple=THETA_TUPLE) -> CorpusIndex:
+    """An index assembled the way ``ParallelIngestor`` assembles it: one
+    partial per uneven contiguous chunk, each pickled across the worker
+    boundary, folded in chunk order into an empty partial."""
+    bounds = [0, len(ods) // 5, len(ods) // 2, len(ods) // 2, len(ods)]
+    total = IndexPartial()
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = IndexPartial.from_ods(ods[start:stop], TypeMapping())
+        total.merge(pickle.loads(pickle.dumps(chunk)))
+    index = CorpusIndex.from_partial(total, TypeMapping(), theta_tuple)
+    index.freeze()
+    return index
+
+
+#: How a scenario's index came to be: ``built`` frozen after one build,
+#: ``grown`` after two thaw / merge / re-freeze rounds, ``merged`` from
+#: worker partials.
+HISTORIES = {"built": frozen, "grown": grown, "merged": merged}
 
 
 class Scenario:
@@ -165,41 +255,92 @@ def assert_reads_equal(index: CorpusIndex, ods) -> None:
 _SCENARIOS: dict[tuple, Scenario] = {}
 
 
-def scenario(seed: int, shape: str, strategy: str, history: str) -> Scenario:
+def scenario(
+    seed: int, shape: str, history: str, theta_tuple: float = THETA_TUPLE
+) -> Scenario:
     """Built once per module run and shared by the read families, which
     only read (the memos they fill are what a served index fills)."""
-    key = (seed, shape, strategy, history)
+    key = (seed, shape, history, theta_tuple)
     if key not in _SCENARIOS:
         ods = random_corpus(seed, shape)
-        index = frozen(ods, strategy) if history == "built" else grown(ods, strategy)
-        assert index.frozen
+        index = HISTORIES[history](ods, theta_tuple)
+        assert index.frozen and index.theta_tuple == theta_tuple
         _SCENARIOS[key] = Scenario(index, ods)
     return _SCENARIOS[key]
 
 
 @pytest.mark.parametrize("family", sorted(READ_FAMILIES))
-@pytest.mark.parametrize("history", ("built", "grown"))
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("history", sorted(HISTORIES))
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_read_family_equals_the_oracle(seed, shape, strategy, history, family):
-    """``built``: frozen after one build; ``grown``: after two thaw /
-    merge / re-freeze rounds."""
-    READ_FAMILIES[family](scenario(seed, shape, strategy, history))
+def test_read_family_equals_the_oracle(seed, shape, history, family):
+    READ_FAMILIES[family](scenario(seed, shape, history))
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+#: The read families whose answers move with θ_tuple; the rest read
+#: term state alone.
+THRESHOLD_FAMILIES = ("blocking", "similar_values", "similar_verdict")
+
+
+@pytest.mark.parametrize("family", THRESHOLD_FAMILIES)
+@pytest.mark.parametrize("theta_tuple", (0.0, 0.55))
+@pytest.mark.parametrize("history", sorted(HISTORIES))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_threshold_reads_equal_the_oracle_at_other_thresholds(
+    seed, shape, history, theta_tuple, family
+):
+    """θ = 0 leaves each held value alone in its group (and a value not
+    similar to itself in a verdict); 0.55 is the running example's
+    θ_tuple, where groups span several values."""
+    READ_FAMILIES[family](scenario(seed, shape, history, theta_tuple))
+
+
+def brute_force_search(values, probe: str, threshold: float) -> list[str]:
+    return [
+        value
+        for value in values
+        if value == probe or ned(probe, value) < threshold
+    ]
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
 @pytest.mark.parametrize("pool", sorted(POOLS))
-def test_value_pool_searches_equal_brute_force_ned(strategy, pool):
+def test_value_pool_searches_equal_brute_force_ned(pool, q):
     values = list(dict.fromkeys(POOLS[pool]))
-    index = _build(SIMILARITY_STRATEGIES[strategy], values, 2)
+    index = _build(values, q)
     for threshold in THRESHOLDS:
         for probe in _probes(values):
-            assert index.search(probe, threshold) == [
-                value
-                for value in values
-                if value == probe or ned(probe, value) < threshold
-            ], (strategy, pool, threshold, probe)
+            assert index.search(probe, threshold) == brute_force_search(
+                values, probe, threshold
+            ), (pool, q, threshold, probe)
+
+
+def test_merge_order_does_not_change_a_search():
+    values = list(dict.fromkeys(POOLS["random"] + POOLS["dblp"]))
+    parts = [values[i::3] for i in range(3)]
+    rng = random.Random(5)
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        merged = QGramIndex(q=2)
+        for part_index in order:
+            merged.merge_from(_build(parts[part_index]))
+        for probe in rng.sample(values, 8):
+            for threshold in (0.15, 0.5):
+                assert sorted(merged.search(probe, threshold)) == sorted(
+                    brute_force_search(values, probe, threshold)
+                ), (order, probe, threshold)
+
+
+def test_merge_from_copies_gram_counters():
+    """Regression: ``merge_from`` aliased the source's gram counters, so
+    mutating the source partial after the merge corrupted the target's
+    count filter and dropped true matches."""
+    source = _build(["dogmatix"])
+    target = QGramIndex(q=2)
+    target.merge_from(source)
+    assert target._state.counter(0) is not source._state.counter(0)
+    source._state.counter(0).clear()  # the source partial stays live
+    assert target.search("dogmatixx", 0.2) == ["dogmatix"]
 
 
 def test_set_union_size_is_the_length_of_the_union():

@@ -177,6 +177,28 @@ class TestParallelParity:
         assert all(run.detect_identical for run in runs)
         assert len({run.candidates for run in runs}) == 1
 
+    def test_merged_worker_partials_search_like_the_serial_index(self):
+        """The value indexes the workers build fold into the parent's
+        index without re-counting grams: every similar-value group is
+        the serial build's."""
+        dataset = build_dataset1(base_count=12, seed=7)
+        corpus = Corpus(dataset.sources)
+        config = DogmatixConfig()
+        _, serial = ParallelIngestor(1).build(
+            corpus, dataset.mapping, dataset.real_world_type, config
+        )
+        ingestor = ParallelIngestor(2)
+        _, merged = ingestor.build(
+            corpus, dataset.mapping, dataset.real_world_type, config
+        )
+        assert ingestor.last_report.backend == "parallel"
+        assert merged.statistics() == serial.statistics()
+        assert sorted(merged.block_terms()) == sorted(serial.block_terms())
+        for term in serial.block_terms():
+            assert sorted(merged.similar_values(*term)) == sorted(
+                serial.similar_values(*term)
+            ), term
+
     def test_chunking_is_invariant(self, monkeypatch):
         """CHUNK_FACTOR only schedules: 1 vs 7 chunks per worker produce
         the same ODs and index."""

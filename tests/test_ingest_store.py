@@ -746,7 +746,7 @@ def compact_index_section(index) -> dict:
         rows = [sorted((vocabulary.index(g), n) for g, n in c.items()) for c in grams]
         lengths = sorted({len(value) for value in held})
         value_indexes.append({"key": key, "index": {
-            "strategy": value_index.strategy,
+            "strategy": "qgram",
             "q": value_index.q,
             "values": held,
             "state": {
@@ -831,24 +831,110 @@ class TestCompactLeftovers:
         assert IndexPartial.from_ods((), TypeMapping(), encoding="dict").total_objects == 0
 
 
-class TestCLI:
-    def write_spec(self, example_dir) -> str:
-        spec = RunSpec(
-            documents=["movies.xml"],
-            mapping="mapping.xml",
-            real_world_type="MOVIE",
-            schemas=["movies.xsd"],
-            heuristic="rdistant:2",
-            theta_tuple=0.55,
-            theta_cand=0.55,
-            use_object_filter=False,
+class TestSignatureLeftovers:
+    """The signature strategy was removed; specs and manifests that name
+    it still load and run the one index, which answered bit-identically."""
+
+    def test_a_signature_spec_warm_loads_the_qgram_snapshot(
+        self, example_dir, tmp_path
+    ):
+        store = IndexStore(tmp_path / "store")
+        spec = example_spec(example_dir)
+        cold = spec.build_session()
+        store.save(spec, cold)
+        old = RunSpec(
+            **{**spec.to_dict(), "similarity_strategy": "signature"}
         )
-        path = example_dir / "run.json"
-        spec.save(str(path))
-        return str(path)
+        assert old.similarity_strategy == "qgram"
+        assert store.key_for(old) == store.key_for(spec)
+        warm = store.load(old)
+        assert warm is not None
+        assert_warm_equals_cold(warm, cold)
+
+    def test_every_other_value_raises_everywhere_it_was_accepted(
+        self, example_dir
+    ):
+        from repro.core import DogmatixConfig
+        from repro.core.index import CorpusIndex, IndexPartial
+        from repro.framework import TypeMapping
+        from repro.strings import make_value_index
+
+        removed = "strategy choice was removed"
+        fields = example_spec(example_dir).to_dict()
+        with pytest.raises(ValueError, match=removed):
+            RunSpec(**{**fields, "similarity_strategy": "bogus"})
+        for name in ("bogus", "signature"):
+            with pytest.raises(ValueError, match=removed):
+                DogmatixConfig(similarity_strategy=name)
+            with pytest.raises(ValueError, match=removed):
+                CorpusIndex((), TypeMapping(), 0.25, strategy=name)
+            with pytest.raises(ValueError, match=removed):
+                IndexPartial.from_ods((), TypeMapping(), strategy=name)
+            with pytest.raises(ValueError, match=removed):
+                make_value_index(name)
+        # the one value each name still takes
+        assert example_spec(example_dir).similarity_strategy is None
+        assert RunSpec(
+            **{**fields, "similarity_strategy": "qgram"}
+        ).to_config().similarity_strategy == "qgram"
+        assert CorpusIndex((), TypeMapping(), 0.25, strategy="qgram").strategy == "qgram"
+        assert IndexPartial.from_ods((), TypeMapping(), strategy="qgram").total_objects == 0
+        assert make_value_index("qgram", q=3).q == 3
+
+    def test_the_environment_no_longer_picks_a_strategy(self, monkeypatch):
+        from repro.core import DogmatixConfig
+
+        for name in ("signature", "bogus"):
+            monkeypatch.setenv("REPRO_SIMILARITY_STRATEGY", name)
+            assert DogmatixConfig().similarity_strategy == "qgram"
+
+
+def write_cli_spec(example_dir, **overrides) -> str:
+    spec = RunSpec(
+        documents=["movies.xml"],
+        mapping="mapping.xml",
+        real_world_type="MOVIE",
+        schemas=["movies.xsd"],
+        heuristic="rdistant:2",
+        theta_tuple=0.55,
+        theta_cand=0.55,
+        use_object_filter=False,
+    )
+    path = example_dir / "run.json"
+    path.write_text(
+        json.dumps({**spec.to_dict(), **overrides}), encoding="utf-8"
+    )
+    return str(path)
+
+
+class TestCLI:
+    @pytest.mark.parametrize("signature_in", ["spec", "environment"])
+    def test_dedup_under_the_removed_strategy_writes_the_same_bytes(
+        self, example_dir, capsys, monkeypatch, signature_in
+    ):
+        assert cli_main(["dedup", "--spec", write_cli_spec(example_dir)]) == 0
+        default = capsys.readouterr().out
+        if signature_in == "spec":
+            spec_path = write_cli_spec(
+                example_dir, similarity_strategy="signature"
+            )
+        else:
+            monkeypatch.setenv("REPRO_SIMILARITY_STRATEGY", "signature")
+            spec_path = write_cli_spec(example_dir)
+        assert cli_main(["dedup", "--spec", spec_path]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_dedup_with_an_unknown_strategy_exits_with_the_error(
+        self, example_dir, capsys
+    ):
+        spec_path = write_cli_spec(example_dir, similarity_strategy="bogus")
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["dedup", "--spec", spec_path])
+        assert excinfo.value.code == 2
+        assert "strategy choice was removed" in capsys.readouterr().err
 
     def test_index_build_then_cached(self, example_dir, capsys):
-        spec_path = self.write_spec(example_dir)
+        spec_path = write_cli_spec(example_dir)
         store_dir = str(example_dir / "store")
         assert cli_main(["index", "build", "--spec", spec_path,
                          "--store", store_dir]) == 0
@@ -865,7 +951,7 @@ class TestCLI:
         assert digest[:12] in listing.out
 
     def test_dedup_warm_starts_from_store(self, example_dir, capsys):
-        spec_path = self.write_spec(example_dir)
+        spec_path = write_cli_spec(example_dir)
         store_dir = str(example_dir / "store")
         assert cli_main(["dedup", "--spec", spec_path,
                          "--store", store_dir]) == 0
@@ -881,7 +967,7 @@ class TestCLI:
     def test_damaged_snapshot_is_rebuilt_with_a_note(
         self, example_dir, capsys, command
     ):
-        spec_path = self.write_spec(example_dir)
+        spec_path = write_cli_spec(example_dir)
         store_dir = example_dir / "store"
         argv = [command, "--spec", spec_path, "--store", str(store_dir)]
         if command == "match":
@@ -909,7 +995,7 @@ class TestCLI:
     ):
         """``index build`` trusted the file's existence: "already covers
         ... use --force" over a snapshot no ``load`` could use."""
-        spec_path = self.write_spec(example_dir)
+        spec_path = write_cli_spec(example_dir)
         store_dir = example_dir / "store"
         argv = ["index", "build", "--spec", spec_path, "--store", str(store_dir)]
         assert cli_main(argv) == 0
@@ -942,6 +1028,6 @@ class TestCLI:
         assert IndexStore(store_dir).load(RunSpec.load(spec_path)) is not None
 
     def test_index_build_requires_store(self, example_dir):
-        spec_path = self.write_spec(example_dir)
+        spec_path = write_cli_spec(example_dir)
         with pytest.raises(SystemExit):
             cli_main(["index", "build", "--spec", spec_path])

@@ -39,8 +39,6 @@ from repro.eval import build_dataset1, build_dataset2
 from repro.eval.datasets import Dataset
 from repro.framework import TypeMapping
 
-from test_write_path import VARIANTS
-
 
 def run_variant(dataset, heuristic, use_blocking, use_object_filter, **knobs):
     config = DogmatixConfig(
@@ -171,25 +169,23 @@ class TestStepFiveWorkCounts:
     def dataset(self):
         return build_dataset1(base_count=60, seed=7)  # the bench's dense shape
 
-    def detect(self, dataset, variant=VARIANTS[0]):
-        config = DogmatixConfig(similarity_strategy=variant)
+    def detect(self, dataset):
         session = DetectionSession(
-            dataset.sources, dataset.mapping, dataset.real_world_type, config
+            dataset.sources, dataset.mapping, dataset.real_world_type
         )
         return session, session.detect()
 
-    @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_group_is_searched_once_and_never_by_step_five(
-        self, dataset, variant, monkeypatch
+        self, dataset, monkeypatch
     ):
-        session, result = self.detect(dataset, variant)
+        session, result = self.detect(dataset)
         probes, verifications = _search_counts(session)
         assert probes == len(session.index.block_terms())
         assert session.detect().identical_to(result)
         assert _search_counts(session) == (probes, verifications)
 
         monkeypatch.setattr(DogmatixSimilarity, "similarity", _oracle_similarity)
-        reference_session, reference = self.detect(dataset, variant)
+        reference_session, reference = self.detect(dataset)
         assert result.compared_pairs == reference.compared_pairs > 0
         assert reference.identical_to(result)
         assert _search_counts(reference_session) == (probes, verifications)

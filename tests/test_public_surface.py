@@ -119,8 +119,7 @@ PUBLIC_ALL = {
             SessionRegistry serve
         """,
         "repro.strings": """
-            BoundedMatcher QGramIndex SIMILARITY_STRATEGIES SignatureIndex
-            ValueIndex bag_distance bound_verdict edit_distance
+            BoundedMatcher QGramIndex bag_distance bound_verdict edit_distance
             edit_distance_lower_bound edit_distance_upper_bound jaro
             jaro_winkler length_lower_bound make_value_index ned_cached normalize
             normalized_edit_distance normalized_lower_bound normalized_upper_bound

@@ -157,6 +157,37 @@ class TestRoutes:
             server.shutdown()
             server.server_close()
 
+    def test_digest_of_a_signature_session_is_served(self, tmp_path):
+        """A manifest written by a session under the removed signature
+        strategy still builds: it runs the one index, which answered
+        bit-identically, so a restarted daemon serves the digest alone
+        instead of answering 404."""
+        from repro.ingest import IndexStore
+
+        spec = write_example(tmp_path)
+        store = IndexStore(tmp_path / "store")
+        reference = spec.build_session()
+        digest = store.save(spec, reference)
+        manifest_path = store._manifest_path(digest)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"]["similarity_strategy"] = "signature"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        server, client = start_server(tmp_path / "store")
+        try:
+            for od in reference.ods:
+                assert client.match(digest, object_id=od.object_id)[
+                    "matches"
+                ] == [
+                    {"object_id": m.object_id, "similarity": m.similarity,
+                     "path": m.path}
+                    for m in reference.match(od.object_id)
+                ]
+            assert client.detect(digest)["xml"] == reference.detect().to_xml()
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
     def test_catalog_lists_snapshot_and_resident(self, served):
         catalog = served.client.catalog()
         digests = {snap["digest"] for snap in catalog["snapshots"]}

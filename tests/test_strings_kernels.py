@@ -13,8 +13,6 @@
   eight reader threads on one index;
 * the one spelling of ``ned < θ`` (:func:`strict_budget`) wherever a
   filter and a classifier could disagree.
-
-The CI ``signature-strategy`` leg runs this file in its first step.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ from repro.eval import build_dataset1, build_dataset3
 from repro.framework import TypeMapping, od_from_pairs
 from repro.strings import (
     QGramIndex,
-    SignatureIndex,
-    bound_verdict,
     edit_distance,
     ned_cached,
     normalized_edit_distance,
@@ -176,14 +172,6 @@ class TestAccumulate:
 PARITY_THRESHOLDS = (0.05, 0.15, 0.3, 0.6)
 
 
-class BoundedOverlapIndex(OverlapQGramIndex):
-    """The oracle's candidates behind the signature strategy's bound
-    tiers: what ``SignatureIndex`` must verify, no more and no less."""
-
-    def _bound_verdict(self, query, value, threshold):
-        return bound_verdict(query, value, threshold)
-
-
 def values_per_key(dataset) -> dict[str, list[str]]:
     """The distinct values of each comparison key, in corpus order."""
     session = DetectionSession(
@@ -220,21 +208,11 @@ def search_everything(index, values) -> list[list[str]]:
 
 
 class TestSearchParityOnGeneratedCorpora:
-    @pytest.mark.parametrize(
-        "index_class,oracle_class",
-        [
-            (QGramIndex, OverlapQGramIndex),
-            (SignatureIndex, BoundedOverlapIndex),
-        ],
-        ids=["qgram", "signature"],
-    )
-    def test_lists_and_counters_equal_the_oracle(
-        self, corpus_values, index_class, oracle_class
-    ):
+    def test_lists_and_counters_equal_the_oracle(self, corpus_values):
         assert corpus_values
         for key, values in corpus_values.items():
-            index = filled(index_class, values)
-            oracle = filled(oracle_class, values)
+            index = filled(QGramIndex, values)
+            oracle = filled(OverlapQGramIndex, values)
             assert search_everything(index, values) == search_everything(
                 oracle, values
             ), key
@@ -291,9 +269,8 @@ class TestOneSpellingOfTheThreshold:
         assert not within_normalized(self.LEFT, self.RIGHT, self.THETA)
         assert not within_normalized(self.RIGHT, self.LEFT, self.THETA)
 
-    @pytest.mark.parametrize("index_class", [QGramIndex, SignatureIndex])
-    def test_searches_agree_with_the_division(self, index_class):
-        index = filled(index_class, [self.LEFT, self.RIGHT])
+    def test_searches_agree_with_the_division(self):
+        index = filled(QGramIndex, [self.LEFT, self.RIGHT])
         assert index.search(self.LEFT, self.THETA) == [self.LEFT]
         assert index.search(self.RIGHT, self.THETA) == [self.RIGHT]
 
@@ -326,7 +303,7 @@ class TestOneSpellingOfTheThreshold:
         assert len(rounded_up) == 40
         assert not any(threshold == 0.15 for threshold, _ in rounded_up)
 
-    # ``ValueIndex.search`` settles a candidate with the memoized
+    # ``QGramIndex.search`` settles a candidate with the memoized
     # distance, everything else that only needs the side of the
     # threshold with ``within_normalized``: one verdict, two spellings.
     @staticmethod

@@ -14,10 +14,6 @@ does not make it:
   candidate hook is removed compares against every representative and
   must reach the same clusters, and an extended session must answer
   like one rebuilt over the grown corpus.
-
-The memo and rebuilt-session oracles run under every similarity
-strategy, whatever the environment's default: the selective
-invalidation meets the lazily rebuilt signature state there.
 """
 
 from __future__ import annotations
@@ -41,24 +37,17 @@ from test_ingest_merge import THETA_TUPLE, observable_state
 from test_shard_equivalence import SEEDS, random_corpus
 
 
-#: similarity strategies
-VARIANTS = ("qgram", "signature")
-
-
-def session_on(dataset, sources, variant=None) -> DetectionSession:
-    config = DogmatixConfig()  # the environment's strategy
-    if variant is not None:
-        config = DogmatixConfig(similarity_strategy=variant)
+def session_on(dataset, sources) -> DetectionSession:
     return DetectionSession(
-        Corpus(sources), dataset.mapping, dataset.real_world_type, config
+        Corpus(sources), dataset.mapping, dataset.real_world_type
     )
 
 
 # ----------------------------------------------------------------------
 # Index level: the memos
 # ----------------------------------------------------------------------
-def frozen_index(ods, mapping, theta_tuple, variant=VARIANTS[0]) -> CorpusIndex:
-    index = CorpusIndex(ods, mapping, theta_tuple, strategy=variant)
+def frozen_index(ods, mapping, theta_tuple) -> CorpusIndex:
+    index = CorpusIndex(ods, mapping, theta_tuple)
     index.freeze()
     return index
 
@@ -68,9 +57,7 @@ def grow(index: CorpusIndex, delta, mapping) -> None:
     index.thaw()
     try:
         index.merge_partial(
-            IndexPartial.from_ods(
-                delta, mapping, q=index.q, strategy=index.strategy
-            )
+            IndexPartial.from_ods(delta, mapping, q=index.q)
         )
     finally:
         index.freeze()
@@ -151,10 +138,10 @@ def deltas_for(ods, rng: random.Random):
     return deltas
 
 
-def check_memo_through_merges(ods, mapping, theta_tuple, seed, variant) -> None:
+def check_memo_through_merges(ods, mapping, theta_tuple, seed) -> None:
     rng = random.Random(seed)
     indexed = list(ods[: len(ods) // 2])
-    live = frozen_index(indexed, mapping, theta_tuple, variant)
+    live = frozen_index(indexed, mapping, theta_tuple)
     assert_verdicts_exact(live, rng)
     survivors = 0
     for label, delta in deltas_for(ods, rng):
@@ -190,27 +177,26 @@ def check_memo_through_merges(ods, mapping, theta_tuple, seed, variant) -> None:
     assert survivors, "no memo entry ever survived a merge"
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
 class TestMemoCoherence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", ("dupes", "uniform", "skewed", "empty"))
-    def test_random_corpora(self, variant, seed, shape):
+    def test_random_corpora(self, seed, shape):
         ods = random_corpus(seed, shape)
-        check_memo_through_merges(ods, TypeMapping(), THETA_TUPLE, seed, variant)
+        check_memo_through_merges(ods, TypeMapping(), THETA_TUPLE, seed)
 
     @pytest.mark.parametrize("seed", (7, 11))
-    def test_dataset1(self, variant, seed):
+    def test_dataset1(self, seed):
         dataset = build_dataset1(14, seed=seed)
         session = session_on(dataset, dataset.sources)
         ods = list(session.ods)
         random.Random(seed).shuffle(ods)
         check_memo_through_merges(
-            ods, dataset.mapping, session.config.theta_tuple, seed, variant
+            ods, dataset.mapping, session.config.theta_tuple, seed
         )
 
-    def test_theta_zero_groups_are_the_value_itself(self, variant):
+    def test_theta_zero_groups_are_the_value_itself(self):
         ods = random_corpus(SEEDS[0], "dupes")
-        check_memo_through_merges(ods, TypeMapping(), 0.0, 0, variant)
+        check_memo_through_merges(ods, TypeMapping(), 0.0, 0)
 
 
 class TestMemoBounds:
@@ -360,18 +346,17 @@ class TestTwinStreams:
 
 
 class TestExtendedEqualsRebuilt:
-    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", (7, 11))
-    def test_match_and_detect_after_every_extension(self, seed, variant):
+    def test_match_and_detect_after_every_extension(self, seed):
         dataset, corpus, extensions = dataset1_stream(12, seed, 4, 2)
-        session = session_on(dataset, [corpus], variant)
+        session = session_on(dataset, [corpus])
         session.match(0)  # a warm memo is what the writes must keep exact
         sources = [corpus]
         for step, extension in enumerate(extensions):
             session.match(foreign_element(corpus, step))
             update = session.extend(extension)
             sources.append(extension)
-            rebuilt = session_on(dataset, sources, VARIANTS[0])
+            rebuilt = session_on(dataset, sources)
             assert [od.object_id for od in update.added] == [
                 od.object_id for od in rebuilt.ods[-len(update.added) :]
             ]
@@ -385,6 +370,47 @@ class TestExtendedEqualsRebuilt:
             )
             assert session.detect().identical_to(rebuilt.detect())
             assert_memo_coherent(session.index)
+
+    def test_running_example_grown_by_one_movie(self):
+        """The delta ``IndexPartial`` of ``extend()`` folds into the
+        answers of a session built over both documents, on the paper's
+        running example with its thresholds."""
+        from repro.core import RDistantDescendants
+        from repro.datagen import (
+            paper_example_document,
+            paper_example_mapping,
+            paper_example_schema,
+        )
+
+        def example_session(*sources) -> DetectionSession:
+            return DetectionSession(
+                [Source(paper_example_document(), paper_example_schema()),
+                 *sources],
+                paper_example_mapping(),
+                "MOVIE",
+                DogmatixConfig(
+                    heuristic=RDistantDescendants(2),
+                    theta_tuple=0.55,
+                    theta_cand=0.55,
+                ),
+            )
+
+        extension = Source(
+            parse(
+                "<moviedoc><movie><title>Troy 2</title><year>2004</year>"
+                "</movie></moviedoc>"
+            ),
+            paper_example_schema(),
+        )
+        session = example_session()
+        session.extend(extension)
+        rebuilt = example_session(extension)
+        assert session.detect().identical_to(rebuilt.detect())
+        for od in rebuilt.ods:
+            assert snapshot(session.match(od.object_id)) == snapshot(
+                rebuilt.match(od.object_id)
+            ), od.object_id
+        assert_memo_coherent(session.index)
 
 
 class TestWriteCostsWhatItChanges:
