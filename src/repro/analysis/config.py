@@ -91,13 +91,12 @@ class LintConfig:
             "objects_with_key",
             "objects_with_similar",
             "block_members",
-            "od_terms",
             "block_keys",
         }
     )
 
     #: Where RPR002 points violators for a process-stable hash.
-    stable_hash_hint: str = "repro.engine.sharder.stable_hash"
+    stable_hash_hint: str = "zlib.crc32 over a canonical encoding"
 
     #: The one module that may write an XML element's private state,
     #: and the attributes that state is (RPR007): the content list and
@@ -144,12 +143,11 @@ class LintConfig:
         }
     )
 
-    #: Modules only a rarely taken branch runs — the shard backend, the
-    #: worker pool, parallel ingestion, the daemon,
+    #: Modules only a rarely taken branch runs — the worker pool,
+    #: parallel ingestion, the daemon,
     #: the tooling and evaluation packages.  Off the entry path by
     #: definition, so they may import each other freely.
     deferred_modules: tuple[str, ...] = (
-        "repro.engine.sharder",
         "repro.engine.pool",
         "repro.ingest.builder",
         "repro.serve",

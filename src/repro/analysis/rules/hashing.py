@@ -1,12 +1,12 @@
 """RPR002 — builtin ``hash()`` is per-process randomized.
 
-The invariant (learned in PR 3): shard assignment, pair ownership, and
-any other cross-worker agreement must hash with
-``repro.engine.sharder.stable_hash`` (CRC-32 over ``repr``) — CPython
-seeds string hashing per interpreter, so two pool workers computing
-``hash("title")`` disagree, silently scattering blocks differently in
-every process and breaking bit-identical parity in ways that only
-appear under ``workers > 1``.
+The invariant (learned in PR 3): any cross-worker agreement — which
+worker owns a key, a pair, an object — must hash with ``zlib.crc32``
+over a canonical encoding of the key — CPython seeds string hashing
+per interpreter, so two pool workers computing ``hash("title")``
+disagree, silently partitioning work differently in every process and
+breaking bit-identical parity in ways that only appear under
+``workers > 1``.
 
 Pattern: any call of the builtin ``hash`` outside a ``__hash__``
 definition (implementing ``__hash__`` in terms of ``hash()`` is the
@@ -30,7 +30,7 @@ class BuiltinHash(Rule):
     name = "process-randomized-hash"
     summary = (
         "builtin hash() is randomized per process; cross-worker "
-        "agreement must use engine.sharder.stable_hash"
+        "agreement must use zlib.crc32 over a canonical encoding"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

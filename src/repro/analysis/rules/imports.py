@@ -5,8 +5,8 @@ module it imports, so the import graph follows the call graph.  Every
 package ``__init__`` resolves its exports on first access
 (:mod:`repro._lazy`); a module that imports *through* a package pays
 for nothing yet hides which submodule it depends on, and one that
-imports a deferred module at its top — the sharder, the worker pool,
-the parallel ingestor, the daemon, the tooling packages —
+imports a deferred module at its top — the worker pool, the parallel
+ingestor, the daemon, the tooling packages —
 puts it back on every warm open and batch run.
 
 Pattern, in the modules the config lists as entry-path: a module-level

@@ -2,8 +2,8 @@
 
 The invariant (the paper-reproduction contract every PR is pinned by):
 detection results, serialized documents, and decision sequences are
-**bit-identical** across serial/process/shard backends and worker
-counts.  Python sets iterate in hash order, which varies per process
+**bit-identical** across serial/process backends and worker counts.
+Python sets iterate in hash order, which varies per process
 (string hash randomization) — so materializing a set directly into a
 list/tuple/joined string inside a parity-critical module bakes
 per-process order into output that must be deterministic.  Every

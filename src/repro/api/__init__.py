@@ -11,8 +11,7 @@ schemas, descriptions or the index per call:
 * :class:`RunSpec` — a full run as JSON, for the CLI (``--spec``) and
   job queues;
 * registries (:data:`HEURISTICS`, :data:`CONDITIONS`,
-  :data:`SEMANTICS`, :data:`BACKENDS`) naming every pluggable piece
-  with strings, so specs and user extensions meet in one namespace.
+  :data:`SEMANTICS`) naming every pluggable piece with strings, so specs and user extensions meet in one namespace.
 """
 
 from .._lazy import lazy_exports
@@ -22,7 +21,6 @@ __all__ = lazy_exports(
     {
         "Corpus": "corpus",
         "SourceLike": "corpus",
-        "BACKENDS": "registries",
         "CONDITIONS": "registries",
         "HEURISTICS": "registries",
         "Registry": "registries",

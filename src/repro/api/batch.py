@@ -2,17 +2,17 @@
 
 Apart from :mod:`repro.api.session` so that a process which opens a
 session to serve lookups — a warm open, ``match --store`` — never loads
-the pipeline, the engine behind it or the worker factories; the first
-``detect()`` of a process imports this module, and the sharder only
-when the policy's backend is ``shard``.
+the pipeline, the engine behind it or the worker factory; the first
+``detect()`` of a process imports this module.  Step 4 (blocking and the
+object filter) runs here in the parent against the session's standing
+index; the policy's worker count decides whether step 5 fans out.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .._lazy import resolve
-from ..core.dogmatix import DogmatixClassifierFactory, DogmatixShardFactory
+from ..core.dogmatix import DogmatixClassifierFactory
 from ..core.object_filter import ObjectFilter
 from ..framework.candidates import CandidateDefinition
 from ..framework.classifier import ThresholdClassifier
@@ -22,7 +22,6 @@ from ..framework.pruning import ObjectFilterPruning, SharedTupleBlocking
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.policy import ExecutionPolicy
-    from ..engine.sharder import ShardedPairSource
     from ..framework.result import DetectionResult
     from .session import DetectionSession
 
@@ -48,21 +47,15 @@ def detect(
             possible_threshold=session.config.possible_threshold,
         )
     )
-    shard_factory = None
-    if policy.backend == "shard":
-        pair_source, object_filter, shard_factory = _sharded_step4(
-            session, theta, policy
+    pair_source = None
+    object_filter = None
+    if session.config.use_blocking:
+        pair_source = SharedTupleBlocking(session._index.block_keys)
+    if session.config.use_object_filter:
+        object_filter = ObjectFilter(session._index, theta)
+        pair_source = ObjectFilterPruning(
+            object_filter.keep, inner=pair_source
         )
-    else:
-        pair_source = None
-        object_filter = None
-        if session.config.use_blocking:
-            pair_source = SharedTupleBlocking(session._index.block_keys)
-        if session.config.use_object_filter:
-            object_filter = ObjectFilter(session._index, theta)
-            pair_source = ObjectFilterPruning(
-                object_filter.keep, inner=pair_source
-            )
 
     pipeline = DetectionPipeline(
         candidate_definition=CandidateDefinition(
@@ -80,82 +73,6 @@ def detect(
             possible_threshold=session.config.possible_threshold,
             semantics=session.config.similar_semantics,
         ),
-        shard_factory=shard_factory,
     )
     result = pipeline.detect(session._ods)
-    if object_filter is not None and pair_source is not None:
-        # Worker-side filter evaluation: the engine merged the
-        # per-shard decisions (candidate order) onto the pair
-        # source; adopt them so this run's ObjectFilter exposes the
-        # same decisions/pruned_count as a parent-side pass.
-        decisions = getattr(pair_source, "filter_decisions", ())
-        if decisions:
-            object_filter.adopt(decisions)
     return result, object_filter
-
-
-def _sharded_step4(
-    session: DetectionSession, theta: float, policy: ExecutionPolicy
-) -> tuple[ShardedPairSource, Optional[ObjectFilter], DogmatixShardFactory]:
-    """Step-4 setup for the ``shard`` backend.
-
-    Two placements for the object filter, selected by
-    ``policy.filter_in_workers``:
-
-    * **parent-side** (default): the per-object pass runs here, in
-      candidate order — exactly like the lazy serial
-      ``ObjectFilterPruning`` evaluation — and the surviving ids
-      ship to the workers, which only enumerate;
-    * **worker-side**: nothing filter-related runs here.  The
-      :class:`DogmatixShardFactory` carries ``filter_theta``, the
-      engine runs a filter phase across the pool (each worker
-      decides its own filter shards), merges the decisions back
-      into candidate order, and installs them on the parent-side
-      pair source; :func:`detect` then adopts them into this run's
-      :class:`ObjectFilter` so introspection is placement-agnostic.
-      The parent-side source also holds ``object_filter.decide``
-      for the no-pool fallback (``workers=1`` — the same pass,
-      evaluated lazily in the parent).
-
-    Either way the quadratic pair enumeration ships to the workers
-    and results stay bit-identical.
-    """
-    object_filter = None
-    kept_ids: Optional[frozenset[int]] = None
-    pruned: list[int] = []
-    decider = None
-    worker_filter = False
-    if session.config.use_object_filter:
-        object_filter = ObjectFilter(session._index, theta)
-        if policy.filter_in_workers:
-            worker_filter = True
-            decider = object_filter.decide
-        else:
-            kept: list[int] = []
-            for od in session._ods:
-                (kept if object_filter.keep(od) else pruned).append(
-                    od.object_id
-                )
-            kept_ids = frozenset(kept)
-    shard_count = policy.shard_count()
-    pair_source = resolve("repro.engine.sharder:ShardedPairSource")(
-        shard_count,
-        block_index=session._index if session.config.use_blocking else None,
-        shard_by=policy.shard_by,
-        kept_ids=kept_ids,
-        pruned_ids=pruned,
-        object_filter=decider,
-    )
-    shard_factory = DogmatixShardFactory(
-        mapping=session.mapping,
-        theta_tuple=session.config.theta_tuple,
-        theta_cand=theta,
-        possible_threshold=session.config.possible_threshold,
-        semantics=session.config.similar_semantics,
-        shard_count=shard_count,
-        shard_by=policy.shard_by,
-        use_blocking=session.config.use_blocking,
-        kept_ids=kept_ids,
-        filter_theta=theta if worker_filter else None,
-    )
-    return pair_source, object_filter, shard_factory

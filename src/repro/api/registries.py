@@ -11,13 +11,11 @@ gets a registry mapping names to implementations:
   named ``cm``, ``sdt``, ``me``, ``se`` and combined with commas
   (ANDed, Combination 2);
 * :data:`SEMANTICS` — similar-pair semantics of the similarity measure
-  (``matching`` | ``all-pairs``);
-* :data:`BACKENDS` — execution backends of the engine
-  (``serial`` | ``process``).
+  (``matching`` | ``all-pairs``).
 
 Registries are open: extensions may :meth:`Registry.register` their own
-heuristics, conditions, or backend names and refer to them from specs
-and the CLI without touching this package.
+heuristics or conditions and refer to them from specs and the CLI
+without touching this package.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .._lazy import resolve
-from ..engine.policy import BACKENDS as _ENGINE_BACKENDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.conditions import Condition
@@ -112,11 +109,6 @@ for _condition in ("cm", "sdt", "me", "se"):
 SEMANTICS = Registry("semantics")
 SEMANTICS.register("matching", "matching")
 SEMANTICS.register("all-pairs", "all-pairs")
-
-#: Execution backends of the engine (mirrors ``engine.BACKENDS``).
-BACKENDS = Registry("backend")
-for _backend in _ENGINE_BACKENDS:
-    BACKENDS.register(_backend, _backend)
 
 
 def heuristic_from_spec(spec: str) -> Heuristic:

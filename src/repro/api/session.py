@@ -18,7 +18,7 @@ and then answers many questions against the standing structures:
 * :meth:`DetectionSession.explain` — an immutable :class:`Explanation`
   value per pair.
 
-The session is the seam future sharding/caching work plugs into: the
+The session is the seam future caching work plugs into: the
 index, similarity, and classifier are built in one place and shared by
 every entry point.
 """
@@ -268,9 +268,8 @@ class DetectionSession:
         run only — the index and similarity (which depend on
         ``theta_tuple``, not ``theta_cand``) are reused, so a threshold
         sweep pays for index construction once.  ``policy`` overrides
-        the execution policy the same way; with ``backend="shard"``
-        each worker enumerates *and* classifies its share of the
-        candidate pairs locally (results stay bit-identical).
+        the execution policy the same way (results stay
+        bit-identical under any worker count).
         """
         result, self._last_filter = resolve("repro.api.batch:detect")(
             self, theta_cand, policy

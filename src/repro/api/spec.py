@@ -17,22 +17,17 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from ..core.config import DogmatixConfig
 from ..core.encodings import require_dict_encoding
 from ..core.source import Source
-from ..engine.policy import DEFAULT_BATCH_SIZE, ExecutionPolicy, SHARD_MODES
+from ..engine.policy import DEFAULT_BATCH_SIZE, ExecutionPolicy
 from ..framework.mapping import TypeMapping, mapping_from_xml
 from ..strings.value_index import require_qgram_strategy
 from ..xmlkit.parser import parse_file
-from .registries import (
-    BACKENDS,
-    SEMANTICS,
-    condition_from_spec,
-    heuristic_from_spec,
-)
+from .registries import SEMANTICS, condition_from_spec, heuristic_from_spec
 
 
 @dataclass
@@ -56,15 +51,12 @@ class RunSpec:
         ``"kclosest:6"`` and ``"sdt,me"``.
     theta_tuple ... similar_semantics:
         The corresponding :class:`DogmatixConfig` fields.
-    workers / batch_size / backend / shard_by / filter_in_workers:
-        The execution policy.  ``backend=None`` derives it from the
-        worker count (``process`` when > 1); ``workers=0`` means all
-        cores.  ``backend="shard"`` moves pair generation into the
-        workers; ``shard_by`` picks its strategy (``block`` |
-        ``object``) and is ignored by the other backends.
-        ``filter_in_workers`` additionally evaluates the object filter
-        inside the workers (shard backend only — setting it with no
-        explicit backend selects ``shard``, mirroring the CLI flag).
+    workers / batch_size:
+        The execution policy: ``workers`` > 1 classifies pairs across
+        that many processes, ``0`` means all cores.
+    backend:
+        ``None``, or the backend the worker count selects, for specs
+        that still name it: ``"serial"`` (one worker) or ``"process"``.
     ingest_workers:
         Worker processes for corpus *construction* (document parsing,
         OD generation, index building — see :mod:`repro.ingest`);
@@ -97,8 +89,6 @@ class RunSpec:
     workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
     backend: Optional[str] = None
-    shard_by: str = "block"
-    filter_in_workers: bool = False
     ingest_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -118,23 +108,10 @@ class RunSpec:
             require_qgram_strategy(self.similarity_strategy)
         if self.index_encoding is not None:
             require_dict_encoding(self.index_encoding)
-        if self.backend is not None:
-            BACKENDS.get(self.backend)
-        if self.shard_by not in SHARD_MODES:
-            raise ValueError(
-                f"shard_by must be one of {SHARD_MODES}, got {self.shard_by!r}"
-            )
-        if self.filter_in_workers and self.backend not in (None, "shard"):
-            raise ValueError(
-                f"filter_in_workers requires the shard backend (or no "
-                f"explicit backend, which then selects it), got "
-                f"backend={self.backend!r}"
-            )
-        if self.filter_in_workers and not self.use_object_filter:
-            raise ValueError(
-                "filter_in_workers has no filter to shard with "
-                "use_object_filter=False; enable the filter or drop the "
-                "flag"
+        if self.backend not in (None, "serial", "process"):
+            raise LookupError(
+                f"unknown backend {self.backend!r}; known: serial, process "
+                "(the shard backend was removed)"
             )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
@@ -142,6 +119,7 @@ class RunSpec:
             raise ValueError(
                 f"ingest_workers must be >= 0, got {self.ingest_workers}"
             )
+        self.execution_policy()  # one check for every execution field
 
     # ------------------------------------------------------------------
     # Config / policy
@@ -149,32 +127,19 @@ class RunSpec:
     def execution_policy(self) -> ExecutionPolicy:
         """The execution policy this spec describes.
 
-        A non-default ``shard_by`` — or ``filter_in_workers`` — with no
-        explicit backend selects the shard backend, mirroring the CLI
-        where ``--shard-by``/``--filter-in-workers`` imply it, instead
-        of silently demoting the requested sharding to parent-side
-        evaluation.  (The default ``shard_by="block"`` is
-        indistinguishable from "unset", so plain block sharding needs
-        ``backend="shard"`` spelled out.)
+        A ``"serial"`` backend with more than one worker would run
+        single-process anyway, so it is rejected rather than obeyed.
         """
-        ingest = self.ingest_workers or (os.cpu_count() or 1)
-        if (
-            self.backend is None
-            and self.shard_by == "block"
-            and not self.filter_in_workers
-        ):
-            policy = ExecutionPolicy.for_workers(self.workers, self.batch_size)
-            if ingest != policy.ingest_workers:
-                policy = replace(policy, ingest_workers=ingest)
-            return policy
         workers = self.workers or (os.cpu_count() or 1)
+        if self.backend == "serial" and workers > 1:
+            raise ValueError(
+                f"backend='serial' with workers={workers} would run "
+                "single-process anyway; drop the backend or set workers=1"
+            )
         return ExecutionPolicy(
             workers=workers,
             batch_size=self.batch_size,
-            backend=self.backend or "shard",
-            shard_by=self.shard_by,
-            filter_in_workers=self.filter_in_workers,
-            ingest_workers=ingest,
+            ingest_workers=self.ingest_workers or (os.cpu_count() or 1),
         )
 
     def to_config(self) -> DogmatixConfig:
@@ -200,6 +165,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
+        data = _without_shard_settings(data)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -283,6 +249,34 @@ class RunSpec:
             self.real_world_type,
             config,
         )
+
+
+def _without_shard_settings(data: dict) -> dict:
+    """``data`` with the removed shard backend's settings dropped.
+
+    Specs and store manifests written while that backend existed carry
+    ``shard_by`` and ``filter_in_workers``, and may name
+    ``backend: "shard"``.  It answered bit-identically to ``process``
+    and none of the three entered the store's content key, so such a
+    spec loads as ``process``; a value the backend never accepted
+    raises.
+    """
+    data = dict(data)
+    shard_by = data.pop("shard_by", "block")
+    if shard_by not in ("block", "object"):
+        raise ValueError(
+            f"shard_by={shard_by!r}: the shard backend and its shard_by "
+            "setting were removed"
+        )
+    filter_in_workers = data.pop("filter_in_workers", False)
+    if not isinstance(filter_in_workers, bool):
+        raise ValueError(
+            f"filter_in_workers={filter_in_workers!r}: the shard "
+            "backend and its filter_in_workers setting were removed"
+        )
+    if data.get("backend") == "shard":
+        data["backend"] = "process"
+    return data
 
 
 def _resolve(base: str, path: str) -> str:

@@ -44,7 +44,6 @@ from .api.registries import (
     condition_from_spec,
     heuristic_from_spec,
 )
-from .engine.policy import SHARD_MODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .api.spec import RunSpec
@@ -110,27 +109,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="disable the object filter")
     parser.add_argument("--workers", type=_bounded_int(0, "workers"),
                         default=None,
-                        help="worker processes for pair classification — "
-                             "and, with --shard-by, for pair generation "
-                             "too (1 = serial, 0 = all cores)")
+                        help="worker processes for pair classification "
+                             "(1 = serial, 0 = all cores)")
     parser.add_argument("--batch-size", type=_bounded_int(1, "batch size"),
                         default=None,
                         help="candidate pairs per classification batch")
-    parser.add_argument("--shard-by", choices=SHARD_MODES, default=None,
-                        help="shard pair generation into the workers "
-                             "(backend 'shard'): 'block' hashes blocking "
-                             "keys onto shards, 'object' balances "
-                             "ownership per pair; results are "
-                             "bit-identical to serial either way")
-    parser.add_argument("--filter-in-workers", action="store_true",
-                        help="evaluate the object filter f(OD_i) inside "
-                             "the workers too (implies the shard "
-                             "backend): candidates are hashed onto "
-                             "shards and each worker scores its own "
-                             "share, removing the last serial "
-                             "parent-side pass of step 4; results stay "
-                             "bit-identical, including pruned-object "
-                             "order")
     parser.add_argument("--ingest-workers",
                         type=_bounded_int(0, "ingest workers"),
                         default=None,
@@ -319,30 +302,11 @@ def _spec_from_args(
         spec.use_object_filter = False
     if args.workers is not None:
         spec.workers = args.workers
-        if spec.backend != "shard":
-            spec.backend = None  # re-derive from the worker count;
-            # a spec-declared shard backend is kept (only --shard-by
-            # or the spec itself selects it, and re-deriving would
-            # silently demote it to parent-side enumeration)
+        spec.backend = None  # re-derive from the worker count
     if args.batch_size is not None:
         spec.batch_size = args.batch_size
     if args.ingest_workers is not None:
         spec.ingest_workers = args.ingest_workers
-    if args.shard_by is not None:
-        spec.shard_by = args.shard_by
-        spec.backend = "shard"  # sharded generation needs the shard backend
-    if args.filter_in_workers:
-        spec.filter_in_workers = True
-        spec.backend = "shard"  # worker-side filtering implies it too
-    if spec.filter_in_workers and not spec.use_object_filter:
-        # Flag overrides mutate the spec after __post_init__, so the
-        # RunSpec invariant must be re-checked here (e.g. a spec with
-        # the filter disabled combined with --filter-in-workers).
-        parser.error(
-            "--filter-in-workers has no filter to shard: the object "
-            "filter is disabled (--no-filter or the spec's "
-            "use_object_filter)"
-        )
     return spec
 
 

@@ -2,8 +2,8 @@
 
 Description-selection heuristics and conditions (Sec. 4), the
 softIDF-weighted similarity measure and object filter (Sec. 5), and the
-worker-side factories that rebuild the classifier and shard runtime
-(Sec. 3's steps 4-5) inside pool processes.
+worker-side factory that rebuilds the classifier (Sec. 3's step 5)
+inside pool processes.
 """
 
 from .._lazy import lazy_exports
@@ -24,7 +24,6 @@ __all__ = lazy_exports(
         "c_se": "conditions",
         "DogmatixConfig": "config",
         "DogmatixClassifierFactory": "dogmatix",
-        "DogmatixShardFactory": "dogmatix",
         "Source": "source",
         "DictTermState": "encodings",
         "CombinedHeuristic": "heuristics",

@@ -46,11 +46,10 @@ class DogmatixConfig:
     possible_threshold:
         Optional lower threshold for a C2 "possible duplicates" band.
     execution:
-        How steps 4+5 execute (engine.ExecutionPolicy): worker count,
-        batch size, backend (serial | process | shard), shard strategy,
-        and whether the object filter evaluates inside the workers
-        (``filter_in_workers``).  Results are identical across
-        policies; only wall-clock changes.
+        How steps 4+5 execute (engine.ExecutionPolicy): worker count
+        (which selects the serial or process backend), batch size and
+        ingest workers.  Results are identical across policies; only
+        wall-clock changes.
     """
 
     heuristic: Heuristic = field(default_factory=lambda: KClosestDescendants(6))

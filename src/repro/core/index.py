@@ -429,19 +429,15 @@ class CorpusIndex:
 
         These are exactly the possible shared-tuple block keys: a block
         ``(k, w)`` groups the objects holding a value similar to ``w``
-        of kind ``k``.  Sharded pair generation partitions *these* so a
-        worker performs one similar-value search per owned term instead
-        of one per corpus tuple (see ``engine.sharder``).
+        of kind ``k`` (its members: :meth:`block_members`).
 
         Returned as a tuple snapshot: the live ``.keys()`` view tracks
         mutation, so a caller iterating it while ``extend()``
         delta-merges new terms would see the set change mid-iteration
-        (``RuntimeError`` at best, silently shifted shard ownership at
+        (``RuntimeError`` at best, a silently shifted term set at
         worst) — the PR 6 escape class RPR001 exists to catch.
 
-        Term *order* (insertion order) is non-contractual — shard
-        ownership hashes each term independently and the pipeline sorts
-        result pairs canonically.
+        Term *order* (insertion order) is non-contractual.
         """
         return self._terms.block_terms()
 
@@ -454,19 +450,6 @@ class CorpusIndex:
         """
         key, value = term
         return self.objects_with_similar(key, value)
-
-    def od_terms(self, od: ObjectDescription) -> set[tuple[str, str]]:
-        """The object's *direct* terms: its own (key, value) tuples.
-
-        Free to compute (no similarity searches) and always a subset of
-        :meth:`block_keys` (every value is similar to itself for
-        ``theta_tuple > 0``) — sharded generation resolves most pair
-        ownership from these alone.
-        """
-        return {
-            (self.mapping.comparison_key(odt.name), odt.value)
-            for odt in od.tuples
-        }
 
     def block_keys(self, od: ObjectDescription) -> Iterable[tuple[str, str]]:
         """Block keys for shared-tuple blocking.

@@ -27,7 +27,6 @@ would, keeping f comparable in scale to sim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..framework.od import ObjectDescription
 from .index import CorpusIndex
@@ -112,24 +111,6 @@ class ObjectFilter:
     def keep(self, od: ObjectDescription) -> bool:
         """Pruning predicate for :class:`ObjectFilterPruning`."""
         return self.decide(od).kept
-
-    def adopt(self, decisions: Iterable[FilterDecision]) -> None:
-        """Record decisions computed elsewhere (worker-sharded runs).
-
-        Sharded execution evaluates f inside the workers and merges the
-        per-shard :class:`FilterDecision` lists in candidate order; this
-        installs that merged sequence so ``decisions``/``pruned_count``
-        read the same whether the pass ran here or in the workers.
-        Already-memoized ids are skipped, keeping adoption idempotent.
-        """
-        for decision in decisions:
-            if decision.object_id in self._memo:
-                # Re-adoption of the same decision objects: identity
-                # alone cannot detect it, the membership skip can.
-                continue
-            winner = self._memo.setdefault(decision.object_id, decision)
-            if winner is decision:
-                self.decisions.append(decision)
 
     @property
     def pruned_count(self) -> int:

@@ -1,14 +1,13 @@
 """engine: batched, optionally parallel execution of pipeline steps 4+5.
 
 The architectural seam between *what* is compared (framework, core) and
-*how* the comparisons run.  :class:`ExecutionPolicy` picks a backend and
-its knobs, :class:`PairBatcher` turns any pair source into fixed-size
-work units, :class:`ShardedPairSource` partitions pair *generation*
-into deterministic shards, and :class:`ParallelClassifier` executes the
-work — serially, across the worker pool of :mod:`repro.engine.pool`
-(parent-enumerated batches), or sharded (worker-enumerated pairs) —
-with results guaranteed identical to the serial order (see
-``tests/test_engine_parallel.py`` and ``tests/test_shard_equivalence.py``).
+*how* the comparisons run.  :class:`ExecutionPolicy` holds the worker
+count and batch size, :class:`PairBatcher` turns any pair source into
+fixed-size work units, and :class:`ParallelClassifier` classifies them —
+in-process with one worker, across the worker pool of
+:mod:`repro.engine.pool` with more — with results guaranteed identical
+to the serial order (see ``tests/test_engine_parallel.py`` and
+``tests/test_backend_equivalence.py``).
 """
 
 from .._lazy import lazy_exports
@@ -23,19 +22,7 @@ __all__ = lazy_exports(
         "ParallelClassifier": "executor",
         "bare_ods": "executor",
         "score_batch": "executor",
-        "BACKENDS": "policy",
         "DEFAULT_BATCH_SIZE": "policy",
         "ExecutionPolicy": "policy",
-        "SHARD_FACTOR": "policy",
-        "SHARD_MODES": "policy",
-        "AssembledShardFactory": "sharder",
-        "ObjectDecider": "sharder",
-        "ObjectDecision": "sharder",
-        "PairShard": "sharder",
-        "ShardRuntimeFactory": "sharder",
-        "ShardablePairSource": "sharder",
-        "ShardedPairSource": "sharder",
-        "owned_filter_objects": "sharder",
-        "stable_hash": "sharder",
     },
 )

@@ -1,8 +1,8 @@
 """One worker pool: the only place ``src/`` starts worker processes.
 
 Every parallel phase — parsing and describing a corpus (steps 1-3,
-:mod:`repro.ingest.builder`), scoring pair batches, filtering and
-enumerating shards (steps 4-5, :mod:`repro.engine.executor`) — is an
+:mod:`repro.ingest.builder`) and scoring pair batches (step 5,
+:mod:`repro.engine.executor`) — is an
 ordered :meth:`WorkerPool.map` of module-level functions over a
 :class:`concurrent.futures.ProcessPoolExecutor` on the default
 ``multiprocessing`` context, whose initializer installs the phase's

@@ -208,12 +208,6 @@ class BackendRun:
     compared_pairs: int
     #: Bit-identical to the first (reference) policy's DetectionResult.
     identical: bool
-    #: Same FilterDecision sequence (ids, scores, kept flags) as the
-    #: reference run — True trivially when the filter is disabled.
-    #: Pins that parent-side and worker-side (``filter_in_workers``)
-    #: filter evaluation agree decision for decision, not just on the
-    #: surviving pair set.
-    filter_identical: bool = True
 
 
 def compare_execution_backends(
@@ -230,14 +224,9 @@ def compare_execution_backends(
     One session (one index) serves every policy; the first policy is
     the reference and each subsequent run is checked for bit-identical
     results (:meth:`~repro.framework.result.DetectionResult.identical_to`).
-    Backends (serial / process / shard) may only differ in wall-clock,
-    never in output — exercised by ``tests/test_shard_equivalence.py``.
-
-    With ``use_object_filter=True`` each run's per-object
-    :class:`FilterDecision` sequence is compared against the
-    reference's too (``BackendRun.filter_identical``) — the parity
-    notion for parent-side vs worker-side
-    (``ExecutionPolicy.filter_in_workers``) filter evaluation.
+    Backends (serial / process) and worker counts may only differ in
+    wall-clock, never in output — exercised by
+    ``tests/test_backend_equivalence.py``.
     """
     session = session_for(
         dataset,
@@ -250,29 +239,17 @@ def compare_execution_backends(
     gold = gold_pairs(session.ods)
     runs: list[BackendRun] = []
     reference = None
-    reference_decisions: tuple | None = None
     for policy in policies:
         result = session.detect(policy=policy)
-        decisions = (
-            tuple(session.object_filter.decisions)
-            if session.object_filter is not None
-            else None
-        )
         if reference is None:
             reference = result
-            reference_decisions = decisions
-            identical = True
-            filter_identical = True
-        else:
-            identical = result.identical_to(reference)
-            filter_identical = decisions == reference_decisions
+        identical = result.identical_to(reference)
         runs.append(
             BackendRun(
                 policy=policy,
                 metrics=pair_metrics(result.duplicate_id_pairs(), gold),
                 compared_pairs=result.compared_pairs,
                 identical=identical,
-                filter_identical=filter_identical,
             )
         )
     return runs

@@ -16,7 +16,7 @@ the baselines, and user-defined methods share this code path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 # framework <-> engine import contract: engine modules import framework
 # *submodules* (classifier, od, pruning, result), never this one, so the
@@ -37,9 +37,6 @@ from .description import DescriptionDefinition, generate_ods
 from .od import ObjectDescription
 from .pruning import NoPruning, PairSource
 from .result import DetectionResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.sharder import ShardRuntimeFactory
 
 
 class DetectionPipeline:
@@ -68,11 +65,6 @@ class DetectionPipeline:
         classifier inside worker processes; without one the live
         classifier itself is shipped (or execution falls back to
         serial when it cannot be pickled).
-    shard_factory:
-        Picklable :class:`~repro.engine.sharder.ShardRuntimeFactory`
-        for the ``shard`` backend: workers rebuild classifier and pair
-        source together and enumerate their shards locally (step 4
-        moves into the workers).  Ignored by the other backends.
     """
 
     def __init__(
@@ -84,7 +76,6 @@ class DetectionPipeline:
         keep_possible: bool = True,
         policy: ExecutionPolicy | None = None,
         classifier_factory: ClassifierFactory | None = None,
-        shard_factory: "ShardRuntimeFactory | None" = None,
     ) -> None:
         self.candidate_definition = candidate_definition
         self.description_definition = description_definition
@@ -93,7 +84,6 @@ class DetectionPipeline:
         self.keep_possible = keep_possible
         self.policy = policy or ExecutionPolicy()
         self.classifier_factory = classifier_factory
-        self.shard_factory = shard_factory
 
     # ------------------------------------------------------------------
     def run(
@@ -107,24 +97,18 @@ class DetectionPipeline:
     def detect(self, ods: Sequence[ObjectDescription]) -> DetectionResult:
         """Execute steps 4–6 on pre-built ODs.
 
-        Steps 4+5 run through the execution engine: under the serial
-        and process backends pair generation happens in this process
-        and only classification fans out; under the shard backend
-        workers enumerate and classify their shards locally.
+        Steps 4+5 run through the execution engine: pair generation
+        happens in this process and only classification fans out.
 
         Result pairs are ordered canonically by ``(left, right)`` id,
         so a detection result depends only on the *set* of surviving
-        pairs — never on the enumeration order of the pair source or
-        the backend's concatenation order.  This is the invariant that
-        lets sharded (worker-side) generation stay bit-identical to
-        the serial path.
+        pairs — never on the enumeration order of the pair source.
         """
         engine = ParallelClassifier(
             self.classifier,
             policy=self.policy,
             classifier_factory=self.classifier_factory,
             keep_possible=self.keep_possible,
-            shard_factory=self.shard_factory,
         )
         pairs, compared = engine.run(ods, self.pair_source)  # steps 4+5
         pairs.sort(key=lambda pair: (pair.left, pair.right))
@@ -133,8 +117,7 @@ class DetectionPipeline:
         ]
         clusters = duplicate_clusters(duplicate_ids, [od.object_id for od in ods])  # step 6
         # Any source may report filter-pruned objects (ObjectFilterPruning
-        # fills this during enumeration; ShardedPairSource carries the
-        # parent-side filter decisions).
+        # fills this during enumeration).
         pruned = list(getattr(self.pair_source, "pruned_ids", ()))
         return DetectionResult(
             real_world_type=self.candidate_definition.real_world_type,

@@ -65,8 +65,7 @@ class DetectionResult:
         backend-comparison harness, the benchmarks) must share: same
         ``ScoredPair`` list — order, ids, scores, labels — same
         clusters, same dupcluster XML, same comparison count, same
-        pruned ids.  Backends, worker counts, and shard strategies may
-        only differ in wall-clock, never in any of these.
+        pruned ids.  Backends and worker counts may only differ in wall-clock, never in any of these.
         """
         return (
             self.pairs == other.pairs

@@ -79,7 +79,6 @@ preload(
     # what only some specs ask for
     "repro.core.conditions",
     "repro.xmlkit.schema_parser",
-    "repro.engine.sharder",
     "repro.engine.pool",
     "repro.ingest.builder",
 )

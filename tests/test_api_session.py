@@ -363,9 +363,10 @@ class TestExtend:
             ]
             assert extended_partners == fresh_partners
 
-    def test_extend_after_sharded_detect_matches_serial(self, paper_session):
+    def test_extend_after_parallel_detect_matches_serial(self, paper_session):
         """Incremental ingestion is backend-independent: a session whose
-        last detect() ran sharded extends exactly like a serial one,
+        last detect() ran on the process backend extends exactly like a
+        serial one,
         golden-pinned on the paper's Fig. 3 example."""
         from repro.engine import ExecutionPolicy
 
@@ -376,27 +377,27 @@ class TestExtend:
             paper_config(),
         )
         serial_result = serial_session.detect()
-        shard_result = paper_session.detect(
-            policy=ExecutionPolicy.sharded(2)
+        parallel_result = paper_session.detect(
+            policy=ExecutionPolicy.for_workers(2)
         )
         golden = (GOLDEN_DIR / "paper_example_dupclusters.xml").read_text(
             encoding="utf-8"
         )
-        assert shard_result.to_xml() == serial_result.to_xml() == golden
+        assert parallel_result.to_xml() == serial_result.to_xml() == golden
 
         late = "<moviedoc><movie><title>Sings</title><year>2002</year></movie></moviedoc>"
         schema = paper_example_schema()
         serial_update = serial_session.extend(Source(parse(late), schema))
-        shard_update = paper_session.extend(Source(parse(late), schema))
-        assert shard_update.assignments == serial_update.assignments
-        assert shard_update.duplicate_clusters == serial_update.duplicate_clusters
-        assert [od.object_id for od in shard_update.added] == [
+        parallel_update = paper_session.extend(Source(parse(late), schema))
+        assert parallel_update.assignments == serial_update.assignments
+        assert parallel_update.duplicate_clusters == serial_update.duplicate_clusters
+        assert [od.object_id for od in parallel_update.added] == [
             od.object_id for od in serial_update.added
         ]
         # Pinned outcome on the running example: the late dirty "Sings"
         # (id 3) joins "Signs" (id 2); the Matrix pair {0, 1} persists.
-        assert any(set(c) >= {0, 1} for c in shard_update.duplicate_clusters)
-        assert any(set(c) >= {2, 3} for c in shard_update.duplicate_clusters)
+        assert any(set(c) >= {0, 1} for c in parallel_update.duplicate_clusters)
+        assert any(set(c) >= {2, 3} for c in parallel_update.duplicate_clusters)
 
 
 class TestExplanation:

@@ -1,5 +1,6 @@
 """RunSpec tests: validation, JSON round trip, file loading."""
 
+import dataclasses
 import json
 
 import pytest
@@ -96,9 +97,7 @@ class TestRoundTrip:
         original = spec.to_config()
         restored = RunSpec.from_json(spec.to_json()).to_config()
         assert restored == original
-        assert restored.execution == ExecutionPolicy(
-            workers=3, batch_size=128, backend="process"
-        )
+        assert restored.execution == ExecutionPolicy(workers=3, batch_size=128)
 
     def test_default_config_round_trips(self):
         spec = RunSpec(documents=["a.xml"], mapping="m.xml", real_world_type="T")
@@ -115,29 +114,6 @@ class TestRoundTrip:
         )
         assert spec.execution_policy() == ExecutionPolicy.for_workers(4, 256)
 
-    def test_shard_backend_round_trips(self):
-        spec = RunSpec(
-            documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            workers=4, backend="shard", shard_by="object",
-        )
-        restored = RunSpec.from_json(spec.to_json())
-        assert restored == spec
-        assert restored.execution_policy() == ExecutionPolicy(
-            workers=4, batch_size=256, backend="shard", shard_by="object"
-        )
-
-    def test_explicit_shard_by_implies_shard_backend(self):
-        """shard_by without a backend selects shard (CLI parity) rather
-        than silently demoting to parent-side process enumeration."""
-        spec = RunSpec(
-            documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            workers=4, shard_by="object",
-        )
-        policy = spec.execution_policy()
-        assert policy.backend == "shard"
-        assert policy.shard_by == "object"
-        assert policy.workers == 4
-
     def test_ingest_workers_round_trips(self):
         spec = RunSpec(
             documents=["a.xml"], mapping="m.xml", real_world_type="T",
@@ -146,7 +122,7 @@ class TestRoundTrip:
         restored = RunSpec.from_json(spec.to_json())
         assert restored == spec
         assert restored.execution_policy() == ExecutionPolicy(
-            workers=4, batch_size=256, backend="process", ingest_workers=3
+            workers=4, batch_size=256, ingest_workers=3
         )
 
     def test_ingest_workers_orthogonal_to_backend(self):
@@ -160,64 +136,18 @@ class TestRoundTrip:
         assert policy.backend == "serial"
         assert policy.workers == 1
         assert policy.ingest_workers == 2
-        sharded = RunSpec(
+        parallel = RunSpec(
             documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            workers=2, backend="shard", ingest_workers=2,
+            workers=2, backend="process", ingest_workers=2,
         ).execution_policy()
-        assert sharded.backend == "shard"
-        assert sharded.ingest_workers == 2
+        assert parallel.backend == "process"
+        assert parallel.ingest_workers == 2
 
     def test_negative_ingest_workers_rejected(self):
         with pytest.raises(ValueError, match="ingest_workers"):
             RunSpec(
                 documents=["a.xml"], mapping="m.xml", real_world_type="T",
                 ingest_workers=-1,
-            )
-
-    def test_unknown_shard_by_rejected(self):
-        with pytest.raises(ValueError, match="shard_by"):
-            RunSpec(
-                documents=["a.xml"], mapping="m.xml", real_world_type="T",
-                shard_by="rows",
-            )
-
-    def test_filter_in_workers_round_trips(self):
-        spec = RunSpec(
-            documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            workers=4, backend="shard", filter_in_workers=True,
-        )
-        restored = RunSpec.from_json(spec.to_json())
-        assert restored == spec
-        assert restored.execution_policy() == ExecutionPolicy.sharded(
-            4, 256, filter_in_workers=True
-        )
-
-    def test_filter_in_workers_implies_shard_backend(self):
-        """Like shard_by: asking for worker-side filtering with no
-        explicit backend selects shard instead of silently running the
-        filter in the parent."""
-        spec = RunSpec(
-            documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            workers=4, filter_in_workers=True,
-        )
-        policy = spec.execution_policy()
-        assert policy.backend == "shard"
-        assert policy.filter_in_workers
-
-    def test_filter_in_workers_rejects_non_shard_backends(self):
-        with pytest.raises(ValueError, match="filter_in_workers"):
-            RunSpec(
-                documents=["a.xml"], mapping="m.xml", real_world_type="T",
-                workers=4, backend="process", filter_in_workers=True,
-            )
-
-    def test_filter_in_workers_requires_the_filter(self):
-        """Worker-side filtering with the object filter disabled is a
-        contradiction — there is no filter to shard."""
-        with pytest.raises(ValueError, match="no filter to shard"):
-            RunSpec(
-                documents=["a.xml"], mapping="m.xml", real_world_type="T",
-                workers=4, use_object_filter=False, filter_in_workers=True,
             )
 
     def test_unknown_json_keys_rejected(self):
@@ -229,6 +159,87 @@ class TestRoundTrip:
     def test_non_object_json_rejected(self):
         with pytest.raises(ValueError, match="object"):
             RunSpec.from_json("[1, 2]")
+
+
+def spec_dict(**fields) -> dict:
+    return {
+        **RunSpec(
+            documents=["a.xml"], mapping="m.xml", real_world_type="T"
+        ).to_dict(),
+        **fields,
+    }
+
+
+class TestExecutionFieldsValidateOnLoad:
+    """Every execution field is checked when the spec is built, not
+    when its session is: a bad one is a ``ValueError`` from
+    ``from_dict``, which the CLI and the daemon report as a bad spec."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"batch_size": 0},
+            {"batch_size": -3},
+            {"backend": "serial", "workers": 2},
+        ],
+        ids=["batch_size-0", "batch_size-negative", "serial-two-workers"],
+    )
+    def test_bad_execution_field_raises_on_load(self, fields):
+        with pytest.raises(ValueError):
+            RunSpec.from_dict(spec_dict(**fields))
+
+    def test_process_backend_with_one_worker_runs_serial(self):
+        spec = RunSpec.from_dict(spec_dict(backend="process", workers=1))
+        assert spec.execution_policy() == ExecutionPolicy()
+
+
+class TestLegacyShardSettings:
+    """Specs and store manifests written while the shard backend
+    existed carry ``shard_by``/``filter_in_workers`` (``to_dict`` is
+    ``asdict``) and may name ``backend: "shard"``; they still load, as
+    the process backend, which answered bit-identically."""
+
+    def test_runspec_has_no_shard_fields(self):
+        names = {field.name for field in dataclasses.fields(RunSpec)}
+        assert not names & {"shard_by", "filter_in_workers"}
+        assert "shard_by" not in spec_dict()
+
+    @pytest.mark.parametrize("shard_by", ["block", "object"])
+    @pytest.mark.parametrize("filter_in_workers", [False, True])
+    def test_parent_shaped_spec_loads_as_process(
+        self, shard_by, filter_in_workers
+    ):
+        spec = RunSpec.from_dict(
+            spec_dict(
+                workers=4, backend="shard", shard_by=shard_by,
+                filter_in_workers=filter_in_workers,
+            )
+        )
+        assert spec.backend == "process"
+        assert spec.execution_policy() == ExecutionPolicy.for_workers(4)
+        assert spec == RunSpec.from_dict(spec_dict(workers=4, backend="process"))
+
+    def test_legacy_keys_with_any_backend_are_dropped(self):
+        spec = RunSpec.from_dict(
+            spec_dict(shard_by="block", filter_in_workers=False)
+        )
+        assert spec == RunSpec.from_dict(spec_dict())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"shard_by": "rows"}, {"filter_in_workers": "yes"}],
+        ids=["shard_by", "filter_in_workers"],
+    )
+    def test_a_value_the_backend_never_accepted_raises(self, fields):
+        with pytest.raises(ValueError, match="removed"):
+            RunSpec.from_dict(spec_dict(**fields))
+
+    def test_constructor_does_not_take_the_shard_backend(self):
+        with pytest.raises(LookupError, match="shard backend was removed"):
+            RunSpec(
+                documents=["a.xml"], mapping="m.xml", real_world_type="T",
+                backend="shard",
+            )
 
 
 class TestFiles:

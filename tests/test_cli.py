@@ -180,96 +180,81 @@ class TestSpecWorkflow:
         result = parse(capsys.readouterr().out)
         assert result.root.find_all("dupcluster") == []
 
-    def test_shard_by_selects_the_shard_backend(self, spec_dir, capsys):
-        """--shard-by moves pair generation into the workers with the
-        same dupcluster output as the serial spec run."""
-        serial = main(["dedup", "--spec", str(spec_dir / "run.json")])
-        assert serial == 0
-        serial_out = capsys.readouterr().out
-        code = main([
-            "dedup", "--spec", str(spec_dir / "run.json"),
-            "--workers", "2",
-            "--shard-by", "block",
-        ])
-        assert code == 0
-        assert capsys.readouterr().out == serial_out
-
-    def test_filter_in_workers_selects_the_shard_backend(self, spec_dir, capsys):
-        """--filter-in-workers implies the shard backend and leaves the
-        dupcluster output bit-identical to the serial run of the same
-        spec (the example spec disables the filter, so the test enables
-        it — worker-side filtering with no filter is rejected)."""
+    def test_parent_shaped_spec_writes_the_default_bytes(self, spec_dir, capsys):
+        """A spec written while the shard backend existed — shard
+        backend, ``shard_by``, ``filter_in_workers`` — still runs, as
+        the process backend, and writes the bytes the default spec
+        writes (the example spec disables the filter, so both runs
+        enable it)."""
         import json
-
-        from repro.cli import _spec_from_args
 
         spec_path = spec_dir / "run.json"
         data = json.loads(spec_path.read_text())
         data["use_object_filter"] = True
         spec_path.write_text(json.dumps(data))
-        serial = main(["dedup", "--spec", str(spec_path)])
-        assert serial == 0
-        serial_out = capsys.readouterr().out
-        argv = [
-            "dedup", "--spec", str(spec_path),
-            "--workers", "2",
-            "--filter-in-workers",
-        ]
-        parser = build_parser()
-        spec = _spec_from_args(parser.parse_args(argv), parser)
-        assert spec.backend == "shard"
-        assert spec.filter_in_workers
-        assert main(argv) == 0
-        assert capsys.readouterr().out == serial_out
+        assert main(["dedup", "--spec", str(spec_path)]) == 0
+        default_out = capsys.readouterr().out
+        legacy_path = spec_dir / "legacy.json"
+        legacy_path.write_text(json.dumps({
+            **data, "workers": 2, "backend": "shard", "shard_by": "object",
+            "filter_in_workers": True,
+        }))
+        assert main(["dedup", "--spec", str(legacy_path)]) == 0
+        assert capsys.readouterr().out == default_out
 
-    def test_filter_in_workers_without_filter_is_rejected(self, spec_dir, capsys):
-        """The example spec disables the object filter; asking for
-        worker-side filtering on top is a contradiction, not a silent
-        backend switch."""
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "dedup", "--spec", str(spec_dir / "run.json"),
-                "--workers", "2",
-                "--filter-in-workers",
-            ])
-        assert excinfo.value.code == 2
-        assert "no filter to shard" in capsys.readouterr().err
-
-    def test_workers_keeps_spec_declared_shard_backend(self, spec_dir, capsys):
-        """--workers re-derives serial/process backends from the count
-        but must not silently demote a spec-declared shard backend to
-        parent-side enumeration."""
+    def test_workers_re_derives_the_spec_backend(self, spec_dir, capsys):
+        """--workers re-derives the backend from the count, also over a
+        spec that named the removed shard backend."""
         import json
 
         from repro.cli import _spec_from_args
 
         spec_path = spec_dir / "run.json"
         data = json.loads(spec_path.read_text())
-        data["backend"] = "shard"
-        spec_path.write_text(json.dumps(data))
         parser = build_parser()
-        args = parser.parse_args(
-            ["dedup", "--spec", str(spec_path), "--workers", "4"]
-        )
-        spec = _spec_from_args(args, parser)
-        assert spec.backend == "shard"
-        assert spec.workers == 4
-        # ...while a process spec still re-derives from the count:
-        data["backend"] = "process"
-        spec_path.write_text(json.dumps(data))
-        args = parser.parse_args(
-            ["dedup", "--spec", str(spec_path), "--workers", "1"]
-        )
-        assert _spec_from_args(args, parser).backend is None
+        for backend, workers in (("shard", "4"), ("process", "1")):
+            data["backend"] = backend
+            spec_path.write_text(json.dumps(data))
+            args = parser.parse_args(
+                ["dedup", "--spec", str(spec_path), "--workers", workers]
+            )
+            spec = _spec_from_args(args, parser)
+            assert spec.backend is None
+            assert spec.workers == int(workers)
 
-    def test_shard_by_rejects_unknown_mode(self, spec_dir, capsys):
+    @pytest.mark.parametrize(
+        "flags", [["--shard-by", "block"], ["--filter-in-workers"]],
+        ids=["shard-by", "filter-in-workers"],
+    )
+    def test_removed_shard_flags_are_argparse_errors(
+        self, spec_dir, capsys, flags
+    ):
         with pytest.raises(SystemExit) as excinfo:
-            main([
-                "dedup", "--spec", str(spec_dir / "run.json"),
-                "--shard-by", "rows",
-            ])
+            main(["dedup", "--spec", str(spec_dir / "run.json"), *flags])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"batch_size": 0},
+            {"batch_size": -3},
+            {"backend": "serial", "workers": 2},
+        ],
+        ids=["batch_size-0", "batch_size-negative", "serial-two-workers"],
+    )
+    def test_bad_execution_field_cannot_load(self, spec_dir, capsys, fields):
+        """A bad execution field is a usage error naming the spec, not a
+        traceback from building the session."""
+        import json
+
+        spec_path = spec_dir / "run.json"
+        data = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**data, **fields}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dedup", "--spec", str(spec_path)])
+        assert excinfo.value.code == 2
+        assert "cannot load spec" in capsys.readouterr().err
 
     def test_spec_conflicts_with_documents(self, spec_dir, example_files, capsys):
         document, _, _ = example_files

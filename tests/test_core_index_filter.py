@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.core import CorpusIndex, DogmatixSimilarity, ObjectFilter
+from repro.api import DetectionSession
+from repro.core import (
+    CorpusIndex,
+    DogmatixConfig,
+    DogmatixSimilarity,
+    FilterDecision,
+    ObjectFilter,
+    singleton_soft_idf,
+)
 from repro.core.index import IndexPartial
+from repro.eval import build_dataset1, build_dataset3
 from repro.framework import TypeMapping, od_from_pairs
+
+from test_backend_equivalence import SEEDS, SHAPES, random_corpus, session_over
 
 
 @pytest.fixture()
@@ -179,21 +190,6 @@ class TestObjectFilter:
         first = object_filter.decide(ods[0])
         assert object_filter.decide(ods[0]) is first
 
-    def test_adopt_installs_external_decisions_idempotently(self, index, ods):
-        """Worker-sharded runs merge decisions computed in the workers;
-        adopting them must read exactly like a local pass and must not
-        duplicate ids already decided here."""
-        remote = ObjectFilter(index, 0.55)
-        for od in ods:
-            remote.keep(od)
-        local = ObjectFilter(index, 0.55)
-        local.decide(ods[0])  # already decided locally -> kept as-is
-        local.adopt(remote.decisions)
-        local.adopt(remote.decisions)  # idempotent
-        assert len(local.decisions) == 4
-        assert local.pruned_count == remote.pruned_count == 2
-        assert local.decide(ods[1]) == remote.decisions[1]
-
     def test_kind_unspecified_elsewhere_is_neutral(self, mapping):
         ods = [
             od_from_pairs(0, [("alpha", "/db/rec[1]/name"),
@@ -236,3 +232,91 @@ class TestObjectFilter:
     def test_invalid_threshold(self, index):
         with pytest.raises(ValueError):
             ObjectFilter(index, -0.1)
+
+
+# ----------------------------------------------------------------------
+# "Does anyone else specify this kind" is a question, not a set
+# ----------------------------------------------------------------------
+def reference_decide(index: CorpusIndex, theta_cand: float, od) -> FilterDecision:
+    """``ObjectFilter.decide`` as it stood while it copied every holder
+    of the kind per unique tuple (``objects_with_key(key) - {id}``)."""
+    shared_idf = 0.0
+    unique_idf = 0.0
+    for odt in od.tuples:
+        key = index.key_of(odt.name)
+        if index.objects_with_similar(key, odt.value, exclude=od.object_id):
+            shared_idf += singleton_soft_idf(odt, index)
+        elif index.objects_with_key(key) - {od.object_id}:
+            unique_idf += singleton_soft_idf(odt, index)
+    denominator = shared_idf + unique_idf
+    score = shared_idf / denominator if denominator > 0 else 0.0
+    return FilterDecision(
+        od.object_id, score, shared_idf, unique_idf, score > theta_cand
+    )
+
+
+def generated_session(dataset) -> DetectionSession:
+    return DetectionSession(
+        dataset.sources, dataset.mapping, dataset.real_world_type, DogmatixConfig()
+    )
+
+
+class TestKindElsewhere:
+    def assert_decisions_equal_reference(self, index, ods) -> None:
+        assert index.frozen
+        object_filter = ObjectFilter(index, 0.55)
+        for od in ods:
+            assert object_filter.decide(od) == reference_decide(index, 0.55, od)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fuzz_corpora(self, seed, shape):
+        ods = random_corpus(seed, shape)
+        session = session_over(ods)
+        lone = od_from_pairs(len(ods), [("only here", "/db/item[99]/label[1]")])
+        foreign = od_from_pairs(-1, [(t.value, t.name) for t in ods[-1].tuples])
+        self.assert_decisions_equal_reference(session.index, [*ods, lone, foreign])
+
+    def test_generated_datasets(self):
+        for dataset in (build_dataset1(30, seed=7), build_dataset3(150, seed=7)):
+            session = generated_session(dataset)
+            self.assert_decisions_equal_reference(session.index, session.ods)
+
+    def test_reader_agrees_with_the_snapshot(self):
+        ods = random_corpus(SEEDS[0], "giant")
+        ods.append(od_from_pairs(len(ods), [("x", "/db/item[99]/label[1]")]))
+        index = session_over(ods).index
+        keys = {key for key, _ in index.block_terms()} | {"no/such/key"}
+        for key in keys:
+            holders = index.objects_with_key(key)
+            for object_id in (-1, 0, len(ods) - 1, len(ods)):
+                assert index.key_elsewhere(key, object_id) == bool(
+                    holders - {object_id}
+                ), (key, object_id)
+
+    def test_a_warm_pass_copies_no_holder_row(self, monkeypatch):
+        session = generated_session(build_dataset3(150, seed=7))
+        index = session.index
+        first = ObjectFilter(index, 0.55)
+        unique_tuples = sum(
+            1
+            for od in session.ods
+            for odt in od.tuples
+            if not index.objects_with_similar(
+                index.key_of(odt.name), odt.value, exclude=od.object_id
+            )
+        )
+        assert unique_tuples > len(session.ods) / 4  # the shape that copied
+        expected = [first.decide(od) for od in session.ods]
+
+        copies: list[str] = []
+        key_row = type(index._terms).key_row
+
+        def counting_key_row(self, key):
+            copies.append(key)
+            return key_row(self, key)
+
+        monkeypatch.setattr(type(index._terms), "key_row", counting_key_row)
+        warm = ObjectFilter(index, 0.55)
+        assert [warm.decide(od) for od in session.ods] == expected
+        assert copies == []

@@ -61,16 +61,34 @@ class TestExecutionPolicy:
         [
             {"workers": 0},
             {"batch_size": 0},
-            {"backend": "threads"},
             {"ingest_workers": 0},
-            # multi-worker serial would silently run single-process
-            {"workers": 4, "backend": "serial"},
-            {"workers": 4},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ExecutionPolicy(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 4, "backend": "process"},
+            {"workers": 4, "shard_by": "block"},
+            {"workers": 4, "filter_in_workers": False},
+        ],
+    )
+    def test_removed_keywords_are_rejected(self, kwargs):
+        """The worker count alone picks the backend; the shard
+        backend's settings went with it."""
+        with pytest.raises(TypeError):
+            ExecutionPolicy(**kwargs)
+
+    def test_backend_is_derived_not_set(self):
+        import dataclasses
+
+        assert ExecutionPolicy().backend == "serial"
+        assert ExecutionPolicy(workers=4).backend == "process"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExecutionPolicy().backend = "process"  # type: ignore[misc]
 
     def test_for_workers(self):
         assert ExecutionPolicy.for_workers(1).backend == "serial"
@@ -82,21 +100,27 @@ class TestExecutionPolicy:
         assert auto.workers >= 1
 
     def test_single_process_worker_is_not_parallel(self):
-        assert not ExecutionPolicy(workers=1, backend="process").parallel
+        assert not ExecutionPolicy(workers=1).parallel
+        assert ExecutionPolicy(workers=1).backend == "serial"
 
-    def test_shard_backend(self):
+    def test_sharded_is_for_workers(self):
+        """The removed shard backend's constructor names the process
+        policy of the same worker count."""
         policy = ExecutionPolicy.sharded(3, batch_size=64, shard_by="object")
-        assert policy.backend == "shard"
-        assert policy.workers == 3 and policy.batch_size == 64
-        assert policy.shard_by == "object"
-        assert policy.parallel
-        assert policy.shard_count() >= policy.workers
+        assert policy == ExecutionPolicy.for_workers(3, batch_size=64)
+        assert policy.backend == "process" and policy.parallel
+        assert ExecutionPolicy.sharded(2, filter_in_workers=True) == (
+            ExecutionPolicy.for_workers(2)
+        )
         assert not ExecutionPolicy.sharded(1).parallel
         assert ExecutionPolicy.sharded(0).workers >= 1
 
-    def test_shard_by_validated(self):
+    @pytest.mark.parametrize(
+        "kwargs", [{"shard_by": "rows"}, {"filter_in_workers": "yes"}]
+    )
+    def test_sharded_validates_what_it_drops(self, kwargs):
         with pytest.raises(ValueError):
-            ExecutionPolicy(backend="shard", shard_by="rows")
+            ExecutionPolicy.sharded(2, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +162,8 @@ POLICIES = (
     ExecutionPolicy(),  # classic serial
     ExecutionPolicy(batch_size=1),  # batched-serial, degenerate batches
     ExecutionPolicy(batch_size=7),  # batched-serial, ragged tail
-    ExecutionPolicy(workers=2, batch_size=16, backend="process"),
-    ExecutionPolicy(workers=3, batch_size=5, backend="process"),
+    ExecutionPolicy(workers=2, batch_size=16),
+    ExecutionPolicy(workers=3, batch_size=5),
 )
 
 
@@ -253,7 +277,7 @@ class TestGenericPipelineParallel:
         serial = movie_pipeline(MatchingTuplesClassifier()).run(document)
         parallel = movie_pipeline(
             MatchingTuplesClassifier(),
-            policy=ExecutionPolicy(workers=2, batch_size=1, backend="process"),
+            policy=ExecutionPolicy(workers=2, batch_size=1),
         ).run(document)
         assert parallel.pairs == serial.pairs
         assert parallel.clusters == serial.clusters
@@ -270,7 +294,7 @@ class TestGenericPipelineParallel:
         )
         engine = ParallelClassifier(
             classifier,
-            policy=ExecutionPolicy(workers=2, backend="process"),
+            policy=ExecutionPolicy(workers=2),
         )
         pairs, compared = engine.run(ods, NoPruning())
         assert engine.last_backend == "serial"  # lambda cannot be pickled
@@ -285,45 +309,8 @@ class TestGenericPipelineParallel:
         classifier = MatchingTuplesClassifier()
         engine = ParallelClassifier(
             classifier,
-            policy=ExecutionPolicy(workers=2, backend="process"),
+            policy=ExecutionPolicy(workers=2),
             classifier_factory=ConstantClassifierFactory(classifier),
-        )
-        pairs, compared = engine.run(ods, NoPruning())
-        assert engine.last_backend == "process"
-        assert compared == 1
-        assert [(p.left, p.right) for p in pairs] == [(0, 1)]
-
-    def test_shardable_source_ships_to_workers(self):
-        """A picklable shardable source runs worker-side without an
-        explicit shard runtime factory (assembled on the fly)."""
-        from repro.engine import ShardedPairSource
-
-        ods = [
-            od_from_pairs(i, [("x", f"/r/a[{i + 1}]/v[1]")]) for i in range(6)
-        ]
-        serial_pairs, serial_compared = ParallelClassifier(
-            MatchingTuplesClassifier()
-        ).run(ods, NoPruning())
-        engine = ParallelClassifier(
-            MatchingTuplesClassifier(),
-            policy=ExecutionPolicy.sharded(2, batch_size=4),
-        )
-        pairs, compared = engine.run(ods, ShardedPairSource(8))
-        assert engine.last_backend == "shard"
-        assert compared == serial_compared == 15
-        assert sorted((p.left, p.right) for p in pairs) == sorted(
-            (p.left, p.right) for p in serial_pairs
-        )
-
-    def test_shard_policy_without_shardable_source_degrades(self):
-        """shard backend + plain pair source -> parent-side process run."""
-        ods = [
-            od_from_pairs(0, [("x", "/r/a[1]/v[1]")]),
-            od_from_pairs(1, [("x", "/r/a[2]/v[1]")]),
-        ]
-        engine = ParallelClassifier(
-            MatchingTuplesClassifier(),
-            policy=ExecutionPolicy.sharded(2),
         )
         pairs, compared = engine.run(ods, NoPruning())
         assert engine.last_backend == "process"
@@ -355,7 +342,7 @@ class TestPoolModulesLoadWithTheFirstPool:
             "ods = [od_from_pairs(i, [('x', f'/r/a[{i + 1}]/v')]) for i in range(4)]\n"
             "classifier = MatchingTuplesClassifier()\n"
             "engine = ParallelClassifier(\n"
-            "    classifier, policy=ExecutionPolicy(workers=2, backend='process'),\n"
+            "    classifier, policy=ExecutionPolicy(workers=2),\n"
             "    classifier_factory=ConstantClassifierFactory(classifier))\n"
             "pairs, compared = engine.run(ods, NoPruning())\n"
             "print(engine.last_backend, compared, len(pairs),\n"

@@ -47,18 +47,6 @@ def dying_batch(batch):
     return ORIGINAL["batch"](batch)
 
 
-def dying_filter_shard(shard_id):
-    if shard_id == 1:
-        die()
-    return ORIGINAL["filter"](shard_id)
-
-
-def dying_pair_shard(task):
-    if task[0] == 1:
-        die()
-    return ORIGINAL["pairs"](task)
-
-
 def dying_parse(path):
     if in_worker() and str(path).endswith("b.xml"):
         die()
@@ -154,32 +142,8 @@ def process_batch() -> dict:
     from repro.engine import executor
 
     return detect_outcome(
-        ExecutionPolicy(workers=2, batch_size=8, backend="process"),
+        ExecutionPolicy(workers=2, batch_size=8),
         lambda: install(executor, "_score_batch_in_worker", "batch", dying_batch),
-    )
-
-
-def shard_filter_phase() -> dict:
-    from repro.engine import ExecutionPolicy
-    from repro.engine import executor
-
-    return detect_outcome(
-        ExecutionPolicy.sharded(2, filter_in_workers=True),
-        lambda: install(
-            executor, "_filter_shard_in_worker", "filter", dying_filter_shard
-        ),
-    )
-
-
-def shard_pair_phase() -> dict:
-    from repro.engine import ExecutionPolicy
-    from repro.engine import executor
-
-    return detect_outcome(
-        ExecutionPolicy.sharded(2, filter_in_workers=True),
-        lambda: install(
-            executor, "_score_shard_in_worker", "pairs", dying_pair_shard
-        ),
     )
 
 
@@ -188,7 +152,7 @@ def raising_initializer() -> dict:
     from repro.engine import ExecutionPolicy
 
     return detect_outcome(
-        ExecutionPolicy(workers=2, batch_size=8, backend="process"),
+        ExecutionPolicy(workers=2, batch_size=8),
         lambda: setattr(DogmatixClassifierFactory, "__call__", raising_factory),
     )
 
@@ -325,7 +289,7 @@ def bounded_pair_stream() -> dict:
             yield result
 
     pool_module.WorkerPool.map = observed_map
-    policy = ExecutionPolicy(workers=2, batch_size=10, backend="process")
+    policy = ExecutionPolicy(workers=2, batch_size=10)
     engine = ParallelClassifier(EveryOtherPair(), policy)
     pairs, compared = engine.run(ods, CountedPairs())
     serial, serial_compared = ParallelClassifier(EveryOtherPair()).run(
@@ -367,8 +331,7 @@ BROKEN = "a pool worker died or failed to start"
 
 @pytest.mark.parametrize(
     "case",
-    ["process_batch", "shard_filter_phase", "shard_pair_phase",
-     "raising_initializer"],
+    ["process_batch", "raising_initializer"],
 )
 def test_a_broken_detect_pool_ends_on_the_serial_result(case):
     outcome = run_case(case)

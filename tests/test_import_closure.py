@@ -78,7 +78,7 @@ COLD_OPEN = modules(
     """
 )
 
-#: ``detect()``: the pipeline, the engine (no sharder), the worker factory.
+#: ``detect()``: the pipeline, the engine, the worker factory.
 DETECT = modules(
     """
     .api.batch .core.dogmatix
@@ -100,7 +100,7 @@ EXPECTED = {
         """
         .cli .ingest .ingest.store .ingest.builder
         .serve .serve.daemon .serve.sessions
-        .core.conditions .engine.sharder .engine.pool
+        .core.conditions .engine.pool
         .framework.incremental .framework.representatives
         .xmlkit.schema_parser .xmlkit.serialize
         """
@@ -110,7 +110,7 @@ EXPECTED = {
 #: What a warm open must never load, whatever else changes.
 NOT_ON_A_WARM_OPEN = modules(
     """
-    .engine.sharder .engine.executor .ingest.builder .compact
+    .engine.executor .ingest.builder .compact
     .framework.relational .framework.incremental .framework.pipeline
     .xmlkit.schema_parser .xmlkit.serialize
     .serve .analysis .datagen .eval .baselines .engine.pool

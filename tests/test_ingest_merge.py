@@ -6,7 +6,7 @@ the OD instance, in *any* order, yields a :class:`CorpusIndex` whose
 observable behavior — ``statistics()``, the blocking view
 (``block_terms``/``block_members``), similar-value groups, and soft-IDF
 weights — is identical to the serial build's.  These tests pin that on
-the same seeded-random corpora the shard-equivalence harness uses,
+the same seeded-random corpora the backend-equivalence harness uses,
 splitting them into 1/2/4/7 partitions merged in shuffled orders, and
 extend the claim to the downstream ``DetectionResult`` (bit-identical
 through a session running on a merged index) and to delta merges into
@@ -24,7 +24,7 @@ from repro.core import CorpusIndex, DogmatixConfig, IndexPartial
 from repro.core.softidf import singleton_soft_idf
 from repro.framework import TypeMapping
 
-from test_shard_equivalence import SEEDS, SHAPES, random_corpus, session_over
+from test_backend_equivalence import SEEDS, SHAPES, random_corpus, session_over
 
 THETA_TUPLE = 0.25
 

@@ -50,7 +50,7 @@ PUBLIC_ALL = {
             c_se h_and h_or mapping_from_xml
         """,
         "repro.api": """
-            BACKENDS CONDITIONS Corpus DetectionSession Explanation HEURISTICS
+            CONDITIONS Corpus DetectionSession Explanation HEURISTICS
             IncrementalUpdate Match Registry RunSpec SEMANTICS SourceLike
             condition_from_spec heuristic_from_spec
         """,
@@ -64,7 +64,7 @@ PUBLIC_ALL = {
             CandidateSuggestion CombinedCondition CombinedHeuristic
             Condition CorpusIndex DescriptionSelector
             DictTermState DogmatixClassifierFactory DogmatixConfig
-            DogmatixShardFactory DogmatixSimilarity FilterDecision Heuristic
+            DogmatixSimilarity FilterDecision Heuristic
             IndexPartial KClosestDescendants ObjectFilter
             RDistantAncestors RDistantDescendants Source TupleMatching
             best_candidate c_and c_cm c_me c_or c_sdt c_se
@@ -83,12 +83,9 @@ PUBLIC_ALL = {
             paper_example_mapping paper_example_schema
         """,
         "repro.engine": """
-            AssembledShardFactory BACKENDS ClassifierFactory
-            ConstantClassifierFactory DEFAULT_BATCH_SIZE ExecutionPolicy
-            ObjectDecider ObjectDecision PairBatcher PairShard ParallelClassifier
-            SHARD_FACTOR SHARD_MODES ShardRuntimeFactory ShardablePairSource
-            ShardedPairSource bare_ods chunked owned_filter_objects score_batch
-            stable_hash
+            ClassifierFactory ConstantClassifierFactory DEFAULT_BATCH_SIZE
+            ExecutionPolicy PairBatcher ParallelClassifier bare_ods chunked
+            score_batch
         """,
         "repro.eval": """
             Dataset EXPERIMENTS EXPERIMENTS_BY_NAME Experiment

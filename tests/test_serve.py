@@ -188,6 +188,59 @@ class TestRoutes:
             server.shutdown()
             server.server_close()
 
+    def test_digest_of_a_shard_session_is_served(self, tmp_path):
+        """A manifest written by a session under the removed shard
+        backend — ``backend: "shard"``, ``shard_by``,
+        ``filter_in_workers`` — still builds, as the process backend,
+        which answered bit-identically: a restarted daemon serves the
+        digest alone, equal to a serial session."""
+        from repro.ingest import IndexStore
+
+        write_example(tmp_path)
+        spec = example_spec(tmp_path, use_object_filter=True)
+        store = IndexStore(tmp_path / "store")
+        reference = spec.build_session()
+        digest = store.save(spec, reference)
+        manifest_path = store._manifest_path(digest)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"].update(
+            workers=2, backend="shard", shard_by="object",
+            filter_in_workers=True,
+        )
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        server, client = start_server(tmp_path / "store")
+        try:
+            for od in reference.ods:
+                assert client.match(digest, object_id=od.object_id)[
+                    "matches"
+                ] == [
+                    {"object_id": m.object_id, "similarity": m.similarity,
+                     "path": m.path}
+                    for m in reference.match(od.object_id)
+                ]
+            assert client.detect(digest)["xml"] == reference.detect().to_xml()
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"batch_size": 0},
+            {"batch_size": -3},
+            {"backend": "serial", "workers": 2},
+        ],
+        ids=["batch_size-0", "batch_size-negative", "serial-two-workers"],
+    )
+    def test_bad_execution_field_400(self, served, fields):
+        """Checked when the spec loads, so the open is a client error
+        naming the spec, not a 500 from building the session."""
+        with pytest.raises(ServeError) as excinfo:
+            served.client.open_corpus({**served.spec.to_dict(), **fields})
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("bad RunSpec: ")
+
     def test_catalog_lists_snapshot_and_resident(self, served):
         catalog = served.client.catalog()
         digests = {snap["digest"] for snap in catalog["snapshots"]}

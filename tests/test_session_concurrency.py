@@ -457,11 +457,11 @@ class TestImportOnUse:
         "policy",
         [
             ExecutionPolicy(),
-            ExecutionPolicy(workers=2, backend="process"),
-            ExecutionPolicy.sharded(2),
-            ExecutionPolicy.sharded(2, filter_in_workers=True),
+            ExecutionPolicy(batch_size=1),
+            ExecutionPolicy(workers=2),
+            ExecutionPolicy(workers=3, batch_size=7),
         ],
-        ids=["serial", "process", "shard", "shard-filtered"],
+        ids=["serial", "serial-batch1", "process", "process-3"],
     )
     def test_a_second_detect_executes_no_import(
         self, stored, import_statements, policy

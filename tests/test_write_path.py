@@ -34,7 +34,7 @@ from repro.strings import ned_cached
 from repro.xmlkit import Document, Element, parse, serialize
 
 from test_ingest_merge import THETA_TUPLE, observable_state
-from test_shard_equivalence import SEEDS, random_corpus
+from test_backend_equivalence import SEEDS, random_corpus
 
 
 def session_on(dataset, sources) -> DetectionSession:
@@ -434,7 +434,9 @@ class TestWriteCostsWhatItChanges:
         update = session.extend(extension)
         session.match(update.added[0].object_id)
         distinct = {
-            term for od in update.added for term in session.index.od_terms(od)
+            (session.index.key_of(odt.name), odt.value)
+            for od in update.added
+            for odt in od.tuples
         }
         return self.probes(session) - before, len(distinct)
 
