@@ -117,6 +117,7 @@ CONTAINER_MUTATORS = frozenset(
         "remove",
         "discard",
         "setdefault",
+        "merge",
         "merge_from",
         "sort",
         "reverse",

@@ -23,10 +23,11 @@ class LintConfig:
     shared_classes: frozenset[str] = frozenset(
         {
             "CorpusIndex",
-            # The similar-value index and the gram state a frozen index
-            # serves from.
+            # The term state a frozen index serves to lock-free readers,
+            # and the similar-value indexes it holds: the no-live-escape
+            # contract applies verbatim.
+            "IndexPartial",
             "QGramIndex",
-            "DictValueState",
             "DetectionSession",
             "DogmatixSimilarity",
             "ObjectFilter",
@@ -34,10 +35,6 @@ class LintConfig:
             "SessionEntry",
             "ReadWriteLock",
             "IndexStore",
-            # The term state: frozen indexes read through it from
-            # lock-free readers, so the no-live-escape contract applies
-            # verbatim.
-            "DictTermState",
             # Parsed trees: a served ``match()`` reads paths and
             # children of corpus elements from every reader thread.
             "Element",
@@ -47,8 +44,8 @@ class LintConfig:
 
     #: Classes pinned read-only after build (``freeze()``/``thaw()``
     #: seam).  RPR003 restricts state mutation to the sanctioned
-    #: writer set below.  The states it holds (``DictTermState``,
-    #: ``DictValueState``) stay out: the index that owns them enforces
+    #: writer set below.  The state it holds (``IndexPartial`` and its
+    #: ``QGramIndex`` values) stays out: the index that owns it enforces
     #: the pin.
     frozen_classes: frozenset[str] = frozenset({"CorpusIndex"})
 
@@ -78,7 +75,6 @@ class LintConfig:
         "repro.api",
         "repro.ingest",
         "repro.serve",
-        "repro.strings.value_index",
         "repro.strings.qgram",
     )
 
@@ -120,7 +116,6 @@ class LintConfig:
         "repro.xmlkit",
         "repro.ingest.store",
         "repro.engine.policy",
-        "repro.engine.batcher",
         "repro.engine.executor",
     )
 

@@ -20,12 +20,11 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
+from .._lazy import resolve
 from ..core.config import DogmatixConfig
-from ..core.encodings import require_dict_encoding
 from ..core.source import Source
 from ..engine.policy import DEFAULT_BATCH_SIZE, ExecutionPolicy
 from ..framework.mapping import TypeMapping, mapping_from_xml
-from ..strings.value_index import require_qgram_strategy
 from ..xmlkit.parser import parse_file
 from .registries import SEMANTICS, condition_from_spec, heuristic_from_spec
 
@@ -104,10 +103,13 @@ class RunSpec:
         SEMANTICS.get(self.similar_semantics)
         if self.similarity_strategy == "signature":
             self.similarity_strategy = "qgram"
+        # resolved here: importing the spec loads no index code
         if self.similarity_strategy is not None:
-            require_qgram_strategy(self.similarity_strategy)
+            resolve("repro.strings.qgram:require_qgram_strategy")(
+                self.similarity_strategy
+            )
         if self.index_encoding is not None:
-            require_dict_encoding(self.index_encoding)
+            resolve("repro.core.index:require_dict_encoding")(self.index_encoding)
         if self.backend not in (None, "serial", "process"):
             raise LookupError(
                 f"unknown backend {self.backend!r}; known: serial, process "

@@ -25,7 +25,6 @@ __all__ = lazy_exports(
         "DogmatixConfig": "config",
         "DogmatixClassifierFactory": "dogmatix",
         "Source": "source",
-        "DictTermState": "encodings",
         "CombinedHeuristic": "heuristics",
         "Heuristic": "heuristics",
         "KClosestDescendants": "heuristics",

@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING, Optional
 
 from .._lazy import resolve
 from ..engine.policy import ExecutionPolicy
-from ..strings.value_index import require_qgram_strategy
-from .encodings import require_dict_encoding
 from .heuristics import Heuristic, KClosestDescendants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,8 +79,11 @@ class DogmatixConfig:
                 f"similar_semantics must be 'matching' or 'all-pairs', "
                 f"got {self.similar_semantics!r}"
             )
-        require_qgram_strategy(self.similarity_strategy)
-        require_dict_encoding(self.index_encoding)
+        # resolved here: importing the config loads no index code
+        resolve("repro.strings.qgram:require_qgram_strategy")(
+            self.similarity_strategy
+        )
+        resolve("repro.core.index:require_dict_encoding")(self.index_encoding)
 
     @property
     def selector(self) -> DescriptionSelector:

@@ -16,6 +16,12 @@ of typed information — the same value under two XPaths of the same
 real-world type (e.g. ``movie/title`` vs. ``film/title``) is one term.
 Similar-value groups are computed per comparison key with a q-gram
 index and memoized.
+
+The index keeps its term state in one :class:`IndexPartial` — the
+structure an ingest worker builds and a delta ``extend()`` folds in —
+and reads its dicts directly; :meth:`IndexPartial.merge` is the one
+fold.  ``freeze()`` / ``thaw()`` only flip the read-only pin: a frozen
+index reads the state it was built in.
 """
 
 from __future__ import annotations
@@ -26,9 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..framework.mapping import TypeMapping
 from ..framework.od import ObjectDescription
-from ..strings.qgram import QGramIndex
-from ..strings.value_index import require_qgram_strategy
-from .encodings import DictTermState, require_dict_encoding
+from ..strings.qgram import QGramIndex, require_qgram_strategy
 
 #: Gram length of every value index the library builds; nothing above
 #: the index constructors selects another.
@@ -39,6 +43,28 @@ DEFAULT_Q = 2
 #: is dropped wholesale beyond that, so a daemon's memory does not grow
 #: with the distinct values clients post.
 _FOREIGN_CACHE_SIZE = 4096
+
+
+def require_dict_encoding(encoding: object) -> None:
+    """Raise ``ValueError`` unless ``encoding`` is ``"dict"``.
+
+    The compact encoding was removed; the ``encoding`` / ``index_encoding``
+    names that remain accept only the one index representation.
+    """
+    if encoding != "dict":
+        raise ValueError(
+            f"index encoding {encoding!r} is not available: the compact "
+            "index encoding was removed and 'dict' is the only value"
+        )
+
+
+def set_union_size(left, right) -> int:
+    """``|left ∪ right|`` without materializing the union set:
+    membership-count the smaller side against the larger instead of
+    allocating ``left | right`` just to take its length."""
+    if len(left) < len(right):
+        left, right = right, left
+    return len(left) + sum(1 for item in right if item not in left)
 
 
 @dataclass
@@ -53,8 +79,9 @@ class IndexPartial:
     those of a serial build over the union; only internal value
     insertion order can differ — pinned by the merge-associativity fuzz
     suite in ``tests/test_ingest_merge.py``).  The same structure is
-    the delta :meth:`CorpusIndex.merge_partial` folds into a *live*
-    index for incremental ingestion.
+    the term state a :class:`CorpusIndex` keeps, and the delta
+    :meth:`CorpusIndex.merge_partial` folds into it for incremental
+    ingestion.
 
     The object ids of the merged partials must be pairwise disjoint
     (each object described by exactly one partial) — the same contract
@@ -106,49 +133,43 @@ class IndexPartial:
         return partial
 
     def merge(self, other: "IndexPartial") -> "IndexPartial":
-        """Fold another partial into this one (in place); returns self."""
+        """Fold another partial into this one (in place); returns self.
+
+        The one merge implementation: :meth:`CorpusIndex.merge_partial`
+        folds a delta into the index's own partial through it.  The
+        incoming partial's sets and gram counters are copied, never
+        aliased, so later folds into this partial cannot mutate
+        ``other``.
+        """
         if other.q != self.q:
             raise ValueError(
                 f"cannot merge a q={other.q} partial into a q={self.q} partial"
             )
+        # repro: allow[RPR004] only the sanctioned writer merges into a
+        # served partial: CorpusIndex.merge_partial, which raises when
+        # frozen and runs behind the session writer lock
         self.total_objects += other.total_objects
-        _fold_term_state(
-            self.occurrences, self.objects_by_key, self.value_indexes, other
-        )
+        occurrences = self.occurrences
+        for term, ids in other.occurrences.items():
+            found = occurrences.get(term)
+            if found is None:
+                occurrences[term] = set(ids)
+            else:
+                found |= ids
+        objects_by_key = self.objects_by_key
+        for key, ids in other.objects_by_key.items():
+            by_key = objects_by_key.get(key)
+            if by_key is None:
+                objects_by_key[key] = set(ids)
+            else:
+                by_key |= ids
+        value_indexes = self.value_indexes
+        for key, value_index in other.value_indexes.items():
+            index = value_indexes.get(key)
+            if index is None:
+                index = value_indexes[key] = QGramIndex(q=value_index.q)
+            index.merge_from(value_index)
         return self
-
-
-def _fold_term_state(
-    occurrences: dict[tuple[str, str], set[int]],
-    objects_by_key: dict[str, set[int]],
-    value_indexes: dict[str, QGramIndex],
-    other: IndexPartial,
-) -> None:
-    """Fold a partial's term state into target mappings.
-
-    The one merge implementation behind both :meth:`IndexPartial.merge`
-    and :meth:`CorpusIndex.merge_partial` — the subtle part of the
-    algebra (set unions plus gram-counter grafting) must not exist
-    twice.  The incoming partial's sets are copied, never aliased, so
-    later folds into the target cannot mutate ``other``.
-    """
-    for term, ids in other.occurrences.items():
-        found = occurrences.get(term)
-        if found is None:
-            occurrences[term] = set(ids)
-        else:
-            found |= ids
-    for key, ids in other.objects_by_key.items():
-        by_key = objects_by_key.get(key)
-        if by_key is None:
-            objects_by_key[key] = set(ids)
-        else:
-            by_key |= ids
-    for key, value_index in other.value_indexes.items():
-        index = value_indexes.get(key)
-        if index is None:
-            index = value_indexes[key] = QGramIndex(q=value_index.q)
-        index.merge_from(value_index)
 
 
 class CorpusIndex:
@@ -169,13 +190,14 @@ class CorpusIndex:
         require_dict_encoding(encoding)
         self.mapping = mapping
         self.theta_tuple = theta_tuple
-        self.total_objects = 0
-        #: The occurrence state every read goes through: (key, value) ->
-        #: object ids and key -> object ids.
-        self._terms = DictTermState()
-        #: key -> similar-value index over the distinct values of that kind
-        self._value_indexes: dict[str, QGramIndex] = {}
-        self.q = q
+        #: The term state every read goes through: (key, value) -> object
+        #: ids, key -> object ids, and key -> similar-value index over the
+        #: distinct values of that kind.  One tuple-scan implementation
+        #: for every construction path: the serial build is the
+        #: single-partial case of the merge, so serial/parallel/delta
+        #: parity holds by construction.  Nobody else holds this
+        #: partial, so it is adopted, not copied.
+        self._state = IndexPartial.from_ods(ods, mapping, q=q)
         #: Always ``"qgram"``: the one similar-value index.
         self.strategy = strategy
         #: Always ``"dict"``: the one index representation.
@@ -193,16 +215,15 @@ class CorpusIndex:
         #: read-only-after-build pin; see :meth:`freeze`
         self._frozen = False
 
-        # One tuple-scan implementation for every construction path:
-        # the serial build is the single-partial case of the merge, so
-        # serial/parallel/delta parity holds by construction.  Nobody
-        # else holds this partial, so its state is adopted, not copied.
-        if ods:
-            partial = IndexPartial.from_ods(ods, mapping, q=q)
-            self.total_objects = partial.total_objects
-            self._terms.occurrences = partial.occurrences
-            self._terms.objects_by_key = partial.objects_by_key
-            self._value_indexes = partial.value_indexes
+    @property
+    def total_objects(self) -> int:
+        """|Ω|: the number of objects indexed."""
+        return self._state.total_objects
+
+    @property
+    def q(self) -> int:
+        """Gram length of every value index."""
+        return self._state.q
 
     # ------------------------------------------------------------------
     # Mergeable construction
@@ -220,7 +241,8 @@ class CorpusIndex:
         objects: occurrence sets, per-kind object sets, and the
         distinct-value sets behind similar-value search are exactly the
         serial build's, whatever partition and merge order produced
-        ``partial``.
+        ``partial``.  The partial is copied in, never adopted: it stays
+        the caller's to change.
         """
         index = cls((), mapping, theta_tuple, q=partial.q)
         index.merge_partial(partial)
@@ -254,16 +276,7 @@ class CorpusIndex:
                 "it through DetectionSession.extend(), which thaws the "
                 "index behind its writer lock"
             )
-        if partial.q != self.q:
-            raise ValueError(
-                f"cannot merge a q={partial.q} partial into a q={self.q} index"
-            )
-        # repro: allow[RPR004] sanctioned writer: raises above when
-        # frozen, and runs single-threaded (construction) or behind the
-        # session writer lock (extend) — never concurrently with itself
-        self.total_objects += partial.total_objects
-        terms = self._terms
-        live = self._value_indexes
+        live = self._state.value_indexes
         memo = self._similar_cache
         added = [
             (key, value)
@@ -271,7 +284,7 @@ class CorpusIndex:
             for value in incoming.values
             if value not in live.get(key, ())
         ] if memo else []
-        _fold_term_state(terms.occurrences, terms.objects_by_key, live, partial)
+        self._state.merge(partial)
         self._foreign_cache = {}
         for key, value in added:
             for query in self.similar_values(key, value):
@@ -327,15 +340,16 @@ class CorpusIndex:
         Returned as a frozenset snapshot — the live internal sets must
         not leak, or callers could mutate the index.
         """
-        return frozenset(self._terms.occurrence_row(key, value))
+        return frozenset(self._state.occurrences.get((key, value), ()))
 
     def objects_with_key(self, key: str) -> frozenset[int]:
         """Ids of objects that specify any data of this kind (snapshot)."""
-        return frozenset(self._terms.key_row(key))
+        return frozenset(self._state.objects_by_key.get(key, ()))
 
     def key_elsewhere(self, key: str, object_id: int) -> bool:
         """``bool(objects_with_key(key) - {object_id})``, without the copy."""
-        return self._terms.key_elsewhere(key, object_id)
+        row = self._state.objects_by_key.get(key, ())
+        return len(row) > (object_id in row)  # more holders than itself
 
     def pair_idf(self, key_i: str, value_i: str, key_j: str, value_j: str) -> float:
         """Memoized softIDF of a term pair (Definition 8).
@@ -351,14 +365,19 @@ class CorpusIndex:
         cached = self._pair_idf_cache.get(cache_key)
         if cached is not None:
             return cached
+        occurrences = self._state.occurrences
         denominator = max(
-            1, self._terms.union_cardinality(key_i, value_i, key_j, value_j)
+            1,
+            set_union_size(
+                occurrences.get((key_i, value_i), ()),
+                occurrences.get((key_j, value_j), ()),
+            ),
         )
         total = max(self.total_objects, denominator)
         value = math.log(total / denominator)
         # Memoized only between terms of the corpus: pairs with a
         # foreign match() value are as many as clients care to post.
-        held = self._value_indexes
+        held = self._state.value_indexes
         if value_i in held.get(key_i, ()) and value_j in held.get(key_j, ()):
             self._pair_idf_cache[cache_key] = value
         return value
@@ -380,7 +399,7 @@ class CorpusIndex:
         cached = self._similar_cache.get(term) or self._foreign_cache.get(term)
         if cached is not None:
             return cached
-        index = self._value_indexes.get(key)
+        index = self._state.value_indexes.get(key)
         result = tuple(index.search(value, self.theta_tuple)) if index else ()
         if value in result:  # a search returns its query iff indexed
             self._similar_cache[term] = result
@@ -404,7 +423,7 @@ class CorpusIndex:
         group = memo.get((key, a))
         if group is not None and (key, b) in memo:
             return b in group
-        held = self._value_indexes.get(key, ())
+        held = self._state.value_indexes.get(key, ())
         if b in held:
             return b in self.similar_values(key, a)
         if a in held:
@@ -416,7 +435,10 @@ class CorpusIndex:
     ) -> set[int]:
         """Ids of objects holding a tuple of kind ``key`` whose value is
         similar to ``value``; optionally excluding one object id."""
-        found = self._terms.union_rows(key, self.similar_values(key, value))
+        found: set[int] = set()
+        occurrences = self._state.occurrences
+        for similar in self.similar_values(key, value):
+            found.update(occurrences.get((key, similar), ()))
         if exclude is not None:
             found.discard(exclude)
         return found
@@ -439,7 +461,7 @@ class CorpusIndex:
 
         Term *order* (insertion order) is non-contractual.
         """
-        return self._terms.block_terms()
+        return tuple(self._state.occurrences)
 
     def block_members(self, term: tuple[str, str]) -> set[int]:
         """Ids of the objects in the ``(key, value)`` term's block.
@@ -480,12 +502,13 @@ class CorpusIndex:
         cached = self._statistics_cache
         if cached is not None:
             return dict(cached)
+        state = self._state
         stats = {
-            "objects": self.total_objects,
-            "terms": len(self._terms),
-            "kinds": len(self._value_indexes),
+            "objects": state.total_objects,
+            "terms": len(state.occurrences),
+            "kinds": len(state.value_indexes),
             "distinct_values": sum(
-                len(index) for index in self._value_indexes.values()
+                len(index) for index in state.value_indexes.values()
             ),
         }
         if self._frozen:

@@ -1,9 +1,11 @@
 """Batched pair classification across workers (pipeline steps 4+5).
 
 The :class:`ParallelClassifier` executes the classification of candidate
-pairs over the batches a :class:`~repro.engine.batcher.PairBatcher`
-produces.  The worker count picks one of two backends, and both share
-the scoring code path:
+pairs in fixed-size batches: :func:`chunked` cuts the pair source's
+stream into lists of ``batch_size`` ``(left, right)`` id pairs in the
+source's order, so concatenating per-batch results reproduces the
+serial pair order exactly.  The worker count picks one of two backends,
+and both share the scoring code path:
 
 * **serial** — batches are classified in-process; this is the
   zero-dependency fallback and, by construction, the ``workers=1`` case
@@ -41,14 +43,13 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .._lazy import resolve
 from ..framework.classifier import Classifier, DUPLICATES, POSSIBLE_DUPLICATES
 from ..framework.od import ObjectDescription
 from ..framework.pruning import PairSource
 from ..framework.result import ScoredPair
-from .batcher import PairBatcher
 from .policy import ExecutionPolicy
 
 # What only a parallel run needs, resolved when one dispatches: a serial
@@ -58,6 +59,22 @@ _POOL = "repro.engine.pool"
 #: ``factory(ods) -> classifier``; must be picklable for the process
 #: backend (module-level callables and frozen dataclasses qualify).
 ClassifierFactory = Callable[[Sequence[ObjectDescription]], Classifier]
+
+T = TypeVar("T")
+
+
+def chunked(items: Iterable[T], size: int) -> Iterator[list[T]]:
+    """Split any iterable into lists of at most ``size`` items."""
+    if size < 1:
+        raise ValueError(f"chunk size must be >= 1, got {size}")
+    batch: list[T] = []
+    for item in items:
+        batch.append(item)
+        if len(batch) >= size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def score_batch(
@@ -174,7 +191,7 @@ class ParallelClassifier:
         the source's pair order under both backends.
         """
         self.last_reason = None
-        batcher = PairBatcher(self.policy.batch_size)
+        batch_size = self.policy.batch_size
         if self.policy.parallel:
             picklable = resolve(f"{_POOL}:picklable")
             try:
@@ -183,12 +200,14 @@ class ParallelClassifier:
                 )
                 if picklable(factory):
                     return self._run_process(
-                        ods, batcher.batches(pair_source, ods), factory
+                        ods, chunked(pair_source.pairs(ods), batch_size), factory
                     )
                 self.last_reason = "unpicklable classifier factory"
             except resolve(f"{_POOL}:PoolBroken") as failure:
                 self.last_reason = str(failure)
-        return self._run_serial(ods, batcher.batches(pair_source, ods))
+        # A fresh stream: a broken pool may have drained part of the
+        # first, and a source resets its state per enumeration.
+        return self._run_serial(ods, chunked(pair_source.pairs(ods), batch_size))
 
     # ------------------------------------------------------------------
     def _run_serial(

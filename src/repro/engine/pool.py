@@ -56,8 +56,9 @@ class WorkerPool:
 
         At most :attr:`window` tasks are in flight: the next task is
         taken from ``tasks`` only as a result is handed out, so a lazy
-        stream (a :class:`~repro.engine.batcher.PairBatcher`'s batches)
-        runs a bounded distance ahead of the workers, never to its end.
+        stream (the pair batches of
+        :class:`~repro.engine.executor.ParallelClassifier`) runs a
+        bounded distance ahead of the workers, never to its end.
         """
         tasks = iter(tasks)
         submit = self._executor.submit

@@ -414,13 +414,16 @@ class IndexStore:
             return None
 
     def resolve_digest(self, prefix: str) -> Optional[str]:
-        """Expand a digest prefix to the unique stored digest, if any."""
+        """Expand a digest prefix to the unique stored digest, if any.
+
+        The prefix is compared as text, never built into a glob
+        pattern: it comes from clients (a daemon route), and ``*`` or
+        ``[0-9a-f]`` must match no digest rather than every one.
+        """
         if not prefix or not self.root.is_dir():
             return None
-        matches = {
-            path.name[: -len(_SUFFIX)]
-            for path in self.root.glob(f"{prefix}*{_SUFFIX}")
-        }
+        stored = (path.name[: -len(_SUFFIX)] for path in self.root.glob(f"*{_SUFFIX}"))
+        matches = {digest for digest in stored if digest.startswith(prefix)}
         return matches.pop() if len(matches) == 1 else None
 
 

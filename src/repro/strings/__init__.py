@@ -27,9 +27,9 @@ __all__ = lazy_exports(
         "within_normalized": "levenshtein",
         "QGramIndex": "qgram",
         "make_value_index": "qgram",
+        "qgrams": "qgram",
         "normalize": "tokenize",
         "overlap": "tokenize",
         "tokens": "tokenize",
-        "qgrams": "value_index",
     },
 )

@@ -329,15 +329,33 @@ class TestFrozenIndexDiscipline:
         assert codes(findings) == ["RPR003"]
         assert findings[0].symbol == "Widget.grow"
 
+    def test_fires_on_a_merge_into_the_state_outside_the_writers(self):
+        # The index's one term-state write is ``self._state.merge(...)``
+        # inside merge_partial; the same call anywhere else is a finding.
+        from repro.analysis.config import DEFAULT_CONFIG
+
+        findings = run(
+            FrozenIndexDiscipline(),
+            """
+            class CorpusIndex:
+                def sneaky(self, p):
+                    self._state.merge(p)
+            """,
+            module="repro.core.index",
+            config=DEFAULT_CONFIG,
+        )
+        assert codes(findings) == ["RPR003"]
+        assert findings[0].symbol == "CorpusIndex.sneaky"
+
 
 # ----------------------------------------------------------------------
 # Default binding: the index-state classes carry the contracts
 # ----------------------------------------------------------------------
 class TestIndexStateBinding:
-    """The default LintConfig binds every state a frozen index reads
-    through — and the value-index shell above the gram state — to the
-    shared/frozen contracts, so `lint src/` (pinned clean by
-    test_lint_clean.py) actually checks them."""
+    """The default LintConfig binds the state a frozen index reads —
+    its partial and the value indexes in it — to the shared/frozen
+    contracts, so `lint src/` (pinned clean by test_lint_clean.py)
+    actually checks them."""
 
     def test_the_index_is_the_one_frozen_class(self):
         from repro.analysis.config import DEFAULT_CONFIG
@@ -345,14 +363,14 @@ class TestIndexStateBinding:
         assert DEFAULT_CONFIG.frozen_classes == {"CorpusIndex"}
         assert "CorpusIndex" in DEFAULT_CONFIG.shared_classes
 
-    def test_dict_states_and_value_index_are_shared_not_frozen(self):
+    def test_the_term_state_and_value_index_are_shared_not_frozen(self):
         from repro.analysis.config import DEFAULT_CONFIG
 
-        # A frozen index serves lock-free readers from the dict states,
-        # and the counters live in the value index; the dict states are
-        # the writable ones, so the pin is their owner's.
-        writable = {"DictTermState", "DictValueState"}
-        assert writable | {"QGramIndex"} <= DEFAULT_CONFIG.shared_classes
+        # A frozen index serves lock-free readers from its partial and
+        # the value indexes in it; both are writable, so the pin is
+        # their owner's.
+        writable = {"IndexPartial", "QGramIndex"}
+        assert writable <= DEFAULT_CONFIG.shared_classes
         assert not writable & DEFAULT_CONFIG.frozen_classes
 
     def test_lazily_filled_read_path_objects_are_shared(self):
@@ -366,7 +384,7 @@ class TestIndexStateBinding:
         from repro.analysis.config import DEFAULT_CONFIG
 
         assert "_statistics_cache" in DEFAULT_CONFIG.frozen_memo_attrs
-        assert "repro.strings.value_index" in DEFAULT_CONFIG.parity_modules
+        assert "repro.strings.qgram" in DEFAULT_CONFIG.parity_modules
 
 
 # ----------------------------------------------------------------------

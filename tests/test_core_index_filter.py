@@ -310,13 +310,13 @@ class TestKindElsewhere:
         expected = [first.decide(od) for od in session.ods]
 
         copies: list[str] = []
-        key_row = type(index._terms).key_row
+        objects_with_key = CorpusIndex.objects_with_key
 
-        def counting_key_row(self, key):
+        def counting_objects_with_key(self, key):
             copies.append(key)
-            return key_row(self, key)
+            return objects_with_key(self, key)
 
-        monkeypatch.setattr(type(index._terms), "key_row", counting_key_row)
+        monkeypatch.setattr(CorpusIndex, "objects_with_key", counting_objects_with_key)
         warm = ObjectFilter(index, 0.55)
         assert [warm.decide(od) for od in session.ods] == expected
         assert copies == []

@@ -29,7 +29,6 @@ from repro.datagen import (
 from repro.engine import (
     ConstantClassifierFactory,
     ExecutionPolicy,
-    PairBatcher,
     ParallelClassifier,
     chunked,
 )
@@ -124,23 +123,12 @@ class TestExecutionPolicy:
 
 
 # ----------------------------------------------------------------------
-# PairBatcher
+# chunked: the batches ParallelClassifier cuts the pair stream into
 # ----------------------------------------------------------------------
-class TestPairBatcher:
-    def test_batches_preserve_order_and_sizes(self):
-        ods = [od_from_pairs(i, [("v", "/r/a")]) for i in range(6)]
-        batches = list(PairBatcher(batch_size=4).batches(NoPruning(), ods))
-        flat = [pair for batch in batches for pair in batch]
-        assert flat == list(NoPruning().pairs(ods))
-        assert all(len(batch) <= 4 for batch in batches)
-        assert all(len(batch) == 4 for batch in batches[:-1])
-
-    def test_empty_source_yields_no_batches(self):
-        assert list(PairBatcher().batches(NoPruning(), [])) == []
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            PairBatcher(batch_size=0)
+class TestChunked:
+    def test_chunk_size_validated(self):
+        with pytest.raises(ValueError, match="chunk size"):
+            list(chunked([(0, 1)], 0))
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -59,13 +59,12 @@ SESSION = modules(
     """
     ._lazy
     .api .api.corpus .api.registries .api.session .api.spec
-    .core .core.config .core.encodings .core.heuristics .core.index
+    .core .core.config .core.heuristics .core.index
     .core.matching .core.object_filter .core.similarity .core.softidf
     .core.source
     .engine .engine.policy
     .framework .framework.classifier .framework.mapping .framework.od
     .strings .strings.bounds .strings.levenshtein .strings.qgram
-    .strings.value_index
     .xmlkit .xmlkit.parser .xmlkit.tokens .xmlkit.tree
     """
 )
@@ -82,7 +81,7 @@ COLD_OPEN = modules(
 DETECT = modules(
     """
     .api.batch .core.dogmatix
-    .engine.batcher .engine.executor
+    .engine.executor
     .framework.candidates .framework.clustering .framework.pipeline
     .framework.pruning .framework.result
     """

@@ -33,7 +33,7 @@ import pytest
 from reference.naive_index import NaiveIndex, ned
 from test_backend_equivalence import SEEDS, SHAPES, random_corpus
 
-from repro.core.encodings import set_union_size
+from repro.core.index import set_union_size
 from repro.core.index import CorpusIndex, IndexPartial
 from repro.framework import TypeMapping, od_from_pairs
 from repro.strings import QGramIndex
@@ -335,8 +335,8 @@ def test_merge_from_copies_gram_counters():
     source = _build(["dogmatix"])
     target = QGramIndex(q=2)
     target.merge_from(source)
-    assert target._state.counter(0) is not source._state.counter(0)
-    source._state.counter(0).clear()  # the source partial stays live
+    assert target._grams[0] is not source._grams[0]
+    source._grams[0].clear()  # the source partial stays live
     assert target.search("dogmatixx", 0.2) == ["dogmatix"]
 
 
@@ -397,15 +397,16 @@ def test_freeze_and_thaw_only_flip_the_pin():
     the same state, not a copy of it."""
     ods = random_corpus(SEEDS[1], "dupes")
     index = CorpusIndex(ods, TypeMapping(), THETA_TUPLE)
-    terms, value_states = index._terms, {
-        key: value_index._state for key, value_index in index._value_indexes.items()
+    state, grams = index._state, {
+        key: value_index._grams
+        for key, value_index in index._state.value_indexes.items()
     }
     for step in (index.freeze, index.thaw, index.freeze):
         step()
-        assert index._terms is terms
-        assert {
-            key: value_index._state
-            for key, value_index in index._value_indexes.items()
-        } == value_states
+        assert index._state is state
+        assert all(
+            index._state.value_indexes[key]._grams is held
+            for key, held in grams.items()
+        )
     with pytest.raises(RuntimeError, match="frozen"):
         index.merge_partial(IndexPartial())

@@ -167,3 +167,56 @@ class TestMergedIndexDownstream:
         live.merge_partial(IndexPartial.from_ods(delta, mapping))
         serial = CorpusIndex(ods, mapping, THETA_TUPLE)
         assert observable_state(live) == observable_state(serial)
+
+
+class TestTheFoldNeverAliases:
+    """An index copies what it folds in: the caller's partial — the one
+    handed to ``from_partial`` or the delta handed to ``merge_partial``
+    — stays the caller's, and changing it afterwards changes no read."""
+
+    @staticmethod
+    def reads(index: CorpusIndex, terms) -> dict:
+        return {
+            "objects": index.total_objects,
+            "occurrences": {term: index.occurrences(*term) for term in terms},
+            "similar": {term: index.similar_values(*term) for term in terms},
+            "statistics": index.statistics(),
+        }
+
+    @staticmethod
+    def tamper(partial: IndexPartial, extra, mapping) -> None:
+        term = next(iter(partial.occurrences))
+        partial.occurrences[term].add(10_000)
+        key = next(iter(partial.objects_by_key))
+        partial.objects_by_key[key].add(10_000)
+        partial.merge(IndexPartial.from_ods(extra, mapping))
+        for value_index in partial.value_indexes.values():
+            value_index._grams[0].clear()
+
+    def thirds(self, seed):
+        ods = random_corpus(seed, "dupes")
+        third = len(ods) // 3
+        return ods[:third], ods[third : 2 * third], ods[2 * third :]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_from_partial_copies_the_callers_partial(self, seed):
+        mapping = TypeMapping()
+        base, _, extra = self.thirds(seed)
+        partial = IndexPartial.from_ods(base, mapping)
+        index = CorpusIndex.from_partial(partial, mapping, THETA_TUPLE)
+        self.tamper(partial, extra, mapping)
+        serial = CorpusIndex(base, mapping, THETA_TUPLE)
+        terms = sorted(serial.block_terms())
+        assert self.reads(index, terms) == self.reads(serial, terms)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_merge_partial_copies_the_delta(self, seed):
+        mapping = TypeMapping()
+        base, added, extra = self.thirds(seed)
+        live = CorpusIndex(base, mapping, THETA_TUPLE)
+        delta = IndexPartial.from_ods(added, mapping)
+        live.merge_partial(delta)
+        self.tamper(delta, extra, mapping)
+        serial = CorpusIndex(base + added, mapping, THETA_TUPLE)
+        terms = sorted(serial.block_terms())
+        assert self.reads(live, terms) == self.reads(serial, terms)

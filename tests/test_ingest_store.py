@@ -338,6 +338,16 @@ class TestManifestCatalog:
         assert store.resolve_digest(digest) == digest
         assert store.resolve_digest("not-a-digest") is None
 
+    def test_resolve_digest_matches_text_not_patterns(self, example_dir, tmp_path):
+        """A client's prefix is never a glob: ``*`` raised from inside
+        ``Path.glob`` and ``[0-9a-f]`` matched every digest."""
+        spec = example_spec(example_dir)
+        store = IndexStore(tmp_path / "store")
+        digest = store.save(spec, spec.build_session())
+        for pattern in ("*", "[0-9a-f]", "[!z]"):
+            assert store.resolve_digest(pattern) is None, pattern
+        assert store.resolve_digest(digest[:6]) == digest
+
 
 # ----------------------------------------------------------------------
 # Format 3: trees as structural records, ODs by document-order rank
@@ -730,7 +740,7 @@ def compact_index_section(index) -> dict:
     """The ``index`` section a compact session added to its format-3
     snapshot: interned string tables, packed term codes and posting
     arrays, and per kind the value index's frozen gram rows."""
-    occurrences = index._terms.occurrences
+    occurrences = index._state.occurrences
     keys = sorted({key for key, _ in occurrences})
     values = sorted({value for _, value in occurrences})
     terms = sorted(
@@ -738,10 +748,10 @@ def compact_index_section(index) -> dict:
         for (key, value), ids in occurrences.items()
     )
     value_indexes = []
-    for key in sorted(index._value_indexes):
-        value_index = index._value_indexes[key]
+    for key in sorted(index._state.value_indexes):
+        value_index = index._state.value_indexes[key]
         held = value_index.values
-        grams = [value_index._state.counter(i) for i in range(len(held))]
+        grams = value_index._grams
         vocabulary = sorted({gram for counter in grams for gram in counter})
         rows = [sorted((vocabulary.index(g), n) for g, n in c.items()) for c in grams]
         lengths = sorted({len(value) for value in held})

@@ -152,7 +152,7 @@ def _oracle_similarity(self, od_i, od_j):
 
 
 def _search_counts(session: DetectionSession) -> tuple[int, int]:
-    indexes = session.index._value_indexes.values()
+    indexes = session.index._state.value_indexes.values()
     return (
         sum(index.probes for index in indexes),
         sum(index.verifications for index in indexes),

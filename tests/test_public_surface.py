@@ -63,7 +63,7 @@ PUBLIC_ALL = {
         "repro.core": """
             CandidateSuggestion CombinedCondition CombinedHeuristic
             Condition CorpusIndex DescriptionSelector
-            DictTermState DogmatixClassifierFactory DogmatixConfig
+            DogmatixClassifierFactory DogmatixConfig
             DogmatixSimilarity FilterDecision Heuristic
             IndexPartial KClosestDescendants ObjectFilter
             RDistantAncestors RDistantDescendants Source TupleMatching
@@ -84,7 +84,7 @@ PUBLIC_ALL = {
         """,
         "repro.engine": """
             ClassifierFactory ConstantClassifierFactory DEFAULT_BATCH_SIZE
-            ExecutionPolicy PairBatcher ParallelClassifier bare_ods chunked
+            ExecutionPolicy ParallelClassifier bare_ods chunked
             score_batch
         """,
         "repro.eval": """

@@ -331,6 +331,16 @@ class TestMatch:
             served.client.match("f" * 64, object_id=0)
         assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize("prefix", ["*", "[0-9a-f]"])
+    def test_match_by_a_pattern_prefix_404(self, served, prefix):
+        """A digest prefix is text: a glob pattern matches no corpus
+        (``*`` was a 500, ``[0-9a-f]`` answered for the stored one)."""
+        with pytest.raises(ServeError) as excinfo:
+            served.client._request(
+                "GET", f"/corpora/{prefix}/match?object_id=0"
+            )
+        assert excinfo.value.status == 404
+
     def test_match_needs_a_target(self, served):
         with pytest.raises(ServeError) as excinfo:
             served.client._request(

@@ -129,8 +129,7 @@ def brute_overlaps(values: list[str], query: str, q: int) -> dict[int, int]:
 
 
 def accumulated(index: QGramIndex, query: str) -> dict[int, int]:
-    state = index._state
-    return dict(state.accumulate(state.query_pairs(Counter(qgrams(query, index.q)))))
+    return dict(index._scan_count(Counter(qgrams(query, index.q))))
 
 
 #: Two-letter alphabet: nearly every gram repeats inside a value.

@@ -97,14 +97,6 @@ class TestQGramIndex:
             }
             assert set(index.search(query, threshold)) == expected
 
-    def test_similarity_groups(self):
-        index = QGramIndex()
-        for value in ("night", "night", "day"):
-            index.add(value)
-        groups = index.similarity_groups(0.3)
-        assert set(groups["night"]) == {"night", "night"}
-        assert groups["day"] == ["day"]
-
     def test_statistics_counted(self):
         index = QGramIndex()
         index.add("abcdef")

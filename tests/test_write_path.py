@@ -64,7 +64,7 @@ def grow(index: CorpusIndex, delta, mapping) -> None:
 
 
 def fresh_search(index: CorpusIndex, key: str, query: str) -> tuple[str, ...]:
-    value_index = index._value_indexes.get(key)
+    value_index = index._state.value_indexes.get(key)
     if value_index is None:
         return ()
     return tuple(value_index.search(query, index.theta_tuple))
@@ -418,7 +418,7 @@ class TestWriteCostsWhatItChanges:
     def probes(session: DetectionSession) -> int:
         return sum(
             value_index.probes
-            for value_index in session.index._value_indexes.values()
+            for value_index in session.index._state.value_indexes.values()
         )
 
     def write_probes(self, base_count: int) -> tuple[int, int]:
