@@ -581,19 +581,29 @@ def _command_example(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "dedup":
-        return _command_dedup(args, parser)
-    if args.command == "match":
-        return _command_match(args, parser)
-    if args.command == "index":
-        return _command_index(args, parser)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "lint":
-        return _command_lint(args)
-    if args.command == "suggest":
-        return _command_suggest(args)
-    return _command_example(args)
+    try:
+        if args.command == "dedup":
+            return _command_dedup(args, parser)
+        if args.command == "match":
+            return _command_match(args, parser)
+        if args.command == "index":
+            return _command_index(args, parser)
+        if args.command == "serve":
+            return _command_serve(args)
+        if args.command == "lint":
+            return _command_lint(args)
+        if args.command == "suggest":
+            return _command_suggest(args)
+        return _command_example(args)
+    except Exception as exc:
+        # Malformed input XML: one line naming the file, no traceback.
+        # Imported here, so that starting the CLI loads no xmlkit.
+        from .xmlkit.tree import XMLError
+
+        if not isinstance(exc, XMLError):
+            raise
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -26,7 +26,7 @@ steps 1-3.  Snapshots are
 **Format 3** holds a session in the shape the loader needs.  A document
 is the tree's structural record (:func:`repro.xmlkit.document_record`),
 which ``json.loads`` builds in C and one pass turns into elements: a
-warm open tokenizes no XML, and ``content`` survives item for item.  An
+warm open parses no XML, and ``content`` survives item for item.  An
 OD is ``id``, ``tuples`` and — when it has an element — ``doc`` +
 ``node``, the source index and the element's document-order rank.
 

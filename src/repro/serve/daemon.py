@@ -274,6 +274,8 @@ class _Handler(BaseHTTPRequestHandler):
             entry, origin = self.server.registry.open_spec(spec)
         except OSError as exc:
             raise ApiError(400, f"cannot read corpus inputs: {exc}") from None
+        except XMLError as exc:
+            raise ApiError(400, f"unparsable XML in corpus inputs: {exc}") from None
         return {
             "digest": entry.digest,
             "origin": origin,

@@ -1,33 +1,22 @@
-"""XML parser: token stream to :class:`~repro.xmlkit.tree.Document`.
+"""XML parser: the standard library's expat builds a
+:class:`~repro.xmlkit.tree.Document`.
 
-A small recursive-descent (actually stack-based) well-formedness-checking
-parser.  Whitespace-only text between elements is dropped unless the
-element already carries non-whitespace text (mixed content keeps its
-spacing); leading/trailing whitespace of text nodes is preserved in the
-tree and normalized by accessors.
+Expat checks well-formedness (XML 1.0) and normalizes line ends and
+attribute whitespace.  Whitespace-only text between child elements is
+dropped when the element closes; mixed content keeps its text verbatim.
+A comment, a processing instruction and each CDATA section end the text
+node before them (a CDATA section is a text node of its own); entity and
+character references stay inside their text node.
 
-Encoding handling
------------------
-:func:`parse` accepts ``str`` or ``bytes``; :func:`parse_file` accepts
-any path-like (``str``, ``pathlib.Path``, ...) and always reads bytes.
-Bytes are decoded in three steps, mirroring XML's appendix-F detection:
+*Entities.*  Predefined and internally declared entities and character
+references expand, under expat's amplification limit (a billion-laughs
+document raises :class:`XMLError`).  External entities are refused,
+never read, and so is a reference only an external DTD subset could
+declare; DTD attribute defaults are not added.
 
-1. a Unicode byte-order mark wins (UTF-8, UTF-16 LE/BE, UTF-32 LE/BE)
-   and is stripped;
-2. otherwise the ``encoding`` pseudo-attribute of the XML declaration,
-   sniffed from the ASCII-compatible prefix, is honored;
-3. otherwise the input is decoded as UTF-8 (the XML default).
-
-A BOM that contradicts the declared encoding follows the BOM (the
-declaration is only trusted when no BOM is present); an unknown
-declared encoding or undecodable bytes raise :class:`XMLError`.
-
-Decoded byte input additionally gets XML 1.0 section 2.11 end-of-line
-normalization (``\\r\\n`` and lone ``\\r`` become ``\\n``) — the same
-treatment text-mode file reading used to apply, so CRLF corpora parse
-to identical trees whether passed as ``str``-with-``\\n``, bytes, or a
-file path.  ``str`` input is assumed already normalized by whatever
-produced it.
+*Encodings.*  Bytes (and every :func:`parse_file`) are decoded by
+:func:`decode_xml_bytes`: a byte-order mark wins and is stripped, else
+the declared ``encoding=``, else UTF-8.  Expat then reads the ``str``.
 """
 
 from __future__ import annotations
@@ -35,8 +24,8 @@ from __future__ import annotations
 import codecs
 import os
 import re
+from xml.parsers import expat
 
-from .tokens import Tokenizer, TokenType
 from .tree import Document, Element, XMLError
 
 #: BOM -> codec, longest first so UTF-32 LE wins over its UTF-16 prefix.
@@ -74,81 +63,93 @@ def decode_xml_bytes(data: bytes) -> str:
 
 
 def parse(text: str | bytes) -> Document:
-    """Parse an XML string (or raw bytes) into a :class:`Document`.
-
-    ``bytes`` input is decoded first — BOM, then the declaration's
-    ``encoding=``, else UTF-8 (see the module docstring).  Raises
-    :class:`XMLError` on malformed input (mismatched tags, multiple
-    roots, trailing content, bad entities, undecodable bytes, ...).
-    """
+    """Parse an XML string (or raw bytes) into a :class:`Document`.  Every
+    failure is an :class:`XMLError`; a parse error names line and column."""
     if isinstance(text, (bytes, bytearray)):
         text = decode_xml_bytes(bytes(text))
     declaration: dict[str, str] = {}
-    root: Element | None = None
+    roots: list[Element] = []
     stack: list[Element] = []
     # Per open element, what its content holds so far: a child element,
     # a whitespace-only text node, a text node with anything else in it.
     seen: list[int] = []
     child, blank, real = 1, 2, 4
+    # The open text node, which expat may hand over in several runs.
+    pieces: list[str] = []
 
-    start_tag, end_tag, text_type = (
-        TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
-    )
-    for kind, value, attributes, offset in Tokenizer(text).tokens():
-        if kind is start_tag or kind is TokenType.EMPTY_TAG:
-            element = Element(value, dict(attributes))
-            if stack:
-                stack[-1].append(element)
-                seen[-1] |= child
-            elif root is None:
-                root = element
-            else:
-                raise XMLError(
-                    f"multiple root elements (second <{value}> at offset {offset})"
-                )
-            if kind is start_tag:
-                stack.append(element)
-                seen.append(0)
-        elif kind is text_type:
-            if not stack:
-                if value.strip():
-                    raise XMLError(f"text outside the root element at offset {offset}")
-                continue
-            if value:
-                stack[-1].append(value)
-                seen[-1] |= blank if value.isspace() else real
-        elif kind is end_tag:
-            if not stack:
-                raise XMLError(f"unexpected closing tag </{value}> at offset {offset}")
-            open_element = stack.pop()
-            if open_element.tag != value:
-                raise XMLError(
-                    f"mismatched tags: <{open_element.tag}> closed by "
-                    f"</{value}> at offset {offset}"
-                )
-            # Indentation between child elements is not data; elements
-            # without children or with real text keep theirs verbatim.
-            if seen.pop() == child | blank:
-                open_element.drop_text()
-        elif kind is TokenType.DECLARATION:
-            if root is not None or stack:
-                raise XMLError("XML declaration must precede the root element")
-            declaration = dict(attributes)
-        # comments, processing instructions and the DOCTYPE carry no data
+    def end_text(*_event) -> None:
+        if pieces:
+            value = "".join(pieces)
+            pieces.clear()
+            stack[-1].append(value)
+            seen[-1] |= blank if value.isspace() else real
 
-    if stack:
-        raise XMLError(f"unclosed element <{stack[-1].tag}> at end of input")
-    if root is None:
-        raise XMLError("document has no root element")
-    return Document(root, declaration)
+    def start(tag: str, attributes: dict[str, str]) -> None:
+        end_text()
+        element = Element(tag, attributes)
+        if stack:
+            stack[-1].append(element)
+            seen[-1] |= child
+        else:
+            roots.append(element)
+        stack.append(element)
+        seen.append(0)
+
+    def end(_tag: str) -> None:
+        end_text()
+        element = stack.pop()
+        # Indentation between child elements is not data; elements
+        # without children or with real text keep theirs verbatim.
+        if seen.pop() == child | blank:
+            element.drop_text()
+
+    def xml_declaration(version: str, encoding: str | None, standalone: int) -> None:
+        declaration["version"] = version
+        if encoding is not None:
+            declaration["encoding"] = encoding
+        if standalone != -1:
+            declaration["standalone"] = "yes" if standalone else "no"
+
+    def undefined_entity(name: str, _is_parameter_entity: bool) -> None:
+        raise XMLError(f"undefined entity &{name};")
+
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.specified_attributes = True  # no defaults from an ATTLIST
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = pieces.append
+    parser.CommentHandler = end_text
+    parser.ProcessingInstructionHandler = end_text
+    parser.StartCdataSectionHandler = end_text
+    parser.EndCdataSectionHandler = end_text
+    parser.XmlDeclHandler = xml_declaration
+    parser.SkippedEntityHandler = undefined_entity
+    parser.ExternalEntityRefHandler = lambda *_entity: 0  # refused, never read
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise _located(expat.ErrorString(exc.code), exc.lineno, exc.offset) from None
+    except XMLError as exc:
+        raise _located(
+            str(exc), parser.ErrorLineNumber, parser.ErrorColumnNumber
+        ) from None
+    except UnicodeEncodeError as exc:  # a lone surrogate in ``str`` input
+        lines = text[: exc.start].split("\n")
+        raise _located(exc.reason, len(lines), len(lines[-1])) from None
+    return Document(roots[0], declaration)
+
+
+def _located(message: str, line: int, column: int) -> XMLError:
+    return XMLError(f"{message} at line {line}, column {column}")
 
 
 def parse_file(path: str | os.PathLike) -> Document:
-    """Parse an XML file given as any path-like (``str``, ``Path``...).
-
-    The file is read as bytes and decoded like :func:`parse`: BOM
-    first, then the XML declaration's ``encoding=``, else UTF-8 — so
-    declared non-UTF-8 documents parse without caller-side decoding.
-    """
+    """Parse an XML file, read as bytes, given as any path-like.  An
+    :class:`XMLError` names the file first."""
     with open(path, "rb") as handle:
-        return parse(handle.read())
+        data = handle.read()
+    try:
+        return parse(data)
+    except XMLError as exc:
+        raise XMLError(f"{os.fspath(path)}: {exc}") from None

@@ -11,7 +11,7 @@ and imports are out of scope and raise.
 
 from __future__ import annotations
 
-from .parser import parse
+from .parser import parse, parse_file
 from .schema import (
     XSD_TYPE_MAP,
     ContentModel,
@@ -32,8 +32,8 @@ def parse_schema(text: str) -> Schema:
 
 
 def parse_schema_file(path: str) -> Schema:
-    with open(path, encoding="utf-8") as handle:
-        return parse_schema(handle.read())
+    """Parse an XSD file, read and decoded as :func:`parse_file` does."""
+    return schema_from_document(parse_file(path))
 
 
 def schema_from_document(document: Document) -> Schema:

@@ -1,11 +1,16 @@
-"""Serializer: tree back to XML text."""
+"""Serializer: tree back to XML text.
+
+Compact output round-trips exactly for trees whose text XML 1.0 allows:
+a carriage return, and a tab or newline in an attribute value, are
+written as character references, since a parser normalizes them.
+"""
 
 from __future__ import annotations
 
 from .tree import Document, Element
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;"}
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;", "\t": "&#9;", "\n": "&#10;"}
 
 
 def escape_text(value: str) -> str:

@@ -1,9 +1,11 @@
 """The character-loop XML tokenizer, kept as the oracle.
 
-This is ``repro/xmlkit/tokens.py`` as it stood before the regex scanner
+This is ``repro/xmlkit/tokens.py`` as it stood before a regex scanner
 replaced it, verbatim apart from this paragraph and the ``XMLError``
-import.  ``tests/test_xmlkit_tokens.py`` holds the shipped tokenizer
-against it: same token stream, same error text and offset.
+import; the regex scanner was held to the same token stream, error
+text and offset until the shipped parser moved to expat.
+:func:`reference.xml_cold_path.parse` builds its trees from these
+tokens.
 
 Tokenizer for XML documents.
 

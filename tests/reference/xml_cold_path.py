@@ -7,9 +7,12 @@ element, constructed a ``_PathStats`` per element and sniffed every
 value; the shipped one extends the parent's path, looks the record up
 first and stops sniffing a path that is already ``STRING``.
 ``strip_positions`` was a character loop; the shipped one is a compiled
-pattern.  All three are verbatim apart from this paragraph and from
-importing what did not change (tokenizer, ``_PathStats``, ``_build``,
-``_merge_types``, ``sniff_data_type``) from ``repro.xmlkit``.
+pattern.  All three are verbatim apart from this paragraph, from
+importing what did not change (``_PathStats``, ``_build``,
+``_merge_types``, ``sniff_data_type``) from ``repro.xmlkit``, and from
+reading the tokens of :mod:`reference.char_tokenizer` — the token
+stream the shipped tokenizer produced until expat replaced it — by
+field name.
 ``tests/test_xmlkit_parser.py``, ``tests/test_xmlkit_schema.py`` and
 ``tests/test_xmlkit_tree.py`` hold the shipped functions to them;
 ``tree_shape`` is how they (and the snapshot tests) compare two trees.
@@ -20,7 +23,8 @@ from __future__ import annotations
 from repro.xmlkit import Document, Element, Schema, XMLError, sniff_data_type
 from repro.xmlkit.parser import decode_xml_bytes
 from repro.xmlkit.schema_infer import _PathStats, _build, _merge_types
-from repro.xmlkit.tokens import Tokenizer, TokenType
+
+from reference.char_tokenizer import Tokenizer, TokenType
 
 
 def tree_shape(element: Element) -> tuple:
@@ -46,7 +50,9 @@ def parse(text: str | bytes) -> Document:
     start_tag, end_tag, text_type = (
         TokenType.START_TAG, TokenType.END_TAG, TokenType.TEXT
     )
-    for kind, value, attributes, offset in Tokenizer(text).tokens():
+    for token in Tokenizer(text).tokens():
+        kind, value, attributes = token.type, token.value, token.attributes
+        offset = token.offset
         if kind is start_tag or kind is TokenType.EMPTY_TAG:
             element = Element(value, dict(attributes))
             if stack:

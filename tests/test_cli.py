@@ -1,5 +1,7 @@
 """CLI tests (in-process via repro.cli.main)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, build_parser, _parse_heuristic, _parse_condition
@@ -363,6 +365,54 @@ class TestSuggestCommand:
         document, schema, _ = example_files
         assert main(["suggest", str(document), "--schema", str(schema)]) == 0
         assert "/moviedoc/movie" in capsys.readouterr().out
+
+    def test_suggest_on_the_dblp_slice(self, capsys):
+        """Named-character entities from the internal DTD, CRLF line
+        ends, two kinds of record: the article ranks first."""
+        document = Path(__file__).with_name("fixtures") / "dblp_slice.xml"
+        assert main(["suggest", str(document)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("/dblp/bib/article ")
+
+
+class TestMalformedXml:
+    """A document that does not parse is a one-line error naming the
+    file, exit status 2, from every command that reads one."""
+
+    MALFORMED = "<moviedoc><movie></moviedoc>"
+
+    @pytest.fixture()
+    def spec_dir(self, tmp_path, capsys):
+        assert main(["example", "--write", str(tmp_path)]) == 0
+        (tmp_path / "movies.xml").write_text(self.MALFORMED, encoding="utf-8")
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "command",
+        [["dedup"], ["match", "--object-id", "0"], ["index", "build"]],
+        ids=["dedup", "match", "index-build"],
+    )
+    def test_spec_commands(self, spec_dir, capsys, command):
+        store = ["--store", str(spec_dir / "store")] if command[0] == "index" else []
+        code = main([*command, "--spec", str(spec_dir / "run.json"), *store])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: {spec_dir / 'movies.xml'}: "
+            "mismatched tag at line 1, column 19\n"
+        )
+
+    def test_suggest(self, spec_dir, capsys):
+        assert main(["suggest", str(spec_dir / "movies.xml")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"repro: error: {spec_dir / 'movies.xml'}: mismatched tag"
+        )
+
+    def test_suggest_with_a_malformed_schema(self, spec_dir, capsys):
+        schema = spec_dir / "broken.xsd"
+        schema.write_text("<xs:schema>", encoding="utf-8")
+        code = main(["suggest", str(spec_dir / "mapping.xml"), "--schema", str(schema)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"repro: error: {schema}: ")
 
 
 class TestExampleCommand:

@@ -53,7 +53,7 @@ def modules(text: str) -> frozenset:
 
 
 #: What every path below loads: the spec and its registries, the config,
-#: the mapping (and the tokenizer that reads it), the index, step 5,
+#: the mapping (and the parser that reads it), the index, step 5,
 #: the session.
 SESSION = modules(
     """
@@ -65,7 +65,7 @@ SESSION = modules(
     .engine .engine.policy
     .framework .framework.classifier .framework.mapping .framework.od
     .strings .strings.bounds .strings.levenshtein .strings.qgram
-    .xmlkit .xmlkit.parser .xmlkit.tokens .xmlkit.tree
+    .xmlkit .xmlkit.parser .xmlkit.tree
     """
 )
 

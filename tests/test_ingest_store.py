@@ -19,6 +19,7 @@ import os
 import random
 import sys
 from array import array
+from xml.parsers import expat
 
 import pytest
 from reference.xml_cold_path import tree_shape
@@ -36,7 +37,6 @@ from repro.framework import ObjectDescription
 from repro.ingest import FORMAT_VERSION, IndexStore
 from repro.ingest.store import SnapshotInfo
 from repro.xmlkit import serialize
-from repro.xmlkit.tokens import Tokenizer
 
 
 @pytest.fixture()
@@ -436,13 +436,13 @@ class TestFormat3:
         self, example_dir, tmp_path, monkeypatch
     ):
         """Work count: the mapping file is XML and is read from the live
-        spec; the stored XSD text is the only other thing tokenized."""
-        texts = []
-        tokens = Tokenizer.tokens
+        spec; the stored XSD text is the only other thing parsed."""
+        parsers = []
+        create = expat.ParserCreate
 
-        def counting(self):
-            texts.append(self._text)
-            return tokens(self)
+        def counting(*args, **kwargs):
+            parsers.append(args)
+            return create(*args, **kwargs)
 
         store = IndexStore(tmp_path / "store")
         with_schema = example_spec(example_dir)
@@ -450,13 +450,12 @@ class TestFormat3:
         bare.schemas = []
         for spec in (with_schema, bare):
             store.save(spec, spec.build_session())
-        monkeypatch.setattr(Tokenizer, "tokens", counting)
-        mapping_text = (example_dir / "mapping.xml").read_text(encoding="utf-8")
+        monkeypatch.setattr(expat, "ParserCreate", counting)
         assert store.load(bare) is not None
-        assert texts == [mapping_text]
-        del texts[:]
+        assert len(parsers) == 1  # the mapping file
+        del parsers[:]
         assert store.load(with_schema) is not None
-        assert sorted(texts) == sorted([mapping_text, PAPER_EXAMPLE_XSD])
+        assert len(parsers) == 2  # the mapping file and the stored XSD
 
     def test_an_od_without_an_element_round_trips(self, example_dir, tmp_path):
         spec = example_spec(example_dir)

@@ -317,9 +317,8 @@ class TestMatch:
                 served.digest, element="<movie t='&#99999999999999999999;'/>"
             )
         assert excinfo.value.status == 400
-        assert excinfo.value.message.startswith(
-            "unparsable XML: bad character reference"
-        )
+        assert excinfo.value.message.startswith("unparsable XML: ")
+        assert " at line 1, column " in excinfo.value.message
 
     def test_match_unknown_object_404(self, served):
         with pytest.raises(ServeError) as excinfo:
@@ -428,6 +427,78 @@ class TestExtendAndUploads:
                 files={"../evil.xml": "<x/>"},
             )
         assert excinfo.value.status == 400
+
+
+def hostile_documents(tmp_path) -> dict:
+    """A document that names a local file as an external entity, and a
+    billion-laughs document, both shaped like a corpus record."""
+    secret = tmp_path / "secret.txt"
+    secret.write_text("SENTINEL-4f1c", encoding="utf-8")
+    laughs = ['<!ENTITY lol0 "lol">'] + [
+        f'<!ENTITY lol{level} "{f"&lol{level - 1};" * 10}">'
+        for level in range(1, 9)
+    ]
+    return {
+        "external-entity": (
+            f'<!DOCTYPE moviedoc [<!ENTITY e SYSTEM "{secret.as_uri()}">]>'
+            "<moviedoc><movie><title>&e;</title></movie></moviedoc>"
+        ),
+        "billion-laughs": (
+            f'<!DOCTYPE moviedoc [{"".join(laughs)}]>'
+            "<moviedoc><movie><title>&lol8;</title></movie></moviedoc>"
+        ),
+    }
+
+
+class TestUnparsableAndHostileXml:
+    """Every route that takes XML answers 400 for XML that does not
+    parse, an external entity included (never read) and a billion-laughs
+    expansion included (never finished)."""
+
+    @pytest.fixture(scope="class")
+    def hostile(self, tmp_path_factory):
+        return hostile_documents(tmp_path_factory.mktemp("hostile"))
+
+    def upload(self, served, document):
+        spec = example_spec(served.tmp).to_dict()
+        spec.update(documents=["bad-movies.xml"], schemas=[])
+        return served.client.open_corpus(spec, files={"bad-movies.xml": document})
+
+    def test_malformed_corpus_upload_400(self, served):
+        with pytest.raises(ServeError) as excinfo:
+            self.upload(served, "<moviedoc><movie></moviedoc>")
+        assert excinfo.value.status == 400
+        message = excinfo.value.message
+        assert message.startswith("unparsable XML in corpus inputs: ")
+        assert message.endswith(
+            "bad-movies.xml: mismatched tag at line 1, column 19"
+        )
+
+    @pytest.mark.parametrize("kind", ["external-entity", "billion-laughs"])
+    def test_hostile_corpus_upload_400(self, served, hostile, kind):
+        with pytest.raises(ServeError) as excinfo:
+            self.upload(served, hostile[kind])
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("unparsable XML in corpus inputs: ")
+        assert "SENTINEL" not in excinfo.value.message
+
+    @pytest.mark.parametrize("kind", ["external-entity", "billion-laughs"])
+    def test_hostile_posted_element_400(self, served, hostile, kind):
+        with pytest.raises(ServeError) as excinfo:
+            served.client.match(served.digest, element=hostile[kind])
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("unparsable XML: ")
+        assert "SENTINEL" not in excinfo.value.message
+
+    @pytest.mark.parametrize("kind", ["external-entity", "billion-laughs"])
+    def test_hostile_extend_400(self, served, hostile, kind):
+        objects = served.client.open_corpus(served.spec)["objects"]
+        with pytest.raises(ServeError) as excinfo:
+            served.client.extend(served.digest, hostile[kind])
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("unparsable XML: ")
+        assert "SENTINEL" not in excinfo.value.message
+        assert served.client.open_corpus(served.spec)["objects"] == objects
 
 
 class TestRegistry:
