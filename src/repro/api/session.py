@@ -126,9 +126,9 @@ class DetectionSession:
         observably identical index.
     ods / index:
         Externally prepared candidate set and (optionally) a prebuilt
-        index over exactly those ODs — the handshake the parallel
-        ingestor uses (the snapshot store passes ``ods`` alone);
-        ``index`` without ``ods`` is rejected.
+        index over exactly those ODs, e.g. one merged from index
+        partials (the snapshot store passes ``ods`` alone); ``index``
+        without ``ods`` is rejected.
     """
 
     def __init__(

@@ -57,10 +57,11 @@ class RunSpec:
         ``None``, or the backend the worker count selects, for specs
         that still name it: ``"serial"`` (one worker) or ``"process"``.
     ingest_workers:
-        Worker processes for corpus *construction* (document parsing,
-        OD generation, index building — see :mod:`repro.ingest`);
-        ``0`` means all cores, ``1`` (default) builds in the parent.
-        Independent of the detection backend; results are identical.
+        Worker processes for corpus *construction* (OD generation and
+        index building — see :mod:`repro.ingest`; documents are always
+        parsed in the parent); ``0`` means all cores, ``1`` (default)
+        builds in the parent.  Independent of the detection backend;
+        results are identical.
     """
 
     documents: list[str]
@@ -203,21 +204,20 @@ class RunSpec:
     # Materialization
     # ------------------------------------------------------------------
     def load_sources(self) -> list[Source]:
-        """Parse the documents (and their schemas, where given)."""
-        parsed_schemas = self._load_schemas()
-        sources = []
-        for index, path in enumerate(self.documents):
-            schema = parsed_schemas[index] if index < len(parsed_schemas) else None
-            sources.append(Source(parse_file(path), schema))
-        return sources
+        """Parse the documents (and their schemas, where given).
 
-    def _load_schemas(self) -> list:
-        """The XSDs parsed; a run without any never loads the parser."""
-        if not self.schemas:
-            return []
-        from ..xmlkit.schema_parser import parse_schema_file
+        A run without schemas never loads the XSD parser.
+        """
+        schemas: list = []
+        if self.schemas:
+            from ..xmlkit.schema_parser import parse_schema_file
 
-        return [parse_schema_file(path) for path in self.schemas]
+            schemas = [parse_schema_file(path) for path in self.schemas]
+        schemas += [None] * (len(self.documents) - len(schemas))
+        return [
+            Source(parse_file(path), schema)
+            for path, schema in zip(self.documents, schemas)
+        ]
 
     def load_mapping(self) -> TypeMapping:
         with open(self.mapping, encoding="utf-8") as handle:
@@ -226,30 +226,17 @@ class RunSpec:
     def build_session(self):
         """A ready :class:`~repro.api.session.DetectionSession`.
 
-        With ``ingest_workers`` > 1 construction routes through
-        :class:`repro.ingest.ParallelIngestor`, which also parses the
-        documents inside the pool — the session is identical either
-        way.
+        The documents are parsed here, in this process; with
+        ``ingest_workers`` > 1 the session builds its ODs and index
+        across that many workers — the session is identical either way.
         """
         from .session import DetectionSession
 
-        config = self.to_config()
-        if config.execution.ingest_workers > 1:
-            from ..ingest.builder import ParallelIngestor
-
-            ingestor = ParallelIngestor(config.execution.ingest_workers)
-            return ingestor.build_session(
-                self.documents,
-                self.load_mapping(),
-                self.real_world_type,
-                config,
-                schemas=self._load_schemas(),
-            )
         return DetectionSession(
             self.load_sources(),
             self.load_mapping(),
             self.real_world_type,
-            config,
+            self.to_config(),
         )
 
 

@@ -28,7 +28,7 @@ with ``--write``, emits it as files plus a ready ``run.json`` spec).
 
 ``--spec`` loads a serialized :class:`repro.api.RunSpec`; explicit
 flags override the spec's fields.  ``--ingest-workers N`` builds the
-corpus (parsing, OD generation, indexing) across N processes.
+corpus (OD generation, indexing) across N processes.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         type=_bounded_int(0, "ingest workers"),
                         default=None,
                         help="worker processes for corpus construction "
-                             "(parsing, OD generation, index build): "
+                             "(OD generation, index build): "
                              "each worker builds a partial index the "
                              "parent merges; 1 = build in the parent, "
                              "0 = all cores; results are identical")

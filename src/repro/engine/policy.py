@@ -36,9 +36,10 @@ class ExecutionPolicy:
         loop); must be >= 1.
     ingest_workers:
         Worker processes for *corpus construction* (pipeline steps 1-3
-        plus index building; see :mod:`repro.ingest`): sources are
-        parsed and object descriptions generated across a pool, each
-        worker building a partial corpus index the parent merges.
+        plus index building; see :mod:`repro.ingest`): object
+        descriptions are generated across a pool, each worker building
+        a partial corpus index the parent merges.  Documents are parsed
+        in the parent before any of this.
         Independent of ``workers`` — ingestion runs before any pair is
         generated, so a serial detection may still ingest in parallel
         and vice versa.  ``1`` (the default) builds in the parent;

@@ -1,6 +1,6 @@
 """One worker pool: the only place ``src/`` starts worker processes.
 
-Every parallel phase — parsing and describing a corpus (steps 1-3,
+Every parallel phase — describing a corpus (steps 1-3,
 :mod:`repro.ingest.builder`) and scoring pair batches (step 5,
 :mod:`repro.engine.executor`) — is an
 ordered :meth:`WorkerPool.map` of module-level functions over a

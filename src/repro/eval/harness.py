@@ -17,7 +17,7 @@ index is legitimately per-cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..api.corpus import Corpus
@@ -56,13 +56,12 @@ def session_for(
     theta_cand: float = 0.55,
     policy: ExecutionPolicy | None = None,
     use_object_filter: bool = False,
-    ingest_workers: int = 1,
 ) -> DetectionSession:
     """A prepared session for one (dataset, heuristic, experiment) cell.
 
+    ``policy`` replaces the experiment's execution policy; its
     ``ingest_workers`` > 1 builds the session (OD generation + index)
-    through the parallel ingest subsystem — identical session, faster
-    construction on multi-core hosts.
+    through the parallel ingest subsystem — identical session.
     """
     config = experiment.config(
         heuristic,
@@ -72,108 +71,12 @@ def session_for(
     )
     if policy is not None:
         config.execution = policy
-    if ingest_workers != 1:
-        config.execution = replace(
-            config.execution, ingest_workers=ingest_workers
-        )
     return DetectionSession(
         Corpus(dataset.sources),
         dataset.mapping,
         dataset.real_world_type,
         config,
     )
-
-
-@dataclass
-class IngestRun:
-    """One corpus-construction mode's outcome in an ingest comparison."""
-
-    mode: str          #: ``"serial"`` or ``"parallel(N)"``
-    seconds: float
-    candidates: int
-    #: Same ODs (ids, tuples, element paths) and index statistics as
-    #: the serial reference build.
-    identical: bool
-    #: Bit-identical ``detect()`` result (only evaluated when the
-    #: comparison runs with ``verify_detect=True``).
-    detect_identical: bool | None = None
-
-
-def same_build(reference: DetectionSession, other: DetectionSession) -> bool:
-    """Serial-parity notion for corpus construction.
-
-    Equal candidate sets — ids, OD tuples, and element paths — and
-    equal index statistics.  (Pair-level parity is
-    :meth:`~repro.framework.result.DetectionResult.identical_to`,
-    checked separately because it costs a full detection run.)
-    """
-    if len(reference.ods) != len(other.ods):
-        return False
-    for left, right in zip(reference.ods, other.ods):
-        if left.object_id != right.object_id or left.tuples != right.tuples:
-            return False
-        left_path = left.element.absolute_path() if left.element else None
-        right_path = right.element.absolute_path() if right.element else None
-        if left_path != right_path:
-            return False
-    return reference.index.statistics() == other.index.statistics()
-
-
-def compare_ingest_builds(
-    dataset: Dataset,
-    workers: int,
-    heuristic: Heuristic | None = None,
-    experiment: Experiment | None = None,
-    theta_tuple: float = 0.15,
-    theta_cand: float = 0.55,
-    verify_detect: bool = False,
-) -> list[IngestRun]:
-    """Build one sweep cell serially and through the parallel ingestor.
-
-    The first run (serial) is the reference; the parallel build must
-    produce the same ODs and index statistics — and, with
-    ``verify_detect``, a bit-identical ``DetectionResult``.  Used by
-    the ingest parity tests.
-    """
-    import time
-
-    runs: list[IngestRun] = []
-    reference: DetectionSession | None = None
-    reference_result = None
-    for mode, ingest_workers in (("serial", 1), (f"parallel({workers})", workers)):
-        started = time.perf_counter()
-        session = session_for(
-            dataset,
-            heuristic or KClosestDescendants(6),
-            experiment or EXPERIMENTS[0],
-            theta_tuple=theta_tuple,
-            theta_cand=theta_cand,
-            ingest_workers=ingest_workers,
-        )
-        elapsed = time.perf_counter() - started
-        if reference is None:
-            reference = session
-            identical = True
-            detect_identical = True if verify_detect else None
-            if verify_detect:
-                reference_result = session.detect()
-        else:
-            identical = same_build(reference, session)
-            detect_identical = (
-                session.detect().identical_to(reference_result)
-                if verify_detect
-                else None
-            )
-        runs.append(
-            IngestRun(
-                mode=mode,
-                seconds=elapsed,
-                candidates=len(session.ods),
-                identical=identical,
-                detect_identical=detect_identical,
-            )
-        )
-    return runs
 
 
 def run_experiment(
@@ -197,62 +100,6 @@ def run_experiment(
     result = session.detect()
     metrics = pair_metrics(result.duplicate_id_pairs(), gold_pairs(session.ods))
     return metrics, result.compared_pairs
-
-
-@dataclass
-class BackendRun:
-    """One execution policy's outcome in a backend comparison."""
-
-    policy: ExecutionPolicy
-    metrics: PRResult
-    compared_pairs: int
-    #: Bit-identical to the first (reference) policy's DetectionResult.
-    identical: bool
-
-
-def compare_execution_backends(
-    dataset: Dataset,
-    policies: Sequence[ExecutionPolicy],
-    heuristic: Heuristic | None = None,
-    experiment: Experiment | None = None,
-    theta_tuple: float = 0.15,
-    theta_cand: float = 0.55,
-    use_object_filter: bool = False,
-) -> list[BackendRun]:
-    """Run one sweep cell under several execution policies.
-
-    One session (one index) serves every policy; the first policy is
-    the reference and each subsequent run is checked for bit-identical
-    results (:meth:`~repro.framework.result.DetectionResult.identical_to`).
-    Backends (serial / process) and worker counts may only differ in
-    wall-clock, never in output — exercised by
-    ``tests/test_backend_equivalence.py``.
-    """
-    session = session_for(
-        dataset,
-        heuristic or KClosestDescendants(6),
-        experiment or EXPERIMENTS[0],
-        theta_tuple=theta_tuple,
-        theta_cand=theta_cand,
-        use_object_filter=use_object_filter,
-    )
-    gold = gold_pairs(session.ods)
-    runs: list[BackendRun] = []
-    reference = None
-    for policy in policies:
-        result = session.detect(policy=policy)
-        if reference is None:
-            reference = result
-        identical = result.identical_to(reference)
-        runs.append(
-            BackendRun(
-                policy=policy,
-                metrics=pair_metrics(result.duplicate_id_pairs(), gold),
-                compared_pairs=result.compared_pairs,
-                identical=identical,
-            )
-        )
-    return runs
 
 
 def run_heuristic_sweep(

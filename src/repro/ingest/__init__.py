@@ -1,15 +1,14 @@
 """ingest: parallel, mergeable corpus construction and persistent
 index snapshots.
 
-Pipeline steps 1-3 (candidate selection, description selection, OD
-generation) plus corpus-index construction were the last parent-only
-phases of the system — PRs 1/3/4 moved classification, pair generation,
-and the object filter into workers.  This package closes the gap and
-adds the first piece of cross-run state:
+Pipeline step 5 (pairwise classification) runs across worker
+processes (:mod:`repro.engine`).  This package does the same for steps
+1-3 (candidate selection, description selection, OD generation) plus
+corpus-index construction, and adds the first piece of cross-run state:
 
-* :class:`ParallelIngestor` — partitions sources and candidate objects
-  across a process pool; each worker parses, selects descriptions,
-  generates ODs, and builds a *partial* corpus index
+* :class:`ParallelIngestor` — partitions the candidate objects of
+  already-parsed sources across a process pool; each worker selects
+  descriptions, generates ODs, and builds a *partial* corpus index
   (:class:`~repro.core.index.IndexPartial`) that the parent merges
   associatively into an index observably identical to the serial
   build;

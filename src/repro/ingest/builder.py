@@ -4,34 +4,30 @@ The serial reference is :meth:`repro.api.Corpus.generate_ods` followed
 by a :class:`~repro.core.index.CorpusIndex` build: for every candidate
 XPath (sorted) and source (insertion order), infer/resolve the schema,
 select a description, generate one OD per candidate element, then scan
-all ODs into the index.  At corpus scale the expensive parts are
-document parsing, schema inference, the per-candidate heuristic walks
-of OD generation, and the q-gram counting of index construction — all
-embarrassingly parallel once the work is partitioned.
+all ODs into the index.  At corpus scale the expensive parts are schema
+inference, the per-candidate heuristic walks of OD generation, and the
+q-gram counting of index construction — all embarrassingly parallel
+once the work is partitioned.
 
-:class:`ParallelIngestor` partitions in two phases:
+Documents are parsed in the parent before they reach
+:class:`ParallelIngestor`: shipping parsed trees back from parse
+workers costs more than parsing them with expat in the parent.  The
+parent then enumerates candidate elements per ``(xpath, source)`` unit
+(a cheap tree walk that also fixes the *serial* object-id order and
+keeps the parent's elements for the results), and fans out contiguous
+candidate chunks.  Each worker resolves the source schema (inferred
+once per worker, memoized), selects the description, generates its
+chunk's ODs, and builds an :class:`~repro.core.index.IndexPartial`
+over them.  The parent re-attaches its own elements to the returned OD
+tuples and merges the partials associatively into the final index.
 
-1. **Parse** — path-like sources are parsed inside pool workers (one
-   task per file) and the trees shipped back; in-memory sources skip
-   this phase.
-2. **Describe + index** — the parent enumerates candidate elements per
-   ``(xpath, source)`` unit (a cheap tree walk that also fixes the
-   *serial* object-id order and keeps the parent's elements for the
-   results), then fans out contiguous candidate chunks.  Each worker
-   resolves the source schema (inferred once per worker, memoized),
-   selects the description, generates its chunk's ODs, and builds an
-   :class:`~repro.core.index.IndexPartial` over them.  The parent
-   re-attaches its own elements to the returned OD tuples and merges
-   the partials associatively into the final index.
-
-Both phases run on the worker pool (:mod:`repro.engine.pool`).  Each
-worker receives the whole corpus once via the pool initializer:
-unpickling a tree is far cheaper than re-parsing it with the
-pure-Python parser, and any chunk of any source can then be scheduled
-on any worker.  The payload therefore scales with ``corpus × workers``
-in memory — per-worker source subsetting (and with it cross-machine
-distribution) is the natural next step on top of the same partial-merge
-algebra; see ROADMAP.md.
+The fan-out runs on the worker pool (:mod:`repro.engine.pool`).  Each
+worker receives the whole corpus once via the pool initializer, so any
+chunk of any source can be scheduled on any worker.  The payload
+therefore scales with ``corpus × workers`` in memory — per-worker
+source subsetting (and with it cross-machine distribution) is the
+natural next step on top of the same partial-merge algebra; see
+ROADMAP.md.
 
 Object ids are assigned before fan-out, so worker output needs no
 renumbering and the merged index is observably identical to the serial
@@ -40,16 +36,13 @@ blocking view) — pinned by ``tests/test_ingest_parallel.py`` and the
 merge-associativity fuzz suite.  With one worker, an empty candidate
 set, an unpicklable payload (e.g. a closure-based condition), or a pool
 worker that dies or fails to start, the build falls back to the serial
-reference path and records why in :attr:`ParallelIngestor.last_report`;
-a parse pool that breaks parses in the parent instead, and the same
-report's reason says so.
+reference path and records why in :attr:`ParallelIngestor.last_report`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .._lazy import resolve
 from ..core.config import DogmatixConfig
@@ -59,13 +52,10 @@ from ..core.source import Source
 from ..framework.description import DescriptionDefinition
 from ..framework.mapping import TypeMapping
 from ..framework.od import ObjectDescription
-from ..xmlkit.parser import parse_file
 from ..xmlkit.schema import Schema
 from ..xmlkit.schema_infer import infer_schema
-from ..xmlkit.tree import Document, Element
+from ..xmlkit.tree import Element
 from ..xmlkit.xpath import compile_path
-
-PathLike = Union[str, os.PathLike]
 
 #: Candidate chunks per worker: oversubscription lets free workers pull
 #: the next chunk, balancing sources and xpaths with uneven candidate
@@ -83,10 +73,7 @@ class IngestReport:
     workers: int
     sources: int
     candidates: int
-    #: Number of path-like sources parsed inside pool workers.
-    parsed_in_workers: int = 0
-    #: Why the build fell back to the serial path, and why its sources
-    #: were parsed in the parent (``"parse: ..."``), if either happened.
+    #: Why the build fell back to the serial path, if it did.
     reason: Optional[str] = None
 
 
@@ -185,86 +172,17 @@ class ParallelIngestor:
     Parameters
     ----------
     workers:
-        Pool processes for parsing and description/index construction;
-        ``0`` means all cores, ``1`` is the serial reference path.
+        Pool processes for description/index construction; ``1`` is
+        the serial reference path.
     """
 
-    def __init__(self, workers: int = 0) -> None:
-        if workers == 0:
-            workers = os.cpu_count() or 1
+    def __init__(self, workers: int) -> None:
         if workers < 1:
-            raise ValueError(f"workers must be >= 0, got {workers}")
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         #: Populated by :meth:`build`.
         self.last_report: Optional[IngestReport] = None
-        # What the last parse_sources left for the next build's report.
-        self._parsed_in_workers = 0
-        self._parse_reason: Optional[str] = None
 
-    # ------------------------------------------------------------------
-    # Phase 1: parsing
-    # ------------------------------------------------------------------
-    def parse_sources(
-        self,
-        documents: Sequence[Union[PathLike, Source, Document, Element]],
-        schemas: Optional[Sequence[Optional[Schema]]] = None,
-    ) -> list[Source]:
-        """Resolve a mixed document list into :class:`Source` records.
-
-        Path-likes are parsed — across the pool when there is more than
-        one path and more than one worker — and paired positionally
-        with ``schemas`` (``None`` entries mean "infer later").
-        In-memory sources pass through unchanged (pairing a schema with
-        a ``Source`` that already carries one is an error, matching
-        :meth:`repro.api.Corpus.add_source`).
-        """
-        schema_list = list(schemas or ())
-        if len(schema_list) > len(documents):
-            raise ValueError(
-                f"got {len(schema_list)} schemas for {len(documents)} "
-                "documents; schemas pair with documents positionally"
-            )
-        path_jobs = [
-            (position, item)
-            for position, item in enumerate(documents)
-            if isinstance(item, (str, os.PathLike))
-        ]
-        parsed: dict[int, Document] = {}
-        self._parsed_in_workers = 0
-        self._parse_reason = None
-        if len(path_jobs) > 1 and self.workers > 1:
-            try:
-                open_pool = resolve(f"{_POOL}:open_pool")
-                with open_pool(min(self.workers, len(path_jobs))) as pool:
-                    trees = pool.map(parse_file, [path for _, path in path_jobs])
-                    parsed = dict(zip([at for at, _ in path_jobs], trees))
-                self._parsed_in_workers = len(path_jobs)
-            except resolve(f"{_POOL}:PoolBroken") as failure:
-                self._parse_reason = f"parse: {failure}"
-        for position, path in path_jobs:
-            if position not in parsed:
-                parsed[position] = parse_file(path)
-
-        sources: list[Source] = []
-        for position, item in enumerate(documents):
-            schema = schema_list[position] if position < len(schema_list) else None
-            if isinstance(item, (str, os.PathLike)):
-                sources.append(Source(parsed[position], schema))
-            elif isinstance(item, Source):
-                if schema is not None and item.schema is not None:
-                    raise ValueError(
-                        "source already carries a schema; cannot override it"
-                    )
-                sources.append(
-                    Source(item.document, schema) if schema is not None else item
-                )
-            else:
-                sources.append(Source(item, schema))
-        return sources
-
-    # ------------------------------------------------------------------
-    # Phase 2: describe + index
-    # ------------------------------------------------------------------
     def build(
         self,
         corpus,  # repro.api.Corpus (kept untyped to avoid an import cycle)
@@ -280,13 +198,9 @@ class ParallelIngestor:
         the workers' partials.
         """
         config = config or DogmatixConfig()
-        parsed = (self._parsed_in_workers, self._parse_reason)
-        # consumed: report this build only
-        self._parsed_in_workers, self._parse_reason = 0, None
         if self.workers <= 1:  # before enumerating anything the serial
             # path would only re-enumerate via generate_ods
-            return self._serial(corpus, mapping, real_world_type, config,
-                                parsed, reason=None)
+            return self._serial(corpus, mapping, real_world_type, config)
         sources = list(corpus)
         units: list[tuple[int, str, list[Element], int]] = []
         next_id = 0
@@ -315,13 +229,13 @@ class ParallelIngestor:
 
         if total == 0:
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed, reason="no candidates")
+                                reason="no candidates")
         q = IndexPartial().q
         payload = (tuple(sources), mapping, config.selector,
                    config.include_empty, q)
         if not resolve(f"{_POOL}:picklable")(payload):
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed, reason="unpicklable ingest payload")
+                                reason="unpicklable ingest payload")
 
         chunk = max(1, -(-total // (self.workers * CHUNK_FACTOR)))
         tasks: list[IngestTask] = []
@@ -353,10 +267,12 @@ class ParallelIngestor:
                     merged.merge(partial)
         except resolve(f"{_POOL}:PoolBroken") as failure:
             return self._serial(corpus, mapping, real_world_type, config,
-                                parsed, reason=str(failure))
+                                reason=str(failure))
 
         index = CorpusIndex.from_partial(merged, mapping, config.theta_tuple)
-        self._report("parallel", len(sources), total, parsed, reason=None)
+        self.last_report = IngestReport(
+            "parallel", self.workers, len(sources), total
+        )
         return ods, index
 
     def _serial(
@@ -365,50 +281,12 @@ class ParallelIngestor:
         mapping: TypeMapping,
         real_world_type: str,
         config: DogmatixConfig,
-        parsed: tuple[int, Optional[str]],
-        reason: Optional[str],
+        reason: Optional[str] = None,
     ) -> tuple[list[ObjectDescription], CorpusIndex]:
         """The serial reference path (also the fallback)."""
         ods = corpus.generate_ods(mapping, real_world_type, config)
         index = CorpusIndex(ods, mapping, config.theta_tuple)
-        self._report("serial", len(corpus), len(ods), parsed, reason)
-        return ods, index
-
-    def _report(
-        self,
-        backend: str,
-        sources: int,
-        candidates: int,
-        parsed: tuple[int, Optional[str]],
-        reason: Optional[str],
-    ) -> None:
-        """Record :attr:`last_report`; a parse failure joins the reason."""
-        parsed_in_workers, parse_reason = parsed
         self.last_report = IngestReport(
-            backend=backend,
-            workers=self.workers,
-            sources=sources,
-            candidates=candidates,
-            parsed_in_workers=parsed_in_workers,
-            reason="; ".join(filter(None, (parse_reason, reason))) or None,
+            "serial", self.workers, len(corpus), len(ods), reason
         )
-
-    # ------------------------------------------------------------------
-    def build_session(
-        self,
-        documents: Sequence[Union[PathLike, Source, Document, Element]],
-        mapping: TypeMapping,
-        real_world_type: str,
-        config: Optional[DogmatixConfig] = None,
-        schemas: Optional[Sequence[Optional[Schema]]] = None,
-    ):
-        """Parse, build, and wrap into a ready ``DetectionSession``."""
-        from ..api.corpus import Corpus
-        from ..api.session import DetectionSession
-
-        config = config or DogmatixConfig()
-        corpus = Corpus(self.parse_sources(documents, schemas))
-        ods, index = self.build(corpus, mapping, real_world_type, config)
-        return DetectionSession(
-            corpus, mapping, real_world_type, config, ods=ods, index=index
-        )
+        return ods, index

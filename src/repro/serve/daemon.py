@@ -85,6 +85,10 @@ preload(
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 
+#: The largest request body the daemon reads; a larger declared
+#: ``Content-Length`` is answered 413 before any of it is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 class ApiError(Exception):
     """An error with an HTTP status, rendered as a JSON body."""
@@ -162,7 +166,8 @@ class _Handler(BaseHTTPRequestHandler):
         Runs before routing, so a response that never looks at the body
         (an unknown route, a GET that carries one) cannot leave it in
         the stream to be parsed as the next request.  Where the length
-        is unknowable the connection closes after the response.
+        is unknowable, or above :data:`MAX_BODY_BYTES`, the connection
+        closes after the response.
         """
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
@@ -176,6 +181,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ApiError(411, "send the body with a Content-Length")
         length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ApiError(
+                413,
+                f"request body of {length} bytes is over the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         return self.rfile.read(length) if length else b""
 
     def _dispatch(self, method: str) -> None:
@@ -286,7 +298,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _spool_uploads(self, spec_dict: dict, files: dict) -> dict:
         """Write inline-uploaded inputs under the store, remap paths.
 
-        Upload names must be plain relative names; each file lands in a
+        Upload names must be plain relative names, not ``.``, ``..`` or
+        any other name made only of dots; each file lands in a
         per-request spool directory and any spec path equal to an
         uploaded name is rewritten to the spooled location.
         """
@@ -297,7 +310,7 @@ class _Handler(BaseHTTPRequestHandler):
         spool.mkdir(parents=True, exist_ok=True)
         written = {}
         for name, text in files.items():
-            if not re.fullmatch(r"[\w.\-]+", name):
+            if not re.fullmatch(r"[\w.\-]+", name) or not name.strip("."):
                 raise ApiError(400, f"bad upload name {name!r}")
             if not isinstance(text, str):
                 raise ApiError(400, f"upload {name!r} must be text")

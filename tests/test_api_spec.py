@@ -279,3 +279,12 @@ class TestFiles:
         spec = RunSpec.load(str(example_dir / "run.json"))
         (source,) = spec.load_sources()
         assert source.schema is not None
+
+    def test_schemas_pair_with_documents_positionally(self, example_dir):
+        """Documents beyond the schema list get ``None`` (inferred later)."""
+        spec = RunSpec.load(str(example_dir / "run.json"))
+        spec.documents = spec.documents * 2
+        first, second = spec.load_sources()
+        assert first.schema is not None
+        assert second.schema is None
+        assert first.document.root.tag == second.document.root.tag == "moviedoc"

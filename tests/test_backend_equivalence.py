@@ -162,28 +162,6 @@ class TestProcessBackendEquivalence:
         assert reference.possible_pairs  # C2 band exercised
         assert_results_identical(reference, session.detect(policy=policy))
 
-    def test_backend_comparison_harness(self):
-        """eval.harness.compare_execution_backends flags parity across
-        serial and process on a generator dataset."""
-        from repro.eval import build_dataset1
-        from repro.eval.harness import compare_execution_backends
-
-        dataset = build_dataset1(base_count=15, seed=7)
-        runs = compare_execution_backends(
-            dataset,
-            [
-                ExecutionPolicy(),
-                ExecutionPolicy.for_workers(2),
-                ExecutionPolicy.for_workers(3, batch_size=7),
-            ],
-            use_object_filter=True,
-        )
-        assert [run.policy.backend for run in runs] == [
-            "serial", "process", "process",
-        ]
-        assert all(run.identical for run in runs)
-        assert len({run.compared_pairs for run in runs}) == 1
-
     @pytest.mark.slow
     @by_policy
     def test_dirty_dataset_end_to_end(self, policy):

@@ -47,12 +47,6 @@ def dying_batch(batch):
     return ORIGINAL["batch"](batch)
 
 
-def dying_parse(path):
-    if in_worker() and str(path).endswith("b.xml"):
-        die()
-    return ORIGINAL["parse"](path)
-
-
 def dying_chunk(task):
     if task[2] > 0:  # a unit's second chunk
         die()
@@ -61,6 +55,10 @@ def dying_chunk(task):
 
 def raising_factory(self, ods):
     raise RuntimeError("this classifier factory cannot build in a worker")
+
+
+def refusing_factory(self, ods):
+    return RefusingInWorkers()
 
 
 def square(number):
@@ -72,6 +70,19 @@ class EveryOtherPair:
 
     def classify(self, od_i, od_j):
         return "C1" if (od_i.object_id + od_j.object_id) % 2 == 0 else "C0"
+
+
+class Refusal(Exception):
+    """A classifier's own error type."""
+
+
+class RefusingInWorkers(EveryOtherPair):
+    """Raises :class:`Refusal` on every pair it meets in a worker."""
+
+    def classify(self, od_i, od_j):
+        if in_worker():
+            raise Refusal(f"pair ({od_i.object_id}, {od_j.object_id})")
+        return super().classify(od_i, od_j)
 
 
 # ----------------------------------------------------------------------
@@ -157,83 +168,55 @@ def raising_initializer() -> dict:
     )
 
 
-def build_outcome(documents, ingestor, twin_sources) -> dict:
-    """A session built by ``ingestor`` against a serial twin."""
+def batch_raises() -> dict:
+    """A ``process`` detect whose classifier raises inside a worker batch."""
     from repro.api import DetectionSession
+    from repro.core.dogmatix import DogmatixClassifierFactory
+    from repro.engine import ExecutionPolicy
 
     data = dataset()
-    session = ingestor.build_session(
-        documents, data.mapping, data.real_world_type
+    session = DetectionSession(data.sources, data.mapping, data.real_world_type)
+    DogmatixClassifierFactory.__call__ = refusing_factory
+    engines = recorded_engines()
+    try:
+        session.detect(policy=ExecutionPolicy(workers=2, batch_size=8))
+    except Exception as error:  # noqa: BLE001 - the type is the outcome
+        (engine,) = engines
+        return {
+            "type": type(error).__name__,
+            "raised_in_worker": type(error.__cause__).__name__
+            == "_RemoteTraceback",
+            "backend": engine.last_backend,
+            "reason": engine.last_reason,
+        }
+    return {"type": None}
+
+
+def ingest_chunk() -> dict:
+    """A ``ParallelIngestor(2)`` build whose worker dies in a chunk,
+    against a serial twin."""
+    from repro.api import Corpus, DetectionSession
+    from repro.ingest import ParallelIngestor, builder
+
+    install(builder, "_ingest_chunk", "chunk", dying_chunk)
+    data = dataset()
+    ingestor = ParallelIngestor(2)
+    ods, index = ingestor.build(
+        Corpus(data.sources), data.mapping, data.real_world_type
     )
-    twin = DetectionSession(twin_sources, data.mapping, data.real_world_type)
+    session = DetectionSession(
+        data.sources, data.mapping, data.real_world_type, ods=ods, index=index
+    )
+    twin = DetectionSession(data.sources, data.mapping, data.real_world_type)
     return {
         "report": {
             "backend": ingestor.last_report.backend,
             "reason": ingestor.last_report.reason,
-            "parsed_in_workers": ingestor.last_report.parsed_in_workers,
         },
         "ods": [(od.object_id, od.tuples) for od in session.ods]
         == [(od.object_id, od.tuples) for od in twin.ods],
         "identical": session.detect().identical_to(twin.detect()),
     }
-
-
-def ingest_chunk() -> dict:
-    from repro.ingest import ParallelIngestor, builder
-
-    install(builder, "_ingest_chunk", "chunk", dying_chunk)
-    sources = dataset().sources
-    return build_outcome(sources, ParallelIngestor(2), sources)
-
-
-def written(directory: str) -> list:
-    """Dataset 1 written out twice, as ``a.xml`` and ``b.xml``."""
-    from repro.xmlkit import serialize
-
-    text = serialize(dataset().sources[0].document)
-    paths = [os.path.join(directory, name) for name in ("a.xml", "b.xml")]
-    for path in paths:
-        Path(path).write_text(text, encoding="utf-8")
-    return paths
-
-
-def ingest_parse(directory: str) -> dict:
-    from repro.core import Source
-    from repro.ingest import ParallelIngestor, builder
-    from repro.xmlkit import parse_file
-
-    paths = written(directory)
-    twin_sources = [Source(parse_file(path)) for path in paths]
-    install(builder, "parse_file", "parse", dying_parse)
-    return build_outcome(paths, ParallelIngestor(2), twin_sources)
-
-
-def ingest_parse_and_chunk(directory: str) -> dict:
-    from repro.core import Source
-    from repro.ingest import ParallelIngestor, builder
-    from repro.xmlkit import parse_file
-
-    paths = written(directory)
-    twin_sources = [Source(parse_file(path)) for path in paths]
-    install(builder, "parse_file", "parse", dying_parse)
-    install(builder, "_ingest_chunk", "chunk", dying_chunk)
-    return build_outcome(paths, ParallelIngestor(2), twin_sources)
-
-
-def task_raises(directory: str) -> dict:
-    from repro.ingest import ParallelIngestor
-
-    paths = written(directory)
-    Path(paths[1]).write_text("<db><cd></db>", encoding="utf-8")
-    try:
-        ParallelIngestor(2).parse_sources(paths)
-    except Exception as error:  # noqa: BLE001 - the type is the outcome
-        return {
-            "type": type(error).__name__,
-            "raised_in_worker": type(error.__cause__).__name__
-            == "_RemoteTraceback",
-        }
-    return {"type": None}
 
 
 def bounded_map() -> dict:
@@ -345,36 +328,18 @@ def test_a_broken_detect_pool_ends_on_the_serial_result(case):
 
 def test_a_worker_killed_in_an_ingest_chunk_ends_on_the_serial_build():
     outcome = run_case("ingest_chunk")
-    assert outcome["report"] == {
-        "backend": "serial", "reason": BROKEN, "parsed_in_workers": 0
-    }
+    assert outcome["report"] == {"backend": "serial", "reason": BROKEN}
     assert outcome["ods"] and outcome["identical"]
 
 
-def test_a_worker_killed_in_a_parse_parses_in_the_parent(tmp_path):
-    outcome = run_case("ingest_parse", str(tmp_path))
-    assert outcome["report"] == {
-        "backend": "parallel",
-        "reason": f"parse: {BROKEN}",
-        "parsed_in_workers": 0,
-    }
-    assert outcome["ods"] and outcome["identical"]
-
-
-def test_a_broken_parse_and_a_broken_build_report_both_reasons(tmp_path):
-    outcome = run_case("ingest_parse_and_chunk", str(tmp_path))
-    assert outcome["report"] == {
-        "backend": "serial",
-        "reason": f"parse: {BROKEN}; {BROKEN}",
-        "parsed_in_workers": 0,
-    }
-    assert outcome["ods"] and outcome["identical"]
-
-
-def test_a_task_exception_keeps_its_type(tmp_path):
-    assert run_case("task_raises", str(tmp_path)) == {
-        "type": "XMLError",
+def test_a_task_exception_keeps_its_type():
+    # Not PoolBroken, and not swallowed by the serial fallback (which
+    # runs in the parent, where the classifier would not raise).
+    assert run_case("batch_raises") == {
+        "type": "Refusal",
         "raised_in_worker": True,
+        "backend": "process",
+        "reason": None,
     }
 
 

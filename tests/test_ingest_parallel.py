@@ -1,7 +1,7 @@
 """Parallel corpus construction: serial parity and fallback behavior.
 
 The :class:`~repro.ingest.ParallelIngestor` contract: whatever the
-worker count, chunking, or parse placement, the build yields the exact
+worker count or chunking, the build yields the exact
 serial candidate set (ids, OD tuples, parent-owned elements) and an
 observably identical index — and therefore bit-identical detection
 results.  Pool-spawning tests carry the ``slow`` marker to keep the
@@ -12,17 +12,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Corpus, DetectionSession
-from repro.core import DogmatixConfig, RDistantDescendants, Source
+from repro.api import Corpus, DetectionSession, RunSpec
+from repro.core import (
+    DogmatixConfig,
+    KClosestDescendants,
+    RDistantDescendants,
+    Source,
+)
 from repro.datagen import (
     PAPER_EXAMPLE_XML,
+    PAPER_EXAMPLE_XSD,
     paper_example_document,
     paper_example_mapping,
     paper_example_schema,
 )
 from repro.engine import ExecutionPolicy
-from repro.eval import build_dataset1
-from repro.eval.harness import compare_ingest_builds
+from repro.eval import EXPERIMENTS, build_dataset1, session_for
 from repro.ingest import IngestReport, ParallelIngestor
 
 
@@ -111,42 +116,29 @@ class TestSerialPath:
         assert ingestor.last_report.reason == "no candidates"
 
     def test_report_describes_the_current_build_only(self):
-        """A reused ingestor must not report a previous call's
-        worker-parse count."""
-        ingestor = ParallelIngestor(1)
-        ingestor._parsed_in_workers = 2  # as left by a prior parse
+        """A reused ingestor reports its latest build, nothing carried
+        over from the one before."""
         corpus = Corpus(Source(paper_example_document(), paper_example_schema()))
-        ingestor.build(corpus, paper_example_mapping(), "MOVIE", paper_config())
-        assert ingestor.last_report.parsed_in_workers == 2  # consumed once
-        ingestor.build(corpus, paper_example_mapping(), "MOVIE", paper_config())
-        assert ingestor.last_report.parsed_in_workers == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelIngestor(-1)
-
-    def test_parse_sources_mixed_inputs(self, tmp_path):
-        path = tmp_path / "movies.xml"
-        path.write_text(PAPER_EXAMPLE_XML, encoding="utf-8")
-        ingestor = ParallelIngestor(1)
-        in_memory = Source(paper_example_document(), paper_example_schema())
-        sources = ingestor.parse_sources(
-            [str(path), in_memory, paper_example_document()],
-            schemas=[paper_example_schema()],
+        mapping = paper_example_mapping()
+        config = paper_config()
+        config.condition = lambda e0, element: True  # closure: unpicklable
+        ingestor = ParallelIngestor(2)
+        ingestor.build(corpus, mapping, "MOVIE", config)
+        assert ingestor.last_report == IngestReport(
+            "serial", 2, 1, 3, "unpicklable ingest payload"
         )
-        assert len(sources) == 3
-        assert sources[0].schema is not None  # positional pairing
-        assert sources[0].document.root.tag == "moviedoc"
-        assert sources[1] is in_memory
-        assert sources[2].schema is None
+        ingestor.build(
+            corpus, mapping.add("NOPE", "/moviedoc/nothing"), "NOPE",
+            paper_config(),
+        )
+        assert ingestor.last_report == IngestReport(
+            "serial", 2, 1, 0, "no candidates"
+        )
 
-    def test_parse_sources_rejects_schema_conflicts(self):
-        ingestor = ParallelIngestor(1)
-        carried = Source(paper_example_document(), paper_example_schema())
-        with pytest.raises(ValueError):
-            ingestor.parse_sources([carried], schemas=[paper_example_schema()])
-        with pytest.raises(ValueError):
-            ingestor.parse_sources([], schemas=[paper_example_schema()])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_validation(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ParallelIngestor(workers)
 
 
 @pytest.mark.slow
@@ -157,25 +149,28 @@ class TestParallelParity:
         reference = DetectionSession(
             source, paper_example_mapping(), "MOVIE", config
         )
+        corpus = Corpus(Source(paper_example_document(), paper_example_schema()))
         ingestor = ParallelIngestor(2)
-        session = ingestor.build_session(
-            [Source(paper_example_document(), paper_example_schema())],
-            paper_example_mapping(),
-            "MOVIE",
-            config,
-        )
+        ods, index = ingestor.build(corpus, paper_example_mapping(), "MOVIE", config)
         assert ingestor.last_report.backend == "parallel"
+        session = DetectionSession(
+            corpus, paper_example_mapping(), "MOVIE", config,
+            ods=ods, index=index,
+        )
         assert_same_build(reference, session)
         assert session.detect().identical_to(reference.detect())
 
     def test_dataset1_parity_and_detection(self):
         """Realistic generator corpus: same build, bit-identical run."""
         dataset = build_dataset1(base_count=20, seed=7)
-        runs = compare_ingest_builds(dataset, workers=2, verify_detect=True)
-        assert [run.mode for run in runs] == ["serial", "parallel(2)"]
-        assert all(run.identical for run in runs)
-        assert all(run.detect_identical for run in runs)
-        assert len({run.candidates for run in runs}) == 1
+        heuristic, experiment = KClosestDescendants(6), EXPERIMENTS[0]
+        reference = session_for(dataset, heuristic, experiment)
+        session = session_for(
+            dataset, heuristic, experiment,
+            policy=ExecutionPolicy(ingest_workers=2),
+        )
+        assert_same_build(reference, session)
+        assert session.detect().identical_to(reference.detect())
 
     def test_merged_worker_partials_search_like_the_serial_index(self):
         """The value indexes the workers build fold into the parent's
@@ -221,36 +216,39 @@ class TestParallelParity:
         assert [od.tuples for od in ods_a] == [od.tuples for od in ods_b]
         assert index_a.statistics() == index_b.statistics()
 
-    def test_worker_parsed_paths(self, tmp_path):
-        """Path sources parse inside the pool (phase 1) and still
-        yield the serial session."""
-        first = tmp_path / "a.xml"
-        second = tmp_path / "b.xml"
-        first.write_text(PAPER_EXAMPLE_XML, encoding="utf-8")
-        second.write_text(
-            "<moviedoc><movie><title>Sings</title><year>2002</year>"
-            "</movie></moviedoc>",
-            encoding="utf-8",
-        )
-        config = paper_config()
-        ingestor = ParallelIngestor(2)
-        session = ingestor.build_session(
-            [str(first), second],
-            paper_example_mapping(),
-            "MOVIE",
-            config,
-        )
-        assert ingestor.last_report.parsed_in_workers == 2
-        from repro.xmlkit import parse_file
+    def test_spec_with_ingest_workers_builds_the_serial_session(
+        self, tmp_path, monkeypatch
+    ):
+        """RunSpec parses in the parent and hands ingest_workers to the
+        session: the running example builds and detects as serially."""
+        reports = []
+        build = ParallelIngestor.build
 
-        reference = DetectionSession(
-            [Source(parse_file(first)), Source(parse_file(second))],
-            paper_example_mapping(),
-            "MOVIE",
-            config,
+        def recorded(ingestor, *args, **kwargs):
+            built = build(ingestor, *args, **kwargs)
+            reports.append(ingestor.last_report)
+            return built
+
+        monkeypatch.setattr(ParallelIngestor, "build", recorded)
+        (tmp_path / "movies.xml").write_text(PAPER_EXAMPLE_XML, encoding="utf-8")
+        (tmp_path / "movies.xsd").write_text(PAPER_EXAMPLE_XSD, encoding="utf-8")
+        (tmp_path / "mapping.xml").write_text(
+            paper_example_mapping().to_xml(), encoding="utf-8"
         )
+        fields = dict(
+            documents=[str(tmp_path / "movies.xml")],
+            mapping=str(tmp_path / "mapping.xml"),
+            real_world_type="MOVIE",
+            schemas=[str(tmp_path / "movies.xsd")],
+            heuristic="rdistant:2",
+            theta_tuple=0.55,
+            use_object_filter=False,
+        )
+        reference = RunSpec(**fields).build_session()
+        session = RunSpec(**fields, ingest_workers=2).build_session()
+        assert [report.backend for report in reports] == ["parallel"]
         assert_same_build(reference, session)
-        assert session.detect().identical_to(reference.detect())
+        assert session.detect().to_xml() == reference.detect().to_xml()
 
     def test_session_builds_parallel_from_policy(self):
         """config.execution.ingest_workers routes session construction

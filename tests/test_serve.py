@@ -28,6 +28,7 @@ from repro.datagen import (
     paper_example_mapping,
 )
 from repro.serve import DetectionServer, ServeClient, ServeError
+from repro.serve.daemon import MAX_BODY_BYTES
 from repro.xmlkit import parse
 
 NEW_MOVIE = (
@@ -428,6 +429,24 @@ class TestExtendAndUploads:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("name", [".", "..", "..."])
+    def test_upload_names_made_of_dots_400(self, served, name):
+        with pytest.raises(ServeError) as excinfo:
+            served.client.open_corpus(
+                {"documents": [name], "mapping": "m",
+                 "real_world_type": "MOVIE"},
+                files={name: "<a/>"},
+            )
+        assert excinfo.value.status == 400
+        assert "upload name" in str(excinfo.value)
+
+    def test_upload_names_with_dots_and_letters_open(self, served):
+        spec = dict(served.spec.to_dict(), documents=[".movies..xml"])
+        opened = served.client.open_corpus(
+            spec, files={".movies..xml": PAPER_EXAMPLE_XML}
+        )
+        assert opened["objects"] == 3
+
 
 def hostile_documents(tmp_path) -> dict:
     """A document that names a local file as an external entity, and a
@@ -657,6 +676,33 @@ class TestWire:
         assert status == 411
         assert "Content-Length" in payload["error"]
         assert exchange(wire.connection, "GET", "/healthz")[0] == 200
+
+    def test_oversized_body_is_a_413_and_the_connection_closed(self, wire):
+        # Only the head is sent: the daemon must answer from the declared
+        # length alone, without waiting for a body that never comes.
+        head = (
+            f"POST /corpora/{wire.digest}/extend HTTP/1.1\r\n"
+            f"Host: 127.0.0.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", wire.server.port), timeout=30
+        ) as raw:
+            raw.sendall(head.encode("ascii"))
+            answer = b""
+            while chunk := raw.recv(4096):  # ends when the daemon closes
+                answer += chunk
+        status_line, _, rest = answer.partition(b"\r\n")
+        headers, _, body = rest.partition(b"\r\n\r\n")
+        assert status_line.split()[1] == b"413"
+        assert b"connection: close" in headers.lower()
+        assert "limit" in json.loads(body)["error"]
+        fresh = http.client.HTTPConnection(
+            "127.0.0.1", wire.server.port, timeout=30
+        )
+        try:
+            assert exchange(fresh, "GET", "/healthz")[0] == 200
+        finally:
+            fresh.close()
 
     @pytest.mark.parametrize("method", ["DELETE", "PUT", "HEAD", "BREW"])
     def test_unsupported_method_is_json_not_html(self, wire, method):
