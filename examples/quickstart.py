@@ -20,7 +20,7 @@ processes without changing any result — set an execution policy::
     from repro import DogmatixConfig, ExecutionPolicy
     config = DogmatixConfig(execution=ExecutionPolicy.for_workers(4))
 
-or, on the command line, ``--workers 4 --batch-size 512``
+or, on the command line, ``--workers 4``
 (``--workers 0`` uses every core).  A whole run also serializes to
 JSON: ``python -m repro.cli example --write DIR`` emits a ready
 ``run.json`` for ``python -m repro.cli dedup --spec DIR/run.json``.

@@ -31,12 +31,12 @@ _DUMMY_DESCRIPTION = DescriptionDefinition((".",))
 
 def detect(
     session: DetectionSession,
-    theta_cand: Optional[float],
+    theta: float,
     policy: Optional[ExecutionPolicy],
 ) -> tuple[DetectionResult, Optional[ObjectFilter]]:
-    """One batch run against the session's standing index, and the
-    object filter it used (``None`` when filtering is off)."""
-    theta = session.config.theta_cand if theta_cand is None else theta_cand
+    """One batch run at the checked threshold ``theta`` against the
+    session's standing index, and the object filter it used (``None``
+    when filtering is off)."""
     policy = policy or session.config.execution
     classifier = (
         session._classifier

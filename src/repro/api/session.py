@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .._lazy import resolve
-from ..core.config import DogmatixConfig
+from ..core.config import DogmatixConfig, check_thresholds
 from ..core.index import CorpusIndex, IndexPartial
 from ..core.object_filter import ObjectFilter
 from ..core.similarity import DogmatixSimilarity
@@ -119,16 +119,11 @@ class DetectionSession:
     real_world_type:
         The candidate type to deduplicate.
     config:
-        All DogmatiX knobs; defaults to the paper configuration.  With
-        ``config.execution.ingest_workers > 1`` steps 1-3 and index
-        construction run through the parallel ingest subsystem
-        (:class:`repro.ingest.ParallelIngestor`) — same ODs, same ids,
-        observably identical index.
-    ods / index:
-        Externally prepared candidate set and (optionally) a prebuilt
-        index over exactly those ODs, e.g. one merged from index
-        partials (the snapshot store passes ``ods`` alone); ``index``
-        without ``ods`` is rejected.
+        All DogmatiX knobs; defaults to the paper configuration.
+    ods:
+        An externally prepared candidate set (the snapshot store passes
+        the ODs it decoded); otherwise steps 1-3 generate it from the
+        corpus.  Either way the index is built here, over these ODs.
     """
 
     def __init__(
@@ -139,36 +134,21 @@ class DetectionSession:
         config: Optional[DogmatixConfig] = None,
         *,
         ods: Optional[Sequence[ObjectDescription]] = None,
-        index: Optional[CorpusIndex] = None,
     ) -> None:
-        if index is not None and ods is None:
-            raise ValueError("a prebuilt index requires the ods it describes")
         self.corpus = corpus if isinstance(corpus, Corpus) else Corpus(corpus)
         self.mapping = mapping
         self.real_world_type = real_world_type
         self.config = config or DogmatixConfig()
-        if ods is not None:
-            self._ods: list[ObjectDescription] = list(ods)
-        elif self.config.execution.ingest_workers > 1:
-            from ..ingest.builder import ParallelIngestor
-
-            ingestor = ParallelIngestor(self.config.execution.ingest_workers)
-            self._ods, index = ingestor.build(
-                self.corpus, mapping, real_world_type, self.config
-            )
-        else:
-            self._ods = self.corpus.generate_ods(
-                mapping, real_world_type, self.config
-            )
+        self._ods: list[ObjectDescription] = (
+            list(ods)
+            if ods is not None
+            else self.corpus.generate_ods(mapping, real_world_type, self.config)
+        )
         self._by_id: dict[int, ObjectDescription] = {
             od.object_id: od for od in self._ods
         }
         self._indexed_ids = frozenset(self._by_id)
-        self._index = (
-            index
-            if index is not None
-            else CorpusIndex(self._ods, mapping, self.config.theta_tuple)
-        )
+        self._index = CorpusIndex(self._ods, mapping, self.config.theta_tuple)
         self._similarity = DogmatixSimilarity(
             self._index, semantics=self.config.similar_semantics
         )
@@ -269,12 +249,21 @@ class DetectionSession:
         ``theta_tuple``, not ``theta_cand``) are reused, so a threshold
         sweep pays for index construction once.  ``policy`` overrides
         the execution policy the same way (results stay
-        bit-identical under any worker count).
+        bit-identical under any worker count).  A ``theta_cand`` no run
+        could use raises ``ValueError`` (:func:`check_thresholds`).
         """
         result, self._last_filter = resolve("repro.api.batch:detect")(
-            self, theta_cand, policy
+            self, self._theta(theta_cand), policy
         )
         return result
+
+    def _theta(self, theta_cand: Optional[float]) -> float:
+        """The configured threshold, or the checked override."""
+        config = self.config
+        if theta_cand is None:
+            return config.theta_cand
+        check_thresholds(config.theta_tuple, theta_cand, config.possible_threshold)
+        return theta_cand
 
     # ------------------------------------------------------------------
     # Single-object lookup
@@ -303,9 +292,10 @@ class DetectionSession:
 
         Matches are sorted by descending similarity; with
         ``include_possible`` pairs in the C2 band (when configured) are
-        appended after the duplicates.
+        appended after the duplicates.  ``theta_cand`` is checked as by
+        :meth:`detect`.
         """
-        theta = self.config.theta_cand if theta_cand is None else theta_cand
+        theta = self._theta(theta_cand)
         od = self._resolve_od(target)
         in_index = (
             od.object_id in self._indexed_ids

@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .._lazy import resolve
-from ..core.config import DogmatixConfig
+from ..core.config import DogmatixConfig, check_thresholds
 from ..core.source import Source
-from ..engine.policy import DEFAULT_BATCH_SIZE, ExecutionPolicy
+from ..engine.policy import ExecutionPolicy
 from ..framework.mapping import TypeMapping, mapping_from_xml
 from ..xmlkit.parser import parse_file
 from .registries import SEMANTICS, condition_from_spec, heuristic_from_spec
@@ -50,18 +50,12 @@ class RunSpec:
         ``"kclosest:6"`` and ``"sdt,me"``.
     theta_tuple ... similar_semantics:
         The corresponding :class:`DogmatixConfig` fields.
-    workers / batch_size:
+    workers:
         The execution policy: ``workers`` > 1 classifies pairs across
         that many processes, ``0`` means all cores.
     backend:
         ``None``, or the backend the worker count selects, for specs
         that still name it: ``"serial"`` (one worker) or ``"process"``.
-    ingest_workers:
-        Worker processes for corpus *construction* (OD generation and
-        index building — see :mod:`repro.ingest`; documents are always
-        parsed in the parent); ``0`` means all cores, ``1`` (default)
-        builds in the parent.  Independent of the detection backend;
-        results are identical.
     """
 
     documents: list[str]
@@ -87,9 +81,7 @@ class RunSpec:
     #: that still name it; any other value raises.
     index_encoding: Optional[str] = None
     workers: int = 1
-    batch_size: int = DEFAULT_BATCH_SIZE
     backend: Optional[str] = None
-    ingest_workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.documents:
@@ -100,6 +92,7 @@ class RunSpec:
                 "documents; schemas pair with documents positionally"
             )
         heuristic_from_spec(self.heuristic)  # validate eagerly
+        check_thresholds(self.theta_tuple, self.theta_cand, self.possible_threshold)
         condition_from_spec(self.conditions)
         SEMANTICS.get(self.similar_semantics)
         if self.similarity_strategy == "signature":
@@ -118,10 +111,6 @@ class RunSpec:
             )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.ingest_workers < 0:
-            raise ValueError(
-                f"ingest_workers must be >= 0, got {self.ingest_workers}"
-            )
         self.execution_policy()  # one check for every execution field
 
     # ------------------------------------------------------------------
@@ -133,17 +122,13 @@ class RunSpec:
         A ``"serial"`` backend with more than one worker would run
         single-process anyway, so it is rejected rather than obeyed.
         """
-        workers = self.workers or (os.cpu_count() or 1)
-        if self.backend == "serial" and workers > 1:
+        policy = ExecutionPolicy.for_workers(self.workers)
+        if self.backend == "serial" and policy.parallel:
             raise ValueError(
-                f"backend='serial' with workers={workers} would run "
+                f"backend='serial' with workers={policy.workers} would run "
                 "single-process anyway; drop the backend or set workers=1"
             )
-        return ExecutionPolicy(
-            workers=workers,
-            batch_size=self.batch_size,
-            ingest_workers=self.ingest_workers or (os.cpu_count() or 1),
-        )
+        return policy
 
     def to_config(self) -> DogmatixConfig:
         """The :class:`DogmatixConfig` this spec describes."""
@@ -168,7 +153,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        data = _without_shard_settings(data)
+        data = _without_removed_settings(data)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -226,9 +211,8 @@ class RunSpec:
     def build_session(self):
         """A ready :class:`~repro.api.session.DetectionSession`.
 
-        The documents are parsed here, in this process; with
-        ``ingest_workers`` > 1 the session builds its ODs and index
-        across that many workers — the session is identical either way.
+        The documents are parsed, their ODs generated and the index
+        built here, in this process.
         """
         from .session import DetectionSession
 
@@ -240,29 +224,32 @@ class RunSpec:
         )
 
 
-def _without_shard_settings(data: dict) -> dict:
-    """``data`` with the removed shard backend's settings dropped.
+#: Settings of removed execution paths, each with the values it accepted.
+_REMOVED_SETTINGS = {
+    "shard_by": lambda value: value in ("block", "object"),
+    "filter_in_workers": lambda value: isinstance(value, bool),
+    "batch_size": lambda value: isinstance(value, int) and value >= 1,
+    "ingest_workers": lambda value: isinstance(value, int) and value >= 0,
+}
 
-    Specs and store manifests written while that backend existed carry
-    ``shard_by`` and ``filter_in_workers``, and may name
-    ``backend: "shard"``.  It answered bit-identically to ``process``
-    and none of the three entered the store's content key, so such a
-    spec loads as ``process``; a value the backend never accepted
-    raises.
+
+def _without_removed_settings(data: dict) -> dict:
+    """``data`` without the settings of removed execution paths.
+
+    Specs and store manifests written while those paths existed carry
+    them (the shard backend's ``shard_by`` / ``filter_in_workers`` and
+    ``backend: "shard"``; ``batch_size``; ``ingest_workers``).  None
+    changed a result or entered the store's content key, so such a spec
+    loads without them (``shard`` as ``process``); a value the old
+    setting never accepted raises.
     """
     data = dict(data)
-    shard_by = data.pop("shard_by", "block")
-    if shard_by not in ("block", "object"):
-        raise ValueError(
-            f"shard_by={shard_by!r}: the shard backend and its shard_by "
-            "setting were removed"
-        )
-    filter_in_workers = data.pop("filter_in_workers", False)
-    if not isinstance(filter_in_workers, bool):
-        raise ValueError(
-            f"filter_in_workers={filter_in_workers!r}: the shard "
-            "backend and its filter_in_workers setting were removed"
-        )
+    for name, accepted in _REMOVED_SETTINGS.items():
+        if name in data and not accepted(value := data.pop(name)):
+            raise ValueError(
+                f"{name}={value!r}: not a value the removed {name} "
+                "setting accepted"
+            )
     if data.get("backend") == "shard":
         data["backend"] = "process"
     return data

@@ -27,8 +27,8 @@ given) schema; ``example`` replays the paper's running example (or,
 with ``--write``, emits it as files plus a ready ``run.json`` spec).
 
 ``--spec`` loads a serialized :class:`repro.api.RunSpec`; explicit
-flags override the spec's fields.  ``--ingest-workers N`` builds the
-corpus (OD generation, indexing) across N processes.
+flags override the spec's fields.  ``--workers N`` is the one execution
+setting: it classifies pairs across N processes.
 """
 
 from __future__ import annotations
@@ -82,6 +82,17 @@ def _bounded_int(minimum: int, what: str):
     return parse
 
 
+def _unit_interval(raw: str) -> float:
+    """argparse type: a threshold, a number in [0, 1]."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {raw!r}")
+    return value
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by ``dedup`` and ``match`` (one run's inputs)."""
     parser.add_argument("documents", nargs="*", help="XML document file(s)")
@@ -103,25 +114,14 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--semantics", default=None,
                         choices=SEMANTICS.names(),
                         help="similar-pair semantics of the measure")
-    parser.add_argument("--theta-tuple", type=float, default=None)
-    parser.add_argument("--theta-cand", type=float, default=None)
+    parser.add_argument("--theta-tuple", type=_unit_interval, default=None)
+    parser.add_argument("--theta-cand", type=_unit_interval, default=None)
     parser.add_argument("--no-filter", action="store_true",
                         help="disable the object filter")
     parser.add_argument("--workers", type=_bounded_int(0, "workers"),
                         default=None,
                         help="worker processes for pair classification "
                              "(1 = serial, 0 = all cores)")
-    parser.add_argument("--batch-size", type=_bounded_int(1, "batch size"),
-                        default=None,
-                        help="candidate pairs per classification batch")
-    parser.add_argument("--ingest-workers",
-                        type=_bounded_int(0, "ingest workers"),
-                        default=None,
-                        help="worker processes for corpus construction "
-                             "(OD generation, index build): "
-                             "each worker builds a partial index the "
-                             "parent merges; 1 = build in the parent, "
-                             "0 = all cores; results are identical")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="index snapshot store: load a warm "
                              "content-addressed snapshot of this run's "
@@ -250,6 +250,8 @@ def _spec_from_args(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> RunSpec:
     """Resolve ``--spec`` plus overriding flags into one RunSpec."""
+    from dataclasses import replace
+
     from .api.spec import RunSpec
 
     if args.spec:
@@ -280,34 +282,22 @@ def _spec_from_args(
             real_world_type=args.real_world_type,
             schemas=list(args.schema),
         )
-    if args.heuristic is not None:
-        try:
-            heuristic_from_spec(args.heuristic)
-        except (ValueError, LookupError) as exc:
-            parser.error(f"--heuristic: {exc}")
-        spec.heuristic = args.heuristic
-    if args.conditions is not None:
-        try:
-            condition_from_spec(args.conditions)
-        except (ValueError, LookupError) as exc:
-            parser.error(f"--conditions: {exc}")
-        spec.conditions = args.conditions
-    if args.semantics is not None:
-        spec.similar_semantics = args.semantics
-    if args.theta_tuple is not None:
-        spec.theta_tuple = args.theta_tuple
-    if args.theta_cand is not None:
-        spec.theta_cand = args.theta_cand
-    if args.no_filter:
-        spec.use_object_filter = False
+    flags = {
+        "heuristic": args.heuristic,
+        "conditions": args.conditions,
+        "similar_semantics": args.semantics,
+        "theta_tuple": args.theta_tuple,
+        "theta_cand": args.theta_cand,
+        "use_object_filter": False if args.no_filter else None,
+        "workers": args.workers,
+    }
+    overrides = {name: value for name, value in flags.items() if value is not None}
     if args.workers is not None:
-        spec.workers = args.workers
-        spec.backend = None  # re-derive from the worker count
-    if args.batch_size is not None:
-        spec.batch_size = args.batch_size
-    if args.ingest_workers is not None:
-        spec.ingest_workers = args.ingest_workers
-    return spec
+        overrides["backend"] = None  # re-derive from the worker count
+    try:  # the spec checks the merged fields, e.g. a flag against its band
+        return replace(spec, **overrides)
+    except (ValueError, LookupError) as exc:
+        parser.error(str(exc))
 
 
 def _session_for_spec(spec: RunSpec, store_dir: Optional[str]):

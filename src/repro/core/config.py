@@ -19,6 +19,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .selection import DescriptionSelector
 
 
+def check_thresholds(
+    theta_tuple: float, theta_cand: float, possible_threshold: Optional[float]
+) -> None:
+    """Raise ``ValueError`` unless both thresholds are numbers in [0, 1]
+    (so not NaN) and a ``possible_threshold`` is in [0, theta_cand): the
+    one check of a config, a spec and a ``detect`` / ``match`` override."""
+    for name, value in (("theta_tuple", theta_tuple), ("theta_cand", theta_cand)):
+        if not isinstance(value, (int, float)) or not 0 <= value <= 1:
+            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    if possible_threshold is not None and not (
+        isinstance(possible_threshold, (int, float))
+        and 0 <= possible_threshold < theta_cand
+    ):
+        raise ValueError(
+            f"possible_threshold must be in [0, theta_cand = {theta_cand!r}), "
+            f"got {possible_threshold!r}"
+        )
+
+
 @dataclass
 class DogmatixConfig:
     """All knobs of a DogmatiX run.
@@ -44,10 +63,9 @@ class DogmatixConfig:
     possible_threshold:
         Optional lower threshold for a C2 "possible duplicates" band.
     execution:
-        How steps 4+5 execute (engine.ExecutionPolicy): worker count
-        (which selects the serial or process backend), batch size and
-        ingest workers.  Results are identical across policies; only
-        wall-clock changes.
+        How steps 4+5 execute (engine.ExecutionPolicy): the worker
+        count, which selects the serial or process backend.  Results
+        are identical across policies; only wall-clock changes.
     """
 
     heuristic: Heuristic = field(default_factory=lambda: KClosestDescendants(6))
@@ -70,10 +88,7 @@ class DogmatixConfig:
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.theta_tuple <= 1:
-            raise ValueError(f"theta_tuple must be in [0, 1], got {self.theta_tuple}")
-        if not 0 <= self.theta_cand <= 1:
-            raise ValueError(f"theta_cand must be in [0, 1], got {self.theta_cand}")
+        check_thresholds(self.theta_tuple, self.theta_cand, self.possible_threshold)
         if self.similar_semantics not in ("matching", "all-pairs"):
             raise ValueError(
                 f"similar_semantics must be 'matching' or 'all-pairs', "

@@ -2,9 +2,9 @@
 
 The architectural seam between *what* is compared (framework, core) and
 *how* the comparisons run.  :class:`ExecutionPolicy` holds the worker
-count and batch size, and :class:`ParallelClassifier` cuts any pair
-source's stream into fixed-size batches (:func:`chunked`) and
-classifies them — in-process with one worker, across the worker pool of
+count, and :class:`ParallelClassifier` cuts any pair source's stream
+into fixed-size batches (:func:`chunked`) and classifies them —
+in-process with one worker, across the worker pool of
 :mod:`repro.engine.pool` with more — with results guaranteed identical
 to the serial order (see ``tests/test_engine_parallel.py`` and
 ``tests/test_backend_equivalence.py``).
@@ -21,7 +21,6 @@ __all__ = lazy_exports(
         "bare_ods": "executor",
         "chunked": "executor",
         "score_batch": "executor",
-        "DEFAULT_BATCH_SIZE": "policy",
         "ExecutionPolicy": "policy",
     },
 )

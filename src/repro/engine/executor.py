@@ -2,8 +2,8 @@
 
 The :class:`ParallelClassifier` executes the classification of candidate
 pairs in fixed-size batches: :func:`chunked` cuts the pair source's
-stream into lists of ``batch_size`` ``(left, right)`` id pairs in the
-source's order, so concatenating per-batch results reproduces the
+stream into lists of :data:`BATCH_SIZE` ``(left, right)`` id pairs in
+the source's order, so concatenating per-batch results reproduces the
 serial pair order exactly.  The worker count picks one of two backends,
 and both share the scoring code path:
 
@@ -55,6 +55,10 @@ from .policy import ExecutionPolicy
 # What only a parallel run needs, resolved when one dispatches: a serial
 # run loads neither the pool nor what the pool imports.
 _POOL = "repro.engine.pool"
+
+#: Pairs per batch: the unit of the serial loop and of one worker task.
+#: Read in the parent at dispatch; results are invariant under it.
+BATCH_SIZE = 256
 
 #: ``factory(ods) -> classifier``; must be picklable for the process
 #: backend (module-level callables and frozen dataclasses qualify).
@@ -191,7 +195,6 @@ class ParallelClassifier:
         the source's pair order under both backends.
         """
         self.last_reason = None
-        batch_size = self.policy.batch_size
         if self.policy.parallel:
             picklable = resolve(f"{_POOL}:picklable")
             try:
@@ -200,14 +203,14 @@ class ParallelClassifier:
                 )
                 if picklable(factory):
                     return self._run_process(
-                        ods, chunked(pair_source.pairs(ods), batch_size), factory
+                        ods, chunked(pair_source.pairs(ods), BATCH_SIZE), factory
                     )
                 self.last_reason = "unpicklable classifier factory"
             except resolve(f"{_POOL}:PoolBroken") as failure:
                 self.last_reason = str(failure)
         # A fresh stream: a broken pool may have drained part of the
         # first, and a source resets its state per enumeration.
-        return self._run_serial(ods, chunked(pair_source.pairs(ods), batch_size))
+        return self._run_serial(ods, chunked(pair_source.pairs(ods), BATCH_SIZE))
 
     # ------------------------------------------------------------------
     def _run_serial(

@@ -59,9 +59,8 @@ def session_for(
 ) -> DetectionSession:
     """A prepared session for one (dataset, heuristic, experiment) cell.
 
-    ``policy`` replaces the experiment's execution policy; its
-    ``ingest_workers`` > 1 builds the session (OD generation + index)
-    through the parallel ingest subsystem — identical session.
+    ``policy`` replaces the experiment's execution policy; the session
+    is built in this process whatever its worker count.
     """
     config = experiment.config(
         heuristic,

@@ -11,7 +11,8 @@ corpus-index construction, and adds the first piece of cross-run state:
   descriptions, generates ODs, and builds a *partial* corpus index
   (:class:`~repro.core.index.IndexPartial`) that the parent merges
   associatively into an index observably identical to the serial
-  build;
+  build.  No session uses it (a session builds in the parent, which
+  is faster); the benchmark still times it;
 * :class:`IndexStore` — a versioned, content-addressed on-disk
   snapshot store so sessions warm-start across CLI invocations and
   serving processes instead of rebuilding steps 1-3 per process.

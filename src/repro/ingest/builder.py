@@ -1,5 +1,9 @@
 """Parallel corpus construction with mergeable partial indexes.
 
+No product path selects this builder (a session builds in the parent,
+faster on every corpus measured); it stays for the benchmark's probes,
+and ROADMAP lists it for deletion with the other bench-only names.
+
 The serial reference is :meth:`repro.api.Corpus.generate_ods` followed
 by a :class:`~repro.core.index.CorpusIndex` build: for every candidate
 XPath (sorted) and source (insertion order), infer/resolve the schema,

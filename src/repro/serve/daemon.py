@@ -48,6 +48,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .._lazy import preload
 from ..api.spec import RunSpec
+from ..core.config import check_thresholds
 from ..core.source import Source
 from ..ingest.store import IndexStore
 from ..xmlkit.parser import parse
@@ -80,7 +81,6 @@ preload(
     "repro.core.conditions",
     "repro.xmlkit.schema_parser",
     "repro.engine.pool",
-    "repro.ingest.builder",
 )
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
@@ -332,38 +332,31 @@ class _Handler(BaseHTTPRequestHandler):
         self, digest: str, params: dict, body: bytes
     ) -> tuple[dict, int]:
         entry = self._entry(digest)
-        theta = self._float_param(params, "theta_cand")
+        theta = self._theta_param(params, entry)
         include_possible = self._flag_param(params, "include_possible")
         top = self._int_param(params, "top")
+        if top is not None and top < 1:
+            raise ApiError(400, f"top must be an integer >= 1, got {top}")
         with entry.lock.read_locked():
             session = entry.session
             if body:
-                element = _candidate_element(session, body)
-                try:
-                    matches = session.match(
-                        element,
-                        theta_cand=theta,
-                        include_possible=include_possible,
-                    )
-                except ValueError as exc:
-                    raise ApiError(400, str(exc)) from None
+                query = _candidate_element(session, body)
                 target: Optional[int] = None
             else:
-                object_id = self._int_param(params, "object_id")
-                if object_id is None:
+                target = query = self._int_param(params, "object_id")
+                if target is None:
                     raise ApiError(
                         400,
                         "match needs ?object_id=N or a posted XML element",
                     )
-                try:
-                    matches = session.match(
-                        object_id,
-                        theta_cand=theta,
-                        include_possible=include_possible,
-                    )
-                except KeyError as exc:
-                    raise ApiError(404, str(exc.args[0])) from None
-                target = object_id
+            try:
+                matches = session.match(
+                    query, theta_cand=theta, include_possible=include_possible
+                )
+            except KeyError as exc:  # no such object id
+                raise ApiError(404, str(exc.args[0])) from None
+            except ValueError as exc:  # an element of another type
+                raise ApiError(400, str(exc)) from None
         if top is not None:
             matches = matches[:top]
         return {
@@ -381,7 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _detect(self, digest: str, params: dict) -> tuple[dict, int]:
         entry = self._entry(digest)
-        theta = self._float_param(params, "theta_cand")
+        theta = self._theta_param(params, entry)
         # detect() mutates session state (the last-filter snapshot), so
         # it takes the writer lock like extend() does.
         with entry.lock.write_locked():
@@ -441,14 +434,18 @@ class _Handler(BaseHTTPRequestHandler):
         return data
 
     @staticmethod
-    def _float_param(params: dict, name: str) -> Optional[float]:
-        values = params.get(name)
+    def _theta_param(params: dict, entry: SessionEntry) -> Optional[float]:
+        """The query's ``theta_cand``, checked before any lock is taken."""
+        values = params.get("theta_cand")
         if not values:
             return None
+        config = entry.session.config
         try:
-            return float(values[-1])
-        except ValueError:
-            raise ApiError(400, f"{name} must be a number") from None
+            theta = float(values[-1])
+            check_thresholds(config.theta_tuple, theta, config.possible_threshold)
+        except ValueError as exc:
+            raise ApiError(400, f"theta_cand={values[-1]!r}: {exc}") from None
+        return theta
 
     @staticmethod
     def _int_param(params: dict, name: str) -> Optional[int]:

@@ -258,6 +258,50 @@ class TestMatch:
             paper_session.match("movie[1]")
 
 
+class TestThresholdOverride:
+    """``match()`` and ``detect()`` check a ``theta_cand`` override the
+    same way: a value no run could use raises ``ValueError`` from both
+    (``match`` used to answer ``[]`` above 1 and every partner below 0,
+    while ``detect`` raised)."""
+
+    @pytest.fixture()
+    def banded_session(self):
+        config = paper_config()
+        config.use_object_filter = True
+        config.possible_threshold = 0.05
+        return DetectionSession(
+            Source(paper_example_document(), paper_example_schema()),
+            paper_example_mapping(),
+            "MOVIE",
+            config,
+        )
+
+    @pytest.mark.parametrize(
+        "theta",
+        [2.0, 1.0000001, -0.5, float("nan"), float("inf"), 0.05, 0.01],
+        ids=["above-1", "just-above-1", "negative", "nan", "inf",
+             "at-possible", "below-possible"],
+    )
+    @pytest.mark.parametrize("use_object_filter", [False, True])
+    def test_bad_theta_raises_from_match_and_detect(
+        self, banded_session, theta, use_object_filter
+    ):
+        banded_session.config.use_object_filter = use_object_filter
+        with pytest.raises(ValueError, match="theta_cand|possible_threshold"):
+            banded_session.match(0, theta_cand=theta)
+        with pytest.raises(ValueError, match="theta_cand|possible_threshold"):
+            banded_session.detect(theta_cand=theta)
+
+    @pytest.mark.parametrize("theta", [0.06, 0.1, 1.0])
+    def test_theta_in_range_agrees_between_match_and_detect(
+        self, banded_session, theta
+    ):
+        expected = partners_from_detect(banded_session.detect(theta_cand=theta))
+        for od in banded_session.ods:
+            found = banded_session.match(od.object_id, theta_cand=theta)
+            assert {m.object_id for m in found} == expected[od.object_id]
+
+
 class TestExtend:
     def test_extend_clusters_new_duplicate(self, paper_session):
         schema = paper_example_schema()

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.api import RunSpec
-from repro.core import KClosestDescendants
+from repro.core import DogmatixConfig, KClosestDescendants
 from repro.datagen import (
     PAPER_EXAMPLE_XML,
     PAPER_EXAMPLE_XSD,
@@ -32,7 +32,6 @@ def full_spec() -> RunSpec:
         possible_threshold=0.40,
         similar_semantics="all-pairs",
         workers=3,
-        batch_size=128,
         backend="process",
     )
 
@@ -97,7 +96,7 @@ class TestRoundTrip:
         original = spec.to_config()
         restored = RunSpec.from_json(spec.to_json()).to_config()
         assert restored == original
-        assert restored.execution == ExecutionPolicy(workers=3, batch_size=128)
+        assert restored.execution == ExecutionPolicy(workers=3)
 
     def test_default_config_round_trips(self):
         spec = RunSpec(documents=["a.xml"], mapping="m.xml", real_world_type="T")
@@ -112,43 +111,7 @@ class TestRoundTrip:
             documents=["a.xml"], mapping="m.xml", real_world_type="T",
             workers=4,
         )
-        assert spec.execution_policy() == ExecutionPolicy.for_workers(4, 256)
-
-    def test_ingest_workers_round_trips(self):
-        spec = RunSpec(
-            documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            workers=4, ingest_workers=3,
-        )
-        restored = RunSpec.from_json(spec.to_json())
-        assert restored == spec
-        assert restored.execution_policy() == ExecutionPolicy(
-            workers=4, batch_size=256, ingest_workers=3
-        )
-
-    def test_ingest_workers_orthogonal_to_backend(self):
-        """Parallel ingestion composes with any detection backend —
-        including a fully serial one."""
-        spec = RunSpec(
-            documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            ingest_workers=2,
-        )
-        policy = spec.execution_policy()
-        assert policy.backend == "serial"
-        assert policy.workers == 1
-        assert policy.ingest_workers == 2
-        parallel = RunSpec(
-            documents=["a.xml"], mapping="m.xml", real_world_type="T",
-            workers=2, backend="process", ingest_workers=2,
-        ).execution_policy()
-        assert parallel.backend == "process"
-        assert parallel.ingest_workers == 2
-
-    def test_negative_ingest_workers_rejected(self):
-        with pytest.raises(ValueError, match="ingest_workers"):
-            RunSpec(
-                documents=["a.xml"], mapping="m.xml", real_world_type="T",
-                ingest_workers=-1,
-            )
+        assert spec.execution_policy() == ExecutionPolicy.for_workers(4)
 
     def test_unknown_json_keys_rejected(self):
         payload = json.loads(full_spec().to_json())
@@ -240,6 +203,101 @@ class TestLegacyShardSettings:
                 documents=["a.xml"], mapping="m.xml", real_world_type="T",
                 backend="shard",
             )
+
+
+class TestLegacyExecutionSettings:
+    """Specs and store manifests written while ``batch_size`` and
+    ``ingest_workers`` were fields carry both keys; neither changed a
+    result nor entered the store's content key, so they load without
+    them — unless they hold a value the old field never accepted."""
+
+    def test_runspec_has_one_execution_setting(self):
+        names = {field.name for field in dataclasses.fields(RunSpec)}
+        assert not names & {"batch_size", "ingest_workers"}
+        assert len(names) == 17
+        assert [f.name for f in dataclasses.fields(ExecutionPolicy)] == [
+            "workers"
+        ]
+
+    @pytest.mark.parametrize("ingest_workers", [0, 1, 4])
+    @pytest.mark.parametrize("batch_size", [1, 256, 512])
+    def test_parent_shaped_spec_loads_without_them(
+        self, batch_size, ingest_workers
+    ):
+        spec = RunSpec.from_dict(
+            spec_dict(
+                workers=2, batch_size=batch_size, ingest_workers=ingest_workers
+            )
+        )
+        assert spec == RunSpec.from_dict(spec_dict(workers=2))
+        assert spec.execution_policy() == ExecutionPolicy(workers=2)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"ingest_workers": -1},
+            {"ingest_workers": 1.5},
+            {"batch_size": "256"},
+            {"batch_size": None},
+        ],
+        ids=["ingest_workers-negative", "ingest_workers-float",
+             "batch_size-string", "batch_size-null"],
+    )
+    def test_a_value_the_old_field_never_accepted_raises(self, fields):
+        with pytest.raises(ValueError, match="removed"):
+            RunSpec.from_dict(spec_dict(**fields))
+
+    def test_constructor_does_not_take_them(self):
+        with pytest.raises(TypeError):
+            RunSpec(
+                documents=["a.xml"], mapping="m.xml", real_world_type="T",
+                batch_size=256,
+            )
+
+
+class TestThresholdsValidateOnLoad:
+    """The thresholds are checked when the spec is built, by the same
+    function as :class:`DogmatixConfig` — the CLI reports a bad one as
+    ``cannot load spec``, the daemon as a 400 ``bad RunSpec``."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"theta_cand": 2},
+            {"theta_cand": -0.5},
+            {"theta_cand": float("nan")},
+            {"theta_tuple": -1},
+            {"theta_tuple": float("inf")},
+            {"theta_cand": "0.5"},
+            {"possible_threshold": 0.9},
+            {"possible_threshold": 0.55},
+            {"possible_threshold": -0.1},
+        ],
+        ids=["cand-2", "cand-negative", "cand-nan", "tuple-negative",
+             "tuple-inf", "cand-string", "possible-above", "possible-equal",
+             "possible-negative"],
+    )
+    def test_bad_threshold_raises(self, fields):
+        with pytest.raises(ValueError, match="theta_|possible_threshold"):
+            RunSpec.from_dict(spec_dict(**fields))
+        config_fields = {
+            "theta_tuple": 0.15, "theta_cand": 0.55, "possible_threshold": None,
+        }
+        config_fields.update(fields)
+        with pytest.raises(ValueError, match="theta_|possible_threshold"):
+            DogmatixConfig(**config_fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"theta_cand": 0, "theta_tuple": 1},
+            {"theta_cand": 1.0, "possible_threshold": 0.0},
+            {"possible_threshold": 0.54},
+        ],
+        ids=["bounds", "possible-zero", "possible-below"],
+    )
+    def test_thresholds_at_the_bounds_load(self, fields):
+        assert RunSpec.from_dict(spec_dict(**fields)).to_config()
 
 
 class TestFiles:

@@ -10,8 +10,8 @@ These tests pin that on seeded-random corpora sweeping object counts,
 duplicate rates, and pathological block-size distributions: one giant
 block, all-singleton blocks, objects with empty descriptions, and
 zipf-skewed blocks.  Two fixed seeds keep the sweep deterministic;
-each ``(seed, shape, policy)`` is its own test, so a failure names the
-policy that diverged.
+each ``(seed, shape, run)`` is its own test, so a failure names the
+worker count and batch size that diverged.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import DetectionSession
 from repro.core import DogmatixConfig
-from repro.engine import ExecutionPolicy
+from repro.engine import ExecutionPolicy, executor
 from repro.framework import TypeMapping, od_from_pairs
 
 SEEDS = (101, 202)
@@ -105,27 +105,35 @@ def assert_results_identical(reference, other):
 # ----------------------------------------------------------------------
 # Steps 4+5+6: bit-identical DetectionResults across backends
 # ----------------------------------------------------------------------
-#: Every process policy the harness holds to serial: two worker counts
-#: × batch sizes from one pair per task to the default.
-PROCESS_POLICIES = tuple(
-    ExecutionPolicy(workers=workers, batch_size=batch_size)
+#: Every process run the harness holds to serial: two worker counts
+#: × batch sizes (the executor's module constant) from one pair per
+#: task to the default.
+PROCESS_RUNS = tuple(
+    (workers, batch_size)
     for workers in (2, 3)
     for batch_size in (1, 7, 32, 256)
 )
 
 
-def policy_id(policy: ExecutionPolicy) -> str:
-    return f"w{policy.workers}-b{policy.batch_size}"
+def run_id(run: tuple[int, int]) -> str:
+    return f"w{run[0]}-b{run[1]}"
 
 
-by_policy = pytest.mark.parametrize("policy", PROCESS_POLICIES, ids=policy_id)
+by_run = pytest.mark.parametrize("run", PROCESS_RUNS, ids=run_id)
+
+
+def detect_as(session, run, monkeypatch):
+    """``session.detect()`` on ``run``'s worker count and batch size."""
+    workers, batch_size = run
+    monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
+    return session.detect(policy=ExecutionPolicy(workers=workers))
 
 
 class TestProcessBackendEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", SHAPES)
-    @by_policy
-    def test_fuzzed_corpora(self, seed, shape, policy):
+    @by_run
+    def test_fuzzed_corpora(self, seed, shape, run, monkeypatch):
         """The invariant: serial == process on random corpora, down to
         the object filter's decision sequence."""
         ods = random_corpus(seed, shape)
@@ -133,38 +141,38 @@ class TestProcessBackendEquivalence:
         reference = session.detect()  # serial
         decisions = tuple(session.object_filter.decisions)
         assert [d.object_id for d in decisions] == [od.object_id for od in ods]
-        assert_results_identical(reference, session.detect(policy=policy))
+        assert_results_identical(reference, detect_as(session, run, monkeypatch))
         assert tuple(session.object_filter.decisions) == decisions
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @by_policy
-    def test_without_object_filter(self, seed, policy):
+    @by_run
+    def test_without_object_filter(self, seed, run, monkeypatch):
         ods = random_corpus(seed, "dupes")
         session = session_over(ods, use_object_filter=False)
         reference = session.detect()
         assert reference.duplicate_pairs  # the shape actually produces work
-        assert_results_identical(reference, session.detect(policy=policy))
+        assert_results_identical(reference, detect_as(session, run, monkeypatch))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @by_policy
-    def test_without_blocking_all_pairs(self, seed, policy):
+    @by_run
+    def test_without_blocking_all_pairs(self, seed, run, monkeypatch):
         """use_blocking=False: the quadratic loop, batched."""
         ods = random_corpus(seed, "uniform", count=24)
         session = session_over(ods, use_blocking=False)
         reference = session.detect()
-        assert_results_identical(reference, session.detect(policy=policy))
+        assert_results_identical(reference, detect_as(session, run, monkeypatch))
 
-    @by_policy
-    def test_possible_band_survives_sharding(self, policy):
+    @by_run
+    def test_possible_band_survives_sharding(self, run, monkeypatch):
         ods = random_corpus(SEEDS[0], "dupes")
         session = session_over(ods, possible_threshold=0.2)
         reference = session.detect()
         assert reference.possible_pairs  # C2 band exercised
-        assert_results_identical(reference, session.detect(policy=policy))
+        assert_results_identical(reference, detect_as(session, run, monkeypatch))
 
     @pytest.mark.slow
-    @by_policy
-    def test_dirty_dataset_end_to_end(self, policy):
+    @by_run
+    def test_dirty_dataset_end_to_end(self, run, monkeypatch):
         """Realistic generator corpus (XML, schemas, gold) through the
         process backend."""
         from repro.api import Corpus
@@ -179,4 +187,4 @@ class TestProcessBackendEquivalence:
         )
         reference = session.detect()
         assert reference.duplicate_pairs
-        assert_results_identical(reference, session.detect(policy=policy))
+        assert_results_identical(reference, detect_as(session, run, monkeypatch))

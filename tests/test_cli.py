@@ -63,25 +63,6 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_ingest_workers_flag_reaches_the_spec(self):
-        from repro.cli import _spec_from_args
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["dedup", "doc.xml", "--mapping", "m.xml", "--type", "T",
-             "--ingest-workers", "3"]
-        )
-        spec = _spec_from_args(args, parser)
-        assert spec.ingest_workers == 3
-        assert spec.to_config().execution.ingest_workers == 3
-
-    def test_negative_ingest_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["dedup", "doc.xml", "--mapping", "m.xml", "--type", "T",
-                 "--ingest-workers", "-2"]
-            )
-
 
 class TestDedupCommand:
     def test_dedup_to_stdout(self, example_files, capsys):
@@ -172,6 +153,21 @@ class TestSpecWorkflow:
         (cluster,) = result.root.find_all("dupcluster")
         assert len(cluster.find_all("duplicate")) == 2
 
+    def test_parent_spec_with_batch_settings_writes_the_same_bytes(
+        self, spec_dir, capsys
+    ):
+        """A spec file written while ``batch_size`` and
+        ``ingest_workers`` were fields runs as one without them."""
+        import json
+
+        assert main(["dedup", "--spec", str(spec_dir / "run.json")]) == 0
+        expected = capsys.readouterr().out
+        data = json.loads((spec_dir / "run.json").read_text())
+        old = spec_dir / "old.json"
+        old.write_text(json.dumps({**data, "batch_size": 512, "ingest_workers": 2}))
+        assert main(["dedup", "--spec", str(old)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_spec_flags_override(self, spec_dir, capsys):
         """An impossible theta_cand override yields zero clusters."""
         code = main([
@@ -225,10 +221,16 @@ class TestSpecWorkflow:
             assert spec.workers == int(workers)
 
     @pytest.mark.parametrize(
-        "flags", [["--shard-by", "block"], ["--filter-in-workers"]],
-        ids=["shard-by", "filter-in-workers"],
+        "flags",
+        [
+            ["--shard-by", "block"],
+            ["--filter-in-workers"],
+            ["--batch-size", "512"],
+            ["--ingest-workers", "2"],
+        ],
+        ids=["shard-by", "filter-in-workers", "batch-size", "ingest-workers"],
     )
-    def test_removed_shard_flags_are_argparse_errors(
+    def test_removed_execution_flags_are_argparse_errors(
         self, spec_dir, capsys, flags
     ):
         with pytest.raises(SystemExit) as excinfo:
@@ -257,6 +259,61 @@ class TestSpecWorkflow:
             main(["dedup", "--spec", str(spec_path)])
         assert excinfo.value.code == 2
         assert "cannot load spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--theta-cand", "2"],
+            ["--theta-cand", "nan"],
+            ["--theta-cand", "x"],
+            ["--theta-tuple", "-1"],
+        ],
+        ids=["cand-2", "cand-nan", "cand-text", "tuple-negative"],
+    )
+    def test_out_of_range_threshold_flag_is_one_usage_line(
+        self, spec_dir, capsys, flags
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dedup", "--spec", str(spec_dir / "run.json"), *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro dedup: error: argument {flags[0]}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"theta_cand": 2},
+            {"theta_tuple": -1},
+            {"possible_threshold": 0.9},
+        ],
+        ids=["cand-2", "tuple-negative", "possible-above-cand"],
+    )
+    def test_bad_threshold_in_spec_cannot_load(self, spec_dir, capsys, fields):
+        import json
+
+        spec_path = spec_dir / "run.json"
+        data = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**data, **fields}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dedup", "--spec", str(spec_path)])
+        assert excinfo.value.code == 2
+        assert "cannot load spec" in capsys.readouterr().err
+
+    def test_theta_flag_below_the_specs_possible_threshold(
+        self, spec_dir, capsys
+    ):
+        """Each value is in range, but the flag crosses the spec's
+        possible band: one usage line, not a traceback."""
+        import json
+
+        spec_path = spec_dir / "run.json"
+        data = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**data, "possible_threshold": 0.3}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dedup", "--spec", str(spec_path), "--theta-cand", "0.2"])
+        assert excinfo.value.code == 2
+        assert "possible_threshold" in capsys.readouterr().err
 
     def test_spec_conflicts_with_documents(self, spec_dir, example_files, capsys):
         document, _, _ = example_files

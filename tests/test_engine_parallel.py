@@ -26,6 +26,7 @@ from repro.datagen import (
     paper_example_mapping,
     paper_example_schema,
 )
+from repro.engine import executor
 from repro.engine import (
     ConstantClassifierFactory,
     ExecutionPolicy,
@@ -59,8 +60,6 @@ class TestExecutionPolicy:
         "kwargs",
         [
             {"workers": 0},
-            {"batch_size": 0},
-            {"ingest_workers": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -73,11 +72,14 @@ class TestExecutionPolicy:
             {"workers": 4, "backend": "process"},
             {"workers": 4, "shard_by": "block"},
             {"workers": 4, "filter_in_workers": False},
+            {"workers": 4, "batch_size": 32},
+            {"workers": 4, "ingest_workers": 2},
         ],
     )
     def test_removed_keywords_are_rejected(self, kwargs):
         """The worker count alone picks the backend; the shard
-        backend's settings went with it."""
+        backend's settings, the batch size and the ingest workers went
+        before it."""
         with pytest.raises(TypeError):
             ExecutionPolicy(**kwargs)
 
@@ -91,9 +93,9 @@ class TestExecutionPolicy:
 
     def test_for_workers(self):
         assert ExecutionPolicy.for_workers(1).backend == "serial"
-        four = ExecutionPolicy.for_workers(4, batch_size=32)
+        four = ExecutionPolicy.for_workers(4)
         assert four.backend == "process"
-        assert four.workers == 4 and four.batch_size == 32
+        assert four == ExecutionPolicy(workers=4)
         assert four.parallel
         auto = ExecutionPolicy.for_workers(0)
         assert auto.workers >= 1
@@ -105,8 +107,8 @@ class TestExecutionPolicy:
     def test_sharded_is_for_workers(self):
         """The removed shard backend's constructor names the process
         policy of the same worker count."""
-        policy = ExecutionPolicy.sharded(3, batch_size=64, shard_by="object")
-        assert policy == ExecutionPolicy.for_workers(3, batch_size=64)
+        policy = ExecutionPolicy.sharded(3, shard_by="object")
+        assert policy == ExecutionPolicy.for_workers(3)
         assert policy.backend == "process" and policy.parallel
         assert ExecutionPolicy.sharded(2, filter_in_workers=True) == (
             ExecutionPolicy.for_workers(2)
@@ -142,22 +144,45 @@ class TestChunked:
         if batches:
             assert all(len(batch) == size for batch in batches[:-1])
 
+    def test_a_run_cuts_its_pairs_at_the_module_constant(self, monkeypatch):
+        """``BATCH_SIZE`` is read when a run dispatches, so the
+        batch-boundary axes of the parity suites set it per run."""
+        seen = []
+        real = executor.score_batch
+
+        def spy(batch, *args):
+            seen.append(len(batch))
+            return real(batch, *args)
+
+        monkeypatch.setattr(executor, "BATCH_SIZE", 3)
+        monkeypatch.setattr(executor, "score_batch", spy)
+        ods = [od_from_pairs(i, [("x", f"/r/a[{i + 1}]/v[1]")]) for i in range(5)]
+        _, compared = ParallelClassifier(MatchingTuplesClassifier()).run(
+            ods, NoPruning()
+        )
+        assert compared == 10
+        assert seen == [3, 3, 3, 1]
+
 
 # ----------------------------------------------------------------------
 # Backend equivalence on real corpora
 # ----------------------------------------------------------------------
-POLICIES = (
-    ExecutionPolicy(),  # classic serial
-    ExecutionPolicy(batch_size=1),  # batched-serial, degenerate batches
-    ExecutionPolicy(batch_size=7),  # batched-serial, ragged tail
-    ExecutionPolicy(workers=2, batch_size=16),
-    ExecutionPolicy(workers=3, batch_size=5),
+#: ``(workers, batch size)`` per run; the batch size is the executor's
+#: module constant, set for the run.
+RUNS = (
+    (1, executor.BATCH_SIZE),  # classic serial
+    (1, 1),  # batched-serial, degenerate batches
+    (1, 7),  # batched-serial, ragged tail
+    (2, 16),
+    (3, 5),
 )
 
 
-def detect_with(dataset, config_factory, policy):
+def detect_with(dataset, config_factory, run, monkeypatch):
+    workers, batch_size = run
+    monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
     config = config_factory()
-    config.execution = policy
+    config.execution = ExecutionPolicy(workers=workers)
     return DetectionSession(
         dataset.sources, dataset.mapping, dataset.real_world_type, config
     ).detect()
@@ -191,7 +216,7 @@ class TestBackendEquivalence:
     def dirty_movies(self):
         return build_dataset2(count=20, seed=13)
 
-    def test_paper_example_equivalence(self, paper_dataset):
+    def test_paper_example_equivalence(self, paper_dataset, monkeypatch):
         def config():
             return DogmatixConfig(
                 heuristic=RDistantDescendants(2),
@@ -200,38 +225,38 @@ class TestBackendEquivalence:
                 use_object_filter=False,
             )
 
-        reference = detect_with(paper_dataset, config, POLICIES[0])
+        reference = detect_with(paper_dataset, config, RUNS[0], monkeypatch)
         assert reference.duplicate_pairs  # the Matrix pair is found
-        for policy in POLICIES[1:]:
+        for run in RUNS[1:]:
             assert_results_identical(
-                reference, detect_with(paper_dataset, config, policy)
+                reference, detect_with(paper_dataset, config, run, monkeypatch)
             )
 
-    def test_dirty_cds_equivalence(self, dirty_cds):
+    def test_dirty_cds_equivalence(self, dirty_cds, monkeypatch):
         def config():
             return DogmatixConfig(heuristic=KClosestDescendants(6))
 
-        reference = detect_with(dirty_cds, config, POLICIES[0])
+        reference = detect_with(dirty_cds, config, RUNS[0], monkeypatch)
         assert reference.duplicate_pairs
-        for policy in POLICIES[1:]:
+        for run in RUNS[1:]:
             assert_results_identical(
-                reference, detect_with(dirty_cds, config, policy)
+                reference, detect_with(dirty_cds, config, run, monkeypatch)
             )
 
-    def test_dirty_movies_equivalence(self, dirty_movies):
+    def test_dirty_movies_equivalence(self, dirty_movies, monkeypatch):
         def config():
             return DogmatixConfig(
                 heuristic=RDistantDescendants(4), use_object_filter=False
             )
 
-        reference = detect_with(dirty_movies, config, POLICIES[0])
+        reference = detect_with(dirty_movies, config, RUNS[0], monkeypatch)
         assert reference.duplicate_pairs
-        for policy in POLICIES[1:]:
+        for run in RUNS[1:]:
             assert_results_identical(
-                reference, detect_with(dirty_movies, config, policy)
+                reference, detect_with(dirty_movies, config, run, monkeypatch)
             )
 
-    def test_possible_band_equivalence(self, dirty_cds):
+    def test_possible_band_equivalence(self, dirty_cds, monkeypatch):
         """The C2 band survives the round-trip through workers."""
 
         def config():
@@ -239,9 +264,9 @@ class TestBackendEquivalence:
                 heuristic=KClosestDescendants(6), possible_threshold=0.30
             )
 
-        reference = detect_with(dirty_cds, config, POLICIES[0])
+        reference = detect_with(dirty_cds, config, RUNS[0], monkeypatch)
         assert reference.possible_pairs  # band is actually exercised
-        parallel = detect_with(dirty_cds, config, POLICIES[3])
+        parallel = detect_with(dirty_cds, config, RUNS[3], monkeypatch)
         assert_results_identical(reference, parallel)
 
 
@@ -259,13 +284,14 @@ def movie_pipeline(classifier, policy=None, classifier_factory=None):
 
 
 class TestGenericPipelineParallel:
-    def test_stateless_classifier_ships_to_workers(self):
+    def test_stateless_classifier_ships_to_workers(self, monkeypatch):
         """Without a factory, a picklable classifier is shipped as-is."""
+        monkeypatch.setattr(executor, "BATCH_SIZE", 1)
         document = paper_example_document()
         serial = movie_pipeline(MatchingTuplesClassifier()).run(document)
         parallel = movie_pipeline(
             MatchingTuplesClassifier(),
-            policy=ExecutionPolicy(workers=2, batch_size=1),
+            policy=ExecutionPolicy(workers=2),
         ).run(document)
         assert parallel.pairs == serial.pairs
         assert parallel.clusters == serial.clusters

@@ -152,8 +152,9 @@ def process_batch() -> dict:
     from repro.engine import ExecutionPolicy
     from repro.engine import executor
 
+    executor.BATCH_SIZE = 8
     return detect_outcome(
-        ExecutionPolicy(workers=2, batch_size=8),
+        ExecutionPolicy(workers=2),
         lambda: install(executor, "_score_batch_in_worker", "batch", dying_batch),
     )
 
@@ -161,9 +162,11 @@ def process_batch() -> dict:
 def raising_initializer() -> dict:
     from repro.core.dogmatix import DogmatixClassifierFactory
     from repro.engine import ExecutionPolicy
+    from repro.engine import executor
 
+    executor.BATCH_SIZE = 8
     return detect_outcome(
-        ExecutionPolicy(workers=2, batch_size=8),
+        ExecutionPolicy(workers=2),
         lambda: setattr(DogmatixClassifierFactory, "__call__", raising_factory),
     )
 
@@ -173,13 +176,15 @@ def batch_raises() -> dict:
     from repro.api import DetectionSession
     from repro.core.dogmatix import DogmatixClassifierFactory
     from repro.engine import ExecutionPolicy
+    from repro.engine import executor
 
+    executor.BATCH_SIZE = 8
     data = dataset()
     session = DetectionSession(data.sources, data.mapping, data.real_world_type)
     DogmatixClassifierFactory.__call__ = refusing_factory
     engines = recorded_engines()
     try:
-        session.detect(policy=ExecutionPolicy(workers=2, batch_size=8))
+        session.detect(policy=ExecutionPolicy(workers=2))
     except Exception as error:  # noqa: BLE001 - the type is the outcome
         (engine,) = engines
         return {
@@ -205,7 +210,7 @@ def ingest_chunk() -> dict:
         Corpus(data.sources), data.mapping, data.real_world_type
     )
     session = DetectionSession(
-        data.sources, data.mapping, data.real_world_type, ods=ods, index=index
+        data.sources, data.mapping, data.real_world_type, ods=ods
     )
     twin = DetectionSession(data.sources, data.mapping, data.real_world_type)
     return {
@@ -213,8 +218,9 @@ def ingest_chunk() -> dict:
             "backend": ingestor.last_report.backend,
             "reason": ingestor.last_report.reason,
         },
-        "ods": [(od.object_id, od.tuples) for od in session.ods]
+        "ods": [(od.object_id, od.tuples) for od in ods]
         == [(od.object_id, od.tuples) for od in twin.ods],
+        "index": index.statistics() == twin.index.statistics(),
         "identical": session.detect().identical_to(twin.detect()),
     }
 
@@ -247,6 +253,7 @@ def bounded_pair_stream() -> dict:
     """A ``process`` run over 4 950 pairs in 495 batches of 10: how many
     batches the parent enumerates ahead of the results it has taken."""
     from repro.engine import ExecutionPolicy
+    from repro.engine import executor
     from repro.engine import pool as pool_module
     from repro.engine.executor import ParallelClassifier
     from repro.framework.od import ObjectDescription
@@ -272,8 +279,8 @@ def bounded_pair_stream() -> dict:
             yield result
 
     pool_module.WorkerPool.map = observed_map
-    policy = ExecutionPolicy(workers=2, batch_size=10)
-    engine = ParallelClassifier(EveryOtherPair(), policy)
+    executor.BATCH_SIZE = 10
+    engine = ParallelClassifier(EveryOtherPair(), ExecutionPolicy(workers=2))
     pairs, compared = engine.run(ods, CountedPairs())
     serial, serial_compared = ParallelClassifier(EveryOtherPair()).run(
         ods, NoPruning()
@@ -329,7 +336,7 @@ def test_a_broken_detect_pool_ends_on_the_serial_result(case):
 def test_a_worker_killed_in_an_ingest_chunk_ends_on_the_serial_build():
     outcome = run_case("ingest_chunk")
     assert outcome["report"] == {"backend": "serial", "reason": BROKEN}
-    assert outcome["ods"] and outcome["identical"]
+    assert outcome["ods"] and outcome["index"] and outcome["identical"]
 
 
 def test_a_task_exception_keeps_its_type():

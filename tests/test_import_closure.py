@@ -97,7 +97,7 @@ EXPECTED = {
     | DETECT
     | modules(
         """
-        .cli .ingest .ingest.store .ingest.builder
+        .cli .ingest .ingest.store
         .serve .serve.daemon .serve.sessions
         .core.conditions .engine.pool
         .framework.incremental .framework.representatives

@@ -8,23 +8,29 @@ observable behavior — ``statistics()``, the blocking view
 weights — is identical to the serial build's.  These tests pin that on
 the same seeded-random corpora the backend-equivalence harness uses,
 splitting them into 1/2/4/7 partitions merged in shuffled orders, and
-extend the claim to the downstream ``DetectionResult`` (bit-identical
-through a session running on a merged index) and to delta merges into
-a live index (the ``extend()`` path).
+extend the claim to what a detection reads downstream (every pair's
+score and every object's filter decision on a merged index) and to
+delta merges into a live index (the ``extend()`` path).
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
-from repro.api import DetectionSession
-from repro.core import CorpusIndex, DogmatixConfig, IndexPartial
+from repro.core import (
+    CorpusIndex,
+    DogmatixConfig,
+    DogmatixSimilarity,
+    IndexPartial,
+    ObjectFilter,
+)
 from repro.core.softidf import singleton_soft_idf
 from repro.framework import TypeMapping
 
-from test_backend_equivalence import SEEDS, SHAPES, random_corpus, session_over
+from test_backend_equivalence import SEEDS, SHAPES, random_corpus
 
 THETA_TUPLE = 0.25
 
@@ -138,19 +144,22 @@ class TestMergeEquivalence:
 class TestMergedIndexDownstream:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", ("dupes", "skewed"))
-    def test_detection_bit_identical_on_merged_index(self, seed, shape):
-        """A session running on a shuffled-merge index produces a
-        DetectionResult bit-identical to the serial session."""
+    def test_scoring_bit_identical_on_merged_index(self, seed, shape):
+        """What a detection reads of its index — every pair's score,
+        every object's filter decision — is the serial build's on a
+        shuffled-merge index."""
         ods = random_corpus(seed, shape)
         mapping = TypeMapping().add("ITEM", "/db/item")
-        serial_session = session_over(ods)
-        reference = serial_session.detect()
+        serial = CorpusIndex(ods, mapping, THETA_TUPLE)
         merged = merged_index(ods, mapping, 4, random.Random(seed))
-        config = DogmatixConfig(theta_tuple=THETA_TUPLE)
-        session = DetectionSession(
-            (), mapping, "ITEM", config, ods=ods, index=merged
-        )
-        assert session.detect().identical_to(reference)
+        theta = DogmatixConfig().theta_cand
+        score, merged_score = DogmatixSimilarity(serial), DogmatixSimilarity(merged)
+        assert [
+            merged_score(left, right) for left, right in combinations(ods, 2)
+        ] == [score(left, right) for left, right in combinations(ods, 2)]
+        keep = ObjectFilter(serial, theta).keep
+        merged_keep = ObjectFilter(merged, theta).keep
+        assert [merged_keep(od) for od in ods] == [keep(od) for od in ods]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_delta_merge_into_live_index(self, seed):

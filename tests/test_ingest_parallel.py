@@ -4,7 +4,9 @@ The :class:`~repro.ingest.ParallelIngestor` contract: whatever the
 worker count or chunking, the build yields the exact
 serial candidate set (ids, OD tuples, parent-owned elements) and an
 observably identical index — and therefore bit-identical detection
-results.  Pool-spawning tests carry the ``slow`` marker to keep the
+results.  No session builds through it (a session always builds in the
+parent); the benchmark times it, so its parity stays pinned here.
+Pool-spawning tests carry the ``slow`` marker to keep the
 ``-m "not slow"`` dev loop fast.
 """
 
@@ -14,6 +16,7 @@ import pytest
 
 from repro.api import Corpus, DetectionSession, RunSpec
 from repro.core import (
+    CorpusIndex,
     DogmatixConfig,
     KClosestDescendants,
     RDistantDescendants,
@@ -40,19 +43,27 @@ def paper_config() -> DogmatixConfig:
     )
 
 
-def assert_same_build(reference: DetectionSession, other: DetectionSession):
-    assert [od.object_id for od in other.ods] == [
-        od.object_id for od in reference.ods
+def serial_build(corpus, mapping, real_world_type, config):
+    """The serial reference: ``generate_ods`` + ``CorpusIndex``."""
+    ods = corpus.generate_ods(mapping, real_world_type, config)
+    return ods, CorpusIndex(ods, mapping, config.theta_tuple)
+
+
+def assert_same_build(reference, other):
+    """Two ``(ods, index)`` builds are the same build."""
+    (reference_ods, reference_index), (ods, index) = reference, other
+    assert [od.object_id for od in ods] == [
+        od.object_id for od in reference_ods
     ]
-    assert [od.tuples for od in other.ods] == [od.tuples for od in reference.ods]
+    assert [od.tuples for od in ods] == [od.tuples for od in reference_ods]
     assert [
         od.element.absolute_path() if od.element is not None else None
-        for od in other.ods
+        for od in ods
     ] == [
         od.element.absolute_path() if od.element is not None else None
-        for od in reference.ods
+        for od in reference_ods
     ]
-    assert other.index.statistics() == reference.index.statistics()
+    assert index.statistics() == reference_index.statistics()
 
 
 class TestSerialPath:
@@ -145,19 +156,17 @@ class TestSerialPath:
 class TestParallelParity:
     def test_paper_example_bit_identical(self):
         config = paper_config()
-        source = Source(paper_example_document(), paper_example_schema())
-        reference = DetectionSession(
-            source, paper_example_mapping(), "MOVIE", config
-        )
+        mapping = paper_example_mapping()
         corpus = Corpus(Source(paper_example_document(), paper_example_schema()))
         ingestor = ParallelIngestor(2)
-        ods, index = ingestor.build(corpus, paper_example_mapping(), "MOVIE", config)
+        built = ingestor.build(corpus, mapping, "MOVIE", config)
         assert ingestor.last_report.backend == "parallel"
-        session = DetectionSession(
-            corpus, paper_example_mapping(), "MOVIE", config,
-            ods=ods, index=index,
+        assert_same_build(serial_build(corpus, mapping, "MOVIE", config), built)
+        reference = DetectionSession(
+            Source(paper_example_document(), paper_example_schema()),
+            mapping, "MOVIE", config,
         )
-        assert_same_build(reference, session)
+        session = DetectionSession(corpus, mapping, "MOVIE", config, ods=built[0])
         assert session.detect().identical_to(reference.detect())
 
     def test_dataset1_parity_and_detection(self):
@@ -165,11 +174,17 @@ class TestParallelParity:
         dataset = build_dataset1(base_count=20, seed=7)
         heuristic, experiment = KClosestDescendants(6), EXPERIMENTS[0]
         reference = session_for(dataset, heuristic, experiment)
-        session = session_for(
-            dataset, heuristic, experiment,
-            policy=ExecutionPolicy(ingest_workers=2),
+        corpus = Corpus(dataset.sources)
+        ingestor = ParallelIngestor(2)
+        built = ingestor.build(
+            corpus, dataset.mapping, dataset.real_world_type, reference.config
         )
-        assert_same_build(reference, session)
+        assert ingestor.last_report.backend == "parallel"
+        assert_same_build((reference.ods, reference.index), built)
+        session = DetectionSession(
+            corpus, dataset.mapping, dataset.real_world_type, reference.config,
+            ods=built[0],
+        )
         assert session.detect().identical_to(reference.detect())
 
     def test_merged_worker_partials_search_like_the_serial_index(self):
@@ -216,20 +231,23 @@ class TestParallelParity:
         assert [od.tuples for od in ods_a] == [od.tuples for od in ods_b]
         assert index_a.statistics() == index_b.statistics()
 
-    def test_spec_with_ingest_workers_builds_the_serial_session(
-        self, tmp_path, monkeypatch
+
+class TestSessionsBuildInTheParent:
+    """A session generates its ODs and builds its index in the parent:
+    no spec or policy reaches the parallel builder."""
+
+    @pytest.fixture()
+    def no_parallel_build(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a session called ParallelIngestor.build")
+
+        monkeypatch.setattr(ParallelIngestor, "build", refused)
+
+    def test_parent_spec_with_ingest_workers_builds_in_the_parent(
+        self, tmp_path, no_parallel_build
     ):
-        """RunSpec parses in the parent and hands ingest_workers to the
-        session: the running example builds and detects as serially."""
-        reports = []
-        build = ParallelIngestor.build
-
-        def recorded(ingestor, *args, **kwargs):
-            built = build(ingestor, *args, **kwargs)
-            reports.append(ingestor.last_report)
-            return built
-
-        monkeypatch.setattr(ParallelIngestor, "build", recorded)
+        """A spec written while ``ingest_workers`` was a field loads
+        without it and builds the serial session."""
         (tmp_path / "movies.xml").write_text(PAPER_EXAMPLE_XML, encoding="utf-8")
         (tmp_path / "movies.xsd").write_text(PAPER_EXAMPLE_XSD, encoding="utf-8")
         (tmp_path / "mapping.xml").write_text(
@@ -245,27 +263,31 @@ class TestParallelParity:
             use_object_filter=False,
         )
         reference = RunSpec(**fields).build_session()
-        session = RunSpec(**fields, ingest_workers=2).build_session()
-        assert [report.backend for report in reports] == ["parallel"]
-        assert_same_build(reference, session)
+        session = RunSpec.from_dict(
+            {**RunSpec(**fields).to_dict(), "ingest_workers": 2,
+             "batch_size": 512}
+        ).build_session()
+        assert_same_build(
+            (reference.ods, reference.index), (session.ods, session.index)
+        )
         assert session.detect().to_xml() == reference.detect().to_xml()
 
-    def test_session_builds_parallel_from_policy(self):
-        """config.execution.ingest_workers routes session construction
-        through the ingest subsystem transparently."""
+    @pytest.mark.slow
+    def test_session_builds_in_the_parent_at_any_worker_count(
+        self, no_parallel_build
+    ):
         dataset = build_dataset1(base_count=10, seed=3)
-        config = DogmatixConfig(use_object_filter=False)
         reference = DetectionSession(
             Corpus(dataset.sources), dataset.mapping,
-            dataset.real_world_type, config,
-        )
-        parallel_config = DogmatixConfig(
-            use_object_filter=False,
-            execution=ExecutionPolicy(ingest_workers=2),
+            dataset.real_world_type, DogmatixConfig(use_object_filter=False),
         )
         session = DetectionSession(
-            Corpus(dataset.sources), dataset.mapping,
-            dataset.real_world_type, parallel_config,
+            Corpus(dataset.sources), dataset.mapping, dataset.real_world_type,
+            DogmatixConfig(
+                use_object_filter=False, execution=ExecutionPolicy(workers=2)
+            ),
         )
-        assert_same_build(reference, session)
+        assert_same_build(
+            (reference.ods, reference.index), (session.ods, session.index)
+        )
         assert session.detect().identical_to(reference.detect())

@@ -147,7 +147,6 @@ class TestContentAddressing:
         tweaked.theta_cand = 0.8
         tweaked.workers = 4
         tweaked.backend = "process"
-        tweaked.ingest_workers = 2
         assert store.key_for(tweaked) == base
 
     def test_key_tracks_index_shaping_inputs(self, example_dir):

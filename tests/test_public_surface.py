@@ -83,9 +83,8 @@ PUBLIC_ALL = {
             paper_example_mapping paper_example_schema
         """,
         "repro.engine": """
-            ClassifierFactory ConstantClassifierFactory DEFAULT_BATCH_SIZE
-            ExecutionPolicy ParallelClassifier bare_ods chunked
-            score_batch
+            ClassifierFactory ConstantClassifierFactory ExecutionPolicy
+            ParallelClassifier bare_ods chunked score_batch
         """,
         "repro.eval": """
             Dataset EXPERIMENTS EXPERIMENTS_BY_NAME Experiment

@@ -18,8 +18,11 @@ import socket
 import threading
 import time
 from types import SimpleNamespace
+from urllib.parse import parse_qs, urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import RunSpec
 from repro.datagen import (
@@ -84,6 +87,33 @@ def served(tmp_path_factory):
     client.close()
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture(scope="module")
+def filtered(tmp_path_factory):
+    """A second daemon for the module, never written to: the object
+    filter on and a possible band below ``theta_cand``, so every
+    threshold check and the C2 band have work."""
+    tmp = tmp_path_factory.mktemp("filtered")
+    write_example(tmp)
+    spec = example_spec(tmp, use_object_filter=True, possible_threshold=0.05)
+    server, client = start_server(tmp / "store")
+    digest = client.open_corpus(spec)["digest"]
+    yield SimpleNamespace(
+        client=client, port=server.port, digest=digest,
+        session=spec.build_session(),
+    )
+    client.close()
+    server.shutdown()
+    server.server_close()
+
+
+def matches_of(session, *args, **kwargs) -> list:
+    """``session.match`` in the daemon's JSON shape."""
+    return [
+        {"object_id": m.object_id, "similarity": m.similarity, "path": m.path}
+        for m in session.match(*args, **kwargs)
+    ]
 
 
 class TestRoutes:
@@ -225,6 +255,40 @@ class TestRoutes:
             server.shutdown()
             server.server_close()
 
+    def test_digest_of_a_parent_session_with_batch_settings_is_served(
+        self, tmp_path
+    ):
+        """A manifest written while ``batch_size`` and ``ingest_workers``
+        were spec fields still builds, without them: a restarted daemon
+        serves the digest alone, equal to a session built today."""
+        from repro.ingest import IndexStore
+
+        write_example(tmp_path)
+        spec = example_spec(tmp_path, use_object_filter=True)
+        store = IndexStore(tmp_path / "store")
+        reference = spec.build_session()
+        digest = store.save(spec, reference)
+        manifest_path = store._manifest_path(digest)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"].update(batch_size=512, ingest_workers=2)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        server, client = start_server(tmp_path / "store")
+        try:
+            for od in reference.ods:
+                assert client.match(digest, object_id=od.object_id)[
+                    "matches"
+                ] == matches_of(reference, od.object_id)
+            assert client.open_corpus(
+                {**spec.to_dict(), "batch_size": 512, "ingest_workers": 2}
+            ) == {
+                "digest": digest, "origin": "session",
+                "real_world_type": "MOVIE", "objects": len(reference.ods),
+            }
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -237,6 +301,21 @@ class TestRoutes:
     def test_bad_execution_field_400(self, served, fields):
         """Checked when the spec loads, so the open is a client error
         naming the spec, not a 500 from building the session."""
+        with pytest.raises(ServeError) as excinfo:
+            served.client.open_corpus({**served.spec.to_dict(), **fields})
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("bad RunSpec: ")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"theta_cand": 2},
+            {"theta_tuple": -1},
+            {"possible_threshold": 0.9},
+        ],
+        ids=["cand-2", "tuple-negative", "possible-above-cand"],
+    )
+    def test_bad_threshold_400(self, served, fields):
         with pytest.raises(ServeError) as excinfo:
             served.client.open_corpus({**served.spec.to_dict(), **fields})
         assert excinfo.value.status == 400
@@ -347,6 +426,121 @@ class TestMatch:
                 "GET", f"/corpora/{served.digest}/match"
             )
         assert excinfo.value.status == 400
+
+
+class TestThresholdAndTopParameters:
+    """A query value no run could use is a 400 naming it, never a 500
+    and never a silently different answer."""
+
+    @pytest.mark.parametrize("theta", ["2", "-1", "nan", "inf", "1e400"])
+    @pytest.mark.parametrize("daemon", ["served", "filtered"])
+    def test_out_of_range_theta_cand_400(self, request, daemon, theta):
+        corpus = request.getfixturevalue(daemon)
+        for method, route in (("GET", "match?object_id=0&"), ("POST", "detect?")):
+            with pytest.raises(ServeError) as excinfo:
+                corpus.client._request(
+                    method, f"/corpora/{corpus.digest}/{route}theta_cand={theta}"
+                )
+            assert excinfo.value.status == 400
+            assert "theta_cand must be a number in [0, 1]" in (
+                excinfo.value.message
+            )
+
+    @pytest.mark.parametrize("theta", ["0.05", "0.01"])
+    def test_theta_cand_inside_the_possible_band_400(self, filtered, theta):
+        for method, route in (("GET", "match?object_id=0&"), ("POST", "detect?")):
+            with pytest.raises(ServeError) as excinfo:
+                filtered.client._request(
+                    method, f"/corpora/{filtered.digest}/{route}theta_cand={theta}"
+                )
+            assert excinfo.value.status == 400
+            assert "possible_threshold" in excinfo.value.message
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_400(self, filtered, top):
+        """``top=-1`` answered ``[]`` where ``top`` unset answered
+        ``[1]``; the CLI's ``--top`` has always required >= 1."""
+        assert [
+            m["object_id"]
+            for m in filtered.client.match(
+                filtered.digest, object_id=0, theta_cand=0.1
+            )["matches"]
+        ] == [1]
+        with pytest.raises(ServeError) as excinfo:
+            filtered.client.match(
+                filtered.digest, object_id=0, theta_cand=0.1, top=top
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == f"top must be an integer >= 1, got {top}"
+
+
+#: Query values as a client may send them: absent, numbers of any kind,
+#: the special floats, or arbitrary text.
+_ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+def _query_value(numbers):
+    return st.one_of(
+        st.none(),
+        numbers.map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(str),
+        st.sampled_from(["nan", "inf", "-inf", "2", "1e400", "", "0.05"]),
+        _ANY_TEXT,
+    )
+
+
+class TestRouteFuzz:
+    """Whatever a client puts in the query of ``match`` / ``detect``,
+    the daemon answers 200 or a 4xx with a JSON error — never a 5xx —
+    and a 200 from ``match`` is the in-process ``session.match``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        action=st.sampled_from(["match", "detect"]),
+        object_id=_query_value(st.integers(-2, 4)),
+        theta_cand=_query_value(st.floats(-0.5, 1.5)),
+        top=_query_value(st.integers(-2, 4)),
+        include_possible=st.one_of(
+            st.none(), st.sampled_from(["true", "1", "on", "no"]), _ANY_TEXT
+        ),
+    )
+    def test_no_query_answers_5xx(
+        self, filtered, action, object_id, theta_cand, top, include_possible
+    ):
+        drawn = {
+            "object_id": object_id, "theta_cand": theta_cand, "top": top,
+            "include_possible": include_possible,
+        }
+        query = urlencode({k: v for k, v in drawn.items() if v is not None})
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", filtered.port, timeout=30
+        )
+        try:
+            status, body = exchange(
+                connection,
+                "GET" if action == "match" else "POST",
+                f"/corpora/{filtered.digest}/{action}?{query}",
+            )
+        finally:
+            connection.close()
+        if status != 200:
+            assert 400 <= status < 500, body
+            assert isinstance(body["error"], str) and body["error"]
+            return
+        if action == "detect":
+            return
+        seen = {k: v[-1] for k, v in parse_qs(query).items()}
+        theta = seen.get("theta_cand")
+        expected = matches_of(
+            filtered.session,
+            int(seen["object_id"]),
+            theta_cand=None if theta is None else float(theta),
+            include_possible=seen.get("include_possible", "").lower()
+            in ("1", "true", "yes", "on"),
+        )
+        if "top" in seen:
+            expected = expected[: int(seen["top"])]
+        assert body["matches"] == expected
 
 
 class TestDetect:

@@ -454,18 +454,17 @@ class TestImportOnUse:
         assert [_snapshot(m) for m in again] == [_snapshot(m) for m in first]
 
     @pytest.mark.parametrize(
-        "policy",
-        [
-            ExecutionPolicy(),
-            ExecutionPolicy(batch_size=1),
-            ExecutionPolicy(workers=2),
-            ExecutionPolicy(workers=3, batch_size=7),
-        ],
+        "workers, batch_size",
+        [(1, 256), (1, 1), (2, 256), (3, 7)],
         ids=["serial", "serial-batch1", "process", "process-3"],
     )
     def test_a_second_detect_executes_no_import(
-        self, stored, import_statements, policy
+        self, stored, import_statements, workers, batch_size, monkeypatch
     ):
+        from repro.engine import executor
+
+        monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
+        policy = ExecutionPolicy(workers=workers)
         spec, store = stored
         session = store.load(spec)
         first = session.detect(policy=policy)
