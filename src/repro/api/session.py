@@ -34,7 +34,12 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 from .._lazy import resolve
 from ..core.config import DogmatixConfig, check_thresholds
 from ..core.index import CorpusIndex, IndexPartial
-from ..core.object_filter import ObjectFilter
+from ..core.object_filter import (
+    ObjectFilter,
+    filter_score,
+    reclassified,
+    tuple_classes,
+)
 from ..core.similarity import DogmatixSimilarity
 from ..framework.classifier import ThresholdClassifier
 from ..framework.mapping import TypeMapping
@@ -165,6 +170,10 @@ class DetectionSession:
         #: itself runs outside the lock, see :meth:`_kept_for`).
         self._kept_cache: OrderedDict[float, frozenset[int]] = OrderedDict()
         self._kept_lock = threading.Lock()
+        #: object id -> the S/U/N class of each of its tuples under the
+        #: object filter (θ-independent); built by the first
+        #: :meth:`_kept_for`, kept up to date by :meth:`extend`.
+        self._classes: Optional[dict[int, tuple[str, ...]]] = None
         self._incremental: Optional[IncrementalDeduplicator] = None
         # Externally supplied ODs need not be numbered 0..n-1.
         self._next_id = max(self._by_id, default=-1) + 1
@@ -343,15 +352,20 @@ class DetectionSession:
     def _kept_for(self, theta: float) -> Optional[frozenset[int]]:
         """Ids surviving the object filter at ``theta`` (None = no filter).
 
-        Memoized per ``theta`` in a small LRU (not just at the default
-        threshold — a served ``match(theta_cand=...)`` at any sweep
-        point must not re-run the O(n) filter pass per request).
-        Publication is single-assignment: the set is built fully
-        outside the lock and installed with ``setdefault``, so a
-        concurrent reader sees either nothing or one complete
-        frozenset, and the first writer wins — every caller at a given
-        theta gets the *same* object.  ``extend()`` clears the cache
-        (filter outcomes depend on the index) behind its writer lock.
+        The pass is arithmetic over the session's tuple classes
+        (:func:`~repro.core.object_filter.filter_score`).  The first call
+        classifies every tuple (a similar-value group per term);
+        :meth:`extend` keeps the classes current, moving only what the
+        delta can reach (N → U → S), so a read after a write re-sums the
+        scores, which all read |Ω|, and searches nothing.  Kept sets are
+        memoized per ``theta`` in a small LRU (not just at the default
+        threshold: a served ``match(theta_cand=...)`` at any sweep point
+        must not re-run the pass per request).  Publication is
+        single-assignment: the table and the set are built fully outside
+        the lock and installed first-writer-wins, so a concurrent reader
+        sees either nothing or one complete value, and every caller at a
+        given theta gets the *same* object.  ``extend()`` clears the kept
+        sets behind its writer lock.
         """
         if not self.config.use_object_filter:
             return None
@@ -360,9 +374,18 @@ class DetectionSession:
             if cached is not None:
                 self._kept_cache.move_to_end(theta)
                 return cached
-        object_filter = ObjectFilter(self._index, theta)
+            classes = self._classes
+        index = self._index
+        if classes is None:
+            built = {od.object_id: tuple_classes(index, od) for od in self._ods}
+            with self._kept_lock:
+                if self._classes is None:
+                    self._classes = built
+                classes = self._classes
         kept = frozenset(
-            od.object_id for od in self._ods if object_filter.keep(od)
+            od.object_id
+            for od in self._ods
+            if filter_score(index, od, classes[od.object_id])[0] > theta
         )
         with self._kept_lock:
             kept = self._kept_cache.setdefault(theta, kept)
@@ -460,9 +483,14 @@ class DetectionSession:
         see the extended objects exactly as a session rebuilt over the
         grown corpus would (bit-identical results; pinned by
         ``tests/test_write_path.py``).  The merge keeps every memoized
-        similar-value group the new values do not touch, so the filter
-        pass the next :meth:`match` re-runs (f(OD_i) reads the object
-        count, which moved for everyone) costs arithmetic, not searches.
+        similar-value group the new values do not touch.  The object
+        filter's tuple classes stay too: a write that only adds objects
+        moves a class only N → U → S, and only for a tuple whose kind
+        or similar value the delta joins, so those few are re-classified
+        (:meth:`_fold`) and the filter pass the next :meth:`match`
+        re-runs (f(OD_i) reads the object count, which moved for
+        everyone) is arithmetic.  A source without candidates adds the
+        source and changes no index, class or memo.
         """
         added_source = self.corpus.add_source(source)
         new_ods = self.corpus.generate_ods(
@@ -476,22 +504,8 @@ class DetectionSession:
         # runs behind the per-session writer lock when serving (see
         # repro.serve.sessions) and single-threaded otherwise
         self._next_id += len(new_ods)
-        # Delta-merge the index first: clustering (and every later
-        # query) scores against statistics that include the new data,
-        # like a fresh build over the grown corpus would.  The index is
-        # pinned read-only for concurrent match() readers; extend() is
-        # the one sanctioned writer (serialize it behind a per-session
-        # writer lock when serving, e.g. repro.serve's registry), so it
-        # thaws for the merge and re-freezes unconditionally.
-        self._index.thaw()
-        try:
-            self._index.merge_partial(
-                IndexPartial.from_ods(new_ods, self.mapping, q=self._index.q)
-            )
-        finally:
-            self._index.freeze()
-        with self._kept_lock:
-            self._kept_cache.clear()  # filter outcomes depend on the index
+        if new_ods:  # a document without candidates changes no memo
+            self._fold(new_ods)
         if self._incremental is None:
             # once per session: only a session that is written to loads
             # the incremental stream and its representatives
@@ -519,6 +533,41 @@ class DetectionSession:
                 for cluster in self._incremental.duplicate_clusters()
             ),
         )
+
+    def _fold(self, new_ods: list[ObjectDescription]) -> None:
+        """Grow the index and the filter's tuple classes by ``new_ods``.
+
+        Delta-merge the index first: clustering (and every later query)
+        scores against statistics that include the new data, like a
+        fresh build over the grown corpus would.  The index is pinned
+        read-only for concurrent match() readers; extend() is the one
+        sanctioned writer (serialize it behind a per-session writer
+        lock when serving, e.g. repro.serve's registry), so it thaws
+        for the merge and re-freezes unconditionally.
+
+        Then the classes: the new objects are classified, and of the
+        standing ones only the non-shared tuples under a kind whose lone
+        holder the delta joined (:meth:`CorpusIndex.lone_holders`) —
+        no other class can move.  The kept sets go: every score reads
+        |Ω|.
+        """
+        index = self._index
+        delta = IndexPartial.from_ods(new_ods, self.mapping, q=index.q)
+        index.thaw()
+        try:
+            index.merge_partial(delta)
+        finally:
+            index.freeze()
+        classes = self._classes
+        if classes is not None:
+            for object_id, key in index.lone_holders(delta):
+                classes[object_id] = reclassified(
+                    index, self._by_id[object_id], classes[object_id], key
+                )
+            for od in new_ods:
+                classes[od.object_id] = tuple_classes(index, od)
+        with self._kept_lock:
+            self._kept_cache.clear()
 
     # ------------------------------------------------------------------
     # Introspection

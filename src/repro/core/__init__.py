@@ -43,7 +43,5 @@ __all__ = lazy_exports(
         "candidate_schema_element": "selection",
         "refine": "selection",
         "DogmatixSimilarity": "similarity",
-        "singleton_soft_idf": "softidf",
-        "soft_idf": "softidf",
     },
 )

@@ -351,13 +351,21 @@ class CorpusIndex:
         row = self._state.objects_by_key.get(key, ())
         return len(row) > (object_id in row)  # more holders than itself
 
+    def term_idf(self, key: str, value: str) -> float:
+        """softIDF of one term, log(|Ω| / |O_odt|) — :meth:`pair_idf` of
+        the term with itself, read in O(1); an unseen term counts once."""
+        state = self._state
+        denominator = max(1, len(state.occurrences.get((key, value), ())))
+        return math.log(max(state.total_objects, denominator) / denominator)
+
     def pair_idf(self, key_i: str, value_i: str, key_j: str, value_j: str) -> float:
         """Memoized softIDF of a term pair (Definition 8).
 
         log(|Ω| / |O_i ∪ O_j|); unseen terms count as one occurrence.
         The union cardinality is *counted*, never materialized: a
         membership-count of the smaller set against the larger, exactly
-        ``len(O_i | O_j)``.
+        ``len(O_i | O_j)``; a term with itself reads ``len(O)``
+        (:meth:`term_idf`).
         """
         if (key_i, value_i) > (key_j, value_j):  # canonical order
             key_i, value_i, key_j, value_j = key_j, value_j, key_i, value_i
@@ -365,16 +373,19 @@ class CorpusIndex:
         cached = self._pair_idf_cache.get(cache_key)
         if cached is not None:
             return cached
-        occurrences = self._state.occurrences
-        denominator = max(
-            1,
-            set_union_size(
-                occurrences.get((key_i, value_i), ()),
-                occurrences.get((key_j, value_j), ()),
-            ),
-        )
-        total = max(self.total_objects, denominator)
-        value = math.log(total / denominator)
+        if key_i == key_j and value_i == value_j:  # O ∪ O is O
+            value = self.term_idf(key_i, value_i)
+        else:
+            occurrences = self._state.occurrences
+            denominator = max(
+                1,
+                set_union_size(
+                    occurrences.get((key_i, value_i), ()),
+                    occurrences.get((key_j, value_j), ()),
+                ),
+            )
+            total = max(self.total_objects, denominator)
+            value = math.log(total / denominator)
         # Memoized only between terms of the corpus: pairs with a
         # foreign match() value are as many as clients care to post.
         held = self._state.value_indexes
@@ -430,17 +441,53 @@ class CorpusIndex:
             return a in self.similar_values(key, b)
         return None
 
-    def objects_with_similar(
-        self, key: str, value: str, exclude: int | None = None
-    ) -> set[int]:
+    def objects_with_similar(self, key: str, value: str) -> set[int]:
         """Ids of objects holding a tuple of kind ``key`` whose value is
-        similar to ``value``; optionally excluding one object id."""
+        similar to ``value``."""
         found: set[int] = set()
         occurrences = self._state.occurrences
         for similar in self.similar_values(key, value):
             found.update(occurrences.get((key, similar), ()))
-        if exclude is not None:
-            found.discard(exclude)
+        return found
+
+    def similar_elsewhere(self, key: str, value: str, object_id: int) -> bool:
+        """``bool(objects_with_similar(key, value) - {object_id})``
+        without the union: some similar value's occurrence row holds an
+        object other than ``object_id``."""
+        occurrences = self._state.occurrences
+        for similar in self.similar_values(key, value):
+            row = occurrences.get((key, similar), ())
+            if len(row) > (object_id in row):  # more holders than itself
+                return True
+        return False
+
+    def lone_holders(self, delta: IndexPartial) -> set[tuple[int, str]]:
+        """``(object id, key)`` of the standing objects that were, before
+        the folded ``delta``, the only holder of kind ``key`` or of a
+        ``key`` term similar to a delta term (call after
+        :meth:`merge_partial`).
+
+        A merge only grows rows and groups, so only for these can
+        "another object holds this kind" or "another object holds a
+        similar value" have turned true: a row with two standing
+        holders already gave each of them the other.  By the symmetry
+        of ``ned`` a delta term's group lists every standing value
+        similar to it; a row's standing holders are counted as its
+        length less the delta's own row.
+        """
+        state = self._state
+        found: set[tuple[int, str]] = set()
+        for key, added in delta.objects_by_key.items():
+            row = state.objects_by_key[key]
+            if len(row) - len(added) == 1:
+                found.update((held, key) for held in row if held not in added)
+        grown = delta.occurrences
+        for key, value in grown:
+            for similar in self.similar_values(key, value):
+                row = state.occurrences[(key, similar)]
+                added = grown.get((key, similar), ())
+                if len(row) - len(added) == 1:
+                    found.update((held, key) for held in row if held not in added)
         return found
 
     # ------------------------------------------------------------------

@@ -22,6 +22,17 @@ be zero.
 The per-tuple softIDF uses the singleton form log(|Ω|/|O_odt|); shared
 tuples enter the numerator exactly as their best-case pair softIDF
 would, keeping f comparable in scale to sim.
+
+f is computed in two steps.  :func:`tuple_classes` sorts an object's
+tuples into shared (S), unique (U) and non-specified (N); the class
+reads the similar-value groups and occurrence rows but not |Ω|.
+:func:`filter_score` is the arithmetic over those classes, and every
+score moves whenever |Ω| does.  A write that only adds objects can move
+a class only one way, N → U → S: groups and rows only grow, so S stays
+S, and a class moves only where the delta adds a value or an object
+under that tuple's comparison key (:meth:`CorpusIndex.lone_holders`
+names the tuples it can reach).  A session therefore keeps its classes
+across writes and re-sums the scores.
 """
 
 from __future__ import annotations
@@ -30,7 +41,65 @@ from dataclasses import dataclass
 
 from ..framework.od import ObjectDescription
 from .index import CorpusIndex
-from .softidf import singleton_soft_idf
+
+#: Classes of an OD tuple under f: shared, unique, non-specified.
+SHARED, UNIQUE, NON_SPECIFIED = "S", "U", "N"
+
+
+def tuple_class(index: CorpusIndex, key: str, value: str, object_id: int) -> str:
+    """Class of one tuple ``(key, value)`` of object ``object_id``.
+
+    Shared when some value similar to it is held by another object (an
+    existence check over the group's occurrence rows: no union is
+    built), unique when another object specifies the kind at all,
+    non-specified otherwise.
+    """
+    if index.similar_elsewhere(key, value, object_id):
+        return SHARED
+    if index.key_elsewhere(key, object_id):
+        return UNIQUE
+    return NON_SPECIFIED
+
+
+def tuple_classes(index: CorpusIndex, od: ObjectDescription) -> tuple[str, ...]:
+    """The class of every tuple of ``od``, in tuple order."""
+    key_of = index.key_of
+    return tuple(
+        tuple_class(index, key_of(odt.name), odt.value, od.object_id)
+        for odt in od.tuples
+    )
+
+
+def reclassified(
+    index: CorpusIndex, od: ObjectDescription, classes: tuple[str, ...], key: str
+) -> tuple[str, ...]:
+    """``classes`` with the non-shared tuples of kind ``key`` classified
+    afresh (a write never moves S)."""
+    return tuple(
+        tuple_class(index, key, odt.value, od.object_id)
+        if kind != SHARED and index.key_of(odt.name) == key
+        else kind
+        for odt, kind in zip(od.tuples, classes)
+    )
+
+
+def filter_score(
+    index: CorpusIndex, od: ObjectDescription, classes: tuple[str, ...]
+) -> tuple[float, float, float]:
+    """``(f, shared softIDF, unique softIDF)`` of ``od`` given the classes
+    of its tuples: the sums run in tuple order over
+    :meth:`CorpusIndex.term_idf`, the singleton softIDF."""
+    shared_idf = 0.0
+    unique_idf = 0.0
+    key_of = index.key_of
+    for odt, kind in zip(od.tuples, classes):
+        if kind == SHARED:
+            shared_idf += index.term_idf(key_of(odt.name), odt.value)
+        elif kind == UNIQUE:
+            unique_idf += index.term_idf(key_of(odt.name), odt.value)
+    denominator = shared_idf + unique_idf
+    score = shared_idf / denominator if denominator > 0 else 0.0
+    return score, shared_idf, unique_idf
 
 
 @dataclass(frozen=True)
@@ -82,20 +151,9 @@ class ObjectFilter:
         cached = self._memo.get(od.object_id)
         if cached is not None:
             return cached
-        shared_idf = 0.0
-        unique_idf = 0.0
-        for odt in od.tuples:
-            key = self.index.key_of(odt.name)
-            others_with_similar = self.index.objects_with_similar(
-                key, odt.value, exclude=od.object_id
-            )
-            if others_with_similar:
-                shared_idf += singleton_soft_idf(odt, self.index)
-            elif self.index.key_elsewhere(key, od.object_id):
-                unique_idf += singleton_soft_idf(odt, self.index)
-            # else: kind unspecified everywhere else -> non-specified.
-        denominator = shared_idf + unique_idf
-        score = shared_idf / denominator if denominator > 0 else 0.0
+        score, shared_idf, unique_idf = filter_score(
+            self.index, od, tuple_classes(self.index, od)
+        )
         decision = FilterDecision(
             object_id=od.object_id,
             score=score,

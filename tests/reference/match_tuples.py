@@ -8,7 +8,7 @@ pair of a shared kind is classified by ``bound_verdict`` + the
 edit-distance kernel, and the score sums ``soft_idf`` (two ``key_of``
 per tuple pair) over the matching's pair lists.  Verbatim apart from
 this paragraph, the imports, ``set_soft_idf`` (then in
-``repro.core.softidf``) being copied here, and ``from_matching`` being a
+``repro.core.softidf``, now ``reference/softidf.py``) being copied here, and ``from_matching`` being a
 function over ``(matching, index)`` without the ``evaluations`` counter
 (it was a method).  ``tests/test_core_similarity.py`` holds the shipped
 matcher and scorer to it: the four :class:`TupleMatching` lists in
@@ -17,10 +17,12 @@ order, and the score as ``float.hex()``.
 
 from __future__ import annotations
 
-from repro.core import CorpusIndex, soft_idf
+from repro.core import CorpusIndex
 from repro.core.matching import SEMANTICS, TupleMatching
 from repro.framework import ObjectDescription, ODTuple, TypeMapping
 from repro.strings import bound_verdict, ned_cached
+
+from .softidf import soft_idf
 
 
 def match_tuples(

@@ -1,4 +1,6 @@
-"""softIDF and setSoftIDF (Definition 8 of the paper).
+"""softIDF of a pair of OD tuples (Definition 8 of the paper), through
+the index, kept as the oracle the filter's sums and the score's terms
+are held to.
 
 The identifying power of a term is its inverse document frequency over
 the candidate set Ω_T.  Because DogmatiX matches *similar* values, not
@@ -11,12 +13,16 @@ either endpoint:
 :class:`~repro.core.similarity.DogmatixSimilarity` divides).  Contradictory
 pairs use the same formula (their identifying power weighs the *difference*
 of two objects in the denominator of ``sim``).
+
+Shipped as ``repro.core.softidf`` until the object filter read a term's
+softIDF through ``CorpusIndex.term_idf``; nothing in the library calls
+these two functions since, so they live with the other oracles.
 """
 
 from __future__ import annotations
 
-from ..framework.od import ODTuple
-from .index import CorpusIndex
+from repro.core.index import CorpusIndex
+from repro.framework.od import ODTuple
 
 
 def soft_idf(odt_i: ODTuple, odt_j: ODTuple, index: CorpusIndex) -> float:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference.softidf import singleton_soft_idf
 from repro.api import DetectionSession
 from repro.core import (
     CorpusIndex,
@@ -9,7 +10,6 @@ from repro.core import (
     DogmatixSimilarity,
     FilterDecision,
     ObjectFilter,
-    singleton_soft_idf,
 )
 from repro.core.index import IndexPartial
 from repro.eval import build_dataset1, build_dataset3
@@ -121,7 +121,9 @@ class TestCorpusIndex:
 
     def test_objects_with_similar(self, index):
         assert index.objects_with_similar("NAME", "alpha") == {0, 1}
-        assert index.objects_with_similar("NAME", "alpha", exclude=0) == {1}
+        assert index.similar_elsewhere("NAME", "alpha", 0)
+        assert not index.similar_elsewhere("NAME", "gamma", 2)
+        assert index.similar_elsewhere("NAME", "gamma", 99)
 
     def test_block_keys_pair_similar_objects(self, index, ods):
         keys_0 = set(index.block_keys(ods[0]))
@@ -238,13 +240,14 @@ class TestObjectFilter:
 # "Does anyone else specify this kind" is a question, not a set
 # ----------------------------------------------------------------------
 def reference_decide(index: CorpusIndex, theta_cand: float, od) -> FilterDecision:
-    """``ObjectFilter.decide`` as it stood while it copied every holder
-    of the kind per unique tuple (``objects_with_key(key) - {id}``)."""
+    """``ObjectFilter.decide`` as it stood while it built the union of
+    every similar value's holders per tuple and copied every holder of
+    the kind per unique tuple (``objects_with_key(key) - {id}``)."""
     shared_idf = 0.0
     unique_idf = 0.0
     for odt in od.tuples:
         key = index.key_of(odt.name)
-        if index.objects_with_similar(key, odt.value, exclude=od.object_id):
+        if index.objects_with_similar(key, odt.value) - {od.object_id}:
             shared_idf += singleton_soft_idf(odt, index)
         elif index.objects_with_key(key) - {od.object_id}:
             unique_idf += singleton_soft_idf(odt, index)
@@ -302,9 +305,8 @@ class TestKindElsewhere:
             1
             for od in session.ods
             for odt in od.tuples
-            if not index.objects_with_similar(
-                index.key_of(odt.name), odt.value, exclude=od.object_id
-            )
+            if not index.objects_with_similar(index.key_of(odt.name), odt.value)
+            - {od.object_id}
         )
         assert unique_tuples > len(session.ods) / 4  # the shape that copied
         expected = [first.decide(od) for od in session.ods]

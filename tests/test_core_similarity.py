@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import match_tuples as oracle
-from repro.core import (
-    CorpusIndex,
-    DogmatixSimilarity,
-    match_tuples,
-    singleton_soft_idf,
-    soft_idf,
-)
+from reference.softidf import singleton_soft_idf, soft_idf
+from repro.core import CorpusIndex, DogmatixSimilarity, match_tuples
 from repro.core.matching import SEMANTICS
 from repro.engine import bare_ods
 from repro.framework import ODTuple, TypeMapping, merge_cluster_od, od_from_pairs

@@ -60,7 +60,7 @@ SESSION = modules(
     ._lazy
     .api .api.corpus .api.registries .api.session .api.spec
     .core .core.config .core.heuristics .core.index
-    .core.matching .core.object_filter .core.similarity .core.softidf
+    .core.matching .core.object_filter .core.similarity
     .core.source
     .engine .engine.policy
     .framework .framework.classifier .framework.mapping .framework.od

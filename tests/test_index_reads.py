@@ -4,9 +4,9 @@
 alone; here the shipped index must give the same answers:
 
 * every read family — occurrence and key rows, ``key_elsewhere``,
-  union cardinality through ``pair_idf``, block terms, members and
-  keys, ``statistics``, similar-value groups and the verdicts step 5
-  reads from them — over the fuzz corpora of the write-path oracle,
+  union cardinality through ``pair_idf``, ``term_idf``, block terms,
+  members and keys, ``statistics``, similar-value groups, the verdicts
+  step 5 reads from them and ``similar_elsewhere`` — over the fuzz corpora of the write-path oracle,
   frozen after a build, after two thaw / merge / re-freeze rounds, and
   after assembly from pickled worker partials the way parallel ingest
   assembles it; the reads that depend on θ_tuple also at θ = 0 and at
@@ -16,7 +16,7 @@ alone; here the shipped index must give the same answers:
   threshold and q and held to brute-force ``ned``, also after the value
   index was merged together from parts in any order;
 * the union counter, the soft-IDF expression with its union
-  materialized, the statistics memo, negative object ids, and the
+  materialized, a term's soft-IDF with itself, the statistics memo, negative object ids, and the
   freeze pin, which keeps the state the index was built in.
 
 Extend-delta parity at the session level is
@@ -26,6 +26,7 @@ execution backends is ``tests/test_backend_equivalence.py``.
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
@@ -33,8 +34,11 @@ import pytest
 from reference.naive_index import NaiveIndex, ned
 from test_backend_equivalence import SEEDS, SHAPES, random_corpus
 
+import repro.core.index as index_module
+from repro.api import DetectionSession
 from repro.core.index import set_union_size
 from repro.core.index import CorpusIndex, IndexPartial
+from repro.eval import build_dataset1
 from repro.framework import TypeMapping, od_from_pairs
 from repro.strings import QGramIndex
 
@@ -197,6 +201,10 @@ def check_pair_idf(s: Scenario) -> None:
     for _ in range(150):
         left, right = rng.choice(s.probes), rng.choice(s.probes)
         assert s.index.pair_idf(*left, *right) == s.naive.pair_idf(*left, *right)
+    for key, value in s.probes:
+        assert s.index.term_idf(key, value) == s.naive.pair_idf(
+            key, value, key, value
+        ), (key, value)
 
 
 def check_blocking(s: Scenario) -> None:
@@ -217,10 +225,13 @@ def check_similar_values(s: Scenario) -> None:
         assert s.index.similar_values(key, value) == s.naive.similar_values(
             key, value
         ), (key, value)
-        for exclude in (None, 0):
-            assert s.index.objects_with_similar(key, value, exclude) == (
-                s.naive.objects_with_similar(key, value, exclude)
-            ), (key, value, exclude)
+        assert s.index.objects_with_similar(key, value) == (
+            s.naive.objects_with_similar(key, value)
+        ), (key, value)
+        for object_id in s.ids[:3] + s.ids[-2:]:
+            assert s.index.similar_elsewhere(key, value, object_id) == bool(
+                s.naive.objects_with_similar(key, value, object_id)
+            ), (key, value, object_id)
 
 
 def check_similar_verdict(s: Scenario) -> None:
@@ -363,6 +374,31 @@ def test_pair_idf_is_the_materialized_expression_to_the_float():
         left, right = rng.choice(terms), rng.choice(terms)
         assert index.pair_idf(*left, *right) == naive.pair_idf(*left, *right)
         assert index.pair_idf(*right, *left) == naive.pair_idf(*left, *right)
+
+
+def test_pair_idf_of_a_term_with_itself_is_its_term_idf(monkeypatch):
+    """``pair_idf`` of equal terms reads ``len(O)`` through ``term_idf``
+    (it walks no row) and gives the float the counted union gave, over
+    every term of a Dataset 1 corpus and an unseen one, memoized or not."""
+
+    def walked(left, right):
+        raise AssertionError("pair_idf of a term with itself walked its row")
+
+    monkeypatch.setattr(index_module, "set_union_size", walked)
+    dataset = build_dataset1(20, seed=7)
+    session = DetectionSession(
+        dataset.sources, dataset.mapping, dataset.real_world_type
+    )
+    index = session.index
+    total = index.total_objects
+    terms = list(index.block_terms()) + [("nokey", "novalue")]
+    for key, value in terms:
+        row = index.occurrences(key, value)
+        denominator = max(1, set_union_size(row, row))
+        expected = math.log(max(total, denominator) / denominator)
+        assert index.term_idf(key, value) == expected, (key, value)
+        for _ in range(2):  # computed, then read from the memo
+            assert index.pair_idf(key, value, key, value) == expected, (key, value)
 
 
 def test_statistics_are_memoized_only_while_frozen():

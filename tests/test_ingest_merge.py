@@ -27,9 +27,9 @@ from repro.core import (
     IndexPartial,
     ObjectFilter,
 )
-from repro.core.softidf import singleton_soft_idf
 from repro.framework import TypeMapping
 
+from reference.softidf import singleton_soft_idf
 from test_backend_equivalence import SEEDS, SHAPES, random_corpus
 
 THETA_TUPLE = 0.25

@@ -69,7 +69,7 @@ PUBLIC_ALL = {
             RDistantAncestors RDistantDescendants Source TupleMatching
             best_candidate c_and c_cm c_me c_or c_sdt c_se
             candidate_schema_element h_and h_or
-            match_tuples refine relative_xpath singleton_soft_idf soft_idf
+            match_tuples refine relative_xpath
             suggest_candidates
         """,
         "repro.datagen": """

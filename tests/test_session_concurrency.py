@@ -169,26 +169,34 @@ class TestKeptSetMemo:
     def test_non_default_theta_filter_pass_runs_once(self, monkeypatch):
         """Regression: ``match(theta_cand=...)`` off the default
         threshold re-ran the full O(n) object-filter pass per call — a
-        server hot-path trap."""
+        server hot-path trap.  The tuple classes do not depend on the
+        threshold: the table is built once, and a new theta re-sums."""
         import repro.api.session as session_module
 
         session = paper_session(use_object_filter=True, theta_cand=0.3)
-        constructed = []
-        real_filter = session_module.ObjectFilter
+        classified, scored = [], []
+        real_classes = session_module.tuple_classes
+        real_score = session_module.filter_score
 
-        class CountingFilter(real_filter):
-            def __init__(self, *args, **kwargs):
-                constructed.append(args)
-                super().__init__(*args, **kwargs)
+        def counting_classes(index, od):
+            classified.append(od.object_id)
+            return real_classes(index, od)
 
-        monkeypatch.setattr(session_module, "ObjectFilter", CountingFilter)
+        def counting_score(index, od, classes):
+            scored.append(od.object_id)
+            return real_score(index, od, classes)
+
+        monkeypatch.setattr(session_module, "tuple_classes", counting_classes)
+        monkeypatch.setattr(session_module, "filter_score", counting_score)
+        n = len(session.ods)
         session.match(0, theta_cand=0.25)
-        assert len(constructed) == 1
+        assert (len(classified), len(scored)) == (n, n)  # one table build
         session.match(0, theta_cand=0.25)
         session.match(1, theta_cand=0.25)
-        assert len(constructed) == 1  # memoized: no second O(n) pass
+        assert (len(classified), len(scored)) == (n, n)  # memoized: no second pass
         session.match(0, theta_cand=0.35)
-        assert len(constructed) == 2  # a new theta is a new pass
+        # a new theta is a new sum over the same table
+        assert (len(classified), len(scored)) == (n, 2 * n)
 
     def test_memo_parity_with_unmemoized_pass(self):
         session = paper_session(use_object_filter=True, theta_cand=0.3)

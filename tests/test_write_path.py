@@ -13,20 +13,28 @@ does not make it:
   only against the clusters its values reach.  A twin session whose
   candidate hook is removed compares against every representative and
   must reach the same clusters, and an extended session must answer
-  like one rebuilt over the grown corpus.
+  like one rebuilt over the grown corpus;
+* **the kept tuple classes** — ``extend()`` re-classifies only the
+  tuples the delta can move (N → U → S).  After every write the
+  session's classes must be a fresh classification's, and its kept sets
+  and scores a fresh :class:`ObjectFilter` pass's, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.object_filter as object_filter_module
 import repro.framework.incremental as incremental_module
 from repro.api import Corpus, DetectionSession
-from repro.core import CorpusIndex, DogmatixConfig, IndexPartial, Source
+from repro.core import CorpusIndex, DogmatixConfig, IndexPartial, ObjectFilter, Source
 from repro.core.index import _FOREIGN_CACHE_SIZE
+from repro.core.object_filter import filter_score, tuple_classes
 from repro.datagen import cd_schema
 from repro.eval import build_dataset1
 from repro.framework import IncrementalDeduplicator, TypeMapping, od_from_pairs
@@ -236,25 +244,25 @@ class TestMemoBounds:
 # ----------------------------------------------------------------------
 # Session level: the incremental stream
 # ----------------------------------------------------------------------
+def source_of(records) -> Source:
+    root = Element("freedb")
+    for record in records:
+        root.append(record.copy())
+    return Source(Document(root), cd_schema())
+
+
 def dataset1_stream(base_count: int, seed: int, batches: int, batch_size: int):
     """Dataset 1 shuffled and cut into a corpus source and extension
     sources, so a batch holds new objects and duplicates of old ones."""
     dataset = build_dataset1(base_count, seed=seed)
     records = list(dataset.sources[0].document.root.children)
     random.Random(seed).shuffle(records)
-
-    def source(chunk) -> Source:
-        root = Element("freedb")
-        for record in chunk:
-            root.append(record.copy())
-        return Source(Document(root), cd_schema())
-
     cut = len(records) - batches * batch_size
     extensions = [
-        source(records[start : start + batch_size])
+        source_of(records[start : start + batch_size])
         for start in range(cut, len(records), batch_size)
     ]
-    return dataset, source(records[:cut]), extensions
+    return dataset, source_of(records[:cut]), extensions
 
 
 def snapshot(matches) -> list:
@@ -421,28 +429,138 @@ class TestWriteCostsWhatItChanges:
             for value_index in session.index._state.value_indexes.values()
         )
 
-    def write_probes(self, base_count: int) -> tuple[int, int]:
+    def write_costs(self, base_count: int, monkeypatch) -> tuple[int, int, int]:
         """Similar-value searches spent by one ``extend()`` and the
-        ``match()`` after it on a warm session, and the delta's
-        distinct terms."""
+        ``match()`` after it on a warm session, the tuples of standing
+        objects the write re-classified, and the delta's distinct terms."""
         # the same two records extend corpora of different sizes
         _, _, (extension,) = dataset1_stream(10, 7, 1, 2)
         dataset = build_dataset1(base_count, seed=3)
         session = session_on(dataset, dataset.sources)
         session.match(0)
         before = self.probes(session)
-        update = session.extend(extension)
-        session.match(update.added[0].object_id)
+        classified: list[int] = []
+        real_class = object_filter_module.tuple_class
+
+        def counting_class(index, key, value, object_id):
+            classified.append(object_id)
+            return real_class(index, key, value, object_id)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(object_filter_module, "tuple_class", counting_class)
+            update = session.extend(extension)
+            session.match(update.added[0].object_id)
+        added = {od.object_id for od in update.added}
+        standing = sum(1 for object_id in classified if object_id not in added)
+        # every tuple of the new objects is classified once
+        assert len(classified) - standing == sum(
+            len(od.tuples) for od in update.added
+        )
         distinct = {
             (session.index.key_of(odt.name), odt.value)
             for od in update.added
             for odt in od.tuples
         }
-        return self.probes(session) - before, len(distinct)
+        return self.probes(session) - before, standing, len(distinct)
 
-    def test_searches_follow_the_delta_not_the_corpus(self):
-        small, distinct = self.write_probes(15)
-        large, same = self.write_probes(45)
+    def test_searches_follow_the_delta_not_the_corpus(self, monkeypatch):
+        small, small_moved, distinct = self.write_costs(15, monkeypatch)
+        large, large_moved, same = self.write_costs(45, monkeypatch)
         assert distinct == same
         assert 0 < small <= 4 * distinct
         assert 0 < large <= 4 * distinct
+        # So do the filter classes a write re-decides: the standing tuples
+        # whose kind or similar value the delta joins, not every tuple of
+        # the kinds it specifies.
+        assert small_moved <= distinct
+        assert large_moved <= distinct
+
+    def test_an_empty_write_changes_no_memo(self):
+        """A document without candidates adds a source and nothing
+        else: the index, the tuple classes and every memo entry stay,
+        and the next lookup searches nothing."""
+        dataset = build_dataset1(15, seed=3)
+        session = session_on(dataset, dataset.sources)
+        answer = snapshot(session.match(0))
+        index = session.index
+        probes = self.probes(session)
+        kept = dict(session._kept_cache)
+        assert kept  # the filter is on: match() memoized a kept set
+        classes = dict(session._classes)
+        memos = (
+            dict(index._similar_cache),
+            dict(index._pair_idf_cache),
+            dict(index._foreign_cache),
+        )
+        update = session.extend(source_of([]))
+        assert update.added == update.assignments == ()
+        assert session.incremental is not None  # the stream is seeded
+        assert len(session.corpus) == len(dataset.sources) + 1
+        assert self.probes(session) == probes
+        assert session._kept_cache.keys() == kept.keys()
+        assert all(session._kept_cache[theta] is kept[theta] for theta in kept)
+        assert session._classes == classes
+        # seeding the stream may add memo entries; none is dropped
+        for before, after in zip(
+            memos,
+            (index._similar_cache, index._pair_idf_cache, index._foreign_cache),
+        ):
+            assert before.items() <= after.items()
+        assert snapshot(session.match(0)) == answer
+        assert self.probes(session) == probes
+
+
+# ----------------------------------------------------------------------
+# Session level: the object filter's tuple classes
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
+def class_fuzz_dataset():
+    """Dataset 1 with every disc and its dirty duplicate: the records
+    the class fuzz cuts corpora and deltas from."""
+    dataset = build_dataset1(8, seed=7)
+    records = tuple(dataset.sources[0].document.root.children)
+    assert len(records) == 16  # the indices the fuzz below draws
+    return dataset, records
+
+
+def assert_filter_exact(session: DetectionSession) -> None:
+    """The session's tuple classes are a fresh classification's, and its
+    kept sets and scores a fresh :class:`ObjectFilter` pass's, to the
+    bit, at the default threshold and two overrides."""
+    index = session.index
+    for theta in (session.config.theta_cand, 0.3, 0.8):
+        fresh = ObjectFilter(index, theta)
+        assert session._kept_for(theta) == frozenset(
+            od.object_id for od in session.ods if fresh.keep(od)
+        ), theta
+    for od in session.ods:
+        classes = session._classes[od.object_id]
+        assert classes == tuple_classes(index, od), od.object_id
+        score, _, _ = filter_score(index, od, classes)
+        assert score.hex() == fresh.decide(od).score.hex(), od.object_id
+
+
+class TestClassesThroughWrites:
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        corpus=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+        deltas=st.lists(
+            st.lists(st.integers(0, 15), max_size=3), min_size=1, max_size=5
+        ),
+        warm=st.booleans(),
+    )
+    def test_random_delta_sequences(self, corpus, deltas, warm):
+        """Deltas are drawn from the same records as the corpus, so they
+        bring new values, dirty duplicates, exact repeats, kinds the
+        corpus held once (N → U) and empty documents."""
+        dataset, records = class_fuzz_dataset()
+        session = session_on(dataset, [source_of([records[i] for i in corpus])])
+        if warm:  # the table is built before the first write, or after
+            assert_filter_exact(session)
+        for delta in deltas:
+            session.extend(source_of([records[i] for i in delta]))
+            assert_filter_exact(session)
