@@ -52,10 +52,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..framework.incremental import IncrementalDeduplicator
     from ..framework.result import DetectionResult
 
-#: Distinct theta_cand values whose filter kept-sets a session memoizes
-#: (LRU).  Small on purpose: a serving sweep touches a handful of
-#: thresholds; an adversarial client scanning thetas must not grow
-#: session memory without bound.
+#: Distinct theta_cand values a session keeps a read slot for (LRU).
+#: Small on purpose: a serving sweep touches a handful of thresholds,
+#: and a client scanning thetas must not grow session memory with its
+#: request count.  A slot holds at most one filter decision and two
+#: answers per indexed object, so the slots grow with the corpus: after
+#: every object of a 1200-object Dataset 1 corpus was looked up at 8
+#: thresholds with and without ``include_possible``, they held ~2 MiB.
 _KEPT_CACHE_SIZE = 8
 
 
@@ -98,6 +101,27 @@ class Explanation:
         for t in self.non_specified_right:
             out.append(f"  non-specified (right only, no penalty): {t}")
         return out
+
+
+class _ReadSlot:
+    """What the reads at one theta_cand computed on the current corpus.
+
+    ``decided`` maps an object id to whether the object filter keeps it,
+    ``answers`` an ``(object id, include_possible)`` lookup to its
+    partners as ``(candidate id, similarity)`` pairs in answer order
+    (:meth:`DetectionSession.match` makes the :class:`Match` objects on
+    return, so a slot keeps no path strings).  Readers fill both
+    without a lock, each entry by one dict store of an immutable value
+    that every reader at this state computes alike.  A write that adds
+    objects drops the slots, so a reader still holding one fills an
+    orphan that no later read sees.
+    """
+
+    __slots__ = ("decided", "answers")
+
+    def __init__(self) -> None:
+        self.decided: dict[int, bool] = {}
+        self.answers: dict[tuple[int, bool], tuple[tuple[int, float], ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -152,7 +176,6 @@ class DetectionSession:
         self._by_id: dict[int, ObjectDescription] = {
             od.object_id: od for od in self._ods
         }
-        self._indexed_ids = frozenset(self._by_id)
         self._index = CorpusIndex(self._ods, mapping, self.config.theta_tuple)
         self._similarity = DogmatixSimilarity(
             self._index, semantics=self.config.similar_semantics
@@ -165,14 +188,14 @@ class DetectionSession:
         #: How many times this session built a corpus index (always 1;
         #: exposed so benchmarks can assert amortization).
         self.index_builds = 1
-        #: theta_cand -> kept id set, LRU-bounded; guarded by
-        #: ``_kept_lock`` (bookkeeping only — the O(n) filter pass
-        #: itself runs outside the lock, see :meth:`_kept_for`).
-        self._kept_cache: OrderedDict[float, frozenset[int]] = OrderedDict()
+        #: theta_cand -> its read slot, LRU-bounded; guarded by
+        #: ``_kept_lock`` (bookkeeping only — a slot's entries are
+        #: computed and stored outside the lock, see :meth:`match`).
+        self._read_slots: OrderedDict[float, _ReadSlot] = OrderedDict()
         self._kept_lock = threading.Lock()
         #: object id -> the S/U/N class of each of its tuples under the
-        #: object filter (θ-independent); built by the first
-        #: :meth:`_kept_for`, kept up to date by :meth:`extend`.
+        #: object filter (θ-independent); built by the first filtered
+        #: :meth:`match`, kept up to date by :meth:`extend`.
         self._classes: Optional[dict[int, tuple[str, ...]]] = None
         self._incremental: Optional[IncrementalDeduplicator] = None
         # Externally supplied ODs need not be numbered 0..n-1.
@@ -291,13 +314,21 @@ class DetectionSession:
         without a directly similar comparable tuple has ``ODT≈ = ∅``
         and similarity 0, so nothing above a positive threshold is ever
         missed.  The object filter, when enabled, is honored both for
-        the queried object and for its candidates.
+        the queried object and for its candidates, each decided once
+        per threshold and corpus state.
 
         ``target`` may be an object id of the candidate set, any
         :class:`ObjectDescription` (also external ones), or an XML
         element — a corpus element resolves to its OD; a foreign
         element gets an OD generated on the fly from the session's
         description selection.
+
+        The answer is a pure function of the corpus, the threshold and
+        the object, so the answer for an indexed object is computed
+        once per corpus state: it is kept in the read slot of its
+        threshold (an LRU of :data:`_KEPT_CACHE_SIZE`) until a write
+        adds objects.  Foreign elements and caller-built ODs are scored
+        on every call.  Each call returns a new list of new matches.
 
         Matches are sorted by descending similarity; with
         ``include_possible`` pairs in the C2 band (when configured) are
@@ -306,33 +337,57 @@ class DetectionSession:
         """
         theta = self._theta(theta_cand)
         od = self._resolve_od(target)
-        in_index = (
-            od.object_id in self._indexed_ids
-            and self._by_id.get(od.object_id) is od
+        # without a C2 band both flags give one answer: keep it once
+        include_possible = (
+            include_possible and self.config.possible_threshold is not None
         )
-        kept = self._kept_for(theta)
-        if kept is not None:
-            if in_index and od.object_id not in kept:
-                return []  # detect() prunes every pair of this object
-            if not in_index and not ObjectFilter(self._index, theta).keep(od):
-                return []
+        slot = self._read_slot(theta)
+        if self._by_id.get(od.object_id) is not od:
+            answer = self._partners(od, theta, include_possible, slot, False)
+        else:
+            key = (od.object_id, include_possible)
+            answer = slot.answers.get(key)
+            if answer is None:
+                answer = self._partners(od, theta, include_possible, slot, True)
+                slot.answers[key] = answer
+        return [
+            Match(candidate_id, score, self.object_path(candidate_id))
+            for candidate_id, score in answer
+        ]
+
+    def _partners(
+        self,
+        od: ObjectDescription,
+        theta: float,
+        include_possible: bool,
+        slot: _ReadSlot,
+        in_index: bool,
+    ) -> tuple[tuple[int, float], ...]:
+        """The partners :meth:`match` answers, as ``(candidate id,
+        similarity)`` pairs in answer order, computed; the filter
+        decisions it needs are read from (and stored into) ``slot``."""
+        filtered = self.config.use_object_filter
+        if filtered:
+            if in_index:
+                if not self._kept(slot, theta, od.object_id):
+                    return ()  # detect() prunes every pair of this object
+            elif not ObjectFilter(self._index, theta).keep(od):
+                return ()
         candidate_ids = self._similar_object_ids(od)
         if in_index:
             candidate_ids.discard(od.object_id)
-        if kept is not None:
-            candidate_ids &= kept
         possible = self.config.possible_threshold
-        matches: list[Match] = []
+        partners: list[tuple[int, float]] = []
         for candidate_id in sorted(candidate_ids):
+            if filtered and not self._kept(slot, theta, candidate_id):
+                continue
             score = self._similarity(od, self._by_id[candidate_id])
             if score > theta or (
                 include_possible and possible is not None and score > possible
             ):
-                matches.append(
-                    Match(candidate_id, score, self.object_path(candidate_id))
-                )
-        matches.sort(key=lambda match: (-match.similarity, match.object_id))
-        return matches
+                partners.append((candidate_id, score))
+        partners.sort(key=lambda partner: (-partner[1], partner[0]))
+        return tuple(partners)
 
     def _similar_object_ids(self, od: ObjectDescription) -> set[int]:
         """Ids of the indexed objects holding a value similar to one of
@@ -349,50 +404,66 @@ class DetectionSession:
             )
         return found
 
-    def _kept_for(self, theta: float) -> Optional[frozenset[int]]:
-        """Ids surviving the object filter at ``theta`` (None = no filter).
+    def _read_slot(self, theta: float) -> _ReadSlot:
+        """The read slot of ``theta``, made empty on first use.
 
-        The pass is arithmetic over the session's tuple classes
-        (:func:`~repro.core.object_filter.filter_score`).  The first call
-        classifies every tuple (a similar-value group per term);
-        :meth:`extend` keeps the classes current, moving only what the
-        delta can reach (N → U → S), so a read after a write re-sums the
-        scores, which all read |Ω|, and searches nothing.  Kept sets are
-        memoized per ``theta`` in a small LRU (not just at the default
-        threshold: a served ``match(theta_cand=...)`` at any sweep point
-        must not re-run the pass per request).  Publication is
-        single-assignment: the table and the set are built fully outside
-        the lock and installed first-writer-wins, so a concurrent reader
-        sees either nothing or one complete value, and every caller at a
-        given theta gets the *same* object.  ``extend()`` clears the kept
-        sets behind its writer lock.
+        Slots are kept per ``theta`` in a small LRU, not just at the
+        default threshold: a served ``match(theta_cand=...)`` at any
+        sweep point must not score its partners again per request.
         """
-        if not self.config.use_object_filter:
-            return None
         with self._kept_lock:
-            cached = self._kept_cache.get(theta)
-            if cached is not None:
-                self._kept_cache.move_to_end(theta)
-                return cached
-            classes = self._classes
-        index = self._index
-        if classes is None:
-            built = {od.object_id: tuple_classes(index, od) for od in self._ods}
+            slot = self._read_slots.get(theta)
+            if slot is None:
+                slot = self._read_slots[theta] = _ReadSlot()
+                if len(self._read_slots) > _KEPT_CACHE_SIZE:
+                    self._read_slots.popitem(last=False)
+            else:
+                self._read_slots.move_to_end(theta)
+        return slot
+
+    def _kept(self, slot: _ReadSlot, theta: float, object_id: int) -> bool:
+        """Whether the object filter keeps an indexed object at ``theta``.
+
+        The decision is arithmetic over the session's tuple classes
+        (:func:`~repro.core.object_filter.filter_score`), made on first
+        need and stored in ``slot``: a lookup decides the queried object
+        and its candidates, not the corpus.  The first filtered lookup
+        after an open classifies every tuple (a similar-value group per
+        term); :meth:`extend` keeps the classes current, moving only
+        what the delta can reach (N → U → S), so the lookup after a
+        write re-sums the scores of the objects it touches (they read
+        |Ω|) and searches nothing.
+        """
+        kept = slot.decided.get(object_id)
+        if kept is None:
+            classes = self._class_table()[object_id]
+            score, _, _ = filter_score(
+                self._index, self._by_id[object_id], classes
+            )
+            kept = slot.decided[object_id] = score > theta
+        return kept
+
+    def _class_table(self) -> dict[int, tuple[str, ...]]:
+        """The tuple classes of every indexed object, built on first need.
+
+        Built outside the lock from a copy of the id map and installed
+        first-writer-wins, but only while it covers every indexed
+        object: a write that folds in objects meanwhile leaves it short,
+        so it is built again (:meth:`_fold` drops a table installed
+        behind its back for the same reason).
+        """
+        classes = self._classes
+        while classes is None:
+            by_id = self._by_id.copy()
+            built = {
+                object_id: tuple_classes(self._index, od)
+                for object_id, od in by_id.items()
+            }
             with self._kept_lock:
-                if self._classes is None:
+                if self._classes is None and len(built) == len(self._by_id):
                     self._classes = built
                 classes = self._classes
-        kept = frozenset(
-            od.object_id
-            for od in self._ods
-            if filter_score(index, od, classes[od.object_id])[0] > theta
-        )
-        with self._kept_lock:
-            kept = self._kept_cache.setdefault(theta, kept)
-            self._kept_cache.move_to_end(theta)
-            while len(self._kept_cache) > _KEPT_CACHE_SIZE:
-                self._kept_cache.popitem(last=False)
-        return kept
+        return classes
 
     def _resolve_od(
         self, target: Union[int, ObjectDescription, Element]
@@ -487,10 +558,12 @@ class DetectionSession:
         filter's tuple classes stay too: a write that only adds objects
         moves a class only N → U → S, and only for a tuple whose kind
         or similar value the delta joins, so those few are re-classified
-        (:meth:`_fold`) and the filter pass the next :meth:`match`
-        re-runs (f(OD_i) reads the object count, which moved for
-        everyone) is arithmetic.  A source without candidates adds the
-        source and changes no index, class or memo.
+        (:meth:`_fold`).  The read slots go (every filter score reads
+        the object count, which moved for everyone), so the next
+        :meth:`match` scores its partners again and re-sums the filter
+        scores of the objects it touches: arithmetic, no search.  A
+        source without candidates adds the source and changes no index,
+        class, slot or memo: no answer can move.
         """
         added_source = self.corpus.add_source(source)
         new_ods = self.corpus.generate_ods(
@@ -519,12 +592,9 @@ class DetectionSession:
             )
             self._incremental.add_all(self._ods)
         self._ods.extend(new_ods)
-        # repro: allow[RPR004] writer-lock-serialized (see _next_id note)
-        self._indexed_ids |= frozenset(od.object_id for od in new_ods)
-        assignments: list[tuple[int, int]] = []
-        for od in new_ods:
-            self._by_id[od.object_id] = od
-            assignments.append((od.object_id, self._incremental.add(od)))
+        assignments = [
+            (od.object_id, self._incremental.add(od)) for od in new_ods
+        ]
         return IncrementalUpdate(
             added=tuple(new_ods),
             assignments=tuple(assignments),
@@ -535,7 +605,8 @@ class DetectionSession:
         )
 
     def _fold(self, new_ods: list[ObjectDescription]) -> None:
-        """Grow the index and the filter's tuple classes by ``new_ods``.
+        """Grow the index, the id map and the filter's tuple classes by
+        ``new_ods``, then drop the read slots.
 
         Delta-merge the index first: clustering (and every later query)
         scores against statistics that include the new data, like a
@@ -548,8 +619,16 @@ class DetectionSession:
         Then the classes: the new objects are classified, and of the
         standing ones only the non-shared tuples under a kind whose lone
         holder the delta joined (:meth:`CorpusIndex.lone_holders`) —
-        no other class can move.  The kept sets go: every score reads
-        |Ω|.
+        no other class can move.
+
+        Last, under ``_kept_lock``, the new ids join the id map and the
+        read slots go: every filter score reads |Ω| and every similarity
+        the softIDF statistics, so no stored decision or answer
+        survives.  A reader still holding a slot it fetched before the
+        clear can only store into an orphan that no later read sees, so
+        no generation counter is needed.  A class table that a first
+        filtered read installed after this write found none is of the
+        standing objects only, so it is dropped and built again.
         """
         index = self._index
         delta = IndexPartial.from_ods(new_ods, self.mapping, q=index.q)
@@ -567,7 +646,11 @@ class DetectionSession:
             for od in new_ods:
                 classes[od.object_id] = tuple_classes(index, od)
         with self._kept_lock:
-            self._kept_cache.clear()
+            for od in new_ods:
+                self._by_id[od.object_id] = od
+            if self._classes is not classes:
+                self._classes = None
+            self._read_slots.clear()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -17,7 +17,10 @@ Routes (JSON in/out unless noted):
   server), or an envelope ``{"spec": {...}, "files": {name: text}}``
   uploading the inputs inline; warm-starts from the store by content
   digest, builds and saves on a miss.  Returns the digest every other
-  route is keyed by;
+  route is keyed by.  A spec whose corpus is resident with other answer
+  settings (``theta_cand``, ``use_object_filter``,
+  ``possible_threshold``, ``similar_semantics``) is answered 409 with
+  ``conflicts``: setting -> ``{"resident", "requested"}``;
 * ``GET/POST /corpora/<digest>/match`` — duplicate partners of one
   object: ``?object_id=N`` for a corpus object, or POST an XML
   document containing one foreign candidate element.  ``theta_cand``,
@@ -54,7 +57,7 @@ from ..ingest.store import IndexStore
 from ..xmlkit.parser import parse
 from ..xmlkit.tree import XMLError
 from ..xmlkit.xpath import compile_path
-from .sessions import SessionEntry, SessionRegistry
+from .sessions import SessionEntry, SessionRegistry, SpecConflict
 
 # Everywhere else a module is imported by the first call that needs it;
 # the daemon is the one long-lived process and does the opposite: all of
@@ -91,11 +94,13 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class ApiError(Exception):
-    """An error with an HTTP status, rendered as a JSON body."""
+    """An error with an HTTP status, rendered as a JSON body:
+    ``{"error": message}`` plus the ``detail`` fields, if any."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(self, status: int, message: str, **detail) -> None:
         super().__init__(message)
         self.status = status
+        self.detail = detail
 
 
 class DetectionServer(ThreadingHTTPServer):
@@ -198,7 +203,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = self._read_body()
             payload, status = self._route(method, parts, params, body)
         except ApiError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
+            self._send_json(exc.status, {"error": str(exc), **exc.detail})
         except Exception:  # noqa: BLE001 - one request, not the daemon
             traceback.print_exc()
             self._send_json(500, {"error": "internal server error"})
@@ -288,6 +293,15 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(400, f"cannot read corpus inputs: {exc}") from None
         except XMLError as exc:
             raise ApiError(400, f"unparsable XML in corpus inputs: {exc}") from None
+        except SpecConflict as exc:
+            raise ApiError(
+                409,
+                str(exc),
+                conflicts={
+                    name: {"resident": resident, "requested": requested}
+                    for name, (resident, requested) in exc.conflicts.items()
+                },
+            ) from None
         return {
             "digest": entry.digest,
             "origin": origin,

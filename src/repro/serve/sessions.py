@@ -25,6 +25,35 @@ from typing import Iterator, Optional
 
 from ..ingest.store import IndexStore
 
+#: The run-time settings that change a served answer but not the store
+#: digest.  ``workers`` and ``use_blocking`` change neither (the
+#: backends are bit-identical and blocking is lossless).
+ANSWER_SETTINGS = (
+    "theta_cand",
+    "use_object_filter",
+    "possible_threshold",
+    "similar_semantics",
+)
+
+
+class SpecConflict(ValueError):
+    """A spec names a resident corpus with other answer settings.
+
+    ``conflicts`` maps each setting of :data:`ANSWER_SETTINGS` that
+    differs to ``(resident value, requested value)``.
+    """
+
+    def __init__(self, digest: str, conflicts: dict[str, tuple]) -> None:
+        described = "; ".join(
+            f"{name}={resident!r} resident, {requested!r} requested"
+            for name, (resident, requested) in conflicts.items()
+        )
+        super().__init__(
+            f"corpus {digest[:12]} is open with other answer settings "
+            f"({described})"
+        )
+        self.conflicts = conflicts
+
 
 class ReadWriteLock:
     """A writer-preferring readers-writer lock (stdlib primitives only).
@@ -131,10 +160,23 @@ class SessionRegistry:
 
         Returns ``(entry, origin)`` with origin one of ``"session"``
         (already resident), ``"warm"`` (loaded from the store), or
-        ``"cold"`` (built from the spec and saved for next time).
+        ``"cold"`` (built from the spec and saved for next time).  The
+        store digest leaves out the run-time settings, so a resident
+        session serves a spec only if their :data:`ANSWER_SETTINGS`
+        agree; otherwise :class:`SpecConflict` is raised.
         """
         digest = self.store.key_for(spec)
-        return self._open(digest, spec)
+        entry, origin = self._open(digest, spec)
+        if origin == "session":
+            resident, requested = entry.session.config, spec.to_config()
+            conflicts = {
+                name: (getattr(resident, name), getattr(requested, name))
+                for name in ANSWER_SETTINGS
+                if getattr(resident, name) != getattr(requested, name)
+            }
+            if conflicts:
+                raise SpecConflict(digest, conflicts)
+        return entry, origin
 
     def open_digest(self, digest: str) -> Optional[tuple[SessionEntry, str]]:
         """Entry for a digest the daemon only knows from its store.

@@ -124,10 +124,86 @@ class TestRoutes:
 
     def test_open_is_idempotent_and_resident(self, served):
         assert served.first_origin == "cold"  # empty store: built, then saved
+        before = served.client.match(served.digest, object_id=0)
         opened = served.client.open_corpus(served.spec)
         assert opened["digest"] == served.digest
         assert opened["origin"] == "session"
         assert opened["objects"] == 3
+        assert served.client.match(served.digest, object_id=0) == before
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("use_object_filter", True),
+            ("theta_cand", 0.6),
+            ("possible_threshold", 0.3),
+            ("similar_semantics", "all-pairs"),
+        ],
+    )
+    def test_other_answer_settings_conflict_409(self, served, name, value):
+        """The store digest leaves out the run-time settings: a spec
+        that differs from the resident one in a setting that changes an
+        answer is refused, never served the resident session's answers."""
+        before = served.client.match(served.digest, object_id=0)
+        spec = {**served.spec.to_dict(), name: value}
+        resident = getattr(served.spec.to_config(), name)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", served.server.port, timeout=30
+        )
+        try:
+            status, body = exchange(
+                connection, "POST", "/corpora", json.dumps(spec).encode("utf-8")
+            )
+        finally:
+            connection.close()
+        assert status == 409, body
+        assert body["conflicts"] == {
+            name: {"resident": resident, "requested": value}
+        }
+        assert f"{name}={resident!r} resident" in body["error"]
+        assert f"{value!r} requested" in body["error"]
+        with pytest.raises(ServeError) as excinfo:
+            served.client.open_corpus(spec)
+        assert excinfo.value.status == 409
+        assert name in excinfo.value.message
+        # the resident session is untouched and still opens as itself
+        assert served.client.open_corpus(served.spec)["origin"] == "session"
+        assert served.client.match(served.digest, object_id=0) == before
+
+    def test_every_conflicting_setting_is_named(self, served):
+        spec = {
+            **served.spec.to_dict(),
+            "use_object_filter": True,
+            "theta_cand": 0.6,
+        }
+        with pytest.raises(ServeError) as excinfo:
+            served.client.open_corpus(spec)
+        assert excinfo.value.status == 409
+        assert "use_object_filter=False resident" in excinfo.value.message
+        assert "theta_cand=0.55 resident" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"workers": 2}, {"use_blocking": False}, {"similar_semantics": "matching"}],
+        ids=["workers", "blocking", "same-semantics"],
+    )
+    def test_settings_that_change_no_answer_share_the_session(
+        self, served, fields
+    ):
+        """Backends are bit-identical and blocking is lossless: a spec
+        that differs only there is served by the resident session."""
+        before = served.client.match(served.digest, object_id=0)
+        opened = served.client.open_corpus({**served.spec.to_dict(), **fields})
+        assert (opened["digest"], opened["origin"]) == (served.digest, "session")
+        assert served.client.match(served.digest, object_id=0) == before
+
+    def test_same_bytes_under_other_paths_share_the_session(self, served):
+        copies = served.tmp / "copies"
+        copies.mkdir(exist_ok=True)
+        for name in ("movies.xml", "movies.xsd", "mapping.xml"):
+            (copies / name).write_bytes((served.tmp / name).read_bytes())
+        opened = served.client.open_corpus(example_spec(copies))
+        assert (opened["digest"], opened["origin"]) == (served.digest, "session")
 
     def test_restarted_daemon_warm_loads_from_store(self, served):
         server, client = start_server(served.tmp / "store")
@@ -352,6 +428,26 @@ class TestMatch:
             )
             assert response["matches"] == expected
 
+    def test_top_does_not_truncate_a_later_answer(self, tmp_path):
+        """A lookup's answer is stored once per corpus state; ``top``
+        cuts the response, not what the next lookup reads."""
+        spec = write_example(tmp_path)
+        server, client = start_server(tmp_path / "store")
+        try:
+            digest = client.open_corpus(spec)["digest"]
+            client.extend(digest, NEW_MOVIE)
+            session = spec.build_session()
+            session.extend(parse(NEW_MOVIE))
+            full = matches_of(session, 0)
+            assert len(full) == 2
+            assert client.match(digest, object_id=0, top=1)["matches"] == full[:1]
+            assert client.match(digest, object_id=0)["matches"] == full
+            assert client.match(digest, object_id=0, top=1)["matches"] == full[:1]
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
     def test_match_theta_and_top_params(self, served):
         session = served.spec.build_session()
         all_partners = served.client.match(
@@ -541,6 +637,62 @@ class TestRouteFuzz:
         if "top" in seen:
             expected = expected[: int(seen["top"])]
         assert body["matches"] == expected
+
+    #: What a client may put where a digest goes: hex of both cases,
+    #: glob characters (a prefix once served as a glob pattern, so the
+    #: whole patterns that match hex are drawn too), ``%``-escapes the
+    #: daemon does not decode, dots and backslashes.
+    _DIGEST_CHARACTERS = st.one_of(
+        st.sampled_from("0123456789abcdef"),
+        st.sampled_from("ABCDEF"),
+        st.sampled_from("*?[]"),
+        st.sampled_from(["%2e", "%2F", "%41", "%", "%%"]),
+        st.sampled_from(". .. \\ \\.".split()),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cut=st.integers(0, 64),
+        upper=st.booleans(),
+        tail=st.one_of(
+            st.sampled_from(["", "*", "[0-9a-f]", "[!z]", "*[a-f]*"]),
+            st.lists(_DIGEST_CHARACTERS, max_size=12).map("".join),
+        ),
+    )
+    def test_no_digest_answers_5xx(self, filtered, cut, upper, tail):
+        """Every route under ``/corpora/<digest>/`` answers a drawn
+        segment of 0–70 characters (a slice of the resident digest,
+        perhaps upper-cased, and a tail) with a 4xx, or — for a
+        prefix of the resident digest — exactly what the full digest
+        gets.  ``extend`` carries no body, so no draw writes.  A ``?``
+        goes as ``%3F``, which the daemon reads literally: sent raw it
+        would end the path, and the request would name another route."""
+        prefix = filtered.digest[:cut]
+        segment = ((prefix.upper() if upper else prefix) + tail)[:70]
+        resident = bool(segment) and filtered.digest.startswith(segment)
+        segment = segment.replace("?", "%3F")
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", filtered.port, timeout=30
+        )
+        try:
+            for method, action in (
+                ("GET", "match?object_id=0"),
+                ("POST", "detect"),
+                ("POST", "extend"),
+            ):
+                status, body = exchange(
+                    connection, method, f"/corpora/{segment}/{action}"
+                )
+                assert status < 500, (segment, action, body)
+                if resident:
+                    assert (status, body) == exchange(
+                        connection, method, f"/corpora/{filtered.digest}/{action}"
+                    ), (segment, action)
+                else:
+                    assert 400 <= status < 500, (segment, action, body)
+                    assert isinstance(body["error"], str) and body["error"]
+        finally:
+            connection.close()
 
 
 class TestDetect:

@@ -7,10 +7,13 @@ here:
 * foreign sentinel allocation is atomic — the old read-modify-write on
   an instance attribute let two threads draw the same id, conflating
   two foreign elements in per-id memos (``ObjectFilter.decide``);
-* the per-theta kept-set memo — ``match(theta_cand=...)`` at a
+* the per-theta read slots — ``match(theta_cand=...)`` at a
   non-default threshold used to re-run the full O(n) object-filter
-  pass on every call — with single-assignment publication, an LRU
-  bound, and parity against the unmemoized pass;
+  pass on every call; now a lookup decides only the objects it reads
+  and stores its answer in the slot of its threshold — with an LRU
+  bound, parity against the unmemoized filter, foreign elements
+  never stored, and a reader that stores after a write storing into
+  a slot no later read sees;
 * the object filter's decision memo — ``decide()`` published its memo
   check-then-act, so two threads passing the check together both
   appended to ``decisions`` (double-counting ``pruned_count``); now
@@ -166,14 +169,24 @@ class TestForeignSentinelAllocation:
 
 
 class TestKeptSetMemo:
-    def test_non_default_theta_filter_pass_runs_once(self, monkeypatch):
+    """The per-theta read slots: the filter decisions and the answers
+    ``match()`` computed, kept per threshold in a bounded LRU."""
+
+    def test_one_class_table_and_a_new_theta_scores_what_a_read_touches(
+        self, monkeypatch
+    ):
         """Regression: ``match(theta_cand=...)`` off the default
         threshold re-ran the full O(n) object-filter pass per call — a
         server hot-path trap.  The tuple classes do not depend on the
-        threshold: the table is built once, and a new theta re-sums."""
+        threshold: the table is built once per session.  A lookup
+        decides only the queried object and its candidates, each once
+        per threshold."""
         import repro.api.session as session_module
 
-        session = paper_session(use_object_filter=True, theta_cand=0.3)
+        dataset = build_dataset1(15, seed=3)
+        session = DetectionSession(
+            Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
+        )
         classified, scored = [], []
         real_classes = session_module.tuple_classes
         real_score = session_module.filter_score
@@ -189,46 +202,314 @@ class TestKeptSetMemo:
         monkeypatch.setattr(session_module, "tuple_classes", counting_classes)
         monkeypatch.setattr(session_module, "filter_score", counting_score)
         n = len(session.ods)
+        od = session.ods[0]
+        touched = {0} | session._similar_object_ids(od)
+
         session.match(0, theta_cand=0.25)
-        assert (len(classified), len(scored)) == (n, n)  # one table build
+        assert len(classified) == n  # one table build
+        assert len(scored) == len(set(scored)) and set(scored) <= touched
+        assert len(scored) < n  # the read decided its neighbourhood only
+        first = list(scored)
         session.match(0, theta_cand=0.25)
+        assert (len(classified), scored) == (n, first)  # read from the slot
         session.match(1, theta_cand=0.25)
-        assert (len(classified), len(scored)) == (n, n)  # memoized: no second pass
+        assert len(classified) == n
+        assert len(scored) == len(set(scored))  # no object decided twice
+        at_new_theta = len(scored)
         session.match(0, theta_cand=0.35)
-        # a new theta is a new sum over the same table
-        assert (len(classified), len(scored)) == (n, 2 * n)
+        # a new theta is new arithmetic over the same table
+        assert len(classified) == n
+        assert set(scored[at_new_theta:]) <= touched
 
     def test_memo_parity_with_unmemoized_pass(self):
+        """Every object's decision at every theta is a fresh
+        :class:`ObjectFilter`'s."""
         session = paper_session(use_object_filter=True, theta_cand=0.3)
         for theta in (0.25, 0.3, 0.35, 0.25):
-            memoized = session._kept_for(theta)
+            for od in session.ods:
+                session.match(od.object_id, theta_cand=theta)
             fresh_filter = ObjectFilter(session.index, theta)
-            fresh = frozenset(
-                od.object_id
-                for od in session.ods
-                if fresh_filter.keep(od)
+            fresh = {od.object_id: fresh_filter.keep(od) for od in session.ods}
+            assert session._read_slots[theta].decided == fresh, (
+                f"filter decisions diverged at {theta}"
             )
-            assert memoized == fresh, f"kept-set memo diverged at {theta}"
 
     def test_memo_is_bounded(self):
         import repro.api.session as session_module
 
-        session = paper_session(use_object_filter=True, theta_cand=0.3)
-        for step in range(3 * session_module._KEPT_CACHE_SIZE):
-            session._kept_for(0.2 + step / 1000)
-        assert len(session._kept_cache) <= session_module._KEPT_CACHE_SIZE
+        for use_object_filter in (True, False):
+            session = paper_session(
+                use_object_filter=use_object_filter, theta_cand=0.3
+            )
+            for step in range(3 * session_module._KEPT_CACHE_SIZE):
+                theta = 0.2 + step / 1000
+                session.match(step % 3, theta_cand=theta)
+                assert len(session._read_slots) <= session_module._KEPT_CACHE_SIZE
+            # least recently used first out: the last thetas stay
+            assert list(session._read_slots)[-1] == theta
+
+    def test_readers_across_evicting_thetas_answer_like_one(
+        self, greedy_switching
+    ):
+        """Eight readers on one filtered session, each walking more
+        thresholds than the LRU holds in its own order: slots are made,
+        filled and evicted under them, and every answer is the serial
+        one."""
+        import repro.api.session as session_module
+
+        dataset = build_dataset1(10, seed=7)
+
+        def build() -> DetectionSession:
+            return DetectionSession(
+                Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
+            )
+
+        size = session_module._KEPT_CACHE_SIZE
+        thetas = [0.3 + step / 50 for step in range(size + 4)]
+        ids = [od.object_id for od in build().ods]
+        serial = build()
+        expected = {
+            (theta, object_id): _snapshot(serial.match(object_id, theta_cand=theta))
+            for theta in thetas
+            for object_id in ids
+        }
+        assert any(expected.values())
+        session = build()
+        wrong: list = []
+        errors: list[Exception] = []
+        start = threading.Barrier(8)
+
+        def reader(slot: int) -> None:
+            try:
+                start.wait(timeout=60)
+                for round_ in range(2):
+                    for theta in thetas[slot:] + thetas[:slot]:
+                        for object_id in ids[round_::2]:
+                            got = session.match(object_id, theta_cand=theta)
+                            if _snapshot(got) != expected[theta, object_id]:
+                                wrong.append((theta, object_id))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not wrong
+        assert len(session._read_slots) <= size
 
     def test_extend_invalidates_the_memo(self):
         session = paper_session(use_object_filter=True, theta_cand=0.3)
         session.match(0, theta_cand=0.25)
-        assert session._kept_cache
+        slot = session._read_slots[0.25]
+        assert slot.answers and slot.decided
+        session.extend(parse("<moviedoc/>"))  # no candidate: no answer moves
+        assert session._read_slots == {0.25: slot}
         session.extend(
             parse(
                 "<moviedoc><movie><title>Heat</title><year>1995</year>"
                 "</movie></moviedoc>"
             )
         )
-        assert not session._kept_cache
+        assert not session._read_slots
+
+    def test_foreign_elements_are_scored_every_time(self, monkeypatch):
+        """A posted element gets a new OD and a new id per call: its
+        answer is never stored, and each lookup scores its partners."""
+        session = paper_session(use_object_filter=False)
+        copy = parse(serialize(paper_example_document()))
+        first, second = copy.root.children[0], copy.root.children[1]
+        real = session._similarity
+        scored: list[int] = []
+
+        def counting(left, right):
+            scored.append(left.object_id)
+            return real(left, right)
+
+        monkeypatch.setattr(session, "_similarity", counting)
+        answers = []
+        for element in (first, second, first, second):
+            before = len(scored)
+            answers.append(_snapshot(session.match(element)))
+            assert len(scored) > before
+        assert answers[:2] == answers[2:] and answers[0] and answers[1]
+        assert len(set(scored)) == 4  # four sentinel ids, none shared
+        assert not any(slot.answers for slot in session._read_slots.values())
+
+    def test_a_reader_publishing_after_a_write_changes_no_later_answer(
+        self, monkeypatch
+    ):
+        """A reader computes object 0's answer on the corpus, stalls
+        while a write adds a duplicate, and then stores its answer: into
+        the slot it fetched, which the write dropped.  The next lookup
+        answers on the grown corpus."""
+        session = paper_session(use_object_filter=False)
+        before = _snapshot(session.match(0, theta_cand=0.3))
+        twin = paper_session(use_object_filter=False)
+        movie = (
+            "<moviedoc><movie><title>The Matrix</title><year>1999</year>"
+            "<actor><name>K. Reeves</name><role>Neo</role></actor>"
+            "</movie></moviedoc>"
+        )
+        twin.extend(parse(movie))
+        after = _snapshot(twin.match(0))
+        assert after != before
+
+        computed, written = threading.Event(), threading.Event()
+        real = session._partners
+
+        def stalled(*args):
+            answer = real(*args)
+            computed.set()
+            assert written.wait(timeout=30)
+            return answer
+
+        monkeypatch.setattr(session, "_partners", stalled)
+        stale: list = []
+        reader = threading.Thread(
+            target=lambda: stale.append(_snapshot(session.match(0)))
+        )
+        reader.start()
+        assert computed.wait(timeout=30)
+        session.extend(parse(movie))
+        written.set()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stale == [_snapshot(paper_session(use_object_filter=False).match(0))]
+        assert _snapshot(session.match(0)) == after
+        assert _snapshot(session.match(0, theta_cand=0.3)) == _snapshot(
+            twin.match(0, theta_cand=0.3)
+        )
+
+
+    @pytest.mark.parametrize("stall_after", ["first", "last"])
+    def test_a_class_table_built_across_a_write_covers_the_grown_corpus(
+        self, monkeypatch, stall_after
+    ):
+        """Regression: the first filtered read builds the tuple-class
+        table by walking the id map, which a write grows.  A reader
+        stalled inside that first decision while a write folds in an
+        object (after the table's first class, or after its last, just
+        before installing it) must neither fail on the grown map nor
+        install a table without the new object: every later filtered
+        lookup of that id, and the next write, would fail on it."""
+        import repro.api.session as session_module
+
+        session = paper_session(use_object_filter=True, theta_cand=0.3)
+        twin = paper_session(use_object_filter=True, theta_cand=0.3)
+        stall_at = 1 if stall_after == "first" else len(session.ods)
+        real = session_module.tuple_classes
+        classified: list[int] = []
+        stalled, written = threading.Event(), threading.Event()
+
+        def stalling(index, od):
+            classes = real(index, od)
+            if threading.current_thread() is reader:
+                classified.append(od.object_id)
+                if len(classified) == stall_at:
+                    stalled.set()
+                    assert written.wait(timeout=30)
+            return classes
+
+        monkeypatch.setattr(session_module, "tuple_classes", stalling)
+        errors: list[Exception] = []
+
+        def read() -> None:
+            try:
+                session.match(0)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert stalled.wait(timeout=30)
+        for target in (session, twin):
+            target.extend(parse(_MATRIX_TWIN))
+        written.set()
+        reader.join(timeout=30)
+        assert not reader.is_alive() and not errors
+        assert set(session._classes) == set(session._by_id)
+        for document in ("<moviedoc/>", _HEAT):
+            for object_id in session._by_id:
+                for theta in (None, 0.3, 0.8):
+                    assert _snapshot(
+                        session.match(object_id, theta_cand=theta)
+                    ) == _snapshot(twin.match(object_id, theta_cand=theta))
+            for target in (session, twin):
+                target.extend(parse(document))
+
+    def test_a_class_table_installed_behind_a_write_is_dropped(self):
+        """A first filtered read that builds and installs the class
+        table while a write has grown the index but not yet registered
+        its objects builds a table of the standing objects only.  The
+        write drops that table, and the next filtered read builds it
+        again over the grown corpus."""
+        session = paper_session(use_object_filter=True, theta_cand=0.3)
+        twin = paper_session(use_object_filter=True, theta_cand=0.3)
+        twin.extend(parse(_MATRIX_TWIN))
+        standing = set(session._by_id)
+        real_lock = session._kept_lock
+        at_lock, installed = threading.Event(), threading.Event()
+
+        class HeldWriter:
+            """``_kept_lock`` that holds the writer at its first acquire
+            until a reader has installed the class table."""
+
+            def __enter__(self):
+                if threading.current_thread() is writer and not at_lock.is_set():
+                    at_lock.set()
+                    assert installed.wait(timeout=30)
+                return real_lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                real_lock.__exit__(*exc_info)
+                if session._classes is not None:
+                    installed.set()
+
+        session._kept_lock = HeldWriter()
+        errors: list[Exception] = []
+
+        def write() -> None:
+            try:
+                session.extend(parse(_MATRIX_TWIN))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        assert at_lock.wait(timeout=30)
+        assert set(session._class_table()) == standing
+        writer.join(timeout=30)
+        assert not writer.is_alive() and not errors
+        assert session._classes is None
+        for object_id in session._by_id:
+            assert _snapshot(session.match(object_id)) == _snapshot(
+                twin.match(object_id)
+            )
+        assert set(session._classes) == set(session._by_id) > standing
+
+    def test_a_slot_keeps_pairs_and_each_call_makes_new_matches(self):
+        """An answer is kept as ``(candidate id, similarity)`` pairs and
+        each call builds its own matches.  Without a C2 band both
+        ``include_possible`` flags give one answer, kept once; with one
+        they are two answers."""
+        session = paper_session(use_object_filter=False, theta_cand=0.3)
+        first = session.match(0)
+        again = session.match(0, include_possible=True)
+        assert first and _snapshot(first) == _snapshot(again)
+        assert all(left is not right for left, right in zip(first, again))
+        slot = session._read_slots[0.3]
+        assert slot.answers == {
+            (0, False): tuple((m.object_id, m.similarity) for m in first)
+        }
+        banded = paper_session(
+            use_object_filter=False, theta_cand=0.3, possible_threshold=0.1
+        )
+        banded.match(0)
+        banded.match(0, include_possible=True)
+        assert set(banded._read_slots[0.3].answers) == {(0, False), (0, True)}
 
 
 class TestObjectFilterDecideRace:
@@ -328,6 +609,19 @@ def _extension_source() -> Document:
 
 def _snapshot(matches) -> tuple:
     return tuple((m.object_id, m.similarity, m.path) for m in matches)
+
+
+#: A duplicate of the running example's first movie, and a movie
+#: without one: writes that add one object each.
+_MATRIX_TWIN = (
+    "<moviedoc><movie><title>The Matrix</title><year>1999</year>"
+    "<actor><name>K. Reeves</name><role>Neo</role></actor>"
+    "</movie></moviedoc>"
+)
+_HEAT = (
+    "<moviedoc><movie><title>Heat</title><year>1995</year>"
+    "</movie></moviedoc>"
+)
 
 
 class TestGroupingFilledByReaders:

@@ -16,8 +16,14 @@ does not make it:
   like one rebuilt over the grown corpus;
 * **the kept tuple classes** — ``extend()`` re-classifies only the
   tuples the delta can move (N → U → S).  After every write the
-  session's classes must be a fresh classification's, and its kept sets
-  and scores a fresh :class:`ObjectFilter` pass's, bit for bit.
+  session's classes must be a fresh classification's, and its filter
+  decisions and scores a fresh :class:`ObjectFilter` pass's, bit for
+  bit;
+* **the read slots** — ``match()`` keeps each indexed object's answer
+  and the filter decisions it read per threshold until a write adds
+  objects.  Under any interleaving of lookups and writes every answer
+  must be a rebuilt session's, a repeated lookup must score no pair,
+  and a write with candidates must make the next lookup score again.
 """
 
 from __future__ import annotations
@@ -484,8 +490,10 @@ class TestWriteCostsWhatItChanges:
         answer = snapshot(session.match(0))
         index = session.index
         probes = self.probes(session)
-        kept = dict(session._kept_cache)
-        assert kept  # the filter is on: match() memoized a kept set
+        slots = dict(session._read_slots)
+        (slot,) = slots.values()
+        assert slot.answers and slot.decided  # the filter is on
+        stored = (dict(slot.answers), dict(slot.decided))
         classes = dict(session._classes)
         memos = (
             dict(index._similar_cache),
@@ -497,8 +505,12 @@ class TestWriteCostsWhatItChanges:
         assert session.incremental is not None  # the stream is seeded
         assert len(session.corpus) == len(dataset.sources) + 1
         assert self.probes(session) == probes
-        assert session._kept_cache.keys() == kept.keys()
-        assert all(session._kept_cache[theta] is kept[theta] for theta in kept)
+        assert session._read_slots == slots  # the same slot objects
+        assert session._read_slots[session.config.theta_cand] is slot
+        assert (slot.answers, slot.decided) == stored
+        fresh = ObjectFilter(index, session.config.theta_cand)
+        for object_id, kept in slot.decided.items():
+            assert kept == fresh.keep(session.ods[object_id]), object_id
         assert session._classes == classes
         # seeding the stream may add memo entries; none is dropped
         for before, after in zip(
@@ -525,14 +537,16 @@ def class_fuzz_dataset():
 
 def assert_filter_exact(session: DetectionSession) -> None:
     """The session's tuple classes are a fresh classification's, and its
-    kept sets and scores a fresh :class:`ObjectFilter` pass's, to the
-    bit, at the default threshold and two overrides."""
+    filter decisions and scores a fresh :class:`ObjectFilter` pass's, to
+    the bit, at the default threshold and two overrides."""
     index = session.index
     for theta in (session.config.theta_cand, 0.3, 0.8):
+        for od in session.ods:  # every lookup decides its own object
+            session.match(od.object_id, theta_cand=theta)
         fresh = ObjectFilter(index, theta)
-        assert session._kept_for(theta) == frozenset(
-            od.object_id for od in session.ods if fresh.keep(od)
-        ), theta
+        assert session._read_slots[theta].decided == {
+            od.object_id: fresh.keep(od) for od in session.ods
+        }, theta
     for od in session.ods:
         classes = session._classes[od.object_id]
         assert classes == tuple_classes(index, od), od.object_id
@@ -564,3 +578,174 @@ class TestClassesThroughWrites:
         for delta in deltas:
             session.extend(source_of([records[i] for i in delta]))
             assert_filter_exact(session)
+
+
+# ----------------------------------------------------------------------
+# Session level: the read slots
+# ----------------------------------------------------------------------
+def exact(matches) -> list:
+    """A ``match()`` answer with every similarity to the bit."""
+    return [(m.object_id, m.similarity.hex(), m.path) for m in matches]
+
+
+class CountingSimilarity:
+    """Stands in for ``DetectionSession._similarity``: counts the pairs
+    scored through it."""
+
+    def __init__(self, real) -> None:
+        self.real = real
+        self.pairs = 0
+
+    def __call__(self, left, right) -> float:
+        self.pairs += 1
+        return self.real(left, right)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def slot_session(dataset, sources, filtered: bool) -> DetectionSession:
+    """A session with a possible band, so ``include_possible`` has work
+    at every threshold the fuzz draws."""
+    return DetectionSession(
+        Corpus(sources),
+        dataset.mapping,
+        dataset.real_world_type,
+        DogmatixConfig(use_object_filter=filtered, possible_threshold=0.2),
+    )
+
+
+_LOOKUP = st.tuples(
+    st.just("match"),
+    st.integers(0, 60),
+    st.sampled_from([None, 0.3, 0.8]),
+    st.booleans(),
+)
+_WRITE = st.tuples(st.just("extend"), st.lists(st.integers(0, 15), max_size=3))
+
+
+class TestReadSlotsThroughWrites:
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        corpus=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+        steps=st.lists(st.one_of(_LOOKUP, _WRITE), min_size=1, max_size=12),
+        filtered=st.booleans(),
+    )
+    def test_random_interleavings_answer_like_a_rebuilt_session(
+        self, corpus, steps, filtered
+    ):
+        """Lookups at three thresholds, with and without the possible
+        band, interleaved with writes (empty documents among them):
+        every answer is a session rebuilt over the same documents'."""
+        dataset, records = class_fuzz_dataset()
+        sources = [source_of([records[i] for i in corpus])]
+        session = slot_session(dataset, sources, filtered)
+        rebuilt = None
+        for step in steps:
+            if step[0] == "extend":
+                sources.append(source_of([records[i] for i in step[1]]))
+                session.extend(sources[-1])
+                rebuilt = None
+                continue
+            _, pick, theta, include_possible = step
+            if rebuilt is None:
+                rebuilt = slot_session(dataset, sources, filtered)
+            object_id = session.ods[pick % len(session.ods)].object_id
+            got = session.match(
+                object_id, theta_cand=theta, include_possible=include_possible
+            )
+            want = rebuilt.match(
+                object_id, theta_cand=theta, include_possible=include_possible
+            )
+            assert exact(got) == exact(want), (object_id, theta)
+            got.clear()  # each call returns its own list
+
+        final = slot_session(dataset, sources, filtered)
+        for od in final.ods:
+            for theta in (None, 0.3, 0.8):
+                assert exact(session.match(od.object_id, theta_cand=theta)) == (
+                    exact(final.match(od.object_id, theta_cand=theta))
+                ), (od.object_id, theta)
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    def test_a_repeated_lookup_scores_no_pair(self, filtered, monkeypatch):
+        """On the running example: a lookup on an unchanged corpus, or
+        after a document without candidates, is read from the slot; a
+        write with candidates makes the next lookup score again."""
+        from repro.core import RDistantDescendants
+        from repro.datagen import (
+            paper_example_document,
+            paper_example_mapping,
+            paper_example_schema,
+        )
+
+        session = DetectionSession(
+            Source(paper_example_document(), paper_example_schema()),
+            paper_example_mapping(),
+            "MOVIE",
+            DogmatixConfig(
+                heuristic=RDistantDescendants(2),
+                theta_tuple=0.55,
+                theta_cand=0.55,
+                use_object_filter=filtered,
+            ),
+        )
+        spy = CountingSimilarity(session._similarity)
+        monkeypatch.setattr(session, "_similarity", spy)
+
+        def lookups() -> tuple[int, list]:
+            spy.pairs = 0
+            answers = [
+                exact(session.match(od.object_id, include_possible=possible))
+                for od in session.ods
+                for possible in (False, True)
+            ]
+            return spy.pairs, answers
+
+        scored, first = lookups()
+        assert scored > 0 or filtered  # the filter prunes all three
+        assert lookups() == (0, first)
+
+        session.extend(parse("<moviedoc/>"))
+        assert lookups() == (0, first)
+
+        session.extend(
+            parse(
+                "<moviedoc><movie><title>The Matrix</title><year>1999</year>"
+                "<actor><name>K. Reeves</name><role>Neo</role></actor>"
+                "</movie></moviedoc>"
+            )
+        )
+        scored, grown = lookups()
+        assert scored > 0
+        assert lookups() == (0, grown)
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_a_first_lookup_scores_each_kept_candidate_once(
+        self, filtered, monkeypatch
+    ):
+        """A lookup the slots have not seen costs what a lookup cost
+        before them: one similarity per candidate the object filter
+        keeps, none for a pruned candidate, none at all for a pruned
+        object."""
+        dataset = build_dataset1(15, seed=3)
+        session = slot_session(dataset, dataset.sources, filtered)
+        spy = CountingSimilarity(session._similarity)
+        monkeypatch.setattr(session, "_similarity", spy)
+        fresh = ObjectFilter(session.index, session.config.theta_cand)
+        by_id = {od.object_id: od for od in session.ods}
+        for od in session.ods:
+            candidates = session._similar_object_ids(od) - {od.object_id}
+            if filtered:
+                candidates = {
+                    candidate
+                    for candidate in candidates
+                    if fresh.keep(by_id[candidate]) and fresh.keep(od)
+                }
+            spy.pairs = 0
+            session.match(od.object_id)
+            assert spy.pairs == len(candidates), od.object_id
