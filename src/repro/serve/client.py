@@ -82,7 +82,7 @@ class ServeClient:
             params["include_possible"] = "true"
         if top is not None:
             params["top"] = top
-        path = f"/corpora/{digest}/match" + _query(params)
+        path = _corpus_path(digest, "match") + _query(params)
         if element is None:
             return self._request("GET", path)
         return self._request(
@@ -93,14 +93,14 @@ class ServeClient:
     def detect(self, digest: str, theta_cand: Optional[float] = None) -> dict:
         params = {} if theta_cand is None else {"theta_cand": theta_cand}
         return self._request(
-            "POST", f"/corpora/{digest}/detect" + _query(params)
+            "POST", _corpus_path(digest, "detect") + _query(params)
         )
 
     def extend(self, digest: str, document: str) -> dict:
         """Incrementally ingest an XML document into the warm session."""
         return self._request(
             "POST",
-            f"/corpora/{digest}/extend",
+            _corpus_path(digest, "extend"),
             raw_body=document.encode("utf-8"),
             content_type="application/xml",
         )
@@ -168,6 +168,13 @@ def _round_trip(
         # half-read response on it; the next call reopens.
         connection.close()
         raise
+
+
+def _corpus_path(digest: str, action: str) -> str:
+    """``/corpora/<digest>/<action>`` with the digest percent-quoted, so
+    whatever a caller passes stays one path segment (the daemon decodes
+    it back): a ``?`` or ``/`` cannot end it and name another route."""
+    return f"/corpora/{urllib.parse.quote(digest, safe='')}/{action}"
 
 
 def _query(params: dict) -> str:

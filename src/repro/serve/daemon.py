@@ -6,7 +6,25 @@ standing (the prepared-once/query-many shape the session + store stack
 was built for) and serves single-object ``match()`` lookups, batch
 ``detect()`` runs, and incremental ``extend()`` over plain HTTP.
 Stdlib only: :class:`http.server.ThreadingHTTPServer`, one thread per
-request.
+connection.  The per-request work is the daemon's own: a strict
+request-head parser (``_Handler.parse_request``), one pre-formatted
+response head written with its body in one ``sendall``
+(``_Handler._send_json``), and routing on percent-decoded path
+segments (``_Handler._dispatch``).
+
+The request head.  The request line is ``METHOD SP target SP
+HTTP/1.0`` or ``HTTP/1.1``: any other shape or version is a JSON 400,
+HTTP/2 and above a 505.  Each header line is ``name:value`` with a
+token name (any case; names are compared lower-cased) and no blank
+before the colon; a line without a colon, a blank before it, an
+obs-fold continuation line, or two ``Content-Length`` values that differ
+is a JSON 400 that closes the connection (each is a way for two parsers
+to disagree on where a request ends).  The stdlib's limits and outcomes
+stay: a line over 65 536 bytes or more than 100 header lines is a 431,
+``Connection: close`` / ``keep-alive`` and the HTTP/1.0 default decide
+keep-alive as ``http.server`` did, ``Expect: 100-continue`` is answered
+``100 Continue`` before the body is read, and a leading ``//`` in the
+target is collapsed to ``/``.
 
 Routes (JSON in/out unless noted):
 
@@ -36,6 +54,10 @@ Routes (JSON in/out unless noted):
   so clients can tell).
 
 ``<digest>`` accepts any unique prefix of a stored/resident digest.
+Each path segment is percent-decoded before routing, so ``%61`` is
+``a`` and a ``?`` inside a digest argument travels as ``%3F``
+(:class:`~repro.serve.client.ServeClient` quotes what it puts in a
+path); the query is the text after the first ``?``.
 """
 
 from __future__ import annotations
@@ -44,10 +66,13 @@ import hashlib
 import json
 import re
 import sys
+import time
 import traceback
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote
 
 from .._lazy import preload
 from ..api.spec import RunSpec
@@ -92,6 +117,38 @@ _TRUE = frozenset({"1", "true", "yes", "on"})
 #: ``Content-Length`` is answered 413 before any of it is read.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: The stdlib's head limits (``http.client._MAXLINE`` / ``_MAXHEADERS``).
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+_TOKEN = rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
+_REQUEST_LINE = re.compile(
+    rb"(%s) ([\x21-\x7e\x80-\xff]+) (HTTP/[0-9]\.[0-9])\r?\n" % _TOKEN
+)
+_FIELD_LINE = re.compile(
+    rb"(%s):[ \t]*([\t\x20-\x7e\x80-\xff]*)\r?\n" % _TOKEN
+)
+_VERSIONS = frozenset({"HTTP/1.0", "HTTP/1.1"})
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus
+}
+_CLOSE = "Connection: close\r\n"
+_HEXDIGITS = "0123456789abcdef"
+
+#: ``(second, "Date" header text)``; swapped whole by one assignment,
+#: so a reader sees the old pair or the new one, never a torn one.
+_date: tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    global _date
+    second = int(time.time())
+    cached = _date
+    if cached[0] != second:
+        cached = _date = (second, formatdate(second, usegmt=True))
+    return cached[1]
+
 
 class ApiError(Exception):
     """An error with an HTTP status, rendered as a JSON body:
@@ -128,13 +185,18 @@ class DetectionServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: DetectionServer  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
-    # Wire contract: head and body of a response collect in a buffered
-    # ``wfile`` and leave in one send (a head segment followed by a
-    # small body segment is what Nagle holds until the client's delayed
-    # ACK, ~40 ms per keep-alive request); TCP_NODELAY keeps the tail
-    # segment of a body larger than the buffer from stalling the same way.
-    wbufsize = -1
+    # Wire contract: head and body of a response are one ``wfile.write``
+    # on the unbuffered socket writer, so they leave in one ``sendall``
+    # (a head segment followed by a small body segment is what Nagle
+    # holds until the client's delayed ACK, ~40 ms per keep-alive
+    # request); TCP_NODELAY keeps the tail segment of a large body from
+    # stalling the same way.
+    wbufsize = 0
     disable_nagle_algorithm = True
+    _SERVER_LINE = (
+        f"Server: {BaseHTTPRequestHandler.server_version} "
+        f"{BaseHTTPRequestHandler.sys_version}\r\n"
+    )
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -143,22 +205,92 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.server.quiet:  # pragma: no cover - log formatting
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """Read the request head (see the module docstring's grammar).
+
+        The request line is in ``raw_requestline``; on success
+        ``command``, ``path``, ``request_version``, ``close_connection``
+        and ``headers`` (lower-cased name -> the first value sent, blanks
+        after the colon dropped) are set.  On failure the JSON error has
+        been sent and the connection closes.
+        """
+        self.command = None
+        self.close_connection = True
+        raw = self.raw_requestline
+        self.requestline = str(raw, "iso-8859-1").rstrip("\r\n")
+        if not self.requestline:
+            return False  # a bare line end: hang up, as http.server does
+        line = _REQUEST_LINE.fullmatch(raw)
+        if line is None:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        version = self.request_version = line[3].decode("ascii")
+        if version not in _VERSIONS:
+            if version >= "HTTP/2":
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+            else:
+                self.send_error(400, f"Bad request version ({version!r})")
+            return False
+        self.command = line[1].decode("ascii")
+        path = line[2].decode("iso-8859-1")
+        if path.startswith("//"):  # never an absolute URI without scheme
+            path = "/" + path.lstrip("/")
+        self.path = path
+        headers = self.headers = {}
+        readline = self.rfile.readline
+        for _ in range(MAX_HEADERS + 1):
+            raw = readline(MAX_LINE_BYTES + 1)
+            if raw == b"\r\n" or raw == b"\n":
+                break
+            if len(raw) > MAX_LINE_BYTES:
+                self.send_error(431, "Line too long")
+                return False
+            field = _FIELD_LINE.fullmatch(raw)
+            if field is None:
+                self.send_error(400, f"Bad header line {raw[:64]!r}")
+                return False
+            name = field[1].decode("ascii").lower()
+            value = field[2].decode("iso-8859-1")
+            if name not in headers:
+                headers[name] = value
+            elif (
+                name == "content-length"
+                and headers[name].strip() != value.strip()
+            ):
+                self.send_error(400, "Content-Length values differ")
+                return False
+        else:
+            self.send_error(431, "Too many headers")
+            return False
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version == "HTTP/1.0" and connection != "keep-alive"
+        )
+        if (
+            version == "HTTP/1.1"
+            and headers.get("expect", "").lower() == "100-continue"
+        ):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
     def _send_json(self, status: int, payload: dict) -> None:
-        """The one response writer: JSON body, one flush."""
+        """The one response writer: JSON body, head and body in one write."""
+        if not self.server.quiet:  # pragma: no cover - log formatting
+            self.log_request(status)
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
-        self.wfile.flush()
+        head = (
+            f"{_STATUS_LINES[status]}{self._SERVER_LINE}"
+            f"Date: {_http_date()}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"{_CLOSE if self.close_connection else ''}\r\n"
+        ).encode("latin-1")
+        self.wfile.write(head + body if self.command != "HEAD" else head)
 
     def send_error(self, code, message=None, explain=None) -> None:
-        """Errors the stdlib raises itself (bad request line, unsupported
-        method) in the same JSON shape as :class:`ApiError`."""
+        """Errors of the HTTP layer (a bad request head, an unsupported
+        method, an overlong request line) in the same JSON shape as
+        :class:`ApiError`; the connection closes after them."""
         if message is None:
             message = self.responses.get(code, ("error",))[0]
         self.log_error("code %d, message %s", code, message)
@@ -174,7 +306,7 @@ class _Handler(BaseHTTPRequestHandler):
         is unknowable, or above :data:`MAX_BODY_BYTES`, the connection
         closes after the response.
         """
-        declared = (self.headers.get("Content-Length") or "0").strip()
+        declared = (self.headers.get("content-length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             self.close_connection = True
             raise ApiError(
@@ -182,7 +314,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"Content-Length must be a non-negative integer, "
                 f"got {declared!r}",
             )
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             self.close_connection = True
             raise ApiError(411, "send the body with a Content-Length")
         length = int(declared)
@@ -196,9 +328,9 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length) if length else b""
 
     def _dispatch(self, method: str) -> None:
-        split = urlsplit(self.path)
-        parts = [part for part in split.path.split("/") if part]
-        params = parse_qs(split.query)
+        path, _, query = self.path.partition("?")
+        parts = [unquote(part) for part in path.split("/") if part]
+        params = parse_qs(query) if query else {}
         try:
             body = self._read_body()
             payload, status = self._route(method, parts, params, body)
@@ -429,7 +561,10 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _entry(self, digest: str) -> SessionEntry:
         registry = self.server.registry
-        resolved = digest if len(digest) == 64 else registry.resolve(digest)
+        # Only a whole digest skips the prefix lookup: the store builds
+        # file names from it, and a decoded segment may hold "/" or "..".
+        whole = len(digest) == 64 and not digest.strip(_HEXDIGITS)
+        resolved = digest if whole else registry.resolve(digest)
         if resolved is None:
             raise ApiError(404, f"unknown corpus digest {digest!r}")
         opened = registry.open_digest(resolved)

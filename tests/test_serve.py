@@ -17,8 +17,10 @@ import json
 import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler
 from types import SimpleNamespace
-from urllib.parse import parse_qs, urlencode
+from typing import Optional
+from urllib.parse import parse_qs, unquote, urlencode
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from repro.datagen import (
     paper_example_mapping,
 )
 from repro.serve import DetectionServer, ServeClient, ServeError
-from repro.serve.daemon import MAX_BODY_BYTES
+from repro.serve.daemon import MAX_BODY_BYTES, _Handler
 from repro.xmlkit import parse
 
 NEW_MOVIE = (
@@ -516,6 +518,40 @@ class TestMatch:
             )
         assert excinfo.value.status == 404
 
+    @pytest.mark.parametrize("digest", ["?", "?object_id=0", "/", "..", "%61"])
+    def test_a_digest_argument_is_one_path_segment(self, served, digest):
+        """``ServeClient`` quotes the digest and the daemon decodes each
+        segment, so no character of it names another route: a raw ``?``
+        ended the path and ``match("?")`` got the ``GET /corpora``
+        catalog."""
+        with pytest.raises(ServeError) as excinfo:
+            served.client.match(digest, object_id=0)
+        assert excinfo.value.status == 404
+        assert excinfo.value.message == f"unknown corpus digest {digest!r}"
+
+    def test_a_percent_encoded_prefix_is_that_prefix(self, served):
+        encoded = "".join(f"%{ord(c):02X}" for c in served.digest[:12])
+        assert served.client._request(
+            "GET", f"/corpora/{encoded}/match?object_id=0"
+        ) == served.client.match(served.digest, object_id=0)
+
+    def test_a_decoded_segment_never_names_a_store_file(
+        self, served, monkeypatch
+    ):
+        """Only 64 hex digits go to the store as a whole digest; a
+        64-character segment that decodes to a path is a prefix that
+        matches nothing."""
+        asked = []
+        store = served.server.store
+        monkeypatch.setattr(
+            store, "spec_for", lambda digest: asked.append(digest)
+        )
+        climb = "..%2F" * 20 + "0000"
+        with pytest.raises(ServeError) as excinfo:
+            served.client._request("GET", f"/corpora/{climb}/match?object_id=0")
+        assert excinfo.value.status == 404
+        assert asked == []
+
     def test_match_needs_a_target(self, served):
         with pytest.raises(ServeError) as excinfo:
             served.client._request(
@@ -640,13 +676,14 @@ class TestRouteFuzz:
 
     #: What a client may put where a digest goes: hex of both cases,
     #: glob characters (a prefix once served as a glob pattern, so the
-    #: whole patterns that match hex are drawn too), ``%``-escapes the
-    #: daemon does not decode, dots and backslashes.
+    #: whole patterns that match hex are drawn too), ``%``-escapes of hex
+    #: digits (``%61`` is ``a``: an escaped resident prefix is still that
+    #: prefix) and of other characters, stray ``%``, dots and backslashes.
     _DIGEST_CHARACTERS = st.one_of(
         st.sampled_from("0123456789abcdef"),
         st.sampled_from("ABCDEF"),
         st.sampled_from("*?[]"),
-        st.sampled_from(["%2e", "%2F", "%41", "%", "%%"]),
+        st.sampled_from(["%2e", "%2F", "%41", "%61", "%30", "%", "%%"]),
         st.sampled_from(". .. \\ \\.".split()),
     )
 
@@ -662,35 +699,47 @@ class TestRouteFuzz:
     def test_no_digest_answers_5xx(self, filtered, cut, upper, tail):
         """Every route under ``/corpora/<digest>/`` answers a drawn
         segment of 0–70 characters (a slice of the resident digest,
-        perhaps upper-cased, and a tail) with a 4xx, or — for a
-        prefix of the resident digest — exactly what the full digest
-        gets.  ``extend`` carries no body, so no draw writes.  A ``?``
-        goes as ``%3F``, which the daemon reads literally: sent raw it
-        would end the path, and the request would name another route."""
+        perhaps upper-cased, and a tail) with a 4xx, or — where the
+        segment, percent-decoded as the daemon decodes it, is a prefix
+        of the resident digest — exactly what the full digest gets.
+        Sent raw, a ``?`` would end the path and name another route, so
+        the raw request carries it as ``%3F``; ``ServeClient`` is handed
+        the decoded segment as it is, quotes it itself, and must get the
+        same answers.  ``extend`` carries no body, so no draw writes."""
         prefix = filtered.digest[:cut]
-        segment = ((prefix.upper() if upper else prefix) + tail)[:70]
+        raw = ((prefix.upper() if upper else prefix) + tail)[:70]
+        raw = raw.replace("?", "%3F")
+        segment = unquote(raw)
         resident = bool(segment) and filtered.digest.startswith(segment)
-        segment = segment.replace("?", "%3F")
+        client = filtered.client
         connection = http.client.HTTPConnection(
             "127.0.0.1", filtered.port, timeout=30
         )
         try:
-            for method, action in (
-                ("GET", "match?object_id=0"),
-                ("POST", "detect"),
-                ("POST", "extend"),
+            for method, action, call in (
+                ("GET", "match?object_id=0",
+                 lambda digest: client.match(digest, object_id=0)),
+                ("POST", "detect", client.detect),
+                ("POST", "extend", lambda digest: client.extend(digest, "")),
             ):
                 status, body = exchange(
-                    connection, method, f"/corpora/{segment}/{action}"
+                    connection, method, f"/corpora/{raw}/{action}"
                 )
-                assert status < 500, (segment, action, body)
+                assert status < 500, (raw, action, body)
                 if resident:
                     assert (status, body) == exchange(
                         connection, method, f"/corpora/{filtered.digest}/{action}"
-                    ), (segment, action)
+                    ), (raw, action)
                 else:
-                    assert 400 <= status < 500, (segment, action, body)
+                    assert 400 <= status < 500, (raw, action, body)
                     assert isinstance(body["error"], str) and body["error"]
+                try:
+                    through_client = 200, call(segment)
+                except ServeError as exc:
+                    through_client = exc.status, exc.message
+                assert through_client == (
+                    (status, body) if status == 200 else (status, body["error"])
+                ), (raw, action)
         finally:
             connection.close()
 
@@ -944,6 +993,58 @@ def exchange(connection, method, path, body=None, headers=None):
     return response.status, json.loads(raw)
 
 
+class RawPeer:
+    """One raw socket to a daemon: bytes out, whole responses in."""
+
+    def __init__(self, port: int) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        self.buffer = b""
+
+    def __enter__(self) -> "RawPeer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.sock.close()
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def _fill(self) -> bool:
+        try:
+            chunk = self.sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        self.buffer += chunk
+        return bool(chunk)
+
+    def response(self) -> Optional[SimpleNamespace]:
+        """The next response, read to the end of its ``Content-Length``;
+        ``None`` if the daemon hung up first."""
+        while b"\r\n\r\n" not in self.buffer:
+            if not self._fill():
+                assert not self.buffer, self.buffer  # no half response
+                return None
+        head, _, self.buffer = self.buffer.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers.get("Content-Length", 0))
+        while len(self.buffer) < length:
+            assert self._fill(), "the daemon hung up inside a body"
+        body, self.buffer = self.buffer[:length], self.buffer[length:]
+        return SimpleNamespace(
+            status=int(status_line.split()[1]), status_line=status_line,
+            lines=lines, headers=headers, body=body,
+        )
+
+    def hung_up(self) -> bool:
+        """Whether the daemon closes the connection (waits up to 5 s)."""
+        self.sock.settimeout(5)
+        try:
+            return not self.buffer and not self._fill()
+        except TimeoutError:
+            return False
+
+
 class TestWire:
     """What the daemon puts on the socket, not only what it answers."""
 
@@ -1082,6 +1183,377 @@ class TestWire:
         assert status == 500
         assert payload == {"error": "internal server error"}
         assert "secret detail" in capsys.readouterr().err  # logged instead
+
+
+    #: Heads the strict grammar refuses, each sent without anything after
+    #: the line that is refused, and the status it answers.
+    _REFUSED_HEADS = {
+        "two-word request line": (b"GET /healthz\r\n\r\n", 400),
+        "one-word request line": (b"NONSENSE\r\n\r\n", 400),
+        "HTTP/2.0": (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+        "HTTP/3.0": (b"GET /healthz HTTP/3.0\r\n\r\n", 505),
+        "HTTP/1.2": (b"GET /healthz HTTP/1.2\r\n\r\n", 400),
+        "HTTP/0.9": (b"GET /healthz HTTP/0.9\r\n\r\n", 400),
+        "two blanks in the request line": (
+            b"GET  /healthz HTTP/1.1\r\n\r\n", 400
+        ),
+        "a blank after the version": (b"GET /healthz HTTP/1.1 \r\n\r\n", 400),
+        "obs-fold": (b"GET /healthz HTTP/1.1\r\nX-Note: a\r\n  b\r\n", 400),
+        "space before the colon": (b"GET /healthz HTTP/1.1\r\nHost : x\r\n", 400),
+        "tab before the colon": (b"GET /healthz HTTP/1.1\r\nHost\t: x\r\n", 400),
+        "no colon": (b"GET /healthz HTTP/1.1\r\nHost\r\n", 400),
+        "empty name": (b"GET /healthz HTTP/1.1\r\n: x\r\n", 400),
+        "a bare CR inside a value": (
+            b"GET /healthz HTTP/1.1\r\nX-Note: a\rb\r\n", 400
+        ),
+        "differing Content-Length values": (
+            b"POST /healthz HTTP/1.1\r\nContent-Length: 5\r\n"
+            b"Content-Length: 6\r\n",
+            400,
+        ),
+        "101 headers": (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(101)),
+            431,
+        ),
+        "a 65 537-byte header line": (
+            b"GET /healthz HTTP/1.1\r\nX-Long: "
+            + b"a" * (65537 - len(b"X-Long: \r\n")) + b"\r\n",
+            431,
+        ),
+        "a 65 537-byte request line": (
+            b"GET /" + b"a" * (65537 - len(b"GET / HTTP/1.1\r\n"))
+            + b" HTTP/1.1\r\n",
+            414,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_REFUSED_HEADS))
+    def test_a_refused_head_is_one_json_send_and_a_close(self, wire, case):
+        """Every error of the head parser is a JSON body in one send
+        with ``Connection: close``, and the daemon hangs up."""
+        head, expected = self._REFUSED_HEADS[case]
+        del wire.server.sends[:]
+        with RawPeer(wire.server.port) as peer:
+            peer.send(head)
+            answer = peer.response()
+            assert answer.status == expected, (case, answer)
+            assert answer.headers["Content-Type"] == "application/json"
+            assert answer.headers["Connection"] == "close"
+            assert isinstance(json.loads(answer.body)["error"], str)
+            assert peer.hung_up(), case
+        assert len(wire.server.sends) == 1, (case, wire.server.sends)
+
+    def test_the_limits_are_inclusive(self, wire):
+        """100 header lines and a 65 536-byte line are still a head (the
+        stdlib counted the blank line that ends a head as a header, so it
+        refused a 100th header with a 431)."""
+        heads = [
+            b"".join(b"X-H%d: v\r\n" % i for i in range(100)),
+            b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")) + b"\r\n",
+        ]
+        with RawPeer(wire.server.port) as peer:
+            for fields in heads:
+                peer.send(b"GET /healthz HTTP/1.1\r\n" + fields + b"\r\n")
+                assert peer.response().status == 200
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ["content-length", "CONTENT-LENGTH", "Content-length", "cOnTeNt-LeNgTh"],
+    )
+    def test_header_names_in_any_case(self, wire, spelling):
+        body = NEW_MOVIE.encode("utf-8")
+        status, expected = exchange(
+            wire.connection, "POST", f"/corpora/{wire.digest}/match", body
+        )
+        assert status == 200
+        with RawPeer(wire.server.port) as peer:
+            peer.send(
+                f"POST /corpora/{wire.digest}/match HTTP/1.1\r\n"
+                f"hOsT: 127.0.0.1\r\n{spelling}: {len(body)}\r\n"
+                "CONNECTION: CLOSE\r\n\r\n".encode("ascii") + body
+            )
+            answer = peer.response()
+            assert answer.status == 200
+            assert json.loads(answer.body) == expected
+            assert answer.headers["Connection"] == "close"
+            assert peer.hung_up()
+
+    def test_equal_duplicate_content_lengths_are_one_length(self, wire):
+        body = NEW_MOVIE.encode("utf-8")
+        with RawPeer(wire.server.port) as peer:
+            peer.send(
+                f"POST /corpora/{wire.digest}/match HTTP/1.1\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"content-length:  {len(body)}\r\n\r\n".encode("ascii")
+                + body
+            )
+            assert peer.response().status == 200
+            peer.send(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert peer.response().status == 200  # still in step
+
+    def test_http_1_0_closes_unless_keep_alive(self, wire):
+        with RawPeer(wire.server.port) as peer:
+            peer.send(b"GET /healthz HTTP/1.0\r\n\r\n")
+            answer = peer.response()
+            assert (answer.status, answer.headers["Connection"]) == (200, "close")
+            assert peer.hung_up()
+        with RawPeer(wire.server.port) as peer:
+            for _ in range(2):
+                peer.send(b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+                answer = peer.response()
+                assert answer.status == 200
+                assert "Connection" not in answer.headers
+            peer.send(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            assert peer.response().headers["Connection"] == "close"
+            assert peer.hung_up()
+
+    def test_expect_100_continue_is_answered_before_the_body(self, wire):
+        body = NEW_MOVIE.encode("utf-8")
+        status, expected = exchange(
+            wire.connection, "POST", f"/corpora/{wire.digest}/match", body
+        )
+        with RawPeer(wire.server.port) as peer:
+            peer.send(
+                f"POST /corpora/{wire.digest}/match HTTP/1.1\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Expect: 100-continue\r\n\r\n".encode("ascii")
+            )
+            interim = peer.response()  # sent before any of the body
+            assert interim.status_line == "HTTP/1.1 100 Continue"
+            assert (interim.lines, interim.body) == ([], b"")
+            peer.send(body)
+            answer = peer.response()
+            assert (answer.status, json.loads(answer.body)) == (status, expected)
+
+    def test_a_request_never_reaches_the_stdlib_head_parser_or_writer(
+        self, wire, monkeypatch
+    ):
+        """One head parser and one response writer: the stdlib's header
+        parser (the ``email`` feed parser behind ``parse_headers``), its
+        request-line parser and its header writer all raise here, and
+        every kind of request still round-trips."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the stdlib's HTTP head code was reached")
+
+        monkeypatch.setattr(http.client, "parse_headers", unreachable)
+        for name in (
+            "parse_request", "send_response", "send_response_only",
+            "send_header", "end_headers", "handle_expect_100",
+        ):
+            monkeypatch.setattr(BaseHTTPRequestHandler, name, unreachable)
+        body = NEW_MOVIE.encode("utf-8")
+        corpus = f"/corpora/{wire.digest[:12]}"
+        with RawPeer(wire.server.port) as peer:
+            for head, payload, expected in [
+                (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", b"", [200]),
+                (f"GET {corpus}/match?object_id=0 HTTP/1.1\r\n\r\n", b"", [200]),
+                (
+                    f"POST {corpus}/match HTTP/1.1\r\nExpect: 100-continue\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n",
+                    body,
+                    [100, 200],
+                ),
+                (b"GET /nope HTTP/1.1\r\n\r\n", b"", [404]),
+                (b"DELETE /healthz HTTP/1.1\r\n\r\n", b"", [501]),
+            ]:
+                peer.send(head.encode("ascii") if isinstance(head, str) else head)
+                peer.send(payload)
+                assert [peer.response().status for _ in expected] == expected
+        with RawPeer(wire.server.port) as peer:
+            peer.send(b"GET /healthz HTTP/1.1\r\nHost : x\r\n")
+            assert peer.response().status == 400
+
+
+class _StdlibHandler(_Handler):
+    """The daemon's handler with the stdlib's request-head parser and
+    response writer put back: the oracle for ``_Handler.parse_request``
+    and ``_Handler._send_json``."""
+
+    parse_request = BaseHTTPRequestHandler.parse_request
+    wbufsize = -1  # the stdlib writer needs the buffer for one send
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
+        self.wfile.flush()
+
+
+class _StdlibServer(DetectionServer):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.RequestHandlerClass = _StdlibHandler
+
+
+@pytest.fixture(scope="module")
+def twins(tmp_path_factory):
+    """The daemon and its stdlib twin over one store and one corpus."""
+    tmp = tmp_path_factory.mktemp("twins")
+    spec = write_example(tmp)
+    servers = [
+        cls(("127.0.0.1", 0), str(tmp / "store"), quiet=True)
+        for cls in (DetectionServer, _StdlibServer)
+    ]
+    digests = set()
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        client = ServeClient(f"http://127.0.0.1:{server.port}")
+        digests.add(client.open_corpus(spec)["digest"])
+        client.close()
+    (digest,) = digests
+    yield SimpleNamespace(
+        strict=servers[0].port, stdlib=servers[1].port, digest=digest
+    )
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+#: (method, target, body) of the requests the oracle sends; ``{d}`` is
+#: the digest.  No write: both daemons must keep one corpus state.
+_ORACLE_REQUESTS = [
+    ("GET", "/healthz", b""),
+    ("GET", "/corpora", b""),
+    ("GET", "//healthz", b""),
+    ("GET", "/corpora/{d}/match?object_id=0", b""),
+    ("GET", "/corpora/{d12}/match?object_id=2&top=1&include_possible=on", b""),
+    ("GET", "/corpora/{d}/match?object_id=99", b""),
+    ("POST", "/corpora/{d}/match", NEW_MOVIE.encode("utf-8")),
+    ("POST", "/corpora/{d}/match", b"<not-xml"),
+    ("POST", "/corpora", b"[]"),
+    ("POST", "/nope", b"{}"),
+    ("PUT", "/healthz", b""),
+]
+
+#: Headers a client may add; values with inner blanks and repeats drawn.
+_EXTRA_FIELDS = [
+    ("Host", "127.0.0.1"),
+    ("Accept", "*/*"),
+    ("User-Agent", "oracle/1.0 (test)"),
+    ("Accept-Encoding", "gzip, deflate"),
+    ("X-Trace", "a b\tc"),
+    ("Content-Type", "application/xml"),
+    ("Expect", "100-continue"),
+    ("Expect", "100-Continue"),
+    ("Connection", "upgrade"),
+]
+
+
+def _cased(name: str):
+    return st.lists(
+        st.booleans(), min_size=len(name), max_size=len(name)
+    ).map(lambda upper: "".join(
+        c.upper() if up else c.lower() for c, up in zip(name, upper)
+    ))
+
+
+#: Ways to break the strict grammar only: each takes the request line and
+#: the header lines and returns them broken.
+_STRICT_DEFECTS = {
+    "two blanks in the request line": lambda line, fields: (
+        line.replace(" ", "  ", 1), fields
+    ),
+    "a blank after the version": lambda line, fields: (line + " ", fields),
+    "a blank before a colon": lambda line, fields: (
+        line, ["X-Note : a"] + fields
+    ),
+    "obs-fold": lambda line, fields: (line, fields + ["X-Note: a", "\tb"]),
+    "a name that is no token": lambda line, fields: (
+        line, ["X@Note: a"] + fields
+    ),
+    "differing Content-Length values": lambda line, fields: (
+        line, fields + ["Content-Length: 1", "Content-Length: 2"]
+    ),
+}
+
+
+@st.composite
+def _request_heads(draw):
+    """A request: its bytes (target still holding ``{d}``) and the
+    strict-only defect drawn into its head, if any."""
+    method, target, body = draw(st.sampled_from(_ORACLE_REQUESTS))
+    version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"]))
+    fields = draw(st.lists(st.sampled_from(_EXTRA_FIELDS), max_size=4))
+    connection = draw(st.sampled_from(
+        [None, "close", "keep-alive", "Close", "KEEP-ALIVE", "", "close, te"]
+    ))
+    if connection is not None:
+        fields.append(("Connection", connection))
+    if body or draw(st.booleans()):
+        fields.append(("Content-Length", str(len(body))))
+    lines = []
+    for name, value in draw(st.permutations(fields)):
+        lead = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        trail = draw(st.sampled_from(["", "", " ", "\t "]))
+        lines.append(f"{draw(_cased(name))}:{lead}{value}{trail}")
+    request_line = f"{method} {target} {version}"
+    defect = draw(st.one_of(st.none(), st.sampled_from(sorted(_STRICT_DEFECTS))))
+    if defect is not None:
+        request_line, lines = _STRICT_DEFECTS[defect](request_line, lines)
+    head = "\r\n".join([request_line, *lines, "", ""])
+    return head.encode("latin-1"), body, defect
+
+
+def _converse(port: int, request: bytes) -> tuple[list, bool]:
+    """Every response to one request (a ``100 Continue`` included), and
+    whether the connection stayed open for another request."""
+    with RawPeer(port) as peer:
+        peer.send(request)
+        answers = [peer.response()]
+        while answers[-1] is not None and answers[-1].status == 100:
+            answers.append(peer.response())
+        try:
+            peer.send(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        except OSError:
+            return answers, False
+        probe = peer.response()
+        return answers, probe is not None and probe.status == 200
+
+
+def _without_date(answer) -> tuple:
+    dates = [line for line in answer.lines if line.startswith("Date: ")]
+    assert len(dates) == (0 if answer.status == 100 else 1), answer.lines
+    return (
+        answer.status_line,
+        [line for line in answer.lines if not line.startswith("Date: ")],
+        answer.body,
+    )
+
+
+class TestHeadOracle:
+    """The strict head parser and the one-string response head against
+    the stdlib's: wherever both grammars take a head, the two daemons
+    answer with the same status line, header lines (``Date`` aside),
+    JSON body bytes and keep-alive outcome; where only the strict one
+    refuses it, the answer is a JSON 4xx and the connection closes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_request_heads())
+    def test_strict_head_answers_like_the_stdlib(self, twins, drawn):
+        head, body, defect = drawn
+        request = head.replace(b"{d}", twins.digest.encode("ascii"))
+        request = request.replace(b"{d12}", twins.digest[:12].encode("ascii"))
+        strict, strict_kept = _converse(twins.strict, request + body)
+        if defect is not None:
+            (answer,) = strict
+            assert 400 <= answer.status < 500, (defect, answer)
+            assert answer.headers["Connection"] == "close", defect
+            assert json.loads(answer.body)["error"], defect
+            assert not strict_kept, defect
+            return
+        stdlib, stdlib_kept = _converse(twins.stdlib, request + body)
+        assert [_without_date(a) for a in strict] == [
+            _without_date(a) for a in stdlib
+        ], request
+        assert strict_kept == stdlib_kept, request
 
 
 class TestClientConnection:
