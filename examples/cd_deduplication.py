@@ -54,12 +54,10 @@ def main(base_count: int = 200) -> None:
         f"corpus index: {stats['terms']} terms over {stats['kinds']} kinds, "
         f"{stats['distinct_values']} distinct values"
     )
-    object_filter = session.object_filter
-    if object_filter is not None:
-        print(
-            f"object filter pruned {object_filter.pruned_count} of "
-            f"{len(object_filter.decisions)} candidates before pairing"
-        )
+    print(
+        f"object filter pruned {len(result.pruned_object_ids)} of "
+        f"{len(result.ods)} candidates before pairing"
+    )
     print()
     print("first clusters:")
     for cluster in result.clusters[:5]:

@@ -14,16 +14,12 @@ index, the classifier) and then queried three ways:
 
 Run:  python examples/quickstart.py
 
-Scaling up: classification (the O(n²) step) can fan out across worker
-processes without changing any result — set an execution policy::
-
-    from repro import DogmatixConfig, ExecutionPolicy
-    config = DogmatixConfig(execution=ExecutionPolicy.for_workers(4))
-
-or, on the command line, ``--workers 4``
-(``--workers 0`` uses every core).  A whole run also serializes to
-JSON: ``python -m repro.cli example --write DIR`` emits a ready
-``run.json`` for ``python -m repro.cli dedup --spec DIR/run.json``.
+``detect()`` and ``match()`` run one loop: an object is compared only
+with the objects holding a value similar to one of its own, so the
+work grows with the duplicates a corpus holds, not with its size
+squared.  A whole run also serializes to JSON: ``python -m repro.cli
+example --write DIR`` emits a ready ``run.json`` for ``python -m
+repro.cli dedup --spec DIR/run.json``.
 """
 
 from repro import DetectionSession, DogmatixConfig, Source
@@ -55,7 +51,7 @@ def main() -> None:
         Source(document, schema), mapping, "MOVIE", config
     )
 
-    # 1. Batch detection (steps 4-6 through the execution engine).
+    # 1. Batch detection (steps 4-6 against the standing index).
     result = session.detect()
     print(result.summary())
     print()

@@ -2,15 +2,17 @@
 
 A session runs schema inference, generates the object descriptions,
 and builds the :class:`~repro.core.index.CorpusIndex` and the
-classifier **once** per ``(corpus, mapping, real-world type, config)``
-and then answers many questions against the standing structures:
+similarity measure **once** per ``(corpus, mapping, real-world type,
+config)`` and then answers many questions against the standing
+structures:
 
-* :meth:`DetectionSession.detect` — a full batch run through the
-  execution engine, optionally at an overridden ``theta_cand`` so
-  threshold sweeps amortize the index;
+* :meth:`DetectionSession.detect` — a full batch run, optionally at an
+  overridden ``theta_cand`` so threshold sweeps amortize the index;
 * :meth:`DetectionSession.match` — single-object duplicate lookup: the
   partners a full ``detect()`` would report for that object, found via
-  the index's similar-value groups instead of a corpus-wide pass;
+  the index's similar-value groups instead of a corpus-wide pass (both
+  run steps 4-5 object by object, through the same filter decisions,
+  candidate sets and pair scoring);
 * :meth:`DetectionSession.extend` — incremental ingestion of a new
   source, clustered against prime representatives
   (:class:`~repro.framework.incremental.IncrementalDeduplicator`, the
@@ -19,8 +21,8 @@ and then answers many questions against the standing structures:
   value per pair.
 
 The session is the seam future caching work plugs into: the
-index, similarity, and classifier are built in one place and shared by
-every entry point.
+index and similarity are built in one place and shared by every entry
+point.
 """
 
 from __future__ import annotations
@@ -29,19 +31,15 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .._lazy import resolve
 from ..core.config import DogmatixConfig, check_thresholds
 from ..core.index import CorpusIndex, IndexPartial
-from ..core.object_filter import (
-    ObjectFilter,
-    filter_score,
-    reclassified,
-    tuple_classes,
-)
+from ..core.object_filter import filter_score, reclassified, tuple_classes
 from ..core.similarity import DogmatixSimilarity
-from ..framework.classifier import ThresholdClassifier
+from ..framework.classifier import DUPLICATES, POSSIBLE_DUPLICATES
 from ..framework.mapping import TypeMapping
 from ..framework.od import ObjectDescription
 from ..xmlkit.tree import Element, strip_positions
@@ -50,7 +48,7 @@ from .corpus import Corpus, SourceLike
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.policy import ExecutionPolicy
     from ..framework.incremental import IncrementalDeduplicator
-    from ..framework.result import DetectionResult
+    from ..framework.result import DetectionResult, ScoredPair
 
 #: Distinct theta_cand values a session keeps a read slot for (LRU).
 #: Small on purpose: a serving sweep touches a handful of thresholds,
@@ -180,11 +178,6 @@ class DetectionSession:
         self._similarity = DogmatixSimilarity(
             self._index, semantics=self.config.similar_semantics
         )
-        self._classifier = ThresholdClassifier(
-            self._similarity,
-            self.config.theta_cand,
-            possible_threshold=self.config.possible_threshold,
-        )
         #: How many times this session built a corpus index (always 1;
         #: exposed so benchmarks can assert amortization).
         self.index_builds = 1
@@ -208,7 +201,6 @@ class DetectionSession:
         self._foreign_ids = itertools.count(
             min(0, min(self._by_id, default=0)) - 1, -1
         )
-        self._last_filter: Optional[ObjectFilter] = None
         # The standing index is now served read-only: match() runs
         # lock-free across threads, backed by this assertion seam.
         self._index.freeze()
@@ -247,15 +239,6 @@ class DetectionSession:
         return self._similarity
 
     @property
-    def classifier(self) -> ThresholdClassifier:
-        return self._classifier
-
-    @property
-    def object_filter(self) -> Optional[ObjectFilter]:
-        """The filter of the most recent :meth:`detect` run, if any."""
-        return self._last_filter
-
-    @property
     def incremental(self) -> Optional[IncrementalDeduplicator]:
         """The incremental deduplicator, once :meth:`extend` has run."""
         return self._incremental
@@ -274,20 +257,70 @@ class DetectionSession:
         theta_cand: Optional[float] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> DetectionResult:
-        """Steps 4-6 against the standing index (engine-batched).
+        """Steps 4-6 against the standing index.
+
+        The loop :meth:`match` runs, over every object in id order: an
+        object the filter prunes pairs with nothing, and a kept object
+        is scored against the kept objects of higher id that hold a
+        value similar to one of its own (every kept object of higher id
+        when ``use_blocking`` is off), so each unordered pair is scored
+        once.  Pairs come out in ``(left, right)`` order — duplicates,
+        and the C2 band when one is configured — and the clusters are
+        the duplicates' transitive closure, members in id order.
 
         ``theta_cand`` overrides the classification threshold for this
         run only — the index and similarity (which depend on
         ``theta_tuple``, not ``theta_cand``) are reused, so a threshold
-        sweep pays for index construction once.  ``policy`` overrides
-        the execution policy the same way (results stay
-        bit-identical under any worker count).  A ``theta_cand`` no run
-        could use raises ``ValueError`` (:func:`check_thresholds`).
+        sweep pays for index construction once, and the filter decisions
+        land in the threshold's read slot, where :meth:`match` reads
+        them.  A ``theta_cand`` no run could use raises ``ValueError``
+        (:func:`check_thresholds`).  ``policy`` has no effect: a run is
+        one loop in this process.
         """
-        result, self._last_filter = resolve("repro.api.batch:detect")(
-            self, self._theta(theta_cand), policy
+        theta = self._theta(theta_cand)
+        slot = self._read_slot(theta)
+        config = self.config
+        possible = config.possible_threshold
+        floor = theta if possible is None else possible
+        ods = sorted(self._ods, key=attrgetter("object_id"))
+        kept: list[ObjectDescription] = []
+        pruned: list[int] = []
+        for od in ods:
+            if config.use_object_filter and not self._kept(slot, theta, od.object_id):
+                pruned.append(od.object_id)
+            else:
+                kept.append(od)
+        # resolved here: a session that only serves lookups never loads
+        # the result types or step 6
+        scored_pair = resolve("repro.framework.result:ScoredPair")
+        pairs: list[ScoredPair] = []
+        compared = 0
+        for position, od in enumerate(kept):
+            left = od.object_id
+            if config.use_blocking:
+                candidate_ids = self._kept_ids(
+                    slot,
+                    theta,
+                    {i for i in self._similar_object_ids(od) if i > left},
+                )
+            else:
+                candidate_ids = [other.object_id for other in kept[position + 1 :]]
+            compared += len(candidate_ids)
+            for right, score in self._scored(od, candidate_ids, floor):
+                label = DUPLICATES if score > theta else POSSIBLE_DUPLICATES
+                pairs.append(scored_pair(left, right, score, label))
+        clusters = resolve("repro.framework.clustering:duplicate_clusters")(
+            [(pair.left, pair.right) for pair in pairs if pair.label == DUPLICATES],
+            [od.object_id for od in ods],
         )
-        return result
+        return resolve("repro.framework.result:DetectionResult")(
+            real_world_type=self.real_world_type,
+            ods=ods,
+            pairs=pairs,
+            clusters=clusters,
+            pruned_object_ids=pruned,
+            compared_pairs=compared,
+        )
 
     def _theta(self, theta_cand: Optional[float]) -> float:
         """The configured threshold, or the checked override."""
@@ -366,28 +399,49 @@ class DetectionSession:
         """The partners :meth:`match` answers, as ``(candidate id,
         similarity)`` pairs in answer order, computed; the filter
         decisions it needs are read from (and stored into) ``slot``."""
-        filtered = self.config.use_object_filter
-        if filtered:
+        if self.config.use_object_filter:
             if in_index:
                 if not self._kept(slot, theta, od.object_id):
                     return ()  # detect() prunes every pair of this object
-            elif not ObjectFilter(self._index, theta).keep(od):
+            elif filter_score(
+                self._index, od, tuple_classes(self._index, od)
+            )[0] <= theta:
                 return ()
         candidate_ids = self._similar_object_ids(od)
         if in_index:
             candidate_ids.discard(od.object_id)
-        possible = self.config.possible_threshold
-        partners: list[tuple[int, float]] = []
-        for candidate_id in sorted(candidate_ids):
-            if filtered and not self._kept(slot, theta, candidate_id):
-                continue
-            score = self._similarity(od, self._by_id[candidate_id])
-            if score > theta or (
-                include_possible and possible is not None and score > possible
-            ):
-                partners.append((candidate_id, score))
+        floor = self.config.possible_threshold if include_possible else theta
+        partners = self._scored(
+            od, self._kept_ids(slot, theta, candidate_ids), floor
+        )
         partners.sort(key=lambda partner: (-partner[1], partner[0]))
         return tuple(partners)
+
+    def _scored(
+        self, od: ObjectDescription, candidate_ids: Iterable[int], floor: float
+    ) -> list[tuple[int, float]]:
+        """``(candidate id, similarity)`` of each candidate that scores
+        above ``floor``, in candidate order: the step 5 of :meth:`match`
+        and :meth:`detect` alike.  ``floor`` is θ_cand, or the C2 band's
+        lower bound when the band's pairs are wanted (it lies below
+        θ_cand, so a duplicate clears it too)."""
+        similarity = self._similarity
+        by_id = self._by_id
+        scored: list[tuple[int, float]] = []
+        for candidate_id in candidate_ids:
+            score = similarity(od, by_id[candidate_id])
+            if score > floor:
+                scored.append((candidate_id, score))
+        return scored
+
+    def _kept_ids(
+        self, slot: _ReadSlot, theta: float, object_ids: Iterable[int]
+    ) -> list[int]:
+        """``object_ids`` in ascending order, without the objects the
+        object filter prunes at ``theta`` (when it is on)."""
+        if not self.config.use_object_filter:
+            return sorted(object_ids)
+        return sorted(i for i in object_ids if self._kept(slot, theta, i))
 
     def _similar_object_ids(self, od: ObjectDescription) -> set[int]:
         """Ids of the indexed objects holding a value similar to one of
@@ -488,14 +542,14 @@ class DetectionSession:
     def _foreign_object_id(self) -> int:
         """A fresh sentinel id strictly outside the corpus id space.
 
-        Foreign ODs must never share an id with an indexed object:
-        :class:`~repro.core.object_filter.ObjectFilter` and the index
-        searches exclude ``od.object_id`` as "the object itself", so a
-        colliding id would silently drop a *real* corpus object's
-        evidence (e.g. the foreign element's one duplicate) from the
-        shared-information search.  Each call returns a *new* id —
-        per-id memos (``ObjectFilter.decide``) must never conflate two
-        different foreign elements either.
+        Foreign ODs must never share an id with an indexed object: the
+        object filter's tuple classes
+        (:func:`~repro.core.object_filter.tuple_classes`) exclude
+        ``od.object_id`` as "the object itself", so a colliding id would
+        silently drop a *real* corpus object's evidence (e.g. the
+        foreign element's one duplicate) from the shared-information
+        search.  Each call returns a *new* id — a per-id memo must never
+        conflate two different foreign elements either.
 
         Allocation is atomic: the old read-modify-write on an instance
         attribute let two concurrent ``match()`` calls draw the same

@@ -2,10 +2,9 @@
 
 A :class:`RunSpec` names everything a run needs — documents, schemas,
 the mapping file, the candidate type, and every knob of
-:class:`~repro.core.config.DogmatixConfig` plus the execution policy —
-using registry strings only, so it round-trips through JSON without
-loss (``RunSpec.from_json(spec.to_json()).to_config() ==
-spec.to_config()``, execution policy included).
+:class:`~repro.core.config.DogmatixConfig` — using registry strings
+only, so it round-trips through JSON without loss
+(``RunSpec.from_json(spec.to_json()).to_config() == spec.to_config()``).
 
 Specs are the exchange format between the CLI (``--spec run.json``),
 services that queue detection jobs, and the session API:
@@ -51,11 +50,12 @@ class RunSpec:
     theta_tuple ... similar_semantics:
         The corresponding :class:`DogmatixConfig` fields.
     workers:
-        The execution policy: ``workers`` > 1 classifies pairs across
-        that many processes, ``0`` means all cores.
+        A worker count (``0`` means all cores), checked and kept in the
+        JSON but without effect: a session runs every detection in one
+        loop in its own process.
     backend:
-        ``None``, or the backend the worker count selects, for specs
-        that still name it: ``"serial"`` (one worker) or ``"process"``.
+        ``None``, or the backend the worker count names, for specs
+        that still carry it: ``"serial"`` (one worker) or ``"process"``.
     """
 
     documents: list[str]
@@ -117,7 +117,7 @@ class RunSpec:
     # Config / policy
     # ------------------------------------------------------------------
     def execution_policy(self) -> ExecutionPolicy:
-        """The execution policy this spec describes.
+        """The execution policy ``workers`` and ``backend`` describe.
 
         A ``"serial"`` backend with more than one worker would run
         single-process anyway, so it is rejected rather than obeyed.
@@ -142,7 +142,6 @@ class RunSpec:
             include_empty=self.include_empty,
             possible_threshold=self.possible_threshold,
             similar_semantics=SEMANTICS.canonical_name(self.similar_semantics),
-            execution=self.execution_policy(),
         )
 
     # ------------------------------------------------------------------

@@ -27,8 +27,7 @@ given) schema; ``example`` replays the paper's running example (or,
 with ``--write``, emits it as files plus a ready ``run.json`` spec).
 
 ``--spec`` loads a serialized :class:`repro.api.RunSpec`; explicit
-flags override the spec's fields.  ``--workers N`` is the one execution
-setting: it classifies pairs across N processes.
+flags override the spec's fields.
 """
 
 from __future__ import annotations
@@ -118,10 +117,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta-cand", type=_unit_interval, default=None)
     parser.add_argument("--no-filter", action="store_true",
                         help="disable the object filter")
-    parser.add_argument("--workers", type=_bounded_int(0, "workers"),
-                        default=None,
-                        help="worker processes for pair classification "
-                             "(1 = serial, 0 = all cores)")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="index snapshot store: load a warm "
                              "content-addressed snapshot of this run's "
@@ -289,11 +284,8 @@ def _spec_from_args(
         "theta_tuple": args.theta_tuple,
         "theta_cand": args.theta_cand,
         "use_object_filter": False if args.no_filter else None,
-        "workers": args.workers,
     }
     overrides = {name: value for name, value in flags.items() if value is not None}
-    if args.workers is not None:
-        overrides["backend"] = None  # re-derive from the worker count
     try:  # the spec checks the merged fields, e.g. a flag against its band
         return replace(spec, **overrides)
     except (ValueError, LookupError) as exc:

@@ -1,9 +1,7 @@
 """core: the DogmatiX algorithm (the paper's primary contribution).
 
 Description-selection heuristics and conditions (Sec. 4), the
-softIDF-weighted similarity measure and object filter (Sec. 5), and the
-worker-side factory that rebuilds the classifier (Sec. 3's step 5)
-inside pool processes.
+softIDF-weighted similarity measure and object filter (Sec. 5).
 """
 
 from .._lazy import lazy_exports
@@ -23,7 +21,6 @@ __all__ = lazy_exports(
         "c_sdt": "conditions",
         "c_se": "conditions",
         "DogmatixConfig": "config",
-        "DogmatixClassifierFactory": "dogmatix",
         "Source": "source",
         "CombinedHeuristic": "heuristics",
         "Heuristic": "heuristics",

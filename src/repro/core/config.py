@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .._lazy import resolve
-from ..engine.policy import ExecutionPolicy
 from .heuristics import Heuristic, KClosestDescendants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,17 +54,14 @@ class DogmatixConfig:
     use_object_filter:
         Apply the f(OD_i) filter before pairing (Section 5.2).
     use_blocking:
-        Generate pairs via shared-similar-tuple blocking instead of all
-        pairs (lossless; see framework.pruning.SharedTupleBlocking).
+        Pair an object only with the objects holding a value similar to
+        one of its own instead of with all (lossless: a pair without
+        one has ``ODT≈ = ∅`` and similarity 0).
     include_empty:
         Keep OD tuples with empty values (off by default; empty values
         match Condition 1's rationale — no data, no evidence).
     possible_threshold:
         Optional lower threshold for a C2 "possible duplicates" band.
-    execution:
-        How steps 4+5 execute (engine.ExecutionPolicy): the worker
-        count, which selects the serial or process backend.  Results
-        are identical across policies; only wall-clock changes.
     """
 
     heuristic: Heuristic = field(default_factory=lambda: KClosestDescendants(6))
@@ -85,7 +81,6 @@ class DogmatixConfig:
     #: Always "dict", the one index representation, for callers that
     #: still pass it; any other value raises.
     index_encoding: str = "dict"
-    execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
         check_thresholds(self.theta_tuple, self.theta_cand, self.possible_threshold)

@@ -1,8 +1,4 @@
-"""Source: one input of a detection run.
-
-Kept apart from the worker factories in :mod:`repro.core.dogmatix` so
-that holding a source loads neither them nor the engine.
-"""
+"""Source: one input of a detection run (a document and its schema)."""
 
 from __future__ import annotations
 

@@ -1,9 +1,10 @@
-"""Execution policy: how steps 4+5 (pair generation and classification)
-are executed.
+"""Execution policy: how a :class:`~repro.framework.pipeline.DetectionPipeline`
+executes steps 4+5 (pair generation and classification).
 
 The detection pipeline is algorithm-agnostic about *what* it compares;
 the execution policy makes it agnostic about *how*: one knob, the
-worker count, which every run consumes.  Serial execution is simply the
+worker count.  A :class:`~repro.api.session.DetectionSession` takes
+none: its ``detect()`` is one loop in the calling process.  Serial execution is simply the
 one-worker case of the batched path, so both modes share one code path
 and one result format.
 

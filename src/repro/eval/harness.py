@@ -25,7 +25,6 @@ from ..api.session import DetectionSession
 from ..core.heuristics import Heuristic, KClosestDescendants
 from ..core.object_filter import ObjectFilter
 from ..datagen.dirty import DirtyConfig
-from ..engine.policy import ExecutionPolicy
 from .datasets import Dataset, build_dataset1, build_dataset3
 from .experiments import EXPERIMENTS, Experiment
 from .gold import gold_pairs, objects_with_duplicates
@@ -54,22 +53,15 @@ def session_for(
     experiment: Experiment,
     theta_tuple: float = 0.15,
     theta_cand: float = 0.55,
-    policy: ExecutionPolicy | None = None,
     use_object_filter: bool = False,
 ) -> DetectionSession:
-    """A prepared session for one (dataset, heuristic, experiment) cell.
-
-    ``policy`` replaces the experiment's execution policy; the session
-    is built in this process whatever its worker count.
-    """
+    """A prepared session for one (dataset, heuristic, experiment) cell."""
     config = experiment.config(
         heuristic,
         theta_tuple=theta_tuple,
         theta_cand=theta_cand,
         use_object_filter=use_object_filter,
     )
-    if policy is not None:
-        config.execution = policy
     return DetectionSession(
         Corpus(dataset.sources),
         dataset.mapping,
@@ -84,17 +76,11 @@ def run_experiment(
     experiment: Experiment,
     theta_tuple: float = 0.15,
     theta_cand: float = 0.55,
-    policy: ExecutionPolicy | None = None,
 ) -> tuple[PRResult, int]:
-    """One cell of a sweep: run a detection session, score against gold.
-
-    ``policy`` selects the execution backend (serial / process
-    workers); results are identical, so benchmarks can sweep worker
-    counts without touching effectiveness numbers.
-    """
+    """One cell of a sweep: run a detection session, score against gold."""
     session = session_for(
         dataset, heuristic, experiment,
-        theta_tuple=theta_tuple, theta_cand=theta_cand, policy=policy,
+        theta_tuple=theta_tuple, theta_cand=theta_cand,
     )
     result = session.detect()
     metrics = pair_metrics(result.duplicate_id_pairs(), gold_pairs(session.ods))
@@ -109,7 +95,6 @@ def run_heuristic_sweep(
     experiments: Iterable[Experiment] = EXPERIMENTS,
     theta_tuple: float = 0.15,
     theta_cand: float = 0.55,
-    policy: ExecutionPolicy | None = None,
 ) -> SweepResult:
     """Sweep a heuristic parameter across the Table 4 experiments."""
     sweep = SweepResult(parameter_name, list(positions))
@@ -123,7 +108,6 @@ def run_heuristic_sweep(
                 experiment,
                 theta_tuple=theta_tuple,
                 theta_cand=theta_cand,
-                policy=policy,
             )
             sweep.series[experiment.name][position] = metrics
             sweep.compared_pairs[experiment.name][position] = compared
@@ -136,7 +120,6 @@ def run_threshold_sweep(
     heuristic: Heuristic | None = None,
     experiment: Experiment | None = None,
     theta_tuple: float = 0.15,
-    policy: ExecutionPolicy | None = None,
     session: Optional[DetectionSession] = None,
 ) -> SweepResult:
     """θ_cand sweep over **one** detection session.
@@ -156,7 +139,6 @@ def run_threshold_sweep(
             experiment,
             theta_tuple=theta_tuple,
             theta_cand=min(thresholds),
-            policy=policy,
         )
     gold = gold_pairs(session.ods)
     sweep = SweepResult("theta", list(thresholds))
@@ -190,7 +172,6 @@ def run_dataset3_threshold_sweep(
         round(0.55 + step * 0.05, 2) for step in range(10)
     ),
     k: int = 6,
-    policy: ExecutionPolicy | None = None,
 ) -> ThresholdSweepResult:
     """Figure 7: θ_cand sweep on Dataset 3 with exp1, h_kd(k=6).
 
@@ -202,7 +183,7 @@ def run_dataset3_threshold_sweep(
     lowest = min(thresholds)
     session = session_for(
         dataset, KClosestDescendants(k), EXPERIMENTS[0],  # exp1: no condition
-        theta_cand=lowest, policy=policy,
+        theta_cand=lowest,
     )
     ods = session.ods
     result = session.detect()

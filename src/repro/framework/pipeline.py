@@ -10,8 +10,11 @@ Steps:
 6. duplicate clustering.
 
 The pipeline is algorithm-agnostic: candidate/description definitions,
-the classifier, and the pair source are all pluggable, so DogmatiX,
-the baselines, and user-defined methods share this code path.
+the classifier, and the pair source are all pluggable, so the
+baselines and user-defined methods share this code path.  A DogmatiX
+session runs steps 4-6 as its own per-object loop
+(:meth:`repro.api.session.DetectionSession.detect`), which finds the
+pairs these pieces would.
 """
 
 from __future__ import annotations

@@ -33,7 +33,10 @@ class DetectionResult:
     ``pairs`` holds only the pairs instantiated for downstream
     processing (duplicates and, if configured, possible duplicates) —
     non-duplicate pairs are not materialized, matching the paper's
-    Step 5 note.
+    Step 5 note.  ``ods`` is held as a snapshot (a tuple) of the
+    candidates the run saw, and member paths are looked up by object id,
+    so a result stays right when its producer's candidate list grows or
+    its ids are not the positions ``0..n-1``.
     """
 
     real_world_type: str
@@ -42,6 +45,13 @@ class DetectionResult:
     clusters: list[list[int]]
     pruned_object_ids: list[int] = field(default_factory=list)
     compared_pairs: int = 0
+    _by_id: dict[int, ObjectDescription] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.ods = tuple(self.ods)
+        self._by_id = {od.object_id: od for od in self.ods}
 
     @property
     def duplicate_pairs(self) -> list[ScoredPair]:
@@ -76,7 +86,7 @@ class DetectionResult:
         )
 
     def object_path(self, object_id: int) -> str:
-        element = self.ods[object_id].element
+        element = self._by_id[object_id].element
         if element is None:
             return f"object:{object_id}"
         return element.absolute_path()

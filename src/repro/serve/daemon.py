@@ -87,28 +87,23 @@ from .sessions import SessionEntry, SessionRegistry, SpecConflict
 # Everywhere else a module is imported by the first call that needs it;
 # the daemon is the one long-lived process and does the opposite: all of
 # the program that a route can reach — a cold open with or without
-# XSDs, ``detect()`` under every backend,
-# the first ``extend()``, a response's XML — is imported here, before
-# the socket listens, so no request and no lock-free reader thread ever
-# loads a ``repro`` module (``tests/test_import_closure.py`` holds the
-# list to it).  The standard library's pool machinery, which
-# ``repro.engine.pool`` imports when a pool opens, stays with the first
-# ``detect()`` whose spec asks for workers, as it always has: it is a
-# MiB of resident memory that a daemon serving serial specs would never
-# use.
+# XSDs, ``detect()``, the first ``extend()``, a response's XML — is
+# imported here, before the socket listens, so no request and no
+# lock-free reader thread ever loads a ``repro`` module
+# (``tests/test_import_closure.py`` holds the list to it).
 preload(
     # what every corpus runs
     "repro.api.session",
     "repro.api.corpus",
-    "repro.api.batch",
     "repro.core.selection",
+    "repro.framework.clustering",
     "repro.framework.incremental",
+    "repro.framework.result",
     "repro.xmlkit.schema_infer",
     "repro.xmlkit.serialize",
     # what only some specs ask for
     "repro.core.conditions",
     "repro.xmlkit.schema_parser",
-    "repro.engine.pool",
 )
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
@@ -521,9 +516,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _detect(self, digest: str, params: dict) -> tuple[dict, int]:
         entry = self._entry(digest)
         theta = self._theta_param(params, entry)
-        # detect() mutates session state (the last-filter snapshot), so
-        # it takes the writer lock like extend() does.
-        with entry.lock.write_locked():
+        # detect() only fills read slots, as match() does: it reads
+        # alongside lookups and waits only for a write.
+        with entry.lock.read_locked():
             result = entry.session.detect(theta_cand=theta)
         return {
             "digest": entry.digest,

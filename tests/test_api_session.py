@@ -109,9 +109,80 @@ class TestDetect:
         assert dataset1_session.index is index_before
         assert dataset1_session.index_builds == 1
 
-    def test_object_filter_accessor(self, dataset1_session):
-        dataset1_session.detect()
-        assert dataset1_session.object_filter is not None
+    def test_pruned_ids_are_the_object_filter_decisions(self, dataset1_session):
+        """What the removed ``session.object_filter`` accessor exposed:
+        ``pruned_object_ids`` is the objects ``f(OD) <= θ_cand`` prunes,
+        in id order, at the default threshold and at an override."""
+        from repro.core import ObjectFilter
+
+        for theta in (None, 0.7):
+            result = dataset1_session.detect(theta_cand=theta)
+            object_filter = ObjectFilter(
+                dataset1_session.index,
+                dataset1_session.config.theta_cand if theta is None else theta,
+            )
+            assert result.pruned_object_ids == [
+                od.object_id
+                for od in dataset1_session.ods
+                if not object_filter.keep(od)
+            ]
+            assert result.pruned_object_ids
+
+
+class TestResultPaths:
+    """A result names each member by its object id, from a snapshot of
+    the ODs the run saw, with cluster members in id order — also for
+    a session whose ids are not the positions ``0..n-1``."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        dataset = build_dataset1(base_count=20, seed=7)
+        return DetectionSession(
+            dataset.sources, dataset.mapping, dataset.real_world_type
+        )
+
+    @pytest.mark.parametrize("ids", ["reversed", "shifted"])
+    def test_paths_are_the_ones_match_names(self, built, ids):
+        from repro.framework import ObjectDescription
+
+        ods = list(built.ods)
+        if ids == "reversed":
+            ods.reverse()
+        else:
+            ods = [
+                ObjectDescription(od.object_id + 100, od.tuples, od.element)
+                for od in ods
+            ]
+        session = DetectionSession.from_ods(
+            ods, built.mapping, built.real_world_type
+        )
+        result = session.detect()
+        assert result.clusters and result.to_xml() == built.detect().to_xml()
+        for cluster in result.clusters:
+            assert cluster == sorted(cluster)
+        for pair in result.duplicate_pairs:
+            partners = {
+                m.object_id: m.path for m in session.match(pair.left)
+            }
+            assert partners[pair.right] == result.object_path(pair.right)
+            assert result.object_path(pair.left) == session.object_path(
+                pair.left
+            )
+
+    def test_a_result_keeps_the_ods_it_saw(self):
+        session = DetectionSession(
+            Source(paper_example_document(), paper_example_schema()),
+            paper_example_mapping(),
+            "MOVIE",
+            paper_config(),
+        )
+        result = session.detect()
+        xml = result.to_xml()
+        assert isinstance(result.ods, tuple) and result.ods is not session._ods
+        late = "<moviedoc><movie><title>Sings</title></movie></moviedoc>"
+        session.extend(Source(parse(late), paper_example_schema()))
+        assert len(result.ods) == len(session.ods) - 1
+        assert result.to_xml() == xml
 
 
 class TestMatch:
@@ -408,10 +479,9 @@ class TestExtend:
             assert extended_partners == fresh_partners
 
     def test_extend_after_parallel_detect_matches_serial(self, paper_session):
-        """Incremental ingestion is backend-independent: a session whose
-        last detect() ran on the process backend extends exactly like a
-        serial one,
-        golden-pinned on the paper's Fig. 3 example."""
+        """``detect(policy=…)`` still takes a worker policy and has no
+        effect: the result, and an ``extend()`` after it, are a plain
+        session's, golden-pinned on the paper's Fig. 3 example."""
         from repro.engine import ExecutionPolicy
 
         serial_session = DetectionSession(

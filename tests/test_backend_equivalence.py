@@ -1,29 +1,42 @@
-"""Randomized serial-equivalence fuzz harness for the process backend.
+"""``detect()`` against the batch path it replaced: the parity oracle.
 
-The engine's contract: for any corpus, any blocking structure, any
-worker count and any batch size, fanning classification out over the
-worker pool must produce a bit-identical ``DetectionResult`` — same
-``ScoredPair`` list, same clusters, same dupcluster XML, same
-comparison count, same pruned ids — as the serial backend.
+A session's ``detect()`` is the per-object loop ``match()`` runs: the
+object filter from the session's tuple classes, candidates from the
+similar-value groups, each unordered pair scored once.  Until it was,
+``detect()`` ran the generic framework instead — ``ObjectFilter``,
+``ObjectFilterPruning`` over ``SharedTupleBlocking``,
+``DetectionPipeline`` and ``ParallelClassifier`` — and that path lives
+on as ``tests/reference/batch_path.py``.  For any corpus, switch,
+threshold and write history the loop must give the reference's
+``ScoredPair`` list (order, ids, scores to the bit, labels), clusters,
+dupcluster XML and pruned ids; it may compare fewer pairs (blocking's
+keys also pair objects that only share a third value similar to both),
+never more.  The reference runs serially and across two and three pool
+workers.
 
-These tests pin that on seeded-random corpora sweeping object counts,
-duplicate rates, and pathological block-size distributions: one giant
-block, all-singleton blocks, objects with empty descriptions, and
-zipf-skewed blocks.  Two fixed seeds keep the sweep deterministic;
-each ``(seed, shape, run)`` is its own test, so a failure names the
-worker count and batch size that diverged.
+Seeded-random corpora sweep block-size pathologies: one giant block,
+all-singleton blocks, objects with empty descriptions, zipf-skewed
+blocks and near-duplicates.  A second invariant needs no reference:
+``detect()``'s pairs are the union of every object's
+``match(include_possible=True)`` partners, scores to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import DetectionSession
-from repro.core import DogmatixConfig
+from reference import batch_path
+from repro.api import Corpus, DetectionSession
+from repro.core import DogmatixConfig, Source
+from repro.datagen import cd_schema
 from repro.engine import ExecutionPolicy, executor
+from repro.eval import build_dataset1
 from repro.framework import TypeMapping, od_from_pairs
+from repro.xmlkit import Document, Element
 
 SEEDS = (101, 202)
 
@@ -31,7 +44,6 @@ SEEDS = (101, 202)
 SHAPES = ("uniform", "giant", "singleton", "empty", "skewed", "dupes")
 
 KINDS = ("title", "artist", "year")
-
 
 def random_corpus(seed: int, shape: str, count: int = 36):
     """A seeded-random OD instance with a controlled block structure."""
@@ -90,27 +102,39 @@ def session_over(ods, **config_kwargs) -> DetectionSession:
     return DetectionSession.from_ods(ods, mapping, "ITEM", config)
 
 
-def assert_results_identical(reference, other):
-    # Field-by-field asserts for readable failure diffs, then the
-    # shared parity predicate so this stays in lockstep with its
-    # definition on DetectionResult.
-    assert other.pairs == reference.pairs  # order, ids, scores, labels
-    assert other.clusters == reference.clusters
-    assert other.to_xml() == reference.to_xml()
-    assert other.compared_pairs == reference.compared_pairs
-    assert other.pruned_object_ids == reference.pruned_object_ids
-    assert other.identical_to(reference)
+def exact(result) -> list:
+    """A result's pairs with every score to the bit."""
+    return [
+        (pair.left, pair.right, pair.similarity.hex(), pair.label)
+        for pair in result.pairs
+    ]
+
+
+def assert_detect_is_the_reference(session, theta=None, workers=1):
+    """``session.detect(theta)`` against the batch path on ``workers``
+    pool workers; returns both results."""
+    result = session.detect(theta_cand=theta)
+    reference, _ = batch_path.detect(
+        session, theta, ExecutionPolicy(workers=workers)
+    )
+    assert exact(result) == exact(reference)
+    assert result.pairs == reference.pairs
+    assert result.clusters == reference.clusters
+    assert result.to_xml() == reference.to_xml()
+    assert result.pruned_object_ids == reference.pruned_object_ids
+    assert result.compared_pairs <= reference.compared_pairs
+    return result, reference
 
 
 # ----------------------------------------------------------------------
-# Steps 4+5+6: bit-identical DetectionResults across backends
+# The fuzzed shapes, against the reference at 1, 2 and 3 workers
 # ----------------------------------------------------------------------
-#: Every process run the harness holds to serial: two worker counts
-#: × batch sizes (the executor's module constant) from one pair per
-#: task to the default.
-PROCESS_RUNS = tuple(
+#: ``(reference workers, executor batch size)`` per run: the engine's
+#: batch sizes from one pair per task to the default, serially and on
+#: two and three pool workers.
+REFERENCE_RUNS = tuple(
     (workers, batch_size)
-    for workers in (2, 3)
+    for workers in (1, 2, 3)
     for batch_size in (1, 7, 32, 256)
 )
 
@@ -119,72 +143,182 @@ def run_id(run: tuple[int, int]) -> str:
     return f"w{run[0]}-b{run[1]}"
 
 
-by_run = pytest.mark.parametrize("run", PROCESS_RUNS, ids=run_id)
-
-
-def detect_as(session, run, monkeypatch):
-    """``session.detect()`` on ``run``'s worker count and batch size."""
-    workers, batch_size = run
-    monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
-    return session.detect(policy=ExecutionPolicy(workers=workers))
-
-
-class TestProcessBackendEquivalence:
+class TestFuzzedShapes:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", SHAPES)
-    @by_run
+    @pytest.mark.parametrize("run", REFERENCE_RUNS, ids=run_id)
     def test_fuzzed_corpora(self, seed, shape, run, monkeypatch):
-        """The invariant: serial == process on random corpora, down to
-        the object filter's decision sequence."""
-        ods = random_corpus(seed, shape)
-        session = session_over(ods)
-        reference = session.detect()  # serial
-        decisions = tuple(session.object_filter.decisions)
-        assert [d.object_id for d in decisions] == [od.object_id for od in ods]
-        assert_results_identical(reference, detect_as(session, run, monkeypatch))
-        assert tuple(session.object_filter.decisions) == decisions
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @by_run
-    def test_without_object_filter(self, seed, run, monkeypatch):
-        ods = random_corpus(seed, "dupes")
-        session = session_over(ods, use_object_filter=False)
-        reference = session.detect()
-        assert reference.duplicate_pairs  # the shape actually produces work
-        assert_results_identical(reference, detect_as(session, run, monkeypatch))
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @by_run
-    def test_without_blocking_all_pairs(self, seed, run, monkeypatch):
-        """use_blocking=False: the quadratic loop, batched."""
-        ods = random_corpus(seed, "uniform", count=24)
-        session = session_over(ods, use_blocking=False)
-        reference = session.detect()
-        assert_results_identical(reference, detect_as(session, run, monkeypatch))
-
-    @by_run
-    def test_possible_band_survives_sharding(self, run, monkeypatch):
-        ods = random_corpus(SEEDS[0], "dupes")
-        session = session_over(ods, possible_threshold=0.2)
-        reference = session.detect()
-        assert reference.possible_pairs  # C2 band exercised
-        assert_results_identical(reference, detect_as(session, run, monkeypatch))
+        workers, batch_size = run
+        monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
+        session = session_over(random_corpus(seed, shape))
+        first, _ = assert_detect_is_the_reference(session, workers=workers)
+        assert session.detect().identical_to(first)  # from the read slot
 
     @pytest.mark.slow
-    @by_run
-    def test_dirty_dataset_end_to_end(self, run, monkeypatch):
-        """Realistic generator corpus (XML, schemas, gold) through the
-        process backend."""
-        from repro.api import Corpus
-        from repro.eval import build_dataset1
-
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_dirty_dataset_end_to_end(self, workers):
+        """A generator corpus from XML: result paths are real XPaths."""
         dataset = build_dataset1(base_count=30, seed=7)
         session = DetectionSession(
             Corpus(dataset.sources),
             dataset.mapping,
             dataset.real_world_type,
-            DogmatixConfig(),
+            DogmatixConfig(possible_threshold=0.3),
         )
-        reference = session.detect()
-        assert reference.duplicate_pairs
-        assert_results_identical(reference, detect_as(session, run, monkeypatch))
+        result, _ = assert_detect_is_the_reference(session, workers=workers)
+        assert result.duplicate_pairs and result.possible_pairs
+        assert "/freedb/disc[" in result.to_xml()
+
+
+# ----------------------------------------------------------------------
+# Every switch, both semantics, threshold overrides
+# ----------------------------------------------------------------------
+THETAS = (None, 0.3, 0.8)
+
+
+class TestSwitches:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("semantics", ("matching", "all-pairs"))
+    @pytest.mark.parametrize("band", (None, 0.2), ids=("two-class", "band"))
+    @pytest.mark.parametrize("blocking", (True, False), ids=("blocked", "all-pairs"))
+    @pytest.mark.parametrize("filtered", (True, False), ids=("filter", "no-filter"))
+    def test_every_switch_at_three_thresholds(
+        self, seed, semantics, band, blocking, filtered
+    ):
+        session = session_over(
+            random_corpus(seed, "dupes", count=24),
+            use_object_filter=filtered,
+            use_blocking=blocking,
+            possible_threshold=band,
+            similar_semantics=semantics,
+        )
+        for theta in THETAS:
+            result, reference = assert_detect_is_the_reference(session, theta)
+            if not blocking:  # both enumerate every pair of kept objects
+                assert result.compared_pairs == reference.compared_pairs
+
+    def test_the_band_and_the_filter_have_work(self):
+        session = session_over(random_corpus(SEEDS[0], "dupes"), possible_threshold=0.2)
+        result = session.detect(theta_cand=0.3)
+        assert result.duplicate_pairs and result.possible_pairs
+        assert result.pruned_object_ids
+
+    def test_ids_that_are_not_positions(self):
+        """ODs in reverse order with ids shifted by 100: the loop runs in
+        id order, so the answer is the plain corpus's, shifted."""
+        ods = random_corpus(SEEDS[0], "dupes")
+        shifted = [
+            od_from_pairs(od.object_id + 100, [(t.value, t.name) for t in od.tuples])
+            for od in reversed(ods)
+        ]
+        result = session_over(shifted).detect()
+        plain = session_over(ods).detect()
+
+        def unshifted(pair):
+            return (pair.left - 100, pair.right - 100, pair.similarity.hex())
+
+        assert [unshifted(p) for p in result.pairs] == [
+            (p.left, p.right, p.similarity.hex()) for p in plain.pairs
+        ]
+        assert [[i - 100 for i in c] for c in result.clusters] == plain.clusters
+        assert [i - 100 for i in result.pruned_object_ids] == plain.pruned_object_ids
+
+
+# ----------------------------------------------------------------------
+# Through writes, and the union of the lookups
+# ----------------------------------------------------------------------
+def source_of(records) -> Source:
+    root = Element("freedb")
+    for record in records:
+        root.append(record.copy())
+    return Source(Document(root), cd_schema())
+
+
+@functools.lru_cache(maxsize=1)
+def class_fuzz_dataset():
+    """Dataset 1 with every disc and its dirty duplicate: the records
+    the write fuzz cuts corpora and deltas from."""
+    dataset = build_dataset1(8, seed=7)
+    records = tuple(dataset.sources[0].document.root.children)
+    assert len(records) == 16  # the indices the fuzz below draws
+    return dataset, records
+
+
+def written_session(corpus, deltas, filtered, band) -> DetectionSession:
+    dataset, records = class_fuzz_dataset()
+    session = DetectionSession(
+        Corpus([source_of([records[i] for i in corpus])]),
+        dataset.mapping,
+        dataset.real_world_type,
+        DogmatixConfig(use_object_filter=filtered, possible_threshold=band),
+    )
+    for delta in deltas:
+        session.extend(source_of([records[i] for i in delta]))
+    return session
+
+
+_CORPUS = st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True)
+_DELTAS = st.lists(st.lists(st.integers(0, 15), max_size=3), max_size=4)
+_FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestThroughWrites:
+    @_FUZZ
+    @given(
+        corpus=_CORPUS,
+        deltas=_DELTAS,
+        filtered=st.booleans(),
+        band=st.sampled_from((None, 0.2)),
+    )
+    def test_detect_after_random_extends_is_the_reference(
+        self, corpus, deltas, filtered, band
+    ):
+        """After each write, at three thresholds (slots warm from the
+        write before are dropped by it)."""
+        dataset, records = class_fuzz_dataset()
+        session = written_session(corpus, [], filtered, band)
+        for delta in [[], *deltas]:
+            session.extend(source_of([records[i] for i in delta]))
+            for theta in THETAS:
+                assert_detect_is_the_reference(session, theta)
+
+
+def union_of_matches(session, theta) -> dict:
+    """Every object's ``match(include_possible=True)`` partners as
+    unordered pairs, each with the set of scores it was reported at."""
+    union: dict[tuple[int, int], set[str]] = {}
+    for od in session.ods:
+        for partner in session.match(
+            od.object_id, theta_cand=theta, include_possible=True
+        ):
+            pair = tuple(sorted((od.object_id, partner.object_id)))
+            union.setdefault(pair, set()).add(partner.similarity.hex())
+    return union
+
+
+class TestDetectIsTheUnionOfMatches:
+    @_FUZZ
+    @given(
+        corpus=_CORPUS,
+        deltas=_DELTAS,
+        filtered=st.booleans(),
+        band=st.sampled_from((None, 0.2)),
+        theta=st.sampled_from(THETAS),
+        detect_first=st.booleans(),
+    )
+    def test_pairs_are_every_objects_partners(
+        self, corpus, deltas, filtered, band, theta, detect_first
+    ):
+        session = written_session(corpus, deltas, filtered, band)
+        if detect_first:  # whichever fills the slot's filter decisions
+            result = session.detect(theta_cand=theta)
+            union = union_of_matches(session, theta)
+        else:
+            union = union_of_matches(session, theta)
+            result = session.detect(theta_cand=theta)
+        assert {
+            (pair.left, pair.right): {pair.similarity.hex()}
+            for pair in result.pairs
+        } == union

@@ -200,25 +200,20 @@ class TestSpecWorkflow:
         assert main(["dedup", "--spec", str(legacy_path)]) == 0
         assert capsys.readouterr().out == default_out
 
-    def test_workers_re_derives_the_spec_backend(self, spec_dir, capsys):
-        """--workers re-derives the backend from the count, also over a
-        spec that named the removed shard backend."""
+    def test_all_pairs_spec_writes_the_blocked_bytes(self, spec_dir, capsys):
+        """``use_blocking: false`` scores every pair and finds what the
+        blocked run finds: blocking is lossless."""
         import json
 
-        from repro.cli import _spec_from_args
-
         spec_path = spec_dir / "run.json"
-        data = json.loads(spec_path.read_text())
-        parser = build_parser()
-        for backend, workers in (("shard", "4"), ("process", "1")):
-            data["backend"] = backend
-            spec_path.write_text(json.dumps(data))
-            args = parser.parse_args(
-                ["dedup", "--spec", str(spec_path), "--workers", workers]
-            )
-            spec = _spec_from_args(args, parser)
-            assert spec.backend is None
-            assert spec.workers == int(workers)
+        assert main(["dedup", "--spec", str(spec_path)]) == 0
+        blocked = capsys.readouterr().out
+        all_pairs = spec_dir / "all_pairs.json"
+        all_pairs.write_text(
+            json.dumps({**json.loads(spec_path.read_text()), "use_blocking": False})
+        )
+        assert main(["dedup", "--spec", str(all_pairs)]) == 0
+        assert capsys.readouterr().out == blocked
 
     @pytest.mark.parametrize(
         "flags",
@@ -227,8 +222,12 @@ class TestSpecWorkflow:
             ["--filter-in-workers"],
             ["--batch-size", "512"],
             ["--ingest-workers", "2"],
+            ["--workers", "2"],
         ],
-        ids=["shard-by", "filter-in-workers", "batch-size", "ingest-workers"],
+        ids=[
+            "shard-by", "filter-in-workers", "batch-size", "ingest-workers",
+            "workers",
+        ],
     )
     def test_removed_execution_flags_are_argparse_errors(
         self, spec_dir, capsys, flags

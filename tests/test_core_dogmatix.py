@@ -178,7 +178,6 @@ class TestComparisonReduction:
             Source(self.make_doc()), self.mapping(), "REC", config
         )
         result = session.detect()
-        assert session.object_filter is not None
         # records 2 and 3 share nothing similar -> pruned
         assert set(result.pruned_object_ids) == {2, 3}
         # the duplicate pair survives the filter

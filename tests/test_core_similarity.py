@@ -431,6 +431,107 @@ class TestAgainstTheOracle:
         assert similarity.evaluations == 0
 
 
+class TestSymmetry:
+    """``sim(a, b)`` against ``sim(b, a)``: ``match()`` scores a pair
+    from the queried object's side and ``detect()`` from the lower
+    id's.
+
+    The two orders match the same tuple pairs, mirrored, and so sum the
+    same soft-IDF terms, but each in its own matching order, which for
+    a multi-valued kind can differ between the two; float addition
+    rounds by order, so the scores can split in the last bit where
+    ``sum`` is plain left-to-right addition (Python before 3.12).
+    Hypothesis found such a pair (pinned below).  No candidate pair of
+    the bench-shaped corpora splits."""
+
+    @given(
+        left=_descriptions,
+        right=_descriptions,
+        others=st.lists(_descriptions, max_size=4),
+        held=st.sampled_from(("both", "left", "right", "neither")),
+        semantics=st.sampled_from(SEMANTICS),
+        theta=st.integers(0, 100).map(lambda k: k / 100),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_both_orders_match_mirrored_pairs_and_sum_the_same_terms(
+        self, left, right, others, held, semantics, theta
+    ):
+        """Kinds repeat within a description (multi-valued kinds), and
+        either object may be held by the index or foreign to it."""
+        mapping = _fuzz_mapping()
+        od_i, od_j = _od(0, left), _od(1, right)
+        corpus = [_od(2 + slot, other) for slot, other in enumerate(others)]
+        if held in ("both", "left"):
+            corpus.append(od_i)
+        if held in ("both", "right"):
+            corpus.append(od_j)
+        # one index asks a-then-b, another b-then-a: memos left by the
+        # first order must not decide the second
+        forward = DogmatixSimilarity(_index_over(corpus, mapping, theta), semantics)
+        backward = DogmatixSimilarity(_index_over(corpus, mapping, theta), semantics)
+        ab, ba = forward._match(od_i, od_j), backward._match(od_j, od_i)
+        for pairs, mirrored in (
+            (ab.similar, ba.similar),
+            (ab.contradictory, ba.contradictory),
+        ):
+            assert sorted(pairs, key=repr) == sorted(
+                ((a, b) for b, a in mirrored), key=repr
+            )
+        assert sorted(ab.similar_idf) == sorted(ba.similar_idf)
+        assert sorted(ab.contradictory_idf) == sorted(ba.contradictory_idf)
+        score = forward(od_i, od_j)
+        assert forward(od_i, od_j).hex() == score.hex()  # deterministic
+        if (ab.similar_idf, ab.contradictory_idf) == (
+            ba.similar_idf,
+            ba.contradictory_idf,
+        ):  # the same terms in the same order: one float
+            assert backward(od_j, od_i).hex() == score.hex()
+
+    def test_the_summation_order_can_split_the_last_bit(self):
+        """The pair Hypothesis found: both orders match ``''``, ``'a'``
+        and ``'b'`` of one multi-valued kind, and list the soft-IDFs as
+        ``[x, x, y]`` and ``[x, y, x]``; left-to-right addition rounds
+        the two sums apart in the last bit, and the scores split
+        exactly when ``sum`` does."""
+        import functools
+        import operator
+
+        mapping = _fuzz_mapping()
+        od_i = _od(0, [("a", ""), ("a", ""), ("a", "a"), ("a", "b")])
+        od_j = _od(1, [("a", "a"), ("a", "b"), ("a", ""), ("a", "a")])
+        corpus = [_od(2 + k, o) for k, o in enumerate([[], [], [], [("a", "b")]])]
+        index = _index_over([*corpus, od_i, od_j], mapping, 0.01)
+        similarity = DogmatixSimilarity(index, "matching")
+        ab, ba = similarity._match(od_i, od_j), similarity._match(od_j, od_i)
+        assert ab.similar_idf != ba.similar_idf
+        assert sorted(ab.similar_idf) == sorted(ba.similar_idf)
+        assert ab.contradictory_idf == ba.contradictory_idf
+        plain = functools.partial(functools.reduce, operator.add)
+        assert plain(ab.similar_idf) != plain(ba.similar_idf)
+        split = similarity(od_i, od_j).hex() != similarity(od_j, od_i).hex()
+        assert split == (sum(ab.similar_idf) != sum(ba.similar_idf))
+
+    def test_the_bench_shapes_score_both_orders_alike(self):
+        """Every candidate pair of a bench-shaped Dataset 1 and Dataset 3
+        corpus, multi-valued kinds (tracks, actors) among them."""
+        from repro.api import DetectionSession
+        from repro.eval import build_dataset1, build_dataset3
+
+        for dataset in (build_dataset1(40, seed=7), build_dataset3(200, seed=11)):
+            session = DetectionSession(
+                dataset.sources, dataset.mapping, dataset.real_world_type
+            )
+            similarity, ods = session.similarity, session.ods
+            checked = 0
+            for od in ods:
+                for other in session._similar_object_ids(od):
+                    if other > od.object_id:
+                        forward = similarity(od, ods[other])
+                        assert similarity(ods[other], od).hex() == forward.hex()
+                        checked += 1
+            assert checked > len(ods)
+
+
 class TestGroupingLivesOnTheOD:
     @pytest.fixture()
     def ods(self):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import batch_path
 from repro.api import DetectionSession
 from repro.core import (
     DogmatixConfig,
@@ -179,13 +180,21 @@ RUNS = (
 
 
 def detect_with(dataset, config_factory, run, monkeypatch):
+    """The DogmatiX batch path through the pipeline and the engine
+    (``tests/reference/batch_path.py``) on ``run``'s worker count and
+    batch size; the session's own ``detect()`` gives its pairs,
+    clusters, XML and pruned ids."""
     workers, batch_size = run
     monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
-    config = config_factory()
-    config.execution = ExecutionPolicy(workers=workers)
-    return DetectionSession(
-        dataset.sources, dataset.mapping, dataset.real_world_type, config
-    ).detect()
+    session = DetectionSession(
+        dataset.sources, dataset.mapping, dataset.real_world_type, config_factory()
+    )
+    result, _ = batch_path.detect(session, policy=ExecutionPolicy(workers=workers))
+    own = session.detect()
+    assert own.pairs == result.pairs and own.clusters == result.clusters
+    assert own.to_xml() == result.to_xml()
+    assert own.pruned_object_ids == result.pruned_object_ids
+    return result
 
 
 def assert_results_identical(reference, other):

@@ -116,35 +116,34 @@ def recorded_engines() -> list:
 
 
 def detect_outcome(policy, fault=None) -> dict:
-    """One ``detect()`` under ``policy`` with ``fault`` installed, against
-    a serial twin."""
+    """One run of the DogmatiX batch path (``tests/reference/batch_path.py``,
+    the pipeline on the engine) under ``policy`` with ``fault``
+    installed, against a serial twin."""
+    from reference import batch_path
     from repro.api import DetectionSession
     from repro.core import DogmatixConfig
 
     data = dataset()
     twin = DetectionSession(data.sources, data.mapping, data.real_world_type)
-    reference = twin.detect()
+    reference, twin_filter = batch_path.detect(twin)
     session = DetectionSession(
         data.sources, data.mapping, data.real_world_type, DogmatixConfig()
     )
     if fault is not None:
         fault()
     engines = recorded_engines()
-    result = session.detect(policy=policy)
+    result, object_filter = batch_path.detect(session, policy=policy)
     (engine,) = engines
-    decisions = session.object_filter.decisions
+    decisions = object_filter.decisions
     return {
         "backend": engine.last_backend,
         "reason": engine.last_reason,
         "identical": result.identical_to(reference),
         "xml": result.to_xml() == reference.to_xml(),
         "pruned": result.pruned_object_ids == reference.pruned_object_ids,
-        "decisions": decisions == twin.object_filter.decisions,
+        "decisions": decisions == twin_filter.decisions,
         "one_per_object": len(decisions) == len(session.ods),
-        "pruned_count": [
-            session.object_filter.pruned_count,
-            twin.object_filter.pruned_count,
-        ],
+        "pruned_count": [object_filter.pruned_count, twin_filter.pruned_count],
     }
 
 
@@ -160,7 +159,7 @@ def process_batch() -> dict:
 
 
 def raising_initializer() -> dict:
-    from repro.core.dogmatix import DogmatixClassifierFactory
+    from reference.batch_path import DogmatixClassifierFactory
     from repro.engine import ExecutionPolicy
     from repro.engine import executor
 
@@ -172,9 +171,10 @@ def raising_initializer() -> dict:
 
 
 def batch_raises() -> dict:
-    """A ``process`` detect whose classifier raises inside a worker batch."""
+    """A ``process`` run whose classifier raises inside a worker batch."""
+    from reference import batch_path
+    from reference.batch_path import DogmatixClassifierFactory
     from repro.api import DetectionSession
-    from repro.core.dogmatix import DogmatixClassifierFactory
     from repro.engine import ExecutionPolicy
     from repro.engine import executor
 
@@ -184,7 +184,7 @@ def batch_raises() -> dict:
     DogmatixClassifierFactory.__call__ = refusing_factory
     engines = recorded_engines()
     try:
-        session.detect(policy=ExecutionPolicy(workers=2))
+        batch_path.detect(session, policy=ExecutionPolicy(workers=2))
     except Exception as error:  # noqa: BLE001 - the type is the outcome
         (engine,) = engines
         return {

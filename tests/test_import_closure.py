@@ -77,13 +77,10 @@ COLD_OPEN = modules(
     """
 )
 
-#: ``detect()``: the pipeline, the engine, the worker factory.
+#: ``detect()``: the result types and step 6.
 DETECT = modules(
     """
-    .api.batch .core.dogmatix
-    .engine.executor
-    .framework.candidates .framework.clustering .framework.pipeline
-    .framework.pruning .framework.result
+    .framework.clustering .framework.result
     """
 )
 
@@ -99,7 +96,7 @@ EXPECTED = {
         """
         .cli .ingest .ingest.store
         .serve .serve.daemon .serve.sessions
-        .core.conditions .engine.pool
+        .core.conditions
         .framework.incremental .framework.representatives
         .xmlkit.schema_parser .xmlkit.serialize
         """

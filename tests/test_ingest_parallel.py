@@ -29,7 +29,6 @@ from repro.datagen import (
     paper_example_mapping,
     paper_example_schema,
 )
-from repro.engine import ExecutionPolicy
 from repro.eval import EXPERIMENTS, build_dataset1, session_for
 from repro.ingest import IngestReport, ParallelIngestor
 
@@ -243,17 +242,14 @@ class TestSessionsBuildInTheParent:
 
         monkeypatch.setattr(ParallelIngestor, "build", refused)
 
-    def test_parent_spec_with_ingest_workers_builds_in_the_parent(
-        self, tmp_path, no_parallel_build
-    ):
-        """A spec written while ``ingest_workers`` was a field loads
-        without it and builds the serial session."""
+    @staticmethod
+    def paper_spec_fields(tmp_path) -> dict:
         (tmp_path / "movies.xml").write_text(PAPER_EXAMPLE_XML, encoding="utf-8")
         (tmp_path / "movies.xsd").write_text(PAPER_EXAMPLE_XSD, encoding="utf-8")
         (tmp_path / "mapping.xml").write_text(
             paper_example_mapping().to_xml(), encoding="utf-8"
         )
-        fields = dict(
+        return dict(
             documents=[str(tmp_path / "movies.xml")],
             mapping=str(tmp_path / "mapping.xml"),
             real_world_type="MOVIE",
@@ -262,6 +258,13 @@ class TestSessionsBuildInTheParent:
             theta_tuple=0.55,
             use_object_filter=False,
         )
+
+    def test_parent_spec_with_ingest_workers_builds_in_the_parent(
+        self, tmp_path, no_parallel_build
+    ):
+        """A spec written while ``ingest_workers`` was a field loads
+        without it and builds the serial session."""
+        fields = self.paper_spec_fields(tmp_path)
         reference = RunSpec(**fields).build_session()
         session = RunSpec.from_dict(
             {**RunSpec(**fields).to_dict(), "ingest_workers": 2,
@@ -274,19 +277,12 @@ class TestSessionsBuildInTheParent:
 
     @pytest.mark.slow
     def test_session_builds_in_the_parent_at_any_worker_count(
-        self, no_parallel_build
+        self, tmp_path, no_parallel_build
     ):
-        dataset = build_dataset1(base_count=10, seed=3)
-        reference = DetectionSession(
-            Corpus(dataset.sources), dataset.mapping,
-            dataset.real_world_type, DogmatixConfig(use_object_filter=False),
-        )
-        session = DetectionSession(
-            Corpus(dataset.sources), dataset.mapping, dataset.real_world_type,
-            DogmatixConfig(
-                use_object_filter=False, execution=ExecutionPolicy(workers=2)
-            ),
-        )
+        """A spec's ``workers`` reaches neither the build nor a run."""
+        fields = self.paper_spec_fields(tmp_path)
+        reference = RunSpec(**fields).build_session()
+        session = RunSpec(**fields, workers=2, backend="process").build_session()
         assert_same_build(
             (reference.ods, reference.index), (session.ods, session.index)
         )

@@ -62,8 +62,7 @@ PUBLIC_ALL = {
         """,
         "repro.core": """
             CandidateSuggestion CombinedCondition CombinedHeuristic
-            Condition CorpusIndex DescriptionSelector
-            DogmatixClassifierFactory DogmatixConfig
+            Condition CorpusIndex DescriptionSelector DogmatixConfig
             DogmatixSimilarity FilterDecision Heuristic
             IndexPartial KClosestDescendants ObjectFilter
             RDistantAncestors RDistantDescendants Source TupleMatching

@@ -761,6 +761,61 @@ class TestDetect:
         assert response["xml"] == session.detect(theta_cand=0.99).to_xml()
 
 
+    def test_a_lookup_answers_while_a_detect_runs(self, filtered, monkeypatch):
+        """``detect`` reads under the session's read lock, as ``match``
+        does: held mid-run by a spy, it lets a lookup through, and the
+        lookup answers what it answers alone."""
+        from repro.api.session import DetectionSession
+
+        in_detect = threading.local()
+        entered, release = threading.Event(), threading.Event()
+        real_detect = DetectionSession.detect
+        real_read_slot = DetectionSession._read_slot
+
+        def detect(self, *args, **kwargs):
+            in_detect.active = True
+            try:
+                return real_detect(self, *args, **kwargs)
+            finally:
+                in_detect.active = False
+
+        def read_slot(self, theta):
+            if getattr(in_detect, "active", False):
+                entered.set()
+                assert release.wait(30)
+            return real_read_slot(self, theta)
+
+        monkeypatch.setattr(DetectionSession, "detect", detect)
+        monkeypatch.setattr(DetectionSession, "_read_slot", read_slot)
+        expected = matches_of(filtered.session, 0, include_possible=True)
+        answers: dict = {}
+
+        def call(name, *args, **kwargs):
+            answers[name] = getattr(filtered.client, name)(*args, **kwargs)
+
+        detecting = threading.Thread(
+            target=call, args=("detect", filtered.digest), daemon=True
+        )
+        detecting.start()
+        try:
+            assert entered.wait(30)
+            looking = threading.Thread(
+                target=call,
+                args=("match", filtered.digest),
+                kwargs={"object_id": 0, "include_possible": True},
+                daemon=True,
+            )
+            looking.start()
+            looking.join(30)
+            assert not looking.is_alive(), "match waited for detect"
+            assert "detect" not in answers  # still held by the spy
+        finally:
+            release.set()
+            detecting.join(30)
+        assert answers["match"]["matches"] == expected
+        assert answers["detect"]["xml"] == filtered.session.detect().to_xml()
+
+
 class TestExtendAndUploads:
     def test_extend_grows_the_session(self, served):
         # A separate digest so the shared-session parity tests above

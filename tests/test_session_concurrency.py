@@ -55,7 +55,6 @@ from repro.datagen import (
     paper_example_mapping,
     paper_example_schema,
 )
-from repro.engine import ExecutionPolicy
 from repro.eval import build_dataset1
 from repro.ingest import IndexStore
 from repro.serve import ReadWriteLock
@@ -755,23 +754,12 @@ class TestImportOnUse:
         assert import_statements == []
         assert [_snapshot(m) for m in again] == [_snapshot(m) for m in first]
 
-    @pytest.mark.parametrize(
-        "workers, batch_size",
-        [(1, 256), (1, 1), (2, 256), (3, 7)],
-        ids=["serial", "serial-batch1", "process", "process-3"],
-    )
-    def test_a_second_detect_executes_no_import(
-        self, stored, import_statements, workers, batch_size, monkeypatch
-    ):
-        from repro.engine import executor
-
-        monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
-        policy = ExecutionPolicy(workers=workers)
+    def test_a_second_detect_executes_no_import(self, stored, import_statements):
         spec, store = stored
         session = store.load(spec)
-        first = session.detect(policy=policy)
+        first = session.detect()
         del import_statements[:]
-        second = session.detect(policy=policy)
+        second = session.detect()
         assert import_statements == []
         assert second.duplicate_id_pairs() == first.duplicate_id_pairs()
         assert second.clusters == first.clusters and first.clusters

@@ -28,7 +28,6 @@ does not make it:
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 
@@ -41,14 +40,18 @@ from repro.api import Corpus, DetectionSession
 from repro.core import CorpusIndex, DogmatixConfig, IndexPartial, ObjectFilter, Source
 from repro.core.index import _FOREIGN_CACHE_SIZE
 from repro.core.object_filter import filter_score, tuple_classes
-from repro.datagen import cd_schema
 from repro.eval import build_dataset1
 from repro.framework import IncrementalDeduplicator, TypeMapping, od_from_pairs
 from repro.strings import ned_cached
-from repro.xmlkit import Document, Element, parse, serialize
+from repro.xmlkit import Element, parse, serialize
 
 from test_ingest_merge import THETA_TUPLE, observable_state
-from test_backend_equivalence import SEEDS, random_corpus
+from test_backend_equivalence import (
+    SEEDS,
+    class_fuzz_dataset,
+    random_corpus,
+    source_of,
+)
 
 
 def session_on(dataset, sources) -> DetectionSession:
@@ -250,13 +253,6 @@ class TestMemoBounds:
 # ----------------------------------------------------------------------
 # Session level: the incremental stream
 # ----------------------------------------------------------------------
-def source_of(records) -> Source:
-    root = Element("freedb")
-    for record in records:
-        root.append(record.copy())
-    return Source(Document(root), cd_schema())
-
-
 def dataset1_stream(base_count: int, seed: int, batches: int, batch_size: int):
     """Dataset 1 shuffled and cut into a corpus source and extension
     sources, so a batch holds new objects and duplicates of old ones."""
@@ -525,16 +521,6 @@ class TestWriteCostsWhatItChanges:
 # ----------------------------------------------------------------------
 # Session level: the object filter's tuple classes
 # ----------------------------------------------------------------------
-@functools.lru_cache(maxsize=1)
-def class_fuzz_dataset():
-    """Dataset 1 with every disc and its dirty duplicate: the records
-    the class fuzz cuts corpora and deltas from."""
-    dataset = build_dataset1(8, seed=7)
-    records = tuple(dataset.sources[0].document.root.children)
-    assert len(records) == 16  # the indices the fuzz below draws
-    return dataset, records
-
-
 def assert_filter_exact(session: DetectionSession) -> None:
     """The session's tuple classes are a fresh classification's, and its
     filter decisions and scores a fresh :class:`ObjectFilter` pass's, to
