@@ -45,7 +45,6 @@ __all__ = lazy_exports(
         "h_or": "core.heuristics",
         "ObjectFilter": "core.object_filter",
         "DogmatixSimilarity": "core.similarity",
-        "ParallelClassifier": "engine.executor",
         "ExecutionPolicy": "engine.policy",
         "CandidateDefinition": "framework.candidates",
         "ThresholdClassifier": "framework.classifier",

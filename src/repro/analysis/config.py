@@ -116,7 +116,6 @@ class LintConfig:
         "repro.xmlkit",
         "repro.ingest.store",
         "repro.engine.policy",
-        "repro.engine.executor",
     )
 
     #: Packages whose ``__init__`` exports lazily (``repro._lazy``):

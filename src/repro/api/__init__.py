@@ -5,7 +5,7 @@ schemas, descriptions or the index per call:
 
 * :class:`Corpus` — sources plus cached schemas (``add_source``);
 * :class:`DetectionSession` — index/similarity/classifier built once,
-  then ``detect()`` (batch, engine-backed), ``match()`` (single-object
+  then ``detect()`` (batch, in the calling process), ``match()`` (single-object
   lookup), ``extend()`` (incremental ingestion), ``explain()``
   (immutable :class:`Explanation` values);
 * :class:`RunSpec` — a full run as JSON, for the CLI (``--spec``) and

@@ -1,19 +1,14 @@
-"""Execution policy: how a :class:`~repro.framework.pipeline.DetectionPipeline`
-executes steps 4+5 (pair generation and classification).
+"""Execution policy: a worker count, kept as a name.
 
-The detection pipeline is algorithm-agnostic about *what* it compares;
-the execution policy makes it agnostic about *how*: one knob, the
-worker count.  A :class:`~repro.api.session.DetectionSession` takes
-none: its ``detect()`` is one loop in the calling process.  Serial execution is simply the
-one-worker case of the batched path, so both modes share one code path
-and one result format.
-
-The worker count alone decides the mode.  Either way the parent
-enumerates the candidate pairs (step 4); with more than one worker the
-``process`` backend fans their classification (step 5) out over the
-worker pool (:mod:`repro.engine.pool`), otherwise the batches are
-classified in-process (``serial``).  Pairs are cut into batches of
-:data:`repro.engine.executor.BATCH_SIZE`.
+Nothing that detects duplicates reads it any more: a
+:class:`~repro.api.session.DetectionSession`'s ``detect()`` and a
+:class:`~repro.framework.pipeline.DetectionPipeline`'s are each one
+loop in the calling process.  :class:`ExecutionPolicy` stays for the
+callers that still build one:
+:meth:`repro.api.spec.RunSpec.execution_policy` validates a spec's
+``workers`` / ``backend`` fields through it, the benchmark's probes name
+it, and ``detect(policy=)`` accepts and ignores one.  Its ``backend`` is
+derived from the worker count alone.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ class ExecutionPolicy:
     Attributes
     ----------
     workers:
-        Worker processes classifying pairs; must be >= 1.  ``1`` runs
-        the serial backend, more runs the ``process`` backend.
+        Worker processes; must be >= 1.  ``1`` names the ``serial``
+        backend, more the ``process`` backend.
     """
 
     workers: int = 1

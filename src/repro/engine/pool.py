@@ -1,8 +1,7 @@
 """One worker pool: the only place ``src/`` starts worker processes.
 
-Every parallel phase — describing a corpus (steps 1-3,
-:mod:`repro.ingest.builder`) and scoring pair batches (step 5,
-:mod:`repro.engine.executor`) — is an
+The one parallel phase left — describing a corpus (steps 1-3,
+:class:`~repro.ingest.builder.ParallelIngestor`) — is an
 ordered :meth:`WorkerPool.map` of module-level functions over a
 :class:`concurrent.futures.ProcessPoolExecutor` on the default
 ``multiprocessing`` context, whose initializer installs the phase's
@@ -56,9 +55,8 @@ class WorkerPool:
 
         At most :attr:`window` tasks are in flight: the next task is
         taken from ``tasks`` only as a result is handed out, so a lazy
-        stream (the pair batches of
-        :class:`~repro.engine.executor.ParallelClassifier`) runs a
-        bounded distance ahead of the workers, never to its end.
+        stream runs a bounded distance ahead of the workers, never to
+        its end.
         """
         tasks = iter(tasks)
         submit = self._executor.submit

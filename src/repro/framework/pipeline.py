@@ -21,12 +21,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-# framework <-> engine import contract: engine modules import framework
-# *submodules* (classifier, od, pruning, result), never this one, so the
-# executor is a plain module-level import — whoever loads the pipeline
-# is about to run it.
-from ..engine.executor import ClassifierFactory, ParallelClassifier
-from ..engine.policy import ExecutionPolicy
 from ..xmlkit.tree import Document, Element
 from .candidates import CandidateDefinition
 from .classifier import (
@@ -39,7 +33,7 @@ from .clustering import duplicate_clusters
 from .description import DescriptionDefinition, generate_ods
 from .od import ObjectDescription
 from .pruning import NoPruning, PairSource
-from .result import DetectionResult
+from .result import DetectionResult, ScoredPair
 
 
 class DetectionPipeline:
@@ -57,17 +51,6 @@ class DetectionPipeline:
         Comparison reduction (step 4); all-pairs when omitted.
     keep_possible:
         Materialize C2 pairs in the result (for expert review).
-    policy:
-        How step 5 executes (serial / process-parallel batching); the
-        serial single-worker default reproduces the classic loop.
-        Note: under the process backend, workers classify
-        element-stripped ODs (``od.element is None``); classifiers
-        that consult ``od.element`` must use the serial backend.
-    classifier_factory:
-        Picklable ``factory(ods) -> classifier`` for rebuilding the
-        classifier inside worker processes; without one the live
-        classifier itself is shipped (or execution falls back to
-        serial when it cannot be pickled).
     """
 
     def __init__(
@@ -77,16 +60,12 @@ class DetectionPipeline:
         classifier: Classifier,
         pair_source: PairSource | None = None,
         keep_possible: bool = True,
-        policy: ExecutionPolicy | None = None,
-        classifier_factory: ClassifierFactory | None = None,
     ) -> None:
         self.candidate_definition = candidate_definition
         self.description_definition = description_definition
         self.classifier = classifier
         self.pair_source = pair_source or NoPruning()
         self.keep_possible = keep_possible
-        self.policy = policy or ExecutionPolicy()
-        self.classifier_factory = classifier_factory
 
     # ------------------------------------------------------------------
     def run(
@@ -98,22 +77,33 @@ class DetectionPipeline:
         return self.detect(ods)
 
     def detect(self, ods: Sequence[ObjectDescription]) -> DetectionResult:
-        """Execute steps 4–6 on pre-built ODs.
+        """Execute steps 4–6 on pre-built ODs, in this process.
 
-        Steps 4+5 run through the execution engine: pair generation
-        happens in this process and only classification fans out.
+        Step 5 is one loop over the pair source's stream: a classifier
+        with ``score_and_classify`` scores each pair once, any other is
+        asked for its label alone (score 1.0).  Non-duplicates are
+        dropped as they are classified (the paper's step 5 note).
 
         Result pairs are ordered canonically by ``(left, right)`` id,
         so a detection result depends only on the *set* of surviving
         pairs — never on the enumeration order of the pair source.
         """
-        engine = ParallelClassifier(
-            self.classifier,
-            policy=self.policy,
-            classifier_factory=self.classifier_factory,
-            keep_possible=self.keep_possible,
-        )
-        pairs, compared = engine.run(ods, self.pair_source)  # steps 4+5
+        by_id = {od.object_id: od for od in ods}
+        scorer = getattr(self.classifier, "score_and_classify", None)
+        kept = {DUPLICATES}
+        if self.keep_possible:
+            kept.add(POSSIBLE_DUPLICATES)
+        pairs: list[ScoredPair] = []
+        compared = 0
+        for left, right in self.pair_source.pairs(ods):  # steps 4+5
+            compared += 1
+            od_i, od_j = by_id[left], by_id[right]
+            if scorer is not None:  # one similarity evaluation per pair
+                score, label = scorer(od_i, od_j)
+            else:
+                score, label = 1.0, self.classifier.classify(od_i, od_j)
+            if label in kept:
+                pairs.append(ScoredPair(left, right, score, label))
         pairs.sort(key=lambda pair: (pair.left, pair.right))
         duplicate_ids = [
             (pair.left, pair.right) for pair in pairs if pair.label == DUPLICATES

@@ -123,6 +123,82 @@ class TestRoundTrip:
             RunSpec.from_json("[1, 2]")
 
 
+# ----------------------------------------------------------------------
+# ExecutionPolicy: what a spec's workers / backend fields build
+# ----------------------------------------------------------------------
+class TestExecutionPolicy:
+    def test_defaults_are_serial(self):
+        policy = ExecutionPolicy()
+        assert policy.backend == "serial"
+        assert policy.workers == 1
+        assert not policy.parallel
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 0},
+        ],
+    )
+    def test_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            ExecutionPolicy(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 4, "backend": "process"},
+            {"workers": 4, "shard_by": "block"},
+            {"workers": 4, "filter_in_workers": False},
+            {"workers": 4, "batch_size": 32},
+            {"workers": 4, "ingest_workers": 2},
+        ],
+    )
+    def test_removed_keywords_are_rejected(self, kwargs):
+        """The worker count alone picks the backend; the shard
+        backend's settings, the batch size and the ingest workers went
+        before it."""
+        with pytest.raises(TypeError):
+            ExecutionPolicy(**kwargs)
+
+    def test_backend_is_derived_not_set(self):
+        assert ExecutionPolicy().backend == "serial"
+        assert ExecutionPolicy(workers=4).backend == "process"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExecutionPolicy().backend = "process"  # type: ignore[misc]
+
+    def test_for_workers(self):
+        assert ExecutionPolicy.for_workers(1).backend == "serial"
+        four = ExecutionPolicy.for_workers(4)
+        assert four.backend == "process"
+        assert four == ExecutionPolicy(workers=4)
+        assert four.parallel
+        auto = ExecutionPolicy.for_workers(0)
+        assert auto.workers >= 1
+
+    def test_single_process_worker_is_not_parallel(self):
+        assert not ExecutionPolicy(workers=1).parallel
+        assert ExecutionPolicy(workers=1).backend == "serial"
+
+    def test_sharded_is_for_workers(self):
+        """The removed shard backend's constructor names the process
+        policy of the same worker count."""
+        policy = ExecutionPolicy.sharded(3, shard_by="object")
+        assert policy == ExecutionPolicy.for_workers(3)
+        assert policy.backend == "process" and policy.parallel
+        assert ExecutionPolicy.sharded(2, filter_in_workers=True) == (
+            ExecutionPolicy.for_workers(2)
+        )
+        assert not ExecutionPolicy.sharded(1).parallel
+        assert ExecutionPolicy.sharded(0).workers >= 1
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"shard_by": "rows"}, {"filter_in_workers": "yes"}]
+    )
+    def test_sharded_validates_what_it_drops(self, kwargs):
+        with pytest.raises(ValueError):
+            ExecutionPolicy.sharded(2, **kwargs)
+
+
 def spec_dict(**fields) -> dict:
     return {
         **RunSpec(

@@ -4,19 +4,19 @@ A session's ``detect()`` is the per-object loop ``match()`` runs: the
 object filter from the session's tuple classes, candidates from the
 similar-value groups, each unordered pair scored once.  Until it was,
 ``detect()`` ran the generic framework instead — ``ObjectFilter``,
-``ObjectFilterPruning`` over ``SharedTupleBlocking``,
-``DetectionPipeline`` and ``ParallelClassifier`` — and that path lives
-on as ``tests/reference/batch_path.py``.  For any corpus, switch,
+``ObjectFilterPruning`` over ``SharedTupleBlocking`` and
+``DetectionPipeline`` — and that path lives on as
+``tests/reference/batch_path.py``.  For any corpus, switch,
 threshold and write history the loop must give the reference's
 ``ScoredPair`` list (order, ids, scores to the bit, labels), clusters,
 dupcluster XML and pruned ids; it may compare fewer pairs (blocking's
 keys also pair objects that only share a third value similar to both),
-never more.  The reference runs serially and across two and three pool
-workers.
+never more.
 
 Seeded-random corpora sweep block-size pathologies: one giant block,
 all-singleton blocks, objects with empty descriptions, zipf-skewed
-blocks and near-duplicates.  A second invariant needs no reference:
+blocks and near-duplicates, each under every combination of the
+session's switches.  A second invariant needs no reference:
 ``detect()``'s pairs are the union of every object's
 ``match(include_possible=True)`` partners, scores to the bit.
 """
@@ -31,10 +31,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference import batch_path
 from repro.api import Corpus, DetectionSession
-from repro.core import DogmatixConfig, Source
-from repro.datagen import cd_schema
-from repro.engine import ExecutionPolicy, executor
-from repro.eval import build_dataset1
+from repro.core import (
+    DogmatixConfig,
+    KClosestDescendants,
+    RDistantDescendants,
+    Source,
+)
+from repro.datagen import (
+    cd_schema,
+    paper_example_document,
+    paper_example_mapping,
+    paper_example_schema,
+)
+from repro.eval import build_dataset1, build_dataset2
 from repro.framework import TypeMapping, od_from_pairs
 from repro.xmlkit import Document, Element
 
@@ -110,13 +119,11 @@ def exact(result) -> list:
     ]
 
 
-def assert_detect_is_the_reference(session, theta=None, workers=1):
-    """``session.detect(theta)`` against the batch path on ``workers``
-    pool workers; returns both results."""
+def assert_detect_is_the_reference(session, theta=None):
+    """``session.detect(theta)`` against the batch path; returns both
+    results."""
     result = session.detect(theta_cand=theta)
-    reference, _ = batch_path.detect(
-        session, theta, ExecutionPolicy(workers=workers)
-    )
+    reference, _ = batch_path.detect(session, theta)
     assert exact(result) == exact(reference)
     assert result.pairs == reference.pairs
     assert result.clusters == reference.clusters
@@ -127,36 +134,47 @@ def assert_detect_is_the_reference(session, theta=None, workers=1):
 
 
 # ----------------------------------------------------------------------
-# The fuzzed shapes, against the reference at 1, 2 and 3 workers
+# The fuzzed shapes under every switch, against the reference
 # ----------------------------------------------------------------------
-#: ``(reference workers, executor batch size)`` per run: the engine's
-#: batch sizes from one pair per task to the default, serially and on
-#: two and three pool workers.
-REFERENCE_RUNS = tuple(
-    (workers, batch_size)
-    for workers in (1, 2, 3)
-    for batch_size in (1, 7, 32, 256)
+#: Every combination of the session's four switches, so each block-size
+#: pathology also meets the unblocked loop, the all-pairs semantics, the
+#: C2 band and the unfiltered corpus.
+SWITCHES = tuple(
+    {
+        "use_object_filter": filtered,
+        "use_blocking": blocking,
+        "possible_threshold": band,
+        "similar_semantics": semantics,
+    }
+    for filtered in (True, False)
+    for blocking in (True, False)
+    for band in (None, 0.2)
+    for semantics in ("matching", "all-pairs")
 )
 
 
-def run_id(run: tuple[int, int]) -> str:
-    return f"w{run[0]}-b{run[1]}"
+def switches_id(switches: dict) -> str:
+    return "-".join(
+        (
+            "filter" if switches["use_object_filter"] else "no-filter",
+            "blocked" if switches["use_blocking"] else "unblocked",
+            "two-class" if switches["possible_threshold"] is None else "band",
+            switches["similar_semantics"],
+        )
+    )
 
 
 class TestFuzzedShapes:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("run", REFERENCE_RUNS, ids=run_id)
-    def test_fuzzed_corpora(self, seed, shape, run, monkeypatch):
-        workers, batch_size = run
-        monkeypatch.setattr(executor, "BATCH_SIZE", batch_size)
-        session = session_over(random_corpus(seed, shape))
-        first, _ = assert_detect_is_the_reference(session, workers=workers)
+    @pytest.mark.parametrize("switches", SWITCHES, ids=switches_id)
+    def test_fuzzed_corpora(self, seed, shape, switches):
+        session = session_over(random_corpus(seed, shape), **switches)
+        first, _ = assert_detect_is_the_reference(session)
         assert session.detect().identical_to(first)  # from the read slot
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_dirty_dataset_end_to_end(self, workers):
+    def test_dirty_dataset_end_to_end(self):
         """A generator corpus from XML: result paths are real XPaths."""
         dataset = build_dataset1(base_count=30, seed=7)
         session = DetectionSession(
@@ -165,9 +183,61 @@ class TestFuzzedShapes:
             dataset.real_world_type,
             DogmatixConfig(possible_threshold=0.3),
         )
-        result, _ = assert_detect_is_the_reference(session, workers=workers)
+        result, _ = assert_detect_is_the_reference(session)
         assert result.duplicate_pairs and result.possible_pairs
         assert "/freedb/disc[" in result.to_xml()
+
+
+# ----------------------------------------------------------------------
+# The running example and the generated corpora
+# ----------------------------------------------------------------------
+def dataset_session(dataset, config: DogmatixConfig) -> DetectionSession:
+    return DetectionSession(
+        dataset.sources, dataset.mapping, dataset.real_world_type, config
+    )
+
+
+class TestCorpora:
+    @pytest.fixture(scope="class")
+    def dirty_cds(self):
+        return build_dataset1(base_count=25, seed=7)
+
+    def test_paper_example(self):
+        session = DetectionSession(
+            [Source(paper_example_document(), paper_example_schema())],
+            paper_example_mapping(),
+            "MOVIE",
+            DogmatixConfig(
+                heuristic=RDistantDescendants(2),
+                theta_tuple=0.55,
+                theta_cand=0.55,
+                use_object_filter=False,
+            ),
+        )
+        result, _ = assert_detect_is_the_reference(session)
+        assert result.duplicate_pairs  # the Matrix pair is found
+
+    def test_dirty_cds(self, dirty_cds):
+        config = DogmatixConfig(heuristic=KClosestDescendants(6))
+        session = dataset_session(dirty_cds, config)
+        result, _ = assert_detect_is_the_reference(session)
+        assert result.duplicate_pairs
+
+    def test_dirty_movies(self):
+        config = DogmatixConfig(
+            heuristic=RDistantDescendants(4), use_object_filter=False
+        )
+        session = dataset_session(build_dataset2(count=20, seed=13), config)
+        result, _ = assert_detect_is_the_reference(session)
+        assert result.duplicate_pairs
+
+    def test_possible_band(self, dirty_cds):
+        config = DogmatixConfig(
+            heuristic=KClosestDescendants(6), possible_threshold=0.30
+        )
+        session = dataset_session(dirty_cds, config)
+        result, _ = assert_detect_is_the_reference(session)
+        assert result.possible_pairs  # the band is actually exercised
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,13 @@ from reference import match_tuples as oracle
 from reference.softidf import singleton_soft_idf, soft_idf
 from repro.core import CorpusIndex, DogmatixSimilarity, match_tuples
 from repro.core.matching import SEMANTICS
-from repro.engine import bare_ods
-from repro.framework import ODTuple, TypeMapping, merge_cluster_od, od_from_pairs
+from repro.framework import (
+    ObjectDescription,
+    ODTuple,
+    TypeMapping,
+    merge_cluster_od,
+    od_from_pairs,
+)
 from repro.strings import normalized_edit_distance, within_normalized
 
 
@@ -589,8 +594,9 @@ class TestGroupingLivesOnTheOD:
         cold = pickle.dumps(od)
         od.by_kind(movie_mapping)
         assert pickle.dumps(od) == cold
-        for copy in (pickle.loads(cold), bare_ods([od])[0], od.non_empty()):
+        bare = ObjectDescription(od.object_id, od.tuples, None)
+        for copy in (pickle.loads(cold), bare, od.non_empty()):
             assert copy._kinds is None
             assert (copy.object_id, copy.tuples) == (od.object_id, od.tuples)
         assert pickle.loads(cold).element.absolute_path() == od.element.absolute_path()
-        assert bare_ods([od])[0].element is None
+        assert bare.element is None

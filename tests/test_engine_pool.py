@@ -1,16 +1,17 @@
 """Every way the worker pool can fail has one defined outcome.
 
-A worker that dies, or a classifier factory that raises inside the
-worker's initializer, ends the run on the serial path: the serial
-result, bit for bit, and a recorded reason.  A task that raises an
-ordinary exception re-raises it with its own type.  Each case runs in a
-child interpreter under a hard timeout, so a pool that waits for ever on
-a dead worker fails here instead of hanging the suite.
+A worker that dies ends a parallel ingest build on the serial path: the
+serial result, bit for bit, and a recorded reason.  A task that raises
+an ordinary exception re-raises it with its own type.  The parent runs
+at most one window of tasks ahead of the results, which come back in
+task order, and the serial entry paths import no pool module.  Each
+case runs in a child interpreter under a hard timeout, so a pool that
+waits for ever on a dead worker fails here instead of hanging the suite.
 
-The faults are the module-level functions below.  The child imports
-this module, installs one over a worker function of the code under test
-(or over the classifier factory), and the forked workers run it; pickle
-ships them by reference, so they must stay at module level.
+The faults and tasks are the module-level functions below.  The child
+imports this module, installs a fault over a worker function of the
+code under test, and the forked workers run it; pickle ships them by
+reference, so they must stay at module level.
 """
 
 from __future__ import annotations
@@ -26,25 +27,12 @@ import pytest
 
 import repro
 
-#: The child's own pid; a forked worker inherits it and differs from it.
-PARENT = os.getpid()
-
 #: The worker functions the faults replace, by name.
 ORIGINAL: dict = {}
 
 
-def in_worker() -> bool:
-    return os.getpid() != PARENT
-
-
 def die() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def dying_batch(batch):
-    if any(3 in pair for pair in batch):
-        die()
-    return ORIGINAL["batch"](batch)
 
 
 def dying_chunk(task):
@@ -53,36 +41,34 @@ def dying_chunk(task):
     return ORIGINAL["chunk"](task)
 
 
-def raising_factory(self, ods):
-    raise RuntimeError("this classifier factory cannot build in a worker")
-
-
-def refusing_factory(self, ods):
-    return RefusingInWorkers()
-
-
 def square(number):
     return number * number
 
 
-class EveryOtherPair:
-    """Labels a pair a duplicate when its ids sum to an even number."""
-
-    def classify(self, od_i, od_j):
-        return "C1" if (od_i.object_id + od_j.object_id) % 2 == 0 else "C0"
-
-
 class Refusal(Exception):
-    """A classifier's own error type."""
+    """A task's own error type."""
 
 
-class RefusingInWorkers(EveryOtherPair):
-    """Raises :class:`Refusal` on every pair it meets in a worker."""
+def refuse(task):
+    raise Refusal(f"task {task}")
 
-    def classify(self, od_i, od_j):
-        if in_worker():
-            raise Refusal(f"pair ({od_i.object_id}, {od_j.object_id})")
-        return super().classify(od_i, od_j)
+
+def pair_batches(pulled: list):
+    """The 4 950 pairs of 100 ids in batches of 10, counting the pairs
+    pulled into ``pulled[0]``."""
+    batch = []
+    for left in range(100):
+        for right in range(left + 1, 100):
+            pulled[0] += 1
+            batch.append((left, right))
+            if len(batch) == 10:
+                yield batch
+                batch = []
+
+
+def even_pairs(batch):
+    """The pairs of a batch whose ids sum to an even number."""
+    return [pair for pair in batch if sum(pair) % 2 == 0]
 
 
 # ----------------------------------------------------------------------
@@ -99,100 +85,19 @@ def install(module, name: str, key: str, fault) -> None:
     setattr(module, name, fault)
 
 
-def recorded_engines() -> list:
-    """Every :class:`ParallelClassifier` the pipeline builds from now on."""
-    from repro.engine.executor import ParallelClassifier
-    from repro.framework import pipeline
+def task_raises() -> dict:
+    """A pool whose every task raises :class:`Refusal`."""
+    from repro.engine.pool import PoolBroken, open_pool
 
-    engines: list = []
-
-    class Recorded(ParallelClassifier):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            engines.append(self)
-
-    pipeline.ParallelClassifier = Recorded
-    return engines
-
-
-def detect_outcome(policy, fault=None) -> dict:
-    """One run of the DogmatiX batch path (``tests/reference/batch_path.py``,
-    the pipeline on the engine) under ``policy`` with ``fault``
-    installed, against a serial twin."""
-    from reference import batch_path
-    from repro.api import DetectionSession
-    from repro.core import DogmatixConfig
-
-    data = dataset()
-    twin = DetectionSession(data.sources, data.mapping, data.real_world_type)
-    reference, twin_filter = batch_path.detect(twin)
-    session = DetectionSession(
-        data.sources, data.mapping, data.real_world_type, DogmatixConfig()
-    )
-    if fault is not None:
-        fault()
-    engines = recorded_engines()
-    result, object_filter = batch_path.detect(session, policy=policy)
-    (engine,) = engines
-    decisions = object_filter.decisions
-    return {
-        "backend": engine.last_backend,
-        "reason": engine.last_reason,
-        "identical": result.identical_to(reference),
-        "xml": result.to_xml() == reference.to_xml(),
-        "pruned": result.pruned_object_ids == reference.pruned_object_ids,
-        "decisions": decisions == twin_filter.decisions,
-        "one_per_object": len(decisions) == len(session.ods),
-        "pruned_count": [object_filter.pruned_count, twin_filter.pruned_count],
-    }
-
-
-def process_batch() -> dict:
-    from repro.engine import ExecutionPolicy
-    from repro.engine import executor
-
-    executor.BATCH_SIZE = 8
-    return detect_outcome(
-        ExecutionPolicy(workers=2),
-        lambda: install(executor, "_score_batch_in_worker", "batch", dying_batch),
-    )
-
-
-def raising_initializer() -> dict:
-    from reference.batch_path import DogmatixClassifierFactory
-    from repro.engine import ExecutionPolicy
-    from repro.engine import executor
-
-    executor.BATCH_SIZE = 8
-    return detect_outcome(
-        ExecutionPolicy(workers=2),
-        lambda: setattr(DogmatixClassifierFactory, "__call__", raising_factory),
-    )
-
-
-def batch_raises() -> dict:
-    """A ``process`` run whose classifier raises inside a worker batch."""
-    from reference import batch_path
-    from reference.batch_path import DogmatixClassifierFactory
-    from repro.api import DetectionSession
-    from repro.engine import ExecutionPolicy
-    from repro.engine import executor
-
-    executor.BATCH_SIZE = 8
-    data = dataset()
-    session = DetectionSession(data.sources, data.mapping, data.real_world_type)
-    DogmatixClassifierFactory.__call__ = refusing_factory
-    engines = recorded_engines()
     try:
-        batch_path.detect(session, policy=ExecutionPolicy(workers=2))
+        with open_pool(2) as pool:
+            list(pool.map(refuse, range(20)))
     except Exception as error:  # noqa: BLE001 - the type is the outcome
-        (engine,) = engines
         return {
             "type": type(error).__name__,
             "raised_in_worker": type(error.__cause__).__name__
             == "_RemoteTraceback",
-            "backend": engine.last_backend,
-            "reason": engine.last_reason,
+            "broken": isinstance(error, PoolBroken),
         }
     return {"type": None}
 
@@ -250,46 +155,25 @@ def bounded_map() -> dict:
 
 
 def bounded_pair_stream() -> dict:
-    """A ``process`` run over 4 950 pairs in 495 batches of 10: how many
-    batches the parent enumerates ahead of the results it has taken."""
-    from repro.engine import ExecutionPolicy
-    from repro.engine import executor
-    from repro.engine import pool as pool_module
-    from repro.engine.executor import ParallelClassifier
-    from repro.framework.od import ObjectDescription
-    from repro.framework.pruning import NoPruning
+    """A map over 495 lazily cut batches of pairs: how many batches the
+    parent pulls ahead of the results it has taken."""
+    from repro.engine.pool import open_pool
 
-    ods = [ObjectDescription(number, (), None) for number in range(100)]
     pulled = [0]
-    handed = [0]
-    ahead = [0]
-
-    class CountedPairs(NoPruning):
-        def pairs(self, ods):
-            for pair in super().pairs(ods):
-                pulled[0] += 1
-                yield pair
-
-    plain_map = pool_module.WorkerPool.map
-
-    def observed_map(self, function, tasks):
-        for result in plain_map(self, function, tasks):
-            ahead[0] = max(ahead[0], pulled[0] // 10 - handed[0])
-            handed[0] += 1
-            yield result
-
-    pool_module.WorkerPool.map = observed_map
-    executor.BATCH_SIZE = 10
-    engine = ParallelClassifier(EveryOtherPair(), ExecutionPolicy(workers=2))
-    pairs, compared = engine.run(ods, CountedPairs())
-    serial, serial_compared = ParallelClassifier(EveryOtherPair()).run(
-        ods, NoPruning()
-    )
+    ahead = 0
+    kept = []
+    with open_pool(2) as pool:
+        for handed, result in enumerate(
+            pool.map(even_pairs, pair_batches(pulled))
+        ):
+            ahead = max(ahead, pulled[0] // 10 - handed)
+            kept.extend(result)
+    serial = [pair for batch in pair_batches([0]) for pair in even_pairs(batch)]
     return {
-        "backend": engine.last_backend,
-        "ahead": ahead[0],
-        "batches": handed[0],
-        "identical": pairs == serial and compared == serial_compared == 4950,
+        "ahead": ahead,
+        "window": pool.window,
+        "batches": handed + 1,
+        "identical": kept == serial and pulled[0] == 4950,
     }
 
 
@@ -319,20 +203,6 @@ def run_case(case: str, *args: str) -> dict:
 BROKEN = "a pool worker died or failed to start"
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["process_batch", "raising_initializer"],
-)
-def test_a_broken_detect_pool_ends_on_the_serial_result(case):
-    outcome = run_case(case)
-    assert outcome["backend"] == "serial"
-    assert outcome["reason"] == BROKEN
-    assert outcome["identical"] and outcome["xml"] and outcome["pruned"]
-    assert outcome["decisions"] and outcome["one_per_object"]
-    count, twin_count = outcome["pruned_count"]
-    assert count == twin_count
-
-
 def test_a_worker_killed_in_an_ingest_chunk_ends_on_the_serial_build():
     outcome = run_case("ingest_chunk")
     assert outcome["report"] == {"backend": "serial", "reason": BROKEN}
@@ -340,13 +210,11 @@ def test_a_worker_killed_in_an_ingest_chunk_ends_on_the_serial_build():
 
 
 def test_a_task_exception_keeps_its_type():
-    # Not PoolBroken, and not swallowed by the serial fallback (which
-    # runs in the parent, where the classifier would not raise).
-    assert run_case("batch_raises") == {
+    # Not PoolBroken: a caller's serial fallback is for dead workers.
+    assert run_case("task_raises") == {
         "type": "Refusal",
         "raised_in_worker": True,
-        "backend": "process",
-        "reason": None,
+        "broken": False,
     }
 
 
@@ -360,7 +228,31 @@ def test_the_parent_stays_a_bounded_window_ahead_of_the_workers():
 
 def test_a_process_run_enumerates_a_bounded_window_of_batches_ahead():
     outcome = run_case("bounded_pair_stream")
-    assert outcome["backend"] == "process"
     assert outcome["batches"] == 495
-    assert outcome["ahead"] <= 4 + 1
+    assert outcome["ahead"] <= outcome["window"] + 1
     assert outcome["identical"]
+
+
+class TestPoolModulesLoadWithTheFirstPool:
+    """``concurrent.futures``, ``multiprocessing`` and ``pickle`` cost
+    every process ~26 ms to import; only a run that builds a pool pays
+    it."""
+
+    def test_serial_entry_points_import_neither_and_a_pool_still_runs(self):
+        code = (
+            "import sys\n"
+            "import repro.api, repro.ingest, repro.cli\n"
+            "pool = ('concurrent.futures', 'multiprocessing', 'pickle')\n"
+            "print([m for m in pool if m in sys.modules])\n"
+            "from repro.engine.pool import open_pool\n"
+            "with open_pool(2) as workers:\n"
+            "    print(list(workers.map(abs, [-3, 1, -2])),\n"
+            "          all(m in sys.modules for m in pool))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=90,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "[3, 1, 2] True"]

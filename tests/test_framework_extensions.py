@@ -1,9 +1,16 @@
-"""Tests for incremental deduplication and the relational adapter."""
+"""Tests for incremental deduplication, the relational adapter and a
+pipeline classifier that reads XML elements."""
 
 import pytest
 
+from repro.baselines import TreeEditClassifier
 from repro.core import CorpusIndex, DogmatixSimilarity
+from repro.eval import build_dataset1
 from repro.framework import (
+    DUPLICATES,
+    CandidateDefinition,
+    DescriptionDefinition,
+    DetectionPipeline,
     IncrementalDeduplicator,
     Relation,
     TypeMapping,
@@ -187,3 +194,33 @@ class TestRelationalAdapter:
             relation.insert({"zzz": "v"})
         with pytest.raises(ValueError):
             relation.column_path("zzz")
+
+
+class TestPipelineClassifierSeesTheCallersODs:
+    def test_tree_edit_pipeline_is_the_brute_force_loop(self):
+        """:class:`TreeEditClassifier` scores ``od.element``: the
+        pipeline must hand it the ODs it generated, elements attached,
+        and keep exactly the pairs a loop over them keeps."""
+        dataset = build_dataset1(base_count=10, seed=7)
+        classifier = TreeEditClassifier(0.8)
+        result = DetectionPipeline(
+            CandidateDefinition("DISC", ("/freedb/disc",)),
+            DescriptionDefinition(("./artist", "./title", "./year")),
+            classifier,
+        ).run(dataset.sources[0].document)
+        assert all(od.element is not None for od in result.ods)
+        brute_force = []
+        for i, od_i in enumerate(result.ods):
+            for od_j in result.ods[i + 1 :]:
+                score, label = classifier.score_and_classify(od_i, od_j)
+                if label == DUPLICATES:
+                    brute_force.append(
+                        (od_i.object_id, od_j.object_id, score.hex(), label)
+                    )
+        assert brute_force  # the classifier finds duplicates at all
+        assert [
+            (pair.left, pair.right, pair.similarity.hex(), pair.label)
+            for pair in result.pairs
+        ] == brute_force
+        count = len(result.ods)
+        assert result.compared_pairs == count * (count - 1) // 2

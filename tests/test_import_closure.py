@@ -106,7 +106,7 @@ EXPECTED = {
 #: What a warm open must never load, whatever else changes.
 NOT_ON_A_WARM_OPEN = modules(
     """
-    .engine.executor .ingest.builder .compact
+    .ingest.builder .compact
     .framework.relational .framework.incremental .framework.pipeline
     .xmlkit.schema_parser .xmlkit.serialize
     .serve .analysis .datagen .eval .baselines .engine.pool

@@ -44,7 +44,7 @@ PUBLIC_ALL = {
             CandidateDefinition Corpus DescriptionDefinition DetectionPipeline
             DetectionResult DetectionSession DogmatixConfig DogmatixSimilarity
             ExecutionPolicy Explanation IncrementalUpdate KClosestDescendants
-            Match ODTuple ObjectDescription ObjectFilter ParallelClassifier
+            Match ODTuple ObjectDescription ObjectFilter
             RDistantAncestors RDistantDescendants RunSpec Source
             ThresholdClassifier TypeMapping __version__ c_and c_cm c_me c_or c_sdt
             c_se h_and h_or mapping_from_xml
@@ -81,10 +81,7 @@ PUBLIC_ALL = {
             movie_corpus movie_mapping paper_example_document
             paper_example_mapping paper_example_schema
         """,
-        "repro.engine": """
-            ClassifierFactory ConstantClassifierFactory ExecutionPolicy
-            ParallelClassifier bare_ods chunked score_batch
-        """,
+        "repro.engine": "ExecutionPolicy",
         "repro.eval": """
             Dataset EXPERIMENTS EXPERIMENTS_BY_NAME Experiment
             FilterSweepResult PRResult SweepResult ThresholdSweepResult
