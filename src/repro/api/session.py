@@ -150,7 +150,10 @@ class DetectionSession:
     ods:
         An externally prepared candidate set (the snapshot store passes
         the ODs it decoded); otherwise steps 1-3 generate it from the
-        corpus.  Either way the index is built here, over these ODs.
+        corpus.  The index is built here, over these ODs — unless the
+        snapshot store also passes the index state it decoded for them
+        (``_state``, an :class:`~repro.core.index.IndexPartial` the
+        session adopts as it is).
     """
 
     def __init__(
@@ -161,6 +164,7 @@ class DetectionSession:
         config: Optional[DogmatixConfig] = None,
         *,
         ods: Optional[Sequence[ObjectDescription]] = None,
+        _state: Optional[IndexPartial] = None,
     ) -> None:
         self.corpus = corpus if isinstance(corpus, Corpus) else Corpus(corpus)
         self.mapping = mapping
@@ -174,7 +178,12 @@ class DetectionSession:
         self._by_id: dict[int, ObjectDescription] = {
             od.object_id: od for od in self._ods
         }
-        self._index = CorpusIndex(self._ods, mapping, self.config.theta_tuple)
+        theta_tuple = self.config.theta_tuple
+        self._index = (
+            CorpusIndex(self._ods, mapping, theta_tuple)
+            if _state is None
+            else CorpusIndex._adopt(_state, mapping, theta_tuple)
+        )
         self._similarity = DogmatixSimilarity(
             self._index, semantics=self.config.similar_semantics
         )

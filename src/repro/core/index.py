@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 from ..framework.mapping import TypeMapping
@@ -132,14 +133,84 @@ class IndexPartial:
                 index.add(odt.value)
         return partial
 
+    def to_record(self) -> dict:
+        """The partial as a snapshot stores it: |Ω|, q, and per
+        comparison key, in the partial's own order, the key's value
+        index (:meth:`QGramIndex.to_record`) and each value's occurrence
+        row (parallel to the values): the object id itself when one
+        object holds the value (most rows), else the ids.  A key's
+        object row is not stored: it is the union of its rows.
+
+        A row of several ids is the partial's own set — the writer's
+        ``default=`` hook sorts each one as it encodes it — and the
+        value indexes' lists and dicts are their own too: encode the
+        record at once, never keep or change it.
+        """
+        occurrences = self.occurrences
+        kinds = []
+        for key, value_index in self.value_indexes.items():
+            kind = {"key": key, **value_index.to_record()}
+            rows = [occurrences[(key, value)] for value in kind["values"]]
+            kind["rows"] = [min(row) if len(row) == 1 else row for row in rows]
+            kinds.append(kind)
+        return {"total_objects": self.total_objects, "q": self.q, "kinds": kinds}
+
+    @classmethod
+    def from_record(cls, record: dict, object_ids: set[int]) -> "IndexPartial":
+        """Inverse of :meth:`to_record` over a corpus whose (distinct)
+        object ids are ``object_ids``: no gram is counted and no
+        comparison key is looked up.
+
+        The record's lists and dicts become the partial's (the caller
+        gives them up; rows become sets).  What is adopted is checked
+        first: |Ω| is ``len(object_ids)`` and q is :data:`DEFAULT_Q`
+        (the q of every index the library builds); keys are
+        distinct strings; per key, the value index as
+        :meth:`QGramIndex.from_record` checks it and one row per value,
+        an ``int`` or a non-empty list of them, all in ``object_ids``.
+        Anything else raises ``TypeError``, ``ValueError`` or
+        ``KeyError``.
+        """
+        total, q, kinds = record["total_objects"], record["q"], record["kinds"]
+        if type(total) is not int or type(q) is not int or type(kinds) is not list:
+            raise TypeError("total_objects, q or kinds malformed")
+        if total != len(object_ids) or q != DEFAULT_Q:
+            raise ValueError(f"an index of {total} objects at q={q}")
+        partial = cls(total_objects=total, q=q)
+        occurrences = partial.occurrences
+        for kind in kinds:
+            key, rows = kind["key"], kind["rows"]
+            if (
+                type(key) is not str
+                or key in partial.value_indexes
+                or type(rows) is not list
+            ):
+                raise TypeError("a key or its rows malformed")
+            value_index = QGramIndex.from_record(kind, q)
+            values = kind["values"]
+            # set() of anything but a list of ids raises or holds a non-id
+            row_sets = [{row} if type(row) is int else set(row) for row in rows]
+            held = set().union(*row_sets)
+            if (
+                len(rows) != len(values)
+                or not all(row_sets)
+                or not {*map(type, chain.from_iterable(row_sets))} <= {int}
+                or not held <= object_ids
+            ):
+                raise ValueError(f"the rows of key {key!r} do not fit its values")
+            occurrences.update(zip(zip(repeat(key), values), row_sets))
+            partial.objects_by_key[key] = held
+            partial.value_indexes[key] = value_index
+        return partial
+
     def merge(self, other: "IndexPartial") -> "IndexPartial":
         """Fold another partial into this one (in place); returns self.
 
         The one merge implementation: :meth:`CorpusIndex.merge_partial`
         folds a delta into the index's own partial through it.  The
-        incoming partial's sets and gram counters are copied, never
-        aliased, so later folds into this partial cannot mutate
-        ``other``.
+        incoming partial's sets, buckets and repeated-gram counts are
+        copied, never aliased, so later folds into this partial cannot
+        mutate ``other``.
         """
         if other.q != self.q:
             raise ValueError(
@@ -242,10 +313,27 @@ class CorpusIndex:
         distinct-value sets behind similar-value search are exactly the
         serial build's, whatever partition and merge order produced
         ``partial``.  The partial is copied in, never adopted: it stays
-        the caller's to change.
+        the caller's to change.  (A warm open is the one caller that
+        gives its partial up — the one ``IndexStore.load`` decoded with
+        :meth:`IndexPartial.from_record` — and :meth:`_adopt` takes it
+        as it is.)
         """
         index = cls((), mapping, theta_tuple, q=partial.q)
         index.merge_partial(partial)
+        return index
+
+    @classmethod
+    def _adopt(
+        cls,
+        partial: IndexPartial,
+        mapping: TypeMapping,
+        theta_tuple: float,
+    ) -> "CorpusIndex":
+        """Index whose term state *is* ``partial``, which nobody else
+        holds (a snapshot's, decoded by :meth:`IndexPartial.from_record`):
+        no tuple is scanned, nothing is copied or merged."""
+        index = cls((), mapping, theta_tuple, q=partial.q)
+        index._state = partial
         return index
 
     def merge_partial(self, partial: IndexPartial) -> None:
@@ -292,6 +380,12 @@ class CorpusIndex:
                     memo.pop((key, query), None)
         self._pair_idf_cache.clear()
         self._statistics_cache = None
+
+    def to_record(self) -> dict:
+        """The term state as a snapshot stores it
+        (:meth:`IndexPartial.to_record`): live rows and buckets, for
+        encoding at once, never for keeping or changing."""
+        return self._state.to_record()
 
     # ------------------------------------------------------------------
     # Read-only pin

@@ -23,18 +23,26 @@ steps 1-3.  Snapshots are
 * **self-contained**: documents are stored inside the snapshot, so a
   serving process needs only the store, not the original files.
 
-**Format 3** holds a session in the shape the loader needs.  A document
+**Format 4** holds a session in the shape the loader needs.  A document
 is the tree's structural record (:func:`repro.xmlkit.document_record`),
 which ``json.loads`` builds in C and one pass turns into elements: a
 warm open parses no XML, and ``content`` survives item for item.  An
 OD is ``id``, ``tuples`` and — when it has an element — ``doc`` +
 ``node``, the source index and the element's document-order rank.
 
-No index is stored: a warm load rebuilds it from the stored ODs, a
-deterministic linear scan that reproduces the fresh build bit for bit,
-so loaded sessions answer ``detect()`` / ``match()`` identically to a
-cold build (``tests/test_ingest_store.py``).  An ``index`` section that
-an older writer added is not read.
+The ``index`` section is the corpus index's term state
+(:meth:`repro.core.index.IndexPartial.to_record`): |Ω|, q, and per
+comparison key, in the index's order, the distinct values (a value's
+position is its id), each value's occurrence row, and the q-gram
+buckets and repeated-gram counts as the index built them.  A warm load
+validates the section and the session adopts it as its index — no gram
+is counted, no bucket appended, no tuple mapped to its key — so loaded
+sessions answer ``detect()`` / ``match()`` identically to a cold build
+(``tests/test_ingest_store.py``).  The buckets are stored rather than
+per-value gram counters because they *are* what a probe reads: counters
+would still have to be turned into buckets on every load.  Similar-value
+groups are not stored; the first reads search them as in a built
+session.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from ..core.index import IndexPartial
 from ..core.source import Source
 from ..framework.od import ObjectDescription, ODTuple
 from ..xmlkit.tree import (
@@ -61,10 +70,11 @@ from ..xmlkit.tree import (
 )
 
 #: Snapshot format version.  Bump on any layout change; loaders treat
-#: other versions as a cache miss and rebuild.  2: an optional ``index``
-#: section (no longer written or read).  3: documents as structural
-#: records, ODs point at nodes by rank.
-FORMAT_VERSION = 3
+#: other versions as a cache miss and rebuild.  2: an optional compact
+#: ``index`` section.  3: documents as structural records, ODs point at
+#: nodes by rank, no index.  4: the ``index`` section holds the term
+#: rows and q-gram buckets a warm open adopts.
+FORMAT_VERSION = 4
 
 #: Everything reading, gunzipping, parsing or validating a damaged
 #: snapshot raises; :meth:`IndexStore.load` answers each with a miss.
@@ -216,16 +226,13 @@ class IndexStore:
             "documents": [document_record(document) for document in documents],
             "schemas": schema_texts,
             "ods": od_records,
+            "index": session.index.to_record(),
         }
         self.root.mkdir(parents=True, exist_ok=True)
         self.sweep_scratch()
         final = self._snapshot_path(digest)
         scratch = final.with_suffix(final.suffix + f".tmp{os.getpid()}")
-        data = json.dumps(
-            payload, separators=(",", ":"), default=element_record
-        ).encode("utf-8")  # the text is freed before the compressor runs
-        # level 6: a third of level 9's time for 4 % more bytes
-        scratch.write_bytes(gzip.compress(data, compresslevel=6))
+        scratch.write_bytes(_gzipped_json(payload))
         os.replace(scratch, final)
         # Catalog manifest: everything list() prints, plus the build
         # spec (absolute paths) so a server can warm a session from the
@@ -286,13 +293,15 @@ class IndexStore:
         renamed under another key), or one that cannot be decoded —
         truncated or bit-flipped gzip, not JSON, a section missing, a tree
         record of the wrong shape, an OD pointing at a node that is not
-        there.  In every case the
-        caller rebuilds and :meth:`save` overwrites the file.
+        there, two ODs sharing an id, an ``index`` section that is not
+        the term state of those ODs' ids
+        (:meth:`~repro.core.index.IndexPartial.from_record`).  In every
+        case the caller rebuilds and :meth:`save` overwrites the file.
 
         The returned session carries the *live* spec's configuration:
-        only the stored ODs, documents, and schemas are reused, and the
-        index is rebuilt deterministically from the ODs, so the session
-        is bit-identical to one built cold from the same spec.
+        the stored ODs, documents, schemas and index state are reused
+        (the index adopted as it was saved), so the session is
+        bit-identical to one built cold from the same spec.
         """
         digest = digest or self.key_for(spec)
         path = self._snapshot_path(digest)
@@ -300,7 +309,7 @@ class IndexStore:
             payload = json.loads(gzip.decompress(path.read_bytes()))
             if payload["format"] != FORMAT_VERSION or payload["key"] != digest:
                 return None
-            real_world_type, sources, ods = _restore(payload)
+            real_world_type, sources, ods, state = _restore(payload)
         except _UNDECODABLE:
             return None
         from ..api.corpus import Corpus
@@ -312,6 +321,7 @@ class IndexStore:
             real_world_type,
             spec.to_config(),
             ods=ods,
+            _state=state,
         )
 
     # ------------------------------------------------------------------
@@ -431,12 +441,15 @@ def _as_document(document: Document | Element) -> Document:
     return document if isinstance(document, Document) else Document(document)
 
 
-def _restore(payload: dict) -> tuple[str, list[Source], list[ObjectDescription]]:
-    """Real-world type, sources and ODs of a format-3 payload, which
-    gives up the sections read (the decoded JSON is gone before the index
-    is built).  What is used is validated first — ODs index lists with
-    integers read from disk — and anything malformed raises one of
-    ``_UNDECODABLE``."""
+def _restore(
+    payload: dict,
+) -> tuple[str, list[Source], list[ObjectDescription], IndexPartial]:
+    """Real-world type, sources, ODs and index state of a format-4
+    payload, which gives up the sections read (the decoded lists become
+    the trees' and the index's).  What is used is validated first — ODs
+    index lists with integers read from disk, the index section must
+    describe exactly these ODs' ids (:meth:`IndexPartial.from_record`)
+    — and anything malformed raises one of ``_UNDECODABLE``."""
     real_world_type = payload["real_world_type"]
     records, schemas = payload.pop("documents"), payload.pop("schemas")
     if not (
@@ -472,7 +485,54 @@ def _restore(payload: dict) -> tuple[str, list[Source], list[ObjectDescription]]
         ):
             raise TypeError("an OD is an int id and [value, name] string pairs")
         ods.append(ObjectDescription(record["id"], tuples, element))
-    return real_world_type, sources, ods
+    object_ids = {od.object_id for od in ods}
+    if len(object_ids) != len(ods):
+        raise ValueError("two ODs share an id")
+    state = IndexPartial.from_record(payload.pop("index"), object_ids)
+    return real_world_type, sources, ods, state
+
+
+def _gzipped_json(payload: dict) -> bytes:
+    """``payload`` as compact JSON in one gzip member, its ``index``
+    section's kinds encoded one at a time.
+
+    The C encoder holds every small string it writes until its call
+    returns, and the section is mostly small ints; encoding the section
+    in the same call as the trees would hold both at once (+1.3 MiB of
+    peak at n = 200).  So the payload is encoded with an empty ``kinds``
+    list — its text ends ``[]}}``, the ``index`` section being the last
+    key — and each kind's text is fed to the same compressor in its
+    place: the bytes are those of one ``json.dumps``.
+    """
+    index = payload["index"]
+    kinds = index["kinds"]
+    # wbits 31: gzip framing; level 6: a third of level 9's time for
+    # 4 % more bytes
+    compressor = zlib.compressobj(6, zlib.DEFLATED, 31)
+    head = json.dumps(  # the text is freed before the compressor runs
+        {**payload, "index": {**index, "kinds": []}},
+        separators=(",", ":"),
+        default=_encode,
+    ).encode()
+    parts = [compressor.compress(memoryview(head)[: -len(b"]}}")])]
+    del head
+    for position, kind in enumerate(kinds):
+        if position:
+            parts.append(compressor.compress(b","))
+        text = json.dumps(kind, separators=(",", ":"), default=_encode).encode()
+        parts.append(compressor.compress(text))
+    parts += [compressor.compress(b"]}}"), compressor.flush()]
+    return b"".join(parts)
+
+
+def _encode(value: object) -> list:
+    """The writer's ``default=`` hook: an element as its record, a set
+    (an occurrence row of the index section) as its sorted
+    ids — each built as the encoder reaches it, so no copy of the tree
+    or of the rows is held."""
+    if type(value) is set:
+        return sorted(value)
+    return element_record(value)
 
 
 def _portable_spec_dict(spec) -> Optional[dict]:

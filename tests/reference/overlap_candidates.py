@@ -4,7 +4,9 @@
 before the index grew its ScanCount walk (``_scan_count``): union the
 buckets of every query gram (``gather``, over ``_buckets``), re-sum
 ``min(query, stored)`` for each provisional candidate (``overlap``, a
-brute ``Σ min`` over the stored gram counter in ``_grams``), add the
+brute ``Σ min`` over the grams of the stored value itself, counted
+afresh from ``_values`` — not over the index's buckets or its
+repeated-gram counts, the structure under test), add the
 degenerate length classes of ``_by_length`` whole, then verify every
 candidate but the query itself with the memoized ``ned``.
 ``tests/test_strings_kernels.py`` holds the shipped ``QGramIndex``
@@ -28,7 +30,7 @@ def gather(index: QGramIndex, probe_grams) -> set[int]:
 
 def overlap(index: QGramIndex, value_id: int, probe_grams) -> int:
     """Exact multiset overlap ``sum(min(stored, query))`` of one value."""
-    stored = index._grams[value_id].get
+    stored = Counter(qgrams(index._values[value_id], index.q)).get
     return sum(min(count, stored(gram, 0)) for gram, count in probe_grams)
 
 

@@ -339,16 +339,46 @@ def test_merge_order_does_not_change_a_search():
                 ), (order, probe, threshold)
 
 
-def test_merge_from_copies_gram_counters():
-    """Regression: ``merge_from`` aliased the source's gram counters, so
+def test_merge_from_shares_no_bucket_or_repeats():
+    """Regression: ``merge_from`` aliased the source's gram state, so
     mutating the source partial after the merge corrupted the target's
-    count filter and dropped true matches."""
-    source = _build(["dogmatix"])
-    target = QGramIndex(q=2)
+    count filter and dropped true matches.  A graft shares no bucket or
+    repeated-gram list, and gives the buckets, length classes and
+    repeats a build over the same values in the same order gives."""
+    source = _build(["aaaab", "dogmatix", "abab", "aaaa"])
+    target = _build(["abab", "xyz"])
     target.merge_from(source)
-    assert target._grams[0] is not source._grams[0]
-    source._grams[0].clear()  # the source partial stays live
-    assert target.search("dogmatixx", 0.2) == ["dogmatix"]
+    built = _build(["abab", "xyz", "aaaab", "dogmatix", "aaaa"])
+    assert target._values == built._values
+    assert target._buckets == built._buckets
+    assert list(target._buckets) == list(built._buckets)
+    assert target._by_length == built._by_length
+    assert list(target._repeats.items()) == list(built._repeats.items()) == [
+        ("ab", [[0], [2]]), ("aa", [[2, 4], [3, 3]])
+    ]
+
+    def lists(index: QGramIndex) -> set[int]:
+        return {
+            id(held)
+            for held in (
+                *index._buckets.values(),
+                *index._repeats.values(),
+                *(part for pair in index._repeats.values() for part in pair),
+            )
+        }
+
+    assert not lists(source) & lists(target)
+    for bucket in source._buckets.values():  # the source partial stays live
+        bucket.clear()
+    for holders, counts in source._repeats.values():
+        holders.clear()
+        counts.clear()
+    values = built._values
+    for probe in ("dogmatixx", "aaaaa", "aaab", "abab"):
+        for threshold in (0.2, 0.5):
+            assert target.search(probe, threshold) == brute_force_search(
+                values, probe, threshold
+            ), (probe, threshold)
 
 
 def test_set_union_size_is_the_length_of_the_union():
@@ -433,16 +463,16 @@ def test_freeze_and_thaw_only_flip_the_pin():
     the same state, not a copy of it."""
     ods = random_corpus(SEEDS[1], "dupes")
     index = CorpusIndex(ods, TypeMapping(), THETA_TUPLE)
-    state, grams = index._state, {
-        key: value_index._grams
+    state, held = index._state, {
+        key: (value_index._buckets, value_index._repeats)
         for key, value_index in index._state.value_indexes.items()
     }
     for step in (index.freeze, index.thaw, index.freeze):
         step()
         assert index._state is state
-        assert all(
-            index._state.value_indexes[key]._grams is held
-            for key, held in grams.items()
-        )
+        for key, (buckets, repeats) in held.items():
+            value_index = index._state.value_indexes[key]
+            assert value_index._buckets is buckets
+            assert value_index._repeats is repeats
     with pytest.raises(RuntimeError, match="frozen"):
         index.merge_partial(IndexPartial())

@@ -200,7 +200,24 @@ class TestTheFoldNeverAliases:
         partial.objects_by_key[key].add(10_000)
         partial.merge(IndexPartial.from_ods(extra, mapping))
         for value_index in partial.value_indexes.values():
-            value_index._grams[0].clear()
+            for bucket in value_index._buckets.values():
+                bucket.clear()
+            for holders, counts in value_index._repeats.values():
+                holders.clear()
+                counts.clear()
+
+    @staticmethod
+    def gram_state(partial: IndexPartial) -> set[int]:
+        """Identities of every bucket and repeated-gram list."""
+        return {
+            id(held)
+            for value_index in partial.value_indexes.values()
+            for held in (
+                *value_index._buckets.values(),
+                *value_index._repeats.values(),
+                *(part for pair in value_index._repeats.values() for part in pair),
+            )
+        }
 
     def thirds(self, seed):
         ods = random_corpus(seed, "dupes")
@@ -213,6 +230,7 @@ class TestTheFoldNeverAliases:
         base, _, extra = self.thirds(seed)
         partial = IndexPartial.from_ods(base, mapping)
         index = CorpusIndex.from_partial(partial, mapping, THETA_TUPLE)
+        assert not self.gram_state(partial) & self.gram_state(index._state)
         self.tamper(partial, extra, mapping)
         serial = CorpusIndex(base, mapping, THETA_TUPLE)
         terms = sorted(serial.block_terms())
@@ -225,6 +243,7 @@ class TestTheFoldNeverAliases:
         live = CorpusIndex(base, mapping, THETA_TUPLE)
         delta = IndexPartial.from_ods(added, mapping)
         live.merge_partial(delta)
+        assert not self.gram_state(delta) & self.gram_state(live._state)
         self.tamper(delta, extra, mapping)
         serial = CorpusIndex(base + added, mapping, THETA_TUPLE)
         terms = sorted(serial.block_terms())

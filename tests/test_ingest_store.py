@@ -18,24 +18,35 @@ import json
 import os
 import random
 import sys
+import tempfile
+import zlib
 from array import array
+from collections import Counter
+from pathlib import Path
 from xml.parsers import expat
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from reference.naive_index import NaiveIndex
 from reference.xml_cold_path import tree_shape
+from test_backend_equivalence import class_fuzz_dataset, source_of
 
 import repro.ingest.store as store_module
-from repro.api import DetectionSession, RunSpec
+import repro.strings.qgram as qgram_module
+from repro.api import Corpus, DetectionSession, RunSpec
 from repro.cli import main as cli_main
+from repro.core.index import IndexPartial
 from repro.datagen import (
     PAPER_EXAMPLE_XML,
     PAPER_EXAMPLE_XSD,
     paper_example_mapping,
 )
+from repro.datagen.freedb import CD_XSD
 from repro.eval import build_dataset1, build_dataset3
-from repro.framework import ObjectDescription
+from repro.framework import ObjectDescription, TypeMapping
 from repro.ingest import FORMAT_VERSION, IndexStore
 from repro.ingest.store import SnapshotInfo
+from repro.strings import QGramIndex, qgrams
 from repro.xmlkit import serialize
 
 
@@ -487,7 +498,192 @@ class TestFormat3:
             (0, od.element) for od in cold.ods
         ]
         assert all("path" not in record for record in payload["ods"])
-        assert payload["format"] == FORMAT_VERSION == 3
+        assert payload["format"] == FORMAT_VERSION == 4
+
+
+def stored_payload(store, digest) -> dict:
+    return json.loads(gzip.decompress(store._snapshot_path(digest).read_bytes()))
+
+
+def assert_same_term_state(ours: IndexPartial, theirs: IndexPartial) -> None:
+    """Equal term state, orders included: what a snapshot must carry."""
+    assert (ours.total_objects, ours.q) == (theirs.total_objects, theirs.q)
+    assert ours.occurrences == theirs.occurrences
+    assert list(ours.objects_by_key) == list(theirs.objects_by_key)
+    assert ours.objects_by_key == theirs.objects_by_key
+    assert list(ours.value_indexes) == list(theirs.value_indexes)
+    for key, value_index in ours.value_indexes.items():
+        other = theirs.value_indexes[key]
+        assert value_index._values == other._values
+        assert value_index._ids == other._ids
+        assert value_index._by_length == other._by_length
+        assert list(value_index._buckets.items()) == list(other._buckets.items())
+        assert value_index._repeats == other._repeats
+
+
+class TestFormat4:
+    """The ``index`` section: the term state a warm open adopts."""
+
+    @pytest.mark.parametrize("corpus", ["example", "dataset1", "dataset3"])
+    def test_the_section_is_the_built_index(self, corpus, example_dir, tmp_path):
+        if corpus == "example":
+            spec = example_spec(example_dir)
+        elif corpus == "dataset1":
+            spec = write_corpus(tmp_path / "d1", build_dataset1(base_count=20, seed=7))
+        else:
+            spec = write_corpus(tmp_path / "d3", build_dataset3(count=120, seed=11))
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        section = stored_payload(store, store.save(spec, cold))["index"]
+        state = cold.index._state
+        assert (section["total_objects"], section["q"]) == (len(cold.ods), 2)
+        assert [kind["key"] for kind in section["kinds"]] == list(state.value_indexes)
+        for kind in section["kinds"]:
+            key, value_index = kind["key"], state.value_indexes[kind["key"]]
+            assert kind["values"] == value_index.values
+            rows = [sorted(state.occurrences[(key, value)]) for value in kind["values"]]
+            assert kind["rows"] == [row[0] if len(row) == 1 else row for row in rows]
+            assert any(type(row) is list for row in kind["rows"]) or corpus == "example"
+            assert kind["buckets"] == value_index._buckets
+            assert list(kind["buckets"]) == list(value_index._buckets)
+            assert list(kind["repeats"].items()) == list(value_index._repeats.items())
+            assert set(kind) == {"key", "values", "buckets", "repeats", "rows"}
+        assert any(kind["repeats"] for kind in section["kinds"])
+        warm = store.load(spec)
+        assert_same_term_state(warm.index._state, state)
+        assert_warm_equals_cold(warm, cold)
+
+    @pytest.mark.parametrize("kinds", [0, 1, 3])
+    def test_the_file_is_one_gzip_member_of_one_json_dumps(self, kinds):
+        """The writer encodes the section's kinds one at a time; the
+        bytes it compresses are those of one ``json.dumps``."""
+        payload = {
+            "format": FORMAT_VERSION,
+            "documents": [[{}, ["a", {"k": "v"}, ["text"]]]],
+            "index": {
+                "total_objects": 2,
+                "q": 2,
+                "kinds": [
+                    {"key": f"K{n}", "values": ["ab", "b"], "rows": [{1, 0}, 1]}
+                    for n in range(kinds)
+                ],
+            },
+        }
+        expected = json.dumps(
+            payload, separators=(",", ":"), default=sorted
+        ).encode("utf-8")
+        data = store_module._gzipped_json(payload)
+        assert gzip.decompress(data) == zlib.decompress(data, 31) == expected
+
+    def test_a_warm_open_counts_no_gram_and_scans_no_tuple(
+        self, example_dir, tmp_path, monkeypatch
+    ):
+        """Work count: no q-gram is cut, no bucket appended, no OD tuple
+        mapped to its comparison key."""
+        spec = write_corpus(tmp_path / "d1", build_dataset1(base_count=20, seed=7))
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        store.save(spec, cold)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm open rebuilt index state")
+
+        monkeypatch.setattr(qgram_module, "qgrams", forbidden)
+        monkeypatch.setattr(QGramIndex, "_register", forbidden)
+        monkeypatch.setattr(TypeMapping, "comparison_key", forbidden)
+        warm = store.load(spec)
+        monkeypatch.undo()
+        assert_warm_equals_cold(warm, cold)
+
+    def test_a_format_3_snapshot_is_a_miss_that_save_overwrites(self, saved):
+        """What the previous format's writer left: the same payload
+        without the ``index`` section, format 3 in body and manifest."""
+        store, spec, path, intact, cold = saved
+        digest = path.name[: -len(".json.gz")]
+        old = json.loads(gzip.decompress(intact))
+        del old["index"]
+        old["format"] = 3
+        rewrite(path, old)
+        manifest_path = store._manifest_path(digest)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format"] = 3
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert store.load(spec) is None
+        assert not store.contains(spec) and store.holds(digest)
+        assert store.list() == [] and store.spec_for(digest) is None
+        assert store.save(spec, spec.build_session()) == digest
+        assert store.contains(spec)
+        assert stored_payload(store, digest)["format"] == 4
+        assert fingerprint(store.load(spec)) == cold
+
+
+def exact(matches) -> list:
+    """A ``match()`` answer with every similarity to the bit."""
+    return [(m.object_id, m.similarity.hex(), m.path) for m in matches]
+
+
+class TestAdoptedIndexThroughWrites:
+    """A loaded session's index is the snapshot's term state, adopted;
+    writes fold deltas into it like into a built one."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        corpus=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+        deltas=st.lists(st.lists(st.integers(0, 15), max_size=3), max_size=4),
+    )
+    def test_random_extend_sequences_answer_like_a_cold_session(
+        self, corpus, deltas
+    ):
+        """Deltas are drawn from the corpus's own records (dirty
+        duplicates, exact repeats, empty documents among them)."""
+        dataset, records = class_fuzz_dataset()
+        with tempfile.TemporaryDirectory() as directory:
+            base = Path(directory)
+            document = source_of([records[i] for i in corpus]).document
+            (base / "cds.xml").write_text(serialize(document), encoding="utf-8")
+            (base / "cds.xsd").write_text(CD_XSD, encoding="utf-8")
+            (base / "mapping.xml").write_text(
+                dataset.mapping.to_xml(), encoding="utf-8"
+            )
+            spec = RunSpec(
+                documents=[str(base / "cds.xml")],
+                mapping=str(base / "mapping.xml"),
+                real_world_type=dataset.real_world_type,
+                schemas=[str(base / "cds.xsd")],
+            )
+            store = IndexStore(base / "store")
+            store.save(spec, spec.build_session())
+            warm = store.load(spec)
+            sources = list(spec.load_sources())
+        assert warm is not None
+        for delta in deltas:
+            sources.append(source_of([records[i] for i in delta]))
+            warm.extend(sources[-1])
+        cold = DetectionSession(
+            Corpus(sources), warm.mapping, warm.real_world_type, spec.to_config()
+        )
+        assert_same_term_state(warm.index._state, cold.index._state)
+        for od in cold.ods:
+            assert exact(warm.match(od.object_id)) == exact(
+                cold.match(od.object_id)
+            ), od.object_id
+        ours, theirs = warm.detect(), cold.detect()
+        assert [
+            (pair.left, pair.right, pair.similarity.hex(), pair.label)
+            for pair in ours.pairs
+        ] == [
+            (pair.left, pair.right, pair.similarity.hex(), pair.label)
+            for pair in theirs.pairs
+        ]
+        assert ours.clusters == theirs.clusters
+        assert warm.index.statistics() == cold.index.statistics()
+        naive = NaiveIndex(list(cold.ods), cold.mapping, cold.config.theta_tuple)
+        for term in warm.index.block_terms():
+            assert warm.index.similar_values(*term) == naive.similar_values(*term)
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +728,11 @@ def two_corpora(tmp_path):
             real_world_type="DISC",
         ))
     return IndexStore(tmp_path / "store"), *specs
+
+
+def year_repeats(payload) -> dict:
+    """The running example's YEAR repeats, ``{"99": [[0], [2]]}``."""
+    return payload["index"]["kinds"][1]["repeats"]
 
 
 class TestDamagedSnapshot:
@@ -649,7 +850,7 @@ class TestDamagedSnapshot:
         assert store.list() == []  # and the slow path reads a miss too
 
     @pytest.mark.parametrize(
-        "section", ["format", "real_world_type", "documents", "schemas", "ods"]
+        "section", ["format", "real_world_type", "documents", "schemas", "ods", "index"]
     )
     def test_missing_section(self, saved, section):
         store, spec, path, intact, _ = saved
@@ -713,6 +914,137 @@ class TestDamagedSnapshot:
         assert fingerprint(store.load(spec)) == cold
 
 
+    #: one edit of the ``index`` section per validation branch; the
+    #: running example's kinds: TITLE ("The Matrix", "Matrix", "Signs"),
+    #: YEAR ("1999" repeats "99": ``{"99": [[0], [2]]}``, "2002"),
+    #: ACTORNAME, ACTORROLE
+    INDEX_EDITS = {
+        "index not an object": lambda p: p.update(index=[]),
+        "total_objects not the OD count": lambda p: p["index"].update(total_objects=4),
+        "total_objects a float": lambda p: p["index"].update(total_objects=3.0),
+        "q not the index's": lambda p: p["index"].update(q=3),
+        "kinds not a list": lambda p: p["index"].update(kinds={}),
+        "kind without rows": lambda p: p["index"]["kinds"][0].pop("rows"),
+        "key not a string": lambda p: p["index"]["kinds"][0].update(key=0),
+        "key twice": lambda p: p["index"]["kinds"].append(p["index"]["kinds"][0]),
+        "values not a list": lambda p: p["index"]["kinds"][0].update(values="ab"),
+        "value not a string": lambda p: p["index"]["kinds"][0]["values"].__setitem__(
+            2, 5
+        ),
+        "values not distinct": lambda p: p["index"]["kinds"][0]["values"].__setitem__(
+            1, "The Matrix"
+        ),
+        "rows shorter than values": lambda p: p["index"]["kinds"][0]["rows"].pop(),
+        "rows not a list": lambda p: p["index"]["kinds"][0].update(rows={}),
+        "row a string": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(0, "0"),
+        "row an object": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(0, {}),
+        "row a float": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(0, 0.0),
+        "row a bool": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(1, True),
+        "row null": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(0, None),
+        "row empty": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(0, []),
+        "row an id no OD has": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(
+            0, 7
+        ),
+        "row holds an id no OD has": lambda p: p["index"]["kinds"][0][
+            "rows"
+        ].__setitem__(0, [0, 7]),
+        "row holds a float": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(
+            0, [0.0, 1]
+        ),
+        "row holds a bool": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(
+            1, [True, 2]
+        ),
+        "row holds a list": lambda p: p["index"]["kinds"][0]["rows"].__setitem__(
+            1, [[1]]
+        ),
+        "buckets not an object": lambda p: p["index"]["kinds"][0].update(buckets=[]),
+        "bucket not a list": lambda p: p["index"]["kinds"][0]["buckets"].update(Ma=0),
+        "bucket empty": lambda p: p["index"]["kinds"][0]["buckets"].update(Ma=[]),
+        "bucket id out of range": lambda p: p["index"]["kinds"][0]["buckets"][
+            "Ma"
+        ].append(3),
+        "bucket id negative": lambda p: p["index"]["kinds"][0]["buckets"][
+            "Ma"
+        ].insert(0, -1),
+        "bucket id a float": lambda p: p["index"]["kinds"][0]["buckets"].update(
+            Ma=[0, 1.0]
+        ),
+        "bucket descending": lambda p: p["index"]["kinds"][0]["buckets"][
+            "Ma"
+        ].reverse(),
+        "bucket repeats an id": lambda p: p["index"]["kinds"][0]["buckets"][
+            "Ma"
+        ].append(1),
+        "repeats not an object": lambda p: p["index"]["kinds"][1].update(repeats=[]),
+        "repeated gram without a bucket": lambda p: year_repeats(p).update(
+            zz=[[0], [2]]
+        ),
+        "repeat a string": lambda p: year_repeats(p).update({"99": "02"}),
+        "repeat not a pair": lambda p: year_repeats(p)["99"].append([]),
+        "repeat ids not a list": lambda p: year_repeats(p)["99"].__setitem__(0, 0),
+        "repeat ids empty": lambda p: year_repeats(p).update({"99": [[], []]}),
+        "repeat counts not a list": lambda p: year_repeats(p)["99"].__setitem__(1, 2),
+        "repeat counts not parallel": lambda p: year_repeats(p)["99"][1].append(2),
+        "repeat id out of range": lambda p: year_repeats(p)["99"][0].__setitem__(0, 2),
+        "repeat id a bool": lambda p: year_repeats(p)["99"][0].__setitem__(0, False),
+        "repeat id twice": lambda p: year_repeats(p).update({"99": [[0, 0], [2, 2]]}),
+        "repeat ids descending": lambda p: year_repeats(p).update(
+            {"99": [[1, 0], [2, 2]]}
+        ),
+        "repeat count 1": lambda p: year_repeats(p)["99"][1].__setitem__(0, 1),
+        "repeat count a float": lambda p: year_repeats(p)["99"][1].__setitem__(0, 2.0),
+        "two ODs share an id": lambda p: p["ods"][1].update(id=0),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(INDEX_EDITS))
+    def test_malformed_index_section(self, saved, edit, capsys):
+        """A miss for ``load``, and a rebuild with a note for the CLI."""
+        store, spec, path, intact, cold = saved
+        spec_path = write_cli_spec(store.root.parent)
+        argv = ["dedup", "--spec", spec_path, "--store", str(store.root)]
+        assert cli_main(argv) == 0
+        warm = capsys.readouterr()
+        assert "warm start" in warm.err
+        payload = json.loads(gzip.decompress(intact))
+        sound = copy.deepcopy(payload)
+        self.INDEX_EDITS[edit](payload)
+        assert json.dumps(payload) != json.dumps(sound)
+        rewrite(path, payload)
+        assert store.load(spec) is None
+        assert cli_main(argv) == 0
+        rebuilt = capsys.readouterr()
+        assert f"snapshot {path.name[:12]} unreadable, rebuilding" in rebuilt.err
+        assert rebuilt.out == warm.out
+        rewrite(path, sound)  # the harness itself writes a loadable file
+        assert fingerprint(store.load(spec)) == cold
+
+    def test_the_index_section_damaged_in_the_file(self, saved):
+        """The truncation and byte-flip fuzz over the bytes that encode
+        the ``index`` section: the payload's last section, so the tail
+        of the gzip stream past what the payload without it takes."""
+        store, spec, path, intact, cold = saved
+        payload = json.loads(gzip.decompress(intact))
+        del payload["index"]
+        start = len(gzip.compress(json.dumps(payload).encode("utf-8"))) - 8
+        assert 0 < start < len(intact) - 300
+        rng = random.Random(45)
+        for offset in [rng.randrange(start, len(intact)) for _ in range(40)]:
+            path.write_bytes(intact[:offset])
+            assert store.load(spec) is None, offset
+        misses = 0
+        for _ in range(200):
+            offset = rng.randrange(start, len(intact))
+            damaged = bytearray(intact)
+            damaged[offset] ^= 1 << rng.randrange(8)
+            path.write_bytes(bytes(damaged))
+            warm = store.load(spec)
+            if warm is None:
+                misses += 1
+            else:
+                assert fingerprint(warm) == cold, offset
+        assert misses > 150
+
+
 # ----------------------------------------------------------------------
 # What sessions under the removed compact encoding left behind
 # ----------------------------------------------------------------------
@@ -749,7 +1081,7 @@ def compact_index_section(index) -> dict:
     for key in sorted(index._state.value_indexes):
         value_index = index._state.value_indexes[key]
         held = value_index.values
-        grams = value_index._grams
+        grams = [Counter(qgrams(value, value_index.q)) for value in held]
         vocabulary = sorted({gram for counter in grams for gram in counter})
         rows = [sorted((vocabulary.index(g), n) for g, n in c.items()) for c in grams]
         lengths = sorted({len(value) for value in held})
@@ -792,7 +1124,9 @@ def compact_index_section(index) -> dict:
 
 
 class TestCompactLeftovers:
-    def test_a_snapshot_with_an_index_section_loads_by_rebuilding(self, saved):
+    def test_a_snapshot_with_a_compact_index_section_is_a_miss(self, saved):
+        """The compact writer's ``index`` section where format 4 keeps
+        its own: a section load cannot adopt, so a miss and a rebuild."""
         store, spec, path, intact, cold = saved
         payload = json.loads(gzip.decompress(intact))
         payload["index"] = compact_index_section(spec.build_session().index)
@@ -802,6 +1136,13 @@ class TestCompactLeftovers:
         manifest["spec"]["index_encoding"] = "compact"
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
+        assert store.load(spec) is None
+        # still cataloged, from the manifest, whose spec no longer builds
+        assert [info.digest for info in store.list()] == [payload["key"]]
+        assert store.contains(spec)
+        assert store.spec_for(payload["key"]) is None
+        # the rebuild overwrites it
+        assert store.save(spec, spec.build_session()) == payload["key"]
         warm = store.load(spec)
         assert fingerprint(warm) == cold
         reference = spec.build_session()
@@ -812,10 +1153,7 @@ class TestCompactLeftovers:
                 (m.object_id, m.similarity, m.path)
                 for m in reference.match(od.object_id)
             ]
-        # still cataloged, from the manifest, whose spec no longer builds
-        assert [info.digest for info in store.list()] == [payload["key"]]
-        assert store.contains(spec)
-        assert store.spec_for(payload["key"]) is None
+        assert store.spec_for(payload["key"]) is not None
 
     def test_the_compact_value_raises_everywhere_it_was_accepted(self, example_dir):
         from repro.core import DogmatixConfig

@@ -29,6 +29,8 @@ here:
   ``match()`` on a freshly *loaded* session answer like one, and no
   repeated ``match()`` / ``detect()`` / ``similarity()`` / ``extend()``
   executes an import statement;
+* an adopted index — a load takes the snapshot's rows and buckets as
+  the index's own, and eight readers on it answer like a cold build;
 * the slow thread-stress: N threads hammer ``match()`` (ids and
   foreign elements) on one warm session while ``extend()`` runs behind
   the writer lock, and every response is bit-identical to a serial
@@ -737,6 +739,21 @@ class TestImportOnUse:
         expected = [_snapshot(serial.match(target)) for target in targets]
         assert any(expected)
         _threads_answer_alike(store.load(spec), targets, expected)
+
+    def test_eight_readers_on_an_adopted_index_answer_like_a_cold_build(
+        self, stored, greedy_switching
+    ):
+        """A load adopts the snapshot's rows and buckets as the index's
+        own (no rebuild); the lock-free ``match()`` reads them from
+        eight threads at once and answers like a session built cold."""
+        spec, store = stored
+        cold = spec.build_session()
+        targets = [od.object_id for od in cold.ods]
+        expected = [_snapshot(cold.match(target)) for target in targets]
+        assert any(expected)
+        session = store.load(spec)
+        assert session.index._similar_cache == {}  # nothing searched yet
+        _threads_answer_alike(session, targets, expected)
 
     def test_a_repeated_read_executes_no_import(self, stored, import_statements):
         spec, store = stored
