@@ -53,11 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Distinct theta_cand values a session keeps a read slot for (LRU).
 #: Small on purpose: a serving sweep touches a handful of thresholds,
 #: and a client scanning thetas must not grow session memory with its
-#: request count.  A slot holds at most one filter decision and two
-#: answers per indexed object, so the slots grow with the corpus: after
-#: every object of a 1200-object Dataset 1 corpus was looked up at 8
-#: thresholds with and without ``include_possible``, they held ~2 MiB.
+#: request count.  A slot holds at most two answers per indexed object,
+#: so the slots grow with the corpus.
 _KEPT_CACHE_SIZE = 8
+
+#: A read slot: an ``(object id, include_possible)`` lookup -> its
+#: partners as ``(candidate id, similarity)`` pairs in answer order.
+_Answers = dict[tuple[int, bool], tuple[tuple[int, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -99,27 +101,6 @@ class Explanation:
         for t in self.non_specified_right:
             out.append(f"  non-specified (right only, no penalty): {t}")
         return out
-
-
-class _ReadSlot:
-    """What the reads at one theta_cand computed on the current corpus.
-
-    ``decided`` maps an object id to whether the object filter keeps it,
-    ``answers`` an ``(object id, include_possible)`` lookup to its
-    partners as ``(candidate id, similarity)`` pairs in answer order
-    (:meth:`DetectionSession.match` makes the :class:`Match` objects on
-    return, so a slot keeps no path strings).  Readers fill both
-    without a lock, each entry by one dict store of an immutable value
-    that every reader at this state computes alike.  A write that adds
-    objects drops the slots, so a reader still holding one fills an
-    orphan that no later read sees.
-    """
-
-    __slots__ = ("decided", "answers")
-
-    def __init__(self) -> None:
-        self.decided: dict[int, bool] = {}
-        self.answers: dict[tuple[int, bool], tuple[tuple[int, float], ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -193,12 +174,13 @@ class DetectionSession:
         #: theta_cand -> its read slot, LRU-bounded; guarded by
         #: ``_kept_lock`` (bookkeeping only — a slot's entries are
         #: computed and stored outside the lock, see :meth:`match`).
-        self._read_slots: OrderedDict[float, _ReadSlot] = OrderedDict()
+        self._read_slots: OrderedDict[float, _Answers] = OrderedDict()
         self._kept_lock = threading.Lock()
-        #: object id -> the S/U/N class of each of its tuples under the
-        #: object filter (θ-independent); built by the first filtered
-        #: :meth:`match`, kept up to date by :meth:`extend`.
-        self._classes: Optional[dict[int, tuple[str, ...]]] = None
+        #: The object filter's two per-object maps, published together
+        #: by one assignment (see :meth:`_kept`): object id -> the S/U/N
+        #: class of each of its tuples, and object id -> f(OD_i).
+        #: Neither depends on θ_cand.
+        self._filter: tuple[dict[int, tuple[str, ...]], dict[int, float]] = ({}, {})
         self._incremental: Optional[IncrementalDeduplicator] = None
         # Externally supplied ODs need not be numbered 0..n-1.
         self._next_id = max(self._by_id, default=-1) + 1
@@ -279,15 +261,15 @@ class DetectionSession:
 
         ``theta_cand`` overrides the classification threshold for this
         run only — the index and similarity (which depend on
-        ``theta_tuple``, not ``theta_cand``) are reused, so a threshold
-        sweep pays for index construction once, and the filter decisions
-        land in the threshold's read slot, where :meth:`match` reads
-        them.  A ``theta_cand`` no run could use raises ``ValueError``
-        (:func:`check_thresholds`).  ``policy`` has no effect: a run is
-        one loop in this process.
+        ``theta_tuple``, not ``theta_cand``) are reused, and so are the
+        filter scores f(OD_i), which do not depend on it either: a
+        threshold sweep pays for index construction and for each
+        object's filter score once, and a later :meth:`match` reads the
+        scores the run left.  A ``theta_cand`` no run could use raises
+        ``ValueError`` (:func:`check_thresholds`).  ``policy`` has no
+        effect: a run is one loop in this process.
         """
         theta = self._theta(theta_cand)
-        slot = self._read_slot(theta)
         config = self.config
         possible = config.possible_threshold
         floor = theta if possible is None else possible
@@ -295,7 +277,7 @@ class DetectionSession:
         kept: list[ObjectDescription] = []
         pruned: list[int] = []
         for od in ods:
-            if config.use_object_filter and not self._kept(slot, theta, od.object_id):
+            if config.use_object_filter and not self._kept(theta, od.object_id):
                 pruned.append(od.object_id)
             else:
                 kept.append(od)
@@ -308,9 +290,7 @@ class DetectionSession:
             left = od.object_id
             if config.use_blocking:
                 candidate_ids = self._kept_ids(
-                    slot,
-                    theta,
-                    {i for i in self._similar_object_ids(od) if i > left},
+                    theta, {i for i in self._similar_object_ids(od) if i > left}
                 )
             else:
                 candidate_ids = [other.object_id for other in kept[position + 1 :]]
@@ -356,8 +336,9 @@ class DetectionSession:
         without a directly similar comparable tuple has ``ODT≈ = ∅``
         and similarity 0, so nothing above a positive threshold is ever
         missed.  The object filter, when enabled, is honored both for
-        the queried object and for its candidates, each decided once
-        per threshold and corpus state.
+        the queried object and for its candidates: each one's filter
+        score is computed once per corpus state, and each one's tuple
+        classes once until a write can move them (:meth:`_kept`).
 
         ``target`` may be an object id of the candidate set, any
         :class:`ObjectDescription` (also external ones), or an XML
@@ -383,15 +364,16 @@ class DetectionSession:
         include_possible = (
             include_possible and self.config.possible_threshold is not None
         )
-        slot = self._read_slot(theta)
         if self._by_id.get(od.object_id) is not od:
-            answer = self._partners(od, theta, include_possible, slot, False)
+            answer = self._partners(od, theta, include_possible, False)
         else:
+            slot = self._read_slot(theta)
             key = (od.object_id, include_possible)
-            answer = slot.answers.get(key)
+            answer = slot.get(key)
             if answer is None:
-                answer = self._partners(od, theta, include_possible, slot, True)
-                slot.answers[key] = answer
+                answer = slot[key] = self._partners(
+                    od, theta, include_possible, True
+                )
         return [
             Match(candidate_id, score, self.object_path(candidate_id))
             for candidate_id, score in answer
@@ -402,15 +384,13 @@ class DetectionSession:
         od: ObjectDescription,
         theta: float,
         include_possible: bool,
-        slot: _ReadSlot,
         in_index: bool,
     ) -> tuple[tuple[int, float], ...]:
         """The partners :meth:`match` answers, as ``(candidate id,
-        similarity)`` pairs in answer order, computed; the filter
-        decisions it needs are read from (and stored into) ``slot``."""
+        similarity)`` pairs in answer order, computed."""
         if self.config.use_object_filter:
             if in_index:
-                if not self._kept(slot, theta, od.object_id):
+                if not self._kept(theta, od.object_id):
                     return ()  # detect() prunes every pair of this object
             elif filter_score(
                 self._index, od, tuple_classes(self._index, od)
@@ -421,7 +401,7 @@ class DetectionSession:
             candidate_ids.discard(od.object_id)
         floor = self.config.possible_threshold if include_possible else theta
         partners = self._scored(
-            od, self._kept_ids(slot, theta, candidate_ids), floor
+            od, self._kept_ids(theta, candidate_ids), floor
         )
         partners.sort(key=lambda partner: (-partner[1], partner[0]))
         return tuple(partners)
@@ -443,14 +423,12 @@ class DetectionSession:
                 scored.append((candidate_id, score))
         return scored
 
-    def _kept_ids(
-        self, slot: _ReadSlot, theta: float, object_ids: Iterable[int]
-    ) -> list[int]:
+    def _kept_ids(self, theta: float, object_ids: Iterable[int]) -> list[int]:
         """``object_ids`` in ascending order, without the objects the
         object filter prunes at ``theta`` (when it is on)."""
         if not self.config.use_object_filter:
             return sorted(object_ids)
-        return sorted(i for i in object_ids if self._kept(slot, theta, i))
+        return sorted(i for i in object_ids if self._kept(theta, i))
 
     def _similar_object_ids(self, od: ObjectDescription) -> set[int]:
         """Ids of the indexed objects holding a value similar to one of
@@ -467,66 +445,54 @@ class DetectionSession:
             )
         return found
 
-    def _read_slot(self, theta: float) -> _ReadSlot:
+    def _read_slot(self, theta: float) -> _Answers:
         """The read slot of ``theta``, made empty on first use.
 
         Slots are kept per ``theta`` in a small LRU, not just at the
         default threshold: a served ``match(theta_cand=...)`` at any
         sweep point must not score its partners again per request.
+        Readers fill a slot without a lock, each entry by one dict store
+        of an immutable value that every reader at this corpus state
+        computes alike (:meth:`match` makes the :class:`Match` objects
+        on return, so a slot keeps no path strings).
         """
         with self._kept_lock:
             slot = self._read_slots.get(theta)
             if slot is None:
-                slot = self._read_slots[theta] = _ReadSlot()
+                slot = self._read_slots[theta] = {}
                 if len(self._read_slots) > _KEPT_CACHE_SIZE:
                     self._read_slots.popitem(last=False)
             else:
                 self._read_slots.move_to_end(theta)
         return slot
 
-    def _kept(self, slot: _ReadSlot, theta: float, object_id: int) -> bool:
-        """Whether the object filter keeps an indexed object at ``theta``.
+    def _kept(self, theta: float, object_id: int) -> bool:
+        """Whether the object filter keeps an indexed object at ``theta``:
+        ``f(OD_i) > theta``, f from the session's per-object maps.
 
-        The decision is arithmetic over the session's tuple classes
-        (:func:`~repro.core.object_filter.filter_score`), made on first
-        need and stored in ``slot``: a lookup decides the queried object
-        and its candidates, not the corpus.  The first filtered lookup
-        after an open classifies every tuple (a similar-value group per
-        term); :meth:`extend` keeps the classes current, moving only
-        what the delta can reach (N → U → S), so the lookup after a
-        write re-sums the scores of the objects it touches (they read
-        |Ω|) and searches nothing.
+        Both maps are filled on first need, so a lookup classifies and
+        scores the queried object and its candidates, not the corpus.
+        A class is a similar-value search per term and does not read
+        |Ω|: :meth:`_fold` keeps the classes across a write, moving only
+        what the delta can reach (N → U → S).  A score is arithmetic over
+        the classes (:func:`~repro.core.object_filter.filter_score`) and
+        reads |Ω|, so a write drops every score, and the lookup after it
+        re-sums the scores of the objects it reads and searches nothing
+        for an object classified before the write.
+
+        The pair is fetched once and filled without a lock, each entry
+        by one dict store of an immutable value; a reader that fetched
+        the pair a write replaced stores into an orphan.
         """
-        kept = slot.decided.get(object_id)
-        if kept is None:
-            classes = self._class_table()[object_id]
-            score, _, _ = filter_score(
-                self._index, self._by_id[object_id], classes
-            )
-            kept = slot.decided[object_id] = score > theta
-        return kept
-
-    def _class_table(self) -> dict[int, tuple[str, ...]]:
-        """The tuple classes of every indexed object, built on first need.
-
-        Built outside the lock from a copy of the id map and installed
-        first-writer-wins, but only while it covers every indexed
-        object: a write that folds in objects meanwhile leaves it short,
-        so it is built again (:meth:`_fold` drops a table installed
-        behind its back for the same reason).
-        """
-        classes = self._classes
-        while classes is None:
-            by_id = self._by_id.copy()
-            built = {
-                object_id: tuple_classes(self._index, od)
-                for object_id, od in by_id.items()
-            }
-            with self._kept_lock:
-                if self._classes is None and len(built) == len(self._by_id):
-                    self._classes = built
-                classes = self._classes
-        return classes
+        classes, scores = self._filter
+        score = scores.get(object_id)
+        if score is None:
+            od = self._by_id[object_id]
+            kinds = classes.get(object_id)
+            if kinds is None:
+                kinds = classes[object_id] = tuple_classes(self._index, od)
+            score = scores[object_id] = filter_score(self._index, od, kinds)[0]
+        return score > theta
 
     def _resolve_od(
         self, target: Union[int, ObjectDescription, Element]
@@ -621,12 +587,14 @@ class DetectionSession:
         filter's tuple classes stay too: a write that only adds objects
         moves a class only N → U → S, and only for a tuple whose kind
         or similar value the delta joins, so those few are re-classified
-        (:meth:`_fold`).  The read slots go (every filter score reads
-        the object count, which moved for everyone), so the next
+        among the objects already classified (:meth:`_fold`); a new
+        object is classified when a read first needs it.  The filter
+        scores and the read slots go (every filter score reads the
+        object count, which moved for everyone), so the next
         :meth:`match` scores its partners again and re-sums the filter
-        scores of the objects it touches: arithmetic, no search.  A
-        source without candidates adds the source and changes no index,
-        class, slot or memo: no answer can move.
+        scores of the objects it reads.  A source without candidates
+        adds the source and changes no index, class, score, slot or
+        memo: no answer can move.
         """
         added_source = self.corpus.add_source(source)
         new_ods = self.corpus.generate_ods(
@@ -668,8 +636,8 @@ class DetectionSession:
         )
 
     def _fold(self, new_ods: list[ObjectDescription]) -> None:
-        """Grow the index, the id map and the filter's tuple classes by
-        ``new_ods``, then drop the read slots.
+        """Grow the index and the id map by ``new_ods``, then publish the
+        filter's maps anew and drop the read slots.
 
         Delta-merge the index first: clustering (and every later query)
         scores against statistics that include the new data, like a
@@ -679,19 +647,19 @@ class DetectionSession:
         lock when serving, e.g. repro.serve's registry), so it thaws
         for the merge and re-freezes unconditionally.
 
-        Then the classes: the new objects are classified, and of the
-        standing ones only the non-shared tuples under a kind whose lone
-        holder the delta joined (:meth:`CorpusIndex.lone_holders`) —
-        no other class can move.
+        Then the classes, on a copy: of the objects already classified,
+        only the non-shared tuples under a kind whose lone holder the
+        delta joined (:meth:`CorpusIndex.lone_holders`) are classified
+        again — no other class can move.  The new objects, like every
+        object no read has needed yet, are classified from the grown
+        index when first read.
 
-        Last, under ``_kept_lock``, the new ids join the id map and the
-        read slots go: every filter score reads |Ω| and every similarity
-        the softIDF statistics, so no stored decision or answer
-        survives.  A reader still holding a slot it fetched before the
-        clear can only store into an orphan that no later read sees, so
-        no generation counter is needed.  A class table that a first
-        filtered read installed after this write found none is of the
-        standing objects only, so it is dropped and built again.
+        Last, under ``_kept_lock``, the new ids join the id map, the
+        filter's maps are published as one pair with no score (every
+        filter score reads |Ω| and every similarity the softIDF
+        statistics) and the read slots go.  A reader still holding the
+        pair or a slot it fetched before can only store into an orphan
+        that no later read sees, so no generation counter is needed.
         """
         index = self._index
         delta = IndexPartial.from_ods(new_ods, self.mapping, q=index.q)
@@ -700,19 +668,17 @@ class DetectionSession:
             index.merge_partial(delta)
         finally:
             index.freeze()
-        classes = self._classes
-        if classes is not None:
-            for object_id, key in index.lone_holders(delta):
+        classes = self._filter[0].copy()
+        for object_id, key in index.lone_holders(delta):
+            kinds = classes.get(object_id)
+            if kinds is not None:
                 classes[object_id] = reclassified(
-                    index, self._by_id[object_id], classes[object_id], key
+                    index, self._by_id[object_id], kinds, key
                 )
-            for od in new_ods:
-                classes[od.object_id] = tuple_classes(index, od)
         with self._kept_lock:
             for od in new_ods:
                 self._by_id[od.object_id] = od
-            if self._classes is not classes:
-                self._classes = None
+            self._filter = (classes, {})
             self._read_slots.clear()
 
     # ------------------------------------------------------------------

@@ -116,14 +116,15 @@ class FilterDecision:
 class ObjectFilter:
     """f(OD_i) with an ``f <= θ_cand`` pruning rule.
 
-    Decisions are memoized per ``object_id``: f is a pure function of
-    the (immutable) corpus index and the object's tuples, so asking
-    twice — ``score()`` then ``keep()``, or repeated ``match()`` calls
-    — must neither repeat the similar-value searches nor record a
-    second :class:`FilterDecision` (which would double-count
-    ``pruned_count`` and grow ``decisions`` unboundedly).
-    ``decisions`` therefore holds exactly one entry per evaluated
-    object, in first-evaluation order.
+    The standalone form of the filter, for the evaluation harness and
+    pipelines built by hand (a session keeps its own per-object maps
+    instead).  Decisions are memoized per ``object_id``: f is a pure
+    function of the (immutable) corpus index and the object's tuples,
+    so asking twice — ``score()`` then ``keep()`` — must neither
+    repeat the similar-value searches nor record a second
+    :class:`FilterDecision` (which would double-count ``pruned_count``
+    and grow ``decisions`` unboundedly).  ``decisions`` therefore holds
+    exactly one entry per evaluated object, in first-evaluation order.
 
     The memo is safe to read concurrently: like the index's own caches,
     publication is a single ``dict.setdefault`` of a fully built value,

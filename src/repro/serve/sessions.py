@@ -118,9 +118,10 @@ class SessionRegistry:
     """LRU of warm :class:`~repro.api.DetectionSession` objects.
 
     ``capacity`` bounds resident sessions, not served corpora: an
-    evicted digest warm-loads again from the store on its next request
-    (in-memory-only ``extend()`` deltas are lost on eviction — the
-    catalog endpoint reports ``extended`` so clients can tell).
+    evicted digest warm-loads again from the store on its next request.
+    An ``extend()`` delta lives only in the resident session: eviction
+    (or a restart) loses it, and no response says so — the reloaded
+    corpus is the stored snapshot's.
     """
 
     def __init__(self, store: IndexStore, capacity: int = 4) -> None:

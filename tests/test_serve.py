@@ -770,7 +770,7 @@ class TestDetect:
         in_detect = threading.local()
         entered, release = threading.Event(), threading.Event()
         real_detect = DetectionSession.detect
-        real_read_slot = DetectionSession._read_slot
+        real_theta = DetectionSession._theta
 
         def detect(self, *args, **kwargs):
             in_detect.active = True
@@ -779,14 +779,14 @@ class TestDetect:
             finally:
                 in_detect.active = False
 
-        def read_slot(self, theta):
+        def theta(self, theta_cand):
             if getattr(in_detect, "active", False):
                 entered.set()
                 assert release.wait(30)
-            return real_read_slot(self, theta)
+            return real_theta(self, theta_cand)
 
         monkeypatch.setattr(DetectionSession, "detect", detect)
-        monkeypatch.setattr(DetectionSession, "_read_slot", read_slot)
+        monkeypatch.setattr(DetectionSession, "_theta", theta)
         expected = matches_of(filtered.session, 0, include_possible=True)
         answers: dict = {}
 

@@ -7,13 +7,16 @@ here:
 * foreign sentinel allocation is atomic — the old read-modify-write on
   an instance attribute let two threads draw the same id, conflating
   two foreign elements in per-id memos (``ObjectFilter.decide``);
-* the per-theta read slots — ``match(theta_cand=...)`` at a
-  non-default threshold used to re-run the full O(n) object-filter
-  pass on every call; now a lookup decides only the objects it reads
-  and stores its answer in the slot of its threshold — with an LRU
-  bound, parity against the unmemoized filter, foreign elements
-  never stored, and a reader that stores after a write storing into
-  a slot no later read sees;
+* the per-theta read slots and the filter's per-object maps —
+  ``match(theta_cand=...)`` at a non-default threshold used to re-run
+  the full O(n) object-filter pass on every call, and the first
+  filtered lookup classified the whole corpus; now a lookup classifies
+  and scores only the objects it reads, once per corpus state, and
+  stores its answer in the slot of its threshold — with an LRU bound,
+  parity against the unmemoized filter, foreign elements never stored,
+  eight readers on a never-read session answering like one, and a
+  reader that stores after a write storing into a pair or a slot no
+  later read sees;
 * the object filter's decision memo — ``decide()`` published its memo
   check-then-act, so two threads passing the check together both
   appended to ``decisions`` (double-counting ``pruned_count``); now
@@ -170,25 +173,18 @@ class TestForeignSentinelAllocation:
 
 
 class TestKeptSetMemo:
-    """The per-theta read slots: the filter decisions and the answers
-    ``match()`` computed, kept per threshold in a bounded LRU."""
+    """The per-theta read slots, which keep the answers ``match()``
+    computed per threshold in a bounded LRU, and the filter's two
+    per-object maps, which keep each object's tuple classes and f."""
 
-    def test_one_class_table_and_a_new_theta_scores_what_a_read_touches(
-        self, monkeypatch
-    ):
-        """Regression: ``match(theta_cand=...)`` off the default
-        threshold re-ran the full O(n) object-filter pass per call — a
-        server hot-path trap.  The tuple classes do not depend on the
-        threshold: the table is built once per session.  A lookup
-        decides only the queried object and its candidates, each once
-        per threshold."""
+    @pytest.fixture()
+    def filter_calls(self, monkeypatch):
+        """The object ids the session's ``tuple_classes`` and
+        ``filter_score`` are called for, in call order."""
         import repro.api.session as session_module
 
-        dataset = build_dataset1(15, seed=3)
-        session = DetectionSession(
-            Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
-        )
-        classified, scored = [], []
+        classified: list[int] = []
+        scored: list[int] = []
         real_classes = session_module.tuple_classes
         real_score = session_module.filter_score
 
@@ -202,38 +198,148 @@ class TestKeptSetMemo:
 
         monkeypatch.setattr(session_module, "tuple_classes", counting_classes)
         monkeypatch.setattr(session_module, "filter_score", counting_score)
+        return classified, scored
+
+    def test_a_first_read_classifies_only_what_it_reads(self, filter_calls):
+        """Regression: ``match(theta_cand=...)`` off the default
+        threshold re-ran the full O(n) object-filter pass per call — a
+        server hot-path trap — and later the first filtered lookup
+        built the tuple classes of the whole corpus.  A first lookup
+        classifies and scores the queried object and its candidates,
+        each once, and a new threshold is a comparison with the stored
+        scores: no class and no score again."""
+        dataset = build_dataset1(15, seed=3)
+        session = DetectionSession(
+            Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
+        )
+        classified, scored = filter_calls
         n = len(session.ods)
         od = session.ods[0]
         touched = {0} | session._similar_object_ids(od)
 
         session.match(0, theta_cand=0.25)
-        assert len(classified) == n  # one table build
-        assert len(scored) == len(set(scored)) and set(scored) <= touched
-        assert len(scored) < n  # the read decided its neighbourhood only
-        first = list(scored)
+        assert 0 in classified and len(touched) > 1
+        assert len(classified) == len(set(classified))  # each once
+        assert set(classified) <= touched and len(classified) < n
+        assert scored == classified  # one score per classified object
+        first = list(classified)
         session.match(0, theta_cand=0.25)
-        assert (len(classified), scored) == (n, first)  # read from the slot
+        assert (classified, scored) == (first, first)  # read from the slot
         session.match(1, theta_cand=0.25)
-        assert len(classified) == n
-        assert len(scored) == len(set(scored))  # no object decided twice
-        at_new_theta = len(scored)
+        assert len(classified) == len(set(classified))  # none twice
+        assert scored == classified
+        at_new_theta = list(classified)
         session.match(0, theta_cand=0.35)
-        # a new theta is new arithmetic over the same table
-        assert len(classified) == n
-        assert set(scored[at_new_theta:]) <= touched
+        # the classes and f do not depend on the threshold
+        assert (classified, scored) == (at_new_theta, at_new_theta)
+
+    def test_f_is_computed_once_per_object_per_corpus_state(self, filter_calls):
+        """A sweep of three ``detect()`` runs sums each object's f once,
+        not once per threshold; after a write, a lookup re-sums f for
+        the objects it reads only, and classifies only the new ones."""
+        dataset = build_dataset1(15, seed=3)
+        session = DetectionSession(
+            Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
+        )
+        classified, scored = filter_calls
+        ids = sorted(od.object_id for od in session.ods)
+        pruned = {
+            tuple(session.detect(theta_cand=theta).pruned_object_ids)
+            for theta in (0.3, 0.5, 0.7)
+        }
+        assert sorted(scored) == sorted(classified) == ids
+        assert len(pruned) > 1  # the thresholds decide apart on one f
+
+        update = session.extend(_extension_source())
+        added = {od.object_id for od in update.added}
+        assert len(classified) == len(ids)  # the write classifies nobody
+        del classified[:], scored[:]
+        target = update.added[0]
+        touched = {target.object_id} | session._similar_object_ids(target)
+        session.match(target.object_id)
+        assert target.object_id in scored
+        assert len(scored) == len(set(scored)) and set(scored) <= touched
+        assert set(classified) == set(scored) & added  # standing ones kept
+
+    def test_eight_readers_on_a_never_read_session(self, greedy_switching):
+        """Eight readers released together on a session no read has
+        touched, each looking up every id at two thresholds in its own
+        order: the per-object classes and scores are filled under them
+        by whichever reader gets there first.  Every answer is a serial
+        twin's to the bit, and every class the session holds is a fresh
+        classification's."""
+        import repro.api.session as session_module
+
+        dataset = build_dataset1(30, seed=7)
+
+        def build() -> DetectionSession:
+            return DetectionSession(
+                Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
+            )
+
+        thetas = (None, 0.35)
+        serial = build()
+        ids = [od.object_id for od in serial.ods]
+        expected = {
+            (theta, object_id): _exact(serial.match(object_id, theta_cand=theta))
+            for theta in thetas
+            for object_id in ids
+        }
+        assert any(expected.values())
+        session = build()
+        assert session._filter == ({}, {})
+        wrong: list = []
+        errors: list[Exception] = []
+        start = threading.Barrier(8)
+
+        def reader(slot: int) -> None:
+            try:
+                start.wait(timeout=60)
+                order = ids[slot * 7 :] + ids[: slot * 7]
+                for theta in thetas[slot % 2 :] + thetas[: slot % 2]:
+                    for object_id in order:
+                        got = _exact(session.match(object_id, theta_cand=theta))
+                        if got != expected[theta, object_id]:
+                            wrong.append((theta, object_id))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not wrong
+        classes, scores = session._filter
+        assert set(classes) == set(scores) == set(ids)
+        fresh = ObjectFilter(session.index, session.config.theta_cand)
+        for od in session.ods:
+            assert classes[od.object_id] == session_module.tuple_classes(
+                session.index, od
+            )
+            assert scores[od.object_id].hex() == fresh.score(od).hex()
 
     def test_memo_parity_with_unmemoized_pass(self):
-        """Every object's decision at every theta is a fresh
-        :class:`ObjectFilter`'s."""
+        """Every object's decision at every theta, and its f to the bit,
+        are a fresh :class:`ObjectFilter`'s."""
         session = paper_session(use_object_filter=True, theta_cand=0.3)
         for theta in (0.25, 0.3, 0.35, 0.25):
             for od in session.ods:
                 session.match(od.object_id, theta_cand=theta)
             fresh_filter = ObjectFilter(session.index, theta)
             fresh = {od.object_id: fresh_filter.keep(od) for od in session.ods}
-            assert session._read_slots[theta].decided == fresh, (
-                f"filter decisions diverged at {theta}"
-            )
+            kept = {
+                od.object_id: session._kept(theta, od.object_id)
+                for od in session.ods
+            }
+            assert kept == fresh, f"filter decisions diverged at {theta}"
+            _, scores = session._filter
+            assert {
+                object_id: score.hex() for object_id, score in scores.items()
+            } == {
+                od.object_id: fresh_filter.score(od).hex() for od in session.ods
+            }
 
     def test_memo_is_bounded(self):
         import repro.api.session as session_module
@@ -305,9 +411,11 @@ class TestKeptSetMemo:
         session = paper_session(use_object_filter=True, theta_cand=0.3)
         session.match(0, theta_cand=0.25)
         slot = session._read_slots[0.25]
-        assert slot.answers and slot.decided
+        pair = session._filter
+        assert slot and pair[0] and pair[1]
         session.extend(parse("<moviedoc/>"))  # no candidate: no answer moves
         assert session._read_slots == {0.25: slot}
+        assert session._filter is pair
         session.extend(
             parse(
                 "<moviedoc><movie><title>Heat</title><year>1995</year>"
@@ -315,6 +423,8 @@ class TestKeptSetMemo:
             )
         )
         assert not session._read_slots
+        classes, scores = session._filter
+        assert classes == pair[0] and classes is not pair[0] and not scores
 
     def test_foreign_elements_are_scored_every_time(self, monkeypatch):
         """A posted element gets a new OD and a new id per call: its
@@ -337,7 +447,7 @@ class TestKeptSetMemo:
             assert len(scored) > before
         assert answers[:2] == answers[2:] and answers[0] and answers[1]
         assert len(set(scored)) == 4  # four sentinel ids, none shared
-        assert not any(slot.answers for slot in session._read_slots.values())
+        assert not any(session._read_slots.values())
 
     def test_a_reader_publishing_after_a_write_changes_no_later_answer(
         self, monkeypatch
@@ -386,21 +496,22 @@ class TestKeptSetMemo:
 
 
     @pytest.mark.parametrize("stall_after", ["first", "last"])
-    def test_a_class_table_built_across_a_write_covers_the_grown_corpus(
+    def test_a_reader_stalled_in_its_first_classification_across_a_write(
         self, monkeypatch, stall_after
     ):
-        """Regression: the first filtered read builds the tuple-class
-        table by walking the id map, which a write grows.  A reader
-        stalled inside that first decision while a write folds in an
-        object (after the table's first class, or after its last, just
-        before installing it) must neither fail on the grown map nor
-        install a table without the new object: every later filtered
-        lookup of that id, and the next write, would fail on it."""
+        """A first filtered read classifies the queried object and its
+        candidates into the pair it fetched.  A reader stalled inside
+        one of those classifications (the first, or the last) while a
+        write folds in an object leaves every later answer equal to a
+        twin's that was never read, and every class the session then
+        holds equal to a fresh classification of the grown corpus."""
         import repro.api.session as session_module
 
         session = paper_session(use_object_filter=True, theta_cand=0.3)
         twin = paper_session(use_object_filter=True, theta_cand=0.3)
-        stall_at = 1 if stall_after == "first" else len(session.ods)
+        probe = paper_session(use_object_filter=True, theta_cand=0.3)
+        probe.match(0)
+        stall_at = 1 if stall_after == "first" else len(probe._filter[0])
         real = session_module.tuple_classes
         classified: list[int] = []
         stalled, written = threading.Event(), threading.Event()
@@ -431,8 +542,11 @@ class TestKeptSetMemo:
         written.set()
         reader.join(timeout=30)
         assert not reader.is_alive() and not errors
-        assert set(session._classes) == set(session._by_id)
+        monkeypatch.setattr(session_module, "tuple_classes", real)
         for document in ("<moviedoc/>", _HEAT):
+            classes, _ = session._filter
+            for object_id, kinds in classes.items():
+                assert kinds == real(session.index, session._by_id[object_id])
             for object_id in session._by_id:
                 for theta in (None, 0.3, 0.8):
                     assert _snapshot(
@@ -440,56 +554,6 @@ class TestKeptSetMemo:
                     ) == _snapshot(twin.match(object_id, theta_cand=theta))
             for target in (session, twin):
                 target.extend(parse(document))
-
-    def test_a_class_table_installed_behind_a_write_is_dropped(self):
-        """A first filtered read that builds and installs the class
-        table while a write has grown the index but not yet registered
-        its objects builds a table of the standing objects only.  The
-        write drops that table, and the next filtered read builds it
-        again over the grown corpus."""
-        session = paper_session(use_object_filter=True, theta_cand=0.3)
-        twin = paper_session(use_object_filter=True, theta_cand=0.3)
-        twin.extend(parse(_MATRIX_TWIN))
-        standing = set(session._by_id)
-        real_lock = session._kept_lock
-        at_lock, installed = threading.Event(), threading.Event()
-
-        class HeldWriter:
-            """``_kept_lock`` that holds the writer at its first acquire
-            until a reader has installed the class table."""
-
-            def __enter__(self):
-                if threading.current_thread() is writer and not at_lock.is_set():
-                    at_lock.set()
-                    assert installed.wait(timeout=30)
-                return real_lock.__enter__()
-
-            def __exit__(self, *exc_info):
-                real_lock.__exit__(*exc_info)
-                if session._classes is not None:
-                    installed.set()
-
-        session._kept_lock = HeldWriter()
-        errors: list[Exception] = []
-
-        def write() -> None:
-            try:
-                session.extend(parse(_MATRIX_TWIN))
-            except Exception as error:  # noqa: BLE001 - reported below
-                errors.append(error)
-
-        writer = threading.Thread(target=write)
-        writer.start()
-        assert at_lock.wait(timeout=30)
-        assert set(session._class_table()) == standing
-        writer.join(timeout=30)
-        assert not writer.is_alive() and not errors
-        assert session._classes is None
-        for object_id in session._by_id:
-            assert _snapshot(session.match(object_id)) == _snapshot(
-                twin.match(object_id)
-            )
-        assert set(session._classes) == set(session._by_id) > standing
 
     def test_a_slot_keeps_pairs_and_each_call_makes_new_matches(self):
         """An answer is kept as ``(candidate id, similarity)`` pairs and
@@ -502,7 +566,7 @@ class TestKeptSetMemo:
         assert first and _snapshot(first) == _snapshot(again)
         assert all(left is not right for left, right in zip(first, again))
         slot = session._read_slots[0.3]
-        assert slot.answers == {
+        assert slot == {
             (0, False): tuple((m.object_id, m.similarity) for m in first)
         }
         banded = paper_session(
@@ -510,7 +574,7 @@ class TestKeptSetMemo:
         )
         banded.match(0)
         banded.match(0, include_possible=True)
-        assert set(banded._read_slots[0.3].answers) == {(0, False), (0, True)}
+        assert set(banded._read_slots[0.3]) == {(0, False), (0, True)}
 
 
 class TestObjectFilterDecideRace:
@@ -610,6 +674,11 @@ def _extension_source() -> Document:
 
 def _snapshot(matches) -> tuple:
     return tuple((m.object_id, m.similarity, m.path) for m in matches)
+
+
+def _exact(matches) -> tuple:
+    """A ``match()`` answer with every similarity to the bit."""
+    return tuple((m.object_id, m.similarity.hex(), m.path) for m in matches)
 
 
 #: A duplicate of the running example's first movie, and a movie

@@ -14,16 +14,18 @@ does not make it:
   candidate hook is removed compares against every representative and
   must reach the same clusters, and an extended session must answer
   like one rebuilt over the grown corpus;
-* **the kept tuple classes** — ``extend()`` re-classifies only the
-  tuples the delta can move (N → U → S).  After every write the
-  session's classes must be a fresh classification's, and its filter
-  decisions and scores a fresh :class:`ObjectFilter` pass's, bit for
-  bit;
+* **the kept tuple classes** — a read classifies the objects it reads,
+  and ``extend()`` re-classifies only the tuples the delta can move
+  (N → U → S) among the objects already classified.  After every write
+  each class the session holds must be a fresh classification's, an
+  object classified later must classify fresh, and its filter
+  decisions and scores must be a fresh :class:`ObjectFilter` pass's,
+  bit for bit;
 * **the read slots** — ``match()`` keeps each indexed object's answer
-  and the filter decisions it read per threshold until a write adds
-  objects.  Under any interleaving of lookups and writes every answer
-  must be a rebuilt session's, a repeated lookup must score no pair,
-  and a write with candidates must make the next lookup score again.
+  per threshold until a write adds objects.  Under any interleaving of
+  lookups and writes every answer must be a rebuilt session's, a
+  repeated lookup must score no pair, and a write with candidates must
+  make the next lookup score again.
 """
 
 from __future__ import annotations
@@ -431,16 +433,32 @@ class TestWriteCostsWhatItChanges:
             for value_index in session.index._state.value_indexes.values()
         )
 
-    def write_costs(self, base_count: int, monkeypatch) -> tuple[int, int, int]:
-        """Similar-value searches spent by one ``extend()`` and the
-        ``match()`` after it on a warm session, the tuples of standing
-        objects the write re-classified, and the delta's distinct terms."""
-        # the same two records extend corpora of different sizes
-        _, _, (extension,) = dataset1_stream(10, 7, 1, 2)
+    @staticmethod
+    def corpus_terms(session: DetectionSession) -> int:
+        index = session.index
+        return len(
+            {
+                (index.key_of(odt.name), odt.value)
+                for od in session.ods
+                for odt in od.tuples
+            }
+        )
+
+    def write_costs(
+        self, base_count: int, monkeypatch
+    ) -> tuple[int, list[tuple[int, int, int]]]:
+        """The corpus's distinct terms, and per write — two in a row on
+        a session one lookup warmed — the similar-value searches spent by
+        the ``extend()`` and the ``match()`` after it, the tuples of
+        standing objects the write re-classified, and the delta's
+        distinct terms.  A new object is classified by the lookup that
+        reads it, once per tuple, not by the write."""
+        # the same records extend corpora of different sizes
+        _, _, extensions = dataset1_stream(10, 7, 2, 2)
         dataset = build_dataset1(base_count, seed=3)
         session = session_on(dataset, dataset.sources)
         session.match(0)
-        before = self.probes(session)
+        terms = self.corpus_terms(session)
         classified: list[int] = []
         real_class = object_filter_module.tuple_class
 
@@ -448,66 +466,82 @@ class TestWriteCostsWhatItChanges:
             classified.append(object_id)
             return real_class(index, key, value, object_id)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(object_filter_module, "tuple_class", counting_class)
-            update = session.extend(extension)
-            session.match(update.added[0].object_id)
-        added = {od.object_id for od in update.added}
-        standing = sum(1 for object_id in classified if object_id not in added)
-        # every tuple of the new objects is classified once
-        assert len(classified) - standing == sum(
-            len(od.tuples) for od in update.added
-        )
-        distinct = {
-            (session.index.key_of(odt.name), odt.value)
-            for od in update.added
-            for odt in od.tuples
-        }
-        return self.probes(session) - before, standing, len(distinct)
+        costs = []
+        for extension in extensions:
+            before = self.probes(session)
+            classified.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(object_filter_module, "tuple_class", counting_class)
+                update = session.extend(extension)
+                added = {od.object_id for od in update.added}
+                assert not added.intersection(classified)
+                standing = len(classified)
+                read = update.added[0]
+                session.match(read.object_id)
+            assert classified[standing:].count(read.object_id) == len(read.tuples)
+            distinct = {
+                (session.index.key_of(odt.name), odt.value)
+                for od in update.added
+                for odt in od.tuples
+            }
+            costs.append((self.probes(session) - before, standing, len(distinct)))
+        return terms, costs
 
     def test_searches_follow_the_delta_not_the_corpus(self, monkeypatch):
-        small, small_moved, distinct = self.write_costs(15, monkeypatch)
-        large, large_moved, same = self.write_costs(45, monkeypatch)
-        assert distinct == same
-        assert 0 < small <= 4 * distinct
-        assert 0 < large <= 4 * distinct
+        small_terms, small = self.write_costs(15, monkeypatch)
+        large_terms, large = self.write_costs(45, monkeypatch)
+        assert [cost[2] for cost in small] == [cost[2] for cost in large]
+        for terms, (first, steady) in ((small_terms, small), (large_terms, large)):
+            # The first write seeds the incremental stream with the
+            # corpus: a similar-value group per corpus term the one
+            # lookup before it did not search, beyond the delta's own.
+            searches, _, distinct = first
+            assert 0 < searches <= terms + 4 * distinct
+            # Every later write searches what its delta reaches.
+            searches, _, distinct = steady
+            assert 0 < searches <= 4 * distinct
         # So do the filter classes a write re-decides: the standing tuples
         # whose kind or similar value the delta joins, not every tuple of
         # the kinds it specifies.
-        assert small_moved <= distinct
-        assert large_moved <= distinct
+        for _, moved, distinct in small + large:
+            assert moved <= distinct
 
     def test_an_empty_write_changes_no_memo(self):
         """A document without candidates adds a source and nothing
-        else: the index, the tuple classes and every memo entry stay,
-        and the next lookup searches nothing."""
+        else: the index, the filter's maps, the read slots and every
+        memo entry stay, and the next lookup searches nothing.  The
+        first write seeds the incremental stream, a search per corpus
+        term at most; a second empty write searches nothing."""
         dataset = build_dataset1(15, seed=3)
         session = session_on(dataset, dataset.sources)
         answer = snapshot(session.match(0))
         index = session.index
-        probes = self.probes(session)
         slots = dict(session._read_slots)
         (slot,) = slots.values()
-        assert slot.answers and slot.decided  # the filter is on
-        stored = (dict(slot.answers), dict(slot.decided))
-        classes = dict(session._classes)
+        pair = session._filter
+        stored = (dict(slot), dict(pair[0]), dict(pair[1]))
+        assert all(stored)  # the filter is on
         memos = (
             dict(index._similar_cache),
             dict(index._pair_idf_cache),
             dict(index._foreign_cache),
         )
+        probes = self.probes(session)
         update = session.extend(source_of([]))
+        # the first write seeds the incremental stream: a search per
+        # corpus term at most, none for the index or the filter
+        assert self.probes(session) - probes <= self.corpus_terms(session)
+        probes = self.probes(session)
         assert update.added == update.assignments == ()
         assert session.incremental is not None  # the stream is seeded
         assert len(session.corpus) == len(dataset.sources) + 1
-        assert self.probes(session) == probes
         assert session._read_slots == slots  # the same slot objects
         assert session._read_slots[session.config.theta_cand] is slot
-        assert (slot.answers, slot.decided) == stored
+        assert session._filter is pair  # the same maps
+        assert (slot, pair[0], pair[1]) == stored
         fresh = ObjectFilter(index, session.config.theta_cand)
-        for object_id, kept in slot.decided.items():
-            assert kept == fresh.keep(session.ods[object_id]), object_id
-        assert session._classes == classes
+        for object_id, score in pair[1].items():
+            assert score.hex() == fresh.score(session.ods[object_id]).hex()
         # seeding the stream may add memo entries; none is dropped
         for before, after in zip(
             memos,
@@ -515,29 +549,43 @@ class TestWriteCostsWhatItChanges:
         ):
             assert before.items() <= after.items()
         assert snapshot(session.match(0)) == answer
+        session.extend(source_of([]))
+        assert session._filter is pair and session._read_slots == slots
         assert self.probes(session) == probes
 
 
 # ----------------------------------------------------------------------
 # Session level: the object filter's tuple classes
 # ----------------------------------------------------------------------
+def assert_held_filter_exact(session: DetectionSession) -> None:
+    """Each class the session holds is a fresh classification's, and
+    each f it holds a fresh :class:`ObjectFilter`'s, to the bit."""
+    index = session.index
+    classes, scores = session._filter
+    fresh = ObjectFilter(index, session.config.theta_cand)
+    for object_id, kinds in classes.items():
+        od = session._by_id[object_id]
+        assert kinds == tuple_classes(index, od), object_id
+    assert set(scores) <= set(classes)
+    for object_id, score in scores.items():
+        assert score.hex() == fresh.score(session._by_id[object_id]).hex()
+
+
 def assert_filter_exact(session: DetectionSession) -> None:
-    """The session's tuple classes are a fresh classification's, and its
-    filter decisions and scores a fresh :class:`ObjectFilter` pass's, to
+    """Reading every object classifies each one afresh, and its filter
+    decisions and scores are a fresh :class:`ObjectFilter` pass's, to
     the bit, at the default threshold and two overrides."""
     index = session.index
     for theta in (session.config.theta_cand, 0.3, 0.8):
         for od in session.ods:  # every lookup decides its own object
             session.match(od.object_id, theta_cand=theta)
         fresh = ObjectFilter(index, theta)
-        assert session._read_slots[theta].decided == {
-            od.object_id: fresh.keep(od) for od in session.ods
-        }, theta
-    for od in session.ods:
-        classes = session._classes[od.object_id]
-        assert classes == tuple_classes(index, od), od.object_id
-        score, _, _ = filter_score(index, od, classes)
-        assert score.hex() == fresh.decide(od).score.hex(), od.object_id
+        assert {
+            od.object_id: session._kept(theta, od.object_id) for od in session.ods
+        } == {od.object_id: fresh.keep(od) for od in session.ods}, theta
+    classes, scores = session._filter
+    assert set(classes) == set(scores) == {od.object_id for od in session.ods}
+    assert_held_filter_exact(session)
 
 
 class TestClassesThroughWrites:
@@ -549,21 +597,32 @@ class TestClassesThroughWrites:
     @given(
         corpus=st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
         deltas=st.lists(
-            st.lists(st.integers(0, 15), max_size=3), min_size=1, max_size=5
+            st.tuples(
+                st.lists(st.integers(0, 15), max_size=3),
+                st.lists(st.integers(0, 60), max_size=4),
+            ),
+            min_size=1,
+            max_size=5,
         ),
         warm=st.booleans(),
     )
     def test_random_delta_sequences(self, corpus, deltas, warm):
         """Deltas are drawn from the same records as the corpus, so they
         bring new values, dirty duplicates, exact repeats, kinds the
-        corpus held once (N → U) and empty documents."""
+        corpus held once (N → U) and empty documents.  Between writes a
+        few lookups classify some objects and leave the rest to be
+        classified from a later, grown index."""
         dataset, records = class_fuzz_dataset()
         session = session_on(dataset, [source_of([records[i] for i in corpus])])
-        if warm:  # the table is built before the first write, or after
+        if warm:  # every object is classified before the first write
             assert_filter_exact(session)
-        for delta in deltas:
+        for delta, reads in deltas:
             session.extend(source_of([records[i] for i in delta]))
-            assert_filter_exact(session)
+            assert_held_filter_exact(session)
+            for pick in reads:
+                session.match(session.ods[pick % len(session.ods)].object_id)
+            assert_held_filter_exact(session)
+        assert_filter_exact(session)
 
 
 # ----------------------------------------------------------------------
