@@ -54,9 +54,7 @@ def main() -> None:
     index = CorpusIndex(ods, mapping, theta_tuple=0.45)
     similarity = DogmatixSimilarity(index)
 
-    dedup = IncrementalDeduplicator(
-        similarity, threshold=0.55, representative_policy="merged"
-    )
+    dedup = IncrementalDeduplicator(similarity, threshold=0.55)
     for od in ods:  # the "stream"
         cluster_index = dedup.add(od)
         values = ", ".join(od.values())

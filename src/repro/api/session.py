@@ -28,8 +28,6 @@ point.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -50,16 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..framework.incremental import IncrementalDeduplicator
     from ..framework.result import DetectionResult, ScoredPair
 
-#: Distinct theta_cand values a session keeps a read slot for (LRU).
-#: Small on purpose: a serving sweep touches a handful of thresholds,
-#: and a client scanning thetas must not grow session memory with its
-#: request count.  A slot holds at most two answers per indexed object,
-#: so the slots grow with the corpus.
-_KEPT_CACHE_SIZE = 8
-
-#: A read slot: an ``(object id, include_possible)`` lookup -> its
-#: partners as ``(candidate id, similarity)`` pairs in answer order.
-_Answers = dict[tuple[int, bool], tuple[tuple[int, float], ...]]
+#: One object's partners at a floor: ``(floor, ((candidate id,
+#: similarity), ...))``, the candidates that score above ``floor`` in
+#: answer order (see :meth:`DetectionSession._listed`).
+_Partners = tuple[float, tuple[tuple[int, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -171,16 +163,14 @@ class DetectionSession:
         #: How many times this session built a corpus index (always 1;
         #: exposed so benchmarks can assert amortization).
         self.index_builds = 1
-        #: theta_cand -> its read slot, LRU-bounded; guarded by
-        #: ``_kept_lock`` (bookkeeping only — a slot's entries are
-        #: computed and stored outside the lock, see :meth:`match`).
-        self._read_slots: OrderedDict[float, _Answers] = OrderedDict()
-        self._kept_lock = threading.Lock()
-        #: The object filter's two per-object maps, published together
-        #: by one assignment (see :meth:`_kept`): object id -> the S/U/N
-        #: class of each of its tuples, and object id -> f(OD_i).
-        #: Neither depends on θ_cand.
-        self._filter: tuple[dict[int, tuple[str, ...]], dict[int, float]] = ({}, {})
+        #: The per-corpus-state maps, published together by one
+        #: assignment (see :meth:`_kept` and :meth:`_listed`): object id
+        #: -> the S/U/N class of each of its tuples, object id ->
+        #: f(OD_i), and object id -> its partner list.  None depends on
+        #: θ_cand.
+        self._memo: tuple[
+            dict[int, tuple[str, ...]], dict[int, float], dict[int, _Partners]
+        ] = ({}, {}, {})
         self._incremental: Optional[IncrementalDeduplicator] = None
         # Externally supplied ODs need not be numbered 0..n-1.
         self._next_id = max(self._by_id, default=-1) + 1
@@ -346,10 +336,10 @@ class DetectionSession:
         element gets an OD generated on the fly from the session's
         description selection.
 
-        The answer is a pure function of the corpus, the threshold and
-        the object, so the answer for an indexed object is computed
-        once per corpus state: it is kept in the read slot of its
-        threshold (an LRU of :data:`_KEPT_CACHE_SIZE`) until a write
+        Neither f(OD_i) nor a pair's similarity depends on the
+        threshold, so an indexed object's answer is a cut of one
+        θ-free partner list, computed once per corpus state at the
+        lowest floor asked for (:meth:`_listed`) and kept until a write
         adds objects.  Foreign elements and caller-built ODs are scored
         on every call.  Each call returns a new list of new matches.
 
@@ -360,34 +350,69 @@ class DetectionSession:
         """
         theta = self._theta(theta_cand)
         od = self._resolve_od(target)
-        # without a C2 band both flags give one answer: keep it once
-        include_possible = (
-            include_possible and self.config.possible_threshold is not None
-        )
+        possible = self.config.possible_threshold
+        floor = possible if include_possible and possible is not None else theta
         if self._by_id.get(od.object_id) is not od:
-            answer = self._partners(od, theta, include_possible, False)
+            answer = self._partners(od, theta, floor, False)
         else:
-            slot = self._read_slot(theta)
-            key = (od.object_id, include_possible)
-            answer = slot.get(key)
-            if answer is None:
-                answer = slot[key] = self._partners(
-                    od, theta, include_possible, True
-                )
+            answer = self._listed(od, theta, floor)
         return [
             Match(candidate_id, score, self.object_path(candidate_id))
             for candidate_id, score in answer
         ]
 
+    def _listed(
+        self, od: ObjectDescription, theta: float, floor: float
+    ) -> tuple[tuple[int, float], ...]:
+        """An indexed object's answer, cut from its partner list.
+
+        The list held at floor ``F`` keeps the candidates with f > F
+        that score above ``F`` (nothing when the object's own f is not
+        above ``F``).  A lookup at ``theta`` and ``floor`` (θ, or the C2
+        band's lower bound) with ``F <= floor <= theta`` keeps of it the
+        partners scoring above ``floor`` whose f is above ``theta``, once
+        the object's own f is: a higher threshold keeps a subset of both
+        the objects and the scores, and the cut keeps the order.  A list
+        is computed, and stored over the one held, only when no list is
+        held or the held floor is above ``floor``.
+
+        Readers store without a lock, each list by one dict store of an
+        immutable value, into the map they fetched: a reader that
+        fetched the map a write replaced stores into an orphan, and one
+        that stores a higher floor over a lower one only makes a later
+        lookup compute again.
+        """
+        lists = self._memo[2]
+        held = lists.get(od.object_id)
+        if held is None or held[0] > floor:
+            held = lists[od.object_id] = (
+                floor,
+                self._partners(od, floor, floor, True),
+            )
+        held_floor, partners = held
+        if held_floor == theta:
+            return partners
+        if not self.config.use_object_filter:
+            return tuple(partner for partner in partners if partner[1] > floor)
+        if not self._kept(theta, od.object_id):
+            return ()
+        return tuple(
+            (candidate_id, score)
+            for candidate_id, score in partners
+            if score > floor and self._kept(theta, candidate_id)
+        )
+
     def _partners(
         self,
         od: ObjectDescription,
         theta: float,
-        include_possible: bool,
+        floor: float,
         in_index: bool,
     ) -> tuple[tuple[int, float], ...]:
-        """The partners :meth:`match` answers, as ``(candidate id,
-        similarity)`` pairs in answer order, computed."""
+        """The candidates of ``od`` the object filter keeps at ``theta``
+        that score above ``floor``, as ``(candidate id, similarity)``
+        pairs in answer order, computed; nothing when the filter prunes
+        ``od`` itself."""
         if self.config.use_object_filter:
             if in_index:
                 if not self._kept(theta, od.object_id):
@@ -399,7 +424,6 @@ class DetectionSession:
         candidate_ids = self._similar_object_ids(od)
         if in_index:
             candidate_ids.discard(od.object_id)
-        floor = self.config.possible_threshold if include_possible else theta
         partners = self._scored(
             od, self._kept_ids(theta, candidate_ids), floor
         )
@@ -445,32 +469,11 @@ class DetectionSession:
             )
         return found
 
-    def _read_slot(self, theta: float) -> _Answers:
-        """The read slot of ``theta``, made empty on first use.
-
-        Slots are kept per ``theta`` in a small LRU, not just at the
-        default threshold: a served ``match(theta_cand=...)`` at any
-        sweep point must not score its partners again per request.
-        Readers fill a slot without a lock, each entry by one dict store
-        of an immutable value that every reader at this corpus state
-        computes alike (:meth:`match` makes the :class:`Match` objects
-        on return, so a slot keeps no path strings).
-        """
-        with self._kept_lock:
-            slot = self._read_slots.get(theta)
-            if slot is None:
-                slot = self._read_slots[theta] = {}
-                if len(self._read_slots) > _KEPT_CACHE_SIZE:
-                    self._read_slots.popitem(last=False)
-            else:
-                self._read_slots.move_to_end(theta)
-        return slot
-
     def _kept(self, theta: float, object_id: int) -> bool:
         """Whether the object filter keeps an indexed object at ``theta``:
         ``f(OD_i) > theta``, f from the session's per-object maps.
 
-        Both maps are filled on first need, so a lookup classifies and
+        The class and score maps are filled on first need, so a lookup classifies and
         scores the queried object and its candidates, not the corpus.
         A class is a similar-value search per term and does not read
         |Ω|: :meth:`_fold` keeps the classes across a write, moving only
@@ -480,11 +483,11 @@ class DetectionSession:
         re-sums the scores of the objects it reads and searches nothing
         for an object classified before the write.
 
-        The pair is fetched once and filled without a lock, each entry
+        The maps are fetched once and filled without a lock, each entry
         by one dict store of an immutable value; a reader that fetched
-        the pair a write replaced stores into an orphan.
+        the maps a write replaced stores into an orphan.
         """
-        classes, scores = self._filter
+        classes, scores, _ = self._memo
         score = scores.get(object_id)
         if score is None:
             od = self._by_id[object_id]
@@ -559,11 +562,7 @@ class DetectionSession:
     # ------------------------------------------------------------------
     # Incremental ingestion
     # ------------------------------------------------------------------
-    def extend(
-        self,
-        source: SourceLike,
-        check_members_on_miss: bool = False,
-    ) -> IncrementalUpdate:
+    def extend(self, source: SourceLike) -> IncrementalUpdate:
         """Ingest a new source incrementally (merge/purge style).
 
         The source's candidates are clustered against the *prime
@@ -589,11 +588,11 @@ class DetectionSession:
         or similar value the delta joins, so those few are re-classified
         among the objects already classified (:meth:`_fold`); a new
         object is classified when a read first needs it.  The filter
-        scores and the read slots go (every filter score reads the
+        scores and the partner lists go (every filter score reads the
         object count, which moved for everyone), so the next
         :meth:`match` scores its partners again and re-sums the filter
         scores of the objects it reads.  A source without candidates
-        adds the source and changes no index, class, score, slot or
+        adds the source and changes no index, class, score, list or
         memo: no answer can move.
         """
         added_source = self.corpus.add_source(source)
@@ -618,7 +617,6 @@ class DetectionSession:
             self._incremental = IncrementalDeduplicator(
                 self._similarity,
                 self.config.theta_cand,
-                check_members_on_miss=check_members_on_miss,
                 candidates=self._similar_object_ids,
             )
             self._incremental.add_all(self._ods)
@@ -637,7 +635,7 @@ class DetectionSession:
 
     def _fold(self, new_ods: list[ObjectDescription]) -> None:
         """Grow the index and the id map by ``new_ods``, then publish the
-        filter's maps anew and drop the read slots.
+        per-corpus-state maps anew.
 
         Delta-merge the index first: clustering (and every later query)
         scores against statistics that include the new data, like a
@@ -654,12 +652,12 @@ class DetectionSession:
         object no read has needed yet, are classified from the grown
         index when first read.
 
-        Last, under ``_kept_lock``, the new ids join the id map, the
-        filter's maps are published as one pair with no score (every
-        filter score reads |Ω| and every similarity the softIDF
-        statistics) and the read slots go.  A reader still holding the
-        pair or a slot it fetched before can only store into an orphan
-        that no later read sees, so no generation counter is needed.
+        Last, the new ids join the id map and the maps are published by
+        one assignment, with no score and no partner list (every filter
+        score reads |Ω| and every similarity the softIDF statistics).
+        A reader still holding the maps it fetched before can only
+        store into an orphan that no later read sees, so no lock and no
+        generation counter are needed.
         """
         index = self._index
         delta = IndexPartial.from_ods(new_ods, self.mapping, q=index.q)
@@ -668,18 +666,16 @@ class DetectionSession:
             index.merge_partial(delta)
         finally:
             index.freeze()
-        classes = self._filter[0].copy()
+        classes = self._memo[0].copy()
         for object_id, key in index.lone_holders(delta):
             kinds = classes.get(object_id)
             if kinds is not None:
                 classes[object_id] = reclassified(
                     index, self._by_id[object_id], kinds, key
                 )
-        with self._kept_lock:
-            for od in new_ods:
-                self._by_id[od.object_id] = od
-            self._filter = (classes, {})
-            self._read_slots.clear()
+        for od in new_ods:
+            self._by_id[od.object_id] = od
+        self._memo = (classes, {}, {})
 
     # ------------------------------------------------------------------
     # Introspection

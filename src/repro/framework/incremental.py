@@ -6,11 +6,9 @@ records incrementally: each incoming record is compared against the
 past record.  The paper plans to adopt the notion; this module supplies
 it on top of the framework:
 
-* new objects are scored against each cluster's representative (and, if
-  the representative misses, optionally against all cluster members —
-  the safe mode);
-* on a match the object joins the cluster and the representative is
-  re-elected under the configured policy;
+* new objects are scored against each cluster's representative;
+* on a match the object joins the cluster and the representative
+  becomes the fusion of all members' tuples;
 * unmatched objects found mutually similar start new clusters via the
   ordinary transitive closure.
 
@@ -39,14 +37,6 @@ class IncrementalDeduplicator:
         Pair similarity (e.g. a bound :class:`DogmatixSimilarity`).
     threshold:
         Duplicate threshold (Definition 6's θ_cand).
-    representative_policy:
-        "merged" — the representative is the fusion of all members'
-        tuples (default; monotonically accumulates evidence), or
-        "richest" — the member with the most tuples.
-    check_members_on_miss:
-        When True, a representative miss falls back to comparing the
-        new object against individual members (no recall loss from
-        representation, at higher cost).
     candidates:
         Optional blocking hook (the stream's counterpart of
         ``pair_source`` on :class:`DetectionPipeline`): the ids of the
@@ -54,27 +44,21 @@ class IncrementalDeduplicator:
         added object whose similarity to ``od`` is above 0 — a superset,
         or ids never added, are fine.  Only clusters holding a returned
         id are scored; a representative carries a subset of its
-        members' tuples under both policies, so no cluster that could
-        score above 0 is skipped and the result equals the un-blocked
-        stream's.  Without it every representative is compared.
+        members' tuples, so no cluster that could score above 0 is
+        skipped and the result equals the un-blocked stream's.  Without
+        it every representative is compared.
     """
 
     def __init__(
         self,
         similarity: SimilarityFunction,
         threshold: float,
-        representative_policy: str = "merged",
-        check_members_on_miss: bool = False,
         candidates: Optional[Callable[[ObjectDescription], Iterable[int]]] = None,
     ) -> None:
         if not 0 <= threshold <= 1:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if representative_policy not in ("merged", "richest"):
-            raise ValueError(f"unknown policy {representative_policy!r}")
         self.similarity = similarity
         self.threshold = threshold
-        self.policy = representative_policy
-        self.check_members_on_miss = check_members_on_miss
         self.candidates = candidates
         self._clusters: list[list[int]] = []
         self._cluster_of: dict[int, int] = {}
@@ -112,20 +96,6 @@ class IncrementalDeduplicator:
             if score > best_score:
                 best_score = score
                 best_index = index
-        if best_index is None and self.check_members_on_miss:
-            for index in reached:
-                cluster = self._clusters[index]
-                if len(cluster) < 2:
-                    continue  # singleton == its representative
-                for member_id in cluster:
-                    self.comparisons += 1
-                    score = self.similarity(od, self._members[member_id])
-                    if score > best_score:
-                        best_score = score
-                        best_index = index
-                        break
-                if best_index is not None:
-                    break
         if best_index is None:
             best_index = len(self._clusters)
             self._clusters.append([od.object_id])
@@ -147,6 +117,4 @@ class IncrementalDeduplicator:
     def _elect(self, cluster_index: int) -> ObjectDescription:
         cluster = self._clusters[cluster_index]
         members = [self._members[object_id] for object_id in cluster]
-        if self.policy == "richest":
-            return max(members, key=lambda od: (len(od.tuples), -od.object_id))
         return merge_cluster_od(cluster, members, object_id=min(cluster))

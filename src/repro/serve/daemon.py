@@ -516,8 +516,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _detect(self, digest: str, params: dict) -> tuple[dict, int]:
         entry = self._entry(digest)
         theta = self._theta_param(params, entry)
-        # detect() only fills read slots, as match() does: it reads
-        # alongside lookups and waits only for a write.
+        # detect() only fills the filter scores, as match() does: it
+        # reads alongside lookups and waits only for a write.
         with entry.lock.read_locked():
             result = entry.session.detect(theta_cand=theta)
         return {

@@ -3,11 +3,11 @@
 The daemon's concurrency discipline lives here, not in the HTTP
 handler:
 
-* one :class:`ReadWriteLock` per session — ``match()`` requests run
-  concurrently under read locks (the session's read path is lock-free
-  once the index is frozen; see ``CorpusIndex.freeze``), while
-  ``extend()`` and ``detect()`` (which mutate session state) serialize
-  behind the writer lock;
+* one :class:`ReadWriteLock` per session — ``match()`` and ``detect()``
+  requests run concurrently under read locks (the session's read path
+  is lock-free once the index is frozen, see ``CorpusIndex.freeze``,
+  and fills its per-object maps by single dict stores), while
+  ``extend()``, the one writer, serializes behind the writer lock;
 * an LRU of warm sessions keyed by the :class:`~repro.ingest.IndexStore`
   content digest — the prepared-once/query-many shape: a corpus is
   built (or warm-loaded) once and then answers many queries;
@@ -26,8 +26,9 @@ from typing import Iterator, Optional
 from ..ingest.store import IndexStore
 
 #: The run-time settings that change a served answer but not the store
-#: digest.  ``workers`` and ``use_blocking`` change neither (the
-#: backends are bit-identical and blocking is lossless).
+#: digest.  ``workers`` and ``use_blocking`` change neither (a session
+#: runs every detection in one loop whatever ``workers`` says, and
+#: blocking is lossless).
 ANSWER_SETTINGS = (
     "theta_cand",
     "use_object_filter",

@@ -171,7 +171,7 @@ class TestFuzzedShapes:
     def test_fuzzed_corpora(self, seed, shape, switches):
         session = session_over(random_corpus(seed, shape), **switches)
         first, _ = assert_detect_is_the_reference(session)
-        assert session.detect().identical_to(first)  # from the read slot
+        assert session.detect().identical_to(first)  # f from the memo
 
     @pytest.mark.slow
     def test_dirty_dataset_end_to_end(self):

@@ -63,23 +63,11 @@ class TestIncrementalDeduplicator:
                               ("extra note", "/d/r[2]/note")]),
             od_from_pairs(2, [("omega", "/d/r[3]/name")]),
         ]
-        dedup = IncrementalDeduplicator(
-            make_similarity(ods), threshold=0.55, representative_policy="merged"
-        )
+        dedup = IncrementalDeduplicator(make_similarity(ods), threshold=0.55)
         dedup.add_all(ods)
         representative = dedup.representative_of(0)
         # union of both members' information: name + code + note
         assert len(representative.tuples) == 3
-
-    def test_richest_representative(self, stream_ods):
-        dedup = IncrementalDeduplicator(
-            make_similarity(stream_ods), threshold=0.55, representative_policy="richest"
-        )
-        dedup.add(stream_ods[3])  # 1 tuple
-        dedup.add(stream_ods[0])  # 2 tuples, similar
-        representative = dedup.representative_of(0)
-        assert representative.object_id == 0
-        assert len(representative.tuples) == 2
 
     def test_comparisons_linear_in_clusters(self, stream_ods):
         dedup = IncrementalDeduplicator(
@@ -97,40 +85,30 @@ class TestIncrementalDeduplicator:
         with pytest.raises(ValueError, match="already added"):
             dedup.add(stream_ods[0])
 
-    def test_invalid_parameters(self, stream_ods):
-        with pytest.raises(ValueError):
-            IncrementalDeduplicator(make_similarity(stream_ods), threshold=1.5)
-        with pytest.raises(ValueError):
-            IncrementalDeduplicator(
-                make_similarity(stream_ods), 0.5, representative_policy="median"
-            )
-
-    def test_member_fallback_recovers_miss(self):
-        # The "richest" representative of {0, 1} is object 0; object 2
-        # resembles member 1 only.  Without the member fallback it
-        # starts a new cluster; with it, it joins.
+    def test_merged_representative_matches_any_member(self):
+        # Object 2 resembles member 1 of {0, 1} only.  The merged
+        # representative carries every member's values, so object 2
+        # joins the cluster without being scored against its members.
         ods = [
             od_from_pairs(0, [("x", "/d/r[1]/v"), ("q", "/d/r[1]/w")]),
             od_from_pairs(1, [("x", "/d/r[2]/v"), ("y", "/d/r[2]/z")]),
             od_from_pairs(2, [("y", "/d/r[3]/z")]),
         ]
+        scored = []
 
         def overlap_sim(od_a, od_b):
+            scored.append((od_a.object_id, od_b.object_id))
             values_a, values_b = set(od_a.values()), set(od_b.values())
             return 1.0 if values_a & values_b else 0.0
 
-        strict = IncrementalDeduplicator(
-            overlap_sim, 0.5, representative_policy="richest"
-        )
-        strict.add_all(ods)
-        assert len(strict.clusters) == 2  # od2 missed the representative
+        dedup = IncrementalDeduplicator(overlap_sim, 0.5)
+        dedup.add_all(ods)
+        assert dedup.clusters == [[0, 1, 2]]
+        assert len(scored) == dedup.comparisons == 2  # one per arrival
 
-        lenient = IncrementalDeduplicator(
-            overlap_sim, 0.5, representative_policy="richest",
-            check_members_on_miss=True,
-        )
-        lenient.add_all(ods)
-        assert len(lenient.clusters) == 1  # fallback found member 1
+    def test_invalid_parameters(self, stream_ods):
+        with pytest.raises(ValueError):
+            IncrementalDeduplicator(make_similarity(stream_ods), threshold=1.5)
 
 
 class TestRelationalAdapter:

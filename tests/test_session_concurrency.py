@@ -7,15 +7,16 @@ here:
 * foreign sentinel allocation is atomic — the old read-modify-write on
   an instance attribute let two threads draw the same id, conflating
   two foreign elements in per-id memos (``ObjectFilter.decide``);
-* the per-theta read slots and the filter's per-object maps —
-  ``match(theta_cand=...)`` at a non-default threshold used to re-run
-  the full O(n) object-filter pass on every call, and the first
-  filtered lookup classified the whole corpus; now a lookup classifies
-  and scores only the objects it reads, once per corpus state, and
-  stores its answer in the slot of its threshold — with an LRU bound,
-  parity against the unmemoized filter, foreign elements never stored,
-  eight readers on a never-read session answering like one, and a
-  reader that stores after a write storing into a pair or a slot no
+* the per-corpus-state maps: tuple classes, filter scores and
+  θ-free partner lists — ``match(theta_cand=...)`` at a non-default
+  threshold used to re-run the full O(n) object-filter pass on every
+  call, and the first filtered lookup classified the whole corpus; now
+  a lookup classifies and scores only the objects it reads, once per
+  corpus state, and keeps one partner list per object that every later
+  threshold at or above its floor is cut from — with at most one list
+  per object, parity against the unmemoized filter, foreign elements
+  never stored, eight readers on a never-read session answering like
+  one, and a reader that stores after a write storing into maps no
   later read sees;
 * the object filter's decision memo — ``decide()`` published its memo
   check-then-act, so two threads passing the check together both
@@ -173,9 +174,9 @@ class TestForeignSentinelAllocation:
 
 
 class TestKeptSetMemo:
-    """The per-theta read slots, which keep the answers ``match()``
-    computed per threshold in a bounded LRU, and the filter's two
-    per-object maps, which keep each object's tuple classes and f."""
+    """The session's three per-object maps: each object's tuple
+    classes, its f, and its partner list, which ``match()`` computes at
+    the lowest floor asked for and cuts every higher threshold from."""
 
     @pytest.fixture()
     def filter_calls(self, monkeypatch):
@@ -224,7 +225,7 @@ class TestKeptSetMemo:
         assert scored == classified  # one score per classified object
         first = list(classified)
         session.match(0, theta_cand=0.25)
-        assert (classified, scored) == (first, first)  # read from the slot
+        assert (classified, scored) == (first, first)  # cut from the list
         session.match(1, theta_cand=0.25)
         assert len(classified) == len(set(classified))  # none twice
         assert scored == classified
@@ -287,7 +288,7 @@ class TestKeptSetMemo:
         }
         assert any(expected.values())
         session = build()
-        assert session._filter == ({}, {})
+        assert session._memo == ({}, {}, {})
         wrong: list = []
         errors: list[Exception] = []
         start = threading.Barrier(8)
@@ -311,8 +312,8 @@ class TestKeptSetMemo:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors and not wrong
-        classes, scores = session._filter
-        assert set(classes) == set(scores) == set(ids)
+        classes, scores, lists = session._memo
+        assert set(classes) == set(scores) == set(lists) == set(ids)
         fresh = ObjectFilter(session.index, session.config.theta_cand)
         for od in session.ods:
             assert classes[od.object_id] == session_module.tuple_classes(
@@ -334,36 +335,43 @@ class TestKeptSetMemo:
                 for od in session.ods
             }
             assert kept == fresh, f"filter decisions diverged at {theta}"
-            _, scores = session._filter
+            _, scores, _ = session._memo
             assert {
                 object_id: score.hex() for object_id, score in scores.items()
             } == {
                 od.object_id: fresh_filter.score(od).hex() for od in session.ods
             }
 
-    def test_memo_is_bounded(self):
-        import repro.api.session as session_module
-
+    def test_one_list_per_indexed_object(self):
+        """Whatever thresholds are asked, rising, falling or repeated,
+        with and without the band, a session holds at most one partner
+        list per indexed object, at the lowest floor asked for it."""
         for use_object_filter in (True, False):
             session = paper_session(
-                use_object_filter=use_object_filter, theta_cand=0.3
+                use_object_filter=use_object_filter,
+                theta_cand=0.3,
+                possible_threshold=0.15,
             )
-            for step in range(3 * session_module._KEPT_CACHE_SIZE):
-                theta = 0.2 + step / 1000
-                session.match(step % 3, theta_cand=theta)
-                assert len(session._read_slots) <= session_module._KEPT_CACHE_SIZE
-            # least recently used first out: the last thetas stay
-            assert list(session._read_slots)[-1] == theta
+            n = len(session.ods)
+            lowest: dict[int, float] = {}
+            for step in range(40):
+                theta = 0.2 + (step * 7 % 40) / 100
+                object_id = step % n
+                banded = step % 5 == 0
+                session.match(object_id, theta_cand=theta, include_possible=banded)
+                floor = 0.15 if banded else theta
+                lowest[object_id] = min(lowest.get(object_id, floor), floor)
+                lists = session._memo[2]
+                assert len(lists) <= n
+                assert {i: held[0] for i, held in lists.items()} == lowest
 
-    def test_readers_across_evicting_thetas_answer_like_one(
+    def test_readers_across_falling_floors_answer_like_one(
         self, greedy_switching
     ):
-        """Eight readers on one filtered session, each walking more
-        thresholds than the LRU holds in its own order: slots are made,
-        filled and evicted under them, and every answer is the serial
-        one."""
-        import repro.api.session as session_module
-
+        """Eight readers on one filtered session, each walking twelve
+        thresholds in its own order: lists are made, cut, and replaced
+        by lists at lower floors under them, and every answer is the
+        serial one."""
         dataset = build_dataset1(10, seed=7)
 
         def build() -> DetectionSession:
@@ -371,8 +379,7 @@ class TestKeptSetMemo:
                 Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
             )
 
-        size = session_module._KEPT_CACHE_SIZE
-        thetas = [0.3 + step / 50 for step in range(size + 4)]
+        thetas = [0.3 + step / 50 for step in range(12)]
         ids = [od.object_id for od in build().ods]
         serial = build()
         expected = {
@@ -405,26 +412,26 @@ class TestKeptSetMemo:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors and not wrong
-        assert len(session._read_slots) <= size
+        assert set(session._memo[2]) == set(ids)
 
     def test_extend_invalidates_the_memo(self):
         session = paper_session(use_object_filter=True, theta_cand=0.3)
         session.match(0, theta_cand=0.25)
-        slot = session._read_slots[0.25]
-        pair = session._filter
-        assert slot and pair[0] and pair[1]
+        memo = session._memo
+        classes, scores, lists = memo
+        assert classes and scores and lists[0][0] == 0.25
         session.extend(parse("<moviedoc/>"))  # no candidate: no answer moves
-        assert session._read_slots == {0.25: slot}
-        assert session._filter is pair
+        assert session._memo is memo
+        assert (session._memo[0], session._memo[2]) == (classes, {0: lists[0]})
         session.extend(
             parse(
                 "<moviedoc><movie><title>Heat</title><year>1995</year>"
                 "</movie></moviedoc>"
             )
         )
-        assert not session._read_slots
-        classes, scores = session._filter
-        assert classes == pair[0] and classes is not pair[0] and not scores
+        grown_classes, grown_scores, grown_lists = session._memo
+        assert grown_classes == classes and grown_classes is not classes
+        assert not grown_scores and not grown_lists
 
     def test_foreign_elements_are_scored_every_time(self, monkeypatch):
         """A posted element gets a new OD and a new id per call: its
@@ -447,17 +454,17 @@ class TestKeptSetMemo:
             assert len(scored) > before
         assert answers[:2] == answers[2:] and answers[0] and answers[1]
         assert len(set(scored)) == 4  # four sentinel ids, none shared
-        assert not any(session._read_slots.values())
+        assert not session._memo[2]
 
     def test_a_reader_publishing_after_a_write_changes_no_later_answer(
         self, monkeypatch
     ):
-        """A reader computes object 0's answer on the corpus, stalls
-        while a write adds a duplicate, and then stores its answer: into
-        the slot it fetched, which the write dropped.  The next lookup
-        answers on the grown corpus."""
+        """A reader computes object 0's list at a floor below the one
+        held, stalls while a write adds a duplicate, and then stores its
+        list: into the map it fetched, which the write dropped.  The
+        next lookups answer on the grown corpus."""
         session = paper_session(use_object_filter=False)
-        before = _snapshot(session.match(0, theta_cand=0.3))
+        session.match(0)
         twin = paper_session(use_object_filter=False)
         movie = (
             "<moviedoc><movie><title>The Matrix</title><year>1999</year>"
@@ -465,7 +472,8 @@ class TestKeptSetMemo:
             "</movie></moviedoc>"
         )
         twin.extend(parse(movie))
-        after = _snapshot(twin.match(0))
+        before = _snapshot(paper_session(use_object_filter=False).match(0, 0.3))
+        after = _snapshot(twin.match(0, theta_cand=0.3))
         assert after != before
 
         computed, written = threading.Event(), threading.Event()
@@ -480,7 +488,7 @@ class TestKeptSetMemo:
         monkeypatch.setattr(session, "_partners", stalled)
         stale: list = []
         reader = threading.Thread(
-            target=lambda: stale.append(_snapshot(session.match(0)))
+            target=lambda: stale.append(_snapshot(session.match(0, theta_cand=0.3)))
         )
         reader.start()
         assert computed.wait(timeout=30)
@@ -488,11 +496,9 @@ class TestKeptSetMemo:
         written.set()
         reader.join(timeout=30)
         assert not reader.is_alive()
-        assert stale == [_snapshot(paper_session(use_object_filter=False).match(0))]
-        assert _snapshot(session.match(0)) == after
-        assert _snapshot(session.match(0, theta_cand=0.3)) == _snapshot(
-            twin.match(0, theta_cand=0.3)
-        )
+        assert stale == [before]
+        assert _snapshot(session.match(0, theta_cand=0.3)) == after
+        assert _snapshot(session.match(0)) == _snapshot(twin.match(0))
 
 
     @pytest.mark.parametrize("stall_after", ["first", "last"])
@@ -511,7 +517,7 @@ class TestKeptSetMemo:
         twin = paper_session(use_object_filter=True, theta_cand=0.3)
         probe = paper_session(use_object_filter=True, theta_cand=0.3)
         probe.match(0)
-        stall_at = 1 if stall_after == "first" else len(probe._filter[0])
+        stall_at = 1 if stall_after == "first" else len(probe._memo[0])
         real = session_module.tuple_classes
         classified: list[int] = []
         stalled, written = threading.Event(), threading.Event()
@@ -544,8 +550,7 @@ class TestKeptSetMemo:
         assert not reader.is_alive() and not errors
         monkeypatch.setattr(session_module, "tuple_classes", real)
         for document in ("<moviedoc/>", _HEAT):
-            classes, _ = session._filter
-            for object_id, kinds in classes.items():
+            for object_id, kinds in session._memo[0].items():
                 assert kinds == real(session.index, session._by_id[object_id])
             for object_id in session._by_id:
                 for theta in (None, 0.3, 0.8):
@@ -555,26 +560,29 @@ class TestKeptSetMemo:
             for target in (session, twin):
                 target.extend(parse(document))
 
-    def test_a_slot_keeps_pairs_and_each_call_makes_new_matches(self):
-        """An answer is kept as ``(candidate id, similarity)`` pairs and
+    def test_a_list_keeps_pairs_and_each_call_makes_new_matches(self):
+        """A list is kept as ``(candidate id, similarity)`` pairs and
         each call builds its own matches.  Without a C2 band both
-        ``include_possible`` flags give one answer, kept once; with one
-        they are two answers."""
+        ``include_possible`` flags give one answer from one list at θ;
+        with one, the banded lookup lowers the list's floor to the
+        band's, and the duplicates are cut from it."""
         session = paper_session(use_object_filter=False, theta_cand=0.3)
         first = session.match(0)
         again = session.match(0, include_possible=True)
         assert first and _snapshot(first) == _snapshot(again)
         assert all(left is not right for left, right in zip(first, again))
-        slot = session._read_slots[0.3]
-        assert slot == {
-            (0, False): tuple((m.object_id, m.similarity) for m in first)
+        assert session._memo[2] == {
+            0: (0.3, tuple((m.object_id, m.similarity) for m in first))
         }
         banded = paper_session(
             use_object_filter=False, theta_cand=0.3, possible_threshold=0.1
         )
-        banded.match(0)
-        banded.match(0, include_possible=True)
-        assert set(banded._read_slots[0.3]) == {(0, False), (0, True)}
+        duplicates = banded.match(0)
+        band = banded.match(0, include_possible=True)
+        floor, partners = banded._memo[2][0]
+        assert floor == 0.1 and len(banded._memo[2]) == 1
+        assert partners == tuple((m.object_id, m.similarity) for m in band)
+        assert _snapshot(banded.match(0)) == _snapshot(duplicates)
 
 
 class TestObjectFilterDecideRace:

@@ -21,11 +21,13 @@ does not make it:
   object classified later must classify fresh, and its filter
   decisions and scores must be a fresh :class:`ObjectFilter` pass's,
   bit for bit;
-* **the read slots** — ``match()`` keeps each indexed object's answer
-  per threshold until a write adds objects.  Under any interleaving of
-  lookups and writes every answer must be a rebuilt session's, a
-  repeated lookup must score no pair, and a write with candidates must
-  make the next lookup score again.
+* **the partner lists** — ``match()`` keeps one θ-free partner list per
+  indexed object, at the lowest floor asked for, until a write adds
+  objects, and cuts every threshold at or above that floor from it.
+  Under any interleaving of lookups and writes every answer must be a
+  rebuilt session's, a lookup at or above the held floor must score no
+  pair, and a write with candidates must make the next lookup score
+  again.
 """
 
 from __future__ import annotations
@@ -283,20 +285,11 @@ def foreign_element(source: Source, position: int) -> Element:
 
 
 class TestTwinStreams:
-    @pytest.mark.parametrize("check_members_on_miss", (False, True))
-    @pytest.mark.parametrize("policy", ("merged", "richest"))
-    def test_blocked_stream_equals_unblocked(
-        self, monkeypatch, policy, check_members_on_miss
-    ):
+    def test_blocked_stream_equals_unblocked(self, monkeypatch):
         dataset, corpus, extensions = dataset1_stream(16, 7, 5, 2)
 
-        def blocked(*args, **options):
-            return IncrementalDeduplicator(
-                *args, representative_policy=policy, **options
-            )
-
         def unblocked(*args, candidates, **options):  # always passed
-            return blocked(*args, **options)
+            return IncrementalDeduplicator(*args, **options)
 
         def twin(factory):
             """A session and its first, seeding extension."""
@@ -304,9 +297,7 @@ class TestTwinStreams:
             with monkeypatch.context() as patch:
                 # extend() imports the stream from its defining module
                 patch.setattr(incremental_module, "IncrementalDeduplicator", factory)
-                first = session.extend(
-                    extensions[0], check_members_on_miss=check_members_on_miss
-                )
+                first = session.extend(extensions[0])
             return session, first
 
         def assert_streams_equal(update, expected):
@@ -321,10 +312,12 @@ class TestTwinStreams:
                 )
             assert ours.comparisons <= theirs.comparisons
 
-        (shipped, update), (oracle, expected) = twin(blocked), twin(unblocked)
+        (shipped, update), (oracle, expected) = (
+            twin(IncrementalDeduplicator),
+            twin(unblocked),
+        )
         assert shipped.incremental.candidates is not None
         assert oracle.incremental.candidates is None
-        assert shipped.incremental.policy == oracle.incremental.policy == policy
         assert_streams_equal(update, expected)
         for extension in extensions[1:]:
             assert_streams_equal(
@@ -508,18 +501,17 @@ class TestWriteCostsWhatItChanges:
 
     def test_an_empty_write_changes_no_memo(self):
         """A document without candidates adds a source and nothing
-        else: the index, the filter's maps, the read slots and every
-        memo entry stay, and the next lookup searches nothing.  The
+        else: the index, the per-object maps (classes, scores, partner
+        lists) and every memo entry stay, and the next lookup searches
+        nothing.  The
         first write seeds the incremental stream, a search per corpus
         term at most; a second empty write searches nothing."""
         dataset = build_dataset1(15, seed=3)
         session = session_on(dataset, dataset.sources)
         answer = snapshot(session.match(0))
         index = session.index
-        slots = dict(session._read_slots)
-        (slot,) = slots.values()
-        pair = session._filter
-        stored = (dict(slot), dict(pair[0]), dict(pair[1]))
+        memo = session._memo
+        stored = tuple(dict(held) for held in memo)
         assert all(stored)  # the filter is on
         memos = (
             dict(index._similar_cache),
@@ -535,12 +527,10 @@ class TestWriteCostsWhatItChanges:
         assert update.added == update.assignments == ()
         assert session.incremental is not None  # the stream is seeded
         assert len(session.corpus) == len(dataset.sources) + 1
-        assert session._read_slots == slots  # the same slot objects
-        assert session._read_slots[session.config.theta_cand] is slot
-        assert session._filter is pair  # the same maps
-        assert (slot, pair[0], pair[1]) == stored
+        assert session._memo is memo  # the same maps
+        assert memo == stored
         fresh = ObjectFilter(index, session.config.theta_cand)
-        for object_id, score in pair[1].items():
+        for object_id, score in memo[1].items():
             assert score.hex() == fresh.score(session.ods[object_id]).hex()
         # seeding the stream may add memo entries; none is dropped
         for before, after in zip(
@@ -550,7 +540,7 @@ class TestWriteCostsWhatItChanges:
             assert before.items() <= after.items()
         assert snapshot(session.match(0)) == answer
         session.extend(source_of([]))
-        assert session._filter is pair and session._read_slots == slots
+        assert session._memo is memo and memo == stored
         assert self.probes(session) == probes
 
 
@@ -561,7 +551,7 @@ def assert_held_filter_exact(session: DetectionSession) -> None:
     """Each class the session holds is a fresh classification's, and
     each f it holds a fresh :class:`ObjectFilter`'s, to the bit."""
     index = session.index
-    classes, scores = session._filter
+    classes, scores, _ = session._memo
     fresh = ObjectFilter(index, session.config.theta_cand)
     for object_id, kinds in classes.items():
         od = session._by_id[object_id]
@@ -583,8 +573,9 @@ def assert_filter_exact(session: DetectionSession) -> None:
         assert {
             od.object_id: session._kept(theta, od.object_id) for od in session.ods
         } == {od.object_id: fresh.keep(od) for od in session.ods}, theta
-    classes, scores = session._filter
-    assert set(classes) == set(scores) == {od.object_id for od in session.ods}
+    classes, scores, lists = session._memo
+    ids = {od.object_id for od in session.ods}
+    assert set(classes) == set(scores) == set(lists) == ids
     assert_held_filter_exact(session)
 
 
@@ -626,7 +617,7 @@ class TestClassesThroughWrites:
 
 
 # ----------------------------------------------------------------------
-# Session level: the read slots
+# Session level: the partner lists
 # ----------------------------------------------------------------------
 def exact(matches) -> list:
     """A ``match()`` answer with every similarity to the bit."""
@@ -649,7 +640,7 @@ class CountingSimilarity:
         return getattr(self.real, name)
 
 
-def slot_session(dataset, sources, filtered: bool) -> DetectionSession:
+def banded_session(dataset, sources, filtered: bool) -> DetectionSession:
     """A session with a possible band, so ``include_possible`` has work
     at every threshold the fuzz draws."""
     return DetectionSession(
@@ -663,13 +654,13 @@ def slot_session(dataset, sources, filtered: bool) -> DetectionSession:
 _LOOKUP = st.tuples(
     st.just("match"),
     st.integers(0, 60),
-    st.sampled_from([None, 0.3, 0.8]),
+    st.sampled_from([None, 0.25, 0.3, 0.45, 0.8, 0.95]),
     st.booleans(),
 )
 _WRITE = st.tuples(st.just("extend"), st.lists(st.integers(0, 15), max_size=3))
 
 
-class TestReadSlotsThroughWrites:
+class TestPartnerListsThroughWrites:
     @settings(
         max_examples=30,
         deadline=None,
@@ -683,12 +674,14 @@ class TestReadSlotsThroughWrites:
     def test_random_interleavings_answer_like_a_rebuilt_session(
         self, corpus, steps, filtered
     ):
-        """Lookups at three thresholds, with and without the possible
-        band, interleaved with writes (empty documents among them):
-        every answer is a session rebuilt over the same documents'."""
+        """Lookups at six thresholds, with and without the possible
+        band, interleaved with writes (empty documents among them), so
+        lists held at a higher floor are cut, and replaced by lower
+        ones: every answer is a session rebuilt over the same
+        documents'."""
         dataset, records = class_fuzz_dataset()
         sources = [source_of([records[i] for i in corpus])]
-        session = slot_session(dataset, sources, filtered)
+        session = banded_session(dataset, sources, filtered)
         rebuilt = None
         for step in steps:
             if step[0] == "extend":
@@ -698,7 +691,7 @@ class TestReadSlotsThroughWrites:
                 continue
             _, pick, theta, include_possible = step
             if rebuilt is None:
-                rebuilt = slot_session(dataset, sources, filtered)
+                rebuilt = banded_session(dataset, sources, filtered)
             object_id = session.ods[pick % len(session.ods)].object_id
             got = session.match(
                 object_id, theta_cand=theta, include_possible=include_possible
@@ -709,7 +702,7 @@ class TestReadSlotsThroughWrites:
             assert exact(got) == exact(want), (object_id, theta)
             got.clear()  # each call returns its own list
 
-        final = slot_session(dataset, sources, filtered)
+        final = banded_session(dataset, sources, filtered)
         for od in final.ods:
             for theta in (None, 0.3, 0.8):
                 assert exact(session.match(od.object_id, theta_cand=theta)) == (
@@ -719,8 +712,10 @@ class TestReadSlotsThroughWrites:
     @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
     def test_a_repeated_lookup_scores_no_pair(self, filtered, monkeypatch):
         """On the running example: a lookup on an unchanged corpus, or
-        after a document without candidates, is read from the slot; a
-        write with candidates makes the next lookup score again."""
+        after a document without candidates, is cut from the held list;
+        after a lookup at 0.3, so is one at any higher threshold, with
+        the band or not; a write with candidates makes the next lookup
+        score again."""
         from repro.core import RDistantDescendants
         from repro.datagen import (
             paper_example_document,
@@ -728,28 +723,38 @@ class TestReadSlotsThroughWrites:
             paper_example_schema,
         )
 
-        session = DetectionSession(
-            Source(paper_example_document(), paper_example_schema()),
-            paper_example_mapping(),
-            "MOVIE",
-            DogmatixConfig(
-                heuristic=RDistantDescendants(2),
-                theta_tuple=0.55,
-                theta_cand=0.55,
-                use_object_filter=filtered,
-            ),
-        )
+        def build() -> DetectionSession:
+            return DetectionSession(
+                Source(paper_example_document(), paper_example_schema()),
+                paper_example_mapping(),
+                "MOVIE",
+                DogmatixConfig(
+                    heuristic=RDistantDescendants(2),
+                    theta_tuple=0.55,
+                    theta_cand=0.55,
+                    use_object_filter=filtered,
+                ),
+            )
+
+        session = build()
         spy = CountingSimilarity(session._similarity)
         monkeypatch.setattr(session, "_similarity", spy)
 
-        def lookups() -> tuple[int, list]:
-            spy.pairs = 0
-            answers = [
-                exact(session.match(od.object_id, include_possible=possible))
-                for od in session.ods
+        def answers(target: DetectionSession, theta=None) -> list:
+            return [
+                exact(
+                    target.match(
+                        od.object_id, theta_cand=theta, include_possible=possible
+                    )
+                )
+                for od in target.ods
                 for possible in (False, True)
             ]
-            return spy.pairs, answers
+
+        def lookups(theta=None) -> tuple[int, list]:
+            spy.pairs = 0
+            got = answers(session, theta)
+            return spy.pairs, got
 
         scored, first = lookups()
         assert scored > 0 or filtered  # the filter prunes all three
@@ -757,6 +762,12 @@ class TestReadSlotsThroughWrites:
 
         session.extend(parse("<moviedoc/>"))
         assert lookups() == (0, first)
+
+        scored, _ = lookups(0.3)
+        assert scored > 0  # below the held floor: computed again
+        twin = build()
+        for theta in (0.3, 0.4, 0.55, 0.8, 1.0):
+            assert lookups(theta) == (0, answers(twin, theta)), theta
 
         session.extend(
             parse(
@@ -769,16 +780,84 @@ class TestReadSlotsThroughWrites:
         assert scored > 0
         assert lookups() == (0, grown)
 
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    def test_a_lower_floor_replaces_a_higher_one(self, filtered, monkeypatch):
+        """Lookups at 0.8, then at 0.3: the lower floor computes again
+        and replaces the list under it, one list per object throughout,
+        and a lookup back at 0.8 is cut from the 0.3 list, scoring no
+        pair and answering as a fresh session does."""
+        dataset = build_dataset1(15, seed=3)
+        session = banded_session(dataset, dataset.sources, filtered)
+        fresh = banded_session(dataset, dataset.sources, filtered)
+        spy = CountingSimilarity(session._similarity)
+        monkeypatch.setattr(session, "_similarity", spy)
+        lists = session._memo[2]
+        ids = [od.object_id for od in session.ods]
+
+        def lookups(theta: float) -> tuple[int, list]:
+            spy.pairs = 0
+            got = [exact(session.match(object_id, theta)) for object_id in ids]
+            return spy.pairs, got
+
+        want = {
+            theta: [exact(fresh.match(object_id, theta)) for object_id in ids]
+            for theta in (0.3, 0.8)
+        }
+        assert lookups(0.8)[1] == want[0.8]
+        assert {held[0] for held in lists.values()} == {0.8}
+        scored, got = lookups(0.3)
+        assert scored > 0 and got == want[0.3]
+        assert set(lists) == set(ids)
+        assert {held[0] for held in lists.values()} == {0.3}
+        assert lookups(0.8) == (0, want[0.8])
+        assert {held[0] for held in lists.values()} == {0.3}
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "filtered"])
+    def test_a_band_lookup_lists_at_the_possible_threshold(
+        self, filtered, monkeypatch
+    ):
+        """A lookup with the C2 band holds its list at the band's lower
+        bound, so a later lookup at any θ_cand above it, band or not,
+        scores no pair and answers as a fresh session does."""
+        dataset = build_dataset1(15, seed=3)
+        session = banded_session(dataset, dataset.sources, filtered)
+        fresh = banded_session(dataset, dataset.sources, filtered)
+        spy = CountingSimilarity(session._similarity)
+        monkeypatch.setattr(session, "_similarity", spy)
+        possible = session.config.possible_threshold
+        ids = [od.object_id for od in session.ods]
+        banded = [
+            exact(session.match(object_id, include_possible=True))
+            for object_id in ids
+        ]
+        assert banded == [
+            exact(fresh.match(object_id, include_possible=True))
+            for object_id in ids
+        ]
+        lists = session._memo[2]
+        assert set(lists) == set(ids)
+        assert {held[0] for held in lists.values()} == {possible}
+        spy.pairs = 0
+        for theta in (None, 0.3, 0.6, 0.9):
+            for include_possible in (False, True):
+                for object_id in ids:
+                    assert exact(
+                        session.match(object_id, theta, include_possible)
+                    ) == exact(
+                        fresh.match(object_id, theta, include_possible)
+                    ), (object_id, theta, include_possible)
+        assert spy.pairs == 0
+
     @pytest.mark.parametrize("filtered", [True, False])
     def test_a_first_lookup_scores_each_kept_candidate_once(
         self, filtered, monkeypatch
     ):
-        """A lookup the slots have not seen costs what a lookup cost
-        before them: one similarity per candidate the object filter
+        """A lookup no list holds costs what a lookup cost before the
+        lists: one similarity per candidate the object filter
         keeps, none for a pruned candidate, none at all for a pruned
         object."""
         dataset = build_dataset1(15, seed=3)
-        session = slot_session(dataset, dataset.sources, filtered)
+        session = banded_session(dataset, dataset.sources, filtered)
         spy = CountingSimilarity(session._similarity)
         monkeypatch.setattr(session, "_similarity", spy)
         fresh = ObjectFilter(session.index, session.config.theta_cand)
