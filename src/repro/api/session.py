@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 from .._lazy import resolve
 from ..core.config import DogmatixConfig, check_thresholds
 from ..core.index import CorpusIndex, IndexPartial
-from ..core.object_filter import filter_score, reclassified, tuple_classes
+from ..core.object_filter import filter_score
 from ..core.similarity import DogmatixSimilarity
 from ..framework.classifier import DUPLICATES, POSSIBLE_DUPLICATES
 from ..framework.mapping import TypeMapping
@@ -160,17 +160,11 @@ class DetectionSession:
         self._similarity = DogmatixSimilarity(
             self._index, semantics=self.config.similar_semantics
         )
-        #: How many times this session built a corpus index (always 1;
-        #: exposed so benchmarks can assert amortization).
-        self.index_builds = 1
         #: The per-corpus-state maps, published together by one
         #: assignment (see :meth:`_kept` and :meth:`_listed`): object id
-        #: -> the S/U/N class of each of its tuples, object id ->
-        #: f(OD_i), and object id -> its partner list.  None depends on
-        #: θ_cand.
-        self._memo: tuple[
-            dict[int, tuple[str, ...]], dict[int, float], dict[int, _Partners]
-        ] = ({}, {}, {})
+        #: -> f(OD_i), and object id -> its partner list.  Neither
+        #: depends on θ_cand.
+        self._memo: tuple[dict[int, float], dict[int, _Partners]] = ({}, {})
         self._incremental: Optional[IncrementalDeduplicator] = None
         # Externally supplied ODs need not be numbered 0..n-1.
         self._next_id = max(self._by_id, default=-1) + 1
@@ -327,8 +321,7 @@ class DetectionSession:
         and similarity 0, so nothing above a positive threshold is ever
         missed.  The object filter, when enabled, is honored both for
         the queried object and for its candidates: each one's filter
-        score is computed once per corpus state, and each one's tuple
-        classes once until a write can move them (:meth:`_kept`).
+        score is computed once per corpus state (:meth:`_kept`).
 
         ``target`` may be an object id of the candidate set, any
         :class:`ObjectDescription` (also external ones), or an XML
@@ -382,7 +375,7 @@ class DetectionSession:
         that stores a higher floor over a lower one only makes a later
         lookup compute again.
         """
-        lists = self._memo[2]
+        lists = self._memo[1]
         held = lists.get(od.object_id)
         if held is None or held[0] > floor:
             held = lists[od.object_id] = (
@@ -417,9 +410,7 @@ class DetectionSession:
             if in_index:
                 if not self._kept(theta, od.object_id):
                     return ()  # detect() prunes every pair of this object
-            elif filter_score(
-                self._index, od, tuple_classes(self._index, od)
-            )[0] <= theta:
+            elif filter_score(self._index, od) <= theta:
                 return ()
         candidate_ids = self._similar_object_ids(od)
         if in_index:
@@ -471,30 +462,25 @@ class DetectionSession:
 
     def _kept(self, theta: float, object_id: int) -> bool:
         """Whether the object filter keeps an indexed object at ``theta``:
-        ``f(OD_i) > theta``, f from the session's per-object maps.
+        ``f(OD_i) > theta``, f from the session's score map.
 
-        The class and score maps are filled on first need, so a lookup classifies and
-        scores the queried object and its candidates, not the corpus.
-        A class is a similar-value search per term and does not read
-        |Ω|: :meth:`_fold` keeps the classes across a write, moving only
-        what the delta can reach (N → U → S).  A score is arithmetic over
-        the classes (:func:`~repro.core.object_filter.filter_score`) and
-        reads |Ω|, so a write drops every score, and the lookup after it
-        re-sums the scores of the objects it reads and searches nothing
-        for an object classified before the write.
+        The map is filled on first need, so a lookup scores the queried
+        object and its candidates, not the corpus
+        (:func:`~repro.core.object_filter.filter_score` classifies each
+        tuple and sums it).  Every score reads |Ω|, so a write drops the
+        map whole and the lookup after it scores the objects it reads
+        afresh.
 
-        The maps are fetched once and filled without a lock, each entry
-        by one dict store of an immutable value; a reader that fetched
-        the maps a write replaced stores into an orphan.
+        The map is fetched once and filled without a lock, each entry
+        by one dict store of the finished float; a reader that fetched
+        the map a write replaced stores into an orphan.
         """
-        classes, scores, _ = self._memo
+        scores = self._memo[0]
         score = scores.get(object_id)
         if score is None:
-            od = self._by_id[object_id]
-            kinds = classes.get(object_id)
-            if kinds is None:
-                kinds = classes[object_id] = tuple_classes(self._index, od)
-            score = scores[object_id] = filter_score(self._index, od, kinds)[0]
+            score = scores[object_id] = filter_score(
+                self._index, self._by_id[object_id]
+            )
         return score > theta
 
     def _resolve_od(
@@ -522,7 +508,7 @@ class DetectionSession:
 
         Foreign ODs must never share an id with an indexed object: the
         object filter's tuple classes
-        (:func:`~repro.core.object_filter.tuple_classes`) exclude
+        (:func:`~repro.core.object_filter.tuple_class`) exclude
         ``od.object_id`` as "the object itself", so a colliding id would
         silently drop a *real* corpus object's evidence (e.g. the
         foreign element's one duplicate) from the shared-information
@@ -582,17 +568,12 @@ class DetectionSession:
         see the extended objects exactly as a session rebuilt over the
         grown corpus would (bit-identical results; pinned by
         ``tests/test_write_path.py``).  The merge keeps every memoized
-        similar-value group the new values do not touch.  The object
-        filter's tuple classes stay too: a write that only adds objects
-        moves a class only N → U → S, and only for a tuple whose kind
-        or similar value the delta joins, so those few are re-classified
-        among the objects already classified (:meth:`_fold`); a new
-        object is classified when a read first needs it.  The filter
+        similar-value group the new values do not touch.  The filter
         scores and the partner lists go (every filter score reads the
         object count, which moved for everyone), so the next
-        :meth:`match` scores its partners again and re-sums the filter
-        scores of the objects it reads.  A source without candidates
-        adds the source and changes no index, class, score, list or
+        :meth:`match` scores its partners and the filter scores of the
+        objects it reads again (:meth:`_fold`).  A source without
+        candidates adds the source and changes no index, score, list or
         memo: no answer can move.
         """
         added_source = self.corpus.add_source(source)
@@ -645,19 +626,12 @@ class DetectionSession:
         lock when serving, e.g. repro.serve's registry), so it thaws
         for the merge and re-freezes unconditionally.
 
-        Then the classes, on a copy: of the objects already classified,
-        only the non-shared tuples under a kind whose lone holder the
-        delta joined (:meth:`CorpusIndex.lone_holders`) are classified
-        again — no other class can move.  The new objects, like every
-        object no read has needed yet, are classified from the grown
-        index when first read.
-
-        Last, the new ids join the id map and the maps are published by
-        one assignment, with no score and no partner list (every filter
-        score reads |Ω| and every similarity the softIDF statistics).
-        A reader still holding the maps it fetched before can only
-        store into an orphan that no later read sees, so no lock and no
-        generation counter are needed.
+        Then the new ids join the id map and empty maps are published
+        by one assignment: every filter score reads |Ω| and every
+        similarity the softIDF statistics, so nothing held is exact any
+        more.  A reader still holding the maps it fetched before can
+        only store into an orphan that no later read sees, so no lock
+        and no generation counter are needed.
         """
         index = self._index
         delta = IndexPartial.from_ods(new_ods, self.mapping, q=index.q)
@@ -666,16 +640,9 @@ class DetectionSession:
             index.merge_partial(delta)
         finally:
             index.freeze()
-        classes = self._memo[0].copy()
-        for object_id, key in index.lone_holders(delta):
-            kinds = classes.get(object_id)
-            if kinds is not None:
-                classes[object_id] = reclassified(
-                    index, self._by_id[object_id], kinds, key
-                )
         for od in new_ods:
             self._by_id[od.object_id] = od
-        self._memo = (classes, {}, {})
+        self._memo = ({}, {})
 
     # ------------------------------------------------------------------
     # Introspection

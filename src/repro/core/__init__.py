@@ -34,7 +34,6 @@ __all__ = lazy_exports(
         "IndexPartial": "index",
         "TupleMatching": "matching",
         "match_tuples": "matching",
-        "FilterDecision": "object_filter",
         "ObjectFilter": "object_filter",
         "DescriptionSelector": "selection",
         "candidate_schema_element": "selection",

@@ -555,35 +555,6 @@ class CorpusIndex:
                 return True
         return False
 
-    def lone_holders(self, delta: IndexPartial) -> set[tuple[int, str]]:
-        """``(object id, key)`` of the standing objects that were, before
-        the folded ``delta``, the only holder of kind ``key`` or of a
-        ``key`` term similar to a delta term (call after
-        :meth:`merge_partial`).
-
-        A merge only grows rows and groups, so only for these can
-        "another object holds this kind" or "another object holds a
-        similar value" have turned true: a row with two standing
-        holders already gave each of them the other.  By the symmetry
-        of ``ned`` a delta term's group lists every standing value
-        similar to it; a row's standing holders are counted as its
-        length less the delta's own row.
-        """
-        state = self._state
-        found: set[tuple[int, str]] = set()
-        for key, added in delta.objects_by_key.items():
-            row = state.objects_by_key[key]
-            if len(row) - len(added) == 1:
-                found.update((held, key) for held in row if held not in added)
-        grown = delta.occurrences
-        for key, value in grown:
-            for similar in self.similar_values(key, value):
-                row = state.occurrences[(key, similar)]
-                added = grown.get((key, similar), ())
-                if len(row) - len(added) == 1:
-                    found.update((held, key) for held in row if held not in added)
-        return found
-
     # ------------------------------------------------------------------
     # Blocking
     # ------------------------------------------------------------------

@@ -22,22 +22,9 @@ be zero.
 The per-tuple softIDF uses the singleton form log(|Ω|/|O_odt|); shared
 tuples enter the numerator exactly as their best-case pair softIDF
 would, keeping f comparable in scale to sim.
-
-f is computed in two steps.  :func:`tuple_classes` sorts an object's
-tuples into shared (S), unique (U) and non-specified (N); the class
-reads the similar-value groups and occurrence rows but not |Ω|.
-:func:`filter_score` is the arithmetic over those classes, and every
-score moves whenever |Ω| does.  A write that only adds objects can move
-a class only one way, N → U → S: groups and rows only grow, so S stays
-S, and a class moves only where the delta adds a value or an object
-under that tuple's comparison key (:meth:`CorpusIndex.lone_holders`
-names the tuples it can reach).  A session therefore keeps its classes
-across writes and re-sums the scores.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..framework.od import ObjectDescription
 from .index import CorpusIndex
@@ -61,78 +48,35 @@ def tuple_class(index: CorpusIndex, key: str, value: str, object_id: int) -> str
     return NON_SPECIFIED
 
 
-def tuple_classes(index: CorpusIndex, od: ObjectDescription) -> tuple[str, ...]:
-    """The class of every tuple of ``od``, in tuple order."""
-    key_of = index.key_of
-    return tuple(
-        tuple_class(index, key_of(odt.name), odt.value, od.object_id)
-        for odt in od.tuples
-    )
-
-
-def reclassified(
-    index: CorpusIndex, od: ObjectDescription, classes: tuple[str, ...], key: str
-) -> tuple[str, ...]:
-    """``classes`` with the non-shared tuples of kind ``key`` classified
-    afresh (a write never moves S)."""
-    return tuple(
-        tuple_class(index, key, odt.value, od.object_id)
-        if kind != SHARED and index.key_of(odt.name) == key
-        else kind
-        for odt, kind in zip(od.tuples, classes)
-    )
-
-
-def filter_score(
-    index: CorpusIndex, od: ObjectDescription, classes: tuple[str, ...]
-) -> tuple[float, float, float]:
-    """``(f, shared softIDF, unique softIDF)`` of ``od`` given the classes
-    of its tuples: the sums run in tuple order over
+def filter_score(index: CorpusIndex, od: ObjectDescription) -> float:
+    """f(OD_i): each tuple of ``od`` classified (:func:`tuple_class`) and
+    summed in one pass, in tuple order, over
     :meth:`CorpusIndex.term_idf`, the singleton softIDF."""
     shared_idf = 0.0
     unique_idf = 0.0
     key_of = index.key_of
-    for odt, kind in zip(od.tuples, classes):
+    for odt in od.tuples:
+        key = key_of(odt.name)
+        kind = tuple_class(index, key, odt.value, od.object_id)
         if kind == SHARED:
-            shared_idf += index.term_idf(key_of(odt.name), odt.value)
+            shared_idf += index.term_idf(key, odt.value)
         elif kind == UNIQUE:
-            unique_idf += index.term_idf(key_of(odt.name), odt.value)
+            unique_idf += index.term_idf(key, odt.value)
     denominator = shared_idf + unique_idf
-    score = shared_idf / denominator if denominator > 0 else 0.0
-    return score, shared_idf, unique_idf
-
-
-@dataclass(frozen=True)
-class FilterDecision:
-    """Outcome of evaluating f on one object."""
-
-    object_id: int
-    score: float
-    shared_idf: float
-    unique_idf: float
-    kept: bool
+    return shared_idf / denominator if denominator > 0 else 0.0
 
 
 class ObjectFilter:
     """f(OD_i) with an ``f <= θ_cand`` pruning rule.
 
     The standalone form of the filter, for the evaluation harness and
-    pipelines built by hand (a session keeps its own per-object maps
-    instead).  Decisions are memoized per ``object_id``: f is a pure
-    function of the (immutable) corpus index and the object's tuples,
-    so asking twice — ``score()`` then ``keep()`` — must neither
-    repeat the similar-value searches nor record a second
-    :class:`FilterDecision` (which would double-count ``pruned_count``
-    and grow ``decisions`` unboundedly).  ``decisions`` therefore holds
-    exactly one entry per evaluated object, in first-evaluation order.
-
-    The memo is safe to read concurrently: like the index's own caches,
-    publication is a single ``dict.setdefault`` of a fully built value,
-    side effects (the ``decisions`` append) happen only on the winning
-    entry, and losers return the winner — so racing readers agree on
-    one :class:`FilterDecision` per object and ``decisions`` never
-    records a duplicate.  Wasted duplicate *computation* under a race
-    is acceptable (f is pure); duplicate *records* are not.
+    pipelines built by hand (a session keeps its own per-object map
+    instead).  f is a pure function of the (immutable) corpus index and
+    the object's tuples, so it is memoized per ``object_id``: asking
+    twice — ``score()`` then ``keep()`` — repeats no similar-value
+    search.  Each entry is published by one dict store of a float, so
+    concurrent readers need no lock; two that race on one object both
+    compute the same f and store equal values.
     """
 
     def __init__(self, index: CorpusIndex, theta_cand: float) -> None:
@@ -140,37 +84,16 @@ class ObjectFilter:
             raise ValueError(f"theta_cand must be in [0, 1], got {theta_cand}")
         self.index = index
         self.theta_cand = theta_cand
-        self.decisions: list[FilterDecision] = []
-        self._memo: dict[int, FilterDecision] = {}
+        self._scores: dict[int, float] = {}
 
     def score(self, od: ObjectDescription) -> float:
-        """f(OD_i) per Equation 9."""
-        return self.decide(od).score
-
-    def decide(self, od: ObjectDescription) -> FilterDecision:
-        """Evaluate f and record the decision (memoized per object id)."""
-        cached = self._memo.get(od.object_id)
-        if cached is not None:
-            return cached
-        score, shared_idf, unique_idf = filter_score(
-            self.index, od, tuple_classes(self.index, od)
-        )
-        decision = FilterDecision(
-            object_id=od.object_id,
-            score=score,
-            shared_idf=shared_idf,
-            unique_idf=unique_idf,
-            kept=score > self.theta_cand,
-        )
-        winner = self._memo.setdefault(od.object_id, decision)
-        if winner is decision:
-            self.decisions.append(decision)
-        return winner
+        """f(OD_i) per Equation 9 (memoized per object id)."""
+        score = self._scores.get(od.object_id)
+        if score is None:
+            score = self._scores[od.object_id] = filter_score(self.index, od)
+        return score
 
     def keep(self, od: ObjectDescription) -> bool:
-        """Pruning predicate for :class:`ObjectFilterPruning`."""
-        return self.decide(od).kept
-
-    @property
-    def pruned_count(self) -> int:
-        return sum(1 for decision in self.decisions if not decision.kept)
+        """Pruning predicate for :class:`ObjectFilterPruning`:
+        ``f(OD_i) > θ_cand``."""
+        return self.score(od) > self.theta_cand

@@ -29,16 +29,12 @@ class DogmatixSimilarity:
         self.mapping: TypeMapping = index.mapping
         self.theta_tuple = index.theta_tuple
         self.semantics = semantics
-        self.evaluations = 0
 
     def __call__(self, od_i: ObjectDescription, od_j: ObjectDescription) -> float:
         return self.similarity(od_i, od_j)
 
     def similarity(self, od_i: ObjectDescription, od_j: ObjectDescription) -> float:
         """Equation 8 for one pair."""
-        # repro: allow[RPR004] informational counter: concurrent match()
-        # readers may lose an increment; no decision depends on it
-        self.evaluations += 1
         return _score(self._match(od_i, od_j))
 
     def _match(self, od_i: ObjectDescription, od_j: ObjectDescription) -> TupleMatching:

@@ -111,8 +111,6 @@ class SessionEntry:
     spec: object
     session: object
     lock: ReadWriteLock = field(default_factory=ReadWriteLock)
-    #: Queries answered through this entry (monotonic; informational).
-    hits: int = 0
 
 
 class SessionRegistry:
@@ -144,7 +142,6 @@ class SessionRegistry:
             entry = self._entries.get(digest)
             if entry is not None:
                 self._entries.move_to_end(digest)
-                entry.hits += 1
             return entry
 
     def digests(self) -> list[str]:

@@ -59,7 +59,6 @@ class TestPaperExample:
         session, _ = example_run
         assert session.index is not None
         assert session.similarity is not None
-        assert session.similarity.evaluations >= 1
 
     def test_inferred_schema_equivalent(self):
         """Without an XSD, schema inference supports the same run."""

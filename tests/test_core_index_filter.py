@@ -2,13 +2,13 @@
 
 import pytest
 
+import repro.core.object_filter as object_filter_module
 from reference.softidf import singleton_soft_idf
 from repro.api import DetectionSession
 from repro.core import (
     CorpusIndex,
     DogmatixConfig,
     DogmatixSimilarity,
-    FilterDecision,
     ObjectFilter,
 )
 from repro.core.index import IndexPartial
@@ -169,28 +169,28 @@ class TestObjectFilter:
         assert not object_filter.keep(ods[2])
         assert not object_filter.keep(ods[3])
 
-    def test_decisions_recorded(self, index, ods):
+    def test_keep_is_score_above_theta(self, index, ods):
         object_filter = ObjectFilter(index, 0.55)
-        for od in ods:
-            object_filter.keep(od)
-        assert len(object_filter.decisions) == 4
-        assert object_filter.pruned_count == 2
+        kept = [object_filter.keep(od) for od in ods]
+        assert kept == [object_filter.score(od) > 0.55 for od in ods]
+        assert kept.count(False) == 2
 
-    def test_repeated_evaluation_records_one_decision(self, index, ods):
-        """Regression: every decide() appended a FilterDecision, so
-        score()+keep() on one OD — or repeated match() calls — double-
-        counted pruned_count and grew decisions unboundedly."""
-        object_filter = ObjectFilter(index, 0.55)
-        object_filter.score(ods[2])
-        object_filter.keep(ods[2])
-        object_filter.decide(ods[2])
-        assert len(object_filter.decisions) == 1
-        assert object_filter.pruned_count == 1
+    def test_repeated_evaluation_scores_once(self, index, ods, monkeypatch):
+        """f is memoized per object: score() then keep() on one OD — or
+        repeated match() calls — run the similar-value searches once."""
+        scored: list[int] = []
+        real_score = object_filter_module.filter_score
 
-    def test_decide_is_memoized(self, index, ods):
+        def counting_score(index, od):
+            scored.append(od.object_id)
+            return real_score(index, od)
+
+        monkeypatch.setattr(object_filter_module, "filter_score", counting_score)
         object_filter = ObjectFilter(index, 0.55)
-        first = object_filter.decide(ods[0])
-        assert object_filter.decide(ods[0]) is first
+        first = object_filter.score(ods[2])
+        assert not object_filter.keep(ods[2])
+        assert object_filter.score(ods[2]) == first
+        assert scored == [2]
 
     def test_kind_unspecified_elsewhere_is_neutral(self, mapping):
         ods = [
@@ -203,9 +203,40 @@ class TestObjectFilter:
         object_filter = ObjectFilter(index, 0.55)
         # object 0's code exists in no other object: neither shared nor
         # unique -> f driven by the shared name alone -> kept
-        decision = object_filter.decide(ods[0])
-        assert decision.kept
-        assert decision.unique_idf == 0.0
+        assert object_filter.keep(ods[0])
+        assert object_filter.score(ods[0]) == 1.0
+
+    def test_tuple_class_of_each_kind(self, mapping):
+        """Shared: a similar value is held elsewhere; unique: the kind
+        is held elsewhere but nothing similar to the value; non-specified:
+        no other object holds the kind."""
+        ods = [
+            od_from_pairs(0, [("alpha", "/db/rec[1]/name"),
+                              ("only-here", "/db/rec[1]/code")]),
+            od_from_pairs(1, [("alpha", "/db/rec[2]/name")]),
+            od_from_pairs(2, [("omega", "/db/rec[3]/name")]),
+        ]
+        index = CorpusIndex(ods, mapping, 0.25)
+        tuple_class = object_filter_module.tuple_class
+        assert tuple_class(index, "NAME", "alpha", 0) == object_filter_module.SHARED
+        assert tuple_class(index, "NAME", "omega", 2) == object_filter_module.UNIQUE
+        assert (
+            tuple_class(index, "CODE", "only-here", 0)
+            == object_filter_module.NON_SPECIFIED
+        )
+
+    def test_object_without_comparable_data_scores_zero(self, mapping):
+        """Every tuple non-specified: f's denominator is 0, f is 0.0 and
+        the object is pruned even at θ_cand = 0."""
+        ods = [
+            od_from_pairs(0, [("only-here", "/db/rec[1]/code")]),
+            od_from_pairs(1, [("alpha", "/db/rec[2]/name")]),
+            od_from_pairs(2, [("alpha", "/db/rec[3]/name")]),
+        ]
+        index = CorpusIndex(ods, mapping, 0.25)
+        assert object_filter_module.filter_score(index, ods[0]) == 0.0
+        assert not ObjectFilter(index, 0.0).keep(ods[0])
+        assert ObjectFilter(index, 0.0).keep(ods[1])
 
     def test_filter_bound_is_heuristic(self, movie_ods, movie_mapping):
         """The paper calls f an upper bound of sim; DESIGN.md documents
@@ -239,10 +270,10 @@ class TestObjectFilter:
 # ----------------------------------------------------------------------
 # "Does anyone else specify this kind" is a question, not a set
 # ----------------------------------------------------------------------
-def reference_decide(index: CorpusIndex, theta_cand: float, od) -> FilterDecision:
-    """``ObjectFilter.decide`` as it stood while it built the union of
-    every similar value's holders per tuple and copied every holder of
-    the kind per unique tuple (``objects_with_key(key) - {id}``)."""
+def reference_score(index: CorpusIndex, od) -> float:
+    """f(OD_i) as ``ObjectFilter`` computed it while it built the union
+    of every similar value's holders per tuple and copied every holder
+    of the kind per unique tuple (``objects_with_key(key) - {id}``)."""
     shared_idf = 0.0
     unique_idf = 0.0
     for odt in od.tuples:
@@ -252,10 +283,7 @@ def reference_decide(index: CorpusIndex, theta_cand: float, od) -> FilterDecisio
         elif index.objects_with_key(key) - {od.object_id}:
             unique_idf += singleton_soft_idf(odt, index)
     denominator = shared_idf + unique_idf
-    score = shared_idf / denominator if denominator > 0 else 0.0
-    return FilterDecision(
-        od.object_id, score, shared_idf, unique_idf, score > theta_cand
-    )
+    return shared_idf / denominator if denominator > 0 else 0.0
 
 
 def generated_session(dataset) -> DetectionSession:
@@ -265,11 +293,13 @@ def generated_session(dataset) -> DetectionSession:
 
 
 class TestKindElsewhere:
-    def assert_decisions_equal_reference(self, index, ods) -> None:
+    def assert_scores_equal_reference(self, index, ods) -> None:
         assert index.frozen
         object_filter = ObjectFilter(index, 0.55)
         for od in ods:
-            assert object_filter.decide(od) == reference_decide(index, 0.55, od)
+            expected = reference_score(index, od)
+            assert object_filter.score(od).hex() == expected.hex(), od.object_id
+            assert object_filter.keep(od) == (expected > 0.55)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("shape", SHAPES)
@@ -278,12 +308,12 @@ class TestKindElsewhere:
         session = session_over(ods)
         lone = od_from_pairs(len(ods), [("only here", "/db/item[99]/label[1]")])
         foreign = od_from_pairs(-1, [(t.value, t.name) for t in ods[-1].tuples])
-        self.assert_decisions_equal_reference(session.index, [*ods, lone, foreign])
+        self.assert_scores_equal_reference(session.index, [*ods, lone, foreign])
 
     def test_generated_datasets(self):
         for dataset in (build_dataset1(30, seed=7), build_dataset3(150, seed=7)):
             session = generated_session(dataset)
-            self.assert_decisions_equal_reference(session.index, session.ods)
+            self.assert_scores_equal_reference(session.index, session.ods)
 
     def test_reader_agrees_with_the_snapshot(self):
         ods = random_corpus(SEEDS[0], "giant")
@@ -309,7 +339,7 @@ class TestKindElsewhere:
             - {od.object_id}
         )
         assert unique_tuples > len(session.ods) / 4  # the shape that copied
-        expected = [first.decide(od) for od in session.ods]
+        expected = [first.score(od) for od in session.ods]
 
         copies: list[str] = []
         objects_with_key = CorpusIndex.objects_with_key
@@ -320,5 +350,5 @@ class TestKindElsewhere:
 
         monkeypatch.setattr(CorpusIndex, "objects_with_key", counting_objects_with_key)
         warm = ObjectFilter(index, 0.55)
-        assert [warm.decide(od) for od in session.ods] == expected
+        assert [warm.score(od) for od in session.ods] == expected
         assert copies == []

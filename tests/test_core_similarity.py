@@ -258,6 +258,14 @@ class TestDogmatixSimilarity:
         for od in movie_ods:
             assert corpus(od, od) == 1.0
 
+    def test_scoring_leaves_no_state(self, corpus, movie_ods):
+        """Concurrent readers share one similarity: scoring a pair, or
+        explaining it, writes nothing to it."""
+        before = dict(vars(corpus))
+        corpus(movie_ods[0], movie_ods[1])
+        corpus.explain(movie_ods[0], movie_ods[2])
+        assert vars(corpus) == before
+
     def test_contradiction_reduces(self, movie_mapping):
         ods = [
             od_from_pairs(0, [("The Matrix", "/moviedoc/movie[1]/title"),
@@ -283,11 +291,6 @@ class TestDogmatixSimilarity:
         assert len(explanation["similar_pairs"]) == 3
         assert explanation["contradictory_pairs"] == []
         assert len(explanation["non_specified_left"]) == 1  # L. Fishburne
-
-    def test_evaluations_counted(self, corpus, movie_ods):
-        before = corpus.evaluations
-        corpus(movie_ods[0], movie_ods[1])
-        assert corpus.evaluations == before + 1
 
 
 class TestSemantics:
@@ -429,11 +432,6 @@ class TestAgainstTheOracle:
         index = CorpusIndex(movie_ods, movie_mapping, 0.55)
         with pytest.raises(ValueError, match="theta_tuple"):
             match_tuples(movie_ods[0], movie_ods[1], movie_mapping, 0.15, index=index)
-
-    def test_explain_counts_no_evaluation(self, movie_ods, movie_mapping):
-        similarity = DogmatixSimilarity(CorpusIndex(movie_ods, movie_mapping, 0.55))
-        similarity.explain(movie_ods[0], movie_ods[1])
-        assert similarity.evaluations == 0
 
 
 class TestSymmetry:

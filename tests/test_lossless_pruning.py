@@ -144,7 +144,6 @@ class TestFilterDismissals:
 def _oracle_similarity(self, od_i, od_j):
     """``DogmatixSimilarity.similarity`` as it stood before verdicts
     came from the index (tests/reference/match_tuples.py)."""
-    self.evaluations += 1
     return oracle.from_matching(
         oracle.match_tuples(od_i, od_j, self.mapping, self.theta_tuple, self.semantics),
         self.index,

@@ -63,7 +63,7 @@ PUBLIC_ALL = {
         "repro.core": """
             CandidateSuggestion CombinedCondition CombinedHeuristic
             Condition CorpusIndex DescriptionSelector DogmatixConfig
-            DogmatixSimilarity FilterDecision Heuristic
+            DogmatixSimilarity Heuristic
             IndexPartial KClosestDescendants ObjectFilter
             RDistantAncestors RDistantDescendants Source TupleMatching
             best_candidate c_and c_cm c_me c_or c_sdt c_se

@@ -6,23 +6,21 @@ here:
 
 * foreign sentinel allocation is atomic — the old read-modify-write on
   an instance attribute let two threads draw the same id, conflating
-  two foreign elements in per-id memos (``ObjectFilter.decide``);
-* the per-corpus-state maps: tuple classes, filter scores and
-  θ-free partner lists — ``match(theta_cand=...)`` at a non-default
-  threshold used to re-run the full O(n) object-filter pass on every
-  call, and the first filtered lookup classified the whole corpus; now
-  a lookup classifies and scores only the objects it reads, once per
-  corpus state, and keeps one partner list per object that every later
-  threshold at or above its floor is cut from — with at most one list
-  per object, parity against the unmemoized filter, foreign elements
-  never stored, eight readers on a never-read session answering like
-  one, and a reader that stores after a write storing into maps no
+  two foreign elements in per-id memos;
+* the per-corpus-state maps: filter scores and θ-free partner lists —
+  ``match(theta_cand=...)`` at a non-default threshold used to re-run
+  the full O(n) object-filter pass on every call, and the first
+  filtered lookup classified the whole corpus; now a lookup scores only
+  the objects it reads, once per corpus state, and keeps one partner
+  list per object that every later threshold at or above its floor is
+  cut from — with at most one list per object, parity against the
+  unmemoized filter, foreign elements never stored, eight readers on a
+  never-read session answering like one, a reader that looks up an
+  object another reader is still scoring answering like a serial
+  session, and a reader that stores after a write storing into maps no
   later read sees;
-* the object filter's decision memo — ``decide()`` published its memo
-  check-then-act, so two threads passing the check together both
-  appended to ``decisions`` (double-counting ``pruned_count``); now
-  pinned to one recorded decision per object under forced GIL
-  switching;
+* the standalone :class:`ObjectFilter`'s memo — eight threads calling
+  ``keep`` under forced GIL switching agree with a serial filter;
 * the index freeze seam — a session's index rejects structural
   mutation outside ``extend()``;
 * the per-OD grouping by kind step 5 reads — filled lazily by the
@@ -174,103 +172,140 @@ class TestForeignSentinelAllocation:
 
 
 class TestKeptSetMemo:
-    """The session's three per-object maps: each object's tuple
-    classes, its f, and its partner list, which ``match()`` computes at
-    the lowest floor asked for and cuts every higher threshold from."""
+    """The session's two per-object maps: each object's f, and its
+    partner list, which ``match()`` computes at the lowest floor asked
+    for and cuts every higher threshold from."""
 
     @pytest.fixture()
-    def filter_calls(self, monkeypatch):
-        """The object ids the session's ``tuple_classes`` and
-        ``filter_score`` are called for, in call order."""
+    def scored(self, monkeypatch):
+        """The object ids the session's ``filter_score`` is called for,
+        in call order."""
         import repro.api.session as session_module
 
-        classified: list[int] = []
         scored: list[int] = []
-        real_classes = session_module.tuple_classes
         real_score = session_module.filter_score
 
-        def counting_classes(index, od):
-            classified.append(od.object_id)
-            return real_classes(index, od)
-
-        def counting_score(index, od, classes):
+        def counting_score(index, od):
             scored.append(od.object_id)
-            return real_score(index, od, classes)
+            return real_score(index, od)
 
-        monkeypatch.setattr(session_module, "tuple_classes", counting_classes)
         monkeypatch.setattr(session_module, "filter_score", counting_score)
-        return classified, scored
+        return scored
 
-    def test_a_first_read_classifies_only_what_it_reads(self, filter_calls):
+    def test_a_first_read_classifies_only_what_it_reads(self, scored):
         """Regression: ``match(theta_cand=...)`` off the default
         threshold re-ran the full O(n) object-filter pass per call — a
         server hot-path trap — and later the first filtered lookup
         built the tuple classes of the whole corpus.  A first lookup
-        classifies and scores the queried object and its candidates,
-        each once, and a new threshold is a comparison with the stored
-        scores: no class and no score again."""
+        scores the queried object and its candidates, each once, and a
+        new threshold is a comparison with the stored scores: no score
+        again."""
         dataset = build_dataset1(15, seed=3)
         session = DetectionSession(
             Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
         )
-        classified, scored = filter_calls
         n = len(session.ods)
         od = session.ods[0]
         touched = {0} | session._similar_object_ids(od)
 
         session.match(0, theta_cand=0.25)
-        assert 0 in classified and len(touched) > 1
-        assert len(classified) == len(set(classified))  # each once
-        assert set(classified) <= touched and len(classified) < n
-        assert scored == classified  # one score per classified object
-        first = list(classified)
+        assert 0 in scored and len(touched) > 1
+        assert len(scored) == len(set(scored))  # each once
+        assert set(scored) <= touched and len(scored) < n
+        first = list(scored)
         session.match(0, theta_cand=0.25)
-        assert (classified, scored) == (first, first)  # cut from the list
+        assert scored == first  # cut from the list
         session.match(1, theta_cand=0.25)
-        assert len(classified) == len(set(classified))  # none twice
-        assert scored == classified
-        at_new_theta = list(classified)
+        assert len(scored) == len(set(scored))  # none twice
+        at_new_theta = list(scored)
         session.match(0, theta_cand=0.35)
-        # the classes and f do not depend on the threshold
-        assert (classified, scored) == (at_new_theta, at_new_theta)
+        assert scored == at_new_theta  # f does not depend on the threshold
 
-    def test_f_is_computed_once_per_object_per_corpus_state(self, filter_calls):
-        """A sweep of three ``detect()`` runs sums each object's f once,
-        not once per threshold; after a write, a lookup re-sums f for
-        the objects it reads only, and classifies only the new ones."""
+    def test_f_is_computed_once_per_object_per_corpus_state(self, scored):
+        """A sweep of three ``detect()`` runs scores each object's f
+        once, not once per threshold; a write scores nobody, and the
+        lookup after it scores the objects it reads only."""
         dataset = build_dataset1(15, seed=3)
         session = DetectionSession(
             Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
         )
-        classified, scored = filter_calls
         ids = sorted(od.object_id for od in session.ods)
         pruned = {
             tuple(session.detect(theta_cand=theta).pruned_object_ids)
             for theta in (0.3, 0.5, 0.7)
         }
-        assert sorted(scored) == sorted(classified) == ids
+        assert sorted(scored) == ids
         assert len(pruned) > 1  # the thresholds decide apart on one f
 
         update = session.extend(_extension_source())
-        added = {od.object_id for od in update.added}
-        assert len(classified) == len(ids)  # the write classifies nobody
-        del classified[:], scored[:]
+        assert len(scored) == len(ids)  # the write scores nobody
+        del scored[:]
         target = update.added[0]
         touched = {target.object_id} | session._similar_object_ids(target)
         session.match(target.object_id)
         assert target.object_id in scored
         assert len(scored) == len(set(scored)) and set(scored) <= touched
-        assert set(classified) == set(scored) & added  # standing ones kept
+
+    def test_a_reader_of_an_object_another_reader_is_scoring(self, monkeypatch):
+        """Reader A stalls inside the first ``filter_score`` of an object
+        no read has touched; reader B then looks the same object up.
+        Whatever A has published by then, B's answer — and A's, once it
+        resumes — is a serial session's to the bit: an entry is stored
+        only once its f is final."""
+        import repro.api.session as session_module
+
+        dataset = build_dataset1(15, seed=3)
+
+        def build() -> DetectionSession:
+            return DetectionSession(
+                Corpus(dataset.sources), dataset.mapping, dataset.real_world_type
+            )
+
+        serial = build()
+        object_id = next(
+            od.object_id for od in serial.ods if serial.match(od.object_id)
+        )
+        expected = _exact(build().match(object_id))
+        assert expected
+        session = build()
+        real_score = session_module.filter_score
+        stalled, release = threading.Event(), threading.Event()
+
+        def stalling(index, od):
+            if threading.current_thread() is reader_a and od.object_id == object_id:
+                stalled.set()
+                assert release.wait(timeout=30)
+            return real_score(index, od)
+
+        monkeypatch.setattr(session_module, "filter_score", stalling)
+        answers: list = []
+        errors: list[Exception] = []
+
+        def read() -> None:
+            try:
+                answers.append(_exact(session.match(object_id)))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        reader_a = threading.Thread(target=read)
+        reader_a.start()
+        try:
+            assert stalled.wait(timeout=30)
+            answer_b = _exact(session.match(object_id))  # reader B
+        finally:
+            release.set()
+            reader_a.join(timeout=30)
+        assert not reader_a.is_alive() and not errors
+        assert answer_b == expected
+        assert answers == [expected]
+        assert _exact(session.match(object_id)) == expected
 
     def test_eight_readers_on_a_never_read_session(self, greedy_switching):
         """Eight readers released together on a session no read has
         touched, each looking up every id at two thresholds in its own
-        order: the per-object classes and scores are filled under them
-        by whichever reader gets there first.  Every answer is a serial
-        twin's to the bit, and every class the session holds is a fresh
-        classification's."""
-        import repro.api.session as session_module
-
+        order: the per-object scores are filled under them by whichever
+        reader gets there first.  Every answer is a serial twin's to the
+        bit, and every f the session holds is a fresh filter's."""
         dataset = build_dataset1(30, seed=7)
 
         def build() -> DetectionSession:
@@ -288,7 +323,7 @@ class TestKeptSetMemo:
         }
         assert any(expected.values())
         session = build()
-        assert session._memo == ({}, {}, {})
+        assert session._memo == ({}, {})
         wrong: list = []
         errors: list[Exception] = []
         start = threading.Barrier(8)
@@ -312,13 +347,10 @@ class TestKeptSetMemo:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors and not wrong
-        classes, scores, lists = session._memo
-        assert set(classes) == set(scores) == set(lists) == set(ids)
+        scores, lists = session._memo
+        assert set(scores) == set(lists) == set(ids)
         fresh = ObjectFilter(session.index, session.config.theta_cand)
         for od in session.ods:
-            assert classes[od.object_id] == session_module.tuple_classes(
-                session.index, od
-            )
             assert scores[od.object_id].hex() == fresh.score(od).hex()
 
     def test_memo_parity_with_unmemoized_pass(self):
@@ -335,7 +367,7 @@ class TestKeptSetMemo:
                 for od in session.ods
             }
             assert kept == fresh, f"filter decisions diverged at {theta}"
-            _, scores, _ = session._memo
+            scores = session._memo[0]
             assert {
                 object_id: score.hex() for object_id, score in scores.items()
             } == {
@@ -361,7 +393,7 @@ class TestKeptSetMemo:
                 session.match(object_id, theta_cand=theta, include_possible=banded)
                 floor = 0.15 if banded else theta
                 lowest[object_id] = min(lowest.get(object_id, floor), floor)
-                lists = session._memo[2]
+                lists = session._memo[1]
                 assert len(lists) <= n
                 assert {i: held[0] for i, held in lists.items()} == lowest
 
@@ -412,26 +444,24 @@ class TestKeptSetMemo:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors and not wrong
-        assert set(session._memo[2]) == set(ids)
+        assert set(session._memo[1]) == set(ids)
 
     def test_extend_invalidates_the_memo(self):
         session = paper_session(use_object_filter=True, theta_cand=0.3)
         session.match(0, theta_cand=0.25)
         memo = session._memo
-        classes, scores, lists = memo
-        assert classes and scores and lists[0][0] == 0.25
+        scores, lists = memo
+        assert scores and lists[0][0] == 0.25
         session.extend(parse("<moviedoc/>"))  # no candidate: no answer moves
         assert session._memo is memo
-        assert (session._memo[0], session._memo[2]) == (classes, {0: lists[0]})
+        assert session._memo[1] == {0: lists[0]}
         session.extend(
             parse(
                 "<moviedoc><movie><title>Heat</title><year>1995</year>"
                 "</movie></moviedoc>"
             )
         )
-        grown_classes, grown_scores, grown_lists = session._memo
-        assert grown_classes == classes and grown_classes is not classes
-        assert not grown_scores and not grown_lists
+        assert session._memo == ({}, {})
 
     def test_foreign_elements_are_scored_every_time(self, monkeypatch):
         """A posted element gets a new OD and a new id per call: its
@@ -454,7 +484,7 @@ class TestKeptSetMemo:
             assert len(scored) > before
         assert answers[:2] == answers[2:] and answers[0] and answers[1]
         assert len(set(scored)) == 4  # four sentinel ids, none shared
-        assert not session._memo[2]
+        assert not session._memo[1]
 
     def test_a_reader_publishing_after_a_write_changes_no_later_answer(
         self, monkeypatch
@@ -505,12 +535,12 @@ class TestKeptSetMemo:
     def test_a_reader_stalled_in_its_first_classification_across_a_write(
         self, monkeypatch, stall_after
     ):
-        """A first filtered read classifies the queried object and its
-        candidates into the pair it fetched.  A reader stalled inside
-        one of those classifications (the first, or the last) while a
-        write folds in an object leaves every later answer equal to a
-        twin's that was never read, and every class the session then
-        holds equal to a fresh classification of the grown corpus."""
+        """A first filtered read scores the queried object and its
+        candidates into the maps it fetched.  A reader stalled inside
+        one of those scores (the first, or the last) while a write folds
+        in an object leaves every later answer equal to a twin's that
+        was never read, and every f the session then holds equal to a
+        fresh score on the grown corpus."""
         import repro.api.session as session_module
 
         session = paper_session(use_object_filter=True, theta_cand=0.3)
@@ -518,20 +548,20 @@ class TestKeptSetMemo:
         probe = paper_session(use_object_filter=True, theta_cand=0.3)
         probe.match(0)
         stall_at = 1 if stall_after == "first" else len(probe._memo[0])
-        real = session_module.tuple_classes
-        classified: list[int] = []
+        real = session_module.filter_score
+        scored: list[int] = []
         stalled, written = threading.Event(), threading.Event()
 
         def stalling(index, od):
-            classes = real(index, od)
+            score = real(index, od)
             if threading.current_thread() is reader:
-                classified.append(od.object_id)
-                if len(classified) == stall_at:
+                scored.append(od.object_id)
+                if len(scored) == stall_at:
                     stalled.set()
                     assert written.wait(timeout=30)
-            return classes
+            return score
 
-        monkeypatch.setattr(session_module, "tuple_classes", stalling)
+        monkeypatch.setattr(session_module, "filter_score", stalling)
         errors: list[Exception] = []
 
         def read() -> None:
@@ -548,10 +578,11 @@ class TestKeptSetMemo:
         written.set()
         reader.join(timeout=30)
         assert not reader.is_alive() and not errors
-        monkeypatch.setattr(session_module, "tuple_classes", real)
+        monkeypatch.setattr(session_module, "filter_score", real)
         for document in ("<moviedoc/>", _HEAT):
-            for object_id, kinds in session._memo[0].items():
-                assert kinds == real(session.index, session._by_id[object_id])
+            for object_id, score in session._memo[0].items():
+                fresh = real(session.index, session._by_id[object_id])
+                assert score.hex() == fresh.hex()
             for object_id in session._by_id:
                 for theta in (None, 0.3, 0.8):
                     assert _snapshot(
@@ -571,7 +602,7 @@ class TestKeptSetMemo:
         again = session.match(0, include_possible=True)
         assert first and _snapshot(first) == _snapshot(again)
         assert all(left is not right for left, right in zip(first, again))
-        assert session._memo[2] == {
+        assert session._memo[1] == {
             0: (0.3, tuple((m.object_id, m.similarity) for m in first))
         }
         banded = paper_session(
@@ -579,72 +610,52 @@ class TestKeptSetMemo:
         )
         duplicates = banded.match(0)
         band = banded.match(0, include_possible=True)
-        floor, partners = banded._memo[2][0]
-        assert floor == 0.1 and len(banded._memo[2]) == 1
+        floor, partners = banded._memo[1][0]
+        assert floor == 0.1 and len(banded._memo[1]) == 1
         assert partners == tuple((m.object_id, m.similarity) for m in band)
         assert _snapshot(banded.match(0)) == _snapshot(duplicates)
 
 
-class TestObjectFilterDecideRace:
-    def test_concurrent_decide_records_one_decision_per_object(
+class TestObjectFilterRace:
+    def test_eight_threads_calling_keep_agree_with_a_serial_filter(
         self, greedy_switching
     ):
-        """Regression: ``decide()`` published its memo with a
-        check-then-act (``_memo.get`` ... ``_memo[id] = decision`` +
-        ``decisions.append``), so two threads evaluating the same
-        object concurrently both recorded a decision — ``decisions``
-        grew beyond one entry per object and ``pruned_count`` counted
-        pruned objects twice.  Publication must pick one winner
-        (``dict.setdefault``) and append only the winning entry."""
+        """Eight threads released together onto each of 40 fresh
+        :class:`ObjectFilter` memos, every one calling ``keep`` and
+        ``score`` on every object under forced GIL switching: each
+        answer is a serial filter's, f to the bit."""
         session = paper_session()
         ods = list(session.ods)
         serial = ObjectFilter(session.index, 0.55)
-        expected_ids = [od.object_id for od in ods]
-        expected_pruned = sum(1 for od in ods if not serial.decide(od).kept)
+        expected = {
+            od.object_id: (serial.keep(od), serial.score(od).hex()) for od in ods
+        }
+        assert len({kept for kept, _ in expected.values()}) == 2
 
         threads, rounds = 8, 40
         filters = [ObjectFilter(session.index, 0.55) for _ in range(rounds)]
         barrier = threading.Barrier(threads)
-        observed: list[list] = [[] for _ in range(threads)]
+        wrong: list = []
 
-        def decide_all(slot: int) -> None:
-            bucket = observed[slot]
+        def keep_all(slot: int) -> None:
+            order = ods[slot % len(ods) :] + ods[: slot % len(ods)]
             for object_filter in filters:
                 barrier.wait()
-                for od in ods:
-                    bucket.append((id(object_filter), od.object_id,
-                                   object_filter.decide(od)))
+                for od in order:
+                    got = (object_filter.keep(od), object_filter.score(od).hex())
+                    if got != expected[od.object_id]:
+                        wrong.append((slot, od.object_id, got))
 
         workers = [
-            threading.Thread(target=decide_all, args=(slot,))
+            threading.Thread(target=keep_all, args=(slot,))
             for slot in range(threads)
         ]
         for worker in workers:
             worker.start()
         for worker in workers:
-            worker.join()
-
-        for object_filter in filters:
-            recorded = [d.object_id for d in object_filter.decisions]
-            assert sorted(recorded) == sorted(expected_ids), (
-                "decisions must hold exactly one entry per evaluated "
-                f"object, got {len(recorded)} entries for "
-                f"{len(expected_ids)} objects"
-            )
-            assert object_filter.pruned_count == expected_pruned
-
-        # Racing callers must all have observed the memoized winner.
-        winners = {
-            (key, object_id): decision
-            for object_filter in filters
-            for (key, object_id, decision) in [
-                (id(object_filter), d.object_id, d)
-                for d in object_filter.decisions
-            ]
-        }
-        for bucket in observed:
-            for key, object_id, decision in bucket:
-                assert decision is winners[(key, object_id)]
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not wrong
 
 
 class TestFrozenIndex:

@@ -14,13 +14,11 @@ does not make it:
   candidate hook is removed compares against every representative and
   must reach the same clusters, and an extended session must answer
   like one rebuilt over the grown corpus;
-* **the kept tuple classes** — a read classifies the objects it reads,
-  and ``extend()`` re-classifies only the tuples the delta can move
-  (N → U → S) among the objects already classified.  After every write
-  each class the session holds must be a fresh classification's, an
-  object classified later must classify fresh, and its filter
-  decisions and scores must be a fresh :class:`ObjectFilter` pass's,
-  bit for bit;
+* **the filter scores** — a read scores f(OD_i) for the objects it
+  reads, and ``extend()`` drops every score.  After every write each f
+  the session holds must be a fresh :func:`filter_score`'s, and its
+  filter decisions must be a fresh :class:`ObjectFilter` pass's, bit
+  for bit;
 * **the partner lists** — ``match()`` keeps one θ-free partner list per
   indexed object, at the lowest floor asked for, until a write adds
   objects, and cuts every threshold at or above that floor from it.
@@ -43,7 +41,7 @@ import repro.framework.incremental as incremental_module
 from repro.api import Corpus, DetectionSession
 from repro.core import CorpusIndex, DogmatixConfig, IndexPartial, ObjectFilter, Source
 from repro.core.index import _FOREIGN_CACHE_SIZE
-from repro.core.object_filter import filter_score, tuple_classes
+from repro.core.object_filter import filter_score
 from repro.eval import build_dataset1
 from repro.framework import IncrementalDeduplicator, TypeMapping, od_from_pairs
 from repro.strings import ned_cached
@@ -439,13 +437,12 @@ class TestWriteCostsWhatItChanges:
 
     def write_costs(
         self, base_count: int, monkeypatch
-    ) -> tuple[int, list[tuple[int, int, int]]]:
+    ) -> tuple[int, list[tuple[int, int]]]:
         """The corpus's distinct terms, and per write — two in a row on
         a session one lookup warmed — the similar-value searches spent by
-        the ``extend()`` and the ``match()`` after it, the tuples of
-        standing objects the write re-classified, and the delta's
-        distinct terms.  A new object is classified by the lookup that
-        reads it, once per tuple, not by the write."""
+        the ``extend()`` and the ``match()`` after it, and the delta's
+        distinct terms.  The write classifies no tuple; a new object is
+        classified by the lookup that reads it, once per tuple."""
         # the same records extend corpora of different sizes
         _, _, extensions = dataset1_stream(10, 7, 2, 2)
         dataset = build_dataset1(base_count, seed=3)
@@ -466,43 +463,36 @@ class TestWriteCostsWhatItChanges:
             with monkeypatch.context() as patch:
                 patch.setattr(object_filter_module, "tuple_class", counting_class)
                 update = session.extend(extension)
-                added = {od.object_id for od in update.added}
-                assert not added.intersection(classified)
-                standing = len(classified)
+                assert not classified  # a write classifies nothing
                 read = update.added[0]
                 session.match(read.object_id)
-            assert classified[standing:].count(read.object_id) == len(read.tuples)
+            assert classified.count(read.object_id) == len(read.tuples)
             distinct = {
                 (session.index.key_of(odt.name), odt.value)
                 for od in update.added
                 for odt in od.tuples
             }
-            costs.append((self.probes(session) - before, standing, len(distinct)))
+            costs.append((self.probes(session) - before, len(distinct)))
         return terms, costs
 
     def test_searches_follow_the_delta_not_the_corpus(self, monkeypatch):
         small_terms, small = self.write_costs(15, monkeypatch)
         large_terms, large = self.write_costs(45, monkeypatch)
-        assert [cost[2] for cost in small] == [cost[2] for cost in large]
+        assert [cost[1] for cost in small] == [cost[1] for cost in large]
         for terms, (first, steady) in ((small_terms, small), (large_terms, large)):
             # The first write seeds the incremental stream with the
             # corpus: a similar-value group per corpus term the one
             # lookup before it did not search, beyond the delta's own.
-            searches, _, distinct = first
+            searches, distinct = first
             assert 0 < searches <= terms + 4 * distinct
             # Every later write searches what its delta reaches.
-            searches, _, distinct = steady
+            searches, distinct = steady
             assert 0 < searches <= 4 * distinct
-        # So do the filter classes a write re-decides: the standing tuples
-        # whose kind or similar value the delta joins, not every tuple of
-        # the kinds it specifies.
-        for _, moved, distinct in small + large:
-            assert moved <= distinct
 
     def test_an_empty_write_changes_no_memo(self):
         """A document without candidates adds a source and nothing
-        else: the index, the per-object maps (classes, scores, partner
-        lists) and every memo entry stay, and the next lookup searches
+        else: the index, the per-object maps (scores, partner lists)
+        and every memo entry stay, and the next lookup searches
         nothing.  The
         first write seeds the incremental stream, a search per corpus
         term at most; a second empty write searches nothing."""
@@ -529,9 +519,8 @@ class TestWriteCostsWhatItChanges:
         assert len(session.corpus) == len(dataset.sources) + 1
         assert session._memo is memo  # the same maps
         assert memo == stored
-        fresh = ObjectFilter(index, session.config.theta_cand)
-        for object_id, score in memo[1].items():
-            assert score.hex() == fresh.score(session.ods[object_id]).hex()
+        for object_id, score in memo[0].items():
+            assert score.hex() == filter_score(index, session.ods[object_id]).hex()
         # seeding the stream may add memo entries; none is dropped
         for before, after in zip(
             memos,
@@ -545,26 +534,22 @@ class TestWriteCostsWhatItChanges:
 
 
 # ----------------------------------------------------------------------
-# Session level: the object filter's tuple classes
+# Session level: the object filter's scores
 # ----------------------------------------------------------------------
 def assert_held_filter_exact(session: DetectionSession) -> None:
-    """Each class the session holds is a fresh classification's, and
-    each f it holds a fresh :class:`ObjectFilter`'s, to the bit."""
+    """Each f the session holds is a fresh :func:`filter_score`'s, to
+    the bit."""
     index = session.index
-    classes, scores, _ = session._memo
-    fresh = ObjectFilter(index, session.config.theta_cand)
-    for object_id, kinds in classes.items():
-        od = session._by_id[object_id]
-        assert kinds == tuple_classes(index, od), object_id
-    assert set(scores) <= set(classes)
-    for object_id, score in scores.items():
-        assert score.hex() == fresh.score(session._by_id[object_id]).hex()
+    for object_id, score in session._memo[0].items():
+        fresh = filter_score(index, session._by_id[object_id])
+        assert score.hex() == fresh.hex(), object_id
 
 
 def assert_filter_exact(session: DetectionSession) -> None:
-    """Reading every object classifies each one afresh, and its filter
-    decisions and scores are a fresh :class:`ObjectFilter` pass's, to
-    the bit, at the default threshold and two overrides."""
+    """Reading every object scores each one afresh, and its filter
+    decisions are a fresh :class:`ObjectFilter` pass's at the default
+    threshold and two overrides, its f a fresh :func:`filter_score`'s
+    to the bit."""
     index = session.index
     for theta in (session.config.theta_cand, 0.3, 0.8):
         for od in session.ods:  # every lookup decides its own object
@@ -573,9 +558,9 @@ def assert_filter_exact(session: DetectionSession) -> None:
         assert {
             od.object_id: session._kept(theta, od.object_id) for od in session.ods
         } == {od.object_id: fresh.keep(od) for od in session.ods}, theta
-    classes, scores, lists = session._memo
+    scores, lists = session._memo
     ids = {od.object_id for od in session.ods}
-    assert set(classes) == set(scores) == set(lists) == ids
+    assert set(scores) == set(lists) == ids
     assert_held_filter_exact(session)
 
 
@@ -600,12 +585,12 @@ class TestClassesThroughWrites:
     def test_random_delta_sequences(self, corpus, deltas, warm):
         """Deltas are drawn from the same records as the corpus, so they
         bring new values, dirty duplicates, exact repeats, kinds the
-        corpus held once (N → U) and empty documents.  Between writes a
-        few lookups classify some objects and leave the rest to be
-        classified from a later, grown index."""
+        corpus held once and empty documents.  Between writes a few
+        lookups score some objects and leave the rest to be scored on a
+        later, grown index."""
         dataset, records = class_fuzz_dataset()
         session = session_on(dataset, [source_of([records[i] for i in corpus])])
-        if warm:  # every object is classified before the first write
+        if warm:  # every object is scored before the first write
             assert_filter_exact(session)
         for delta, reads in deltas:
             session.extend(source_of([records[i] for i in delta]))
@@ -791,7 +776,7 @@ class TestPartnerListsThroughWrites:
         fresh = banded_session(dataset, dataset.sources, filtered)
         spy = CountingSimilarity(session._similarity)
         monkeypatch.setattr(session, "_similarity", spy)
-        lists = session._memo[2]
+        lists = session._memo[1]
         ids = [od.object_id for od in session.ods]
 
         def lookups(theta: float) -> tuple[int, list]:
@@ -834,7 +819,7 @@ class TestPartnerListsThroughWrites:
             exact(fresh.match(object_id, include_possible=True))
             for object_id in ids
         ]
-        lists = session._memo[2]
+        lists = session._memo[1]
         assert set(lists) == set(ids)
         assert {held[0] for held in lists.values()} == {possible}
         spy.pairs = 0
