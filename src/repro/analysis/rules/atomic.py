@@ -23,12 +23,12 @@ self.X``, ``self.X[...]``), later publishes ``self.X[...] = value``,
 and also mutates a *second* attribute (``self.Y.append(...)`` and
 friends) — all outside a lock.  Two threads passing the check together
 both publish and both run the side effect, so the companion container
-double-records (the ``ObjectFilter.decide`` race: one decision per
-object in the memo, but two in ``decisions``).  Memo-only publication
-with no companion side effect stays quiet — racing writers of an
-idempotent cache merely waste work.  The fix shape: publish via
-``dict.setdefault`` and run side effects only when the published value
-won.
+double-records (one entry per key in the memo, two in the companion
+list).  Memo-only publication with no companion side effect stays
+quiet — racing writers of an idempotent cache merely waste work.  The
+fix shape: publish via ``dict.setdefault`` and act only on the value
+that won, as ``SessionRegistry._open`` does with its per-digest build
+gate, so every racer waits on the one gate.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class NonAtomicReadModifyWrite(Rule):
                 f"outside a lock: two threads passing the earlier "
                 f"check both publish self.{attr}[...] and both run "
                 f"the companion mutation of self.{companions}, "
-                "double-recording (the ObjectFilter.decide race); "
+                "double-recording one key's side effect; "
                 f"publish via self.{attr}.setdefault(...) and run "
                 "side effects only on the winning entry, hold the "
                 "owning lock, or annotate why the race is benign",

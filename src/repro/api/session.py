@@ -36,7 +36,7 @@ from .._lazy import resolve
 from ..core.config import DogmatixConfig, check_thresholds
 from ..core.index import CorpusIndex, IndexPartial
 from ..core.object_filter import filter_score
-from ..core.similarity import DogmatixSimilarity
+from ..core.similarity import DogmatixSimilarity, _score
 from ..framework.classifier import DUPLICATES, POSSIBLE_DUPLICATES
 from ..framework.mapping import TypeMapping
 from ..framework.od import ObjectDescription
@@ -67,8 +67,9 @@ class Match:
 class Explanation:
     """Why one pair scored the way it did (immutable snapshot).
 
-    Every field is computed at call time from the session's standing
-    index.
+    Every field is read from the one tuple matching that
+    ``similarity()`` scores, made at call time against the session's
+    standing index.
     """
 
     left: int
@@ -655,17 +656,19 @@ class DetectionSession:
         """An immutable similarity breakdown for one pair."""
         od_left = self._resolve_od(left)
         od_right = self._resolve_od(right)
-        raw = self._similarity.explain(od_left, od_right)
+        matching = self._similarity._match(od_left, od_right)
         return Explanation(
             left=od_left.object_id,
             right=od_right.object_id,
-            similarity=float(raw["similarity"]),  # type: ignore[arg-type]
-            similar_pairs=tuple(raw["similar_pairs"]),  # type: ignore[arg-type]
-            contradictory_pairs=tuple(raw["contradictory_pairs"]),  # type: ignore[arg-type]
-            non_specified_left=tuple(raw["non_specified_left"]),  # type: ignore[arg-type]
-            non_specified_right=tuple(raw["non_specified_right"]),  # type: ignore[arg-type]
-            set_soft_idf_similar=float(raw["setSoftIDF_similar"]),  # type: ignore[arg-type]
-            set_soft_idf_contradictory=float(raw["setSoftIDF_contradictory"]),  # type: ignore[arg-type]
+            similarity=_score(matching),
+            similar_pairs=tuple((str(a), str(b)) for a, b in matching.similar),
+            contradictory_pairs=tuple(
+                (str(a), str(b)) for a, b in matching.contradictory
+            ),
+            non_specified_left=tuple(map(str, matching.non_specified_left)),
+            non_specified_right=tuple(map(str, matching.non_specified_right)),
+            set_soft_idf_similar=float(sum(matching.similar_idf)),
+            set_soft_idf_contradictory=float(sum(matching.contradictory_idf)),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -281,8 +281,6 @@ class CorpusIndex:
         self._foreign_cache: dict[tuple[str, str], tuple[str, ...]] = {}
         #: memoized softIDF values (terms repeat across the O(n²) pairs)
         self._pair_idf_cache: dict[tuple[str, str, str, str], float] = {}
-        #: memoized statistics() of a frozen index; see :meth:`statistics`
-        self._statistics_cache: dict[str, int] | None = None
         #: read-only-after-build pin; see :meth:`freeze`
         self._frozen = False
 
@@ -379,7 +377,6 @@ class CorpusIndex:
                 if query != value:  # its own group was just memoized
                     memo.pop((key, query), None)
         self._pair_idf_cache.clear()
-        self._statistics_cache = None
 
     def to_record(self) -> dict:
         """The term state as a snapshot stores it
@@ -416,9 +413,8 @@ class CorpusIndex:
         Only :meth:`~repro.api.session.DetectionSession.extend` should
         call this, from behind its per-session writer lock; it
         re-freezes in a ``finally`` so readers never see a thawed
-        index.  The memoized statistics are invalidated alongside.
+        index.
         """
-        self._statistics_cache = None
         self._frozen = False
 
     # ------------------------------------------------------------------
@@ -602,20 +598,10 @@ class CorpusIndex:
         return keys
 
     def statistics(self) -> dict[str, int]:
-        """Index size statistics (for benchmarks and logging).
-
-        Memoized while frozen — benchmarks and serve's catalog hit this
-        repeatedly and the distinct-value sum walks every value index.
-        The memo is invalidated by :meth:`thaw` / :meth:`merge_partial`
-        (the only paths that change the counts) and published as a
-        fully-built dict, with callers handed a copy, so the lock-free
-        read path never observes a partial entry or a shared live dict.
-        """
-        cached = self._statistics_cache
-        if cached is not None:
-            return dict(cached)
+        """Index size statistics (for benchmarks and logging), counted
+        afresh on each call: a sum of ``len()`` over the value indexes."""
         state = self._state
-        stats = {
+        return {
             "objects": state.total_objects,
             "terms": len(state.occurrences),
             "kinds": len(state.value_indexes),
@@ -623,6 +609,3 @@ class CorpusIndex:
                 len(index) for index in state.value_indexes.values()
             ),
         }
-        if self._frozen:
-            self._statistics_cache = stats
-        return dict(stats)

@@ -13,16 +13,20 @@ Given two ODs, the pairwise comparison partitions their tuples into:
 * **non-specified data** — everything else: tuples with no comparable
   counterpart at all.  These influence neither similarity nor
   difference (requirement 4 of the similarity measure).
+
+The corpus index is the one input besides the two ODs: it supplies the
+mapping, θ_tuple, each pair's class (Definition 7, read from the
+similar-value groups step 4 memoized) and each pair's soft-IDF
+(Equation 8).  The index-less form of this matcher is the oracle in
+``tests/reference/match_tuples.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..framework.mapping import TypeMapping
 from ..framework.od import ODTuple, ObjectDescription
-from ..strings.bounds import bound_verdict
 from ..strings.levenshtein import ned_cached
 from .index import CorpusIndex
 
@@ -35,7 +39,7 @@ class TupleMatching:
     contradictory: list[tuple[ODTuple, ODTuple]] = field(default_factory=list)
     non_specified_left: list[ODTuple] = field(default_factory=list)
     non_specified_right: list[ODTuple] = field(default_factory=list)
-    #: softIDF of each pair above, when matched against a corpus index
+    #: softIDF of each pair above, in the same order (not compared)
     similar_idf: list[float] = field(default_factory=list, compare=False)
     contradictory_idf: list[float] = field(default_factory=list, compare=False)
 
@@ -51,26 +55,22 @@ SEMANTICS = ("matching", "all-pairs")
 def match_tuples(
     od_i: ObjectDescription,
     od_j: ObjectDescription,
-    mapping: TypeMapping,
-    theta_tuple: float,
+    index: CorpusIndex,
     semantics: str = "matching",
-    index: Optional[CorpusIndex] = None,
 ) -> TupleMatching:
     """Partition the tuples of two ODs into similar / contradictory /
     non-specified, per kind of information.
 
     Step 5's one matcher: ``similarity()`` sums its soft-IDFs,
-    ``explain()`` shows its lists.  With ``index`` (built at
-    ``theta_tuple``) a pair's class is read from the similar-value
-    groups and its soft-IDF recorded.  A kind single-valued on both
-    sides is one verdict; only a multi-valued kind needs ordering.
+    ``explain()`` shows its lists.  The index supplies the mapping,
+    θ_tuple, each pair's class (its similar-value groups) and each
+    pair's soft-IDF.  A kind single-valued on both sides is one
+    verdict; only a multi-valued kind needs ordering.  ``semantics`` is
+    one of :data:`SEMANTICS`; :class:`~repro.core.similarity.DogmatixSimilarity`
+    checks it.
     """
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}; choose from {SEMANTICS}")
-    if index is not None and index.theta_tuple != theta_tuple:
-        raise ValueError("the index was built at another theta_tuple")
-    kinds_i = od_i.by_kind(mapping)
-    kinds_j = od_j.by_kind(mapping)
+    kinds_i = od_i.by_kind(index.mapping)
+    kinds_j = od_j.by_kind(index.mapping)
     result = TupleMatching()
     for key, left in kinds_i.items():
         right = kinds_j.get(key)
@@ -78,64 +78,55 @@ def match_tuples(
             result.non_specified_left.extend(left)
         elif len(left) == 1 == len(right):
             a, b = left[0], right[0]
-            verdict = _similar(index, key, a.value, b.value, theta_tuple)
-            _record(result, index, key, a, b, verdict)
+            _record(result, index, key, a, b, _similar(index, key, a.value, b.value))
         else:
-            _match_kind(key, left, right, theta_tuple, result, semantics, index)
+            _match_kind(key, left, right, result, semantics, index)
     for key, right in kinds_j.items():
         if key not in kinds_i:
             result.non_specified_right.extend(right)
     return result
 
 
-def _similar(
-    index: Optional[CorpusIndex], key: str, a: str, b: str, theta_tuple: float
-) -> bool:
-    """``ned(a, b) < theta_tuple``, cheapest evidence first: the index's
-    similar-value groups (step 4 filled them; they decide every pair
-    with a value the corpus holds), then the O(n) distance bounds, and
-    the DP only where neither can tell."""
-    verdict = index.similar_verdict(key, a, b) if index is not None else None
+def _similar(index: CorpusIndex, key: str, a: str, b: str) -> bool:
+    """``ned(a, b) < θ_tuple``, read from the index's similar-value
+    groups (step 4 filled them; they decide every pair with a value the
+    corpus holds); the distance itself only where the index holds
+    neither value."""
+    verdict = index.similar_verdict(key, a, b)
     if verdict is None:
-        verdict = bound_verdict(a, b, theta_tuple)
-        if verdict is None:
-            verdict = ned_cached(a, b) < theta_tuple
+        verdict = ned_cached(a, b) < index.theta_tuple
     return verdict
 
 
 def _record(
     result: TupleMatching,
-    index: Optional[CorpusIndex],
+    index: CorpusIndex,
     key: str,
     a: ODTuple,
     b: ODTuple,
     similar: bool,
 ) -> None:
-    """Append one matched pair, and its soft-IDF where there is an index."""
+    """Append one matched pair and its soft-IDF."""
     if similar:
         pairs, idfs = result.similar, result.similar_idf
     else:
         pairs, idfs = result.contradictory, result.contradictory_idf
     pairs.append((a, b))
-    if index is not None:
-        idfs.append(index.pair_idf(key, a.value, key, b.value))
+    idfs.append(index.pair_idf(key, a.value, key, b.value))
 
 
 def _match_kind(
     key: str,
     left: Sequence[ODTuple],
     right: Sequence[ODTuple],
-    theta_tuple: float,
     result: TupleMatching,
-    semantics: str = "matching",
-    index: Optional[CorpusIndex] = None,
+    semantics: str,
+    index: CorpusIndex,
 ) -> None:
     """Match one kind of information between two ODs.
 
-    Cheap check first: :func:`_similar` decides on which side of
-    ``theta_tuple`` a pair falls, so the
-    O(n·m) DP runs only for pairs nothing cheaper can separate from the
-    threshold — and, lazily below, for pairs whose *order* matters:
+    :func:`_similar` decides on which side of θ_tuple a pair falls, so
+    the O(n·m) DP runs only for pairs whose *order* matters:
     ordering is what decides who matches whom (and the result list
     order the bit-identical parity contract pins), so a class with a
     single candidate pair needs no exact distance at all.
@@ -149,7 +140,7 @@ def _match_kind(
     dissimilar: list[tuple[int, int]] = []
     for a, odt_a in enumerate(left):
         for b, odt_b in enumerate(right):
-            verdict = _similar(index, key, odt_a.value, odt_b.value, theta_tuple)
+            verdict = _similar(index, key, odt_a.value, odt_b.value)
             (similar if verdict else dissimilar).append((a, b))
     if len(similar) > 1:
         similar.sort(key=exact)

@@ -14,14 +14,15 @@ distance bounds".  These are the standard ones:
 
 A threshold check first rejects via lower bounds, then accepts via the
 trivial upper bound (equality / prefix), and only then runs the DP:
-:func:`bound_verdict` is that check, shared by every caller that needs
-only the side of the threshold a pair falls on.
+:func:`bound_verdict` is that check, and :class:`BoundedMatcher` counts
+which tier decided (the bounds ablation benchmark reports it).  Step 5
+does not use them: the corpus index's similar-value groups decide its
+pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from typing import Optional
 
 from .levenshtein import edit_distance, within_normalized
@@ -32,18 +33,6 @@ def length_lower_bound(a: str, b: str) -> int:
     return abs(len(a) - len(b))
 
 
-@lru_cache(maxsize=1 << 16)
-def _char_bag(value: str) -> dict[str, int]:
-    """Character multiset of ``value``.
-
-    Step 5 meets the same few thousand corpus values in every pair an
-    object takes part in, so the bag is built once per value, not four
-    times per pair.  The memo holds the dicts it returns: they are read
-    only here and never reach a caller.
-    """
-    return dict(Counter(value))
-
-
 def bag_distance(a: str, b: str) -> int:
     """Bag (multiset) distance: a lower bound on edit distance.
 
@@ -52,7 +41,7 @@ def bag_distance(a: str, b: str) -> int:
     With ``common = Σ_ch min(count_a, count_b)`` the two counts are
     ``len(a) - common`` and ``len(b) - common``.
     """
-    small, large = _char_bag(a), _char_bag(b)
+    small, large = Counter(a), Counter(b)
     if len(small) > len(large):
         small, large = large, small
     count_in_large = large.get

@@ -380,10 +380,12 @@ class TestIndexStateBinding:
         # grouping by kind on first use.
         assert {"Element", "ObjectDescription"} <= DEFAULT_CONFIG.shared_classes
 
-    def test_statistics_memo_is_exempt_and_state_modules_are_parity(self):
+    def test_index_memos_are_exempt_and_state_modules_are_parity(self):
         from repro.analysis.config import DEFAULT_CONFIG
 
-        assert "_statistics_cache" in DEFAULT_CONFIG.frozen_memo_attrs
+        assert DEFAULT_CONFIG.frozen_memo_attrs == {
+            "_similar_cache", "_foreign_cache", "_pair_idf_cache"
+        }
         assert "repro.strings.qgram" in DEFAULT_CONFIG.parity_modules
 
 
@@ -450,8 +452,8 @@ class TestNonAtomicReadModifyWrite:
         assert findings == []
 
     def test_fires_on_check_then_act_publish_with_side_effect(self):
-        # The exact pre-fix ObjectFilter.decide() shape: unlocked memo
-        # check, subscript publish, and a companion list append that
+        # The shape the second pattern targets: unlocked memo check,
+        # subscript publish, and a companion list append that
         # double-records when two threads pass the check together.
         findings = run(
             NonAtomicReadModifyWrite(),

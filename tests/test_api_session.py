@@ -285,7 +285,7 @@ class TestMatch:
 
     def test_each_foreign_element_gets_a_distinct_sentinel_id(self):
         """Two different foreign elements must not share a sentinel id:
-        ObjectFilter.decide memoizes per object id, so a shared id
+        ObjectFilter.score memoizes per object id, so a shared id
         would silently apply the first element's filter verdict to the
         second one anywhere a filter instance outlives one lookup."""
         from repro.core import ObjectFilter

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from reference import match_tuples as oracle
 from reference.softidf import singleton_soft_idf, soft_idf
-from repro.core import CorpusIndex, DogmatixSimilarity, match_tuples
+from repro.api import DetectionSession
+from repro.core import CorpusIndex, DogmatixConfig, DogmatixSimilarity, match_tuples
 from repro.core.matching import SEMANTICS
 from repro.framework import (
     ObjectDescription,
@@ -29,10 +30,24 @@ def mapping():
     )
 
 
+# A verdict read from the groups is only as exact as the index's
+# search, so the oracle is met through a frozen index.
+def _index_over(ods, mapping, theta) -> CorpusIndex:
+    index = CorpusIndex(ods, mapping, theta)
+    index.freeze()
+    return index
+
+
+def _match(left, right, mapping, theta, semantics="matching"):
+    """Step 5 on two ODs, against an index over the pair."""
+    index = _index_over([left, right], mapping, theta)
+    return match_tuples(left, right, index, semantics)
+
+
 def pair_verdict(a, b, mapping, theta):
     """One tuple pair through step 5: similar, contradictory, or
     incomparable (non-specified on both sides)."""
-    result = match_tuples(
+    result = _match(
         od_from_pairs(0, [(a.value, a.name)]),
         od_from_pairs(1, [(b.value, b.name)]),
         mapping,
@@ -127,7 +142,7 @@ class TestMatchTuples:
                 ("Boston", "/db/country[2]/city"),
             ],
         )
-        result = match_tuples(left, right, mapping, 0.15)
+        result = _match(left, right, mapping, 0.15)
         assert [(a.value, b.value) for a, b in result.similar] == [
             ("Miami", "Miami")
         ]
@@ -141,7 +156,7 @@ class TestMatchTuples:
     def test_incomparable_kinds_non_specified(self, mapping):
         left = od_from_pairs(0, [("great!", "/db/movie[1]/review")])
         right = od_from_pairs(1, [("500", "/db/movie[2]/sold-number")])
-        result = match_tuples(left, right, mapping, 0.5)
+        result = _match(left, right, mapping, 0.5)
         assert result.similar == [] and result.contradictory == []
         assert len(result.non_specified_left) == 1
         assert len(result.non_specified_right) == 1
@@ -151,14 +166,14 @@ class TestMatchTuples:
             0, [("Miami", "/db/country[1]/city"), ("Miami", "/db/country[1]/city")]
         )
         right = od_from_pairs(1, [("Miami", "/db/country[2]/city")])
-        result = match_tuples(left, right, mapping, 0.15)
+        result = _match(left, right, mapping, 0.15)
         assert len(result.similar) == 1
         assert len(result.non_specified_left) == 1
 
     def test_cross_schema_comparability(self, mapping):
         left = od_from_pairs(0, [("The Matrix", "/db/movie[1]/title")])
         right = od_from_pairs(1, [("The Matrix", "/db/film[2]/name")])
-        result = match_tuples(left, right, mapping, 0.15)
+        result = _match(left, right, mapping, 0.15)
         assert len(result.similar) == 1
 
     def test_symmetry_of_counts(self, mapping):
@@ -170,8 +185,8 @@ class TestMatchTuples:
             1,
             [("Miami", "/db/country[2]/city"), ("Boston", "/db/country[2]/city")],
         )
-        forward = match_tuples(left, right, mapping, 0.15)
-        backward = match_tuples(right, left, mapping, 0.15)
+        forward = _match(left, right, mapping, 0.15)
+        backward = _match(right, left, mapping, 0.15)
         assert len(forward.similar) == len(backward.similar)
         assert len(forward.contradictory) == len(backward.contradictory)
 
@@ -179,8 +194,8 @@ class TestMatchTuples:
         left = od_from_pairs(0, [("Miami", "/db/country[1]/city")])
         right = od_from_pairs(1, [("Miami", "/db/country[2]/city")])
         other = od_from_pairs(2, [("Boston", "/db/country[3]/city")])
-        assert match_tuples(left, right, mapping, 0.15).similar
-        assert not match_tuples(left, other, mapping, 0.15).similar
+        assert _match(left, right, mapping, 0.15).similar
+        assert not _match(left, other, mapping, 0.15).similar
 
 
 class TestSoftIDF:
@@ -260,10 +275,10 @@ class TestDogmatixSimilarity:
 
     def test_scoring_leaves_no_state(self, corpus, movie_ods):
         """Concurrent readers share one similarity: scoring a pair, or
-        explaining it, writes nothing to it."""
+        matching its tuples, writes nothing to it."""
         before = dict(vars(corpus))
         corpus(movie_ods[0], movie_ods[1])
-        corpus.explain(movie_ods[0], movie_ods[2])
+        corpus._match(movie_ods[0], movie_ods[2])
         assert vars(corpus) == before
 
     def test_contradiction_reduces(self, movie_mapping):
@@ -285,39 +300,34 @@ class TestDogmatixSimilarity:
         empty = od_from_pairs(7, [])
         assert corpus(empty, empty) == 0.0
 
-    def test_explain_structure(self, corpus, movie_ods):
-        explanation = corpus.explain(movie_ods[0], movie_ods[1])
-        assert explanation["similarity"] == 1.0
-        assert len(explanation["similar_pairs"]) == 3
-        assert explanation["contradictory_pairs"] == []
-        assert len(explanation["non_specified_left"]) == 1  # L. Fishburne
+    def test_explain_structure(self, movie_ods, movie_mapping):
+        session = DetectionSession.from_ods(
+            movie_ods, movie_mapping, "MOVIE", DogmatixConfig(theta_tuple=0.55)
+        )
+        explanation = session.explain(movie_ods[0], movie_ods[1])
+        assert explanation.similarity == 1.0
+        assert len(explanation.similar_pairs) == 3
+        assert explanation.contradictory_pairs == ()
+        assert len(explanation.non_specified_left) == 1  # L. Fishburne
 
 
 class TestSemantics:
     def test_all_pairs_counts_every_sub_threshold_pair(self, movie_mapping):
-        from repro.core.matching import match_tuples
-        from repro.framework import od_from_pairs
-
         left = od_from_pairs(
             0,
             [("Track 01", "/d/c[1]/t"), ("Track 02", "/d/c[1]/t")],
         )
         right = od_from_pairs(1, [("Track 01", "/d/c[2]/t")])
-        one_to_one = match_tuples(left, right, movie_mapping, 0.2)
-        literal = match_tuples(left, right, movie_mapping, 0.2,
-                               semantics="all-pairs")
+        one_to_one = _match(left, right, movie_mapping, 0.2)
+        literal = _match(left, right, movie_mapping, 0.2, semantics="all-pairs")
         assert len(one_to_one.similar) == 1
         assert len(literal.similar) == 2  # both left tuples pair with right
 
     def test_unknown_semantics_rejected(self, movie_mapping):
-        from repro.core.matching import match_tuples
-        from repro.framework import od_from_pairs
-
         od = od_from_pairs(0, [("x", "/d/c[1]/t")])
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError, match="semantics"):
-            match_tuples(od, od, movie_mapping, 0.2, semantics="fuzzy")
+        index = CorpusIndex([od], movie_mapping, 0.2)
+        with pytest.raises(ValueError, match="semantics"):
+            DogmatixSimilarity(index, semantics="fuzzy")
 
     def test_config_validates_semantics(self):
         import pytest as _pytest
@@ -374,14 +384,6 @@ def _od(object_id: int, description):
     )
 
 
-# A verdict read from the groups is only as exact as the index's
-# search, so the oracle is met through a frozen index.
-def _index_over(ods, mapping, theta) -> CorpusIndex:
-    index = CorpusIndex(ods, mapping, theta)
-    index.freeze()
-    return index
-
-
 class TestAgainstTheOracle:
     @given(
         left=_descriptions,
@@ -402,36 +404,111 @@ class TestAgainstTheOracle:
             corpus.append(od_i)
         if held in ("both", "right"):
             corpus.append(od_j)
-        index = _index_over(corpus, mapping, theta)
-        similarity = DogmatixSimilarity(index, semantics)
+        session = DetectionSession.from_ods(
+            corpus,
+            mapping,
+            "A",
+            DogmatixConfig(theta_tuple=theta, similar_semantics=semantics),
+        )
+        index = session.index
         # both directions: the second reads the groupings the first left
         for one, other in ((od_i, od_j), (od_j, od_i), (od_i, od_i)):
             want = oracle.match_tuples(one, other, mapping, theta, semantics)
-            assert match_tuples(one, other, mapping, theta, semantics, index) == want
-            assert match_tuples(one, other, mapping, theta, semantics) == want
+            assert match_tuples(one, other, index, semantics) == want
             score = oracle.from_matching(want, index)
-            assert similarity(one, other).hex() == score.hex()
-            explanation = similarity.explain(one, other)
-            assert explanation["similarity"].hex() == score.hex()
-            assert explanation["similar_pairs"] == [
-                (str(a), str(b)) for a, b in want.similar
-            ]
-            assert explanation["contradictory_pairs"] == [
-                (str(a), str(b)) for a, b in want.contradictory
-            ]
-            assert explanation["non_specified_left"] == [
-                str(t) for t in want.non_specified_left
-            ]
-            assert explanation["non_specified_right"] == [
-                str(t) for t in want.non_specified_right
-            ]
+            assert session.similarity(one, other).hex() == score.hex()
+            _assert_explains(session.explain(one, other), want, score, index)
 
-    def test_an_index_built_at_another_threshold_is_refused(
-        self, movie_ods, movie_mapping
+
+def _assert_explains(explanation, want, score, index):
+    """``explanation`` shows the oracle's matching ``want``: its four
+    lists, its two soft-IDF sums and its score, floats as ``hex``."""
+    assert explanation.similarity.hex() == score.hex()
+    assert explanation.similar_pairs == tuple(
+        (str(a), str(b)) for a, b in want.similar
+    )
+    assert explanation.contradictory_pairs == tuple(
+        (str(a), str(b)) for a, b in want.contradictory
+    )
+    assert explanation.non_specified_left == tuple(map(str, want.non_specified_left))
+    assert explanation.non_specified_right == tuple(map(str, want.non_specified_right))
+    for shown, pairs in (
+        (explanation.set_soft_idf_similar, want.similar),
+        (explanation.set_soft_idf_contradictory, want.contradictory),
     ):
-        index = CorpusIndex(movie_ods, movie_mapping, 0.55)
-        with pytest.raises(ValueError, match="theta_tuple"):
-            match_tuples(movie_ods[0], movie_ods[1], movie_mapping, 0.15, index=index)
+        assert shown.hex() == float(oracle.set_soft_idf(pairs, index)).hex()
+
+
+#: Two discs whose values Dataset 1 does not hold; ``cdextra`` is
+#: multi-valued on both sides, so its pairs also need ordering.
+_NOVEL_DISCS = (
+    "<freedb><disc><did>qqzzxx99</did><artist>Zyxw Vutsr</artist>"
+    "<title>Plmokn Ijbuhv</title><genre>Qwertz</genre><year>2999</year>"
+    "<cdextra>Zork bonus edition no. 1</cdextra>"
+    "<cdextra>Zork bonus edition no. 22</cdextra></disc></freedb>",
+    "<freedb><disc><did>qqzzxx98</did><artist>Zyxw Vutsq</artist>"
+    "<title>Plmokn Ijbuhw</title><genre>Qwertz</genre><year>2998</year>"
+    "<cdextra>Zork bonus edition no. 2</cdextra>"
+    "<cdextra>Zork bonux edition no. 22</cdextra>"
+    "<cdextra>Quibble</cdextra></disc></freedb>",
+)
+
+
+class TestExplainReadsTheOneMatching:
+    """``explain()`` shows the matching ``similarity()`` scores, equal to
+    the oracle's, for every duplicate pair ``detect()`` reports and for
+    two caller-made elements: the one case where step 5 measures
+    distances itself, because the index holds neither value."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        from repro.eval import build_dataset1
+
+        dataset = build_dataset1(40, seed=7)
+        return DetectionSession(
+            dataset.sources, dataset.mapping, dataset.real_world_type
+        )
+
+    @staticmethod
+    def _assert_oracle(session, explanation, left, right):
+        config = session.config
+        want = oracle.match_tuples(
+            left, right, session.mapping, config.theta_tuple, config.similar_semantics
+        )
+        score = oracle.from_matching(want, session.index)
+        _assert_explains(explanation, want, score, session.index)
+
+    def test_every_duplicate_pair_of_detect(self, session):
+        pairs = session.detect().duplicate_pairs
+        assert len(pairs) >= 20
+        for pair in pairs:
+            explanation = session.explain(pair.left, pair.right)
+            assert explanation.similarity.hex() == pair.similarity.hex()
+            left, right = (session._resolve_od(i) for i in (pair.left, pair.right))
+            self._assert_oracle(session, explanation, left, right)
+
+    def test_caller_made_elements_the_corpus_does_not_hold(self, session):
+        from repro.xmlkit import parse
+
+        left, right = (parse(text).root.children[0] for text in _NOVEL_DISCS)
+        od_left, od_right = session._resolve_od(left), session._resolve_od(right)
+        kinds = od_right.by_kind(session.mapping)
+        unheld = [
+            (key, a.value, b.value)
+            for key, tuples in od_left.by_kind(session.mapping).items()
+            for a in tuples
+            for b in kinds.get(key, ())
+            if a.value != b.value
+        ]
+        assert len(unheld) == 2 * 3 + 4  # four single-valued kinds differ
+        for key, a, b in unheld:
+            assert session.index.similar_verdict(key, a, b) is None
+        explanation = session.explain(left, right)
+        assert explanation.similarity.hex() == (
+            session.similarity(od_left, od_right).hex()
+        )
+        assert len(explanation.similar_pairs) == 6  # both cdextra pairs
+        self._assert_oracle(session, explanation, od_left, od_right)
 
 
 class TestSymmetry:

@@ -64,7 +64,7 @@ SESSION = modules(
     .core.source
     .engine .engine.policy
     .framework .framework.classifier .framework.mapping .framework.od
-    .strings .strings.bounds .strings.levenshtein .strings.qgram
+    .strings .strings.levenshtein .strings.qgram
     .xmlkit .xmlkit.parser .xmlkit.tree
     """
 )

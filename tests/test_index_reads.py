@@ -431,19 +431,18 @@ def test_pair_idf_of_a_term_with_itself_is_its_term_idf(monkeypatch):
             assert index.pair_idf(key, value, key, value) == expected, (key, value)
 
 
-def test_statistics_are_memoized_only_while_frozen():
+def test_statistics_are_a_fresh_count_after_writes():
     ods = random_corpus(SEEDS[0], "uniform", count=12)
-    index = frozen(ods)
+    index = frozen(ods[:6])
     first = index.statistics()
-    assert index._statistics_cache is not None
-    second = index.statistics()
-    assert second == first and second is not first  # copies, not aliases
-    index.thaw()
-    assert index._statistics_cache is None  # invalidated with the pin
-    assert index.statistics() == first
-    assert index._statistics_cache is None  # not memoized while thawed
-    index.freeze()
-    assert index.statistics() == first
+    assert first == NaiveIndex(ods[:6], TypeMapping(), THETA_TUPLE).statistics()
+    first["objects"] = -1  # a new dict per call: the caller's to keep
+    for end in (9, 12):
+        index.thaw()
+        index.merge_partial(IndexPartial.from_ods(ods[end - 3 : end], TypeMapping()))
+        index.freeze()
+        naive = NaiveIndex(ods[:end], TypeMapping(), THETA_TUPLE)
+        assert index.statistics() == naive.statistics()
 
 
 def test_negative_object_ids_read_like_any_other():

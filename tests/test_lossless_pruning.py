@@ -144,9 +144,10 @@ class TestFilterDismissals:
 def _oracle_similarity(self, od_i, od_j):
     """``DogmatixSimilarity.similarity`` as it stood before verdicts
     came from the index (tests/reference/match_tuples.py)."""
+    index = self.index
     return oracle.from_matching(
-        oracle.match_tuples(od_i, od_j, self.mapping, self.theta_tuple, self.semantics),
-        self.index,
+        oracle.match_tuples(od_i, od_j, index.mapping, index.theta_tuple, self.semantics),
+        index,
     )
 
 

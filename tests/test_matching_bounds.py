@@ -1,16 +1,14 @@
-"""Laziness and parity of the bounds-tiered tuple matching.
+"""Laziness and parity of step 5's per-kind tuple matching.
 
-``_match_kind`` promises cheap-first evaluation: without an index to
-read the verdict from (the case here; with one,
-``tests/test_core_similarity.py``), the O(n) distance bounds decide
-which side of ``theta_tuple`` a pair falls on, and the
-O(n·m) edit-distance DP runs only for pairs the bounds cannot separate
-— plus, lazily, for pairs whose *order* matters (who matches whom).
-Pinned here:
+``_match_kind`` reads which side of θ_tuple a pair falls on from the
+index's similar-value groups, and measures an edit distance itself only
+where the index holds neither value — plus, lazily, for pairs whose
+*order* matters (who matches whom).  Pinned here, against an index over
+the two sides (or, where said, over values neither side holds):
 
-* bounds-decidable pairs never touch the DP (this failed before the
-  rewrite: the old code eagerly built the full distance table);
-* undecidable pairs still verify exactly;
+* a pair the groups decide never touches the DP, whatever the distance
+  bounds could have told;
+* a pair of values the index does not hold is measured exactly;
 * the output — similar, contradictory, non-specified, including list
   *order* (the parity contract sums floats in list order) — is
   bit-identical to the old eager reference algorithm, re-implemented
@@ -24,9 +22,13 @@ import random
 import pytest
 
 import repro.core.matching as matching_module
+from repro.core import CorpusIndex
 from repro.core.matching import TupleMatching, _match_kind
-from repro.framework import ODTuple
+from repro.framework import ODTuple, TypeMapping, od_from_pairs
 from repro.strings import ned_cached
+
+#: The one kind's path; unmapped, so it is its own comparison key.
+PATH = "/r/o/k"
 
 
 @pytest.fixture()
@@ -42,15 +44,17 @@ def counting_ned(monkeypatch):
     return calls
 
 
-def _kind(left, right, theta, semantics="matching"):
+def _match(left, right, theta, semantics="matching", held=True):
+    """``_match_kind`` over one kind, against an index over the two
+    sides when ``held``, else over one value neither side holds."""
+    one = od_from_pairs(0, [(value, PATH) for value in left])
+    other = od_from_pairs(1, [(value, PATH) for value in right])
+    corpus = [one, other] if held else [od_from_pairs(2, [("unheld", PATH)])]
+    index = CorpusIndex(corpus, TypeMapping(), theta)
+    index.freeze()
     result = TupleMatching()
     _match_kind(
-        "k",
-        [ODTuple(v, "k") for v in left],
-        [ODTuple(v, "k") for v in right],
-        theta,
-        result,
-        semantics,
+        index.key_of(PATH), one.tuples, other.tuples, result, semantics, index
     )
     return result
 
@@ -59,7 +63,7 @@ class TestLaziness:
     def test_bound_decided_dissimilar_pair_skips_the_dp(self, counting_ned):
         # Disjoint alphabets: the bag-distance lower bound alone proves
         # ned >= 1.0 >= theta; one pair needs no ordering either.
-        result = _kind(["aaaaaaaa"], ["bbbbbbbb"], 0.5)
+        result = _match(["aaaaaaaa"], ["bbbbbbbb"], 0.5)
         assert [(l.value, r.value) for l, r in result.contradictory] == [
             ("aaaaaaaa", "bbbbbbbb")
         ]
@@ -67,16 +71,24 @@ class TestLaziness:
 
     def test_bound_decided_similar_pair_skips_the_dp(self, counting_ned):
         # Equal values: the upper bound is 0 < theta.
-        result = _kind(["same title"], ["same title"], 0.15)
+        result = _match(["same title"], ["same title"], 0.15)
         assert [(l.value, r.value) for l, r in result.similar] == [
             ("same title", "same title")
         ]
         assert counting_ned == []
 
-    def test_undecidable_pair_still_verifies_exactly(self, counting_ned):
+    def test_pair_no_bound_decides_is_read_from_the_groups(self, counting_ned):
         # Reversal: bag distance 0 (lower bound misses) but hamming 4/5
-        # (upper bound misses), so only the DP can decide.
-        result = _kind(["abcde"], ["edcba"], 0.5)
+        # (upper bound misses); the groups decide it all the same.
+        result = _match(["abcde"], ["edcba"], 0.5)
+        assert counting_ned == []
+        exact = ned_cached("abcde", "edcba")
+        expected = "similar" if exact < 0.5 else "contradictory"
+        bucket = getattr(result, expected)
+        assert [(l.value, r.value) for l, r in bucket] == [("abcde", "edcba")]
+
+    def test_values_the_index_does_not_hold_are_measured(self, counting_ned):
+        result = _match(["abcde"], ["edcba"], 0.5, held=False)
         assert counting_ned == [("abcde", "edcba")]
         exact = ned_cached("abcde", "edcba")
         expected = "similar" if exact < 0.5 else "contradictory"
@@ -89,7 +101,7 @@ class TestLaziness:
         # Two similar pairs share an endpoint: the one-to-one matching
         # needs their exact order, so both DP — but the bound-decided
         # dissimilar leftovers still never do.
-        result = _kind(["abab", "abba"], ["abab", "zzzzzzzzzz"], 0.6)
+        result = _match(["abab", "abba"], ["abab", "zzzzzzzzzz"], 0.6)
         assert set(counting_ned) >= {("abab", "abab"), ("abba", "abab")}
         assert all("z" not in a and "z" not in b for a, b in counting_ned)
         assert [(l.value, r.value) for l, r in result.similar] == [
@@ -149,15 +161,21 @@ class TestEagerReferenceParity:
             )
 
         for _ in range(400):
-            left = [ODTuple(value(), "k") for _ in range(rng.randint(0, 5))]
-            right = [ODTuple(value(), "k") for _ in range(rng.randint(0, 5))]
+            left = [value() for _ in range(rng.randint(0, 5))]
+            right = [value() for _ in range(rng.randint(0, 5))]
             theta = rng.choice([0.0, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0])
             semantics = rng.choice(["matching", "all-pairs"])
-            got, want = TupleMatching(), TupleMatching()
-            _match_kind("k", left, right, theta, got, semantics)
-            _reference_match_kind(left, right, theta, want, semantics)
+            held = rng.random() < 0.75
+            got = _match(left, right, theta, semantics, held)
+            want = TupleMatching()
+            _reference_match_kind(
+                [ODTuple(v, PATH) for v in left],
+                [ODTuple(v, PATH) for v in right],
+                theta,
+                want,
+                semantics,
+            )
             assert got == want, (
                 f"diverged from the eager reference at theta={theta} "
-                f"semantics={semantics} left={[o.value for o in left]} "
-                f"right={[o.value for o in right]}"
+                f"semantics={semantics} held={held} left={left} right={right}"
             )

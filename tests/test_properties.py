@@ -338,7 +338,7 @@ class TestMatchingProperties:
         mapping = TypeMapping()
         od_a = od_from_pairs(0, [(v, "/d/r[1]/v") for v in left])
         od_b = od_from_pairs(1, [(v, "/d/r[2]/v") for v in right])
-        result = match_tuples(od_a, od_b, mapping, theta)
+        result = match_tuples(od_a, od_b, CorpusIndex([od_a, od_b], mapping, theta))
         used_left = (
             [a for a, _ in result.similar]
             + [a for a, _ in result.contradictory]
@@ -362,7 +362,7 @@ class TestMatchingProperties:
         mapping = TypeMapping()
         od_a = od_from_pairs(0, [(v, "/d/r[1]/v") for v in left])
         od_b = od_from_pairs(1, [(v, "/d/r[2]/v") for v in right])
-        result = match_tuples(od_a, od_b, mapping, theta)
+        result = match_tuples(od_a, od_b, CorpusIndex([od_a, od_b], mapping, theta))
         for a, b in result.similar:
             assert normalized_edit_distance(a.value, b.value) < theta
         for a, b in result.contradictory:

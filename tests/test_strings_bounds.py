@@ -9,7 +9,6 @@ from repro.strings import (
     BoundedMatcher,
     bag_distance,
     bound_verdict,
-    bounds,
     edit_distance,
     edit_distance_lower_bound,
     edit_distance_upper_bound,
@@ -117,17 +116,6 @@ class TestAgainstCounterReference:
                 assert bound_verdict(a, b, threshold) == (
                     reference_verdict(a, b, threshold)
                 ), (a, b)
-
-    def test_bag_memo_is_bounded(self):
-        capacity = bounds._char_bag.cache_info().maxsize
-        assert capacity is not None
-        for number in range(capacity + 500):
-            bag_distance(f"value {number}", "probe")
-        assert bounds._char_bag.cache_info().currsize <= capacity
-        # Evicted and re-counted bags answer as before.
-        assert bag_distance("value 0", "probe") == (
-            reference_bag_distance("value 0", "probe")
-        )
 
 
 class TestUpperBound:

@@ -28,7 +28,7 @@ from reference import dp_levenshtein
 from reference.overlap_candidates import OverlapQGramIndex
 
 from repro.api import Corpus, DetectionSession
-from repro.core import match_tuples
+from repro.core import CorpusIndex, match_tuples
 from repro.eval import build_dataset1, build_dataset3
 from repro.framework import TypeMapping, od_from_pairs
 from repro.strings import (
@@ -278,7 +278,8 @@ class TestOneSpellingOfTheThreshold:
         mapping.add("T", ["/r/o/t"])
         left = od_from_pairs(0, [(self.LEFT, "/r/o/t")])
         right = od_from_pairs(1, [(self.RIGHT, "/r/o/t")])
-        matching = match_tuples(left, right, mapping, self.THETA)
+        index = CorpusIndex([left, right], mapping, self.THETA)
+        matching = match_tuples(left, right, index)
         assert matching.similar == []
         assert [(a.value, b.value) for a, b in matching.contradictory] == [
             (self.LEFT, self.RIGHT)
