@@ -40,7 +40,7 @@ from ..core.similarity import DogmatixSimilarity, _score
 from ..framework.classifier import DUPLICATES, POSSIBLE_DUPLICATES
 from ..framework.mapping import TypeMapping
 from ..framework.od import ObjectDescription
-from ..xmlkit.tree import Element, strip_positions
+from ..xmlkit.tree import Document, Element, strip_positions
 from .corpus import Corpus, SourceLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -220,10 +220,11 @@ class DetectionSession:
         return self._incremental
 
     def object_path(self, object_id: int) -> str:
+        """The object's XPath, read from its OD (no tree is decoded for
+        it), or ``object:<id>`` for an object without an element."""
         od = self._by_id.get(object_id)
-        if od is None or od.element is None:
-            return f"object:{object_id}"
-        return od.element.absolute_path()
+        path = None if od is None else od.path
+        return f"object:{object_id}" if path is None else path
 
     # ------------------------------------------------------------------
     # Batch detection
@@ -495,9 +496,15 @@ class DetectionSession:
                 raise KeyError(f"no object with id {target} in this session")
             return od
         if isinstance(target, Element):
-            for od in self._ods:
-                if od.element is target:
-                    return od
+            # a stored tree nobody has read holds no element a caller
+            # could pass, so only a built tree makes the scan worth it
+            if any(
+                not isinstance(source.document, Document) or source.document.decoded
+                for source in self.corpus
+            ):
+                for od in self._ods:
+                    if od.describes(target):
+                        return od
             return self._describe_element(target)
         raise TypeError(
             f"cannot match a {type(target).__name__}; pass an object id, "

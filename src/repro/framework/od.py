@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from ..xmlkit.tree import Element
+from ..xmlkit.tree import Document, Element
 from .mapping import TypeMapping
 
 
@@ -37,12 +37,14 @@ class ObjectDescription:
     element:
         The candidate's XML element (None for externally supplied ODs —
         the framework deliberately allows descriptions not constrained
-        by the data source, see Definition 2).
+        by the data source, see Definition 2).  An OD read back from a
+        snapshot (:meth:`stored`) resolves it on first read, through its
+        document and the element's rank there.
     tuples:
         The OD tuples, in selection order.
     """
 
-    __slots__ = ("object_id", "element", "tuples", "_kinds")
+    __slots__ = ("object_id", "_element", "_anchor", "tuples", "_kinds")
 
     def __init__(
         self,
@@ -51,9 +53,60 @@ class ObjectDescription:
         element: Optional[Element] = None,
     ) -> None:
         self.object_id = object_id
-        self.element = element
+        self._element = element
+        #: (document, rank, absolute path) of a stored OD's element
+        self._anchor: Optional[tuple[Document, int, str]] = None
         self.tuples: tuple[ODTuple, ...] = tuple(tuples)
         self._kinds: Optional[tuple] = None  # see by_kind
+
+    @classmethod
+    def stored(
+        cls,
+        object_id: int,
+        tuples: Iterable[ODTuple],
+        document: Document,
+        rank: int,
+        path: str,
+    ) -> "ObjectDescription":
+        """An OD whose element is ``document.element_at(rank)``, looked
+        up on the first read of :attr:`element`; ``path`` is that
+        element's absolute path, which :attr:`path` answers without a
+        tree."""
+        od = cls(object_id, tuples)
+        od._anchor = (document, rank, path)
+        return od
+
+    @property
+    def element(self) -> Optional[Element]:
+        element = self._element
+        if element is None and self._anchor is not None:
+            document, rank, _ = self._anchor
+            # racing readers store the one node the document holds
+            element = self._element = document.element_at(rank)
+        return element
+
+    @element.setter
+    def element(self, element: Optional[Element]) -> None:
+        self._element = element
+        self._anchor = None
+
+    @property
+    def path(self) -> Optional[str]:
+        """The candidate's absolute XPath (None without an element):
+        the stored one for a :meth:`stored` OD, read without a tree."""
+        if self._anchor is not None:
+            return self._anchor[2]
+        element = self._element
+        return None if element is None else element.absolute_path()
+
+    def describes(self, element: Element) -> bool:
+        """Whether ``element`` is this OD's candidate.  A stored OD
+        whose tree is not decoded yet answers no without decoding it:
+        no caller can hold one of that tree's elements."""
+        anchor = self._anchor
+        if self._element is None and anchor is not None and not anchor[0].decoded:
+            return False
+        return self.element is element
 
     def __reduce__(self) -> tuple:
         return type(self), (self.object_id, self.tuples, self.element)
@@ -98,11 +151,13 @@ class ObjectDescription:
         conservative treatment when the selection was not already
         filtered by c_cm.
         """
-        return ObjectDescription(
+        copy = ObjectDescription(
             self.object_id,
             (odt for odt in self.tuples if odt.value != ""),
-            self.element,
+            self._element,
         )
+        copy._anchor = self._anchor
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OD #{self.object_id} tuples={len(self.tuples)}>"

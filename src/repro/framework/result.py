@@ -86,10 +86,8 @@ class DetectionResult:
         )
 
     def object_path(self, object_id: int) -> str:
-        element = self._by_id[object_id].element
-        if element is None:
-            return f"object:{object_id}"
-        return element.absolute_path()
+        path = self._by_id[object_id].path
+        return f"object:{object_id}" if path is None else path
 
     def to_xml(self) -> str:
         """Serialize the clusters as the Fig. 3 dupcluster document."""

@@ -23,12 +23,21 @@ steps 1-3.  Snapshots are
 * **self-contained**: documents are stored inside the snapshot, so a
   serving process needs only the store, not the original files.
 
-**Format 4** holds a session in the shape the loader needs.  A document
-is the tree's structural record (:func:`repro.xmlkit.document_record`),
-which ``json.loads`` builds in C and one pass turns into elements: a
-warm open parses no XML, and ``content`` survives item for item.  An
-OD is ``id``, ``tuples`` and — when it has an element — ``doc`` +
-``node``, the source index and the element's document-order rank.
+**Format 5** holds a session in the shape the loader needs.  A document
+is the JSON text of the tree's structural record
+(:func:`repro.xmlkit.document_record`), one string per document, which
+a warm open keeps as it is: the tree is built
+(:meth:`repro.xmlkit.Document.stored`) only when a reader first asks
+for it — answering by id, ``detect()``, ``explain()`` and ``extend()``
+never do — so a warm open parses no XML and builds no element, and
+``content`` survives item for item when a tree is built.  An OD is
+``id``, ``tuples`` and — when it has an element — ``doc`` + ``node`` +
+``path``: the source index, the element's document-order rank and its
+absolute XPath, by which answers name the object without a tree.  A
+``seal`` (:func:`_seal`) covers the key, every tree text and every OD's
+``doc`` / ``node`` / ``path``, so a load that verifies it and the other
+sections leaves nothing for the first read to reject that a snapshot
+writer did not seal.
 
 The ``index`` section is the corpus index's term state
 (:meth:`repro.core.index.IndexPartial.to_record`): |Ω|, q, and per
@@ -64,7 +73,6 @@ from ..xmlkit.tree import (
     Document,
     Element,
     XMLError,
-    document_from_record,
     document_record,
     element_record,
 )
@@ -73,8 +81,9 @@ from ..xmlkit.tree import (
 #: other versions as a cache miss and rebuild.  2: an optional compact
 #: ``index`` section.  3: documents as structural records, ODs point at
 #: nodes by rank, no index.  4: the ``index`` section holds the term
-#: rows and q-gram buckets a warm open adopts.
-FORMAT_VERSION = 4
+#: rows and q-gram buckets a warm open adopts.  5: each tree as the JSON
+#: text of its record, ODs with their element's path, a seal over both.
+FORMAT_VERSION = 5
 
 #: Everything reading, gunzipping, parsing or validating a damaged
 #: snapshot raises; :meth:`IndexStore.load` answers each with a miss.
@@ -212,7 +221,16 @@ class IndexStore:
                         "outside the session's corpus; cannot snapshot"
                     )
                 record["doc"], record["node"] = where
+                record["path"] = od.path
             od_records.append(record)
+        texts = [
+            json.dumps(
+                document_record(document),
+                separators=(",", ":"),
+                default=element_record,
+            )
+            for document in documents
+        ]
         schema_texts = [
             Path(path).read_text(encoding="utf-8") for path in spec.schemas
         ]
@@ -223,9 +241,10 @@ class IndexStore:
             "created": time.time(),
             "real_world_type": session.real_world_type,
             "theta_tuple": spec.theta_tuple,
-            "documents": [document_record(document) for document in documents],
+            "documents": texts,
             "schemas": schema_texts,
             "ods": od_records,
+            "seal": _seal(digest, texts, od_records),
             "index": session.index.to_record(),
         }
         self.root.mkdir(parents=True, exist_ok=True)
@@ -288,15 +307,26 @@ class IndexStore:
         """Warm-start a session for ``spec``, or ``None`` on a miss.
 
         A miss is: no snapshot under the spec's content key, a snapshot
-        written by another :data:`FORMAT_VERSION` (the version policy),
-        one whose embedded key is not that digest (a file copied or
-        renamed under another key), or one that cannot be decoded —
-        truncated or bit-flipped gzip, not JSON, a section missing, a tree
-        record of the wrong shape, an OD pointing at a node that is not
-        there, two ODs sharing an id, an ``index`` section that is not
-        the term state of those ODs' ids
-        (:meth:`~repro.core.index.IndexPartial.from_record`).  In every
-        case the caller rebuilds and :meth:`save` overwrites the file.
+        written by another :data:`FORMAT_VERSION` (the version policy,
+        format 4 included), one whose embedded key is not that digest (a
+        file copied or renamed under another key), or one that cannot be
+        decoded — truncated or bit-flipped gzip, not JSON, a section
+        missing, a tree text that is not a string, a seal missing, not a
+        string or not the seal of these tree texts and OD paths (a tree
+        text or an OD's ``doc``, ``node`` or ``path`` edited, another
+        snapshot's seal), an OD ``path`` that is not a string, an OD
+        pointing at a document that is not there, two ODs sharing an id,
+        an ``index`` section that is not the term state of those ODs'
+        ids (:meth:`~repro.core.index.IndexPartial.from_record`).  In
+        every case the caller rebuilds and :meth:`save` overwrites the
+        file.
+
+        No element is built here: each tree is decoded on the first
+        read that needs it (:meth:`repro.xmlkit.Document.stored`), and
+        checked then against the shape and paths the seal vouches for;
+        a tree that fails raises :class:`~repro.xmlkit.XMLError` naming
+        the snapshot, which only a writer sealing a malformed tree can
+        bring about.
 
         The returned session carries the *live* spec's configuration:
         the stored ODs, documents, schemas and index state are reused
@@ -309,7 +339,7 @@ class IndexStore:
             payload = json.loads(gzip.decompress(path.read_bytes()))
             if payload["format"] != FORMAT_VERSION or payload["key"] != digest:
                 return None
-            real_world_type, sources, ods, state = _restore(payload)
+            real_world_type, sources, ods, state = _restore(payload, str(path))
         except _UNDECODABLE:
             return None
         from ..api.corpus import Corpus
@@ -442,54 +472,98 @@ def _as_document(document: Document | Element) -> Document:
 
 
 def _restore(
-    payload: dict,
+    payload: dict, origin: str
 ) -> tuple[str, list[Source], list[ObjectDescription], IndexPartial]:
-    """Real-world type, sources, ODs and index state of a format-4
-    payload, which gives up the sections read (the decoded lists become
-    the trees' and the index's).  What is used is validated first — ODs
-    index lists with integers read from disk, the index section must
-    describe exactly these ODs' ids (:meth:`IndexPartial.from_record`)
-    — and anything malformed raises one of ``_UNDECODABLE``."""
+    """Real-world type, sources, ODs and index state of a format-5
+    payload, which gives up the sections read (the index section's
+    decoded lists become the index's).  What is used is validated
+    first — the seal over the tree texts and OD paths (:func:`_seal`),
+    ODs indexing the document list with integers read from disk, the
+    index section describing exactly these ODs' ids
+    (:meth:`IndexPartial.from_record`) — and anything malformed raises
+    one of ``_UNDECODABLE``.
+
+    No element is built: each document keeps its tree text
+    (:meth:`Document.stored`, named after ``origin`` should it not
+    decode) and each OD its document, rank and path
+    (:meth:`ObjectDescription.stored`).
+    """
     real_world_type = payload["real_world_type"]
-    records, schemas = payload.pop("documents"), payload.pop("schemas")
+    texts, schemas = payload.pop("documents"), payload.pop("schemas")
+    records = payload.pop("ods")
     if not (
         type(real_world_type) is str
-        and type(records) is list
+        and type(texts) is list
+        and all(type(text) is str for text in texts)
         and type(schemas) is list
-        and len(schemas) == len(records)
+        and len(schemas) == len(texts)
         and all(text is None or type(text) is str for text in schemas)
+        and type(records) is list
     ):
-        raise TypeError("real_world_type, documents or schemas malformed")
-    sources, elements = [], []
-    for record, text in zip(records, schemas):
-        document, order = document_from_record(record)
+        raise TypeError("real_world_type, documents, schemas or ods malformed")
+    anchors: list[list[tuple[int, str]]] = [[] for _ in texts]
+    documents = [
+        Document.stored(text, anchors[doc], f"snapshot {origin}, document {doc}")
+        for doc, text in enumerate(texts)
+    ]
+    sources = []
+    for document, text in zip(documents, schemas):
         schema = None
         if text:  # a corpus stored without XSDs never loads their parser
             from ..xmlkit.schema_parser import parse_schema
 
             schema = parse_schema(text)
         sources.append(Source(document, schema))
-        elements.append(order)
     ods = []
-    for record in payload.pop("ods"):
-        element = None
-        if "doc" in record:
-            doc, node = record["doc"], record["node"]
-            # a negative index would pick a node too
-            if type(doc) is not int or type(node) is not int or min(doc, node) < 0:
-                raise IndexError("doc and node are non-negative ints")
-            element = elements[doc][node]
+    for record in records:
         tuples = [ODTuple(value, name) for value, name in record["tuples"]]
-        if type(record["id"]) is not int or not all(
+        object_id = record["id"]
+        if type(object_id) is not int or not all(
             type(odt.value) is str and type(odt.name) is str for odt in tuples
         ):
             raise TypeError("an OD is an int id and [value, name] string pairs")
-        ods.append(ObjectDescription(record["id"], tuples, element))
+        if "doc" in record:
+            doc, node, path = record["doc"], record["node"], record["path"]
+            # a negative index would pick a document too
+            if type(doc) is not int or type(node) is not int or min(doc, node) < 0:
+                raise IndexError("doc and node are non-negative ints")
+            if type(path) is not str:
+                raise TypeError("an OD's path is a string")
+            anchors[doc].append((node, path))
+            ods.append(
+                ObjectDescription.stored(object_id, tuples, documents[doc], node, path)
+            )
+        else:
+            ods.append(ObjectDescription(object_id, tuples))
+    seal = payload["seal"]
+    if type(seal) is not str or seal != _seal(payload["key"], texts, records):
+        raise ValueError("the seal is not that of these trees and paths")
     object_ids = {od.object_id for od in ods}
     if len(object_ids) != len(ods):
         raise ValueError("two ODs share an id")
     state = IndexPartial.from_record(payload.pop("index"), object_ids)
     return real_world_type, sources, ods, state
+
+
+def _seal(key: str, texts: list[str], od_records: list[dict]) -> str:
+    """SHA-256 over the snapshot's key, every tree text and, per OD
+    with an element, its id, document, rank and path: what a decode
+    checks, so that a tree that does not decode is a miss at load
+    rather than an error at first read.  Each entry is framed by its
+    length, so bytes moved from one entry to the next change the seal.
+    """
+    digest = hashlib.sha256()
+    entries = [key, *texts]
+    entries += [
+        f"{record['id']} {record['doc']} {record['node']} {record['path']}"
+        for record in od_records
+        if "doc" in record
+    ]
+    for entry in entries:
+        data = entry.encode("utf-8", "surrogatepass")
+        digest.update(b"%d:" % len(data))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _gzipped_json(payload: dict) -> bytes:
@@ -506,9 +580,10 @@ def _gzipped_json(payload: dict) -> bytes:
     """
     index = payload["index"]
     kinds = index["kinds"]
-    # wbits 31: gzip framing; level 6: a third of level 9's time for
-    # 4 % more bytes
-    compressor = zlib.compressobj(6, zlib.DEFLATED, 31)
+    # wbits 31: gzip framing; level 4: at n = 1200 the 1.54 MB of text
+    # deflate in 17 ms to 314 KB, where level 6 takes 45 ms for 280 KB
+    # and level 3 as long as 4 for 324 KB; inflating takes 4 ms at each
+    compressor = zlib.compressobj(4, zlib.DEFLATED, 31)
     head = json.dumps(  # the text is freed before the compressor runs
         {**payload, "index": {**index, "kinds": []}},
         separators=(",", ":"),
@@ -526,13 +601,12 @@ def _gzipped_json(payload: dict) -> bytes:
 
 
 def _encode(value: object) -> list:
-    """The writer's ``default=`` hook: an element as its record, a set
-    (an occurrence row of the index section) as its sorted
-    ids — each built as the encoder reaches it, so no copy of the tree
-    or of the rows is held."""
-    if type(value) is set:
-        return sorted(value)
-    return element_record(value)
+    """The writer's ``default=`` hook: a set (an occurrence row of the
+    index section) as its sorted ids, built as the encoder reaches it,
+    so no copy of the rows is held."""
+    if type(value) is not set:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return sorted(value)
 
 
 def _portable_spec_dict(spec) -> Optional[dict]:

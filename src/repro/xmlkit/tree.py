@@ -19,12 +19,15 @@ them).  The tuple is assigned once, complete, after the numbering it
 vouches for, so threads that only read a tree may share it.
 
 :func:`document_record` + :func:`element_record` / :func:`document_from_record`
-are the tree's one structural codec, for :mod:`repro.ingest.store`'s snapshots.
+are the tree's one structural codec, for :mod:`repro.ingest.store`'s
+snapshots; :meth:`Document.stored` keeps a record's JSON text and
+decodes it on the first read of the tree.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
@@ -307,19 +310,97 @@ class Element:
 
 
 class Document:
-    """An XML document: a root element plus prolog information."""
+    """An XML document: a root element plus prolog information.
 
-    __slots__ = ("root", "declaration")
+    A document read back from an index snapshot (:meth:`stored`) holds
+    its record's JSON text and builds no element until a reader asks for
+    ``root``, ``declaration`` or :meth:`element_at`: the first such read
+    decodes the text (:func:`document_from_record`) once, under the
+    document's lock, and publishes the finished tree by one assignment,
+    so every reader thread sees the same elements.
+    """
+
+    __slots__ = ("_tree", "_stored", "_lock")
 
     def __init__(self, root: Element, declaration: Optional[dict[str, str]] = None):
-        self.root = root
-        self.declaration = dict(declaration or {})
+        #: (root, declaration, elements in document order or None), set
+        #: once complete
+        self._tree: Optional[tuple] = (root, dict(declaration or {}), None)
+        self._stored: Optional[tuple] = None
+        self._lock = None
+
+    @classmethod
+    def stored(
+        cls, text: str, anchors: list[tuple[int, str]], origin: str
+    ) -> "Document":
+        """A document whose tree is the JSON text of its
+        :func:`document_record`, decoded on first read.
+
+        ``anchors`` holds ``(rank, absolute path)`` pairs — the caller
+        may still append to the list — that the decode checks: the
+        element at each rank must have that path.  ``origin`` names the
+        text's source in the :class:`XMLError` a text that does not
+        decode raises.
+        """
+        document = cls.__new__(cls)
+        document._tree = None
+        document._stored = (text, anchors, origin)
+        document._lock = threading.Lock()
+        return document
+
+    @property
+    def root(self) -> Element:
+        return (self._tree or self._decode())[0]
+
+    @property
+    def declaration(self) -> dict[str, str]:
+        return (self._tree or self._decode())[1]
+
+    @property
+    def decoded(self) -> bool:
+        """Whether the tree exists (always, unless :meth:`stored` and
+        not read yet)."""
+        return self._tree is not None
+
+    def element_at(self, rank: int) -> Element:
+        """The element at ``rank`` in document order,
+        ``list(self.iter())[rank]`` (for a stored document, the order
+        as decoded)."""
+        tree = self._tree or self._decode()
+        nodes = tree[2]
+        return (list(tree[0].iter()) if nodes is None else nodes)[rank]
+
+    def _decode(self) -> tuple:
+        with self._lock:
+            tree = self._tree
+            if tree is None:  # the first reader: no one published yet
+                text, anchors, origin = self._stored
+                try:
+                    import json
+
+                    document, nodes = document_from_record(json.loads(text))
+                    for rank, path in anchors:
+                        found = nodes[rank].absolute_path()
+                        if found != path:
+                            raise XMLError(
+                                f"element {rank} is at {found!r}, not {path!r}"
+                            )
+                except (ValueError, IndexError, XMLError) as exc:
+                    raise XMLError(f"{origin} does not decode: {exc}") from exc
+                tree = self._tree = (document.root, document.declaration, nodes)
+                self._stored = None
+        return tree
 
     def iter(self) -> Iterator[Element]:
         """All elements in document order."""
         return self.root.iter()
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self.root, self.declaration)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self._tree is None:
+            return "<Document stored, not decoded>"
         return f"<Document root=<{self.root.tag}>>"
 
 
@@ -345,9 +426,16 @@ def document_from_record(record: object) -> tuple[Document, list[Element]]:
     The record's attribute dicts and content lists *become* the
     elements' — slots are assigned directly and the caches left unset,
     as ``__setstate__`` leaves them — so the caller gives the record
-    up.  A record of any other shape raises :class:`XMLError`.
+    up.  A record of any other shape — attribute or declaration names
+    and values that are not all strings included — raises
+    :class:`XMLError`.
     """
-    if type(record) is not list or len(record) != 2 or type(record[0]) is not dict:
+    if (
+        type(record) is not list
+        or len(record) != 2
+        or type(record[0]) is not dict
+        or not _all_strings(record[0])
+    ):
         raise XMLError("document record is not [declaration, root]")
     new = Element.__new__
     root = new(Element)
@@ -360,6 +448,7 @@ def document_from_record(record: object) -> tuple[Document, list[Element]]:
             type(node) is list and len(node) == 3
             and type(node[0]) is str and node[0]
             and type(node[1]) is dict and type(node[2]) is list
+            and (not node[1] or _all_strings(node[1]))
         ):
             raise XMLError("element record is not [tag, attributes, content]")
         element.tag, element.attributes, content = node
@@ -375,6 +464,13 @@ def document_from_record(record: object) -> tuple[Document, list[Element]]:
         children.reverse()  # the stack pops the first child first
         pending.extend(children)
     return Document(root, record[0]), order
+
+
+def _all_strings(mapping: dict) -> bool:
+    """Whether every key and value of ``mapping`` is a ``str``."""
+    return all(
+        type(name) is str and type(value) is str for name, value in mapping.items()
+    )
 
 
 _PREDICATE = re.compile(r"\[[^\]]*\]?|\]")

@@ -9,6 +9,7 @@ from repro.datagen import (
     paper_example_mapping,
     paper_example_schema,
 )
+import repro.xmlkit.tree as tree_module
 from repro.framework import generate_ods, DescriptionDefinition
 from repro.xmlkit import parse
 
@@ -47,3 +48,19 @@ def tiny_doc():
         "<root><item id='1'><a>x</a><b>y</b></item>"
         "<item id='2'><a>x2</a></item></root>"
     )
+
+
+@pytest.fixture()
+def decodes(monkeypatch) -> list:
+    """Every stored tree's decode (a call of the one decode function,
+    :func:`repro.xmlkit.tree.document_from_record`) while the fixture is
+    live."""
+    seen: list = []
+    real = tree_module.document_from_record
+
+    def counting(record):
+        seen.append(record)
+        return real(record)
+
+    monkeypatch.setattr(tree_module, "document_from_record", counting)
+    return seen

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import copy
+import gc
 import gzip
 import json
 import os
@@ -47,7 +48,16 @@ from repro.framework import ObjectDescription, TypeMapping
 from repro.ingest import FORMAT_VERSION, IndexStore
 from repro.ingest.store import SnapshotInfo
 from repro.strings import QGramIndex, qgrams
-from repro.xmlkit import serialize
+from repro.eval.gold import gold_pairs
+from repro.xmlkit import (
+    Document,
+    Element,
+    XMLError,
+    document_record,
+    element_record,
+    parse,
+    serialize,
+)
 
 
 @pytest.fixture()
@@ -497,8 +507,10 @@ class TestFormat3:
         assert [(r["doc"], order[r["node"]]) for r in payload["ods"]] == [
             (0, od.element) for od in cold.ods
         ]
-        assert all("path" not in record for record in payload["ods"])
-        assert payload["format"] == FORMAT_VERSION == 4
+        assert [r["path"] for r in payload["ods"]] == [
+            od.element.absolute_path() for od in cold.ods
+        ]
+        assert payload["format"] == FORMAT_VERSION == 5
 
 
 def stored_payload(store, digest) -> dict:
@@ -521,8 +533,9 @@ def assert_same_term_state(ours: IndexPartial, theirs: IndexPartial) -> None:
         assert value_index._repeats == other._repeats
 
 
-class TestFormat4:
-    """The ``index`` section: the term state a warm open adopts."""
+class TestFormat5:
+    """The ``index`` section: the term state a warm open adopts; the
+    trees as sealed JSON texts that a warm open builds no element of."""
 
     @pytest.mark.parametrize("corpus", ["example", "dataset1", "dataset3"])
     def test_the_section_is_the_built_index(self, corpus, example_dir, tmp_path):
@@ -559,7 +572,7 @@ class TestFormat4:
         bytes it compresses are those of one ``json.dumps``."""
         payload = {
             "format": FORMAT_VERSION,
-            "documents": [[{}, ["a", {"k": "v"}, ["text"]]]],
+            "documents": ['[{},["a",{"k":"v"},["text"]]]'],
             "index": {
                 "total_objects": 2,
                 "q": 2,
@@ -595,31 +608,285 @@ class TestFormat4:
         monkeypatch.undo()
         assert_warm_equals_cold(warm, cold)
 
-    def test_a_format_3_snapshot_is_a_miss_that_save_overwrites(self, saved):
-        """What the previous format's writer left: the same payload
-        without the ``index`` section, format 3 in body and manifest."""
+    def test_a_format_4_snapshot_is_a_miss_that_save_overwrites(self, saved):
+        """What the previous format's writer left: trees as records, ODs
+        without paths, no seal, format 4 in body and manifest."""
         store, spec, path, intact, cold = saved
         digest = path.name[: -len(".json.gz")]
         old = json.loads(gzip.decompress(intact))
-        del old["index"]
-        old["format"] = 3
+        old["documents"] = [json.loads(text) for text in old["documents"]]
+        for record in old["ods"]:
+            del record["path"]
+        del old["seal"]
+        old["format"] = 4
         rewrite(path, old)
         manifest_path = store._manifest_path(digest)
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format"] = 3
+        manifest["format"] = 4
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         assert store.load(spec) is None
         assert not store.contains(spec) and store.holds(digest)
         assert store.list() == [] and store.spec_for(digest) is None
         assert store.save(spec, spec.build_session()) == digest
         assert store.contains(spec)
-        assert stored_payload(store, digest)["format"] == 4
+        assert stored_payload(store, digest)["format"] == 5
         assert fingerprint(store.load(spec)) == cold
+
+    @pytest.mark.parametrize("corpus", ["example", "dataset3"])
+    def test_trees_are_sealed_record_texts(self, corpus, example_dir, tmp_path):
+        if corpus == "example":
+            spec = example_spec(example_dir)
+        else:
+            spec = write_corpus(tmp_path / "d3", build_dataset3(count=120, seed=11))
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        digest = store.save(spec, cold)
+        payload = stored_payload(store, digest)
+        (text,) = payload["documents"]
+        assert type(text) is str
+        document = cold.corpus.sources[0].document
+        assert json.loads(text) == json.loads(
+            json.dumps(document_record(document), default=element_record)
+        )
+        assert payload["seal"] == store_module._seal(
+            digest, payload["documents"], payload["ods"]
+        )
+        assert list(payload)[-1] == "index"  # the writer streams it last
+
+    def test_the_seal_frames_its_entries(self):
+        """Bytes moved from one entry to the next change the seal."""
+        ods = [{"id": 0, "doc": 0, "node": 1, "path": "/a/b"}]
+        seal = store_module._seal("k", ["[{},", '["a",{},[]]]'], ods)
+        assert seal != store_module._seal("k", ["[{},[", '"a",{},[]]]'], ods)
+        assert seal != store_module._seal("k[{},", ['["a",{},[]]]', ""], ods)
+        moved = [{"id": 0, "doc": 0, "node": 1, "path": "/a/b"}]
+        assert seal == store_module._seal("k", ["[{},", '["a",{},[]]]'], moved)
+        moved[0]["node"] = 11
+        moved[0]["path"] = "/b"
+        assert seal != store_module._seal("k", ["[{},", '["a",{},[]]]'], moved)
+
+    @pytest.mark.parametrize("corpus", ["example", "dataset3"])
+    def test_a_warm_open_builds_no_element(
+        self, corpus, example_dir, tmp_path, decodes
+    ):
+        """``load`` and ``statistics()`` leave no more live elements
+        than they found (the mapping file's tree is garbage) and decode
+        no tree."""
+        if corpus == "example":
+            spec = example_spec(example_dir)
+        else:
+            spec = write_corpus(tmp_path / "d3", build_dataset3(count=120, seed=11))
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        store.save(spec, cold)
+        statistics = cold.index.statistics()
+        del cold
+        before = live_elements()
+        warm = store.load(spec)
+        assert warm.index.statistics() == statistics
+        assert live_elements() == before
+        assert decodes == []
+        assert all(not source.document.decoded for source in warm.corpus)
+
+    #: trees a writer sealed although they do not decode: the first read
+    #: raises, naming the snapshot
+    SEALED = {
+        "tree text truncated": lambda p: p["documents"].__setitem__(
+            0, p["documents"][0][:-9]
+        ),
+        "tag emptied": lambda p: edit_tree(p, lambda r: r[1].__setitem__(0, "")),
+        "attribute value made a number": lambda p: edit_tree(
+            p, lambda r: r[1][2][1][1].update(id=5)
+        ),
+        "declaration value made a number": lambda p: edit_tree(
+            p, lambda r: r[0].update(version=1.0)
+        ),
+        "content item a number": lambda p: edit_tree(p, lambda r: r[1][2].append(3)),
+        "node out of range": lambda p: p["ods"][0].update(node=10**6),
+        "path of another node": lambda p: p["ods"][0].update(
+            path=p["ods"][1]["path"]
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(SEALED))
+    def test_a_sealed_malformed_tree_raises_on_first_read(self, saved, edit):
+        store, spec, path, intact, cold = saved
+        payload = json.loads(gzip.decompress(intact))
+        self.SEALED[edit](payload)
+        payload["seal"] = store_module._seal(
+            payload["key"], payload["documents"], payload["ods"]
+        )
+        rewrite(path, payload)
+        warm = store.load(spec)
+        assert warm is not None
+        # what reads no tree still answers
+        assert [m.path for m in warm.match(0)] == [
+            m.path for m in spec.build_session().match(0)
+        ]
+        for read in (
+            lambda: warm.corpus.sources[0].document.root,
+            lambda: warm.ods[1].element,
+            lambda: warm.corpus.sources[0].document.declaration,
+        ):
+            with pytest.raises(XMLError, match=f"snapshot {path}"):
+                read()
+        assert not warm.corpus.sources[0].document.decoded
+
+
+def edit_tree(payload, edit) -> None:
+    """Apply ``edit`` to the first document's record, stored back as
+    text the way the writer stores it."""
+    record = json.loads(payload["documents"][0])
+    edit(record)
+    payload["documents"][0] = json.dumps(record, separators=(",", ":"))
+
+
+def live_elements() -> int:
+    gc.collect()
+    return sum(1 for item in gc.get_objects() if type(item) is Element)
 
 
 def exact(matches) -> list:
     """A ``match()`` answer with every similarity to the bit."""
     return [(m.object_id, m.similarity.hex(), m.path) for m in matches]
+
+
+# ----------------------------------------------------------------------
+# Trees on first read: which reads of a warm session build a tree
+# ----------------------------------------------------------------------
+EXTENSIONS = [
+    '<moviedoc><movie id="4"><title>The Matrix</title><year>1999</year>'
+    "<actor><name>Keanu Reeves</name><role>Neo</role></actor></movie>"
+    '<movie id="5"><title>Sign</title><year>2002</year></movie></moviedoc>',
+    '<moviedoc><movie id="6"><title>Matrix Reloaded</title><year>2003</year>'
+    "</movie><movie id=\"7\"><title>Signs</title><year>2002</year>"
+    "<actor><name>Mel Gibson</name><role>Graham</role></actor></movie></moviedoc>",
+]
+
+
+def traffic_corpus(corpus, example_dir, tmp_path):
+    """A spec with a C2 band, a spec of the same corpus without XSD,
+    two extension documents and a foreign candidate document."""
+    if corpus == "example":
+        spec = example_spec(example_dir)
+        spec.possible_threshold = 0.3
+        bare = example_spec(example_dir)
+        bare.schemas = []
+        foreign = EXTENSIONS[0].replace("Neo", "Neo the One")
+        return spec, bare, EXTENSIONS, foreign
+    dataset = build_dataset3(count=300, seed=11)
+    spec = write_corpus(tmp_path / "d3", dataset)
+    spec.possible_threshold = spec.theta_cand / 2
+    root = dataset.sources[0].document.root
+    other = build_dataset3(count=120, seed=5).sources[0].document.root
+    texts = [
+        serialize(Document(Element(root.tag, content=[r.copy() for r in records])))
+        for records in (other.children[:2], other.children[2:4])
+    ]
+    foreign = serialize(Document(Element(root.tag, content=[root.children[7].copy()])))
+    return spec, spec, texts, foreign
+
+
+def foreign_candidate(text):
+    return parse(text).root.children[0]
+
+
+def answers(session, extensions) -> list:
+    """Every answer the lookups, batch run and writes give, to the bit."""
+    out = []
+    for include_possible in (False, True):
+        out.append([
+            exact(session.match(od.object_id, include_possible=include_possible))
+            for od in session.ods
+        ])
+    result = session.detect()
+    out.append([
+        (p.left, p.right, p.similarity.hex(), p.label) for p in result.pairs
+    ])
+    out += [result.to_xml(), result.cluster_paths()]
+    for pair in result.duplicate_pairs:
+        why = session.explain(pair.left, pair.right)
+        out.append((
+            why.similarity.hex(), why.similar_pairs, why.contradictory_pairs,
+            why.non_specified_left, why.non_specified_right,
+            why.set_soft_idf_similar.hex(), why.set_soft_idf_contradictory.hex(),
+        ))
+    for text in extensions:
+        update = session.extend(parse(text))
+        out.append((
+            [od.object_id for od in update.added], update.assignments,
+            update.duplicate_clusters,
+        ))
+        out += [exact(session.match(od.object_id)) for od in update.added]
+    return out
+
+
+class TestTreesOnFirstRead:
+    """A warm session decodes a tree only for a read that needs one."""
+
+    @pytest.mark.parametrize("corpus", ["example", "dataset3"])
+    def test_reads_that_need_no_tree_decode_none(
+        self, corpus, example_dir, tmp_path, decodes, capsys
+    ):
+        spec, _, extensions, _ = traffic_corpus(corpus, example_dir, tmp_path)
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        store.save(spec, cold)
+        spec_path = str(tmp_path / "traffic.json")
+        spec.save(spec_path)
+        target = cold.ods[-1].element.absolute_path()
+        argv = ["match", "--spec", spec_path, "--path", target]
+        assert cli_main(argv) == 0
+        cold_cli = capsys.readouterr().out
+        expected = answers(cold, extensions)
+        assert any(expected[1]) and expected[4]  # partners and clusters
+        assert decodes == []
+        assert cli_main([*argv, "--store", str(store.root)]) == 0
+        assert capsys.readouterr().out == cold_cli
+        warm = store.load(spec)
+        assert answers(warm, extensions) == expected
+        assert decodes == []
+
+    @pytest.mark.parametrize("corpus", ["example", "dataset3"])
+    def test_reads_that_need_a_tree_decode_each_once(
+        self, corpus, example_dir, tmp_path, decodes
+    ):
+        spec, bare, _, foreign = traffic_corpus(corpus, example_dir, tmp_path)
+        store = IndexStore(tmp_path / "store")
+        for each in {id(spec): spec, id(bare): bare}.values():
+            store.save(each, each.build_session())
+        cold = bare.build_session()
+        # a foreign element without XSD: schema inference reads the tree
+        warm = store.load(bare)
+        for _ in range(2):
+            assert exact(warm.match(foreign_candidate(foreign))) == exact(
+                cold.match(foreign_candidate(foreign))
+            )
+            assert len(decodes) == 1
+        # gold standard: every OD's element
+        warm = store.load(spec)
+        del decodes[:]
+        assert gold_pairs(warm.ods) == gold_pairs(cold.ods)
+        assert gold_pairs(warm.ods) == gold_pairs(cold.ods)
+        assert len(decodes) == 1
+        if corpus == "dataset3":
+            assert gold_pairs(cold.ods)
+        # walking the document
+        warm = store.load(spec)
+        del decodes[:]
+        (source,) = warm.corpus
+        nodes = list(source.document.iter())
+        assert len(decodes) == 1
+        assert list(source.document.iter()) == nodes
+        cold_nodes = cold.corpus.sources[0].document.iter()
+        ranks = {id(node): rank for rank, node in enumerate(cold_nodes)}
+        for ours, theirs in zip(warm.ods, cold.ods):
+            assert ours.element is nodes[ranks[id(theirs.element)]]
+            assert ours.path == theirs.path == theirs.element.absolute_path()
+        # a corpus element now resolves to its OD
+        od = warm.ods[1]
+        assert exact(warm.match(od.element)) == exact(warm.match(od.object_id))
+        assert len(decodes) == 1
 
 
 class TestAdoptedIndexThroughWrites:
@@ -813,6 +1080,17 @@ class TestDamagedSnapshot:
         store.save(spec_b, spec_b.build_session())
         assert [od.object_id for od in store.load(spec_b).ods] == [0, 1, 2]
 
+    def test_another_snapshots_seal_is_a_miss(self, tmp_path):
+        store, spec_a, spec_b = two_corpora(tmp_path)
+        digest_a = store.save(spec_a, spec_a.build_session())
+        digest_b = store.save(spec_b, spec_b.build_session())
+        path_b = store._snapshot_path(digest_b)
+        payload = stored_payload(store, digest_b)
+        payload["seal"] = stored_payload(store, digest_a)["seal"]
+        rewrite(path_b, payload)
+        assert store.load(spec_b) is None
+        assert len(store.load(spec_a).ods) == 2
+
     def test_a_manifest_filed_under_another_key_is_ignored(self, tmp_path):
         """A's manifest under B's digest used to hand out A's spec and
         catalog entry; the snapshot beside it answers instead."""
@@ -850,7 +1128,8 @@ class TestDamagedSnapshot:
         assert store.list() == []  # and the slow path reads a miss too
 
     @pytest.mark.parametrize(
-        "section", ["format", "real_world_type", "documents", "schemas", "ods", "index"]
+        "section",
+        ["format", "real_world_type", "documents", "schemas", "ods", "seal", "index"],
     )
     def test_missing_section(self, saved, section):
         store, spec, path, intact, _ = saved
@@ -867,19 +1146,49 @@ class TestDamagedSnapshot:
         "schemas of another length": lambda p: p["schemas"].append(None),
         "schema text not a string": lambda p: p.update(schemas=[["<xs/>"]]),
         "schema text not an XSD": lambda p: p.update(schemas=["<a><b></a>"]),
-        "document not a pair": lambda p: p["documents"][0].append("extra"),
-        "declaration not a dict": lambda p: p["documents"][0].__setitem__(0, []),
-        "element not a triple": lambda p: p["documents"][0][1].pop(),
-        "empty tag": lambda p: p["documents"][0][1].__setitem__(0, ""),
-        "tag not a string": lambda p: p["documents"][0][1].__setitem__(0, 5),
-        "attributes not a dict": lambda p: p["documents"][0][1].__setitem__(1, []),
-        "content not a list": lambda p: p["documents"][0][1].__setitem__(2, "text"),
-        "content item a number": lambda p: p["documents"][0][1][2].append(3),
-        "content item null": lambda p: p["documents"][0][1][2].append(None),
-        "content item an object": lambda p: p["documents"][0][1][2].append({}),
-        "nested element malformed": lambda p: p["documents"][0][1][2][0].__setitem__(
-            0, None
+        "document a record, not its text": lambda p: p["documents"].__setitem__(
+            0, json.loads(p["documents"][0])
         ),
+        "document null": lambda p: p["documents"].__setitem__(0, None),
+        "tree text truncated": lambda p: p["documents"].__setitem__(
+            0, p["documents"][0][:-9]
+        ),
+        "tree text a byte changed": lambda p: p["documents"].__setitem__(
+            0, p["documents"][0].replace("Matrix", "Matrik", 1)
+        ),
+        "document not a pair": lambda p: edit_tree(p, lambda r: r.append("extra")),
+        "declaration not a dict": lambda p: edit_tree(
+            p, lambda r: r.__setitem__(0, [])
+        ),
+        "declaration value a number": lambda p: edit_tree(
+            p, lambda r: r[0].update(version=1.0)
+        ),
+        "element not a triple": lambda p: edit_tree(p, lambda r: r[1].pop()),
+        "empty tag": lambda p: edit_tree(p, lambda r: r[1].__setitem__(0, "")),
+        "tag not a string": lambda p: edit_tree(p, lambda r: r[1].__setitem__(0, 5)),
+        "attributes not a dict": lambda p: edit_tree(
+            p, lambda r: r[1].__setitem__(1, [])
+        ),
+        "attribute value a number": lambda p: edit_tree(
+            p, lambda r: r[1][2][1][1].update(id=5)
+        ),
+        "content not a list": lambda p: edit_tree(
+            p, lambda r: r[1].__setitem__(2, "text")
+        ),
+        "content item a number": lambda p: edit_tree(p, lambda r: r[1][2].append(3)),
+        "content item null": lambda p: edit_tree(p, lambda r: r[1][2].append(None)),
+        "content item an object": lambda p: edit_tree(p, lambda r: r[1][2].append({})),
+        "nested element malformed": lambda p: edit_tree(
+            p, lambda r: r[1][2][1].__setitem__(0, None)
+        ),
+        "seal missing": lambda p: p.pop("seal"),
+        "seal not a string": lambda p: p.update(seal=[p["seal"]]),
+        "seal of the same trees under another key": lambda p: p.update(
+            seal=store_module._seal("0" * 64, p["documents"], p["ods"])
+        ),
+        "path missing": lambda p: p["ods"][0].pop("path"),
+        "path not a string": lambda p: p["ods"][0].update(path=None),
+        "path edited": lambda p: p["ods"][0].update(path="/moviedoc/movie[3]"),
         "ods not a list of objects": lambda p: p.update(ods=[[0, [], 0, 1]]),
         "ods null": lambda p: p.update(ods=None),
         "id missing": lambda p: p["ods"][0].pop("id"),

@@ -33,6 +33,9 @@ here:
   executes an import statement;
 * an adopted index — a load takes the snapshot's rows and buckets as
   the index's own, and eight readers on it answer like a cold build;
+* a stored tree's first read — eight threads reading elements and the
+  root of a document no one has read share one decode, and each holds
+  the node at its object's rank;
 * the slow thread-stress: N threads hammer ``match()`` (ids and
   foreign elements) on one warm session while ``extend()`` runs behind
   the writer lock, and every response is bit-identical to a serial
@@ -59,7 +62,7 @@ from repro.datagen import (
     paper_example_mapping,
     paper_example_schema,
 )
-from repro.eval import build_dataset1
+from repro.eval import build_dataset1, build_dataset3
 from repro.ingest import IndexStore
 from repro.serve import ReadWriteLock
 from repro.xmlkit import Document, Element, parse, serialize
@@ -656,6 +659,74 @@ class TestObjectFilterRace:
             worker.join(timeout=120)
         assert not any(worker.is_alive() for worker in workers)
         assert not wrong
+
+
+class TestFirstDecodeRace:
+    def test_eight_first_readers_of_a_stored_tree_share_one_decode(
+        self, tmp_path, greedy_switching, decodes
+    ):
+        """Eight threads released together onto a freshly loaded
+        session, each reading one object's element and the document's
+        root (half in each order), over five fresh loads: one decode per
+        load, and every thread holds the node at its object's rank in
+        the one tree the document keeps."""
+        dataset = build_dataset3(count=300, seed=11)
+        (tmp_path / "corpus.xml").write_text(
+            serialize(dataset.sources[0].document), encoding="utf-8"
+        )
+        (tmp_path / "mapping.xml").write_text(
+            dataset.mapping.to_xml(), encoding="utf-8"
+        )
+        spec = RunSpec(
+            documents=[str(tmp_path / "corpus.xml")],
+            mapping=str(tmp_path / "mapping.xml"),
+            real_world_type=dataset.real_world_type,
+        )
+        store = IndexStore(tmp_path / "store")
+        cold = spec.build_session()
+        store.save(spec, cold)
+        order = {
+            id(node): rank
+            for rank, node in enumerate(cold.corpus.sources[0].document.iter())
+        }
+        ranks = [order[id(od.element)] for od in cold.ods]
+        step = len(cold.ods) // 8
+        for _ in range(5):
+            warm = store.load(spec)
+            document = warm.corpus.sources[0].document
+            seen: list = [None] * 8
+            errors: list[Exception] = []
+            start = threading.Barrier(8)
+
+            def reader(slot: int) -> None:
+                od = warm.ods[slot * step]
+                try:
+                    start.wait(timeout=60)
+                    if slot % 2:
+                        seen[slot] = (od.element, document.root)
+                    else:
+                        root = document.root
+                        seen[slot] = (od.element, root)
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=reader, args=(slot,)) for slot in range(8)
+            ]
+            del decodes[:]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert len(decodes) == 1
+            nodes = list(document.iter())
+            for slot, (element, root) in enumerate(seen):
+                od = warm.ods[slot * step]
+                assert root is document.root
+                assert element is od.element is nodes[ranks[slot * step]]
+                assert element.absolute_path() == cold.ods[slot * step].path
 
 
 class TestFrozenIndex:

@@ -519,8 +519,63 @@ class TestStructuralCodec:
             [{}, ["a", {}, [None]]],
             [{}, ["a", {}, [{"tag": "b"}]]],
             [{}, ["a", {}, ["ok", ["b", {}, [["", {}, []]]]]]],
+            # names and values the serializer cannot write: it raised
+            # TypeError on an attribute {"id": 5} a snapshot had loaded
+            [{}, ["a", {"id": 5}, []]],
+            [{}, ["a", {}, [["b", {"k": None}, []]]]],
+            [{}, ["a", {5: "v"}, []]],
+            [{"version": 1.0}, ["a", {}, []]],
+            [{"encoding": ["UTF-8"]}, ["a", {}, []]],
         ],
     )
     def test_any_other_shape_is_an_xml_error(self, record):
         with pytest.raises(XMLError):
             document_from_record(record)
+
+
+class TestStoredDocument:
+    """A document kept as its record's JSON text until first read."""
+
+    def text(self, document) -> str:
+        return json.dumps(document_record(document), default=element_record)
+
+    def test_decoded_once_on_first_read_as_the_codec_decodes(self):
+        built = parse(DISCS)
+        order = list(built.iter())
+        ranks = [3, 0, len(order) - 1]
+        anchors = [(rank, order[rank].absolute_path()) for rank in ranks]
+        stored = Document.stored(self.text(built), anchors, "here")
+        assert not stored.decoded
+        nodes = [stored.element_at(rank) for rank in ranks]
+        assert stored.decoded
+        assert list(stored.iter()) == [stored.element_at(r) for r in range(len(order))]
+        assert [node.absolute_path() for node in nodes] == [p for _, p in anchors]
+        assert stored.root is stored.element_at(0) is nodes[1]
+        assert stored.declaration == built.declaration
+        assert tree_shape(stored.root) == tree_shape(built.root)
+        assert serialize(stored) == serialize(built)
+        # pickles (and copies) as an ordinary document
+        again = pickle.loads(pickle.dumps(stored))
+        assert again.decoded and serialize(again) == serialize(built)
+
+    @pytest.mark.parametrize(
+        "text, anchors",
+        [
+            ('[{},["a",{},[]]', []),
+            ('[{},["a",{"k":5},[]]]', []),
+            ('[{},["a",{},[]]]', [(1, "/a")]),
+            ('[{},["a",{},[["b",{},[]]]]]', [(1, "/a")]),
+        ],
+        ids=["truncated", "attribute a number", "no such rank", "another path"],
+    )
+    def test_a_text_that_does_not_decode_names_its_origin(self, text, anchors):
+        stored = Document.stored(text, anchors, "snapshot X, document 0")
+        for _ in range(2):  # and stays undecoded
+            with pytest.raises(XMLError, match="^snapshot X, document 0 does not"):
+                stored.root
+        assert not stored.decoded
+
+    def test_a_built_document_is_decoded(self):
+        built = parse(DISCS)
+        assert built.decoded
+        assert built.element_at(2) is list(built.iter())[2]
