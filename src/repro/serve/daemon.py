@@ -5,12 +5,15 @@ exit.  This daemon keeps :class:`~repro.api.DetectionSession` objects
 standing (the prepared-once/query-many shape the session + store stack
 was built for) and serves single-object ``match()`` lookups, batch
 ``detect()`` runs, and incremental ``extend()`` over plain HTTP.
-Stdlib only: :class:`http.server.ThreadingHTTPServer`, one thread per
-connection.  The per-request work is the daemon's own: a strict
-request-head parser (``_Handler.parse_request``), one pre-formatted
-response head written with its body in one ``sendall``
-(``_Handler._send_json``), and routing on percent-decoded path
-segments (``_Handler._dispatch``).
+Stdlib only: :class:`socketserver.ThreadingTCPServer`, one thread per
+connection; the HTTP on top is the daemon's own.  ``_Handler.handle``
+is the keep-alive loop: read a request line, parse the head
+(``_Handler.parse_request``), route ``GET`` and ``POST`` on
+percent-decoded path segments (``_Handler._dispatch``), write one
+pre-formatted response head with its body in one ``sendall``
+(``_Handler._send_json``), and go round again until a response closes
+the connection or the peer hangs up.  No ``http.server``,
+``http.client``, ``ssl`` or ``email`` module is loaded in the process.
 
 The request head.  The request line is ``METHOD SP target SP
 HTTP/1.0`` or ``HTTP/1.1``: any other shape or version is a JSON 400,
@@ -20,11 +23,14 @@ before the colon; a line without a colon, a blank before it, an
 obs-fold continuation line, or two ``Content-Length`` values that differ
 is a JSON 400 that closes the connection (each is a way for two parsers
 to disagree on where a request ends).  The stdlib's limits and outcomes
-stay: a line over 65 536 bytes or more than 100 header lines is a 431,
-``Connection: close`` / ``keep-alive`` and the HTTP/1.0 default decide
-keep-alive as ``http.server`` did, ``Expect: 100-continue`` is answered
-``100 Continue`` before the body is read, and a leading ``//`` in the
-target is collapsed to ``/``.
+stay: a request line over 65 536 bytes is a 414, a header line over
+65 536 bytes or more than 100 header lines a 431, a method other than
+``GET`` and ``POST`` a 501, ``Connection: close`` / ``keep-alive`` and
+the HTTP/1.0 default decide keep-alive as ``http.server`` did,
+``Expect: 100-continue`` is answered ``100 Continue`` before the body
+is read, and a leading ``//`` in the target is collapsed to ``/``.  A
+peer that hangs up or resets before a head is whole (an empty read, a
+last line without its line end) is not answered.
 
 Routes (JSON in/out unless noted):
 
@@ -65,12 +71,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import socketserver
 import sys
 import time
 import traceback
-from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, unquote
 
@@ -130,6 +135,19 @@ _STATUS_LINES = {
 }
 _CLOSE = "Connection: close\r\n"
 _HEXDIGITS = "0123456789abcdef"
+#: The ``Server`` line ``http.server`` wrote, kept byte for byte.
+_SERVER_LINE = f"Server: BaseHTTP/0.6 Python/{sys.version.split()[0]}\r\n"
+#: English names, not ``strftime``'s: those follow the locale.
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+#: Control characters escaped in a log line, as ``http.server`` did.
+_LOG_ESCAPES = str.maketrans(
+    {c: rf"\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+    | {ord("\\"): r"\\"}
+)
 
 #: ``(second, "Date" header text)``; swapped whole by one assignment,
 #: so a reader sees the old pair or the new one, never a torn one.
@@ -137,11 +155,17 @@ _date: tuple[int, str] = (0, "")
 
 
 def _http_date() -> str:
+    """This second as an IMF-fixdate (RFC 9110), formatted once a second."""
     global _date
     second = int(time.time())
     cached = _date
     if cached[0] != second:
-        cached = _date = (second, formatdate(second, usegmt=True))
+        t = time.gmtime(second)
+        text = (
+            f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+        )
+        cached = _date = (second, text)
     return cached[1]
 
 
@@ -155,9 +179,10 @@ class ApiError(Exception):
         self.detail = detail
 
 
-class DetectionServer(ThreadingHTTPServer):
+class DetectionServer(socketserver.ThreadingTCPServer):
     """The daemon: a threading HTTP server bound to one index store."""
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(
@@ -177,9 +202,8 @@ class DetectionServer(ThreadingHTTPServer):
         return self.server_address[1]
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
     server: DetectionServer  # type: ignore[assignment]
-    protocol_version = "HTTP/1.1"
     # Wire contract: head and body of a response are one ``wfile.write``
     # on the unbuffered socket writer, so they leave in one ``sendall``
     # (a head segment followed by a small body segment is what Nagle
@@ -188,25 +212,58 @@ class _Handler(BaseHTTPRequestHandler):
     # stalling the same way.
     wbufsize = 0
     disable_nagle_algorithm = True
-    _SERVER_LINE = (
-        f"Server: {BaseHTTPRequestHandler.server_version} "
-        f"{BaseHTTPRequestHandler.sys_version}\r\n"
-    )
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
+    def handle(self) -> None:
+        """The keep-alive loop: one request per turn, until a response
+        closes the connection or the peer hangs up."""
+        readline = self.rfile.readline
+        try:
+            while True:
+                raw = readline(MAX_LINE_BYTES + 1)
+                if len(raw) > MAX_LINE_BYTES:
+                    self.requestline = self.command = ""
+                    self.send_error(414)
+                    return
+                if not raw.endswith(b"\n"):
+                    return  # the peer hung up, before or inside the line
+                self.raw_requestline = raw
+                if not self.parse_request():
+                    return
+                if self.command == "GET" or self.command == "POST":
+                    self._dispatch(self.command)
+                else:
+                    self.send_error(
+                        501, f"Unsupported method ({self.command!r})"
+                    )
+                if self.close_connection:
+                    return
+        except TimeoutError as exc:
+            self.log_message("Request timed out: %r", exc)
+        except ConnectionError:
+            pass  # the peer reset the connection: there is no one to answer
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:  # pragma: no cover - log formatting
-            super().log_message(format, *args)
+        """The access / error line ``http.server`` wrote, unless quiet."""
+        if self.server.quiet:
+            return
+        now = time.localtime()
+        sys.stderr.write(
+            f"{self.client_address[0]} - - [{now.tm_mday:02d}/"
+            f"{_MONTHS[now.tm_mon - 1]}/{now.tm_year:04d} "
+            f"{now.tm_hour:02d}:{now.tm_min:02d}:{now.tm_sec:02d}] "
+            f"{(format % args).translate(_LOG_ESCAPES)}\n"
+        )
 
     def parse_request(self) -> bool:
         """Read the request head (see the module docstring's grammar).
 
-        The request line is in ``raw_requestline``; on success
-        ``command``, ``path``, ``request_version``, ``close_connection``
-        and ``headers`` (lower-cased name -> the first value sent, blanks
-        after the colon dropped) are set.  On failure the JSON error has
+        The request line, with its line end, is in ``raw_requestline``;
+        on success ``command``, ``path``, ``request_version``,
+        ``close_connection`` and ``headers`` (lower-cased name -> the
+        first value sent, blanks after the colon dropped) are set.  On failure the JSON error has
         been sent and the connection closes.
         """
         self.command = None
@@ -240,6 +297,8 @@ class _Handler(BaseHTTPRequestHandler):
             if len(raw) > MAX_LINE_BYTES:
                 self.send_error(431, "Line too long")
                 return False
+            if not raw.endswith(b"\n"):
+                return False  # the peer hung up inside the head
             field = _FIELD_LINE.fullmatch(raw)
             if field is None:
                 self.send_error(400, f"Bad header line {raw[:64]!r}")
@@ -271,10 +330,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: dict) -> None:
         """The one response writer: JSON body, head and body in one write."""
         if not self.server.quiet:  # pragma: no cover - log formatting
-            self.log_request(status)
+            self.log_message('"%s" %s -', self.requestline, status)
         body = json.dumps(payload).encode("utf-8")
         head = (
-            f"{_STATUS_LINES[status]}{self._SERVER_LINE}"
+            f"{_STATUS_LINES[status]}{_SERVER_LINE}"
             f"Date: {_http_date()}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
@@ -282,13 +341,13 @@ class _Handler(BaseHTTPRequestHandler):
         ).encode("latin-1")
         self.wfile.write(head + body if self.command != "HEAD" else head)
 
-    def send_error(self, code, message=None, explain=None) -> None:
+    def send_error(self, code: int, message: Optional[str] = None) -> None:
         """Errors of the HTTP layer (a bad request head, an unsupported
         method, an overlong request line) in the same JSON shape as
         :class:`ApiError`; the connection closes after them."""
         if message is None:
-            message = self.responses.get(code, ("error",))[0]
-        self.log_error("code %d, message %s", code, message)
+            message = HTTPStatus(code).phrase
+        self.log_message("code %d, message %s", code, message)
         self.close_connection = True
         self._send_json(code, {"error": message})
 
@@ -336,12 +395,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": "internal server error"})
         else:
             self._send_json(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
 
     # ------------------------------------------------------------------
     # Routing

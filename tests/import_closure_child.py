@@ -49,8 +49,8 @@ def match(spec, store) -> dict:
 
 def serve(spec, store) -> dict:
     """``python -m repro.cli serve``: the daemon as the command builds it,
-    then every route twice over one kept-alive connection."""
-    import http.client
+    then every route twice over one kept-alive connection.  ``started``
+    is taken before the client side (``http.client``) is imported."""
     import threading
 
     import repro.cli  # noqa: F401 - the command's own imports count
@@ -62,6 +62,8 @@ def serve(spec, store) -> dict:
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     started = snapshot()
+    import http.client
+
     connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
     record = "<db><cd><artist>Nina Simone</artist><title>Pastel Blue</title></cd></db>"
 

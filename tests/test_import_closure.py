@@ -114,6 +114,14 @@ NOT_ON_A_WARM_OPEN = modules(
 ) - {"repro"} | {"multiprocessing", "concurrent.futures"}
 
 
+#: What the daemon's process never loads: the stdlib's HTTP server and
+#: client, TLS, the mail parser they use, and what ``http.server`` drew
+#: in for static files.  A name covers its submodules.
+NOT_IN_THE_DAEMON = frozenset(
+    {"http.server", "http.client", "ssl", "email", "mimetypes", "html"}
+)
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """(spec path, store path) of a saved four-record corpus, no XSD."""
@@ -180,17 +188,33 @@ def test_the_committed_lists_stay_within_their_budgets():
     assert not EXPECTED["warm"] & NOT_ON_A_WARM_OPEN
 
 
-def test_daemon_imports_ahead_of_its_requests(corpus):
+@pytest.fixture(scope="module")
+def daemon_child(corpus):
+    return run_child("serve", corpus)
+
+
+def test_daemon_imports_ahead_of_its_requests(daemon_child):
     """Everything a route reaches is loaded before the first request:
     the ``repro`` set never grows, and nothing at all is imported by the
     second request of a route."""
-    snapshots = run_child("serve", corpus)
+    snapshots = daemon_child
     started = ours(snapshots["started"])
     assert started == EXPECTED["serve"], difference(started, EXPECTED["serve"])
     # ... but not the standard library's pool machinery
     assert not {"multiprocessing", "concurrent.futures"} & set(snapshots["started"])
     assert ours(snapshots["first"]) == started
     assert snapshots["second"] == snapshots["first"]
+
+
+def test_the_daemon_serves_without_the_stdlib_http_layer(daemon_child):
+    found = sorted(
+        name for name in daemon_child["started"]
+        if any(
+            name == banned or name.startswith(banned + ".")
+            for banned in NOT_IN_THE_DAEMON
+        )
+    )
+    assert not found, found
 
 
 def repro_imports(code: str, package: str = "") -> set:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler
@@ -33,6 +34,7 @@ from repro.datagen import (
     paper_example_mapping,
 )
 from repro.serve import DetectionServer, ServeClient, ServeError
+from repro.serve import daemon
 from repro.serve.daemon import MAX_BODY_BYTES, _Handler
 from repro.xmlkit import parse
 
@@ -1100,6 +1102,13 @@ class RawPeer:
             return False
 
 
+def _request_line_of(size: int) -> bytes:
+    """A ``GET /healthz?…`` request line of ``size`` bytes, its line end
+    included."""
+    frame = b"GET /healthz? HTTP/1.1\r\n"
+    return frame[:13] + b"a" * (size - len(frame)) + frame[13:]
+
+
 class TestWire:
     """What the daemon puts on the socket, not only what it answers."""
 
@@ -1276,11 +1285,7 @@ class TestWire:
             + b"a" * (65537 - len(b"X-Long: \r\n")) + b"\r\n",
             431,
         ),
-        "a 65 537-byte request line": (
-            b"GET /" + b"a" * (65537 - len(b"GET / HTTP/1.1\r\n"))
-            + b" HTTP/1.1\r\n",
-            414,
-        ),
+        "a 65 537-byte request line": (_request_line_of(65537), 414),
     }
 
     @pytest.mark.parametrize("case", sorted(_REFUSED_HEADS))
@@ -1300,17 +1305,79 @@ class TestWire:
         assert len(wire.server.sends) == 1, (case, wire.server.sends)
 
     def test_the_limits_are_inclusive(self, wire):
-        """100 header lines and a 65 536-byte line are still a head (the
-        stdlib counted the blank line that ends a head as a header, so it
-        refused a 100th header with a 431)."""
+        """100 header lines and a 65 536-byte header or request line are
+        still a head (the stdlib counted the blank line that ends a head
+        as a header, so it refused a 100th header with a 431)."""
         heads = [
-            b"".join(b"X-H%d: v\r\n" % i for i in range(100)),
-            b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")) + b"\r\n",
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(100)),
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")) + b"\r\n",
+            _request_line_of(65536),
         ]
         with RawPeer(wire.server.port) as peer:
-            for fields in heads:
-                peer.send(b"GET /healthz HTTP/1.1\r\n" + fields + b"\r\n")
+            for head in heads:
+                peer.send(head + b"\r\n")
                 assert peer.response().status == 200
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"",
+            b"GET /heal",
+            b"GET /healthz HTTP/1.1\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: 12",
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /cor",
+        ],
+    )
+    def test_a_peer_that_hangs_up_inside_a_head_gets_nothing(
+        self, wire, capsys, sent
+    ):
+        """The peer stops writing after part of a request line or of a
+        head: the daemon answers whole requests only, writes no byte for
+        the part, and closes without a traceback."""
+        whole = sent.count(b"\r\n\r\n")
+        with RawPeer(wire.server.port) as peer:
+            peer.send(sent)
+            peer.sock.shutdown(socket.SHUT_WR)
+            for _ in range(whole):
+                assert peer.response().status == 200
+            assert peer.hung_up(), sent  # end of stream, not a byte more
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_peer_that_resets_inside_a_head_leaves_no_traceback(
+        self, wire, capsys
+    ):
+        accepted = len(wire.server.accepted)
+        peer = socket.create_connection(("127.0.0.1", wire.server.port))
+        peer.sendall(b"GET /healthz HTTP/1.1\r\nHost")
+        deadline = time.monotonic() + 30
+        while len(wire.server.accepted) == accepted and time.monotonic() < deadline:
+            time.sleep(0.01)
+        handled = wire.server.accepted[accepted]
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()  # a linger of 0 s: the close is a reset
+        while handled.fileno() != -1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert handled.fileno() == -1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_http_date_is_the_stdlib_imf_fixdate(self, monkeypatch):
+        """``_http_date`` writes what ``email.utils.formatdate(s,
+        usegmt=True)`` wrote, for a second of every day of a leap year
+        (every weekday, every month, 29 February) and across two year
+        ends, at times of day spread over the day."""
+        from email.utils import formatdate
+
+        first = 1704067200  # 2024-01-01 00:00:00 UTC
+        seconds = [first + day * 86400 + day * 3677 % 86400 for day in range(366)]
+        seconds += [first - 1, first, 946684799, 946684800, 0]
+        clock = SimpleNamespace(time=None, gmtime=time.gmtime)
+        monkeypatch.setattr(daemon, "time", clock)
+        for second in seconds:
+            clock.time = lambda: second + 0.75
+            assert daemon._http_date() == formatdate(second, usegmt=True)
 
     @pytest.mark.parametrize(
         "spelling",
@@ -1421,13 +1488,24 @@ class TestWire:
             assert peer.response().status == 400
 
 
-class _StdlibHandler(_Handler):
-    """The daemon's handler with the stdlib's request-head parser and
-    response writer put back: the oracle for ``_Handler.parse_request``
-    and ``_Handler._send_json``."""
+class _StdlibHandler(BaseHTTPRequestHandler, _Handler):
+    """The stdlib's own keep-alive loop (``handle`` and
+    ``handle_one_request``), request-head parser (``parse_request``) and
+    response writer (``send_response`` + ``end_headers``), routed into
+    the daemon's ``_dispatch``: the oracle for ``_Handler.handle``,
+    ``_Handler.parse_request`` and ``_Handler._send_json``.  Only the
+    JSON shape of an error and the quiet log are the daemon's."""
 
-    parse_request = BaseHTTPRequestHandler.parse_request
+    protocol_version = "HTTP/1.1"
     wbufsize = -1  # the stdlib writer needs the buffer for one send
+    send_error = _Handler.send_error
+    log_message = _Handler.log_message
+
+    def do_GET(self) -> None:  # noqa: N802
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch("POST")
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -1583,6 +1661,25 @@ def _without_date(answer) -> tuple:
     )
 
 
+#: Raw requests that exercise the keep-alive loop rather than the head
+#: grammar: the request-line limit, a bare line end, LF-only line ends,
+#: a method the daemon does not serve, two requests in one send.
+_LOOP_REQUESTS = {
+    "a 65 536-byte request line": _request_line_of(65536) + b"\r\n",
+    "a 65 537-byte request line": _request_line_of(65537) + b"\r\n",
+    "a bare line end": b"\r\n",
+    "LF-only line ends": b"GET /healthz HTTP/1.1\nHost: x\n\n",
+    "an unsupported method": b"PATCH /healthz HTTP/1.1\r\n\r\n",
+    "HTTP/1.0 kept alive": (
+        b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+    ),
+    "two requests in one send": (
+        b"GET /healthz HTTP/1.1\r\n\r\n"
+        b"GET /corpora HTTP/1.1\r\nConnection: close\r\n\r\n"
+    ),
+}
+
+
 class TestHeadOracle:
     """The strict head parser and the one-string response head against
     the stdlib's: wherever both grammars take a head, the two daemons
@@ -1609,6 +1706,16 @@ class TestHeadOracle:
             _without_date(a) for a in stdlib
         ], request
         assert strict_kept == stdlib_kept, request
+
+    @pytest.mark.parametrize("case", sorted(_LOOP_REQUESTS))
+    def test_the_loop_answers_like_the_stdlib(self, twins, case):
+        request = _LOOP_REQUESTS[case]
+        strict, strict_kept = _converse(twins.strict, request)
+        stdlib, stdlib_kept = _converse(twins.stdlib, request)
+        assert [a and _without_date(a) for a in strict] == [
+            a and _without_date(a) for a in stdlib
+        ], case
+        assert strict_kept == stdlib_kept, case
 
 
 class TestClientConnection:
