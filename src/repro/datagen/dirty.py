@@ -22,11 +22,9 @@ import random
 from dataclasses import dataclass
 
 from ..xmlkit.tree import Element
+from . import GOLD_ATTRIBUTE
 from .synonyms import DEFAULT_SYNONYMS, SynonymTable
 from .typos import corrupt
-
-#: Gold-standard attribute carried by generated objects.
-GOLD_ATTRIBUTE = "gid"
 
 
 @dataclass(frozen=True)

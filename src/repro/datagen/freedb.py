@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..xmlkit.tree import Document, Element
-from .dirty import GOLD_ATTRIBUTE
+from . import GOLD_ATTRIBUTE
 from .typos import corrupt
 from .wordpools import (
     BAND_NOUNS,

@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass
 
 from ..xmlkit.tree import Document, Element
-from .dirty import GOLD_ATTRIBUTE
+from . import GOLD_ATTRIBUTE
 from .typos import corrupt
 from .wordpools import (
     FIRST_NAMES,

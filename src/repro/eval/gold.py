@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..datagen.dirty import GOLD_ATTRIBUTE
+from ..datagen import GOLD_ATTRIBUTE
 from ..framework.od import ObjectDescription
 
 

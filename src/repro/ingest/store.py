@@ -52,12 +52,19 @@ per-value gram counters because they *are* what a probe reads: counters
 would still have to be turned into buckets on every load.  Similar-value
 groups are not stored; the first reads search them as in a built
 session.
+
+Keys, file digests and seals are SHA-256 from the interpreter's own
+implementation (``_sha2`` on Python 3.12 and later, ``_sha256`` on
+3.11), not ``hashlib``'s, which loads OpenSSL's libcrypto into every
+process that reads a store — the daemon included — for nothing else.
+The digests are ``hashlib.sha256``'s byte for byte, so a store written
+with it stays warm (``hashlib`` is the fallback on an interpreter built
+without the built-in modules).
 """
 
 from __future__ import annotations
 
 import gzip
-import hashlib
 import json
 import os
 import time
@@ -76,6 +83,16 @@ from ..xmlkit.tree import (
     document_record,
     element_record,
 )
+
+# The built-in SHA-256 first, as CPython's ``random`` does for SHA-512:
+# ``hashlib`` loads OpenSSL (see the module docstring).
+try:
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _sha256
 
 #: Snapshot format version.  Bump on any layout change; loaders treat
 #: other versions as a cache miss and rebuild.  2: an optional compact
@@ -142,7 +159,7 @@ class IndexStore:
             "mapping": _file_digest(spec.mapping),
         }
         canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _sha256(canonical.encode("utf-8")).hexdigest()
 
     def _snapshot_path(self, digest: str) -> Path:
         return self.root / f"{digest}{_SUFFIX}"
@@ -552,7 +569,7 @@ def _seal(key: str, texts: list[str], od_records: list[dict]) -> str:
     rather than an error at first read.  Each entry is framed by its
     length, so bytes moved from one entry to the next change the seal.
     """
-    digest = hashlib.sha256()
+    digest = _sha256()
     entries = [key, *texts]
     entries += [
         f"{record['id']} {record['doc']} {record['node']} {record['path']}"
@@ -639,7 +656,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 def _file_digest(path: str | os.PathLike) -> str:
-    digest = hashlib.sha256()
+    digest = _sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)

@@ -12,8 +12,10 @@ is the keep-alive loop: read a request line, parse the head
 percent-decoded path segments (``_Handler._dispatch``), write one
 pre-formatted response head with its body in one ``sendall``
 (``_Handler._send_json``), and go round again until a response closes
-the connection or the peer hangs up.  No ``http.server``,
-``http.client``, ``ssl`` or ``email`` module is loaded in the process.
+the connection, the peer hangs up or it sends nothing for
+``_Handler.timeout`` seconds.  No ``http.server``, ``http.client``,
+``ssl``, ``email`` or ``hashlib`` module is loaded in the process, and
+so no OpenSSL library.
 
 The request head.  The request line is ``METHOD SP target SP
 HTTP/1.0`` or ``HTTP/1.1``: any other shape or version is a JSON 400,
@@ -68,7 +70,6 @@ path); the query is the text after the first ``?``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import socketserver
@@ -83,7 +84,7 @@ from .._lazy import preload
 from ..api.spec import RunSpec
 from ..core.config import check_thresholds
 from ..core.source import Source
-from ..ingest.store import IndexStore
+from ..ingest.store import IndexStore, _sha256
 from ..xmlkit.parser import parse
 from ..xmlkit.tree import XMLError
 from ..xmlkit.xpath import compile_path
@@ -212,6 +213,14 @@ class _Handler(socketserver.StreamRequestHandler):
     # stalling the same way.
     wbufsize = 0
     disable_nagle_algorithm = True
+    # Seconds a socket read or write may wait (``StreamRequestHandler``
+    # sets it on the accepted socket): a peer idle between kept-alive
+    # requests, or stopped inside a head, is hung up on by the loop's
+    # ``TimeoutError`` branch instead of holding its thread for ever.
+    # Far above a client's gaps between requests (``serve_mixed``'s
+    # writer idles 0.4 s); ``ServeClient`` reopens a connection the
+    # daemon dropped.
+    timeout = 60
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -497,7 +506,7 @@ class _Handler(socketserver.StreamRequestHandler):
         per-request spool directory and any spec path equal to an
         uploaded name is rewritten to the spooled location.
         """
-        spool_key = hashlib.sha256(
+        spool_key = _sha256(
             json.dumps(sorted(files.items())).encode("utf-8")
         ).hexdigest()[:16]
         spool = self.server.store.root / "uploads" / spool_key

@@ -114,12 +114,18 @@ NOT_ON_A_WARM_OPEN = modules(
 ) - {"repro"} | {"multiprocessing", "concurrent.futures"}
 
 
+#: ``hashlib`` and the OpenSSL binding it imports.
+HASHLIB = frozenset({"hashlib", "_hashlib"})
+
+
 #: What the daemon's process never loads: the stdlib's HTTP server and
-#: client, TLS, the mail parser they use, and what ``http.server`` drew
-#: in for static files.  A name covers its submodules.
+#: client, TLS, the mail parser they use, what ``http.server`` drew in
+#: for static files, and ``hashlib`` with the OpenSSL it loads (store
+#: keys and seals hash with the interpreter's own SHA-256).  A name
+#: covers its submodules.
 NOT_IN_THE_DAEMON = frozenset(
     {"http.server", "http.client", "ssl", "email", "mimetypes", "html"}
-)
+) | HASHLIB
 
 
 @pytest.fixture(scope="module")
@@ -206,15 +212,40 @@ def test_daemon_imports_ahead_of_its_requests(daemon_child):
     assert snapshots["second"] == snapshots["first"]
 
 
-def test_the_daemon_serves_without_the_stdlib_http_layer(daemon_child):
-    found = sorted(
-        name for name in daemon_child["started"]
-        if any(
-            name == banned or name.startswith(banned + ".")
-            for banned in NOT_IN_THE_DAEMON
-        )
+def banned_in(loaded, banned: frozenset) -> list:
+    return sorted(
+        name for name in loaded
+        if any(name == ban or name.startswith(ban + ".") for ban in banned)
     )
-    assert not found, found
+
+
+def test_the_daemon_serves_without_the_stdlib_http_layer(daemon_child):
+    assert not banned_in(daemon_child["started"], NOT_IN_THE_DAEMON)
+
+
+def test_no_route_loads_hashlib(daemon_child):
+    """Checked again after every route has run twice (the start is
+    checked above): a route that imported ``hashlib`` on use would load
+    OpenSSL then.  The child's own client (``http.client``, ``ssl``)
+    loads no ``hashlib`` on 3.11 and 3.12, so what is found is the
+    daemon's."""
+    assert not banned_in(daemon_child["second"], HASHLIB)
+
+
+def test_reading_the_gold_standard_compiles_no_generator():
+    """``gold_pairs`` runs in every benchmark batch operation: it reads
+    the gold attribute's name, not the dirty-data generator."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, repro.eval.gold; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]),
+                 PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    generators = {f"repro.datagen.{name}" for name in ("dirty", "typos", "synonyms")}
+    assert not loaded & generators, sorted(loaded & generators)
 
 
 def repro_imports(code: str, package: str = "") -> set:

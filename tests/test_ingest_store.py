@@ -15,6 +15,7 @@ import base64
 import copy
 import gc
 import gzip
+import hashlib
 import json
 import os
 import random
@@ -31,6 +32,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from reference.naive_index import NaiveIndex
 from reference.xml_cold_path import tree_shape
 from test_backend_equivalence import class_fuzz_dataset, source_of
+from test_import_closure import CORPUS as CLOSURE_CORPUS
+from test_import_closure import MAPPING as CLOSURE_MAPPING
 
 import repro.ingest.store as store_module
 import repro.strings.qgram as qgram_module
@@ -194,6 +197,97 @@ class TestContentAddressing:
         )
         # Same paths, different bytes: a different corpus, so a miss.
         assert store.load(example_spec(example_dir)) is None
+
+
+#: ``key_for`` of the four-record corpus of ``test_import_closure``, as
+#: the store computed it with ``hashlib``; the snapshot that store wrote
+#: of it is filed under it in ``tests/golden/format5_store``.
+CLOSURE_KEY = "b3201b5b27799a30b4b9e64d9f2e893cac93a0a66271afc94d3f9b6166611e80"
+GOLDEN_STORE = Path(__file__).with_name("golden") / "format5_store"
+
+
+def closure_spec(directory) -> RunSpec:
+    (directory / "cds.xml").write_text(CLOSURE_CORPUS, encoding="utf-8")
+    (directory / "mapping.xml").write_text(CLOSURE_MAPPING, encoding="utf-8")
+    return RunSpec(
+        documents=[str(directory / "cds.xml")],
+        mapping=str(directory / "mapping.xml"),
+        real_world_type="DISC",
+    )
+
+
+@pytest.fixture()
+def corpus_dirs(tmp_path):
+    """(store, spec) of the four-record closure corpus."""
+    return IndexStore(tmp_path / "store"), closure_spec(tmp_path)
+
+
+def hashlib_seal(key: str, texts: list, od_records: list) -> str:
+    """The seal as its docstring defines it, computed with ``hashlib``."""
+    digest = hashlib.sha256()
+    entries = [key, *texts] + [
+        f"{r['id']} {r['doc']} {r['node']} {r['path']}"
+        for r in od_records
+        if "doc" in r
+    ]
+    for entry in entries:
+        data = entry.encode("utf-8", "surrogatepass")
+        digest.update(str(len(data)).encode("ascii") + b":" + data)
+    return digest.hexdigest()
+
+
+class TestDigestsUnchanged:
+    """Store keys and seals hash with the interpreter's built-in SHA-256
+    (``store._sha256``), not ``hashlib``'s OpenSSL one: every key, seal
+    and digest in a URL must stay what ``hashlib`` computed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunks=st.lists(st.binary(max_size=300), max_size=8))
+    def test_the_constructor_is_hashlibs_sha256(self, chunks):
+        whole = b"".join(chunks)
+        assert (
+            store_module._sha256(whole).hexdigest()
+            == hashlib.sha256(whole).hexdigest()
+        )
+        ours, theirs = store_module._sha256(), hashlib.sha256()
+        for chunk in chunks:
+            ours.update(chunk)
+            theirs.update(chunk)
+        assert ours.digest() == theirs.digest()
+
+    def test_the_key_of_a_known_corpus(self, tmp_path):
+        spec = closure_spec(tmp_path)
+        assert IndexStore(tmp_path / "store").key_for(spec) == CLOSURE_KEY
+        assert store_module._file_digest(tmp_path / "cds.xml") == (
+            hashlib.sha256(CLOSURE_CORPUS.encode("utf-8")).hexdigest()
+        )
+
+    def test_the_seal_of_a_saved_snapshot_is_hashlibs(self, corpus_dirs):
+        store, spec = corpus_dirs
+        digest = store.save(spec, spec.build_session())
+        payload = stored_payload(store, digest)
+        assert payload["seal"] == hashlib_seal(
+            digest, payload["documents"], payload["ods"]
+        )
+        golden = json.loads(gzip.decompress(
+            (GOLDEN_STORE / f"{CLOSURE_KEY}.json.gz").read_bytes()
+        ))
+        assert (payload["seal"], payload["documents"]) == (
+            golden["seal"], golden["documents"]
+        )
+
+    def test_a_snapshot_written_before_opens_warm(self, corpus_dirs):
+        """The golden snapshot was saved by the ``hashlib`` store."""
+        store, spec = corpus_dirs
+        store.root.mkdir()
+        golden = GOLDEN_STORE / f"{CLOSURE_KEY}.json.gz"
+        (store.root / golden.name).write_bytes(golden.read_bytes())
+        assert store.contains(spec)
+        warm = store.load(spec)
+        assert warm is not None
+        cold = spec.build_session()
+        assert warm.detect().to_xml() == cold.detect().to_xml()
+        assert [m.object_id for m in warm.match(0)] == [1]
 
 
 class TestVersionPolicy:

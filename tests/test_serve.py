@@ -992,6 +992,95 @@ class TestRegistry:
             server.server_close()
 
 
+def wait_until(condition, seconds: float = 30) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestIdleTimeout:
+    """``_Handler.timeout`` hangs up on a peer that stops sending, so a
+    stalled connection holds its thread that long, not for ever."""
+
+    @pytest.fixture()
+    def handlers(self, monkeypatch) -> list:
+        """The timeout patched small; each connection's handler thread
+        recorded as it starts."""
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        started = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            started.append(threading.current_thread())
+            setup(handler)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        return started
+
+    def test_accepted_sockets_carry_the_timeout_and_outlast_a_pause(
+        self, tmp_path
+    ):
+        """Unpatched: an accepted socket times out, and a peer pausing
+        inside a head for longer than a served workload's gaps (0.4 s)
+        is still answered."""
+        server = _WireServer(("127.0.0.1", 0), str(tmp_path / "store"), quiet=True)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with RawPeer(server.port) as peer:
+                peer.send(b"GET /healthz HTTP/1.1\r\n")
+                time.sleep(0.5)
+                peer.send(b"Host: x\r\n\r\n")
+                assert peer.response().status == 200
+                assert _Handler.timeout is not None
+                assert server.accepted[0].gettimeout() == _Handler.timeout
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_peers_stalled_inside_a_head_free_their_threads(
+        self, tmp_path, handlers
+    ):
+        server, _ = start_server(tmp_path / "store")
+        baseline = threading.active_count()
+        peers = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=10)
+            for _ in range(5)
+        ]
+        try:
+            for peer in peers:
+                peer.sendall(b"GET /healthz HTTP/1.1\r\n")
+            assert wait_until(lambda: len(handlers) == 5)
+            assert wait_until(lambda: not any(t.is_alive() for t in handlers))
+            assert threading.active_count() <= baseline
+            for peer in peers:
+                assert peer.recv(1) == b""  # hung up on, nothing answered
+        finally:
+            for peer in peers:
+                peer.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_the_client_reopens_a_connection_dropped_while_idle(
+        self, tmp_path, handlers
+    ):
+        server, client = start_server(tmp_path / "store")
+        try:
+            assert client.healthz()["status"] == "ok"
+            dropped = client._connection().sock
+            assert len(handlers) == 1
+            assert wait_until(lambda: not handlers[0].is_alive())
+            assert client.healthz()["status"] == "ok"
+            assert client._connection().sock is not dropped
+            assert len(handlers) == 2
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
+
 class _RecordingSocket(socket.socket):
     """An accepted connection that logs the size of every send."""
 
